@@ -11,7 +11,6 @@ from .attention import (
     AttentionField,
     CoordGrid,
     NONE_ID,
-    aggregate_maps,
     coord_grid,
     normalize_map,
     pseudo_segment,
@@ -20,17 +19,12 @@ from .attention import (
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import GradCheckResult, check_gradients, random_field_latent, random_scene
 from .losses import (
-    ConfigError,
-    GuidanceConfig,
     LossBreakdown,
     alignment_ratio,
     arbitration_weight,
     attention_energies,
     grad_staged_loss,
     interference,
-    loss_align,
-    loss_compact,
-    loss_ortho,
     spatial_mean,
     spatial_variance,
     staged_loss,
@@ -54,6 +48,8 @@ from .optimizer import (
     step_size,
 )
 from .scene import (
+    ConfigError,
+    GuidanceConfig,
     OcclusionPair,
     SceneError,
     SceneObject,

@@ -3,12 +3,11 @@
 An attention map is a non-negative float64 grid; a field is one map per
 scene object, all sharing the same dimensions.  The transforms here are the
 building blocks the losses and metrics read: probability normalization,
-averaging, per-pixel winner assignment, and relative thresholding.
+per-pixel winner assignment, and relative thresholding.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -123,24 +122,6 @@ def normalize_map(values: np.ndarray, epsilon: float) -> np.ndarray:
         raise AttentionError(f"epsilon must be > 0, got {epsilon}")
     arr = _validate_map(values)
     return arr / (arr.sum() + epsilon)
-
-
-def aggregate_maps(maps: Sequence[np.ndarray]) -> np.ndarray:
-    """Element-wise arithmetic mean of same-shaped maps.
-
-    Per-pixel sums are exactly rounded (fsum), so the result is independent
-    of the input ordering, not just close to it.
-    """
-    if len(maps) == 0:
-        raise AttentionError("aggregate_maps needs at least one map")
-    arrs = [_validate_map(m) for m in maps]
-    shape = arrs[0].shape
-    for k, arr in enumerate(arrs):
-        if arr.shape != shape:
-            raise AttentionError(f"map {k} has shape {arr.shape}, expected {shape}")
-    flat = np.stack(arrs).reshape(len(arrs), -1)
-    sums = np.array([math.fsum(flat[:, i]) for i in range(flat.shape[1])])
-    return (sums / len(arrs)).reshape(shape)
 
 
 def pseudo_segment(field: AttentionField, scene: SceneSpec) -> np.ndarray:

@@ -8,8 +8,6 @@ block < command-line flags.  Exit codes: 0 success, 1 input/usage error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import os
 import sys
 from datetime import datetime, timezone
 from typing import Any, Sequence
@@ -19,10 +17,17 @@ import numpy as np
 from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import DEFAULT_REL_TOL, check_gradients
-from .losses import ConfigError, GuidanceConfig
 from .metrics import DEFAULT_REL_THRESHOLD, build_metric_report
 from .optimizer import NumericalAbort, _final_stage, run_guidance
-from .scene import SceneError, SceneSpec, canonical_scene, read_scene
+from .scene import (
+    GUIDANCE_CONFIG_KEYS,
+    ConfigError,
+    GuidanceConfig,
+    SceneError,
+    SceneSpec,
+    canonical_scene,
+    read_scene,
+)
 from .surrogate import MODES, SurrogateError, init_latent
 
 BLOB_DEFAULT_ETA0 = 0.5
@@ -35,17 +40,10 @@ SWEEP_PARAMS = (
     "eta0",
     "stage1_fraction",
 )
+_RENAMED_CONFIG_FLAGS = {"steps": "total_steps", "stage1_frac": "stage1_fraction", "eta": "eta0"}
 _CONFIG_FLAGS = {
-    "steps": "total_steps",
-    "stage1_frac": "stage1_fraction",
-    "eta": "eta0",
-    "eta_decay": "eta_decay",
-    "lambda0": "lambda0",
-    "alpha": "alpha",
-    "tau": "tau",
-    "lambda_ortho": "lambda_ortho",
-    "lambda_compact": "lambda_compact",
-    "epsilon": "epsilon",
+    **_RENAMED_CONFIG_FLAGS,
+    **{key: key for key in GUIDANCE_CONFIG_KEYS if key not in _RENAMED_CONFIG_FLAGS.values()},
 }
 
 
@@ -130,7 +128,6 @@ def _config_echo(cfg: GuidanceConfig, args) -> dict:
     echo["rel_threshold"] = (
         args.rel_threshold if getattr(args, "rel_threshold", None) is not None else DEFAULT_REL_THRESHOLD
     )
-    echo["inner_iters"] = getattr(args, "inner_iters", None) or 1
     echo["preset"] = getattr(args, "preset", None) or "main"
     return echo
 
@@ -187,7 +184,7 @@ def cmd_run(args) -> int:
     cfg = resolve_config(args, file_overrides)
     seed = args.seed
     latent0 = init_latent(scene, args.mode, seed)
-    trajectory = run_guidance(scene, cfg, latent0, inner_iters=args.inner_iters)
+    trajectory = run_guidance(scene, cfg, latent0)
     # report and dump both see the float32-rounded field, so a later
     # `eval` of the dump reproduces the reported numbers exactly
     rounded = round_trip32(trajectory.final_field)
@@ -265,23 +262,10 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def _sweep_threads(n_runs: int) -> int:
-    env = os.environ.get("DEPTHARB_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise UsageError(f"DEPTHARB_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise UsageError(f"DEPTHARB_THREADS must be >= 1, got {cap}")
-        return min(cap, n_runs)
-    return min(n_runs, os.cpu_count() or 1)
-
-
 def _sweep_one(scene: SceneSpec, cfg: GuidanceConfig, args, value: float) -> dict:
     run_cfg = cfg.updated(**{args.param: value})
     latent0 = init_latent(scene, args.mode, args.seed)
-    trajectory = run_guidance(scene, run_cfg, latent0, inner_iters=args.inner_iters)
+    trajectory = run_guidance(scene, run_cfg, latent0)
     rounded = round_trip32(trajectory.final_field)
     rel_threshold = args.rel_threshold if args.rel_threshold is not None else DEFAULT_REL_THRESHOLD
     report = build_metric_report(
@@ -320,13 +304,7 @@ def cmd_sweep(args) -> int:
 
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    rows: list[dict | None] = [None] * len(values)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_sweep_threads(len(values))) as pool:
-        futures = {
-            pool.submit(_sweep_one, scene, cfg, args, value): i for i, value in enumerate(values)
-        }
-        for future in concurrent.futures.as_completed(futures):
-            rows[futures[future]] = future.result()
+    rows = [_sweep_one(scene, cfg, args, value) for value in values]
 
     table = {
         "param": args.param,
@@ -392,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="optimize a scene and report metrics", parents=[])
     run.add_argument("--scene", required=True, help="scene JSON path")
     _add_config_flags(run)
-    run.add_argument("--inner-iters", dest="inner_iters", type=int, default=1,
-                     help="gradient updates per recorded step")
     run.add_argument("--rel-threshold", dest="rel_threshold", type=float, default=None,
                      help="relative threshold for layout mIoU masks")
     run.add_argument("--dump", default=None, help="write the final attention field here")
@@ -414,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sweep)
     sweep.add_argument("--param", required=True, help=f"one of {', '.join(SWEEP_PARAMS)}")
     sweep.add_argument("--values", required=True, help="comma-separated parameter values")
-    sweep.add_argument("--inner-iters", dest="inner_iters", type=int, default=1)
     sweep.add_argument("--rel-threshold", dest="rel_threshold", type=float, default=None)
     sweep.add_argument("--report", default=None, help="write the JSON sweep table here")
     sweep.set_defaults(func=cmd_sweep)
@@ -423,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dump", required=True, help="attention dump path")
     ev.add_argument("--scene", required=True, help="scene JSON path")
     _add_config_flags(ev)
-    ev.add_argument("--inner-iters", dest="inner_iters", type=int, default=1)
     ev.add_argument("--rel-threshold", dest="rel_threshold", type=float, default=None)
     ev.add_argument("--report", default=None, help="write the JSON report here")
     ev.set_defaults(func=cmd_eval)

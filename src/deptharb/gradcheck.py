@@ -13,20 +13,19 @@ gradients, an absolute floor for near-zero ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import coord_grid
 from .losses import (
-    GuidanceConfig,
     alignment_ratio,
+    arbitration_weight,
     attention_energies,
     grad_staged_loss,
     interference,
 )
-from .scene import SceneObject, SceneSpec, derive_occlusion_pairs, scene_masks
+from .scene import GuidanceConfig, SceneObject, SceneSpec, derive_occlusion_pairs, scene_masks
 from .surrogate import LatentState, _blob_map, backprop_to_latent, init_latent, render_attention
 
 LONG = np.longdouble
@@ -140,8 +139,7 @@ def check_gradients(
     pair_idx = [(scene.index_of(p.foreground_id), scene.index_of(p.background_id)) for p in pairs]
     fg_terms_by_obj: list[list[tuple[np.ndarray, float]]] = [[] for _ in scene.objects]
     for fg, bg in pair_idx:
-        lam = cfg.lambda0 * math.exp(cfg.alpha * float(depths[bg] - depths[fg]) / cfg.tau)
-        fg_terms_by_obj[bg].append((masks[fg], lam))
+        fg_terms_by_obj[bg].append((masks[fg], arbitration_weight(depths[fg], depths[bg], cfg)))
 
     def fd_attention(k: int, y: int, x: int) -> float:
         base = field_.maps[k].astype(LONG)

@@ -15,78 +15,21 @@ config weights); stage 2 drops the orthogonality term from the total and the
 gradient but still reports it diagnostically.
 
 Gradients are hand-derived closed forms rather than autodiff, so the
-finite-difference suite is a genuinely independent check.  The derivations
-live in the docstrings of the private kernels below.
+finite-difference suite is a genuinely independent check.  One kernel,
+`value_and_grad`, produces the values and the gradient together; the
+derivations live in its docstring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .attention import AttentionField, check_alignment, coord_grid
-from .scene import OcclusionPair, SceneSpec, scene_masks
-
-
-class ConfigError(ValueError):
-    """Raised for invalid guidance configuration values."""
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Every tunable of the guidance engine.
-
-    The default step size is calibrated for the raster surrogate, whose
-    gradient entries scale like 1/(total attention mass); see the README for
-    blob-mode guidance.
-    """
-
-    lambda0: float = 0.5
-    alpha: float = 1.0
-    tau: float = 1.0
-    lambda_ortho: float = 0.5
-    lambda_compact: float = 0.2
-    epsilon: float = 1e-8
-    eta0: float = 800.0
-    eta_decay: float = 1.0
-    stage1_fraction: float = 0.5
-    total_steps: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.lambda0 > 0:
-            raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0.0 <= self.stage1_fraction <= 1.0:
-            raise ConfigError(
-                f"stage1_fraction must be within [0, 1], got {self.stage1_fraction}"
-            )
-        if not self.eta0 >= 0:
-            raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
-        if not 0.0 < self.eta_decay <= 1.0:
-            raise ConfigError(f"eta_decay must be in (0, 1], got {self.eta_decay}")
-        if not self.total_steps >= 0:
-            raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
-
-    @classmethod
-    def preset(cls, name: str) -> "GuidanceConfig":
-        """Named weight presets: "main" (0.5/0.2) or "appendix" (0.2/0.5)."""
-        if name == "main":
-            return cls()
-        if name == "appendix":
-            return cls(lambda_ortho=0.2, lambda_compact=0.5)
-        raise ConfigError(f"unknown preset {name!r} (expected 'main' or 'appendix')")
-
-    def updated(self, **overrides) -> "GuidanceConfig":
-        return replace(self, **overrides)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+from .scene import GuidanceConfig, OcclusionPair, SceneSpec, box_indicators
 
 
 @dataclass(frozen=True)
@@ -186,94 +129,147 @@ def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
 
 
 # ---------------------------------------------------------------------------
-# dtype-generic term kernels (shared by the public losses and the
-# finite-difference oracle, which feeds them extended-precision arrays)
+# the production objective: a per-run plan and one value-and-gradient kernel
 # ---------------------------------------------------------------------------
 
-def _align_terms(maps: np.ndarray, masks: np.ndarray, depths: np.ndarray, epsilon):
-    k = maps.shape[0]
-    dtype = maps.dtype
-    f = np.zeros(k, dtype=dtype)
-    e_in = np.zeros(k, dtype=dtype)
-    e_out = np.zeros(k, dtype=dtype)
-    value = dtype.type(0.0)
-    for i in range(k):
-        e_in[i], e_out[i] = attention_energies(maps[i], masks[i])
-        f[i] = alignment_ratio(e_in[i], e_out[i], epsilon)
-        value = value + depths[i] * (1 - f[i]) ** 2
-    return value, f, e_in, e_out
+@dataclass(frozen=True)
+class _Plan:
+    """Step-invariant geometry of one (scene, pairs, cfg), built once per run.
+
+    Box k's mask is exactly rows[k] (outer) cols[k], so every masked sum the
+    objective needs is a contraction of the field with these indicators.
+    """
+
+    cfg: GuidanceConfig
+    rows: np.ndarray      # (K, H) box row indicators
+    cols: np.ndarray      # (K, W) box column indicators
+    colmat: np.ndarray    # (W, 1 + K): a column of ones, then every box's cols
+    cx: np.ndarray        # (W,) pixel-center x
+    cy: np.ndarray        # (H,) pixel-center y
+    depths: np.ndarray    # (K,)
+    pairs: tuple[OcclusionPair, ...]
+    fg: np.ndarray        # (P,) foreground object indices
+    bg: np.ndarray        # (P,) background object indices
+    weights: np.ndarray   # (P,) lambda_ij
+    fg_area: np.ndarray   # (P,) foreground-box pixel counts
 
 
-def _ortho_terms(
-    maps: np.ndarray,
-    masks: np.ndarray,
-    depths: np.ndarray,
-    pair_idx: Sequence[tuple[int, int]],
-    cfg: GuidanceConfig,
-):
-    dtype = maps.dtype
-    n = len(pair_idx)
-    inter = np.zeros(n, dtype=dtype)
-    weights = np.zeros(n, dtype=np.float64)
-    value = dtype.type(0.0)
-    for p, (fg, bg) in enumerate(pair_idx):
-        weights[p] = cfg.lambda0 * math.exp(
-            cfg.alpha * (float(depths[bg]) - float(depths[fg])) / cfg.tau
-        )
-        inter[p] = interference(maps[bg], masks[fg], cfg.epsilon)
-        value = value + weights[p] * inter[p]
-    return value, inter, weights
-
-
-def _compact_terms(maps: np.ndarray, coords, depths: np.ndarray, epsilon):
-    k = maps.shape[0]
-    dtype = maps.dtype
-    mu = np.zeros((k, 2), dtype=dtype)
-    var = np.zeros(k, dtype=dtype)
-    value = dtype.type(0.0)
-    for i in range(k):
-        norm = maps[i] / (maps[i].sum() + epsilon)
-        mu[i] = spatial_mean(norm, coords)
-        var[i] = spatial_variance(norm, coords, mu[i])
-        value = value + depths[i] * var[i]
-    return value, mu, var
-
-
-# ---------------------------------------------------------------------------
-# public losses
-# ---------------------------------------------------------------------------
-
-def _resolve_pairs(scene: SceneSpec, pairs: Sequence[OcclusionPair]) -> list[tuple[int, int]]:
-    return [(scene.index_of(p.foreground_id), scene.index_of(p.background_id)) for p in pairs]
-
-
-def loss_align(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig):
-    """Depth-weighted alignment loss and the per-object ratios behind it."""
-    check_alignment(field, scene)
-    value, f, _, _ = _align_terms(field.maps, scene_masks(scene), scene.depths(), cfg.epsilon)
-    return float(value), f
-
-
-def loss_ortho(
-    field: AttentionField,
-    scene: SceneSpec,
-    pairs: Sequence[OcclusionPair],
-    cfg: GuidanceConfig,
-):
-    """Weighted interference over occlusion pairs (0 for no pairs)."""
-    check_alignment(field, scene)
-    value, inter, weights = _ortho_terms(
-        field.maps, scene_masks(scene), scene.depths(), _resolve_pairs(scene, pairs), cfg
+def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig) -> _Plan:
+    height, width = scene.grid_height, scene.grid_width
+    boxes = [box_indicators(obj.bbox, height, width) for obj in scene.objects]
+    rows = np.stack([r for r, _ in boxes])
+    cols = np.stack([c for _, c in boxes])
+    coords = coord_grid(height, width)
+    depths = scene.depths()
+    fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
+    bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
+    weights = np.array(
+        [arbitration_weight(depths[i], depths[j], cfg) for i, j in zip(fg, bg)], dtype=np.float64
     )
-    return float(value), inter, weights
+    return _Plan(
+        cfg=cfg,
+        rows=rows,
+        cols=cols,
+        colmat=np.vstack([np.ones(width), cols]).T.copy(),
+        cx=coords.x[0].copy(),
+        cy=coords.y[:, 0].copy(),
+        depths=depths,
+        pairs=tuple(pairs),
+        fg=fg,
+        bg=bg,
+        weights=weights,
+        fg_area=rows[fg].sum(axis=1) * cols[fg].sum(axis=1),
+    )
 
 
-def loss_compact(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig):
-    """Depth-weighted spatial variance with per-object means and moments."""
-    check_alignment(field, scene)
-    coords = coord_grid(scene.grid_height, scene.grid_width)
-    value, mu, var = _compact_terms(field.maps, coords, scene.depths(), cfg.epsilon)
-    return float(value), mu, var
+def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreakdown, np.ndarray]:
+    """The stage objective of a (K, H, W) field and its gradient d(total)/dA.
+
+    With S = sum(A_k), D = S + eps, row sums R (K, H) and column sums C (K, W),
+    and box k's mask M_k = r_k (outer) c_k, every term reads the same few
+    reductions:
+        e_in = r_k . (A_k c_k),     I_{i<-j} = r_i . (A_j c_i) / (|M_i| + eps),
+        mu = (C_k . cx, R_k . cy) / D,
+        Var = (C_k . (cx - mu_x)^2 + R_k . (cy - mu_y)^2) / D   (centred form).
+    e_in is the literal in-box sum; then e_out = S - e_in and e_in = S - e_out.
+    Whichever side holds at least half of S makes the other subtraction exact
+    (Sterbenz), so e_in + e_out == S bit-exactly and a dominant e_in keeps its
+    literal value.
+
+    Gradients, per map:
+    * alignment, by the quotient rule (df/dA(v) = (M(v) - f) / D):
+          d[d (1 - f)^2]/dA(v) = a (M(v) - f),  a = -2 d (1 - f) / D;
+    * orthogonality: I is linear in the background map,
+          dI/dA_bg(v) = M_fg(v) / (|M_fg| + eps), and nothing for the foreground;
+    * compactness: for a fixed per-pixel g, G = sum(A g) / D has
+      dG/dA(v) = (g(v) - G) / D; chaining through mu gives
+          dVar/dA(v) = (|p(v) - mu|^2 - Var) / D - 2 (p(v) - mu) . mu eps / D^2,
+      the last part an eps-order residual of the normalization
+      (sum(A / D) = S / D), kept so the gradient matches finite differences at
+      full precision.
+    Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
+    plus one outer product per stage-1 pair, assembled in place in the output
+    array.
+    """
+    if stage not in (1, 2):
+        raise ValueError(f"stage must be 1 or 2, got {stage}")
+    cfg = plan.cfg
+    eps = cfg.epsilon
+    k, height, width = maps.shape
+    r, c, d = plan.rows, plan.cols, plan.depths
+    objs = np.arange(k)
+
+    # row_dots[k, y, 0] = R[k, y]; row_dots[k, y, 1 + j] = A_k[y] . c_j
+    row_dots = (maps.reshape(k * height, width) @ plan.colmat).reshape(k, height, k + 1)
+    row_sum = row_dots[:, :, 0]
+    col_sum = maps.sum(axis=1)
+    total = col_sum.sum(axis=1)
+    denom = total + eps
+
+    # the literal sum can round past S when the box covers the whole grid
+    e_in = np.minimum((r * row_dots[objs, :, 1 + objs]).sum(axis=1), total)
+    e_out = total - e_in
+    e_in = total - e_out
+    f = e_in / denom
+    align = (d * (1.0 - f) ** 2).sum()
+
+    inter = (r[plan.fg] * row_dots[plan.bg, :, 1 + plan.fg]).sum(axis=1) / (plan.fg_area + eps)
+    ortho = (plan.weights * inter).sum()
+
+    mu = np.stack([col_sum @ plan.cx, row_sum @ plan.cy], axis=1) / denom[:, None]
+    dx = plan.cx - mu[:, :1]
+    dy = plan.cy - mu[:, 1:]
+    var = ((col_sum * dx**2).sum(axis=1) + (row_sum * dy**2).sum(axis=1)) / denom
+    compact = (d * var).sum()
+
+    a = -2.0 * d * (1.0 - f) / denom
+    q = (cfg.lambda_compact * d / denom)[:, None]
+    res = (2.0 * eps / denom)[:, None]
+    grad = np.empty_like(maps)
+    np.multiply((a[:, None] * r)[:, :, None], c[:, None, :], out=grad)
+    grad += (q * (dy * (dy - res * mu[:, 1:]) - var[:, None]) - (a * f)[:, None])[:, :, None]
+    grad += (q * dx * (dx - res * mu[:, :1]))[:, None, :]
+    if stage == 1:
+        coef = cfg.lambda_ortho * plan.weights / (plan.fg_area + eps)
+        for p, (i, j) in enumerate(zip(plan.fg, plan.bg)):
+            grad[j] += np.outer(coef[p] * r[i], c[i])
+
+    breakdown = LossBreakdown(
+        stage=stage,
+        align=float(align),
+        ortho=float(ortho),
+        compact=float(compact),
+        total=float(staged_total(align, ortho, compact, cfg, stage)),
+        f=f,
+        e_in=e_in,
+        e_out=e_out,
+        mu=mu,
+        var=var,
+        pairs=plan.pairs,
+        pair_interference=inter,
+        pair_weights=plan.weights.copy(),
+    )
+    return breakdown, grad
 
 
 def staged_loss(
@@ -288,103 +284,8 @@ def staged_loss(
     The ortho term is always evaluated and reported; in stage 2 it is simply
     excluded from the total (and from the gradient).
     """
-    if stage not in (1, 2):
-        raise ValueError(f"stage must be 1 or 2, got {stage}")
     check_alignment(field, scene)
-    masks = scene_masks(scene)
-    depths = scene.depths()
-    coords = coord_grid(scene.grid_height, scene.grid_width)
-    pair_idx = _resolve_pairs(scene, pairs)
-
-    align, f, e_in, e_out = _align_terms(field.maps, masks, depths, cfg.epsilon)
-    ortho, inter, weights = _ortho_terms(field.maps, masks, depths, pair_idx, cfg)
-    compact, mu, var = _compact_terms(field.maps, coords, depths, cfg.epsilon)
-    total = staged_total(align, ortho, compact, cfg, stage)
-    return LossBreakdown(
-        stage=stage,
-        align=float(align),
-        ortho=float(ortho),
-        compact=float(compact),
-        total=float(total),
-        f=f,
-        e_in=e_in,
-        e_out=e_out,
-        mu=mu,
-        var=var,
-        pairs=tuple(pairs),
-        pair_interference=inter,
-        pair_weights=weights,
-    )
-
-
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
-
-def _grad_align(maps: np.ndarray, masks: np.ndarray, depths: np.ndarray, epsilon) -> np.ndarray:
-    """d(align)/dA by the quotient rule.
-
-    With S = e_in + e_out and f = e_in / (S + eps):
-        df/dA(v) = (M(v) - f) / (S + eps)
-        d[d_i (1 - f)^2]/dA(v) = -2 d_i (1 - f) (M(v) - f) / (S + eps)
-    """
-    g = np.zeros_like(maps)
-    for i in range(maps.shape[0]):
-        e_in, e_out = attention_energies(maps[i], masks[i])
-        denom = e_in + e_out + epsilon
-        f = e_in / denom
-        g[i] = -2.0 * depths[i] * (1.0 - f) * (masks[i] - f) / denom
-    return g
-
-
-def _grad_ortho(
-    maps: np.ndarray,
-    masks: np.ndarray,
-    depths: np.ndarray,
-    pair_idx: Sequence[tuple[int, int]],
-    cfg: GuidanceConfig,
-) -> np.ndarray:
-    """d(sum lambda_ij * I)/dA: I is linear in the background map.
-
-    dI/dA_bg(v) = M_fg(v) / (sum M_fg + eps); foreground maps get nothing
-    because I touches them only through the constant mask.
-    """
-    g = np.zeros_like(maps)
-    for fg, bg in pair_idx:
-        lam = cfg.lambda0 * math.exp(
-            cfg.alpha * (float(depths[bg]) - float(depths[fg])) / cfg.tau
-        )
-        g[bg] += lam * masks[fg] / (masks[fg].sum() + cfg.epsilon)
-    return g
-
-
-def _grad_compact(maps: np.ndarray, coords, depths: np.ndarray, epsilon) -> np.ndarray:
-    """d(sum_i d_i Var_i)/dA via the weighted-moment derivative identity.
-
-    For any fixed per-pixel quantity g, G = sum(A_tilde * g) has
-        dG/dA(v) = (g(v) - G) / (S + eps).
-    Applying it to Var = sum(A_tilde * ||p - mu||^2) and chaining through mu
-    (d(mu)/dA(v) = (p(v) - mu) / (S + eps)) gives
-        dVar/dA(v) = (||p(v) - mu||^2 - Var) / (S + eps)
-                     - 2 (p(v) - mu) . (mu - mu * sum(A_tilde)) / (S + eps).
-    Since sum(A_tilde) = S / (S + eps), the second factor collapses to
-    mu * eps / (S + eps): an eps-order residual of the normalization, kept so
-    the gradient matches finite differences at full precision.
-    """
-    g = np.zeros_like(maps)
-    for i in range(maps.shape[0]):
-        s = maps[i].sum()
-        denom = s + epsilon
-        norm = maps[i] / denom
-        mu_x = (norm * coords.x).sum()
-        mu_y = (norm * coords.y).sum()
-        dx = coords.x - mu_x
-        dy = coords.y - mu_y
-        dist2 = dx**2 + dy**2
-        var = (norm * dist2).sum()
-        residual = (dx * mu_x + dy * mu_y) * (2.0 * epsilon / denom**2)
-        g[i] = depths[i] * ((dist2 - var) / denom - residual)
-    return g
+    return value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[0]
 
 
 def grad_staged_loss(
@@ -399,16 +300,5 @@ def grad_staged_loss(
     Matches central finite differences of staged_loss; the ortho component is
     identically absent in stage 2.
     """
-    if stage not in (1, 2):
-        raise ValueError(f"stage must be 1 or 2, got {stage}")
     check_alignment(field, scene)
-    masks = scene_masks(scene)
-    depths = scene.depths()
-    coords = coord_grid(scene.grid_height, scene.grid_width)
-    g = _grad_align(field.maps, masks, depths, cfg.epsilon)
-    if stage == 1:
-        g += cfg.lambda_ortho * _grad_ortho(
-            field.maps, masks, depths, _resolve_pairs(scene, pairs), cfg
-        )
-    g += cfg.lambda_compact * _grad_compact(field.maps, coords, depths, cfg.epsilon)
-    return g
+    return value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[1]

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .attention import AttentionField, check_alignment, pseudo_segment, threshold_mask
-from .losses import GuidanceConfig, LossBreakdown, staged_loss
-from .scene import OcclusionPair, SceneSpec, derive_occlusion_pairs, rasterize_mask
+from .losses import LossBreakdown, staged_loss
+from .scene import GuidanceConfig, OcclusionPair, SceneSpec, derive_occlusion_pairs, rasterize_mask
 
 DEFAULT_REL_THRESHOLD = 0.5
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionError, AttentionField
-from .losses import GuidanceConfig, LossBreakdown, grad_staged_loss, staged_loss
-from .scene import SceneSpec, derive_occlusion_pairs
+from .losses import LossBreakdown, _plan, value_and_grad
+from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs
 from .surrogate import LatentState, SurrogateError, backprop_to_latent, render_attention
 
 
@@ -81,21 +81,13 @@ def _render_checked(latent: LatentState, scene: SceneSpec, step: int) -> Attenti
         raise NumericalAbort(step, "rendered field") from exc
 
 
-def run_guidance(
-    scene: SceneSpec,
-    cfg: GuidanceConfig,
-    latent0: LatentState,
-    inner_iters: int = 1,
-) -> Trajectory:
+def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> Trajectory:
     """Run the full staged optimization from latent0.
 
-    Deterministic given (scene, cfg, latent0).  inner_iters > 1 applies that
-    many gradient updates per recorded step, re-rendering between updates;
-    every update within a step uses the same eta_t and stage.
+    Deterministic given (scene, cfg, latent0).  The loss geometry is planned
+    once; each step then makes one value-and-gradient call.
     """
-    if inner_iters < 1:
-        raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
-    pairs = derive_occlusion_pairs(scene)
+    plan = _plan(scene, derive_occlusion_pairs(scene), cfg)
     latent = latent0
     records: list[StepRecord] = []
 
@@ -103,27 +95,23 @@ def run_guidance(
         stage = stage_of(t, cfg)
         eta = step_size(t, cfg)
         field = _render_checked(latent, scene, t)
-        breakdown = staged_loss(field, scene, pairs, cfg, stage)
+        breakdown, grad = value_and_grad(field.maps, plan, stage)
         if not math.isfinite(breakdown.total):
             raise NumericalAbort(t, "loss")
         records.append(StepRecord(step=t, stage=stage, eta=eta, breakdown=breakdown))
-        for it in range(inner_iters):
-            if it > 0:
-                field = _render_checked(latent, scene, t)
-            grad = grad_staged_loss(field, scene, pairs, cfg, stage)
-            if not np.isfinite(grad).all():
-                raise NumericalAbort(t, "gradient")
-            latent_grad = backprop_to_latent(latent, scene, grad)
-            if not np.isfinite(latent_grad).all():
-                raise NumericalAbort(t, "latent gradient")
-            try:
-                latent = latent.with_values(latent.values - eta * latent_grad)
-            except SurrogateError as exc:
-                raise NumericalAbort(t, "latent update") from exc
+        if not np.isfinite(grad).all():
+            raise NumericalAbort(t, "gradient")
+        latent_grad = backprop_to_latent(latent, scene, grad)
+        if not np.isfinite(latent_grad).all():
+            raise NumericalAbort(t, "latent gradient")
+        try:
+            latent = latent.with_values(latent.values - eta * latent_grad)
+        except SurrogateError as exc:
+            raise NumericalAbort(t, "latent update") from exc
 
     final_field = _render_checked(latent, scene, cfg.total_steps)
     stage = _final_stage(cfg)
-    breakdown = staged_loss(final_field, scene, pairs, cfg, stage)
+    breakdown, _ = value_and_grad(final_field.maps, plan, stage)
     if not math.isfinite(breakdown.total):
         raise NumericalAbort(cfg.total_steps, "loss")
     records.append(

@@ -4,29 +4,78 @@ A scene is a pixel grid plus an ordered list of objects, each carrying a
 normalized bounding box and a relative depth in [0, 1] (smaller depth means
 closer to the camera).  Everything downstream consumes the binary box masks
 produced here and the foreground/background pairs derived from depth order
-and box overlap.
+and box overlap.  The guidance config lives here too, because a scene file's
+"config" block may override any of its fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 import numpy as np
 
-GUIDANCE_CONFIG_KEYS = (
-    "lambda0",
-    "alpha",
-    "tau",
-    "lambda_ortho",
-    "lambda_compact",
-    "epsilon",
-    "eta0",
-    "eta_decay",
-    "stage1_fraction",
-    "total_steps",
-)
+
+class ConfigError(ValueError):
+    """Raised for invalid guidance configuration values."""
+
+
+@dataclass(frozen=True)
+class GuidanceConfig:
+    """Every tunable of the guidance engine.
+
+    The default step size is calibrated for the raster surrogate, whose
+    gradient entries scale like 1/(total attention mass); see the README for
+    blob-mode guidance.
+    """
+
+    lambda0: float = 0.5
+    alpha: float = 1.0
+    tau: float = 1.0
+    lambda_ortho: float = 0.5
+    lambda_compact: float = 0.2
+    epsilon: float = 1e-8
+    eta0: float = 800.0
+    eta_decay: float = 1.0
+    stage1_fraction: float = 0.5
+    total_steps: int = 200
+
+    def __post_init__(self) -> None:
+        if not self.lambda0 > 0:
+            raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
+        if not self.tau > 0:
+            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 <= self.stage1_fraction <= 1.0:
+            raise ConfigError(
+                f"stage1_fraction must be within [0, 1], got {self.stage1_fraction}"
+            )
+        if not self.eta0 >= 0:
+            raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
+        if not 0.0 < self.eta_decay <= 1.0:
+            raise ConfigError(f"eta_decay must be in (0, 1], got {self.eta_decay}")
+        if not self.total_steps >= 0:
+            raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
+
+    @classmethod
+    def preset(cls, name: str) -> "GuidanceConfig":
+        """Named weight presets: "main" (0.5/0.2) or "appendix" (0.2/0.5)."""
+        if name == "main":
+            return cls()
+        if name == "appendix":
+            return cls(lambda_ortho=0.2, lambda_compact=0.5)
+        raise ConfigError(f"unknown preset {name!r} (expected 'main' or 'appendix')")
+
+    def updated(self, **overrides) -> "GuidanceConfig":
+        return replace(self, **overrides)
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+GUIDANCE_CONFIG_KEYS = tuple(f.name for f in fields(GuidanceConfig))
 
 
 class SceneError(ValueError):
@@ -70,6 +119,14 @@ class SceneSpec:
         ids = [obj.id for obj in self.objects]
         if len(set(ids)) != len(ids):
             raise SceneError(f"object ids are not unique: {ids}")
+        for k, obj in enumerate(self.objects):
+            # such a box can never hold attention: f would stay 0 forever
+            rows, cols = box_indicators(obj.bbox, self.grid_height, self.grid_width)
+            if not (rows.any() and cols.any()):
+                raise SceneError(
+                    f"objects[{k}].bbox: {obj.bbox} covers no pixel center of the "
+                    f"{self.grid_height}x{self.grid_width} grid"
+                )
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -197,21 +254,30 @@ def read_scene(path: str) -> tuple[SceneSpec, dict[str, float]]:
         return parse_scene_with_config(fh.read())
 
 
-def rasterize_mask(
+def box_indicators(
     bbox: tuple[float, float, float, float], height: int, width: int
-) -> np.ndarray:
-    """Rasterize a normalized box to a binary (height, width) float64 mask.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row (height,) and column (width,) 0/1 float64 indicators of a normalized box.
 
     A pixel is inside iff its center ((x+0.5)/W, (y+0.5)/H) satisfies
-    x_min <= cx < x_max and y_min <= cy < y_max.  Half-open intervals keep
-    shared box edges from being claimed twice.
+    x_min <= cx < x_max and y_min <= cy < y_max, so the box mask is the outer
+    product of the two.  Half-open intervals keep shared box edges from being
+    claimed twice.
     """
     x0, y0, x1, y1 = bbox
     cx = (np.arange(width, dtype=np.float64) + 0.5) / width
     cy = (np.arange(height, dtype=np.float64) + 0.5) / height
-    cols = (cx >= x0) & (cx < x1)
-    rows = (cy >= y0) & (cy < y1)
-    return (rows[:, None] & cols[None, :]).astype(np.float64)
+    rows = ((cy >= y0) & (cy < y1)).astype(np.float64)
+    cols = ((cx >= x0) & (cx < x1)).astype(np.float64)
+    return rows, cols
+
+
+def rasterize_mask(
+    bbox: tuple[float, float, float, float], height: int, width: int
+) -> np.ndarray:
+    """Rasterize a normalized box to a binary (height, width) float64 mask."""
+    rows, cols = box_indicators(bbox, height, width)
+    return np.outer(rows, cols)
 
 
 def scene_masks(scene: SceneSpec) -> np.ndarray:

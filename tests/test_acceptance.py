@@ -13,7 +13,6 @@ import numpy as np
 
 import deptharb as d
 from deptharb.cli import main as cli_main
-from deptharb.losses import _align_terms
 from deptharb.scene import scene_masks
 
 from conftest import dyadic_field, scene_file_text
@@ -236,9 +235,9 @@ class TestAcceptance:
         miou_equal = d.layout_miou(field, scene, 0.5) == d.layout_miou(tripled, scene, 0.5)
 
         masks = scene_masks(scene)
-        depths = scene.depths()
-        _, f1, *_ = _align_terms(field.maps, masks, depths, EPS)
-        _, f3, *_ = _align_terms(tripled.maps, masks, depths, EPS)
+        cfg = d.GuidanceConfig(epsilon=EPS)
+        f1 = d.staged_loss(field, scene, pairs, cfg, 1).f
+        f3 = d.staged_loss(tripled, scene, pairs, cfg, 1).f
         f_bound = all(
             abs(f3[k] - f1[k]) <= EPS / field.maps[k].sum() for k in range(2)
         )

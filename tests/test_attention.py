@@ -9,7 +9,6 @@ from deptharb import (
     AttentionField,
     SceneObject,
     SceneSpec,
-    aggregate_maps,
     coord_grid,
     normalize_map,
     pseudo_segment,
@@ -53,32 +52,6 @@ class TestNormalize:
             c = rng.uniform(0.5, 10.0)
             diff = np.abs(normalize_map(c * m, EPS) - normalize_map(m, EPS)).max()
             assert diff <= EPS / total
-
-
-class TestAggregate:
-    def test_idempotent_mean(self):
-        m = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(aggregate_maps([m, m]), m)
-
-    def test_zeros_and_ones(self):
-        out = aggregate_maps([np.zeros((2, 2)), np.ones((2, 2))])
-        assert (out == 0.5).all()
-
-    def test_single_map(self):
-        m = np.arange(4.0).reshape(2, 2)
-        assert np.array_equal(aggregate_maps([m]), m)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(9)
-        maps = [rng.uniform(0, 1, (5, 5)) for _ in range(4)]
-        out = aggregate_maps(maps)
-        assert np.array_equal(out, aggregate_maps(maps[::-1]))
-
-    def test_errors(self):
-        with pytest.raises(AttentionError):
-            aggregate_maps([])
-        with pytest.raises(AttentionError):
-            aggregate_maps([np.ones((2, 2)), np.ones((3, 3))])
 
 
 def _scene(depths=(0.2, 0.8)):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from deptharb import AttentionField, write_dump
-from deptharb.cli import dumps_report, main
+from deptharb.cli import build_parser, dumps_report, main, resolve_config
+from deptharb.scene import GUIDANCE_CONFIG_KEYS, parse_scene_with_config
 
 from conftest import scene_file_text
 
@@ -16,6 +17,21 @@ def scene_path(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(scene_file_text(grid=32), encoding="utf-8")
     return str(path)
+
+
+# per config field: its flag, a scene-file value and a flag value (none a default)
+CONFIG_SAMPLES = {
+    "lambda0": ("--lambda0", 0.3, 0.7),
+    "alpha": ("--alpha", 2.0, 3.0),
+    "tau": ("--tau", 0.5, 2.0),
+    "lambda_ortho": ("--lambda-ortho", 0.7, 0.9),
+    "lambda_compact": ("--lambda-compact", 0.1, 0.3),
+    "epsilon": ("--epsilon", 1e-6, 1e-4),
+    "eta0": ("--eta", 5.0, 7.0),
+    "eta_decay": ("--eta-decay", 0.9, 0.8),
+    "stage1_fraction": ("--stage1-frac", 0.25, 0.75),
+    "total_steps": ("--steps", 7, 9),
+}
 
 
 def run_cli(*argv) -> int:
@@ -92,6 +108,15 @@ class TestRun:
     def test_missing_scene_file_is_input_error(self, tmp_path):
         assert run_cli("run", "--scene", str(tmp_path / "nope.json")) == 1
 
+    def test_box_covering_no_pixel_center_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny_box.json"
+        path.write_text(
+            scene_file_text(grid=16).replace("[0.1, 0.1, 0.6, 0.6]", "[0.1, 0.1, 0.12, 0.12]"),
+            encoding="utf-8",
+        )
+        assert run_cli("run", "--scene", str(path), "--steps", "1") == 1
+        assert "covers no pixel center" in capsys.readouterr().err
+
     def test_malformed_scene_is_input_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken", encoding="utf-8")
@@ -113,6 +138,18 @@ class TestRun:
         run_cli("run", "--scene", str(path), "--steps", "0", "--eta", "9.0", "--report", str(r2))
         cfg2 = load_report(r2)["config"]
         assert cfg2["eta0"] == 9.0 and cfg2["tau"] == 3.0
+
+    @pytest.mark.parametrize("key", GUIDANCE_CONFIG_KEYS)
+    def test_every_config_field_set_by_file_then_flag(self, key):
+        flag, file_value, flag_value = CONFIG_SAMPLES[key]
+        text = scene_file_text(grid=32)[:-1] + ', "config": {"%s": %r}}' % (key, file_value)
+        _, overrides = parse_scene_with_config(text)
+        assert overrides == {key: file_value}
+        parser = build_parser()
+        from_file = resolve_config(parser.parse_args(["run", "--scene", "s.json"]), overrides)
+        assert getattr(from_file, key) == file_value
+        args = parser.parse_args(["run", "--scene", "s.json", flag, str(flag_value)])
+        assert getattr(resolve_config(args, overrides), key) == flag_value
 
     def test_preset_selects_defaults_and_flags_override(self, tmp_path, scene_path):
         r1 = tmp_path / "r1.json"
@@ -258,8 +295,7 @@ class TestSweep:
             "sweep", "--scene", scene_path, "--param", "lambda_ortho", "--values", " ,",
         ) == 1
 
-    def test_three_value_sweep_structure(self, tmp_path, scene_path, monkeypatch):
-        monkeypatch.setenv("DEPTHARB_THREADS", "2")
+    def test_three_value_sweep_structure(self, tmp_path, scene_path):
         table_path = tmp_path / "table.json"
         code = run_cli(
             "sweep", "--scene", scene_path, "--param", "lambda_ortho",
@@ -289,13 +325,6 @@ class TestSweep:
         assert row["losses"]["total"] == report["losses"]["total"]
         assert row["metrics"]["focr_mean"] == report["metrics"]["focr_mean"]
         assert row["metrics"]["miou_all"] == report["metrics"]["miou_all"]
-
-    def test_bad_threads_env(self, scene_path, monkeypatch):
-        monkeypatch.setenv("DEPTHARB_THREADS", "zero")
-        assert run_cli(
-            "sweep", "--scene", scene_path, "--param", "lambda_ortho", "--values", "0.5",
-            "--steps", "1",
-        ) == 1
 
 
 class TestUsage:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deptharb import (
     AttentionField,
@@ -19,15 +21,11 @@ from deptharb import (
     coord_grid,
     grad_staged_loss,
     interference,
-    loss_align,
-    loss_compact,
-    loss_ortho,
     spatial_mean,
     spatial_variance,
     staged_loss,
     staged_total,
 )
-from deptharb.losses import _align_terms
 from deptharb.scene import scene_masks
 
 EPS = 1e-8
@@ -111,13 +109,14 @@ class TestAlignmentRatio:
 class TestLossAlign:
     def test_single_object_quarter_ratio(self):
         scene = one_object_scene(depth=1.0)
-        value, f = loss_align(AttentionField(maps=np.ones((1, 4, 4))), scene, CFG)
+        bd = staged_loss(AttentionField(maps=np.ones((1, 4, 4))), scene, [], CFG, 1)
+        value, f = bd.align, bd.f
         assert f[0] == pytest.approx(0.25, abs=1e-9)
         assert value == pytest.approx(0.5625, abs=1e-8)
 
     def test_zero_depth_contributes_nothing(self):
         scene = one_object_scene(depth=0.0)
-        value, _ = loss_align(AttentionField(maps=np.ones((1, 4, 4))), scene, CFG)
+        value = staged_loss(AttentionField(maps=np.ones((1, 4, 4))), scene, [], CFG, 1).align
         assert value == 0.0
 
     def test_two_objects_half_ratio(self):
@@ -129,7 +128,8 @@ class TestLossAlign:
                 SceneObject(id=1, label="", bbox=(0.5, 0.0, 1.0, 1.0), depth=0.5),
             ),
         )
-        value, f = loss_align(AttentionField(maps=np.ones((2, 4, 4))), scene, CFG)
+        bd = staged_loss(AttentionField(maps=np.ones((2, 4, 4))), scene, [], CFG, 1)
+        value, f = bd.align, bd.f
         assert f == pytest.approx([0.5, 0.5], abs=1e-9)
         assert value == pytest.approx(0.25, abs=1e-8)
 
@@ -178,14 +178,16 @@ class TestLossOrtho:
 
     def test_empty_pairs(self):
         field = AttentionField(maps=np.ones((2, 4, 4)))
-        value, inter, lam = loss_ortho(field, self._scene(), [], CFG)
+        bd = staged_loss(field, self._scene(), [], CFG, 1)
+        value, inter, lam = bd.ortho, bd.pair_interference, bd.pair_weights
         assert value == 0.0 and len(inter) == 0 and len(lam) == 0
 
     def test_worked_weight_times_interference(self):
         # background uniformly 1 inside the foreground box -> I ~= 1
         field = AttentionField(maps=np.ones((2, 4, 4)))
         pairs = [OcclusionPair(foreground_id=0, background_id=1)]
-        value, inter, lam = loss_ortho(field, self._scene(), pairs, CFG)
+        bd = staged_loss(field, self._scene(), pairs, CFG, 1)
+        value, inter, lam = bd.ortho, bd.pair_interference, bd.pair_weights
         assert inter[0] == pytest.approx(1.0, abs=1e-8)
         assert lam[0] == pytest.approx(0.5 * math.exp(0.6), abs=1e-12)
         assert value == pytest.approx(0.911059, abs=1e-5)
@@ -193,13 +195,13 @@ class TestLossOrtho:
     def test_zero_background_map(self):
         maps = np.stack([np.ones((4, 4)), np.zeros((4, 4))])
         pairs = [OcclusionPair(foreground_id=0, background_id=1)]
-        value, _, _ = loss_ortho(AttentionField(maps=maps), self._scene(), pairs, CFG)
+        value = staged_loss(AttentionField(maps=maps), self._scene(), pairs, CFG, 1).ortho
         assert value == 0.0
 
     def test_unknown_pair_id(self):
         field = AttentionField(maps=np.ones((2, 4, 4)))
         with pytest.raises(SceneError, match="unknown object id"):
-            loss_ortho(field, self._scene(), [OcclusionPair(0, 5)], CFG)
+            staged_loss(field, self._scene(), [OcclusionPair(0, 5)], CFG, 1)
 
 
 class TestSpatialMoments:
@@ -266,7 +268,8 @@ class TestLossCompact:
         values[4, 2] = 1.0
         values[4, 6] = 1.0
         scene = one_object_scene(depth=0.5, grid=8)
-        value, _, var = loss_compact(AttentionField(maps=values[None]), scene, CFG)
+        bd = staged_loss(AttentionField(maps=values[None]), scene, [], CFG, 1)
+        value, var = bd.compact, bd.var
         assert value == pytest.approx(0.5 * var[0], abs=1e-15)
         assert value == pytest.approx(0.5 * 0.0625, abs=1e-6)
 
@@ -274,15 +277,15 @@ class TestLossCompact:
         values = np.zeros((1, 8, 8))
         values[0, 2, 5] = 7.0
         scene = one_object_scene(depth=1.0, grid=8)
-        value, _, _ = loss_compact(AttentionField(maps=values), scene, CFG)
+        value = staged_loss(AttentionField(maps=values), scene, [], CFG, 1).compact
         assert value <= 1e-12
 
     def test_zero_depth_contributes_nothing(self):
         rng = np.random.default_rng(2)
         scene = one_object_scene(depth=0.0, grid=8)
-        value, _, _ = loss_compact(
-            AttentionField(maps=rng.uniform(0, 1, (1, 8, 8))), scene, CFG
-        )
+        value = staged_loss(
+            AttentionField(maps=rng.uniform(0, 1, (1, 8, 8))), scene, [], CFG, 1
+        ).compact
         assert value == 0.0
 
 
@@ -357,8 +360,8 @@ class TestGradients:
             minus = field.maps.copy()
             plus[0, y, x] += h
             minus[0, y, x] -= h
-            val_p, *_ = _align_terms(plus, scene_masks(scene), scene.depths(), CFG.epsilon)
-            val_m, *_ = _align_terms(minus, scene_masks(scene), scene.depths(), CFG.epsilon)
+            val_p = staged_loss(AttentionField(maps=plus), scene, [], CFG, 1).align
+            val_m = staged_loss(AttentionField(maps=minus), scene, [], CFG, 1).align
             fd = (val_p - val_m) / (2 * h)
             assert g[0, y, x] == pytest.approx(float(fd), rel=1e-5)
 
@@ -417,15 +420,132 @@ class TestGradients:
         assert np.abs((g_full - g_ortho_part) - g_stage2).max() <= 1e-12
 
 
+def reference_loss_and_grad(field, scene, pairs, cfg, stage):
+    """Per-object loops over the primitives: the reference for the fused kernel."""
+    maps = field.maps
+    masks = scene_masks(scene)
+    coords = coord_grid(scene.grid_height, scene.grid_width)
+    depths = scene.depths()
+    eps = cfg.epsilon
+    k = len(scene.objects)
+    e_in, e_out, f, var = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros(k)
+    mu = np.zeros((k, 2))
+    grad = np.zeros_like(maps)
+    for i in range(k):
+        e_in[i], e_out[i] = attention_energies(maps[i], masks[i])
+        f[i] = alignment_ratio(e_in[i], e_out[i], eps)
+        denom = maps[i].sum() + eps
+        norm = maps[i] / denom
+        mu[i] = spatial_mean(norm, coords)
+        var[i] = spatial_variance(norm, coords, mu[i])
+        dx, dy = coords.x - mu[i, 0], coords.y - mu[i, 1]
+        grad[i] = -2.0 * depths[i] * (1.0 - f[i]) * (masks[i] - f[i]) / (e_in[i] + e_out[i] + eps)
+        grad[i] += cfg.lambda_compact * depths[i] * (
+            (dx**2 + dy**2 - var[i]) / denom - (dx * mu[i, 0] + dy * mu[i, 1]) * 2.0 * eps / denom**2
+        )
+    idx = [(scene.index_of(p.foreground_id), scene.index_of(p.background_id)) for p in pairs]
+    inter = np.array([interference(maps[j], masks[i], eps) for i, j in idx])
+    weights = np.array([arbitration_weight(depths[i], depths[j], cfg) for i, j in idx])
+    if stage == 1:
+        for (i, j), lam in zip(idx, weights):
+            grad[j] += cfg.lambda_ortho * lam * masks[i] / (masks[i].sum() + eps)
+    align = float(np.sum(depths * (1.0 - f) ** 2))
+    ortho = float(np.sum(weights * inter))
+    compact = float(np.sum(depths * var))
+    terms = {
+        "align": align, "ortho": ortho, "compact": compact,
+        "total": staged_total(align, ortho, compact, cfg, stage),
+        "f": f, "e_in": e_in, "e_out": e_out, "mu": mu, "var": var,
+        "pair_interference": inter, "pair_weights": weights,
+    }
+    return terms, grad
+
+
+@st.composite
+def kernel_cases(draw):
+    height, width = draw(st.integers(2, 48)), draw(st.integers(2, 48))
+    count = draw(st.integers(1, 8))
+    inset = st.floats(0.0, 0.49)
+    objects = []
+    for i in range(count):
+        r0 = draw(st.integers(0, height - 1))
+        r1 = draw(st.integers(r0 + 1, height))
+        c0 = draw(st.integers(0, width - 1))
+        c1 = draw(st.integers(c0 + 1, width))
+        # insets below half a pixel keep pixel centers c0..c1-1, r0..r1-1 inside
+        bbox = (
+            (c0 + draw(inset)) / width, (r0 + draw(inset)) / height,
+            (c1 - draw(inset)) / width, (r1 - draw(inset)) / height,
+        )
+        depth = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        objects.append(SceneObject(id=i, label="", bbox=bbox, depth=depth))
+    scene = SceneSpec(grid_height=height, grid_width=width, objects=tuple(objects))
+    index_pairs = []
+    if count >= 2:
+        distinct = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)).filter(
+            lambda t: t[0] != t[1]
+        )
+        index_pairs = draw(st.lists(distinct, max_size=8))
+    if count >= 3:
+        index_pairs += [(0, count - 1), (1, count - 1)]  # two pairs share a background
+    pairs = [OcclusionPair(i, j) for i, j in index_pairs]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    field = AttentionField(maps=scale * rng.uniform(0.0, 2.0, (count, height, width)))
+    cfg = GuidanceConfig(epsilon=draw(st.sampled_from([1e-8, 1e-3, 0.5])))
+    return scene, pairs, field, cfg, draw(st.sampled_from([1, 2]))
+
+
+class TestFusedKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(kernel_cases())
+    def test_matches_per_object_reference(self, case):
+        # 1e-12 relative, measured against each quantity's own scale: the
+        # map total for energies, 1 for ratios, moments and loss terms, and
+        # the largest entry for the gradient
+        scene, pairs, field, cfg, stage = case
+        bd = staged_loss(field, scene, pairs, cfg, stage)
+        grad = grad_staged_loss(field, scene, pairs, cfg, stage)
+        ref, ref_grad = reference_loss_and_grad(field, scene, pairs, cfg, stage)
+        mass = field.maps.sum(axis=(1, 2))
+        scales = {"e_in": mass, "e_out": mass}
+
+        def close(actual, expected, scale):
+            err = np.abs(np.asarray(actual) - np.asarray(expected))
+            return bool((err <= 1e-12 * np.maximum(np.abs(expected), scale)).all())
+
+        for name, expected in ref.items():
+            assert close(getattr(bd, name), expected, scales.get(name, 1.0)), name
+        assert close(grad, ref_grad, np.abs(ref_grad).max())
+        assert bd.pairs == tuple(pairs) and bd.stage == stage
+
+    def test_energy_split_sums_to_total_bit_exactly(self):
+        # object 0's box holds most of its map's mass, object 1's far less
+        # than half, so each branch of the split is exercised
+        scene = SceneSpec(
+            grid_height=16,
+            grid_width=16,
+            objects=(
+                SceneObject(id=0, label="", bbox=(0.0, 0.0, 0.9, 0.9), depth=0.5),
+                SceneObject(id=1, label="", bbox=(0.1, 0.1, 0.4, 0.4), depth=0.5),
+            ),
+        )
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            maps = rng.uniform(0.0, 2.0, (2, 16, 16)) * 10.0 ** rng.uniform(-3, 3)
+            bd = staged_loss(AttentionField(maps=maps), scene, [], CFG, 1)
+            total = maps.sum(axis=1).sum(axis=1)  # S as the kernel forms it
+            assert bd.e_in[0] > total[0] / 2 and bd.e_in[1] < total[1] / 2
+            assert (bd.e_in + bd.e_out == total).all()
+
+
 class TestScalingInvariants:
     def test_f_shift_bounded_by_epsilon_over_mass(self, two_object_scene):
         rng = np.random.default_rng(53)
         field = AttentionField(maps=rng.uniform(0.5, 2, (2, 16, 16)))
-        _, f1, *_ = _align_terms(field.maps, scene_masks(two_object_scene),
-                                  two_object_scene.depths(), EPS)
+        f1 = staged_loss(field, two_object_scene, [], CFG, 1).f
         for c in (3.0, 10.0):
-            _, fc, *_ = _align_terms(c * field.maps, scene_masks(two_object_scene),
-                                      two_object_scene.depths(), EPS)
+            fc = staged_loss(field.scaled(c), two_object_scene, [], CFG, 1).f
             for k in range(2):
                 assert abs(fc[k] - f1[k]) <= EPS / field.maps[k].sum()
 
@@ -434,18 +554,18 @@ class TestScalingInvariants:
         # dyadic entries and a power-of-two factor keep the scaling exact
         maps = rng.integers(1, 2**20, (2, 16, 16)).astype(np.float64) * 2.0**-19
         pairs = [OcclusionPair(0, 1)]
-        v1, *_ = loss_ortho(AttentionField(maps=maps), two_object_scene, pairs, CFG)
+        v1 = staged_loss(AttentionField(maps=maps), two_object_scene, pairs, CFG, 1).ortho
         scaled = maps.copy()
         scaled[1] *= 4.0
-        v4, *_ = loss_ortho(AttentionField(maps=scaled), two_object_scene, pairs, CFG)
+        v4 = staged_loss(AttentionField(maps=scaled), two_object_scene, pairs, CFG, 1).ortho
         assert v4 == 4.0 * v1
 
     def test_variance_shift_bounded_by_epsilon_order(self, two_object_scene):
         rng = np.random.default_rng(61)
         field = AttentionField(maps=rng.uniform(0.5, 2, (2, 16, 16)))
-        _, _, var1 = loss_compact(field, two_object_scene, CFG)
+        var1 = staged_loss(field, two_object_scene, [], CFG, 1).var
         for c in (3.0, 10.0):
-            _, _, varc = loss_compact(field.scaled(c), two_object_scene, CFG)
+            varc = staged_loss(field.scaled(c), two_object_scene, [], CFG, 1).var
             for k in range(2):
                 assert abs(varc[k] - var1[k]) <= 5 * EPS / field.maps[k].sum()
 

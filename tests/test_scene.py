@@ -94,6 +94,15 @@ class TestParseScene:
         with pytest.raises(SceneError, match="config.total_steps"):
             parse_scene(text)
 
+    def test_box_covering_no_pixel_center_rejected(self):
+        # pixel centers on 16x16 sit at 0.03125, 0.09375, 0.15625, ...
+        text = scene_file_text(grid=16).replace("[0.1, 0.1, 0.6, 0.6]", "[0.1, 0.1, 0.12, 0.12]")
+        with pytest.raises(SceneError, match=r"objects\[0\]\.bbox: .* covers no pixel center"):
+            parse_scene(text)
+        # the same box holds a pixel center on a finer grid
+        assert len(parse_scene(scene_file_text(grid=64).replace(
+            "[0.1, 0.1, 0.6, 0.6]", "[0.1, 0.1, 0.12, 0.12]"))) == 2
+
 
 class TestTypeInvariants:
     def test_scene_object_rejects_bad_geometry(self):
