@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .attention import AttentionField
+from .attention import AttentionError, AttentionField
 
 MAGIC = b"DARB"
 VERSION = 1
@@ -51,7 +51,10 @@ def read_dump(path: str) -> tuple[AttentionField, int]:
             f"expected {expected - _HEADER.size} for {k}x{h}x{w} maps"
         )
     values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(k, h, w)
-    return AttentionField(maps=values.astype(np.float64)), seed
+    try:
+        return AttentionField(maps=values.astype(np.float64)), seed
+    except AttentionError as exc:  # NaN, infinite or negative payload values
+        raise DumpError(f"dump payload: {exc}") from exc
 
 
 def round_trip32(field: AttentionField) -> AttentionField:

@@ -2,9 +2,28 @@
 
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
-platform provides it).  Terms not involving the perturbed map are constants
-of the difference and are omitted, which removes their rounding noise from
-the quotient without changing the derivative being measured.
+platform provides it; `precision_note` says when it does not).  Terms not
+involving the perturbed map are constants of the difference and are omitted,
+which removes their rounding noise from the quotient without changing the
+derivative being measured.
+
+`_restricted_loss` is the literal forward definition of those terms.  Every
+quantity it reads is a pixel sum of the map against a fixed weight: the
+total, the in-box sum, the foreground-mask sum of each pair the object backs,
+and the first and second coordinate moments.  `_PixelSums` takes these sums
+once per object and stage, so raising pixel p by delta changes each by
+delta * w_p and a checked coordinate costs a rank-one update of a few
+scalars instead of full-map passes.  The moments are taken about the
+base-point mean, so Var is never a difference of O(1) numbers, and the
+algebra keeps epsilon exact (the normalized map sums to S / (S + eps), not 1).
+Before any coordinate is judged, each object's sum-form value at the base
+point must match the literal `_restricted_loss` to a small multiple of the
+working precision's eps, or `check_gradients` raises `OracleError`.
+
+Attention coordinates perturb the pixel by +-h and raster latent
+coordinates by exp(z_p +- h) - exp(z_p), the one entry the literal
+re-render changes.  Blob latent coordinates move every pixel, so they keep
+the literal re-render and evaluation of `_restricted_loss`.
 
 A coordinate passes when |analytic - fd| <= max(abs_tol, rel_tol * ref) with
 ref = max(|analytic|, |fd|): the relative criterion for significant
@@ -31,6 +50,22 @@ from .surrogate import LatentState, _blob_map, backprop_to_latent, init_latent, 
 LONG = np.longdouble
 FD_STEP = 1e-6
 DEFAULT_REL_TOL = 1e-5
+ANCHOR_EPS = 64  # sum-form vs literal objective, in units of the working eps
+
+
+class OracleError(RuntimeError):
+    """Raised when the oracle's sum form disagrees with its literal objective."""
+
+
+def precision_note() -> str | None:
+    """A line stating the oracle's reduced precision, or None where long double is wider."""
+    eps = np.finfo(LONG).eps
+    if eps < np.finfo(np.float64).eps:
+        return None
+    return (
+        f"note: long double is float64 here, so the finite-difference oracle runs "
+        f"at eps {eps:.3g}, not in extended precision"
+    )
 
 
 @dataclass(frozen=True)
@@ -90,6 +125,84 @@ def _restricted_loss(
     return value + cfg.lambda_compact * depth_k * var
 
 
+class _PixelSums:
+    """The pixel sums `_restricted_loss` reads, taken once at a base map.
+
+    `loss(delta, y, x)` is the restricted objective of the base map with entry
+    (y, x) raised by delta.  Each term keeps the literal's float64 coefficient
+    products, so at delta = 0 the two differ only by summation order.
+    """
+
+    def __init__(self, base, mask_k, depth_k, fg_terms, coords, cfg: GuidanceConfig, stage: int):
+        self.base = base
+        self.mask = mask_k
+        self.depth = depth_k
+        self.eps = cfg.epsilon
+        self.compact = cfg.lambda_compact * depth_k
+        self.total = base.sum()
+        self.e_in = (base * mask_k).sum()
+        # per pair: foreground-mask sum, the mask, lambda_ortho * lambda_ij, |M_fg| + eps
+        self.fg = [
+            ((base * mask_fg).sum(), mask_fg, cfg.lambda_ortho * lam, mask_fg.sum() + cfg.epsilon)
+            for mask_fg, lam in (fg_terms if stage == 1 else ())
+        ]
+        col = base.sum(axis=0)
+        row = base.sum(axis=1)
+        # moments about the base-point mean c = sum(A x) / (S + eps): u = x - c
+        denom = self.total + self.eps
+        self.centre = ((col * coords.x[0]).sum() / denom, (row * coords.y[:, 0]).sum() / denom)
+        self.ux = coords.x[0] - self.centre[0]
+        self.vy = coords.y[:, 0] - self.centre[1]
+        self.m1 = ((col * self.ux).sum(), (row * self.vy).sum())
+        self.m2 = ((col * self.ux**2).sum(), (row * self.vy**2).sum())
+
+    def loss(self, delta, y: int, x: int):
+        s = self.total + delta
+        denom = s + self.eps
+        f = (self.e_in + delta * self.mask[y, x]) / denom
+        value = self.depth * (1 - f) ** 2
+        for fg_sum, mask_fg, coef, area in self.fg:
+            value = value + coef * ((fg_sum + delta * mask_fg[y, x]) / area)
+        var = 0
+        for m1, m2, w, c in zip(self.m1, self.m2, (self.ux[x], self.vy[y]), self.centre):
+            m1 = m1 + delta * w
+            # the mean's offset from the centre: mu - c = (m1 - c * eps) / denom
+            off = (m1 - c * self.eps) / denom
+            var = var + (m2 + delta * w * w - off * (2 * m1 - off * s))
+        return value + self.compact * (var / denom)
+
+    def fd(self, y: int, x: int, up, down, h) -> float:
+        """Central difference for the entry (y, x) moved up and down by the given deltas."""
+        return float((self.loss(up, y, x) - self.loss(down, y, x)) / (2 * h))
+
+
+def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
+    """Per object: its box mask, depth, and the (foreground mask, lambda_ij) of every pair it backs."""
+    masks = scene_masks(scene)
+    depths = scene.depths()
+    fg_terms: list[list[tuple[np.ndarray, float]]] = [[] for _ in scene.objects]
+    for pair in derive_occlusion_pairs(scene):
+        fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
+        fg_terms[bg].append((masks[fg], arbitration_weight(depths[fg], depths[bg], cfg)))
+    return [(masks[k], depths[k], fg_terms[k]) for k in range(len(scene.objects))]
+
+
+def _anchored_sums(base, terms, coords, cfg: GuidanceConfig, stage: int) -> _PixelSums:
+    """One object's `_PixelSums`, checked against the literal objective at the base map."""
+    sums = _PixelSums(base, *terms, coords, cfg, stage)
+    literal = _restricted_loss(base, *terms, coords, cfg, stage)
+    summed = sums.loss(LONG(0), 0, 0)
+    # the alignment term's scale d_k floors the reference, since (1 - f)^2
+    # loses relative precision as f nears 1
+    bound = ANCHOR_EPS * np.finfo(LONG).eps * (abs(literal) + terms[1])
+    if not abs(summed - literal) <= bound:
+        raise OracleError(
+            f"sum-form restricted loss {float(summed)!r} != literal {float(literal)!r} "
+            f"(bound {float(bound):.3g})"
+        )
+    return sums
+
+
 def _judge(
     space: str,
     k: int,
@@ -121,6 +234,8 @@ def check_gradients(
 
     Checks `samples` attention-space coordinates plus `samples` latent-space
     coordinates (capped at the latent size) on a seeded surrogate state.
+    Raises OracleError, before judging any coordinate, when an object's
+    sum-form objective misses its literal anchor.
     """
     if abs_tol is None:
         abs_tol = rel_tol * 1e-4
@@ -129,74 +244,49 @@ def check_gradients(
     if latent is None:
         latent = init_latent(scene, mode, seed)
     field_ = render_attention(latent, scene)
-    pairs = derive_occlusion_pairs(scene)
-    masks = scene_masks(scene)
-    depths = scene.depths()
+    terms = _object_terms(scene, cfg)
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
     h = LONG(FD_STEP)
-
-    # per object: the (foreground mask, lambda_ij) of every pair it backs
-    pair_idx = [(scene.index_of(p.foreground_id), scene.index_of(p.background_id)) for p in pairs]
-    fg_terms_by_obj: list[list[tuple[np.ndarray, float]]] = [[] for _ in scene.objects]
-    for fg, bg in pair_idx:
-        fg_terms_by_obj[bg].append((masks[fg], arbitration_weight(depths[fg], depths[bg], cfg)))
-
-    def fd_attention(k: int, y: int, x: int) -> float:
-        base = field_.maps[k].astype(LONG)
-        vals = []
-        for sign in (+1.0, -1.0):
-            pert = base.copy()
-            pert[y, x] += LONG(sign) * h
-            vals.append(
-                _restricted_loss(
-                    pert, masks[k], depths[k], fg_terms_by_obj[k], coords_ld, cfg, stage
-                )
-            )
-        return float((vals[0] - vals[1]) / (2 * h))
-
-    def fd_latent(k: int, coordinate: tuple[int, ...]) -> float:
-        base = latent.values.astype(LONG)
-        vals = []
-        for sign in (+1.0, -1.0):
-            pert = base.copy()
-            pert[(k, *coordinate)] += LONG(sign) * h
-            if mode == "raster":
-                map_k = np.exp(pert[k])
-            else:
-                map_k = _blob_map(pert[k], coords_ld.x, coords_ld.y)
-            vals.append(
-                _restricted_loss(
-                    map_k, masks[k], depths[k], fg_terms_by_obj[k], coords_ld, cfg, stage
-                )
-            )
-        return float((vals[0] - vals[1]) / (2 * h))
-
-    grad_att = grad_staged_loss(field_, scene, pairs, cfg, stage)
+    grad_att = grad_staged_loss(field_, scene, derive_occlusion_pairs(scene), cfg, stage)
     grad_lat = backprop_to_latent(latent, scene, grad_att)
-
     k_count, height, width = field_.maps.shape
+
+    def draw() -> tuple[int, int, int]:
+        return int(rng.integers(k_count)), int(rng.integers(height)), int(rng.integers(width))
+
+    sums = [
+        _anchored_sums(field_.maps[k].astype(LONG), terms[k], coords_ld, cfg, stage)
+        for k in range(k_count)
+    ]
     for _ in range(samples):
-        k = int(rng.integers(k_count))
-        y = int(rng.integers(height))
-        x = int(rng.integers(width))
-        result.absorb(
-            _judge("attention", k, (y, x), float(grad_att[k, y, x]), fd_attention(k, y, x), rel_tol, abs_tol)
-        )
+        k, y, x = draw()
+        a = sums[k].base[y, x]
+        fd = sums[k].fd(y, x, (a + h) - a, (a - h) - a, h)
+        result.absorb(_judge("attention", k, (y, x), float(grad_att[k, y, x]), fd, rel_tol, abs_tol))
 
     if mode == "raster":
+        # the literal re-render exp(z) in LONG changes only the perturbed entry
+        logits = latent.values.astype(LONG)
+        sums = [
+            _anchored_sums(np.exp(logits[k]), terms[k], coords_ld, cfg, stage) for k in range(k_count)
+        ]
         for _ in range(samples):
-            k = int(rng.integers(k_count))
-            y = int(rng.integers(height))
-            x = int(rng.integers(width))
-            result.absorb(
-                _judge("latent", k, (y, x), float(grad_lat[k, y, x]), fd_latent(k, (y, x)), rel_tol, abs_tol)
-            )
+            k, y, x = draw()
+            z, a = logits[k, y, x], sums[k].base[y, x]
+            fd = sums[k].fd(y, x, np.exp(z + h) - a, np.exp(z - h) - a, h)
+            result.absorb(_judge("latent", k, (y, x), float(grad_lat[k, y, x]), fd, rel_tol, abs_tol))
     else:
+        params = latent.values.astype(LONG)
         for k in range(k_count):
             for p in range(5):
-                result.absorb(
-                    _judge("latent", k, (p,), float(grad_lat[k, p]), fd_latent(k, (p,)), rel_tol, abs_tol)
-                )
+                vals = []
+                for sign in (+1, -1):
+                    pert = params[k].copy()
+                    pert[p] += sign * h
+                    map_k = _blob_map(pert, coords_ld.x, coords_ld.y)
+                    vals.append(_restricted_loss(map_k, *terms[k], coords_ld, cfg, stage))
+                fd = float((vals[0] - vals[1]) / (2 * h))
+                result.absorb(_judge("latent", k, (p,), float(grad_lat[k, p]), fd, rel_tol, abs_tol))
     return result
 
 

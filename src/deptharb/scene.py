@@ -76,6 +76,7 @@ class GuidanceConfig:
 
 
 GUIDANCE_CONFIG_KEYS = tuple(f.name for f in fields(GuidanceConfig))
+MAX_GRID_PIXELS = 1 << 24  # 4096x4096; one float64 map is then 128 MiB
 
 
 class SceneError(ValueError):
@@ -113,6 +114,10 @@ class SceneSpec:
         if self.grid_height < 2 or self.grid_width < 2:
             raise SceneError(
                 f"grid must be at least 2x2, got {self.grid_height}x{self.grid_width}"
+            )
+        if self.grid_height * self.grid_width > MAX_GRID_PIXELS:
+            raise SceneError(
+                f"grid {self.grid_height}x{self.grid_width} exceeds {MAX_GRID_PIXELS} pixels"
             )
         if not self.objects:
             raise SceneError("scene needs at least one object")
@@ -157,7 +162,10 @@ def _require(cond: bool, where: str, message: str) -> None:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SceneError(f"{where}: integer too large for a float") from None
 
 
 def _parse_object(raw: Any, index: int) -> SceneObject:
@@ -198,7 +206,7 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
     """Parse a scene file, returning the scene and any config overrides it carries."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # incl. too many digits, too deep
         raise SceneError(f"malformed scene JSON: {exc}") from exc
     _require(isinstance(doc, dict), "scene", "top level must be a JSON object")
 
@@ -250,8 +258,13 @@ def parse_scene(text: str) -> SceneSpec:
 
 
 def read_scene(path: str) -> tuple[SceneSpec, dict[str, float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene_with_config(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"scene file is not UTF-8: {exc}") from exc
+    return parse_scene_with_config(text)
 
 
 def box_indicators(

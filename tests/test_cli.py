@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,24 @@ class TestRun:
 
     def test_numerical_abort_exit_code(self, tmp_path, scene_path):
         assert run_cli("run", "--scene", scene_path, "--steps", "5", "--eta", "1e12") == 2
+
+    def test_scene_file_not_utf8_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(scene_file_text(grid=16).replace('"a"', '"\xe9"').encode("latin-1"))
+        assert run_cli("run", "--scene", str(path), "--steps", "1") == 1
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_field_beyond_float32_range_aborts_at_last_step(self, tmp_path, capsys, command):
+        # the float64 field stays finite but overflows the float32 rounding;
+        # before, a RuntimeWarning leaked and the run exited 1
+        path = tmp_path / "s16.json"
+        path.write_text(scene_file_text(grid=16), encoding="utf-8")
+        extra = ("--eta", "3e4") if command == "run" else ("--param", "eta0", "--values", "3e4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--scene", str(path), "--steps", "50", *extra) == 2
+        assert "float32-rounded field at step 50" in capsys.readouterr().err
 
     def test_config_precedence_file_over_default_flag_over_file(self, tmp_path):
         text = scene_file_text(grid=32)[:-1] + ', "config": {"eta0": 2.5, "tau": 3.0}}'
@@ -336,3 +355,8 @@ class TestUsage:
 
     def test_negative_seed_is_usage_error(self, scene_path):
         assert run_cli("run", "--scene", scene_path, "--seed", "-3") == 1
+
+    def test_flags_do_not_leak_between_calls(self):
+        # main reuses one parser per process
+        assert run_cli("grad-check", "--samples", "20", "--tol", "0") == 3
+        assert run_cli("grad-check", "--samples", "20") == 0

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deptharb import AttentionField, DumpError, read_dump, round_trip32, write_dump
 
@@ -100,3 +104,30 @@ class TestReadErrors:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(DumpError, match="payload"):
             read_dump(str(path))
+
+
+@st.composite
+def dump_like_bytes(draw):
+    """A DARB header for a small field, then a payload of about the right length."""
+    k, h, w = (draw(st.integers(0, 3)) for _ in range(3))
+    size = 4 * k * h * w + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    header = struct.pack("<4sHIIIQ", b"DARB", draw(st.sampled_from([1, 1, 2])), h, w, k, 0)
+    return header + draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+
+
+class TestReadFuzz:
+    # the pinned examples raised AttentionError (NaN, infinite, negative values)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.binary(max_size=64) | dump_like_bytes())
+    @example(struct.pack("<4sHIIIQ", b"DARB", 1, 1, 1, 1, 0) + struct.pack("<f", float("nan")))
+    @example(struct.pack("<4sHIIIQ", b"DARB", 1, 1, 1, 1, 0) + struct.pack("<f", float("inf")))
+    @example(struct.pack("<4sHIIIQ", b"DARB", 1, 1, 2, 1, 0) + struct.pack("<2f", 1.0, -1.0))
+    def test_arbitrary_bytes_raise_only_dump_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.darb")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                read_dump(path)
+            except DumpError:
+                pass

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deptharb import (
     OcclusionPair,
@@ -237,3 +241,59 @@ class TestOcclusionPairs:
         assert OcclusionPair(foreground_id=1, background_id=0) in pairs
         assert OcclusionPair(foreground_id=1, background_id=2) in pairs
         assert OcclusionPair(foreground_id=2, background_id=0) in pairs
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=8), children, max_size=5),
+    max_leaves=8,
+)
+
+
+@st.composite
+def scene_like_json(draw):
+    """JSON text shaped like a scene file, with any value in any slot."""
+
+    def slot(valid):
+        return draw(valid | JSON_VALUES)
+
+    doc = {
+        "grid": slot(st.fixed_dictionaries({"height": st.integers(-1, 40), "width": st.integers(-1, 40)})),
+        "objects": [
+            {
+                "id": slot(st.integers(-1, 5)),
+                "label": slot(st.text(max_size=4)),
+                "bbox": slot(st.lists(st.floats(-0.1, 1.1), min_size=3, max_size=5)),
+                "depth": slot(st.floats(-0.1, 1.1)),
+            }
+            for _ in range(draw(st.integers(0, 3)))
+        ],
+    }
+    if draw(st.booleans()):
+        doc["config"] = slot(st.dictionaries(st.sampled_from(["eta0", "total_steps", "nope"]), JSON_VALUES))
+    return json.dumps(doc)
+
+
+class TestParseFuzz:
+    # each pinned example raised something other than SceneError before
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.text() | JSON_VALUES.map(json.dumps) | scene_like_json())
+    @example("[" * 100_000)  # RecursionError from the JSON decoder
+    @example('{"grid": %s}' % ("1" * 5000))  # ValueError: too many integer digits
+    @example(scene_file_text().replace("0.6, 0.6]", "0.6, 1%s]" % ("0" * 400)))  # OverflowError in float()
+    @example(scene_file_text()[:-1] + ', "config": {"eta0": 1%s}}' % ("0" * 400))  # same, config block
+    @example(scene_file_text().replace('"height": 64', '"height": %d' % 10**30))  # numpy size error
+    def test_arbitrary_text_raises_only_scene_error(self, text):
+        try:
+            parse_scene(text)
+        except SceneError:
+            pass
+
+    def test_grid_pixel_limit(self):
+        with pytest.raises(SceneError, match="exceeds"):
+            SceneSpec(
+                grid_height=2**20,
+                grid_width=2**5,
+                objects=(SceneObject(id=0, label="", bbox=(0.0, 0.0, 1.0, 1.0), depth=0.5),),
+            )
