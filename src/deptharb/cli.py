@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from typing import Any, Sequence
 
@@ -32,15 +33,7 @@ from .scene import (
 from .surrogate import MODES, SurrogateError, init_latent
 
 BLOB_DEFAULT_ETA0 = 0.5
-SWEEP_PARAMS = (
-    "lambda_ortho",
-    "lambda_compact",
-    "lambda0",
-    "alpha",
-    "tau",
-    "eta0",
-    "stage1_fraction",
-)
+SWEEP_PARAMS = tuple(f.name for f in fields(GuidanceConfig) if f.metadata["sweep"])
 _RENAMED_CONFIG_FLAGS = {"steps": "total_steps", "stage1_frac": "stage1_fraction", "eta": "eta0"}
 _CONFIG_FLAGS = {
     **_RENAMED_CONFIG_FLAGS,
@@ -359,6 +352,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--steps", type=int, default=None, help="total optimization steps")
     sub.add_argument("--stage1-frac", dest="stage1_frac", type=float, default=None,
@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser("grad-check", help="verify analytic gradients against finite differences")
     check.add_argument("--scene", default=None, help="scene JSON path (default: built-in canonical scene)")
     _add_config_flags(check)
-    check.add_argument("--samples", type=int, default=1000, help="coordinates per space per stage")
+    # a check that judges no coordinate would report a pass for nothing
+    check.add_argument("--samples", type=_positive_int, default=1000,
+                       help="coordinates per space per stage (at least 1)")
     check.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
                        help="relative tolerance (absolute floor is tol*1e-4)")
     check.add_argument("--stage", choices=("1", "2", "both"), default="both")

@@ -38,8 +38,8 @@ import numpy as np
 
 from .attention import coord_grid
 from .losses import (
+    _pair_weights,
     alignment_ratio,
-    arbitration_weight,
     attention_energies,
     grad_staged_loss,
     interference,
@@ -181,9 +181,10 @@ def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
     masks = scene_masks(scene)
     depths = scene.depths()
     fg_terms: list[list[tuple[np.ndarray, float]]] = [[] for _ in scene.objects]
-    for pair in derive_occlusion_pairs(scene):
+    pairs = derive_occlusion_pairs(scene)
+    for pair, weight in zip(pairs, _pair_weights(scene, pairs, cfg)):
         fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
-        fg_terms[bg].append((masks[fg], arbitration_weight(depths[fg], depths[bg], cfg)))
+        fg_terms[bg].append((masks[fg], weight))
     return [(masks[k], depths[k], fg_terms[k]) for k in range(len(scene.objects))]
 
 

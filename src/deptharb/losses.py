@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import AttentionField, check_alignment, coord_grid
-from .scene import GuidanceConfig, OcclusionPair, SceneSpec, box_indicators
+from .scene import ConfigError, GuidanceConfig, OcclusionPair, SceneSpec, box_indicators
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,42 @@ def interference(values_bg: np.ndarray, mask_fg: np.ndarray, epsilon):
 
 
 def arbitration_weight(d_fg: float, d_bg: float, cfg: GuidanceConfig) -> float:
-    """Depth-aware pair weight lambda0 * exp(alpha * (d_bg - d_fg) / tau)."""
-    return cfg.lambda0 * math.exp(cfg.alpha * (d_bg - d_fg) / cfg.tau)
+    """Depth-aware pair weight lambda0 * exp(alpha * (d_bg - d_fg) / tau).
+
+    Raises ConfigError when the weight is not a finite number.
+    """
+    try:
+        weight = cfg.lambda0 * math.exp(cfg.alpha * (d_bg - d_fg) / cfg.tau)
+    except OverflowError:
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise ConfigError(
+            f"lambda_ij = lambda0 * exp(alpha * (d_bg - d_fg) / tau) is not finite for "
+            f"d_fg {d_fg:g}, d_bg {d_bg:g}, lambda0 {cfg.lambda0:g}, alpha {cfg.alpha:g}, "
+            f"tau {cfg.tau:g}"
+        )
+    return weight
+
+
+def _pair_weights(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig) -> list[float]:
+    """lambda_ij of every pair, in pair order; a ConfigError names the pair it is for."""
+    depths = scene.depths()
+    weights = []
+    for pair in pairs:
+        try:
+            weights.append(
+                arbitration_weight(
+                    depths[scene.index_of(pair.foreground_id)],
+                    depths[scene.index_of(pair.background_id)],
+                    cfg,
+                )
+            )
+        except ConfigError as exc:
+            raise ConfigError(
+                f"occlusion pair (foreground {pair.foreground_id}, background "
+                f"{pair.background_id}): {exc}"
+            ) from None
+    return weights
 
 
 def spatial_mean(norm_map: np.ndarray, coords) -> tuple[float, float]:
@@ -138,6 +172,8 @@ class _Plan:
 
     Box k's mask is exactly rows[k] (outer) cols[k], so every masked sum the
     objective needs is a contraction of the field with these indicators.
+    The gradient factors are the run's scratch: `value_and_grad` overwrites
+    their step-dependent columns on every call.
     """
 
     cfg: GuidanceConfig
@@ -152,6 +188,37 @@ class _Plan:
     bg: np.ndarray        # (P,) background object indices
     weights: np.ndarray   # (P,) lambda_ij
     fg_area: np.ndarray   # (P,) foreground-box pixel counts
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]  # per stage: (U, V), see _grad_factors
+
+
+def _grad_factors(rows, cols, pair_terms) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank factors U (K, H, m) and V (K, m, W) with gradient = U @ V.
+
+    Column 0 pairs a_k r_k with c_k, column 1 the row term with ones and
+    column 2 ones with the column term: `value_and_grad` writes those three
+    step-dependent entries (U[:, :, 0], U[:, :, 1], V[:, 2]) on every step.
+    The remaining columns are fixed: for each (background j, foreground i,
+    coef) of `pair_terms`, in order, background map j gets coef r_i (outer)
+    c_i, zero-padded to the largest count per map.  Every product is exact
+    (the indicators are 0/1), so the sum runs in the same order as the
+    term-by-term assembly.
+    """
+    k, height = rows.shape
+    width = cols.shape[1]
+    slots: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    for j, i, coef in pair_terms:
+        slots[j].append((i, coef))
+    m = 3 + max(len(s) for s in slots)
+    u = np.zeros((k, height, m))
+    v = np.zeros((k, m, width))
+    v[:, 0] = cols
+    v[:, 1] = 1.0
+    u[:, :, 2] = 1.0
+    for j, backed in enumerate(slots):
+        for n, (i, coef) in enumerate(backed):
+            u[j, :, 3 + n] = coef * rows[i]
+            v[j, 3 + n] = cols[i]
+    return u, v
 
 
 def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig) -> _Plan:
@@ -160,12 +227,11 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
     rows = np.stack([r for r, _ in boxes])
     cols = np.stack([c for _, c in boxes])
     coords = coord_grid(height, width)
-    depths = scene.depths()
     fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
-    weights = np.array(
-        [arbitration_weight(depths[i], depths[j], cfg) for i, j in zip(fg, bg)], dtype=np.float64
-    )
+    weights = np.array(_pair_weights(scene, pairs, cfg), dtype=np.float64)
+    fg_area = rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
+    coef = cfg.lambda_ortho * weights / (fg_area + cfg.epsilon)
     return _Plan(
         cfg=cfg,
         rows=rows,
@@ -173,12 +239,17 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
         cx=coords.x[0].copy(),
         cy=coords.y[:, 0].copy(),
-        depths=depths,
+        depths=scene.depths(),
         pairs=tuple(pairs),
         fg=fg,
         bg=bg,
         weights=weights,
-        fg_area=rows[fg].sum(axis=1) * cols[fg].sum(axis=1),
+        fg_area=fg_area,
+        # stage 2 drops the orthogonality gradient, so it has no pair columns
+        factors=(
+            _grad_factors(rows, cols, list(zip(bg, fg, coef))),
+            _grad_factors(rows, cols, []),
+        ),
     )
 
 
@@ -208,15 +279,16 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
       (sum(A / D) = S / D), kept so the gradient matches finite differences at
       full precision.
     Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
-    plus one outer product per stage-1 pair, assembled in place in the output
-    array.
+    plus one outer product per stage-1 pair: one product of the plan's
+    low-rank factors (`_grad_factors`), of which only the three step-dependent
+    columns are written here.
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     cfg = plan.cfg
     eps = cfg.epsilon
     k, height, width = maps.shape
-    r, c, d = plan.rows, plan.cols, plan.depths
+    r, d = plan.rows, plan.depths
     objs = np.arange(k)
 
     # row_dots[k, y, 0] = R[k, y]; row_dots[k, y, 1 + j] = A_k[y] . c_j
@@ -245,14 +317,11 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
     a = -2.0 * d * (1.0 - f) / denom
     q = (cfg.lambda_compact * d / denom)[:, None]
     res = (2.0 * eps / denom)[:, None]
-    grad = np.empty_like(maps)
-    np.multiply((a[:, None] * r)[:, :, None], c[:, None, :], out=grad)
-    grad += (q * (dy * (dy - res * mu[:, 1:]) - var[:, None]) - (a * f)[:, None])[:, :, None]
-    grad += (q * dx * (dx - res * mu[:, :1]))[:, None, :]
-    if stage == 1:
-        coef = cfg.lambda_ortho * plan.weights / (plan.fg_area + eps)
-        for p, (i, j) in enumerate(zip(plan.fg, plan.bg)):
-            grad[j] += np.outer(coef[p] * r[i], c[i])
+    u, v = plan.factors[stage - 1]
+    np.multiply(a[:, None], r, out=u[:, :, 0])
+    u[:, :, 1] = q * (dy * (dy - res * mu[:, 1:]) - var[:, None]) - (a * f)[:, None]
+    v[:, 2] = q * dx * (dx - res * mu[:, :1])
+    grad = np.matmul(u, v)
 
     breakdown = LossBreakdown(
         stage=stage,

@@ -1,10 +1,17 @@
 """Staged latent-optimization loop: stage schedule, step sizes, trajectory.
 
-Each step renders the field, evaluates the stage objective, backpropagates
-the analytic gradient to the latent and takes a plain gradient-descent step
-z <- z - eta_t * g with eta_t = eta0 * eta_decay^t.  The trajectory records
-one evaluation per step plus a final evaluation of the end state, so its
-length is total_steps + 1.
+Each step renders the field once, evaluates the stage objective and its
+gradient in one kernel call, backpropagates to the latent through the same
+rendered maps and takes a plain gradient-descent step z <- z - eta_t * g
+with eta_t = eta0 * eta_decay^t, in place on the run's own copy of the
+latent.  The trajectory records one evaluation per step plus a final
+evaluation of the end state, so its length is total_steps + 1.
+
+Inputs are validated at the boundaries: the scene, config and starting
+latent on entry, the final latent and field when they are wrapped for the
+caller.  Inside the loop every intermediate only has its finiteness
+checked, in order (rendered field, loss, gradient, latent gradient, latent
+update), and the first failure aborts with the step it happened at.
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionError, AttentionField
+from .attention import AttentionField
 from .losses import LossBreakdown, _plan, value_and_grad
 from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs
-from .surrogate import LatentState, SurrogateError, backprop_to_latent, render_attention
+from .surrogate import LatentState, _check_match, _surrogate
 
 
 class NumericalAbort(RuntimeError):
@@ -72,54 +79,49 @@ def _final_stage(cfg: GuidanceConfig) -> int:
     return 1 if cfg.stage1_fraction > 0 else 2
 
 
-def _render_checked(latent: LatentState, scene: SceneSpec, step: int) -> AttentionField:
-    # a diverging latent renders to inf/nan; report it as a numerical abort
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return render_attention(latent, scene)
-    except AttentionError as exc:
-        raise NumericalAbort(step, "rendered field") from exc
+def _check_finite(values: np.ndarray, step: int, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise NumericalAbort(step, what)
 
 
 def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> Trajectory:
-    """Run the full staged optimization from latent0.
+    """Run the full staged optimization from latent0 (left unchanged).
 
-    Deterministic given (scene, cfg, latent0).  The loss geometry is planned
-    once; each step then makes one value-and-gradient call.
+    Deterministic given (scene, cfg, latent0).  The loss geometry and the
+    surrogate are set up once; each step then renders once and makes one
+    value-and-gradient call.  The last pass, t == total_steps, evaluates the
+    end state without updating it.
     """
+    _check_match(latent0, scene)
     plan = _plan(scene, derive_occlusion_pairs(scene), cfg)
-    latent = latent0
+    surrogate = _surrogate(scene, latent0.mode)
+    z = latent0.values.copy()
     records: list[StepRecord] = []
 
-    for t in range(cfg.total_steps):
-        stage = stage_of(t, cfg)
+    for t in range(cfg.total_steps + 1):
+        last = t == cfg.total_steps
+        stage = _final_stage(cfg) if last else stage_of(t, cfg)
         eta = step_size(t, cfg)
-        field = _render_checked(latent, scene, t)
-        breakdown, grad = value_and_grad(field.maps, plan, stage)
+        # a diverging latent renders to inf/nan; that is reported as an abort
+        with np.errstate(over="ignore", invalid="ignore"):
+            maps = surrogate.render(z)
+        _check_finite(maps, t, "rendered field")
+        breakdown, grad = value_and_grad(maps, plan, stage)
         if not math.isfinite(breakdown.total):
             raise NumericalAbort(t, "loss")
         records.append(StepRecord(step=t, stage=stage, eta=eta, breakdown=breakdown))
-        if not np.isfinite(grad).all():
-            raise NumericalAbort(t, "gradient")
-        latent_grad = backprop_to_latent(latent, scene, grad)
-        if not np.isfinite(latent_grad).all():
-            raise NumericalAbort(t, "latent gradient")
-        try:
-            latent = latent.with_values(latent.values - eta * latent_grad)
-        except SurrogateError as exc:
-            raise NumericalAbort(t, "latent update") from exc
+        if last:
+            break
+        _check_finite(grad, t, "gradient")
+        latent_grad = surrogate.chain(z, maps, grad)
+        _check_finite(latent_grad, t, "latent gradient")
+        # z - eta * g, rounded as written, through the gradient's own buffer
+        np.multiply(latent_grad, eta, out=latent_grad)
+        np.subtract(z, latent_grad, out=z)
+        _check_finite(z, t, "latent update")
 
-    final_field = _render_checked(latent, scene, cfg.total_steps)
-    stage = _final_stage(cfg)
-    breakdown, _ = value_and_grad(final_field.maps, plan, stage)
-    if not math.isfinite(breakdown.total):
-        raise NumericalAbort(cfg.total_steps, "loss")
-    records.append(
-        StepRecord(
-            step=cfg.total_steps,
-            stage=stage,
-            eta=step_size(cfg.total_steps, cfg),
-            breakdown=breakdown,
-        )
+    return Trajectory(
+        records=records,
+        final_latent=LatentState(mode=latent0.mode, values=z),
+        final_field=AttentionField(maps=maps),
     )
-    return Trajectory(records=records, final_latent=latent, final_field=final_field)

@@ -11,7 +11,8 @@ and box overlap.  The guidance config lives here too, because a scene file's
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -19,6 +20,11 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Raised for invalid guidance configuration values."""
+
+
+def _knob(default, *, objective: bool = False, sweep: bool = False):
+    """A config field; `objective` fields define the loss, `sweep` ones can be swept."""
+    return field(default=default, metadata={"objective": objective, "sweep": sweep})
 
 
 @dataclass(frozen=True)
@@ -30,18 +36,24 @@ class GuidanceConfig:
     blob-mode guidance.
     """
 
-    lambda0: float = 0.5
-    alpha: float = 1.0
-    tau: float = 1.0
-    lambda_ortho: float = 0.5
-    lambda_compact: float = 0.2
-    epsilon: float = 1e-8
-    eta0: float = 800.0
-    eta_decay: float = 1.0
-    stage1_fraction: float = 0.5
-    total_steps: int = 200
+    lambda0: float = _knob(0.5, objective=True, sweep=True)
+    alpha: float = _knob(1.0, objective=True, sweep=True)
+    tau: float = _knob(1.0, objective=True, sweep=True)
+    lambda_ortho: float = _knob(0.5, objective=True, sweep=True)
+    lambda_compact: float = _knob(0.2, objective=True, sweep=True)
+    epsilon: float = _knob(1e-8, objective=True)
+    eta0: float = _knob(800.0, sweep=True)
+    eta_decay: float = _knob(1.0)
+    stage1_fraction: float = _knob(0.5, sweep=True)
+    total_steps: int = _knob(200)
 
     def __post_init__(self) -> None:
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            # a non-finite weight leaves the objective undefined (nan or inf
+            # at step 0), which is an input error, not a numerical abort
+            if knob.metadata["objective"] and not math.isfinite(value):
+                raise ConfigError(f"{knob.name} must be finite, got {value}")
         if not self.lambda0 > 0:
             raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
         if not self.tau > 0:

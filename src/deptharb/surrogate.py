@@ -49,9 +49,6 @@ class LatentState:
             raise SurrogateError("latent contains non-finite entries")
         object.__setattr__(self, "values", arr)
 
-    def with_values(self, values: np.ndarray) -> "LatentState":
-        return LatentState(mode=self.mode, values=values)
-
 
 def _check_match(latent: LatentState, scene: SceneSpec) -> None:
     k = len(scene.objects)
@@ -104,16 +101,68 @@ def _blob_map(params: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return np.exp(la) * np.exp(-((px - cx) ** 2 / (2 * sx**2) + (py - cy) ** 2 / (2 * sy**2)))
 
 
+class _Raster:
+    """Render and chain rule of the raster surrogate, set up once per run.
+
+    Like `_Blob`, it trusts its inputs (callers check shapes and finiteness)
+    and renders into one buffer that every `render` call reuses.
+    """
+
+    def __init__(self, scene: SceneSpec):
+        self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
+
+    def render(self, values: np.ndarray) -> np.ndarray:
+        return np.exp(values, out=self.maps)
+
+    @staticmethod
+    def chain(values: np.ndarray, maps: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """dL/dlogit = dL/dA * A, written over grad."""
+        grad *= maps
+        return grad
+
+
+class _Blob:
+    """Render and chain rule of the blob surrogate, set up once per run."""
+
+    def __init__(self, scene: SceneSpec):
+        self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
+        coords = coord_grid(scene.grid_height, scene.grid_width)
+        # (1, W) and (H, 1) views broadcast to the grid with the same
+        # per-pixel arithmetic as the full coordinate arrays
+        self.px = coords.x[:1]
+        self.py = coords.y[:, :1]
+
+    def render(self, values: np.ndarray) -> np.ndarray:
+        for i, params in enumerate(values):
+            self.maps[i] = _blob_map(params, self.px, self.py)
+        return self.maps
+
+    def chain(self, values: np.ndarray, maps: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The five contractions of dL/dA against the rendered maps (see backprop_to_latent)."""
+        out = np.zeros_like(values)
+        for i in range(len(values)):
+            cx, cy, lsx, lsy, _ = values[i]
+            sx = np.exp(lsx)
+            sy = np.exp(lsy)
+            ga = grad[i] * maps[i]
+            dx = self.px - cx
+            dy = self.py - cy
+            out[i, 0] = (ga * dx).sum() / sx**2
+            out[i, 1] = (ga * dy).sum() / sy**2
+            out[i, 2] = (ga * dx**2).sum() / sx**2
+            out[i, 3] = (ga * dy**2).sum() / sy**2
+            out[i, 4] = ga.sum()
+        return out
+
+
+def _surrogate(scene: SceneSpec, mode: str) -> _Raster | _Blob:
+    return _Raster(scene) if mode == "raster" else _Blob(scene)
+
+
 def render_attention(latent: LatentState, scene: SceneSpec) -> AttentionField:
     """Render the full field from the latent state."""
     _check_match(latent, scene)
-    if latent.mode == "raster":
-        return AttentionField(maps=np.exp(latent.values))
-    coords = coord_grid(scene.grid_height, scene.grid_width)
-    maps = np.stack(
-        [_blob_map(latent.values[i], coords.x, coords.y) for i in range(len(scene.objects))]
-    )
-    return AttentionField(maps=maps)
+    return AttentionField(maps=_surrogate(scene, latent.mode).render(latent.values))
 
 
 def backprop_to_latent(
@@ -131,33 +180,10 @@ def backprop_to_latent(
     = sigma), each contracted against dL/dA over the grid.
     """
     _check_match(latent, scene)
-    g = np.asarray(grad_field, dtype=np.float64)
-    k = len(scene.objects)
-    if latent.mode == "raster":
-        if g.shape != latent.values.shape:
-            raise SurrogateError(
-                f"grad shape {g.shape} != latent shape {latent.values.shape}"
-            )
-        return g * np.exp(latent.values)
-
-    if g.shape != (k, scene.grid_height, scene.grid_width):
-        raise SurrogateError(
-            f"grad shape {g.shape} != field shape "
-            f"({k}, {scene.grid_height}, {scene.grid_width})"
-        )
-    coords = coord_grid(scene.grid_height, scene.grid_width)
-    out = np.zeros_like(latent.values)
-    for i in range(k):
-        cx, cy, lsx, lsy, _ = latent.values[i]
-        sx = np.exp(lsx)
-        sy = np.exp(lsy)
-        a = _blob_map(latent.values[i], coords.x, coords.y)
-        ga = g[i] * a
-        dx = coords.x - cx
-        dy = coords.y - cy
-        out[i, 0] = (ga * dx).sum() / sx**2
-        out[i, 1] = (ga * dy).sum() / sy**2
-        out[i, 2] = (ga * dx**2).sum() / sx**2
-        out[i, 3] = (ga * dy**2).sum() / sy**2
-        out[i, 4] = ga.sum()
-    return out
+    expected = (len(scene.objects), scene.grid_height, scene.grid_width)
+    if np.shape(grad_field) != expected:
+        raise SurrogateError(f"grad shape {np.shape(grad_field)} != field shape {expected}")
+    surrogate = _surrogate(scene, latent.mode)
+    maps = surrogate.render(latent.values)
+    # a copy: the raster chain rule overwrites the gradient it is given
+    return surrogate.chain(latent.values, maps, np.array(grad_field, dtype=np.float64))

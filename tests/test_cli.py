@@ -360,3 +360,119 @@ class TestUsage:
         # main reuses one parser per process
         assert run_cli("grad-check", "--samples", "20", "--tol", "0") == 3
         assert run_cli("grad-check", "--samples", "20") == 0
+
+
+class TestUndefinedObjectiveConfig:
+    """Config values that leave the objective undefined are input errors (exit 1)."""
+
+    @pytest.fixture
+    def dump_path(self, tmp_path, scene_path):
+        path = tmp_path / "f.darb"
+        assert run_cli("run", "--scene", scene_path, "--steps", "1", "--dump", str(path)) == 0
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--tau", "1e-300"), ("--alpha", "1e300"), ("--lambda0", "1e300", "--alpha", "700")],
+    )
+    def test_run_overflowing_pair_weight_names_the_pair(self, capsys, scene_path, flags):
+        assert run_cli("run", "--scene", scene_path, "--steps", "2", *flags) == 1
+        err = capsys.readouterr().err
+        assert "occlusion pair (foreground 0, background 1)" in err
+        assert "lambda_ij" in err
+
+    def test_grad_check_overflowing_pair_weight(self, capsys):
+        assert run_cli("grad-check", "--samples", "5", "--alpha", "1e300") == 1
+        assert "occlusion pair (foreground 0, background 1)" in capsys.readouterr().err
+
+    def test_sweep_overflowing_pair_weight(self, capsys, scene_path):
+        code = run_cli(
+            "sweep", "--scene", scene_path, "--steps", "2", "--param", "alpha", "--values", "1,1e300",
+        )
+        assert code == 1
+        assert "occlusion pair (foreground 0, background 1)" in capsys.readouterr().err
+
+    def test_eval_overflowing_pair_weight(self, capsys, scene_path, dump_path):
+        code = run_cli("eval", "--dump", dump_path, "--scene", scene_path, "--alpha", "1e300")
+        assert code == 1
+        assert "occlusion pair (foreground 0, background 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--alpha=nan", "--lambda-ortho=nan", "--lambda-compact=nan", "--lambda0=inf",
+         "--tau=inf", "--epsilon=inf", "--alpha=-inf"],
+    )
+    def test_run_non_finite_objective_value(self, capsys, scene_path, flag):
+        assert run_cli("run", "--scene", scene_path, "--steps", "2", flag) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_value_in_scene_config_block(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(scene_file_text(grid=16)[:-1] + ', "config": {"alpha": NaN}}', encoding="utf-8")
+        assert run_cli("run", "--scene", str(path), "--steps", "1") == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+
+    def test_grad_check_non_finite_objective_value(self, capsys):
+        assert run_cli("grad-check", "--samples", "5", "--lambda-ortho", "nan") == 1
+        assert "lambda_ortho must be finite" in capsys.readouterr().err
+
+    def test_sweep_non_finite_value(self, capsys, scene_path):
+        code = run_cli(
+            "sweep", "--scene", scene_path, "--steps", "2", "--param", "tau", "--values", "1,nan",
+        )
+        assert code == 1
+        assert "tau must be finite" in capsys.readouterr().err
+
+    def test_eval_non_finite_objective_value(self, capsys, scene_path, dump_path):
+        assert run_cli("eval", "--dump", dump_path, "--scene", scene_path, "--alpha", "nan") == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_infinite_step_size_stays_a_numerical_abort(self, capsys, scene_path, mode):
+        # eta0 is not part of the objective: an infinite step diverges at step 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli("run", "--scene", scene_path, "--steps", "3", "--mode", mode, "--eta", "inf")
+        assert code == 2
+        assert "non-finite latent update at step 0" in capsys.readouterr().err
+
+
+class TestGradCheckSamples:
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_fewer_than_one_sample_is_usage_error(self, capsys, samples, mode):
+        assert run_cli("grad-check", "--mode", mode, "--samples", samples) == 1
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert "pass" not in captured.out
+
+    def test_one_sample_is_accepted(self):
+        assert run_cli("grad-check", "--samples", "1", "--stage", "1") == 0
+
+
+class TestSweepParams:
+    def test_sweep_params_are_the_sweep_marked_config_fields(self):
+        from dataclasses import fields
+
+        from deptharb import GuidanceConfig
+        from deptharb.cli import SWEEP_PARAMS
+
+        marked = [f.name for f in fields(GuidanceConfig) if f.metadata["sweep"]]
+        assert list(SWEEP_PARAMS) == marked
+        assert set(SWEEP_PARAMS) == {
+            "lambda_ortho", "lambda_compact", "lambda0", "alpha", "tau", "eta0", "stage1_fraction",
+        }
+
+    def test_every_sweep_param_sweeps(self, tmp_path, scene_path):
+        from deptharb.cli import SWEEP_PARAMS
+
+        report = tmp_path / "sweep.json"
+        for param in SWEEP_PARAMS:
+            code = run_cli(
+                "sweep", "--scene", scene_path, "--steps", "1", "--param", param,
+                "--values", "0.5", "--report", str(report),
+            )
+            assert code == 0, param
+            table = load_report(report)
+            assert table["param"] == param
+            assert table["rows"][0]["value"] == 0.5

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from deptharb import (
     GuidanceConfig,
+    LatentState,
     NumericalAbort,
     backprop_to_latent,
     canonical_scene,
@@ -17,6 +20,7 @@ from deptharb import (
     render_attention,
     run_guidance,
     stage_of,
+    staged_loss,
     step_size,
 )
 
@@ -177,3 +181,121 @@ class TestRunGuidance:
         traj = run_guidance(two_object_scene, cfg, latent0)
         assert len(traj.records) == 11
         assert traj.records[-1].breakdown.total <= traj.records[0].breakdown.total
+
+
+# Abort step and reason of each run, recorded with the loop that rendered,
+# backpropagated and rebuilt the latent through the public functions on
+# every step; the single-render loop must reproduce each one.
+ABORT_PINS = [
+    # (scene, mode, eta0, total_steps, seed, step, reason)
+    ("canonical", "raster", 1e8, 40, 0, 1, "rendered field"),
+    ("two", "raster", 1e5, 40, 7, 1, "rendered field"),
+    ("two", "raster", math.inf, 40, 0, 0, "latent update"),
+    ("canonical", "blob", 1e6, 40, 0, 1, "latent gradient"),
+    ("two", "blob", 1e200, 40, 7, 1, "rendered field"),
+    ("canonical", "blob", math.inf, 40, 0, 0, "latent update"),
+    # the last pass, which only renders and evaluates the end state
+    ("two", "raster", 1e5, 1, 7, 1, "rendered field"),
+    ("canonical", "blob", 1e200, 1, 0, 1, "rendered field"),
+]
+
+
+def _scene(name, two_object_scene):
+    return canonical_scene() if name == "canonical" else two_object_scene
+
+
+class TestAbortPins:
+    @pytest.mark.parametrize("name,mode,eta,steps,seed,step,reason", ABORT_PINS)
+    def test_diverging_step_size(self, two_object_scene, name, mode, eta, steps, seed, step, reason):
+        scene = _scene(name, two_object_scene)
+        cfg = GuidanceConfig(total_steps=steps, eta0=eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(scene, cfg, init_latent(scene, mode, seed))
+        assert exc_info.value.step == step
+        assert str(exc_info.value) == f"non-finite {reason} at step {step}"
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_field_too_large_to_sum_is_a_loss_abort(self, two_object_scene, mode, steps):
+        # every entry is finite (about 8e307), their sum is not
+        if mode == "raster":
+            values = np.full((2, 16, 16), 709.0)
+        else:
+            values = np.array([[0.35, 0.35, 0.0, 0.0, 709.0], [0.65, 0.65, 0.0, 0.0, 709.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(two_object_scene, GuidanceConfig(total_steps=steps), LatentState(mode, values))
+        assert str(exc_info.value) == "non-finite loss at step 0"
+
+
+def _composed_run(scene, cfg, latent0):
+    """The loop written out with the public, validating operations only."""
+    pairs = derive_occlusion_pairs(scene)
+    latent, totals = latent0, []
+    for t in range(cfg.total_steps):
+        field = render_attention(latent, scene)
+        stage = stage_of(t, cfg)
+        totals.append(staged_loss(field, scene, pairs, cfg, stage).total)
+        grad = grad_staged_loss(field, scene, pairs, cfg, stage)
+        step = step_size(t, cfg) * backprop_to_latent(latent, scene, grad)
+        latent = LatentState(latent.mode, latent.values - step)
+    field = render_attention(latent, scene)
+    totals.append(staged_loss(field, scene, pairs, cfg, stage_of(cfg.total_steps - 1, cfg)).total)
+    return latent, field, totals
+
+
+class TestSingleRenderLoop:
+    @pytest.mark.parametrize("mode,eta", [("raster", 50.0), ("blob", 0.5)])
+    def test_equals_composition_of_public_operations(self, two_object_scene, mode, eta):
+        # 7 steps with stage1_fraction 0.5: three in stage 1, four in stage 2
+        cfg = GuidanceConfig(total_steps=7, stage1_fraction=0.5, eta0=eta, eta_decay=0.9)
+        latent0 = init_latent(two_object_scene, mode, seed=8)
+        traj = run_guidance(two_object_scene, cfg, latent0)
+        latent, field, totals = _composed_run(two_object_scene, cfg, latent0)
+        assert [r.stage for r in traj.records] == [1, 1, 1, 2, 2, 2, 2, 2]
+        assert [r.breakdown.total for r in traj.records] == totals
+        assert np.array_equal(traj.final_latent.values, latent.values)
+        assert np.array_equal(traj.final_field.maps, field.maps)
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_leaves_starting_latent_unchanged(self, two_object_scene, mode):
+        latent0 = init_latent(two_object_scene, mode, seed=2)
+        before = latent0.values.copy()
+        cfg = GuidanceConfig(total_steps=5, eta0=50.0 if mode == "raster" else 0.5)
+        traj = run_guidance(two_object_scene, cfg, latent0)
+        assert np.array_equal(latent0.values, before)
+        assert not np.array_equal(traj.final_latent.values, before)
+
+    def test_blob_renders_once_per_step_and_plans_its_grid_once(self, two_object_scene, monkeypatch):
+        import deptharb.attention
+        import deptharb.surrogate
+
+        counts = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            deptharb.surrogate, "_blob_map", counting("blob_map", deptharb.surrogate._blob_map)
+        )
+        real_grid = deptharb.attention.coord_grid
+        for name, module in list(sys.modules.items()):
+            if name == "deptharb" or name.startswith("deptharb."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is real_grid:
+                        monkeypatch.setattr(module, attr, counting("coord_grid", real_grid))
+        grids = []
+        for steps in (3, 9):
+            counts.clear()
+            cfg = GuidanceConfig(total_steps=steps, eta0=0.5)
+            run_guidance(two_object_scene, cfg, init_latent(two_object_scene, "blob", seed=1))
+            assert counts["blob_map"] == 2 * (steps + 1)
+            grids.append(counts["coord_grid"])
+        assert grids[0] == grids[1]
