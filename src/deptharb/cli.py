@@ -1,25 +1,31 @@
 """Command-line interface: optimization runs, gradient checks, sweeps, evaluation.
 
 Config precedence is total and fixed: preset defaults < scene-file "config"
-block < command-line flags.  Exit codes: 0 success, 1 input/usage error,
-2 numerical abort, 3 gradient-check failure.
+block < command-line flags; each config flag's dest is the config field it
+sets.  `run`, `sweep` and `eval` score a field through one call, and reports
+are JSON whose floats read back exactly.  Exit codes: 0 success, 1
+input/usage error (among them a `--tol` that is not finite and >= 0 and a
+`--rel-threshold` outside (0, 1]), 2 numerical abort, 3 gradient-check
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
+import math
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import DEFAULT_REL_TOL, check_gradients, precision_note
-from .metrics import DEFAULT_REL_THRESHOLD, build_metric_report
+from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, build_metric_report
 from .optimizer import NumericalAbort, _final_stage, run_guidance
 from .scene import (
     GUIDANCE_CONFIG_KEYS,
@@ -34,11 +40,6 @@ from .surrogate import MODES, SurrogateError, init_latent
 
 BLOB_DEFAULT_ETA0 = 0.5
 SWEEP_PARAMS = tuple(f.name for f in fields(GuidanceConfig) if f.metadata["sweep"])
-_RENAMED_CONFIG_FLAGS = {"steps": "total_steps", "stage1_frac": "stage1_fraction", "eta": "eta0"}
-_CONFIG_FLAGS = {
-    **_RENAMED_CONFIG_FLAGS,
-    **{key: key for key in GUIDANCE_CONFIG_KEYS if key not in _RENAMED_CONFIG_FLAGS.values()},
-}
 
 
 class UsageError(Exception):
@@ -50,51 +51,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# ---------------------------------------------------------------------------
-# report serialization: floats carry 17 significant digits
-# ---------------------------------------------------------------------------
-
-def _fragment(value: Any, indent: int) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not np.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite number {x}")
-        return format(x, ".17g")
-    if isinstance(value, str):
-        import json
-
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}  {_fragment(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        import json
-
-        items = [
-            f"{pad}  {json.dumps(str(k))}: {_fragment(v, indent + 1)}" for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def dumps_report(doc: dict) -> str:
-    return _fragment(doc, 0) + "\n"
+    """JSON text of a report; floats in the shortest form that reads back exactly."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_report(args, doc: dict, what: str = "report") -> None:
+    """Stamp a report or sweep table and write it where --report points, if anywhere."""
+    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(dumps_report(doc))
+        print(f"{what} written to {args.report}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,50 +71,41 @@ def _write_text(path: str, text: str) -> None:
 
 def resolve_config(args, file_overrides: dict) -> GuidanceConfig:
     """defaults (per preset) < scene-file config block < command-line flags."""
-    preset = getattr(args, "preset", None) or "main"
-    merged: dict[str, Any] = {}
-    merged.update(file_overrides)
-    for flag, field_name in _CONFIG_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[field_name] = value
-    mode = getattr(args, "mode", None) or "raster"
-    if "eta0" not in merged and mode == "blob":
+    flags = vars(args)
+    merged = {**file_overrides, **{k: flags[k] for k in GUIDANCE_CONFIG_KEYS if flags[k] is not None}}
+    if "eta0" not in merged and args.mode == "blob":
         merged["eta0"] = BLOB_DEFAULT_ETA0
-    return GuidanceConfig.preset(preset).updated(**merged)
+    return GuidanceConfig.preset(args.preset).updated(**merged)
 
 
 def _config_echo(cfg: GuidanceConfig, args) -> dict:
-    echo = cfg.as_dict()
-    echo["mode"] = getattr(args, "mode", None) or "raster"
-    echo["rel_threshold"] = (
-        args.rel_threshold if getattr(args, "rel_threshold", None) is not None else DEFAULT_REL_THRESHOLD
-    )
-    echo["preset"] = getattr(args, "preset", None) or "main"
-    return echo
+    return {**cfg.as_dict(), "mode": args.mode, "rel_threshold": args.rel_threshold, "preset": args.preset}
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# run, score, report
 # ---------------------------------------------------------------------------
 
-def build_report(
-    scene: SceneSpec,
-    cfg: GuidanceConfig,
-    args,
-    seed: int,
-    field: AttentionField,
-    stage: int,
-) -> dict:
-    rel_threshold = (
-        args.rel_threshold if getattr(args, "rel_threshold", None) is not None else DEFAULT_REL_THRESHOLD
+def _run_rounded(scene: SceneSpec, cfg: GuidanceConfig, args) -> AttentionField:
+    """The final field of a seeded run, rounded through float32 as the dump stores it.
+
+    Report and dump both see this field, so a later `eval` of the dump
+    reproduces the reported numbers exactly.  A finite float64 field can
+    still exceed the float32 range; that is a numerical failure of the run,
+    reported at its last step.
+    """
+    trajectory = run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed))
+    try:
+        with np.errstate(over="ignore"):
+            return round_trip32(trajectory.final_field)
+    except AttentionError as exc:
+        raise NumericalAbort(cfg.total_steps, "float32-rounded field") from exc
+
+
+def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args, seed: int) -> MetricReport:
+    return build_metric_report(
+        field, scene, cfg, _final_stage(cfg), args.rel_threshold, _config_echo(cfg, args), seed
     )
-    report = build_metric_report(
-        field, scene, cfg, stage, rel_threshold, _config_echo(cfg, args), seed
-    )
-    doc = report.to_json_dict()
-    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return doc
 
 
 def _print_summary(report: dict) -> None:
@@ -169,62 +128,33 @@ def _print_summary(report: dict) -> None:
         )
 
 
+def _publish(args, report: MetricReport) -> int:
+    doc = report.to_json_dict()
+    _write_report(args, doc)
+    _print_summary(doc)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _rounded_final(trajectory, cfg: GuidanceConfig) -> AttentionField:
-    """The final field rounded through float32, as the dump stores it.
-
-    A finite float64 field can still exceed the float32 range; that is a
-    numerical failure of the run, reported at its last step.
-    """
-    try:
-        with np.errstate(over="ignore"):
-            return round_trip32(trajectory.final_field)
-    except AttentionError as exc:
-        raise NumericalAbort(cfg.total_steps, "float32-rounded field") from exc
-
-
 def cmd_run(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    seed = args.seed
-    latent0 = init_latent(scene, args.mode, seed)
-    trajectory = run_guidance(scene, cfg, latent0)
-    # report and dump both see the float32-rounded field, so a later
-    # `eval` of the dump reproduces the reported numbers exactly
-    rounded = _rounded_final(trajectory, cfg)
-    report = build_report(scene, cfg, args, seed, rounded, _final_stage(cfg))
+    field = _run_rounded(scene, cfg, args)
+    report = _score(field, scene, cfg, args, args.seed)
     if args.dump:
-        write_dump(args.dump, trajectory.final_field, seed)
+        write_dump(args.dump, field, args.seed)
         print(f"dump written to {args.dump}")
-    if args.report:
-        _write_text(args.report, dumps_report(report))
-        print(f"report written to {args.report}")
-    _print_summary(report)
-    return 0
+    return _publish(args, report)
 
 
 def cmd_eval(args) -> int:
+    # a dump that does not match the scene is rejected by the scoring itself
     field, seed = read_dump(args.dump)
     scene, file_overrides = read_scene(args.scene)
-    if field.count != len(scene.objects):
-        raise DumpError(
-            f"dump holds {field.count} maps, scene has {len(scene.objects)} objects"
-        )
-    if (field.height, field.width) != (scene.grid_height, scene.grid_width):
-        raise DumpError(
-            f"dump grid {field.height}x{field.width} != scene grid "
-            f"{scene.grid_height}x{scene.grid_width}"
-        )
-    cfg = resolve_config(args, file_overrides)
-    report = build_report(scene, cfg, args, seed, field, _final_stage(cfg))
-    if args.report:
-        _write_text(args.report, dumps_report(report))
-        print(f"report written to {args.report}")
-    _print_summary(report)
-    return 0
+    return _publish(args, _score(field, scene, resolve_config(args, file_overrides), args, seed))
 
 
 def cmd_grad_check(args) -> int:
@@ -272,15 +202,9 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def _sweep_one(scene: SceneSpec, cfg: GuidanceConfig, args, value: float) -> dict:
+def _sweep_row(scene: SceneSpec, cfg: GuidanceConfig, args, value: float) -> dict:
     run_cfg = cfg.updated(**{args.param: value})
-    latent0 = init_latent(scene, args.mode, args.seed)
-    trajectory = run_guidance(scene, run_cfg, latent0)
-    rounded = _rounded_final(trajectory, run_cfg)
-    rel_threshold = args.rel_threshold if args.rel_threshold is not None else DEFAULT_REL_THRESHOLD
-    report = build_metric_report(
-        rounded, scene, run_cfg, _final_stage(run_cfg), rel_threshold, {}, args.seed
-    )
+    report = _score(_run_rounded(scene, run_cfg, args), scene, run_cfg, args, args.seed)
     breakdown = report.breakdown
     return {
         "value": value,
@@ -314,18 +238,9 @@ def cmd_sweep(args) -> int:
 
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    rows = [_sweep_one(scene, cfg, args, value) for value in values]
-
-    table = {
-        "param": args.param,
-        "rows": rows,
-        "config": _config_echo(cfg, args),
-        "seed": args.seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    if args.report:
-        _write_text(args.report, dumps_report(table))
-        print(f"sweep table written to {args.report}")
+    rows = [_sweep_row(scene, cfg, args, value) for value in values]
+    table = {"param": args.param, "rows": rows, "config": _config_echo(cfg, args), "seed": args.seed}
+    _write_report(args, table, "sweep table")
 
     header = f"{args.param:>16}  {'total':>12}  {'mean_I':>10}  {'mean_var':>10}  {'miou':>8}  {'focr':>8}"
     print(header)
@@ -359,36 +274,55 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    # inf would pass every coordinate, nan or a negative value fail every one
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
+def _rel_threshold(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--steps", type=int, default=None, help="total optimization steps")
-    sub.add_argument("--stage1-frac", dest="stage1_frac", type=float, default=None,
+    # each dest is the GuidanceConfig field the flag sets; None leaves it unset
+    sub.add_argument("--steps", dest="total_steps", type=int, default=None,
+                     help="total optimization steps")
+    sub.add_argument("--stage1-frac", dest="stage1_fraction", type=float, default=None,
                      help="fraction of steps in stage 1")
-    sub.add_argument("--eta", type=float, default=None, help="base step size eta0")
-    sub.add_argument("--eta-decay", dest="eta_decay", type=float, default=None,
+    sub.add_argument("--eta", dest="eta0", type=float, default=None, help="base step size eta0")
+    sub.add_argument("--eta-decay", type=float, default=None,
                      help="per-step multiplicative step-size decay")
-    sub.add_argument("--preset", choices=("main", "appendix"), default=None,
+    sub.add_argument("--preset", choices=("main", "appendix"), default="main",
                      help="weight preset (default: main)")
     sub.add_argument("--lambda0", type=float, default=None, help="base repulsion weight")
     sub.add_argument("--alpha", type=float, default=None, help="depth-modulation sharpness")
     sub.add_argument("--tau", type=float, default=None, help="depth-modulation temperature")
-    sub.add_argument("--lambda-ortho", dest="lambda_ortho", type=float, default=None,
-                     help="orthogonality term weight")
-    sub.add_argument("--lambda-compact", dest="lambda_compact", type=float, default=None,
-                     help="compactness term weight")
+    sub.add_argument("--lambda-ortho", type=float, default=None, help="orthogonality term weight")
+    sub.add_argument("--lambda-compact", type=float, default=None, help="compactness term weight")
     sub.add_argument("--epsilon", type=float, default=None, help="stability constant")
     sub.add_argument("--mode", choices=MODES, default="raster", help="surrogate parametrization")
     sub.add_argument("--seed", type=_seed, default=0, help="deterministic seed")
+
+
+def _add_rel_threshold(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--rel-threshold", type=_rel_threshold, default=DEFAULT_REL_THRESHOLD,
+                     help="relative threshold for layout mIoU masks, in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="deptharb", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="optimize a scene and report metrics", parents=[])
+    run = subs.add_parser("run", help="optimize a scene and report metrics")
     run.add_argument("--scene", required=True, help="scene JSON path")
     _add_config_flags(run)
-    run.add_argument("--rel-threshold", dest="rel_threshold", type=float, default=None,
-                     help="relative threshold for layout mIoU masks")
+    _add_rel_threshold(run)
     run.add_argument("--dump", default=None, help="write the final attention field here")
     run.add_argument("--report", default=None, help="write the JSON report here")
     run.set_defaults(func=cmd_run)
@@ -399,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     # a check that judges no coordinate would report a pass for nothing
     check.add_argument("--samples", type=_positive_int, default=1000,
                        help="coordinates per space per stage (at least 1)")
-    check.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
-                       help="relative tolerance (absolute floor is tol*1e-4)")
+    check.add_argument("--tol", type=_tolerance, default=DEFAULT_REL_TOL,
+                       help="relative tolerance, finite and >= 0 (absolute floor is tol*1e-4)")
     check.add_argument("--stage", choices=("1", "2", "both"), default="both")
     check.set_defaults(func=cmd_grad_check)
 
@@ -409,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sweep)
     sweep.add_argument("--param", required=True, help=f"one of {', '.join(SWEEP_PARAMS)}")
     sweep.add_argument("--values", required=True, help="comma-separated parameter values")
-    sweep.add_argument("--rel-threshold", dest="rel_threshold", type=float, default=None)
+    _add_rel_threshold(sweep)
     sweep.add_argument("--report", default=None, help="write the JSON sweep table here")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -417,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dump", required=True, help="attention dump path")
     ev.add_argument("--scene", required=True, help="scene JSON path")
     _add_config_flags(ev)
-    ev.add_argument("--rel-threshold", dest="rel_threshold", type=float, default=None)
+    _add_rel_threshold(ev)
     ev.add_argument("--report", default=None, help="write the JSON report here")
     ev.set_defaults(func=cmd_eval)
 

@@ -11,7 +11,9 @@ Inputs are validated at the boundaries: the scene, config and starting
 latent on entry, the final latent and field when they are wrapped for the
 caller.  Inside the loop every intermediate only has its finiteness
 checked, in order (rendered field, loss, gradient, latent gradient, latent
-update), and the first failure aborts with the step it happened at.
+update), and the first failure aborts with the step it happened at; numpy's
+floating-point warnings are silenced inside the loop, so that abort is all a
+diverging run reports.
 """
 
 from __future__ import annotations
@@ -98,27 +100,28 @@ def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) ->
     z = latent0.values.copy()
     records: list[StepRecord] = []
 
-    for t in range(cfg.total_steps + 1):
-        last = t == cfg.total_steps
-        stage = _final_stage(cfg) if last else stage_of(t, cfg)
-        eta = step_size(t, cfg)
-        # a diverging latent renders to inf/nan; that is reported as an abort
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging run turns intermediates inf/nan; every one is checked below
+    # and reported as an abort, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        for t in range(cfg.total_steps + 1):
+            last = t == cfg.total_steps
+            stage = _final_stage(cfg) if last else stage_of(t, cfg)
+            eta = step_size(t, cfg)
             maps = surrogate.render(z)
-        _check_finite(maps, t, "rendered field")
-        breakdown, grad = value_and_grad(maps, plan, stage)
-        if not math.isfinite(breakdown.total):
-            raise NumericalAbort(t, "loss")
-        records.append(StepRecord(step=t, stage=stage, eta=eta, breakdown=breakdown))
-        if last:
-            break
-        _check_finite(grad, t, "gradient")
-        latent_grad = surrogate.chain(z, maps, grad)
-        _check_finite(latent_grad, t, "latent gradient")
-        # z - eta * g, rounded as written, through the gradient's own buffer
-        np.multiply(latent_grad, eta, out=latent_grad)
-        np.subtract(z, latent_grad, out=z)
-        _check_finite(z, t, "latent update")
+            _check_finite(maps, t, "rendered field")
+            breakdown, grad = value_and_grad(maps, plan, stage)
+            if not math.isfinite(breakdown.total):
+                raise NumericalAbort(t, "loss")
+            records.append(StepRecord(step=t, stage=stage, eta=eta, breakdown=breakdown))
+            if last:
+                break
+            _check_finite(grad, t, "gradient")
+            latent_grad = surrogate.chain(z, maps, grad)
+            _check_finite(latent_grad, t, "latent gradient")
+            # z - eta * g, rounded as written, through the gradient's own buffer
+            np.multiply(latent_grad, eta, out=latent_grad)
+            np.subtract(z, latent_grad, out=z)
+            _check_finite(z, t, "latent update")
 
     return Trajectory(
         records=records,

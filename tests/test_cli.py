@@ -46,11 +46,12 @@ def load_report(path) -> dict:
 
 class TestSerializer:
     def test_sig_digit_floats_round_trip(self):
-        doc = {"a": 0.1 + 0.2, "b": [1.0 / 3.0, 1e-300], "c": {"d": 2.0**-52}}
+        doc = {"a": 0.1 + 0.2, "b": [1.0 / 3.0, 1e-300], "c": {"d": 2.0**-52}, "e": 800.0}
         parsed = json.loads(dumps_report(doc))
         assert parsed["a"] == 0.1 + 0.2
         assert parsed["b"] == [1.0 / 3.0, 1e-300]
         assert parsed["c"]["d"] == 2.0**-52
+        assert parsed["e"] == 800.0 and isinstance(parsed["e"], float)
 
     def test_null_and_ints(self):
         parsed = json.loads(dumps_report({"x": None, "y": 7, "z": True}))
@@ -83,6 +84,13 @@ class TestRun:
         bd = d.staged_loss(field, scene, pairs, d.GuidanceConfig(total_steps=0), 1)
         assert report["losses"]["total"] == bd.total
         assert report["losses"]["align"] == bd.align
+
+    def test_config_keeps_number_types(self, tmp_path, scene_path):
+        report_path = tmp_path / "r.json"
+        assert run_cli("run", "--scene", scene_path, "--steps", "0", "--report", str(report_path)) == 0
+        config = load_report(report_path)["config"]
+        assert config["eta0"] == 800.0 and isinstance(config["eta0"], float)
+        assert config["total_steps"] == 0 and isinstance(config["total_steps"], int)
 
     def test_determinism_excluding_timestamp(self, tmp_path, scene_path):
         texts = []
@@ -143,6 +151,16 @@ class TestRun:
             warnings.simplefilter("error")
             assert run_cli(command, "--scene", str(path), "--steps", "50", *extra) == 2
         assert "float32-rounded field at step 50" in capsys.readouterr().err
+
+    def test_collapsing_blob_prints_only_its_abort(self, tmp_path, capsys):
+        path = tmp_path / "s16.json"
+        path.write_text(scene_file_text(grid=16), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--scene", str(path), "--mode", "blob", "--eta", "1e6", "--steps", "5")
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "numerical abort: non-finite latent gradient at step 1\n"
 
     def test_config_precedence_file_over_default_flag_over_file(self, tmp_path):
         text = scene_file_text(grid=32)[:-1] + ', "config": {"eta0": 2.5, "tau": 3.0}}'
@@ -298,6 +316,14 @@ class TestGradCheckCommand:
     def test_impossible_tolerance_fails(self):
         assert run_cli("grad-check", "--samples", "40", "--tol", "0") == 3
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tol):
+        # inf passed every coordinate of any gradient, nan and -1 failed every one
+        assert run_cli("grad-check", "--samples", "5", f"--tol={tol}") == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "--tol" in captured.err
+        assert captured.out == ""
+
     def test_blob_mode_and_single_stage(self, scene_path):
         assert run_cli(
             "grad-check", "--scene", scene_path, "--mode", "blob",
@@ -355,6 +381,21 @@ class TestUsage:
 
     def test_negative_seed_is_usage_error(self, scene_path):
         assert run_cli("run", "--scene", scene_path, "--seed", "-3") == 1
+
+    @pytest.mark.parametrize("value", ["2", "0", "-0.5", "nan"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "eval"])
+    def test_rel_threshold_rejected_before_any_work(self, monkeypatch, capsys, scene_path, command, value):
+        calls = []
+        monkeypatch.setattr("deptharb.cli.run_guidance", lambda *a, **k: calls.append(a))
+        extra = {
+            "run": (),
+            "sweep": ("--param", "tau", "--values", "1"),
+            "eval": ("--dump", "missing.darb"),
+        }[command]
+        code = run_cli(command, "--scene", scene_path, "--steps", "1", *extra, f"--rel-threshold={value}")
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert calls == []
 
     def test_flags_do_not_leak_between_calls(self):
         # main reuses one parser per process

@@ -231,6 +231,37 @@ class TestAbortPins:
         assert str(exc_info.value) == "non-finite loss at step 0"
 
 
+# the latents of test_field_too_large_to_sum_is_a_loss_abort
+OVERSIZED_LATENTS = {
+    "raster": np.full((2, 16, 16), 709.0),
+    "blob": np.array([[0.35, 0.35, 0.0, 0.0, 709.0], [0.65, 0.65, 0.0, 0.0, 709.0]]),
+}
+
+
+class TestQuietAborts:
+    """A diverging run raises its pinned abort and emits no numpy warning on the way."""
+
+    @pytest.mark.parametrize("name,mode,eta,steps,seed,step,reason", ABORT_PINS)
+    def test_diverging_step_size(self, two_object_scene, name, mode, eta, steps, seed, step, reason):
+        scene = _scene(name, two_object_scene)
+        latent0 = init_latent(scene, mode, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(scene, GuidanceConfig(total_steps=steps, eta0=eta), latent0)
+        assert str(exc_info.value) == f"non-finite {reason} at step {step}"
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_field_too_large_to_sum(self, two_object_scene, mode, steps):
+        latent0 = LatentState(mode, OVERSIZED_LATENTS[mode])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(two_object_scene, GuidanceConfig(total_steps=steps), latent0)
+        assert str(exc_info.value) == "non-finite loss at step 0"
+
+
 def _composed_run(scene, cfg, latent0):
     """The loop written out with the public, validating operations only."""
     pairs = derive_occlusion_pairs(scene)
