@@ -124,6 +124,18 @@ def normalize_map(values: np.ndarray, epsilon: float) -> np.ndarray:
     return arr / (arr.sum() + epsilon)
 
 
+def _winners(maps: np.ndarray, scene: SceneSpec) -> np.ndarray:
+    """Per-pixel winner of any (K, h, w) stack of the scene's maps: ties go to
+    smaller depth, then smaller id; pixels where every map is zero get NONE_ID."""
+    peak = maps.max(axis=0)
+    winners = np.full(peak.shape, NONE_ID, dtype=np.int64)
+    # worst tie rank first, so the best map reaching the peak writes last
+    for k, obj in sorted(enumerate(scene.objects), key=lambda ko: (ko[1].depth, ko[1].id), reverse=True):
+        winners[maps[k] == peak] = obj.id
+    winners[peak == 0.0] = NONE_ID
+    return winners
+
+
 def pseudo_segment(field: AttentionField, scene: SceneSpec) -> np.ndarray:
     """Per-pixel winning object id; ties go to smaller depth, then smaller id.
 
@@ -131,16 +143,17 @@ def pseudo_segment(field: AttentionField, scene: SceneSpec) -> np.ndarray:
     instance masks when attributing overlap regions to objects.
     """
     check_alignment(field, scene)
-    order = sorted(
-        range(field.count),
-        key=lambda k: (scene.objects[k].depth, scene.objects[k].id),
-    )
-    stacked = field.maps[order]  # argmax returns the first max, i.e. best tie rank
-    winner_pos = np.argmax(stacked, axis=0)
-    ids_by_rank = np.array([scene.objects[k].id for k in order], dtype=np.int64)
-    winners = ids_by_rank[winner_pos]
-    winners[field.maps.max(axis=0) == 0.0] = NONE_ID
-    return winners
+    return _winners(field.maps, scene)
+
+
+def _above_threshold(arr: np.ndarray, rel_threshold: float) -> np.ndarray:
+    """Boolean mask of a valid map's entries >= rel_threshold times its maximum (none if all zero)."""
+    if not 0.0 < rel_threshold <= 1.0:
+        raise AttentionError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
+    peak = arr.max()
+    if peak == 0.0:
+        return np.zeros(arr.shape, dtype=bool)
+    return arr >= rel_threshold * peak
 
 
 def threshold_mask(values: np.ndarray, rel_threshold: float) -> np.ndarray:
@@ -148,10 +161,4 @@ def threshold_mask(values: np.ndarray, rel_threshold: float) -> np.ndarray:
 
     An all-zero map yields an all-zero mask.
     """
-    if not 0.0 < rel_threshold <= 1.0:
-        raise AttentionError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
-    arr = _validate_map(values)
-    peak = arr.max()
-    if peak == 0.0:
-        return np.zeros_like(arr)
-    return (arr >= rel_threshold * peak).astype(np.float64)
+    return _above_threshold(_validate_map(values), rel_threshold).astype(np.float64)

@@ -2,10 +2,11 @@
 
 Config precedence is total and fixed: preset defaults < scene-file "config"
 block < command-line flags; each config flag's dest is the config field it
-sets.  `run`, `sweep` and `eval` score a field through one call, and reports
-are JSON whose floats read back exactly.  Exit codes: 0 success, 1
-input/usage error (among them a `--tol` that is not finite and >= 0 and a
-`--rel-threshold` outside (0, 1]), 2 numerical abort, 3 gradient-check
+sets.  `run`, `sweep` and `eval` score a field through one call (value-only
+losses, metrics on box rectangles), and reports are JSON whose floats read
+back exactly.  Exit codes: 0 success, 1 input/usage error (among them a
+`--tol` that is not finite and >= 0, a `--rel-threshold` outside (0, 1] and
+a grad-check state the oracle refuses), 2 numerical abort, 3 gradient-check
 failure.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
-from .gradcheck import DEFAULT_REL_TOL, check_gradients, precision_note
+from .gradcheck import DEFAULT_REL_TOL, OracleError, check_gradients, precision_note
 from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, build_metric_report
 from .optimizer import NumericalAbort, _final_stage, run_guidance
 from .scene import (
@@ -378,7 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SceneError, AttentionError, DumpError, ConfigError, SurrogateError) as exc:
+    except (SceneError, AttentionError, DumpError, ConfigError, SurrogateError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -54,7 +54,7 @@ ANCHOR_EPS = 64  # sum-form vs literal objective, in units of the working eps
 
 
 class OracleError(RuntimeError):
-    """Raised when the oracle's sum form disagrees with its literal objective."""
+    """Raised when the oracle cannot judge a state: sum form off its literal, or too light a map."""
 
 
 def precision_note() -> str | None:
@@ -236,7 +236,8 @@ def check_gradients(
     Checks `samples` attention-space coordinates plus `samples` latent-space
     coordinates (capped at the latent size) on a seeded surrogate state.
     Raises OracleError, before judging any coordinate, when an object's
-    sum-form objective misses its literal anchor.
+    sum-form objective misses its literal anchor or its map's mass is below
+    1e3 * FD_STEP.
     """
     if abs_tol is None:
         abs_tol = rel_tol * 1e-4
@@ -259,6 +260,13 @@ def check_gradients(
         _anchored_sums(field_.maps[k].astype(LONG), terms[k], coords_ld, cfg, stage)
         for k in range(k_count)
     ]
+    # once S nears h, the central difference of f = e_in / (S + eps) leaves its linear regime
+    for k, object_sums in enumerate(sums):
+        if not object_sums.total >= 1e3 * FD_STEP:
+            raise OracleError(
+                f"object {k}'s map mass {float(object_sums.total):.3g} is below "
+                f"1e3 x the finite-difference step {FD_STEP:g}"
+            )
     for _ in range(samples):
         k, y, x = draw()
         a = sums[k].base[y, x]

@@ -253,36 +253,8 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
     )
 
 
-def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreakdown, np.ndarray]:
-    """The stage objective of a (K, H, W) field and its gradient d(total)/dA.
-
-    With S = sum(A_k), D = S + eps, row sums R (K, H) and column sums C (K, W),
-    and box k's mask M_k = r_k (outer) c_k, every term reads the same few
-    reductions:
-        e_in = r_k . (A_k c_k),     I_{i<-j} = r_i . (A_j c_i) / (|M_i| + eps),
-        mu = (C_k . cx, R_k . cy) / D,
-        Var = (C_k . (cx - mu_x)^2 + R_k . (cy - mu_y)^2) / D   (centred form).
-    e_in is the literal in-box sum; then e_out = S - e_in and e_in = S - e_out.
-    Whichever side holds at least half of S makes the other subtraction exact
-    (Sterbenz), so e_in + e_out == S bit-exactly and a dominant e_in keeps its
-    literal value.
-
-    Gradients, per map:
-    * alignment, by the quotient rule (df/dA(v) = (M(v) - f) / D):
-          d[d (1 - f)^2]/dA(v) = a (M(v) - f),  a = -2 d (1 - f) / D;
-    * orthogonality: I is linear in the background map,
-          dI/dA_bg(v) = M_fg(v) / (|M_fg| + eps), and nothing for the foreground;
-    * compactness: for a fixed per-pixel g, G = sum(A g) / D has
-      dG/dA(v) = (g(v) - G) / D; chaining through mu gives
-          dVar/dA(v) = (|p(v) - mu|^2 - Var) / D - 2 (p(v) - mu) . mu eps / D^2,
-      the last part an eps-order residual of the normalization
-      (sum(A / D) = S / D), kept so the gradient matches finite differences at
-      full precision.
-    Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
-    plus one outer product per stage-1 pair: one product of the plan's
-    low-rank factors (`_grad_factors`), of which only the three step-dependent
-    columns are written here.
-    """
+def _values(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreakdown, tuple]:
+    """Forward half of `value_and_grad`: the breakdown and the gradient's inputs (D, x - mu_x, y - mu_y)."""
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     cfg = plan.cfg
@@ -314,15 +286,6 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
     var = ((col_sum * dx**2).sum(axis=1) + (row_sum * dy**2).sum(axis=1)) / denom
     compact = (d * var).sum()
 
-    a = -2.0 * d * (1.0 - f) / denom
-    q = (cfg.lambda_compact * d / denom)[:, None]
-    res = (2.0 * eps / denom)[:, None]
-    u, v = plan.factors[stage - 1]
-    np.multiply(a[:, None], r, out=u[:, :, 0])
-    u[:, :, 1] = q * (dy * (dy - res * mu[:, 1:]) - var[:, None]) - (a * f)[:, None]
-    v[:, 2] = q * dx * (dx - res * mu[:, :1])
-    grad = np.matmul(u, v)
-
     breakdown = LossBreakdown(
         stage=stage,
         align=float(align),
@@ -338,7 +301,49 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
         pair_interference=inter,
         pair_weights=plan.weights.copy(),
     )
-    return breakdown, grad
+    return breakdown, (denom, dx, dy)
+
+
+def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreakdown, np.ndarray]:
+    """The stage objective of a (K, H, W) field and its gradient d(total)/dA.
+
+    With S = sum(A_k), D = S + eps, row sums R (K, H) and column sums C (K, W),
+    and box k's mask M_k = r_k (outer) c_k, every term reads the same few
+    reductions:
+        e_in = r_k . (A_k c_k),     I_{i<-j} = r_i . (A_j c_i) / (|M_i| + eps),
+        mu = (C_k . cx, R_k . cy) / D,
+        Var = (C_k . (cx - mu_x)^2 + R_k . (cy - mu_y)^2) / D   (centred form).
+    e_in is the literal in-box sum; then e_out = S - e_in and e_in = S - e_out.
+    Whichever side holds at least half of S makes the other subtraction exact
+    (Sterbenz), so e_in + e_out == S bit-exactly and a dominant e_in keeps its
+    literal value.
+
+    Gradients, per map:
+    * alignment, by the quotient rule (df/dA(v) = (M(v) - f) / D):
+          d[d (1 - f)^2]/dA(v) = a (M(v) - f),  a = -2 d (1 - f) / D;
+    * orthogonality: I is linear in the background map,
+          dI/dA_bg(v) = M_fg(v) / (|M_fg| + eps), and nothing for the foreground;
+    * compactness: for a fixed per-pixel g, G = sum(A g) / D has
+      dG/dA(v) = (g(v) - G) / D; chaining through mu gives
+          dVar/dA(v) = (|p(v) - mu|^2 - Var) / D - 2 (p(v) - mu) . mu eps / D^2,
+      the last part an eps-order residual of the normalization
+      (sum(A / D) = S / D), kept so the gradient matches finite differences at
+      full precision.
+    Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
+    plus one outer product per stage-1 pair: one product of the plan's
+    low-rank factors (`_grad_factors`), of which only the three step-dependent
+    columns are written here.
+    """
+    breakdown, (denom, dx, dy) = _values(maps, plan, stage)
+    cfg, d, f, mu = plan.cfg, plan.depths, breakdown.f, breakdown.mu
+    a = -2.0 * d * (1.0 - f) / denom
+    q = (cfg.lambda_compact * d / denom)[:, None]
+    res = (2.0 * cfg.epsilon / denom)[:, None]
+    u, v = plan.factors[stage - 1]
+    np.multiply(a[:, None], plan.rows, out=u[:, :, 0])
+    u[:, :, 1] = q * (dy * (dy - res * mu[:, 1:]) - breakdown.var[:, None]) - (a * f)[:, None]
+    v[:, 2] = q * dx * (dx - res * mu[:, :1])
+    return breakdown, np.matmul(u, v)
 
 
 def staged_loss(
@@ -354,7 +359,7 @@ def staged_loss(
     excluded from the total (and from the gradient).
     """
     check_alignment(field, scene)
-    return value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[0]
+    return _values(field.maps, _plan(scene, pairs, cfg), stage)[0]
 
 
 def grad_staged_loss(

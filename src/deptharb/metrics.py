@@ -5,6 +5,10 @@ stand in for detected boxes (layout mIoU) and the per-pixel argmax winner
 stands in for instance masks (foreground occlusion coverage).  Absolute
 values are therefore not comparable to detector-based evaluations; orderings
 are.
+
+Both read only box rectangles, the slices [r0:r1, c0:c1] of `box_span`:
+mIoU counts over each box, FOCR takes winners over each pair's intersection
+rectangle.  The values are those of the full-mask definitions.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionField, check_alignment, pseudo_segment, threshold_mask
+from .attention import AttentionField, _above_threshold, _winners, check_alignment
 from .losses import LossBreakdown, staged_loss
-from .scene import GuidanceConfig, OcclusionPair, SceneSpec, derive_occlusion_pairs, rasterize_mask
+from .scene import GuidanceConfig, OcclusionPair, SceneSpec, box_span, derive_occlusion_pairs
 
 DEFAULT_REL_THRESHOLD = 0.5
 
@@ -60,6 +64,8 @@ def layout_miou(
 ) -> LayoutMiou:
     """IoU of each thresholded map against its rasterized box, with aggregates.
 
+    The intersection is the predicted count inside the box slice, the union
+    the predicted count plus the box area minus the intersection.
     Objects are grouped as foreground if they lead any occlusion pair
     (foreground membership wins for objects playing both roles), background
     otherwise.
@@ -70,9 +76,11 @@ def layout_miou(
     fg_vals: list[float] = []
     bg_vals: list[float] = []
     for k, obj in enumerate(scene.objects):
-        predicted = threshold_mask(field[k], rel_threshold)
-        box = rasterize_mask(obj.bbox, scene.grid_height, scene.grid_width)
-        iou = mask_iou(predicted, box)
+        predicted = _above_threshold(field[k], rel_threshold)
+        r0, r1, c0, c1 = box_span(obj.bbox, scene.grid_height, scene.grid_width)
+        inter = int(np.count_nonzero(predicted[r0:r1, c0:c1]))
+        # a valid scene's boxes hold pixels, so the union is never empty
+        iou = inter / (int(np.count_nonzero(predicted)) + (r1 - r0) * (c1 - c0) - inter)
         per_object[obj.id] = iou
         (fg_vals if obj.id in fg_ids else bg_vals).append(iou)
     return LayoutMiou(
@@ -90,26 +98,23 @@ def focr(
 ) -> FocrResult:
     """Fraction of each pair's box-intersection pixels won by the foreground.
 
-    Winners come from pseudo_segment (ties already resolved toward smaller
-    depth).  Pairs whose rasterized intersection holds no pixels report None
-    and are excluded from the mean; an empty pair list yields an absent mean.
+    Winners (ties to smaller depth, then smaller id) are taken only over the
+    overlap of the two boxes' `box_span` rectangles.  Pairs whose overlap holds
+    no pixels report None and are excluded from the mean; an empty pair list
+    yields an absent mean.
     """
     check_alignment(field, scene)
-    winners = pseudo_segment(field, scene)
+    spans = {obj.id: box_span(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects}
     per_pair: list[PairFocr] = []
     values: list[float] = []
     for pair in pairs:
-        fg = scene.objects[scene.index_of(pair.foreground_id)]
-        bg = scene.objects[scene.index_of(pair.background_id)]
-        m_fg = rasterize_mask(fg.bbox, scene.grid_height, scene.grid_width)
-        m_bg = rasterize_mask(bg.bbox, scene.grid_height, scene.grid_width)
-        inter = (m_fg > 0) & (m_bg > 0)
-        n = int(inter.sum())
-        if n == 0:
+        fg, bg = spans[pair.foreground_id], spans[pair.background_id]
+        r0, r1, c0, c1 = max(fg[0], bg[0]), min(fg[1], bg[1]), max(fg[2], bg[2]), min(fg[3], bg[3])
+        if r1 <= r0 or c1 <= c0:
             per_pair.append(PairFocr(pair.foreground_id, pair.background_id, None))
             continue
-        won = int(np.sum(winners[inter] == pair.foreground_id))
-        value = won / n
+        winners = _winners(field.maps[:, r0:r1, c0:c1], scene)
+        value = int(np.count_nonzero(winners == pair.foreground_id)) / ((r1 - r0) * (c1 - c0))
         per_pair.append(PairFocr(pair.foreground_id, pair.background_id, value))
         values.append(value)
     mean = float(np.mean(values)) if values else None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionField
-from .losses import LossBreakdown, _plan, value_and_grad
+from .losses import LossBreakdown, _plan, _values, value_and_grad
 from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs
 from .surrogate import LatentState, _check_match, _surrogate
 
@@ -92,7 +92,7 @@ def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) ->
     Deterministic given (scene, cfg, latent0).  The loss geometry and the
     surrogate are set up once; each step then renders once and makes one
     value-and-gradient call.  The last pass, t == total_steps, evaluates the
-    end state without updating it.
+    end state's values only, without a gradient or an update.
     """
     _check_match(latent0, scene)
     plan = _plan(scene, derive_occlusion_pairs(scene), cfg)
@@ -109,7 +109,10 @@ def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) ->
             eta = step_size(t, cfg)
             maps = surrogate.render(z)
             _check_finite(maps, t, "rendered field")
-            breakdown, grad = value_and_grad(maps, plan, stage)
+            if last:
+                breakdown = _values(maps, plan, stage)[0]
+            else:
+                breakdown, grad = value_and_grad(maps, plan, stage)
             if not math.isfinite(breakdown.total):
                 raise NumericalAbort(t, "loss")
             records.append(StepRecord(step=t, stage=stage, eta=eta, breakdown=breakdown))

@@ -138,8 +138,8 @@ class SceneSpec:
             raise SceneError(f"object ids are not unique: {ids}")
         for k, obj in enumerate(self.objects):
             # such a box can never hold attention: f would stay 0 forever
-            rows, cols = box_indicators(obj.bbox, self.grid_height, self.grid_width)
-            if not (rows.any() and cols.any()):
+            r0, r1, c0, c1 = box_span(obj.bbox, self.grid_height, self.grid_width)
+            if not (r1 > r0 and c1 > c0):
                 raise SceneError(
                     f"objects[{k}].bbox: {obj.bbox} covers no pixel center of the "
                     f"{self.grid_height}x{self.grid_width} grid"
@@ -279,21 +279,31 @@ def read_scene(path: str) -> tuple[SceneSpec, dict[str, float]]:
     return parse_scene_with_config(text)
 
 
-def box_indicators(
+def box_span(
     bbox: tuple[float, float, float, float], height: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row (height,) and column (width,) 0/1 float64 indicators of a normalized box.
+) -> tuple[int, int, int, int]:
+    """Index spans (r0, r1, c0, c1) of a normalized box: its pixels are [r0:r1, c0:c1].
 
     A pixel is inside iff its center ((x+0.5)/W, (y+0.5)/H) satisfies
-    x_min <= cx < x_max and y_min <= cy < y_max, so the box mask is the outer
-    product of the two.  Half-open intervals keep shared box edges from being
-    claimed twice.
+    x_min <= cx < x_max and y_min <= cy < y_max; on the sorted centers a span
+    runs from the first center >= its min edge to the first >= its max edge.
+    Half-open intervals keep shared box edges from being claimed twice.
     """
     x0, y0, x1, y1 = bbox
     cx = (np.arange(width, dtype=np.float64) + 0.5) / width
     cy = (np.arange(height, dtype=np.float64) + 0.5) / height
-    rows = ((cy >= y0) & (cy < y1)).astype(np.float64)
-    cols = ((cx >= x0) & (cx < x1)).astype(np.float64)
+    r0, r1 = np.searchsorted(cy, (y0, y1), side="left").tolist()
+    c0, c1 = np.searchsorted(cx, (x0, x1), side="left").tolist()
+    return r0, r1, c0, c1
+
+
+def box_indicators(
+    bbox: tuple[float, float, float, float], height: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row (height,) and column (width,) 0/1 float64 indicators; the box mask is their outer product."""
+    r0, r1, c0, c1 = box_span(bbox, height, width)
+    rows, cols = np.zeros(height), np.zeros(width)
+    rows[r0:r1] = cols[c0:c1] = 1.0
     return rows, cols
 
 

@@ -478,6 +478,22 @@ class TestUndefinedObjectiveConfig:
         assert "non-finite latent update at step 0" in capsys.readouterr().err
 
 
+class TestOracleRefusal:
+    def test_oracle_error_exits_1_with_one_error_line(self, monkeypatch, capsys):
+        from deptharb.gradcheck import OracleError
+
+        message = "object 1's map mass 0 is below 1e3 x the finite-difference step 1e-06"
+
+        def refuse(*args, **kwargs):
+            raise OracleError(message)
+
+        monkeypatch.setattr("deptharb.cli.check_gradients", refuse)
+        assert run_cli("grad-check", "--samples", "5") == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
+        assert "Traceback" not in err
+
+
 class TestGradCheckSamples:
     @pytest.mark.parametrize("samples", ["0", "-5"])
     @pytest.mark.parametrize("mode", ["raster", "blob"])

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deptharb import GuidanceConfig, SceneObject, SceneSpec, canonical_scene, coord_grid
+from deptharb import (
+    GuidanceConfig,
+    LatentState,
+    SceneObject,
+    SceneSpec,
+    canonical_scene,
+    coord_grid,
+    init_latent,
+)
 from deptharb import gradcheck
 from deptharb.cli import main
 from deptharb.gradcheck import (
@@ -114,6 +122,54 @@ class TestRankOneOracle:
         assert result.checked == 80 and result.passed
         result = check_gradients(two_object_scene, GuidanceConfig(), "blob", 2, seed=3, samples=40)
         assert result.checked == 40 + 5 * 2 and result.passed
+
+
+class TestCollapsedMaps:
+    def test_map_far_below_the_step_is_refused_by_name(self):
+        # log-amplitude -1e4 renders an all-zero map; the central difference
+        # of f = e_in / (S + eps) then failed 29 of 60 correct coordinates
+        latent = init_latent(canonical_scene(), "blob", 0)
+        values = latent.values.copy()
+        values[1, 4] = -1e4
+        for stage in (1, 2):
+            with pytest.raises(OracleError, match=r"object 1's map mass 0 .* step 1e-06"):
+                check_gradients(
+                    canonical_scene(), GuidanceConfig(), "blob", stage, seed=0, samples=50,
+                    latent=LatentState(mode="blob", values=values),
+                )
+
+
+@st.composite
+def extreme_scenes(draw):
+    """Small scenes with depths exactly 0 and 1 and one-pixel boxes."""
+    height, width = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    objects = []
+    for i in range(draw(st.integers(1, 4))):
+        r0, c0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        kind = draw(st.sampled_from(["pixel", "ulp", "box"]))
+        if kind == "pixel":
+            bbox = (c0 / width, r0 / height, (c0 + 1) / width, (r0 + 1) / height)
+        elif kind == "ulp":
+            x0, y0 = (c0 + 0.5) / width, (r0 + 0.5) / height
+            bbox = (x0, y0, float(np.nextafter(x0, 1.0)), float(np.nextafter(y0, 1.0)))
+        else:
+            r1, c1 = draw(st.integers(r0 + 1, height)), draw(st.integers(c0 + 1, width))
+            bbox = (c0 / width, r0 / height, c1 / width, r1 / height)
+        objects.append(SceneObject(id=i, label="", bbox=bbox, depth=draw(st.sampled_from([0.0, 1.0]))))
+    scene = SceneSpec(grid_height=height, grid_width=width, objects=tuple(objects))
+    return scene, draw(st.integers(0, 2**16))
+
+
+class TestExtremeScenes:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(extreme_scenes())
+    def test_analytic_gradient_passes_at_rel_1e_5(self, case):
+        scene, seed = case
+        for stage in (1, 2):
+            result = check_gradients(
+                scene, GuidanceConfig(), "raster", stage, seed=seed, samples=60, rel_tol=1e-5
+            )
+            assert result.passed, result.failures[:3]
 
 
 def _skew(fn, k: int, factor: float):

@@ -19,6 +19,7 @@ from deptharb import (
     arbitration_weight,
     attention_energies,
     coord_grid,
+    derive_occlusion_pairs,
     grad_staged_loss,
     interference,
     spatial_mean,
@@ -332,6 +333,25 @@ class TestStagedLoss:
         field = AttentionField(maps=np.ones((2, 16, 16)))
         with pytest.raises(ValueError):
             staged_loss(field, two_object_scene, [], CFG, 3)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_value_only_pass_is_the_kernel_breakdown_bit_for_bit(self, canonical, stage):
+        from dataclasses import fields
+
+        from deptharb.losses import _plan, value_and_grad
+
+        field = AttentionField(maps=np.random.default_rng(41).uniform(0, 2, (2, 64, 64)))
+        pairs = derive_occlusion_pairs(canonical)
+        got = staged_loss(field, canonical, pairs, CFG, stage)
+        want = value_and_grad(field.maps, _plan(canonical, pairs, CFG), stage)[0]
+        for f in fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+            elif isinstance(a, float):
+                assert a.hex() == b.hex(), f.name
+            else:
+                assert a == b, f.name
 
 
 class TestGradients:

@@ -1,19 +1,29 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deptharb import (
     AttentionField,
+    GuidanceConfig,
     OcclusionPair,
     SceneObject,
     SceneSpec,
+    build_metric_report,
     derive_occlusion_pairs,
     focr,
     layout_miou,
     mask_iou,
+    pseudo_segment,
     rasterize_mask,
+    threshold_mask,
 )
+from deptharb.losses import _plan, value_and_grad
+from deptharb.metrics import FocrResult, LayoutMiou, MetricReport, PairFocr
 
 from conftest import dyadic_field
 
@@ -209,3 +219,106 @@ class TestScalingInvariance:
             scaled = field.scaled(c)
             assert focr(scaled, two_object_scene, pairs) == base_focr
             assert layout_miou(scaled, two_object_scene, 0.5) == base_miou
+
+
+@st.composite
+def scored_cases(draw):
+    """Scenes with equal depths, containment and sub-pixel boxes, and fields
+    with exact ties, all-zero maps and few distinct levels."""
+    height, width = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    count = draw(st.integers(1, 5))
+    objects = []
+    for i in range(count):
+        kind = draw(st.sampled_from(["aligned", "ulp", "contained", "float"]))
+        r0, c0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        r1, c1 = draw(st.integers(r0 + 1, height)), draw(st.integers(c0 + 1, width))
+        bbox = (c0 / width, r0 / height, c1 / width, r1 / height)
+        if kind == "ulp":
+            # one ulp wide, starting on a pixel centre: exactly one pixel
+            x0, y0 = (c0 + 0.5) / width, (r0 + 0.5) / height
+            bbox = (x0, y0, float(np.nextafter(x0, 1.0)), float(np.nextafter(y0, 1.0)))
+        elif kind == "contained" and objects:
+            outer = draw(st.sampled_from(objects)).bbox
+            a, b = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+            c, e = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+            inner = (
+                outer[0] + a * (outer[2] - outer[0]), outer[1] + c * (outer[3] - outer[1]),
+                outer[0] + b * (outer[2] - outer[0]), outer[1] + e * (outer[3] - outer[1]),
+            )
+            if inner[0] < inner[2] and inner[1] < inner[3]:
+                bbox = inner
+        elif kind == "float":
+            x0, x1 = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+            y0, y1 = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+            if x0 < x1 and y0 < y1:
+                bbox = (x0, y0, x1, y1)
+        if not rasterize_mask(bbox, height, width).any():
+            bbox = (c0 / width, r0 / height, c1 / width, r1 / height)
+        depth = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        objects.append(SceneObject(id=draw(st.integers(0, 9)) * 10 + i, label="", bbox=bbox, depth=depth))
+    scene = SceneSpec(grid_height=height, grid_width=width, objects=tuple(objects))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 0]))
+    shape = (count, height, width)
+    maps = (rng.integers(0, levels, shape) if levels else rng.uniform(0, 2, shape)).astype(np.float64)
+    for k in range(count):
+        role = draw(st.sampled_from(["own", "zero", "copy"]))
+        if role == "zero":
+            maps[k] = 0.0
+        elif role == "copy":
+            maps[k] = maps[draw(st.integers(0, count - 1))]
+    return scene, AttentionField(maps=maps), draw(st.sampled_from([1e-6, 0.5, 1.0]))
+
+
+def full_mask_report(field, scene, cfg, stage, rel_threshold, config_echo, seed) -> MetricReport:
+    """The literal full-mask definition of the report: thresholded maps against
+    rasterized boxes, winners over the whole field."""
+    height, width = scene.grid_height, scene.grid_width
+    pairs = derive_occlusion_pairs(scene)
+    fg_ids = {p.foreground_id for p in pairs}
+    ious = {
+        obj.id: mask_iou(threshold_mask(field[k], rel_threshold), rasterize_mask(obj.bbox, height, width))
+        for k, obj in enumerate(scene.objects)
+    }
+    fg_vals = [v for i, v in ious.items() if i in fg_ids]
+    bg_vals = [v for i, v in ious.items() if i not in fg_ids]
+    miou = LayoutMiou(
+        per_object=ious,
+        fg=float(np.mean(fg_vals)) if fg_vals else None,
+        bg=float(np.mean(bg_vals)) if bg_vals else None,
+        all=float(np.mean(list(ious.values()))),
+    )
+    winners = pseudo_segment(field, scene)
+    per_pair = []
+    for pair in pairs:
+        m_fg = rasterize_mask(scene.objects[scene.index_of(pair.foreground_id)].bbox, height, width)
+        m_bg = rasterize_mask(scene.objects[scene.index_of(pair.background_id)].bbox, height, width)
+        inter = (m_fg > 0) & (m_bg > 0)
+        n = int(inter.sum())
+        value = int(np.sum(winners[inter] == pair.foreground_id)) / n if n else None
+        per_pair.append(PairFocr(pair.foreground_id, pair.background_id, value))
+    values = [p.focr for p in per_pair if p.focr is not None]
+    result = FocrResult(per_pair=tuple(per_pair), mean=float(np.mean(values)) if values else None)
+    breakdown = value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[0]
+    return MetricReport(scene, breakdown, miou, result, config_echo, seed)
+
+
+class TestBoxRectangleScoring:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scored_cases(), st.sampled_from([1, 2]))
+    def test_report_equals_full_mask_reference(self, case, stage):
+        scene, field, rel = case
+        args = (field, scene, GuidanceConfig(), stage, rel, {"mode": "raster"}, 3)
+        expected = json.dumps(full_mask_report(*args).to_json_dict())
+        assert json.dumps(build_metric_report(*args).to_json_dict()) == expected
+
+    def test_report_assembles_no_gradient(self, two_object_scene, monkeypatch):
+        import deptharb.losses
+
+        calls = []
+        real = deptharb.losses.value_and_grad
+        monkeypatch.setattr(deptharb.losses, "value_and_grad", lambda *a: calls.append(1) or real(*a))
+        field = AttentionField(maps=np.random.default_rng(7).uniform(0, 2, (2, 16, 16)))
+        for stage in (1, 2):
+            build_metric_report(field, two_object_scene, GuidanceConfig(), stage, 0.5, {}, 0)
+        assert calls == []

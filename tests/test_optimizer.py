@@ -129,6 +129,17 @@ class TestRunGuidance:
         assert set(calls) == {obj.bbox for obj in two_object_scene.objects}
         assert max(calls.values()) == 1
 
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_one_gradient_per_step_and_none_for_the_end_state(self, two_object_scene, monkeypatch, mode):
+        import deptharb.optimizer
+
+        calls = []
+        real = deptharb.optimizer.value_and_grad
+        monkeypatch.setattr(deptharb.optimizer, "value_and_grad", lambda *a: calls.append(1) or real(*a))
+        cfg = GuidanceConfig(total_steps=7, eta0=1.0 if mode == "raster" else 0.1)
+        traj = run_guidance(two_object_scene, cfg, init_latent(two_object_scene, mode, seed=6))
+        assert len(calls) == 7 and len(traj.records) == 8
+
     def test_trajectory_length_and_stage_labels(self, two_object_scene):
         cfg = GuidanceConfig(total_steps=8, stage1_fraction=0.5, eta0=1.0)
         latent0 = init_latent(two_object_scene, "raster", seed=4)

@@ -16,7 +16,7 @@ from deptharb import (
     parse_scene,
     rasterize_mask,
 )
-from deptharb.scene import parse_scene_with_config
+from deptharb.scene import box_span, parse_scene_with_config
 
 from conftest import scene_file_text
 
@@ -186,6 +186,37 @@ class TestRasterize:
                 mask = rasterize_mask((x0, y0, x1, y1), n, n)
                 err = abs(mask.sum() / (n * n) - area)
                 assert err <= 2.0 * (1.0 / n + 1.0 / n)
+
+
+@st.composite
+def box_edges(draw):
+    """A grid and a normalized box whose edges sit anywhere, on pixel centres,
+    on pixel borders, one ulp off a centre, or on the canvas edge."""
+    height, width = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+
+    def edge(n):
+        i = draw(st.integers(0, n))
+        centre = min((i + 0.5) / n, 1.0)
+        below, above = float(np.nextafter(centre, 0.0)), float(np.nextafter(centre, 1.0))
+        return draw(st.sampled_from([0.0, 1.0, i / n, centre, below, above]) | st.floats(0.0, 1.0))
+
+    x0, x1 = sorted((edge(width), edge(width)))
+    y0, y1 = sorted((edge(height), edge(height)))
+    return (x0, y0, x1, y1), height, width
+
+
+class TestBoxSpan:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(box_edges())
+    def test_span_is_the_literal_centre_comparison(self, case):
+        (x0, y0, x1, y1), height, width = case
+        r0, r1, c0, c1 = box_span((x0, y0, x1, y1), height, width)
+        cx = (np.arange(width, dtype=np.float64) + 0.5) / width
+        cy = (np.arange(height, dtype=np.float64) + 0.5) / height
+        assert np.array_equal(np.flatnonzero((cy >= y0) & (cy < y1)), np.arange(r0, r1))
+        assert np.array_equal(np.flatnonzero((cx >= x0) & (cx < x1)), np.arange(c0, c1))
+        mask = rasterize_mask((x0, y0, x1, y1), height, width)
+        assert mask.sum() == max(r1 - r0, 0) * max(c1 - c0, 0) == mask[r0:r1, c0:c1].sum()
 
 
 class TestOcclusionPairs:
