@@ -166,14 +166,16 @@ def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
 # the production objective: a per-run plan and one value-and-gradient kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class _Plan:
     """Step-invariant geometry of one (scene, pairs, cfg), built once per run.
 
     Box k's mask is exactly rows[k] (outer) cols[k], so every masked sum the
     objective needs is a contraction of the field with these indicators.
-    The gradient factors are the run's scratch: `value_and_grad` overwrites
-    their step-dependent columns on every call.
+    The gradient scratch (both stages' low-rank factors and the (K, H, W)
+    gradient buffer) is built by the first `value_and_grad` call, so a plan
+    that only evaluates values never builds it; every later call overwrites
+    the factors' step-dependent columns and the buffer.
     """
 
     cfg: GuidanceConfig
@@ -188,7 +190,9 @@ class _Plan:
     bg: np.ndarray        # (P,) background object indices
     weights: np.ndarray   # (P,) lambda_ij
     fg_area: np.ndarray   # (P,) foreground-box pixel counts
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]  # per stage: (U, V), see _grad_factors
+    coef: np.ndarray      # (P,) lambda_ortho * lambda_ij / (|M_fg| + eps)
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...] = ()  # per stage: (U, V), see _grad_factors
+    grad: np.ndarray | None = None  # (K, H, W), the buffer value_and_grad returns
 
 
 def _grad_factors(rows, cols, pair_terms) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +235,16 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
     weights = np.array(_pair_weights(scene, pairs, cfg), dtype=np.float64)
     fg_area = rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
-    coef = cfg.lambda_ortho * weights / (fg_area + cfg.epsilon)
+    with np.errstate(over="ignore"):
+        coef = cfg.lambda_ortho * weights / (fg_area + cfg.epsilon)
+    for pair, w, area, c in zip(pairs, weights, fg_area, coef):
+        if not math.isfinite(c):
+            raise ConfigError(
+                f"occlusion pair (foreground {pair.foreground_id}, background "
+                f"{pair.background_id}): lambda_ortho * lambda_ij / (|M_fg| + eps) is not "
+                f"finite for lambda_ortho {cfg.lambda_ortho:g}, lambda_ij {w:g}, "
+                f"|M_fg| {area:g}, eps {cfg.epsilon:g}"
+            )
     return _Plan(
         cfg=cfg,
         rows=rows,
@@ -245,11 +258,7 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
         bg=bg,
         weights=weights,
         fg_area=fg_area,
-        # stage 2 drops the orthogonality gradient, so it has no pair columns
-        factors=(
-            _grad_factors(rows, cols, list(zip(bg, fg, coef))),
-            _grad_factors(rows, cols, []),
-        ),
+        coef=coef,
     )
 
 
@@ -333,8 +342,18 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
     plus one outer product per stage-1 pair: one product of the plan's
     low-rank factors (`_grad_factors`), of which only the three step-dependent
     columns are written here.
+
+    The returned gradient is the plan's own buffer: the next call on the
+    same plan overwrites it.
     """
     breakdown, (denom, dx, dy) = _values(maps, plan, stage)
+    if plan.grad is None:
+        # stage 2 drops the orthogonality gradient, so it has no pair columns
+        plan.factors = (
+            _grad_factors(plan.rows, plan.cols, list(zip(plan.bg, plan.fg, plan.coef))),
+            _grad_factors(plan.rows, plan.cols, []),
+        )
+        plan.grad = np.empty(maps.shape)
     cfg, d, f, mu = plan.cfg, plan.depths, breakdown.f, breakdown.mu
     a = -2.0 * d * (1.0 - f) / denom
     q = (cfg.lambda_compact * d / denom)[:, None]
@@ -343,7 +362,7 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
     np.multiply(a[:, None], plan.rows, out=u[:, :, 0])
     u[:, :, 1] = q * (dy * (dy - res * mu[:, 1:]) - breakdown.var[:, None]) - (a * f)[:, None]
     v[:, 2] = q * dx * (dx - res * mu[:, :1])
-    return breakdown, np.matmul(u, v)
+    return breakdown, np.matmul(u, v, out=plan.grad)
 
 
 def staged_loss(

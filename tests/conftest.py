@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from deptharb import AttentionField, SceneObject, SceneSpec, canonical_scene
+
+# every property test is deterministic and keeps no example database;
+# a test's own @settings sets only its example count
+settings.register_profile("deptharb", deadline=None, derandomize=True, database=None)
+settings.load_profile("deptharb")
 
 
 @pytest.fixture

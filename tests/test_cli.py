@@ -438,6 +438,24 @@ class TestUndefinedObjectiveConfig:
         assert code == 1
         assert "occlusion pair (foreground 0, background 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "eval", "grad-check"])
+    def test_overflowing_pair_coefficient_names_the_pair(self, capsys, scene_path, dump_path, command):
+        # lambda_ij = 1e308 is finite; lambda_ortho * lambda_ij / (|M_fg| + eps) is not
+        flags = ["--lambda0", "1e308", "--alpha", "0", "--steps", "3"]
+        argv = {
+            "run": ["run", "--scene", scene_path, "--lambda-ortho", "4"],
+            "sweep": ["sweep", "--scene", scene_path, "--param", "lambda_ortho", "--values", "4,1"],
+            "eval": ["eval", "--dump", dump_path, "--scene", scene_path, "--lambda-ortho", "4"],
+            "grad-check": ["grad-check", "--samples", "5", "--lambda-ortho", "4"],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, *flags) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: occlusion pair (foreground 0, background 1): ")
+        assert "lambda_ortho * lambda_ij / (|M_fg| + eps) is not finite" in err
+
     @pytest.mark.parametrize(
         "flag",
         ["--alpha=nan", "--lambda-ortho=nan", "--lambda-compact=nan", "--lambda0=inf",

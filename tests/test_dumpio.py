@@ -117,7 +117,7 @@ def dump_like_bytes(draw):
 
 class TestReadFuzz:
     # the pinned examples raised AttentionError (NaN, infinite, negative values)
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(st.binary(max_size=64) | dump_like_bytes())
     @example(struct.pack("<4sHIIIQ", b"DARB", 1, 1, 1, 1, 0) + struct.pack("<f", float("nan")))
     @example(struct.pack("<4sHIIIQ", b"DARB", 1, 1, 1, 1, 0) + struct.pack("<f", float("inf")))

@@ -66,7 +66,7 @@ def _value_bound(literal, depth):
 
 
 class TestRankOneOracle:
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(oracle_cases())
     def test_matches_literal_fd_at_every_coordinate(self, case):
         # every attention and raster-latent coordinate: the rank-one FD equals
@@ -161,7 +161,7 @@ def extreme_scenes(draw):
 
 
 class TestExtremeScenes:
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(extreme_scenes())
     def test_analytic_gradient_passes_at_rel_1e_5(self, case):
         scene, seed = case

@@ -354,6 +354,60 @@ class TestStagedLoss:
                 assert a == b, f.name
 
 
+class TestPlanScratch:
+    """Gradient scratch is built by the first gradient call, and only by it."""
+
+    @staticmethod
+    def count_factor_builds(monkeypatch):
+        import deptharb.losses
+
+        calls = []
+        real = deptharb.losses._grad_factors
+        monkeypatch.setattr(deptharb.losses, "_grad_factors", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_value_only_pass_builds_no_gradient_scratch(self, canonical, monkeypatch):
+        from deptharb.losses import _plan
+
+        calls = self.count_factor_builds(monkeypatch)
+        pairs = derive_occlusion_pairs(canonical)
+        field = AttentionField(maps=np.random.default_rng(3).uniform(0, 2, (2, 64, 64)))
+        for stage in (1, 2):
+            staged_loss(field, canonical, pairs, CFG, stage)
+        plan = _plan(canonical, pairs, CFG)
+        assert calls == [] and plan.factors == () and plan.grad is None
+
+    def test_run_builds_both_stages_factors_once(self, two_object_scene, monkeypatch):
+        from deptharb import init_latent, run_guidance
+
+        calls = self.count_factor_builds(monkeypatch)
+        latent0 = init_latent(two_object_scene, "raster", seed=1)
+        run_guidance(two_object_scene, GuidanceConfig(total_steps=9, eta0=1.0), latent0)
+        assert len(calls) == 2
+
+    def test_gradient_is_the_plans_buffer(self, canonical):
+        from deptharb.losses import _plan, value_and_grad
+
+        pairs = derive_occlusion_pairs(canonical)
+        plan = _plan(canonical, pairs, CFG)
+        rng = np.random.default_rng(5)
+        fields = [AttentionField(maps=rng.uniform(0, 2, (2, 64, 64))) for _ in range(2)]
+        first = value_and_grad(fields[0].maps, plan, 1)[1]
+        second = value_and_grad(fields[1].maps, plan, 2)[1]
+        # the next call overwrites the buffer the last one returned
+        assert second is first and first is plan.grad
+        assert np.array_equal(second, grad_staged_loss(fields[1], canonical, pairs, CFG, 2))
+
+    def test_public_gradient_is_the_callers_own(self, canonical):
+        pairs = derive_occlusion_pairs(canonical)
+        field = AttentionField(maps=np.random.default_rng(6).uniform(0, 2, (2, 64, 64)))
+        first = grad_staged_loss(field, canonical, pairs, CFG, 1)
+        kept = first.copy()
+        second = grad_staged_loss(field, canonical, pairs, CFG, 2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+
 class TestGradients:
     def test_stage2_has_no_ortho_component(self, two_object_scene):
         rng = np.random.default_rng(41)
@@ -517,7 +571,7 @@ def kernel_cases(draw):
 
 
 class TestFusedKernel:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(kernel_cases())
     def test_matches_per_object_reference(self, case):
         # 1e-12 relative, measured against each quantity's own scale: the
@@ -605,6 +659,32 @@ class TestFiniteDifferenceAgreement:
         )
         assert result.checked >= 1000
         assert result.passed, result.failures[:3]
+
+
+class TestPairCoefficient:
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_overflowing_coefficient_is_a_config_error(self, canonical, stage):
+        import warnings
+
+        # lambda_ij = 1e308 is finite, lambda_ortho * lambda_ij is not
+        cfg = GuidanceConfig(lambda0=1e308, alpha=0.0, lambda_ortho=4.0)
+        field = AttentionField(maps=np.ones((2, 64, 64)))
+        pairs = derive_occlusion_pairs(canonical)
+        for evaluate in (staged_loss, grad_staged_loss):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError) as exc_info:
+                    evaluate(field, canonical, pairs, cfg, stage)
+            message = str(exc_info.value)
+            assert message.startswith("occlusion pair (foreground 0, background 1): ")
+            assert "lambda_ortho 4, lambda_ij 1e+308" in message
+
+    def test_largest_finite_coefficient_is_accepted(self, canonical):
+        # 1e308 / (|M_fg| + eps) is finite once lambda_ortho is 1
+        cfg = GuidanceConfig(lambda0=1e308, alpha=0.0, lambda_ortho=1.0)
+        field = AttentionField(maps=np.ones((2, 64, 64)))
+        pairs = derive_occlusion_pairs(canonical)
+        assert staged_loss(field, canonical, pairs, cfg, 2).pair_weights.tolist() == [1e308]
 
 
 class TestGuidanceConfig:

@@ -304,7 +304,7 @@ def full_mask_report(field, scene, cfg, stage, rel_threshold, config_echo, seed)
 
 
 class TestBoxRectangleScoring:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(scored_cases(), st.sampled_from([1, 2]))
     def test_report_equals_full_mask_reference(self, case, stage):
         scene, field, rel = case

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deptharb import (
     GuidanceConfig,
@@ -23,6 +25,9 @@ from deptharb import (
     staged_loss,
     step_size,
 )
+from deptharb.losses import _plan, _values, value_and_grad
+from deptharb.optimizer import _all_finite, _final_stage
+from deptharb.surrogate import _surrogate
 
 
 class TestStageOf:
@@ -341,3 +346,159 @@ class TestSingleRenderLoop:
             assert counts["blob_map"] == 2 * (steps + 1)
             grids.append(counts["coord_grid"])
         assert grids[0] == grids[1]
+
+
+# sizes around the BLAS dot kernel's unrolled blocks and tail loops, and a
+# 256x256 field of 8 maps
+PREDICATE_SIZES = [0, 1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65, 8 * 256 * 256]
+# non-finite entries, and finite ones whose squares overflow
+PLANTED = [math.nan, math.inf, -math.inf, 1e200, -1e300, 1.5e154]
+
+
+@st.composite
+def guarded_arrays(draw):
+    n = draw(st.sampled_from(PREDICATE_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.uniform(-3.0, 3.0, size=2 * n)
+    view = draw(st.sampled_from(["contiguous", "strided", "reversed", "transposed"]))
+    if view == "contiguous":
+        a = base[:n]
+    elif view == "strided":
+        a = base[::2]
+    elif view == "reversed":
+        a = base[::-1][:n]
+    else:
+        a = base.reshape(2, n).T
+    if a.size:
+        for value in draw(st.lists(st.sampled_from(PLANTED), max_size=3)):
+            a[np.unravel_index(int(rng.integers(a.size)), a.shape)] = value
+    return a
+
+
+class TestFinitePredicate:
+    @given(guarded_arrays())
+    @settings(max_examples=300)
+    def test_equals_the_literal_scan(self, a):
+        before = a.copy()
+        with np.errstate(all="ignore"):  # as inside the run loop
+            assert _all_finite(a) == bool(np.isfinite(a).all())
+        assert np.array_equal(a, before, equal_nan=True)
+
+    @pytest.mark.parametrize("value", PLANTED)
+    @pytest.mark.parametrize("at", [0, 1, 8 * 256 * 256 - 1])
+    def test_one_planted_entry_in_a_full_field(self, value, at):
+        a = np.ones(8 * 256 * 256)
+        a[at] = value
+        with np.errstate(all="ignore"):
+            assert _all_finite(a) == math.isfinite(value)
+
+
+def _reference_run(scene, cfg, latent0):
+    """The guided loop with the literal np.isfinite(x).all() guards, in their order.
+
+    Returns ("abort", step, reason), or ("done", totals, final latent, final field).
+    """
+    plan = _plan(scene, derive_occlusion_pairs(scene), cfg)
+    surrogate = _surrogate(scene, latent0.mode)
+    z = latent0.values.copy()
+    totals = []
+    with np.errstate(all="ignore"):
+        for t in range(cfg.total_steps + 1):
+            last = t == cfg.total_steps
+            stage = _final_stage(cfg) if last else stage_of(t, cfg)
+            maps = surrogate.render(z)
+            if not np.isfinite(maps).all():
+                return ("abort", t, "rendered field")
+            if last:
+                breakdown = _values(maps, plan, stage)[0]
+            else:
+                breakdown, grad = value_and_grad(maps, plan, stage)
+            if not math.isfinite(breakdown.total):
+                return ("abort", t, "loss")
+            totals.append(breakdown.total)
+            if last:
+                break
+            if not np.isfinite(grad).all():
+                return ("abort", t, "gradient")
+            latent_grad = surrogate.chain(z, maps, grad)
+            if not np.isfinite(latent_grad).all():
+                return ("abort", t, "latent gradient")
+            z = z - step_size(t, cfg) * latent_grad
+            if not np.isfinite(z).all():
+                return ("abort", t, "latent update")
+    return ("done", totals, z, maps)
+
+
+def _guarded_run(scene, cfg, latent0):
+    try:
+        traj = run_guidance(scene, cfg, latent0)
+    except NumericalAbort as exc:
+        reason = str(exc).removeprefix("non-finite ").removesuffix(f" at step {exc.step}")
+        return ("abort", exc.step, reason)
+    totals = [r.breakdown.total for r in traj.records]
+    return ("done", totals, traj.final_latent.values, traj.final_field.maps)
+
+
+def _same_outcome(got, want):
+    if got[0] != want[0] or got[0] == "abort":
+        return got == want
+    return got[1] == want[1] and np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+
+class TestGuardEquivalence:
+    """The loop's cheap guards abort at the step, and for the reason, the literal scans do."""
+
+    @pytest.mark.parametrize(
+        "eta", [1e2, 1e3, 1e4, 1e5, 1e6, 1e8, 1e12, 1e50, 1e100, 1e200, 1e300, math.inf]
+    )
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_matches_the_literal_guards(self, two_object_scene, mode, eta):
+        # over this grid the literal guards end runs in every way but a
+        # gradient or loss abort: completed runs, and aborts on the rendered
+        # field, the latent gradient and the latent update at steps 0-2
+        cfg = GuidanceConfig(total_steps=6, stage1_fraction=0.5, eta0=eta)
+        for scene in (two_object_scene, canonical_scene()):
+            for seed in (0, 1, 2):
+                latent0 = init_latent(scene, mode, seed)
+                got, want = _guarded_run(scene, cfg, latent0), _reference_run(scene, cfg, latent0)
+                assert _same_outcome(got, want), (seed, got[:3], want[:3])
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_matches_on_a_field_too_large_to_sum(self, two_object_scene, mode, steps):
+        latent0 = LatentState(mode, OVERSIZED_LATENTS[mode])
+        cfg = GuidanceConfig(total_steps=steps)
+        want = _reference_run(two_object_scene, cfg, latent0)
+        assert want == ("abort", 0, "loss")
+        assert _guarded_run(two_object_scene, cfg, latent0) == want
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_one_bad_rendered_pixel_is_a_field_abort(self, two_object_scene, monkeypatch, mode, at, value):
+        # at == 4 is the last pass, which only renders and evaluates the end state
+        import deptharb.optimizer
+
+        real = deptharb.optimizer._surrogate
+
+        def poisoned(scene, mode):
+            surrogate = real(scene, mode)
+            render, calls = surrogate.render, Counter()
+
+            def render_once_bad(z):
+                maps = render(z)
+                if calls["render"] == at:
+                    maps[1, 3, 5] = value
+                calls["render"] += 1
+                return maps
+
+            surrogate.render = render_once_bad
+            return surrogate
+
+        monkeypatch.setattr(deptharb.optimizer, "_surrogate", poisoned)
+        cfg = GuidanceConfig(total_steps=4, eta0=1.0 if mode == "raster" else 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(two_object_scene, cfg, init_latent(two_object_scene, mode, seed=3))
+        assert str(exc_info.value) == f"non-finite rendered field at step {at}"

@@ -206,7 +206,7 @@ def box_edges(draw):
 
 
 class TestBoxSpan:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(box_edges())
     def test_span_is_the_literal_centre_comparison(self, case):
         (x0, y0, x1, y1), height, width = case
@@ -308,7 +308,7 @@ def scene_like_json(draw):
 
 class TestParseFuzz:
     # each pinned example raised something other than SceneError before
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(st.text() | JSON_VALUES.map(json.dumps) | scene_like_json())
     @example("[" * 100_000)  # RecursionError from the JSON decoder
     @example('{"grid": %s}' % ("1" * 5000))  # ValueError: too many integer digits
