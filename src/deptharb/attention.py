@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .scene import SceneSpec
+from .scene import SceneSpec, pixel_centers
 
 NONE_ID = -1  # pseudo_segment winner value for pixels where every map is zero
 
@@ -22,14 +22,15 @@ class AttentionError(ValueError):
     """Raised for invalid attention-map inputs."""
 
 
-def _validate_map(values: np.ndarray) -> np.ndarray:
+def _checked(values, ndim: int, what: str) -> np.ndarray:
+    """`values` as float64, rejected unless `ndim`-D, finite and non-negative."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise AttentionError(f"attention map must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise AttentionError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise AttentionError("attention map contains non-finite entries")
+        raise AttentionError(f"{what} contains non-finite entries")
     if (arr < 0).any():
-        raise AttentionError("attention map contains negative entries")
+        raise AttentionError(f"{what} contains negative entries")
     return arr
 
 
@@ -40,26 +41,17 @@ class AttentionField:
     maps: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.maps, dtype=np.float64)
-        if arr.ndim != 3:
-            raise AttentionError(f"field must have shape (K, H, W), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise AttentionError("field contains non-finite entries")
-        if (arr < 0).any():
-            raise AttentionError("field contains negative entries")
-        object.__setattr__(self, "maps", arr)
+        object.__setattr__(self, "maps", _checked(self.maps, 3, "field"))
 
     @classmethod
     def from_maps(cls, maps: Sequence[np.ndarray]) -> "AttentionField":
         if len(maps) == 0:
             raise AttentionError("field needs at least one map")
-        arrs = [_validate_map(m) for m in maps]
-        shape = arrs[0].shape
+        arrs = [np.asarray(m, dtype=np.float64) for m in maps]
         for k, arr in enumerate(arrs):
-            if arr.shape != shape:
-                raise AttentionError(
-                    f"map {k} has shape {arr.shape}, expected {shape}"
-                )
+            if arr.shape != arrs[0].shape:
+                raise AttentionError(f"map {k} has shape {arr.shape}, expected {arrs[0].shape}")
+        # the field checks every entry, and that the maps are 2-D
         return cls(maps=np.stack(arrs))
 
     @property
@@ -106,10 +98,8 @@ class CoordGrid:
 
 
 def coord_grid(height: int, width: int, dtype=np.float64) -> CoordGrid:
-    cx = (np.arange(width, dtype=dtype) + dtype(0.5)) / dtype(width)
-    cy = (np.arange(height, dtype=dtype) + dtype(0.5)) / dtype(height)
-    x = np.broadcast_to(cx[None, :], (height, width)).copy()
-    y = np.broadcast_to(cy[:, None], (height, width)).copy()
+    x = np.broadcast_to(pixel_centers(width, dtype)[None, :], (height, width)).copy()
+    y = np.broadcast_to(pixel_centers(height, dtype)[:, None], (height, width)).copy()
     return CoordGrid(x=x, y=y)
 
 
@@ -120,7 +110,7 @@ def normalize_map(values: np.ndarray, epsilon: float) -> np.ndarray:
     """
     if epsilon <= 0:
         raise AttentionError(f"epsilon must be > 0, got {epsilon}")
-    arr = _validate_map(values)
+    arr = _checked(values, 2, "attention map")
     return arr / (arr.sum() + epsilon)
 
 
@@ -161,4 +151,4 @@ def threshold_mask(values: np.ndarray, rel_threshold: float) -> np.ndarray:
 
     An all-zero map yields an all-zero mask.
     """
-    return _above_threshold(_validate_map(values), rel_threshold).astype(np.float64)
+    return _above_threshold(_checked(values, 2, "attention map"), rel_threshold).astype(np.float64)

@@ -6,8 +6,8 @@ sets.  `run`, `sweep` and `eval` score a field through one call (value-only
 losses, metrics on box rectangles), and reports are JSON whose floats read
 back exactly.  Exit codes: 0 success, 1 input/usage error (among them a
 `--tol` that is not finite and >= 0, a `--rel-threshold` outside (0, 1] and
-a grad-check state the oracle refuses), 2 numerical abort, 3 gradient-check
-failure.
+a grad-check state the oracle refuses), 2 numerical abort (a diverging run,
+or a scored loss that is not finite), 3 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -104,9 +104,19 @@ def _run_rounded(scene: SceneSpec, cfg: GuidanceConfig, args) -> AttentionField:
 
 
 def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args, seed: int) -> MetricReport:
-    return build_metric_report(
-        field, scene, cfg, _final_stage(cfg), args.rel_threshold, _config_echo(cfg, args), seed
-    )
+    """The field's report; a loss value it would hold that is not finite aborts at the last step.
+
+    A finite field and config can still overflow a sum (the ortho term over
+    many pairs, say), so numpy's warnings are silenced and the values checked.
+    """
+    with np.errstate(all="ignore"):
+        report = build_metric_report(
+            field, scene, cfg, _final_stage(cfg), args.rel_threshold, _config_echo(cfg, args), seed
+        )
+    b = report.breakdown
+    if not np.isfinite([b.align, b.ortho, b.compact, b.total, *b.pair_interference]).all():
+        raise NumericalAbort(cfg.total_steps, "scored loss")
+    return report
 
 
 def _print_summary(report: dict) -> None:
@@ -169,7 +179,6 @@ def cmd_grad_check(args) -> int:
     if note:
         print(note)
     worst_rel = 0.0
-    worst_abs = 0.0
     failures = []
     for stage in stages:
         result = check_gradients(
@@ -182,7 +191,6 @@ def cmd_grad_check(args) -> int:
             rel_tol=args.tol,
         )
         worst_rel = max(worst_rel, result.worst_rel)
-        worst_abs = max(worst_abs, result.worst_abs)
         failures.extend(result.failures)
         print(
             f"stage {stage} ({args.mode}): {result.checked} coordinates, "
@@ -225,21 +233,9 @@ def _sweep_row(scene: SceneSpec, cfg: GuidanceConfig, args, value: float) -> dic
 
 
 def cmd_sweep(args) -> int:
-    if args.param not in SWEEP_PARAMS:
-        raise UsageError(
-            f"unknown sweep parameter {args.param!r}; expected one of {', '.join(SWEEP_PARAMS)}"
-        )
-    raw = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not raw:
-        raise UsageError("empty sweep value list")
-    try:
-        values = [float(v) for v in raw]
-    except ValueError as exc:
-        raise UsageError(f"sweep values must be numbers: {exc}") from exc
-
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    rows = [_sweep_row(scene, cfg, args, value) for value in values]
+    rows = [_sweep_row(scene, cfg, args, value) for value in args.values]
     table = {"param": args.param, "rows": rows, "config": _config_echo(cfg, args), "seed": args.seed}
     _write_report(args, table, "sweep table")
 
@@ -288,6 +284,19 @@ def _rel_threshold(text: str) -> float:
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
     return value
+
+
+def _sweep_values(text: str) -> list[float]:
+    raw = [v.strip() for v in text.split(",") if v.strip()]
+    if not raw:
+        raise argparse.ArgumentTypeError("empty value list")
+    values = []
+    for v in raw:
+        try:
+            values.append(float(v))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {v!r}") from None
+    return values
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -342,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subs.add_parser("sweep", help="run one seeded optimization per parameter value")
     sweep.add_argument("--scene", required=True, help="scene JSON path")
     _add_config_flags(sweep)
-    sweep.add_argument("--param", required=True, help=f"one of {', '.join(SWEEP_PARAMS)}")
-    sweep.add_argument("--values", required=True, help="comma-separated parameter values")
+    sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS, help="config field to sweep")
+    sweep.add_argument("--values", required=True, type=_sweep_values,
+                       help="comma-separated parameter values")
     _add_rel_threshold(sweep)
     sweep.add_argument("--report", default=None, help="write the JSON sweep table here")
     sweep.set_defaults(func=cmd_sweep)
@@ -365,13 +375,8 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
@@ -379,10 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SceneError, AttentionError, DumpError, ConfigError, SurrogateError, OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SceneError, AttentionError, DumpError, ConfigError, SurrogateError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,6 +43,8 @@ from .losses import (
     attention_energies,
     grad_staged_loss,
     interference,
+    spatial_mean,
+    spatial_variance,
 )
 from .scene import GuidanceConfig, SceneObject, SceneSpec, derive_occlusion_pairs, scene_masks
 from .surrogate import LatentState, _blob_map, backprop_to_latent, init_latent, render_attention
@@ -82,9 +84,6 @@ class CoordReport:
 
 @dataclass
 class GradCheckResult:
-    mode: str
-    stage: int
-    seed: int
     checked: int = 0
     failures: list[CoordReport] = field(default_factory=list)
     worst_rel: float = 0.0
@@ -119,9 +118,7 @@ def _restricted_loss(
         for mask_fg, lam in fg_terms:
             value = value + cfg.lambda_ortho * lam * interference(map_k, mask_fg, cfg.epsilon)
     norm = map_k / (map_k.sum() + cfg.epsilon)
-    mu_x = (norm * coords.x).sum()
-    mu_y = (norm * coords.y).sum()
-    var = (norm * ((coords.x - mu_x) ** 2 + (coords.y - mu_y) ** 2)).sum()
+    var = spatial_variance(norm, coords, spatial_mean(norm, coords))
     return value + cfg.lambda_compact * depth_k * var
 
 
@@ -241,7 +238,7 @@ def check_gradients(
     """
     if abs_tol is None:
         abs_tol = rel_tol * 1e-4
-    result = GradCheckResult(mode=mode, stage=stage, seed=seed)
+    result = GradCheckResult()
     rng = np.random.default_rng(seed)
     if latent is None:
         latent = init_latent(scene, mode, seed)

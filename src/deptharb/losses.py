@@ -28,8 +28,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionField, check_alignment, coord_grid
-from .scene import ConfigError, GuidanceConfig, OcclusionPair, SceneSpec, box_indicators
+from .attention import AttentionField, check_alignment
+from .scene import (
+    ConfigError,
+    GuidanceConfig,
+    OcclusionPair,
+    SceneSpec,
+    box_indicators,
+    pixel_centers,
+)
 
 
 @dataclass(frozen=True)
@@ -166,16 +173,14 @@ def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
 # the production objective: a per-run plan and one value-and-gradient kernel
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _Plan:
     """Step-invariant geometry of one (scene, pairs, cfg), built once per run.
 
     Box k's mask is exactly rows[k] (outer) cols[k], so every masked sum the
     objective needs is a contraction of the field with these indicators.
-    The gradient scratch (both stages' low-rank factors and the (K, H, W)
-    gradient buffer) is built by the first `value_and_grad` call, so a plan
-    that only evaluates values never builds it; every later call overwrites
-    the factors' step-dependent columns and the buffer.
+    The gradient scratch is part of the plan: `value_and_grad` overwrites
+    the factors' step-dependent columns and the buffer on every call.
     """
 
     cfg: GuidanceConfig
@@ -190,9 +195,8 @@ class _Plan:
     bg: np.ndarray        # (P,) background object indices
     weights: np.ndarray   # (P,) lambda_ij
     fg_area: np.ndarray   # (P,) foreground-box pixel counts
-    coef: np.ndarray      # (P,) lambda_ortho * lambda_ij / (|M_fg| + eps)
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...] = ()  # per stage: (U, V), see _grad_factors
-    grad: np.ndarray | None = None  # (K, H, W), the buffer value_and_grad returns
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]  # per stage: (U, V), see _grad_factors
+    grad: np.ndarray      # (K, H, W), the buffer value_and_grad returns
 
 
 def _grad_factors(rows, cols, pair_terms) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +234,6 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
     boxes = [box_indicators(obj.bbox, height, width) for obj in scene.objects]
     rows = np.stack([r for r, _ in boxes])
     cols = np.stack([c for _, c in boxes])
-    coords = coord_grid(height, width)
     fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
     weights = np.array(_pair_weights(scene, pairs, cfg), dtype=np.float64)
@@ -250,15 +253,17 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
         rows=rows,
         cols=cols,
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
-        cx=coords.x[0].copy(),
-        cy=coords.y[:, 0].copy(),
+        cx=pixel_centers(width),
+        cy=pixel_centers(height),
         depths=scene.depths(),
         pairs=tuple(pairs),
         fg=fg,
         bg=bg,
         weights=weights,
         fg_area=fg_area,
-        coef=coef,
+        # stage 2 drops the orthogonality gradient, so it has no pair columns
+        factors=(_grad_factors(rows, cols, list(zip(bg, fg, coef))), _grad_factors(rows, cols, [])),
+        grad=np.empty((len(scene.objects), height, width)),
     )
 
 
@@ -347,13 +352,6 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
     same plan overwrites it.
     """
     breakdown, (denom, dx, dy) = _values(maps, plan, stage)
-    if plan.grad is None:
-        # stage 2 drops the orthogonality gradient, so it has no pair columns
-        plan.factors = (
-            _grad_factors(plan.rows, plan.cols, list(zip(plan.bg, plan.fg, plan.coef))),
-            _grad_factors(plan.rows, plan.cols, []),
-        )
-        plan.grad = np.empty(maps.shape)
     cfg, d, f, mu = plan.cfg, plan.depths, breakdown.f, breakdown.mu
     a = -2.0 * d * (1.0 - f) / denom
     q = (cfg.lambda_compact * d / denom)[:, None]

@@ -105,13 +105,19 @@ class SceneObject:
     depth: float
 
     def __post_init__(self) -> None:
-        x0, y0, x1, y1 = self.bbox
+        # every value rule of an object lives here; a message opens with its field
         if self.id < 0:
-            raise SceneError(f"object id must be non-negative, got {self.id}")
-        if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
-            raise SceneError(f"invalid normalized bbox {self.bbox}")
+            raise SceneError(f"id: expected a non-negative integer, got {self.id}")
+        x0, y0, x1, y1 = self.bbox
+        for coord in self.bbox:
+            if not 0.0 <= coord <= 1.0:
+                raise SceneError(f"bbox: coordinate {coord} outside [0, 1]")
+        if not x0 < x1:
+            raise SceneError(f"bbox: x_min {x0} must be < x_max {x1}")
+        if not y0 < y1:
+            raise SceneError(f"bbox: y_min {y0} must be < y_max {y1}")
         if not 0.0 <= self.depth <= 1.0:
-            raise SceneError(f"depth {self.depth} outside [0, 1]")
+            raise SceneError(f"depth: {self.depth} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -125,18 +131,19 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.grid_height < 2 or self.grid_width < 2:
             raise SceneError(
-                f"grid must be at least 2x2, got {self.grid_height}x{self.grid_width}"
+                f"grid: must be at least 2x2, got {self.grid_height}x{self.grid_width}"
             )
         if self.grid_height * self.grid_width > MAX_GRID_PIXELS:
             raise SceneError(
-                f"grid {self.grid_height}x{self.grid_width} exceeds {MAX_GRID_PIXELS} pixels"
+                f"grid: {self.grid_height}x{self.grid_width} exceeds {MAX_GRID_PIXELS} pixels"
             )
         if not self.objects:
-            raise SceneError("scene needs at least one object")
-        ids = [obj.id for obj in self.objects]
-        if len(set(ids)) != len(ids):
-            raise SceneError(f"object ids are not unique: {ids}")
+            raise SceneError("objects: need at least one object")
+        seen: set[int] = set()
         for k, obj in enumerate(self.objects):
+            if obj.id in seen:
+                raise SceneError(f"objects[{k}].id: duplicate id {obj.id}")
+            seen.add(obj.id)
             # such a box can never hold attention: f would stay 0 forever
             r0, r1, c0, c1 = box_span(obj.bbox, self.grid_height, self.grid_width)
             if not (r1 > r0 and c1 > c0):
@@ -180,16 +187,16 @@ def _as_number(value: Any, where: str) -> float:
         raise SceneError(f"{where}: integer too large for a float") from None
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_object(raw: Any, index: int) -> SceneObject:
+    """JSON shape and types of one object; `SceneObject` judges the values."""
     where = f"objects[{index}]"
     _require(isinstance(raw, dict), where, "expected an object")
     _require("id" in raw, f"{where}.id", "missing")
-    oid = raw["id"]
-    _require(
-        isinstance(oid, int) and not isinstance(oid, bool) and oid >= 0,
-        f"{where}.id",
-        f"expected a non-negative integer, got {oid!r}",
-    )
+    _require(_is_int(raw["id"]), f"{where}.id", f"expected an integer, got {raw['id']!r}")
     label = raw.get("label", "")
     _require(isinstance(label, str), f"{where}.label", "expected a string")
 
@@ -201,21 +208,21 @@ def _parse_object(raw: Any, index: int) -> SceneObject:
         "expected [x_min, y_min, x_max, y_max]",
     )
     bbox = tuple(_as_number(v, f"{where}.bbox") for v in bbox_raw)
-    x0, y0, x1, y1 = bbox
-    for coord in bbox:
-        _require(0.0 <= coord <= 1.0, f"{where}.bbox", f"coordinate {coord} outside [0, 1]")
-    _require(x0 < x1, f"{where}.bbox", f"x_min {x0} must be < x_max {x1}")
-    _require(y0 < y1, f"{where}.bbox", f"y_min {y0} must be < y_max {y1}")
 
     _require("depth" in raw, f"{where}.depth", "missing")
     depth = _as_number(raw["depth"], f"{where}.depth")
-    _require(0.0 <= depth <= 1.0, f"{where}.depth", f"depth {depth} outside [0, 1]")
-
-    return SceneObject(id=oid, label=label, bbox=bbox, depth=depth)
+    try:
+        return SceneObject(id=raw["id"], label=label, bbox=bbox, depth=depth)
+    except SceneError as exc:
+        raise SceneError(f"{where}.{exc}") from None
 
 
 def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
-    """Parse a scene file, returning the scene and any config overrides it carries."""
+    """Parse a scene file, returning the scene and any config overrides it carries.
+
+    The parser checks JSON shape and types; `SceneObject` and `SceneSpec`
+    judge every value, and their messages name the field.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # incl. too many digits, too deep
@@ -227,23 +234,13 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
     _require(isinstance(grid, dict), "grid", "expected an object")
     for key in ("height", "width"):
         _require(key in grid, f"grid.{key}", "missing")
-        value = grid[key]
-        _require(
-            isinstance(value, int) and not isinstance(value, bool) and value >= 2,
-            f"grid.{key}",
-            f"expected an integer >= 2, got {value!r}",
-        )
-    height, width = grid["height"], grid["width"]
+        _require(_is_int(grid[key]), f"grid.{key}", f"expected an integer, got {grid[key]!r}")
 
     _require("objects" in doc, "objects", "missing")
     raw_objects = doc["objects"]
-    _require(isinstance(raw_objects, list) and len(raw_objects) >= 1, "objects", "need at least one object")
+    _require(isinstance(raw_objects, list), "objects", "expected a list")
     objects = tuple(_parse_object(raw, i) for i, raw in enumerate(raw_objects))
-
-    seen: set[int] = set()
-    for i, obj in enumerate(objects):
-        _require(obj.id not in seen, f"objects[{i}].id", f"duplicate id {obj.id}")
-        seen.add(obj.id)
+    scene = SceneSpec(grid_height=grid["height"], grid_width=grid["width"], objects=objects)
 
     overrides: dict[str, float] = {}
     if "config" in doc:
@@ -252,16 +249,12 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
         for key, value in raw_cfg.items():
             _require(key in GUIDANCE_CONFIG_KEYS, f"config.{key}", "unknown config key")
             if key == "total_steps":
-                _require(
-                    isinstance(value, int) and not isinstance(value, bool),
-                    f"config.{key}",
-                    f"expected an integer, got {value!r}",
-                )
+                _require(_is_int(value), f"config.{key}", f"expected an integer, got {value!r}")
                 overrides[key] = value
             else:
                 overrides[key] = _as_number(value, f"config.{key}")
 
-    return SceneSpec(grid_height=height, grid_width=width, objects=objects), overrides
+    return scene, overrides
 
 
 def parse_scene(text: str) -> SceneSpec:
@@ -279,6 +272,11 @@ def read_scene(path: str) -> tuple[SceneSpec, dict[str, float]]:
     return parse_scene_with_config(text)
 
 
+def pixel_centers(n: int, dtype=np.float64) -> np.ndarray:
+    """Normalized centres (i + 0.5) / n of n pixels along one axis, in `dtype`."""
+    return (np.arange(n, dtype=dtype) + dtype(0.5)) / dtype(n)
+
+
 def box_span(
     bbox: tuple[float, float, float, float], height: int, width: int
 ) -> tuple[int, int, int, int]:
@@ -290,10 +288,8 @@ def box_span(
     Half-open intervals keep shared box edges from being claimed twice.
     """
     x0, y0, x1, y1 = bbox
-    cx = (np.arange(width, dtype=np.float64) + 0.5) / width
-    cy = (np.arange(height, dtype=np.float64) + 0.5) / height
-    r0, r1 = np.searchsorted(cy, (y0, y1), side="left").tolist()
-    c0, c1 = np.searchsorted(cx, (x0, x1), side="left").tolist()
+    r0, r1 = np.searchsorted(pixel_centers(height), (y0, y1), side="left").tolist()
+    c0, c1 = np.searchsorted(pixel_centers(width), (x0, x1), side="left").tolist()
     return r0, r1, c0, c1
 
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionField, coord_grid
-from .scene import SceneSpec
+from .attention import AttentionField
+from .scene import SceneSpec, pixel_centers
 
 MODES = ("raster", "blob")
-BLOB_PARAMS = ("center_x", "center_y", "log_sigma_x", "log_sigma_y", "log_amplitude")
 
 
 class SurrogateError(ValueError):
@@ -73,8 +72,6 @@ def init_latent(scene: SceneSpec, mode: str, seed: int, jitter: float = 0.05) ->
     extent, amplitude 1.  jitter=0 gives the seed-independent deterministic
     variant.
     """
-    if mode not in MODES:
-        raise SurrogateError(f"mode must be one of {MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)
     k = len(scene.objects)
     if mode == "raster":
@@ -126,11 +123,10 @@ class _Blob:
 
     def __init__(self, scene: SceneSpec):
         self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
-        coords = coord_grid(scene.grid_height, scene.grid_width)
-        # (1, W) and (H, 1) views broadcast to the grid with the same
-        # per-pixel arithmetic as the full coordinate arrays
-        self.px = coords.x[:1]
-        self.py = coords.y[:, :1]
+        # (1, W) and (H, 1) centres broadcast to the grid with the same
+        # per-pixel arithmetic as full (H, W) coordinate arrays
+        self.px = pixel_centers(scene.grid_width)[None, :]
+        self.py = pixel_centers(scene.grid_height)[:, None]
 
     def render(self, values: np.ndarray) -> np.ndarray:
         for i, params in enumerate(values):

@@ -340,6 +340,21 @@ class TestSweep:
             "sweep", "--scene", scene_path, "--param", "lambda_ortho", "--values", " ,",
         ) == 1
 
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("nope", "1", "argument --param: invalid choice: 'nope'"),
+            ("tau", "1,x", "argument --values: not a number: 'x'"),
+            ("tau", " , ", "argument --values: empty value list"),
+        ],
+    )
+    def test_parser_rejects_bad_flags_before_any_work(self, monkeypatch, capsys, param, values, message):
+        calls = []
+        monkeypatch.setattr("deptharb.cli.read_scene", lambda *a: calls.append(a))
+        assert run_cli("sweep", "--scene", "s.json", "--param", param, "--values", values) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert calls == []
+
     def test_three_value_sweep_structure(self, tmp_path, scene_path):
         table_path = tmp_path / "table.json"
         code = run_cli(
@@ -494,6 +509,42 @@ class TestUndefinedObjectiveConfig:
             code = run_cli("run", "--scene", scene_path, "--steps", "3", "--mode", mode, "--eta", "inf")
         assert code == 2
         assert "non-finite latent update at step 0" in capsys.readouterr().err
+
+
+class TestScoringAbort:
+    """A loss value a report would hold that is not finite exits 2 at the last step, with no report."""
+
+    # lambda_ij = 1.7e308 and every pair coefficient are finite, but
+    # lambda_ij * I overflows once the pair's interference I exceeds about 1.06
+    WEIGHTS = ("--lambda0", "1.7e308", "--alpha", "0")
+
+    def check(self, capsys, tmp_path, argv, step):
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, *self.WEIGHTS, "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical abort: non-finite scored loss at step {step}\n"
+        assert not report.exists()
+
+    def test_run(self, capsys, tmp_path, scene_path):
+        # stage 2 leaves ortho out of the total, so the loop itself finishes;
+        # eta 0 keeps the maps at exp(U(-1, 1)), whose in-box mean is about 1.18
+        argv = ["run", "--scene", scene_path, "--steps", "2", "--stage1-frac", "0", "--eta", "0"]
+        self.check(capsys, tmp_path, argv, 2)
+
+    def test_eval(self, capsys, tmp_path, scene_path):
+        dump = tmp_path / "twos.darb"
+        write_dump(str(dump), AttentionField(maps=np.full((2, 32, 32), 2.0)), 0)
+        argv = ["eval", "--dump", str(dump), "--scene", scene_path, "--stage1-frac", "1"]
+        self.check(capsys, tmp_path, argv, 200)
+
+    def test_sweep(self, capsys, tmp_path, scene_path):
+        argv = [
+            "sweep", "--scene", scene_path, "--steps", "2", "--stage1-frac", "0", "--eta", "0",
+            "--param", "tau", "--values", "1,2",
+        ]
+        self.check(capsys, tmp_path, argv, 2)
 
 
 class TestOracleRefusal:

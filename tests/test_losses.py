@@ -355,7 +355,7 @@ class TestStagedLoss:
 
 
 class TestPlanScratch:
-    """Gradient scratch is built by the first gradient call, and only by it."""
+    """A plan builds its gradient scratch once; every gradient call reuses it."""
 
     @staticmethod
     def count_factor_builds(monkeypatch):
@@ -365,17 +365,6 @@ class TestPlanScratch:
         real = deptharb.losses._grad_factors
         monkeypatch.setattr(deptharb.losses, "_grad_factors", lambda *a: calls.append(1) or real(*a))
         return calls
-
-    def test_value_only_pass_builds_no_gradient_scratch(self, canonical, monkeypatch):
-        from deptharb.losses import _plan
-
-        calls = self.count_factor_builds(monkeypatch)
-        pairs = derive_occlusion_pairs(canonical)
-        field = AttentionField(maps=np.random.default_rng(3).uniform(0, 2, (2, 64, 64)))
-        for stage in (1, 2):
-            staged_loss(field, canonical, pairs, CFG, stage)
-        plan = _plan(canonical, pairs, CFG)
-        assert calls == [] and plan.factors == () and plan.grad is None
 
     def test_run_builds_both_stages_factors_once(self, two_object_scene, monkeypatch):
         from deptharb import init_latent, run_guidance

@@ -317,7 +317,7 @@ class TestSingleRenderLoop:
         assert not np.array_equal(traj.final_latent.values, before)
 
     def test_blob_renders_once_per_step_and_plans_its_grid_once(self, two_object_scene, monkeypatch):
-        import deptharb.attention
+        import deptharb.scene
         import deptharb.surrogate
 
         counts = Counter()
@@ -332,20 +332,21 @@ class TestSingleRenderLoop:
         monkeypatch.setattr(
             deptharb.surrogate, "_blob_map", counting("blob_map", deptharb.surrogate._blob_map)
         )
-        real_grid = deptharb.attention.coord_grid
+        real_centers = deptharb.scene.pixel_centers
         for name, module in list(sys.modules.items()):
             if name == "deptharb" or name.startswith("deptharb."):
                 for attr, obj in list(vars(module).items()):
-                    if obj is real_grid:
-                        monkeypatch.setattr(module, attr, counting("coord_grid", real_grid))
+                    if obj is real_centers:
+                        monkeypatch.setattr(module, attr, counting("pixel_centers", real_centers))
         grids = []
         for steps in (3, 9):
             counts.clear()
             cfg = GuidanceConfig(total_steps=steps, eta0=0.5)
             run_guidance(two_object_scene, cfg, init_latent(two_object_scene, "blob", seed=1))
             assert counts["blob_map"] == 2 * (steps + 1)
-            grids.append(counts["coord_grid"])
-        assert grids[0] == grids[1]
+            grids.append(counts["pixel_centers"])
+        # the blob surrogate and the plan read the centres, once per run
+        assert grids[0] == grids[1] > 0
 
 
 # sizes around the BLAS dot kernel's unrolled blocks and tail loops, and a

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +306,59 @@ def scene_like_json(draw):
     if draw(st.booleans()):
         doc["config"] = slot(st.dictionaries(st.sampled_from(["eta0", "total_steps", "nope"]), JSON_VALUES))
     return json.dumps(doc)
+
+
+@st.composite
+def well_typed_scene(draw):
+    """Grid and objects of a scene file, every value of the right JSON type, in range or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pick(good, bad):
+        # about one value in twelve breaks its rule
+        return bad[rng.integers(len(bad))] if rng.random() < 1 / 12 else good
+
+    def unit():
+        return pick(float(rng.choice([0.0, 1.0, rng.uniform()], p=[0.1, 0.1, 0.8])), [-0.1, 1.1, math.nan])
+
+    def bbox():
+        xs, ys = sorted([unit(), unit()]), sorted([unit(), unit()])
+        if rng.random() < 1 / 12:
+            xs.reverse()
+        return [xs[0], ys[0], xs[1], ys[1]]
+
+    grid = {side: pick(int(rng.integers(2, 13)), [-1, 0, 1, 10**7]) for side in ("height", "width")}
+    objects = [
+        {"id": pick(int(rng.integers(0, 4)), [-1]), "label": "", "bbox": bbox(), "depth": unit()}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return grid, objects
+
+
+class TestValueRulesLiveInTheTypes:
+    @settings(max_examples=300)
+    @given(well_typed_scene())
+    def test_parser_rejects_exactly_what_the_types_reject(self, case):
+        grid, objects = case
+        expected = None
+        try:
+            built = []
+            for i, raw in enumerate(objects):
+                try:
+                    built.append(SceneObject(raw["id"], raw["label"], tuple(raw["bbox"]), raw["depth"]))
+                except SceneError as exc:
+                    # the parser names the object, and adds nothing else
+                    raise SceneError(f"objects[{i}].{exc}") from None
+            SceneSpec(grid["height"], grid["width"], tuple(built))
+        except SceneError as exc:
+            expected = str(exc)
+        try:
+            parse_scene(json.dumps({"grid": grid, "objects": objects}))
+            got = None
+        except SceneError as exc:
+            got = str(exc)
+        assert got == expected
+        if got is not None:
+            assert re.match(r"(objects\[\d+\]\.(id|bbox|depth)|grid): ", got), got
 
 
 class TestParseFuzz:
