@@ -9,24 +9,27 @@ metrics score the result.  Everything is deterministic given a seed.
 from .attention import (
     AttentionError,
     AttentionField,
-    CoordGrid,
     NONE_ID,
-    coord_grid,
     normalize_map,
     pseudo_segment,
     threshold_mask,
 )
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
-from .gradcheck import GradCheckResult, check_gradients, random_field_latent, random_scene
-from .losses import (
-    LossBreakdown,
+from .gradcheck import (
+    CoordGrid,
+    GradCheckResult,
     alignment_ratio,
-    arbitration_weight,
     attention_energies,
-    grad_staged_loss,
+    check_gradients,
+    coord_grid,
     interference,
     spatial_mean,
     spatial_variance,
+)
+from .losses import (
+    LossBreakdown,
+    arbitration_weight,
+    grad_staged_loss,
     staged_loss,
     staged_total,
 )

@@ -1,9 +1,9 @@
 """Attention-map containers and primitive transforms.
 
 An attention map is a non-negative float64 grid; a field is one map per
-scene object, all sharing the same dimensions.  The transforms here are the
-building blocks the losses and metrics read: probability normalization,
-per-pixel winner assignment, and relative thresholding.
+scene object, all sharing the same dimensions.  The transforms here are
+probability normalization, per-pixel winner assignment and relative
+thresholding; the metrics read the last two.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .scene import SceneSpec, pixel_centers
+from .scene import SceneSpec
 
 NONE_ID = -1  # pseudo_segment winner value for pixels where every map is zero
 
@@ -87,20 +87,6 @@ def check_alignment(field: AttentionField, scene: SceneSpec) -> None:
             f"field is {field.height}x{field.width}, scene grid is "
             f"{scene.grid_height}x{scene.grid_width}"
         )
-
-
-@dataclass(frozen=True)
-class CoordGrid:
-    """Normalized pixel-center coordinates: x[r, c] = (c+0.5)/W, y[r, c] = (r+0.5)/H."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-
-def coord_grid(height: int, width: int, dtype=np.float64) -> CoordGrid:
-    x = np.broadcast_to(pixel_centers(width, dtype)[None, :], (height, width)).copy()
-    y = np.broadcast_to(pixel_centers(height, dtype)[:, None], (height, width)).copy()
-    return CoordGrid(x=x, y=y)
 
 
 def normalize_map(values: np.ndarray, epsilon: float) -> np.ndarray:

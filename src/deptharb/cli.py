@@ -317,6 +317,10 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda-compact", type=float, default=None, help="compactness term weight")
     sub.add_argument("--epsilon", type=float, default=None, help="stability constant")
     sub.add_argument("--mode", choices=MODES, default="raster", help="surrogate parametrization")
+
+
+def _add_seed(sub: argparse.ArgumentParser) -> None:
+    # eval has none: it reports the seed stored in the dump
     sub.add_argument("--seed", type=_seed, default=0, help="deterministic seed")
 
 
@@ -332,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="optimize a scene and report metrics")
     run.add_argument("--scene", required=True, help="scene JSON path")
     _add_config_flags(run)
+    _add_seed(run)
     _add_rel_threshold(run)
     run.add_argument("--dump", default=None, help="write the final attention field here")
     run.add_argument("--report", default=None, help="write the JSON report here")
@@ -340,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser("grad-check", help="verify analytic gradients against finite differences")
     check.add_argument("--scene", default=None, help="scene JSON path (default: built-in canonical scene)")
     _add_config_flags(check)
+    _add_seed(check)
     # a check that judges no coordinate would report a pass for nothing
     check.add_argument("--samples", type=_positive_int, default=1000,
                        help="coordinates per space per stage (at least 1)")
@@ -351,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subs.add_parser("sweep", help="run one seeded optimization per parameter value")
     sweep.add_argument("--scene", required=True, help="scene JSON path")
     _add_config_flags(sweep)
+    _add_seed(sweep)
     sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS, help="config field to sweep")
     sweep.add_argument("--values", required=True, type=_sweep_values,
                        help="comma-separated parameter values")

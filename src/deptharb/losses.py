@@ -14,10 +14,12 @@ Stage 1 optimizes all three (orthogonality and compactness scaled by their
 config weights); stage 2 drops the orthogonality term from the total and the
 gradient but still reports it diagnostically.
 
-Gradients are hand-derived closed forms rather than autodiff, so the
-finite-difference suite is a genuinely independent check.  One kernel,
-`value_and_grad`, produces the values and the gradient together; the
-derivations live in its docstring.
+This module holds the one production definition of the objective: one
+kernel, `value_and_grad`, produces the values and the gradient together
+from a per-run `_Plan`; the derivations live in its docstring.  Gradients
+are hand-derived closed forms rather than autodiff, and the literal term
+definitions they are checked against live apart, in `gradcheck`, so the
+finite-difference oracle is a genuinely independent check.
 """
 
 from __future__ import annotations
@@ -67,45 +69,8 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# primitive operations
+# pair weights and the stage total
 # ---------------------------------------------------------------------------
-
-def attention_energies(values: np.ndarray, mask: np.ndarray):
-    """In-box and out-of-box attention energies of one map.
-
-    The dominant side keeps its literal sum; the other is derived from the
-    total.  Whenever the dominant side holds at least half the mass the
-    subtraction is exact (Sterbenz), so e_in + e_out equals the map's total
-    bit-exactly instead of merely to rounding error.
-    """
-    a = np.asarray(values)
-    m = np.asarray(mask)
-    if a.shape != m.shape:
-        raise ValueError(f"map shape {a.shape} != mask shape {m.shape}")
-    total = a.sum()
-    e_in = (a * m).sum()
-    e_out = (a * (1.0 - m)).sum()
-    if e_in >= e_out:
-        if e_in >= total / 2:
-            e_out = total - e_in
-    elif e_out >= total / 2:
-        e_in = total - e_out
-    return e_in, e_out
-
-
-def alignment_ratio(e_in, e_out, epsilon):
-    """Concentration of attention inside the box: e_in / (e_in + e_out + eps)."""
-    return e_in / (e_in + e_out + epsilon)
-
-
-def interference(values_bg: np.ndarray, mask_fg: np.ndarray, epsilon):
-    """Mean background attention per foreground-mask pixel."""
-    a = np.asarray(values_bg)
-    m = np.asarray(mask_fg)
-    if a.shape != m.shape:
-        raise ValueError(f"map shape {a.shape} != mask shape {m.shape}")
-    return (a * m).sum() / (m.sum() + epsilon)
-
 
 def arbitration_weight(d_fg: float, d_bg: float, cfg: GuidanceConfig) -> float:
     """Depth-aware pair weight lambda0 * exp(alpha * (d_bg - d_fg) / tau).
@@ -144,20 +109,6 @@ def _pair_weights(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: Guidanc
                 f"{pair.background_id}): {exc}"
             ) from None
     return weights
-
-
-def spatial_mean(norm_map: np.ndarray, coords) -> tuple[float, float]:
-    """Attention-weighted expectation of the pixel-center coordinates."""
-    a = np.asarray(norm_map)
-    return (a * coords.x).sum(), (a * coords.y).sum()
-
-
-def spatial_variance(norm_map: np.ndarray, coords, mu) -> float:
-    """Attention-weighted second moment around the given mean."""
-    a = np.asarray(norm_map)
-    mu_x, mu_y = mu
-    dist2 = (coords.x - mu_x) ** 2 + (coords.y - mu_y) ** 2
-    return (a * dist2).sum()
 
 
 def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from deptharb import AttentionField, SceneObject, SceneSpec, canonical_scene
+from deptharb import AttentionField, LatentState, SceneObject, SceneSpec, canonical_scene
 
 # every property test is deterministic and keeps no example database;
 # a test's own @settings sets only its example count
@@ -46,3 +46,31 @@ def scene_file_text(grid: int = 64) -> str:
         '{"id": 0, "label": "a", "bbox": [0.1, 0.1, 0.6, 0.6], "depth": 0.2},'
         '{"id": 1, "label": "b", "bbox": [0.4, 0.4, 0.9, 0.9], "depth": 0.8}]}'
     ) % (grid, grid)
+
+
+def random_scene(seed: int, size: int = 32, min_objects: int = 2, max_objects: int = 4) -> SceneSpec:
+    """Seeded random scene for gradient-check sweeps."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(min_objects, max_objects + 1))
+    objects = []
+    for i in range(count):
+        w = float(rng.uniform(0.25, 0.6))
+        hgt = float(rng.uniform(0.25, 0.6))
+        x0 = float(rng.uniform(0.0, 1.0 - w))
+        y0 = float(rng.uniform(0.0, 1.0 - hgt))
+        objects.append(
+            SceneObject(
+                id=i,
+                label=f"obj{i}",
+                bbox=(x0, y0, x0 + w, y0 + hgt),
+                depth=float(rng.uniform(0.0, 1.0)),
+            )
+        )
+    return SceneSpec(grid_height=size, grid_width=size, objects=tuple(objects))
+
+
+def random_field_latent(scene: SceneSpec, seed: int) -> LatentState:
+    """Raster latent whose rendered maps have entries spread across [0, 2]."""
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(1e-3, 2.0, size=(len(scene.objects), scene.grid_height, scene.grid_width))
+    return LatentState(mode="raster", values=np.log(uniform))

@@ -129,6 +129,11 @@ class TestCoordGrid:
         assert np.array_equal(g.x[0], np.array([0.125, 0.375, 0.625, 0.875]))
         assert np.array_equal(g.y[:, 0], np.array([0.25, 0.75]))
 
+    def test_broadcast_shapes(self):
+        # a (1, W) row and an (H, 1) column, not two (H, W) copies
+        g = coord_grid(3, 5)
+        assert g.x.shape == (1, 5) and g.y.shape == (3, 1)
+
     def test_deterministic(self):
         a = coord_grid(7, 5)
         b = coord_grid(7, 5)

@@ -296,6 +296,14 @@ class TestEval:
         path.write_bytes(b"JUNKJUNKJUNK")
         assert run_cli("eval", "--dump", str(path), "--scene", scene_path) == 1
 
+    def test_seed_flag_is_a_usage_error_before_any_work(self, monkeypatch, capsys, scene_path):
+        # eval reports the seed stored in the dump, so a --seed would be ignored
+        calls = []
+        monkeypatch.setattr("deptharb.cli.read_dump", lambda *a: calls.append(a))
+        assert run_cli("eval", "--dump", "missing.darb", "--scene", scene_path, "--seed", "99") == 1
+        assert "usage error" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestGradCheckCommand:
     def test_default_scene_passes(self, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -23,12 +24,16 @@ from deptharb.cli import main
 from deptharb.gradcheck import (
     ANCHOR_EPS,
     FD_STEP,
+    CoordGrid,
     OracleError,
     _object_terms,
     _PixelSums,
     _restricted_loss,
     check_gradients,
+    spatial_mean,
+    spatial_variance,
 )
+from deptharb.surrogate import _blob_map
 
 from conftest import scene_file_text
 
@@ -170,6 +175,72 @@ class TestExtremeScenes:
                 scene, GuidanceConfig(), "raster", stage, seed=seed, samples=60, rel_tol=1e-5
             )
             assert result.passed, result.failures[:3]
+
+
+class TestNonSquareGrid:
+    # 20 rows by 13 columns: an x/y swap of the (1, W)/(H, 1) centres cannot
+    # go unnoticed, as it can on a square grid
+    SCENE = {
+        "grid": {"height": 20, "width": 13},
+        "objects": [
+            {"id": 0, "label": "back", "bbox": [0.05, 0.1, 0.95, 0.9], "depth": 0.8},
+            # contained in the background box
+            {"id": 1, "label": "inner", "bbox": [0.3, 0.25, 0.7, 0.6], "depth": 0.3},
+            # overlaps "inner" at equal depth, which pairs nothing
+            {"id": 2, "label": "peer", "bbox": [0.5, 0.45, 0.9, 0.85], "depth": 0.3},
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_grad_check_passes_both_stages(self, tmp_path, capsys, mode):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(self.SCENE), encoding="utf-8")
+        assert main(["grad-check", "--scene", str(path), "--mode", mode, "--stage", "both"]) == 0
+        lines = STAGE_LINE.findall(capsys.readouterr().out)
+        assert [(stage, verdict) for stage, _, _, verdict in lines] == [("1", "pass"), ("2", "pass")]
+
+
+@st.composite
+def broadcast_cases(draw):
+    height = draw(st.integers(1, 16))
+    width = draw(st.integers(1, 16).filter(lambda w: w != height))
+    dtype = draw(st.sampled_from([np.float64, gradcheck.LONG]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def mask():
+        return (rng.uniform(size=(height, width)) < 0.5).astype(dtype)
+
+    map_k = rng.uniform(0.0, 2.0, (height, width)).astype(dtype)
+    fg_terms = [(mask(), float(rng.uniform(0.1, 3.0))) for _ in range(draw(st.integers(0, 2)))]
+    params = np.array([*rng.uniform(0.0, 1.0, 2), *rng.uniform(-3.0, -1.0, 2), rng.uniform(-1.0, 1.0)])
+    stage = draw(st.sampled_from([1, 2]))
+    return dtype, map_k, mask(), float(rng.uniform()), fg_terms, params.astype(dtype), stage
+
+
+class TestBroadcastCentres:
+    @settings(max_examples=40)
+    @given(broadcast_cases())
+    def test_same_values_as_full_grids(self, case):
+        # every literal term reads the (1, W)/(H, 1) centres with the same
+        # per-pixel arithmetic as full (H, W) copies, so the results are equal
+        dtype, map_k, mask_k, depth, fg_terms, params, stage = case
+        height, width = map_k.shape
+        thin = coord_grid(height, width, dtype=dtype)
+        full = CoordGrid(
+            x=np.broadcast_to(thin.x, (height, width)).copy(),
+            y=np.broadcast_to(thin.y, (height, width)).copy(),
+        )
+        norm = map_k / (map_k.sum() + 1e-8)
+        mu = spatial_mean(norm, thin)
+        assert mu == spatial_mean(norm, full)
+        assert spatial_variance(norm, thin, mu) == spatial_variance(norm, full, mu)
+        cfg = GuidanceConfig()
+        assert _restricted_loss(map_k, mask_k, depth, fg_terms, thin, cfg, stage) == _restricted_loss(
+            map_k, mask_k, depth, fg_terms, full, cfg, stage
+        )
+        blob = _blob_map(params, thin.x, thin.y)
+        assert blob.shape == (height, width)
+        assert np.array_equal(blob, _blob_map(params, full.x, full.y))
 
 
 def _skew(fn, k: int, factor: float):

@@ -18,6 +18,7 @@ from deptharb import (
     alignment_ratio,
     arbitration_weight,
     attention_energies,
+    check_gradients,
     coord_grid,
     derive_occlusion_pairs,
     grad_staged_loss,
@@ -28,6 +29,8 @@ from deptharb import (
     staged_total,
 )
 from deptharb.scene import scene_masks
+
+from conftest import random_field_latent, random_scene
 
 EPS = 1e-8
 CFG = GuidanceConfig()
@@ -638,13 +641,10 @@ class TestFiniteDifferenceAgreement:
     def test_analytic_gradient_matches_central_differences(self, stage):
         # seeded random scene and a field with entries spread over [0, 2],
         # >= 1000 sampled coordinates, rel tol 1e-5 with abs floor 1e-9
-        from deptharb import check_gradients, random_field_latent, random_scene
-
         scene = random_scene(71, size=32)
         latent = random_field_latent(scene, 71)
         result = check_gradients(
-            scene, CFG, "raster", stage, seed=71, samples=1000,
-            rel_tol=1e-5, abs_tol=1e-9, latent=latent,
+            scene, CFG, "raster", stage, seed=71, samples=1000, rel_tol=1e-5, latent=latent,
         )
         assert result.checked >= 1000
         assert result.passed, result.failures[:3]
