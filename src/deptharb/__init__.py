@@ -6,14 +6,7 @@ orthogonality, spatial compactness) drive a two-stage gradient-descent loop;
 metrics score the result.  Everything is deterministic given a seed.
 """
 
-from .attention import (
-    AttentionError,
-    AttentionField,
-    NONE_ID,
-    normalize_map,
-    pseudo_segment,
-    threshold_mask,
-)
+from .attention import AttentionError, AttentionField, NONE_ID
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import (
     CoordGrid,
@@ -40,7 +33,6 @@ from .metrics import (
     build_metric_report,
     focr,
     layout_miou,
-    mask_iou,
 )
 from .optimizer import (
     NumericalAbort,
@@ -60,8 +52,6 @@ from .scene import (
     canonical_scene,
     derive_occlusion_pairs,
     parse_scene,
-    rasterize_mask,
-    scene_masks,
 )
 from .surrogate import (
     LatentState,

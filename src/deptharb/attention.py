@@ -1,21 +1,21 @@
 """Attention-map containers and primitive transforms.
 
 An attention map is a non-negative float64 grid; a field is one map per
-scene object, all sharing the same dimensions.  The transforms here are
-probability normalization, per-pixel winner assignment and relative
-thresholding; the metrics read the last two.
+scene object, all sharing the same dimensions.  The two rules here, the
+per-pixel winner assignment and relative thresholding, are what the
+metrics read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .scene import SceneSpec
 
-NONE_ID = -1  # pseudo_segment winner value for pixels where every map is zero
+NONE_ID = -1  # _winners value for pixels where every map is zero
 
 
 class AttentionError(ValueError):
@@ -42,17 +42,6 @@ class AttentionField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "maps", _checked(self.maps, 3, "field"))
-
-    @classmethod
-    def from_maps(cls, maps: Sequence[np.ndarray]) -> "AttentionField":
-        if len(maps) == 0:
-            raise AttentionError("field needs at least one map")
-        arrs = [np.asarray(m, dtype=np.float64) for m in maps]
-        for k, arr in enumerate(arrs):
-            if arr.shape != arrs[0].shape:
-                raise AttentionError(f"map {k} has shape {arr.shape}, expected {arrs[0].shape}")
-        # the field checks every entry, and that the maps are 2-D
-        return cls(maps=np.stack(arrs))
 
     @property
     def count(self) -> int:
@@ -89,17 +78,6 @@ def check_alignment(field: AttentionField, scene: SceneSpec) -> None:
         )
 
 
-def normalize_map(values: np.ndarray, epsilon: float) -> np.ndarray:
-    """Divide a map by (its total mass + epsilon) so it acts as a spatial distribution.
-
-    An all-zero map stays all-zero; entries sum to total/(total + epsilon) <= 1.
-    """
-    if epsilon <= 0:
-        raise AttentionError(f"epsilon must be > 0, got {epsilon}")
-    arr = _checked(values, 2, "attention map")
-    return arr / (arr.sum() + epsilon)
-
-
 def _winners(maps: np.ndarray, scene: SceneSpec) -> np.ndarray:
     """Per-pixel winner of any (K, h, w) stack of the scene's maps: ties go to
     smaller depth, then smaller id; pixels where every map is zero get NONE_ID."""
@@ -112,16 +90,6 @@ def _winners(maps: np.ndarray, scene: SceneSpec) -> np.ndarray:
     return winners
 
 
-def pseudo_segment(field: AttentionField, scene: SceneSpec) -> np.ndarray:
-    """Per-pixel winning object id; ties go to smaller depth, then smaller id.
-
-    Pixels where every map is zero get NONE_ID.  Stands in for detector
-    instance masks when attributing overlap regions to objects.
-    """
-    check_alignment(field, scene)
-    return _winners(field.maps, scene)
-
-
 def _above_threshold(arr: np.ndarray, rel_threshold: float) -> np.ndarray:
     """Boolean mask of a valid map's entries >= rel_threshold times its maximum (none if all zero)."""
     if not 0.0 < rel_threshold <= 1.0:
@@ -130,11 +98,3 @@ def _above_threshold(arr: np.ndarray, rel_threshold: float) -> np.ndarray:
     if peak == 0.0:
         return np.zeros(arr.shape, dtype=bool)
     return arr >= rel_threshold * peak
-
-
-def threshold_mask(values: np.ndarray, rel_threshold: float) -> np.ndarray:
-    """Binary mask of pixels at or above rel_threshold times the map maximum.
-
-    An all-zero map yields an all-zero mask.
-    """
-    return _above_threshold(_checked(values, 2, "attention map"), rel_threshold).astype(np.float64)

@@ -1,9 +1,10 @@
 """Finite-difference verification of the analytic gradients.
 
 The oracle owns the literal definition of every loss term, on the pixel
-centres of `coord_grid`.  From the rest of the package it reads only the
-scene's boxes, pairs and pixel centres, lambda_ij, the surrogate renders
-and the two gradients it checks.
+centres of `coord_grid`, the box masks of `scene_masks` and the blob map
+of `_blob_map`.  From the rest of the package it reads only the scene's
+boxes, pairs and pixel centres, lambda_ij, the surrogate's render of the
+base state and the two gradients it checks.
 
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
@@ -28,7 +29,7 @@ working precision's eps, or `check_gradients` raises `OracleError`.
 Attention coordinates perturb the pixel by +-h and raster latent
 coordinates by exp(z_p +- h) - exp(z_p), the one entry the literal
 re-render changes.  Blob latent coordinates move every pixel, so they keep
-the literal re-render and evaluation of `_restricted_loss`.
+the literal re-render `_blob_map` and evaluation of `_restricted_loss`.
 
 A coordinate passes when |analytic - fd| <= max(rel_tol * 1e-4, rel_tol * ref)
 with ref = max(|analytic|, |fd|): the relative criterion for significant
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import _pair_weights, grad_staged_loss
-from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs, pixel_centers, scene_masks
-from .surrogate import LatentState, _blob_map, backprop_to_latent, init_latent, render_attention
+from .scene import GuidanceConfig, SceneSpec, box_indicators, derive_occlusion_pairs, pixel_centers
+from .surrogate import LatentState, backprop_to_latent, init_latent, render_attention
 
 LONG = np.longdouble
 FD_STEP = 1e-6
@@ -111,6 +112,25 @@ class CoordGrid:
 
 def coord_grid(height: int, width: int, dtype=np.float64) -> CoordGrid:
     return CoordGrid(x=pixel_centers(width, dtype)[None, :], y=pixel_centers(height, dtype)[:, None])
+
+
+def scene_masks(scene: SceneSpec) -> np.ndarray:
+    """Stack of per-object binary box masks, shape (K, H, W)."""
+    return np.stack(
+        [np.outer(*box_indicators(obj.bbox, scene.grid_height, scene.grid_width)) for obj in scene.objects]
+    )
+
+
+def _blob_map(params: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Gaussian map exp(la) * exp(-((x-cx)^2/(2 sx^2) + (y-cy)^2/(2 sy^2))).
+
+    The literal re-render: one joint exponent over the grid, not the
+    production surrogate's product of 1-D factors.
+    """
+    cx, cy, lsx, lsy, la = params
+    sx = np.exp(lsx)
+    sy = np.exp(lsy)
+    return np.exp(la) * np.exp(-((px - cx) ** 2 / (2 * sx**2) + (py - cy) ** 2 / (2 * sy**2)))
 
 
 def attention_energies(values: np.ndarray, mask: np.ndarray):

@@ -46,17 +46,6 @@ class FocrResult:
     mean: float | None
 
 
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two binary masks (0.0 when both are empty)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    inter = float(np.sum((a > 0) & (b > 0)))
-    union = float(np.sum((a > 0) | (b > 0)))
-    if union == 0.0:
-        return 0.0
-    return inter / union
-
-
 def layout_miou(
     field: AttentionField,
     scene: SceneSpec,

@@ -303,21 +303,6 @@ def box_indicators(
     return rows, cols
 
 
-def rasterize_mask(
-    bbox: tuple[float, float, float, float], height: int, width: int
-) -> np.ndarray:
-    """Rasterize a normalized box to a binary (height, width) float64 mask."""
-    rows, cols = box_indicators(bbox, height, width)
-    return np.outer(rows, cols)
-
-
-def scene_masks(scene: SceneSpec) -> np.ndarray:
-    """Stack of per-object rasterized box masks, shape (K, H, W)."""
-    return np.stack(
-        [rasterize_mask(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects]
-    )
-
-
 def _boxes_overlap(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     # strict inequalities: touching edges do not count as overlap
     return (

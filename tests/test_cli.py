@@ -274,7 +274,8 @@ class TestEval:
         assert run_cli("eval", "--dump", str(dump_path), "--scene", scene_path) == 1
 
     def test_hand_built_foreground_only_dump_scores_full_focr(self, tmp_path, scene_path):
-        from deptharb.scene import rasterize_mask, read_scene
+        from deptharb.scene import read_scene
+        from reference import rasterize_mask
 
         scene, _ = read_scene(scene_path)
         fg = rasterize_mask(scene.objects[0].bbox, 32, 32)

@@ -26,6 +26,7 @@ from deptharb.gradcheck import (
     FD_STEP,
     CoordGrid,
     OracleError,
+    _blob_map,
     _object_terms,
     _PixelSums,
     _restricted_loss,
@@ -33,7 +34,6 @@ from deptharb.gradcheck import (
     spatial_mean,
     spatial_variance,
 )
-from deptharb.surrogate import _blob_map
 
 from conftest import scene_file_text
 

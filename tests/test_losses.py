@@ -28,7 +28,7 @@ from deptharb import (
     staged_loss,
     staged_total,
 )
-from deptharb.scene import scene_masks
+from deptharb.gradcheck import scene_masks
 
 from conftest import random_field_latent, random_scene
 

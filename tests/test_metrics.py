@@ -17,15 +17,12 @@ from deptharb import (
     derive_occlusion_pairs,
     focr,
     layout_miou,
-    mask_iou,
-    pseudo_segment,
-    rasterize_mask,
-    threshold_mask,
 )
 from deptharb.losses import _plan, value_and_grad
 from deptharb.metrics import FocrResult, LayoutMiou, MetricReport, PairFocr
 
 from conftest import dyadic_field
+from reference import from_maps, mask_iou, pseudo_segment, rasterize_mask, threshold_mask
 
 
 def box_indicator_field(scene: SceneSpec, amplitudes=None) -> AttentionField:
@@ -33,7 +30,7 @@ def box_indicator_field(scene: SceneSpec, amplitudes=None) -> AttentionField:
     for k, obj in enumerate(scene.objects):
         amp = 1.0 if amplitudes is None else amplitudes[k]
         maps.append(amp * rasterize_mask(obj.bbox, scene.grid_height, scene.grid_width))
-    return AttentionField.from_maps(maps)
+    return from_maps(maps)
 
 
 class TestMaskIou:
@@ -73,7 +70,7 @@ class TestLayoutMiou:
             objects=(SceneObject(id=0, label="", bbox=(0.5, 0.5, 1.0, 1.0), depth=0.5),),
         )
         values = rasterize_mask((0.0, 0.0, 0.4, 0.4), 16, 16)
-        result = layout_miou(AttentionField.from_maps([values]), scene, 0.5)
+        result = layout_miou(from_maps([values]), scene, 0.5)
         assert result.per_object[0] == 0.0
 
     def test_half_coverage(self):
@@ -84,7 +81,7 @@ class TestLayoutMiou:
         )
         # attention covers only the left half of the box
         values = rasterize_mask((0.0, 0.25, 0.5, 0.75), 16, 16)
-        result = layout_miou(AttentionField.from_maps([values]), scene, 0.5)
+        result = layout_miou(from_maps([values]), scene, 0.5)
         box = rasterize_mask(scene.objects[0].bbox, 16, 16)
         expected = np.sum((values > 0) & (box > 0)) / np.sum((values > 0) | (box > 0))
         assert result.per_object[0] == expected == 0.5
@@ -126,7 +123,7 @@ class TestLayoutMiou:
         )
         rng = np.random.default_rng(13)
         values = rng.uniform(0.5, 2.0, size=(16, 16))  # strictly positive
-        result = layout_miou(AttentionField.from_maps([values]), scene, 1e-9)
+        result = layout_miou(from_maps([values]), scene, 1e-9)
         box = rasterize_mask(scene.objects[0].bbox, 16, 16)
         assert result.per_object[0] == box.sum() / (16 * 16)
 

@@ -329,9 +329,8 @@ class TestSingleRenderLoop:
 
             return wrapper
 
-        monkeypatch.setattr(
-            deptharb.surrogate, "_blob_map", counting("blob_map", deptharb.surrogate._blob_map)
-        )
+        blob = deptharb.surrogate._Blob
+        monkeypatch.setattr(blob, "render", counting("render", blob.render))
         real_centers = deptharb.scene.pixel_centers
         for name, module in list(sys.modules.items()):
             if name == "deptharb" or name.startswith("deptharb."):
@@ -343,7 +342,7 @@ class TestSingleRenderLoop:
             counts.clear()
             cfg = GuidanceConfig(total_steps=steps, eta0=0.5)
             run_guidance(two_object_scene, cfg, init_latent(two_object_scene, "blob", seed=1))
-            assert counts["blob_map"] == 2 * (steps + 1)
+            assert counts["render"] == steps + 1
             grids.append(counts["pixel_centers"])
         # the blob surrogate and the plan read the centres, once per run
         assert grids[0] == grids[1] > 0

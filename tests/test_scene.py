@@ -16,11 +16,11 @@ from deptharb import (
     SceneSpec,
     derive_occlusion_pairs,
     parse_scene,
-    rasterize_mask,
 )
 from deptharb.scene import box_span, parse_scene_with_config
 
 from conftest import scene_file_text
+from reference import rasterize_mask
 
 
 class TestParseScene:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deptharb import (
     GuidanceConfig,
@@ -17,11 +19,14 @@ from deptharb import (
     derive_occlusion_pairs,
     grad_staged_loss,
     init_latent,
-    normalize_map,
     render_attention,
     spatial_mean,
     staged_loss,
 )
+from deptharb.gradcheck import _blob_map
+from deptharb.surrogate import _Blob
+
+from reference import normalize_map
 
 
 def one_blob_scene(bbox=(0.2, 0.2, 0.6, 0.6), grid: int = 9) -> SceneSpec:
@@ -163,6 +168,93 @@ class TestBackprop:
         latent = init_latent(two_object_scene, "blob", seed=0)
         with pytest.raises(SurrogateError):
             backprop_to_latent(latent, two_object_scene, np.zeros((2, 4, 4)))
+
+
+TINY = np.finfo(np.float64).tiny
+
+
+@st.composite
+def blob_states(draw):
+    """A K-object blob latent on an H != W grid, centres off the canvas, any sigma
+    in [1e-3, 10] and log-amplitudes up to 709, with a seed for dL/dA."""
+    k = draw(st.integers(1, 5))
+    height = draw(st.integers(2, 40))
+    width = draw(st.integers(2, 40).filter(lambda w: w != height))
+    centre = st.floats(-0.5, 1.5)
+    log_sigma = st.floats(math.log(1e-3), math.log(10.0))
+    values = np.array(
+        [
+            [draw(centre), draw(centre), draw(log_sigma), draw(log_sigma), draw(st.floats(-50.0, 709.0))]
+            for _ in range(k)
+        ]
+    )
+    objects = tuple(SceneObject(id=i, label="", bbox=(0.0, 0.0, 1.0, 1.0), depth=0.5) for i in range(k))
+    return SceneSpec(grid_height=height, grid_width=width, objects=objects), values, draw(st.integers(0, 2**32 - 1))
+
+
+def five_sums(values, maps, grad, coords, mag=lambda a: a):
+    """The per-object dense chain rule: dL/dA * A contracted against dx, dy, dx^2, dy^2 and 1.
+
+    With mag=np.abs it gives the sums of absolute terms, the scale of each partial.
+    """
+    out = np.zeros_like(values)
+    for i in range(len(values)):
+        cx, cy, lsx, lsy, _ = values[i]
+        sx = np.exp(lsx)
+        sy = np.exp(lsy)
+        ga = mag(grad[i] * maps[i])
+        dx = mag(coords.x - cx)
+        dy = mag(coords.y - cy)
+        out[i, 0] = (ga * dx).sum() / sx**2
+        out[i, 1] = (ga * dy).sum() / sy**2
+        out[i, 2] = (ga * dx**2).sum() / sx**2
+        out[i, 3] = (ga * dy**2).sum() / sy**2
+        out[i, 4] = ga.sum()
+    return out
+
+
+class TestSeparableBlob:
+    """The rank-one render and its two contractions against the dense definitions."""
+
+    @given(blob_states())
+    @settings(max_examples=300)
+    def test_render_matches_the_literal_blob_map(self, state):
+        scene, values, _ = state
+        maps = _Blob(scene).render(values)
+        coords = coord_grid(scene.grid_height, scene.grid_width)
+        for k, params in enumerate(values):
+            literal = _blob_map(params, coords.x, coords.y)
+            # the literal's unit-amplitude exp(-(u + v)) must be normal too:
+            # a subnormal one has lost the precision the amplitude scales up
+            unit = _blob_map(np.append(params[:4], 0.0), coords.x, coords.y)
+            normal = (literal >= TINY) & (unit >= TINY)
+            # the literal squares sigma with a scalar power, which can differ
+            # from x * x by an ulp, and rounds u + v; exp turns those ulps of
+            # the exponent u + v <= 708 into relative error (u + v) * 2^-51
+            exponent = -np.log(unit[normal])
+            err = np.abs(maps[k] - literal)[normal]
+            assert (err <= (1e-13 + exponent * 2.0**-51) * literal[normal]).all()
+
+    @given(blob_states())
+    @settings(max_examples=300)
+    def test_chain_matches_the_dense_five_sums(self, state):
+        scene, values, seed = state
+        blob = _Blob(scene)
+        maps = blob.render(values)
+        coords = coord_grid(scene.grid_height, scene.grid_width)
+        # scaled so that no dense product overflows at an amplitude of e^709
+        grad = np.random.default_rng(seed).uniform(-1.0, 1.0, maps.shape) * 2.0**-12
+        got = blob.chain(values, maps, grad)
+        want = five_sums(values, maps, grad, coords)
+        scale = five_sums(values, maps, grad, coords, mag=np.abs)
+        # a factor product in the subnormal range is off by up to 2^-1075,
+        # which the amplitude and a partial's 1 / sigma^2 scale; per pixel,
+        # with a 32x margin
+        sx2, sy2 = np.exp(values[:, 2]) ** 2, np.exp(values[:, 3]) ** 2
+        amp = np.maximum(1.0, np.exp(values[:, 4]))
+        subnormal = 2.0**-1070 * maps[0].size * (1 + 1 / sx2 + 1 / sy2) * amp
+        assert np.isfinite(want).all()
+        assert (np.abs(got - want) <= 1e-12 * scale + subnormal[:, None]).all()
 
 
 class TestEndToEndGradients:
