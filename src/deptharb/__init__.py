@@ -6,7 +6,7 @@ orthogonality, spatial compactness) drive a two-stage gradient-descent loop;
 metrics score the result.  Everything is deterministic given a seed.
 """
 
-from .attention import AttentionError, AttentionField, NONE_ID
+from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import (
     CoordGrid,
@@ -22,7 +22,6 @@ from .gradcheck import (
 from .losses import (
     LossBreakdown,
     arbitration_weight,
-    grad_staged_loss,
     staged_loss,
     staged_total,
 )
@@ -30,6 +29,7 @@ from .metrics import (
     FocrResult,
     LayoutMiou,
     MetricReport,
+    NONE_ID,
     build_metric_report,
     focr,
     layout_miou,
@@ -56,7 +56,6 @@ from .scene import (
 from .surrogate import (
     LatentState,
     SurrogateError,
-    backprop_to_latent,
     init_latent,
     render_attention,
 )

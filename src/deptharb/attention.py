@@ -1,21 +1,16 @@
-"""Attention-map containers and primitive transforms.
+"""Attention-map containers and their validation.
 
 An attention map is a non-negative float64 grid; a field is one map per
-scene object, all sharing the same dimensions.  The two rules here, the
-per-pixel winner assignment and relative thresholding, are what the
-metrics read.
+scene object, all sharing the same dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .scene import SceneSpec
-
-NONE_ID = -1  # _winners value for pixels where every map is zero
 
 
 class AttentionError(ValueError):
@@ -58,12 +53,6 @@ class AttentionField:
     def __getitem__(self, k: int) -> np.ndarray:
         return self.maps[k]
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.maps)
-
-    def scaled(self, factor: float) -> "AttentionField":
-        return AttentionField(maps=self.maps * factor)
-
 
 def check_alignment(field: AttentionField, scene: SceneSpec) -> None:
     """Ensure a field is index-aligned with a scene's objects and grid."""
@@ -76,25 +65,3 @@ def check_alignment(field: AttentionField, scene: SceneSpec) -> None:
             f"field is {field.height}x{field.width}, scene grid is "
             f"{scene.grid_height}x{scene.grid_width}"
         )
-
-
-def _winners(maps: np.ndarray, scene: SceneSpec) -> np.ndarray:
-    """Per-pixel winner of any (K, h, w) stack of the scene's maps: ties go to
-    smaller depth, then smaller id; pixels where every map is zero get NONE_ID."""
-    peak = maps.max(axis=0)
-    winners = np.full(peak.shape, NONE_ID, dtype=np.int64)
-    # worst tie rank first, so the best map reaching the peak writes last
-    for k, obj in sorted(enumerate(scene.objects), key=lambda ko: (ko[1].depth, ko[1].id), reverse=True):
-        winners[maps[k] == peak] = obj.id
-    winners[peak == 0.0] = NONE_ID
-    return winners
-
-
-def _above_threshold(arr: np.ndarray, rel_threshold: float) -> np.ndarray:
-    """Boolean mask of a valid map's entries >= rel_threshold times its maximum (none if all zero)."""
-    if not 0.0 < rel_threshold <= 1.0:
-        raise AttentionError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
-    peak = arr.max()
-    if peak == 0.0:
-        return np.zeros(arr.shape, dtype=bool)
-    return arr >= rel_threshold * peak

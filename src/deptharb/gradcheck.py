@@ -3,8 +3,10 @@
 The oracle owns the literal definition of every loss term, on the pixel
 centres of `coord_grid`, the box masks of `scene_masks` and the blob map
 of `_blob_map`.  From the rest of the package it reads only the scene's
-boxes, pairs and pixel centres, lambda_ij, the surrogate's render of the
-base state and the two gradients it checks.
+boxes, pairs and pixel centres, lambda_ij, and the run loop's own sequence
+on the base state: one surrogate renders the field, `value_and_grad` on a
+`_plan` gives dL/dA and the same surrogate's `chain` gives dL/dz, the two
+gradients it checks.
 
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
@@ -42,9 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import _pair_weights, grad_staged_loss
+from .attention import AttentionField
+from .losses import _pair_weights, _plan, value_and_grad
 from .scene import GuidanceConfig, SceneSpec, box_indicators, derive_occlusion_pairs, pixel_centers
-from .surrogate import LatentState, backprop_to_latent, init_latent, render_attention
+from .surrogate import LatentState, _check_match, _surrogate, init_latent
 
 LONG = np.longdouble
 FD_STEP = 1e-6
@@ -321,12 +324,16 @@ def check_gradients(
     rng = np.random.default_rng(seed)
     if latent is None:
         latent = init_latent(scene, mode, seed)
-    field_ = render_attention(latent, scene)
+    # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between
+    _check_match(latent, scene)
+    surrogate = _surrogate(scene, mode)
+    field_ = AttentionField(maps=surrogate.render(latent.values))
     terms = _object_terms(scene, cfg)
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
     h = LONG(FD_STEP)
-    grad_att = grad_staged_loss(field_, scene, derive_occlusion_pairs(scene), cfg, stage)
-    grad_lat = backprop_to_latent(latent, scene, grad_att)
+    grad_att = value_and_grad(field_.maps, _plan(scene, derive_occlusion_pairs(scene), cfg), stage)[1]
+    # a copy: the raster chain writes over the gradient it is given
+    grad_lat = surrogate.chain(grad_att.copy())
     k_count, height, width = field_.maps.shape
 
     def draw() -> tuple[int, int, int]:

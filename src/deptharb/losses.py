@@ -16,7 +16,9 @@ gradient but still reports it diagnostically.
 
 This module holds the one production definition of the objective: one
 kernel, `value_and_grad`, produces the values and the gradient together
-from a per-run `_Plan`; the derivations live in its docstring.  Gradients
+from a per-run `_Plan`; the derivations live in its docstring.  The run
+loop and `gradcheck` call it directly; `staged_loss` is its values-only
+view for scoring and for callers outside the package.  Gradients
 are hand-derived closed forms rather than autodiff, and the literal term
 definitions they are checked against live apart, in `gradcheck`, so the
 finite-difference oracle is a genuinely independent check.
@@ -329,18 +331,3 @@ def staged_loss(
     check_alignment(field, scene)
     return _values(field.maps, _plan(scene, pairs, cfg), stage)[0]
 
-
-def grad_staged_loss(
-    field: AttentionField,
-    scene: SceneSpec,
-    pairs: Sequence[OcclusionPair],
-    cfg: GuidanceConfig,
-    stage: int,
-) -> np.ndarray:
-    """Analytic d(total)/dA for every map entry, shape (K, H, W).
-
-    Matches central finite differences of staged_loss; the ortho component is
-    identically absent in stage 2.
-    """
-    check_alignment(field, scene)
-    return value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[1]

@@ -8,7 +8,9 @@ are.
 
 Both read only box rectangles, the slices [r0:r1, c0:c1] of `box_span`:
 mIoU counts over each box, FOCR takes winners over each pair's intersection
-rectangle.  The values are those of the full-mask definitions.
+rectangle.  The values are those of the full-mask definitions.  The two
+pixel rules they apply, relative thresholding (`_above_threshold`) and the
+per-pixel winner (`_winners`), live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -18,11 +20,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionField, _above_threshold, _winners, check_alignment
+from .attention import AttentionError, AttentionField, check_alignment
 from .losses import LossBreakdown, staged_loss
 from .scene import GuidanceConfig, OcclusionPair, SceneSpec, box_span, derive_occlusion_pairs
 
 DEFAULT_REL_THRESHOLD = 0.5
+NONE_ID = -1  # _winners value for pixels where every map is zero
+
+
+def _winners(maps: np.ndarray, scene: SceneSpec) -> np.ndarray:
+    """Per-pixel winner of any (K, h, w) stack of the scene's maps: ties go to
+    smaller depth, then smaller id; pixels where every map is zero get NONE_ID."""
+    peak = maps.max(axis=0)
+    winners = np.full(peak.shape, NONE_ID, dtype=np.int64)
+    # worst tie rank first, so the best map reaching the peak writes last
+    for k, obj in sorted(enumerate(scene.objects), key=lambda ko: (ko[1].depth, ko[1].id), reverse=True):
+        winners[maps[k] == peak] = obj.id
+    winners[peak == 0.0] = NONE_ID
+    return winners
+
+
+def _above_threshold(arr: np.ndarray, rel_threshold: float) -> np.ndarray:
+    """Boolean mask of a valid map's entries >= rel_threshold times its maximum (none if all zero)."""
+    if not 0.0 < rel_threshold <= 1.0:
+        raise AttentionError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
+    peak = arr.max()
+    if peak == 0.0:
+        return np.zeros(arr.shape, dtype=bool)
+    return arr >= rel_threshold * peak
 
 
 @dataclass(frozen=True)

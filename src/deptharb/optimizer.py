@@ -145,7 +145,7 @@ def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) ->
             if last:
                 break
             _check_finite(grad, t, "gradient")
-            latent_grad = surrogate.chain(z, maps, grad)
+            latent_grad = surrogate.chain(grad)
             _check_finite(latent_grad, t, "latent gradient")
             # z - eta * g, rounded as written, through the gradient's own buffer
             np.multiply(latent_grad, eta, out=latent_grad)

@@ -10,7 +10,10 @@ Two parametrizations:
   centers.  Log-parametrized scales keep positivity without constraints.
   Such a Gaussian is rank one, amp * g_y (x) g_x, so it renders from
   K * (H + W) one-dimensional exponentials, and its chain rule is two small
-  contractions of dL/dA against those 1-D factors (see backprop_to_latent).
+  contractions of dL/dA against those 1-D factors (see `_Blob.chain`).
+
+Each mode is a class, built once per run, with `render(values)` and
+`chain(grad)`; the run loop and `gradcheck` both drive that one pair.
 
 Rendered values are strictly positive for finite latents (down to double
 underflow for extremely narrow blobs).
@@ -26,6 +29,7 @@ from .attention import AttentionField
 from .scene import SceneSpec, pixel_centers
 
 MODES = ("raster", "blob")
+JITTER = 0.05  # half-width of the uniform jitter on initial blob centres
 
 
 class SurrogateError(ValueError):
@@ -67,13 +71,12 @@ def _check_match(latent: LatentState, scene: SceneSpec) -> None:
             )
 
 
-def init_latent(scene: SceneSpec, mode: str, seed: int, jitter: float = 0.05) -> LatentState:
+def init_latent(scene: SceneSpec, mode: str, seed: int) -> LatentState:
     """Seeded deterministic initialization.
 
     raster: logits i.i.d. uniform in [-1, 1].  blob: centers at box centers
-    (plus uniform jitter of +/- `jitter`), sigmas at a quarter of the box
-    extent, amplitude 1.  jitter=0 gives the seed-independent deterministic
-    variant.
+    (plus uniform jitter of +/- JITTER), sigmas at a quarter of the box
+    extent, amplitude 1.
     """
     rng = np.random.default_rng(seed)
     k = len(scene.objects)
@@ -89,7 +92,7 @@ def init_latent(scene: SceneSpec, mode: str, seed: int, jitter: float = 0.05) ->
         values[i, 2] = np.log((x1 - x0) / 4.0)
         values[i, 3] = np.log((y1 - y0) / 4.0)
         values[i, 4] = 0.0
-    values[:, 0:2] += rng.uniform(-1.0, 1.0, size=(k, 2)) * jitter
+    values[:, 0:2] += rng.uniform(-1.0, 1.0, size=(k, 2)) * JITTER
     return LatentState(mode=mode, values=values)
 
 
@@ -106,10 +109,9 @@ class _Raster:
     def render(self, values: np.ndarray) -> np.ndarray:
         return np.exp(values, out=self.maps)
 
-    @staticmethod
-    def chain(values: np.ndarray, maps: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """dL/dlogit = dL/dA * A, written over grad."""
-        grad *= maps
+    def chain(self, grad: np.ndarray) -> np.ndarray:
+        """dL/dlogit = dL/dA * A (A = exp(logit)), from the last render, written over grad."""
+        grad *= self.maps
         return grad
 
 
@@ -140,14 +142,23 @@ class _Blob:
         self._factors = (gx, dx / sx, sx[:, 0], gy, dy / sy, sy[:, 0])
         return self.maps
 
-    def chain(self, values: np.ndarray, maps: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """The five partials of backprop_to_latent, from the factors of the last render.
+    def chain(self, grad: np.ndarray) -> np.ndarray:
+        """dL/d(cx, cy, lsx, lsy, la) from dL/dA, on the factors of the last render.
 
-        `values` and `maps` are that render's input and output; the blob
-        reads its factors instead.  The weights use u = dx / sx and
-        v = dy / sy, so g * u and g * u^2 stay below the peak of g for any
-        sigma, and the centre partials take their 1 / sigma after the
-        contraction.
+        With u = (x - cx)/sx, v = (y - cy)/sy and A the rendered map,
+            dA/dcx = A * u / sx = A * (x - cx) / sx^2    dA/dlsx = A * u^2
+            dA/dcy = A * v / sy = A * (y - cy) / sy^2    dA/dlsy = A * v^2
+            dA/dla = A
+        (the log_sigma forms absorb the sigma chain factor d(sigma)/d(log_sigma)
+        = sigma), each contracted against dL/dA over the grid.  The map is rank
+        one, A = g_y (x) g_x with g_y = exp(la) * exp(-v^2 / 2) and
+        g_x = exp(-u^2 / 2), so the five sums come from two small products per
+        object: t = [g_y, g_y v, g_y v^2] @ dL/dA, (3, H) against (H, W), then
+        r = t @ [g_x, g_x u, g_x u^2], (3, W) against (W, 3).  Entry (i, j) of r
+        is the sum of dL/dA * A * v^i * u^j, so the partials are r[0, 1] / sx,
+        r[1, 0] / sy, r[0, 2], r[2, 0] and r[0, 0].  Weighting by u and v rather
+        than dx and dy keeps g * u and g * u^2 below the peak of g for any sigma;
+        the centre partials take their 1 / sigma after the contraction.
         """
         gx, u, sx, gy, v, sy = self._factors
         # t[k, i, x] = sum_y (g_y, g_y v, g_y v^2)[k, i, y] * dL/dA[k, y, x]
@@ -165,33 +176,3 @@ def render_attention(latent: LatentState, scene: SceneSpec) -> AttentionField:
     """Render the full field from the latent state."""
     _check_match(latent, scene)
     return AttentionField(maps=_surrogate(scene, latent.mode).render(latent.values))
-
-
-def backprop_to_latent(
-    latent: LatentState, scene: SceneSpec, grad_field: np.ndarray
-) -> np.ndarray:
-    """Chain attention-space gradients back to the latent parameters.
-
-    raster: dL/dlogit = dL/dA * A (A = exp(logit)).
-
-    blob: with u = (x - cx)/sx, v = (y - cy)/sy and A the rendered map,
-        dA/dcx = A * u / sx = A * (x - cx) / sx^2    dA/dlsx = A * u^2
-        dA/dcy = A * v / sy = A * (y - cy) / sy^2    dA/dlsy = A * v^2
-        dA/dla = A
-    (the log_sigma forms absorb the sigma chain factor d(sigma)/d(log_sigma)
-    = sigma), each contracted against dL/dA over the grid.  The map is rank
-    one, A = g_y (x) g_x with g_y = exp(la) * exp(-v^2 / 2) and
-    g_x = exp(-u^2 / 2), so the five sums come from two small products per
-    object: t = [g_y, g_y v, g_y v^2] @ dL/dA, (3, H) against (H, W), then
-    r = t @ [g_x, g_x u, g_x u^2], (3, W) against (W, 3).  Entry (i, j) of r
-    is the sum of dL/dA * A * v^i * u^j, so the partials are r[0, 1] / sx,
-    r[1, 0] / sy, r[0, 2], r[2, 0] and r[0, 0].
-    """
-    _check_match(latent, scene)
-    expected = (len(scene.objects), scene.grid_height, scene.grid_width)
-    if np.shape(grad_field) != expected:
-        raise SurrogateError(f"grad shape {np.shape(grad_field)} != field shape {expected}")
-    surrogate = _surrogate(scene, latent.mode)
-    maps = surrogate.render(latent.values)
-    # a copy: the raster chain rule overwrites the gradient it is given
-    return surrogate.chain(latent.values, maps, np.array(grad_field, dtype=np.float64))

@@ -1,7 +1,7 @@
 """Full-mask reference definitions the tests compare the production paths against.
 
 Scoring reads box rectangles (`scene.box_span`) and the private rules
-`attention._winners` and `attention._above_threshold`; these helpers spell
+`metrics._winners` and `metrics._above_threshold`; these helpers spell
 the same quantities out over whole (H, W) masks and fields, so a test can
 check that the sliced production values equal the full-mask definitions.
 """
@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from deptharb import AttentionError, AttentionField, SceneSpec
-from deptharb.attention import _above_threshold, _checked, _winners, check_alignment
+from deptharb.attention import _checked, check_alignment
+from deptharb.metrics import _above_threshold, _winners
 from deptharb.scene import box_indicators
 
 

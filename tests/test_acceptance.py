@@ -14,6 +14,7 @@ import numpy as np
 import deptharb as d
 from deptharb.cli import main as cli_main
 from deptharb.gradcheck import scene_masks
+from deptharb.losses import _plan, value_and_grad
 
 from conftest import dyadic_field, random_scene, scene_file_text
 from reference import normalize_map, pseudo_segment
@@ -140,8 +141,8 @@ class TestAcceptance:
         rng = np.random.default_rng(7)
         field = d.AttentionField(maps=rng.uniform(0.1, 2.0, (2, 64, 64)))
         pairs = d.derive_occlusion_pairs(scene)
-        g_with = d.grad_staged_loss(field, scene, pairs, cfg, 2)
-        g_without = d.grad_staged_loss(field, scene, [], cfg, 2)
+        g_with = value_and_grad(field.maps, _plan(scene, pairs, cfg), 2)[1]
+        g_without = value_and_grad(field.maps, _plan(scene, [], cfg), 2)[1]
         ortho_grad_zero = np.array_equal(g_with, g_without)
 
         ok = total_error <= 1e-12 and bd.ortho > 0 and ortho_grad_zero
@@ -226,7 +227,7 @@ class TestAcceptance:
     def test_scaling_properties(self, two_object_scene):
         scene = two_object_scene
         field = dyadic_field((2, 16, 16), seed=99)
-        tripled = field.scaled(3.0)
+        tripled = d.AttentionField(maps=field.maps * 3.0)
         pairs = d.derive_occlusion_pairs(scene)
 
         seg_equal = np.array_equal(

@@ -94,7 +94,7 @@ class TestPseudoSegment:
         scene = _scene()
         base = pseudo_segment(field, scene)
         for c in (0.5, 2.0, 4.0):
-            assert np.array_equal(base, pseudo_segment(field.scaled(c), scene))
+            assert np.array_equal(base, pseudo_segment(AttentionField(maps=field.maps * c), scene))
 
 
 class TestThresholdMask:

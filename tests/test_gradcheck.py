@@ -34,6 +34,7 @@ from deptharb.gradcheck import (
     spatial_mean,
     spatial_variance,
 )
+from deptharb.surrogate import _Blob, _Raster
 
 from conftest import scene_file_text
 
@@ -243,13 +244,31 @@ class TestBroadcastCentres:
         assert np.array_equal(blob, _blob_map(params, full.x, full.y))
 
 
-def _skew(fn, k: int, factor: float):
-    def skewed(*args):
-        out = np.array(fn(*args), dtype=np.float64)
-        out[k] *= factor
-        return out
+def _scaled(grad, k: int, factor: float) -> np.ndarray:
+    out = np.array(grad, dtype=np.float64)
+    out[k] *= factor
+    return out
 
-    return skewed
+
+def _skew_attention(monkeypatch, k: int, factor: float) -> None:
+    """The kernel's gradient of object k, and nothing else, off by `factor`."""
+    real = gradcheck.value_and_grad
+
+    def skewed(*args):
+        breakdown, grad = real(*args)
+        return breakdown, _scaled(grad, k, factor)
+
+    monkeypatch.setattr(gradcheck, "value_and_grad", skewed)
+
+
+def _skew_latent(monkeypatch, k: int, factor: float) -> None:
+    """Both surrogates' chain rule for object k off by `factor`."""
+    for cls in (_Raster, _Blob):
+        real = cls.chain
+        monkeypatch.setattr(cls, "chain", lambda self, grad, real=real: _scaled(real(self, grad), k, factor))
+
+
+SKEWS = {"attention": _skew_attention, "latent": _skew_latent}
 
 
 class TestNegativeControl:
@@ -257,7 +276,7 @@ class TestNegativeControl:
 
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_wrong_attention_gradient_is_reported(self, monkeypatch, mode):
-        monkeypatch.setattr(gradcheck, "grad_staged_loss", _skew(gradcheck.grad_staged_loss, 0, 1 + 1e-3))
+        _skew_attention(monkeypatch, 0, 1 + 1e-3)
         result = check_gradients(canonical_scene(), GuidanceConfig(), mode, 1, seed=2, samples=100)
         failed = {(r.space, r.object_index) for r in result.failures}
         assert ("attention", 0) in failed
@@ -265,19 +284,47 @@ class TestNegativeControl:
 
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_wrong_latent_gradient_is_reported(self, monkeypatch, mode):
-        monkeypatch.setattr(
-            gradcheck, "backprop_to_latent", _skew(gradcheck.backprop_to_latent, 1, 1 - 1e-3)
-        )
+        _skew_latent(monkeypatch, 1, 1 - 1e-3)
         result = check_gradients(canonical_scene(), GuidanceConfig(), mode, 2, seed=2, samples=100)
         assert result.failures
         assert {(r.space, r.object_index) for r in result.failures} == {("latent", 1)}
 
-    @pytest.mark.parametrize("target", ["grad_staged_loss", "backprop_to_latent"])
+    @pytest.mark.parametrize("space", ["attention", "latent"])
     @pytest.mark.parametrize("mode", ["raster", "blob"])
-    def test_grad_check_exits_3(self, monkeypatch, capsys, target, mode):
-        monkeypatch.setattr(gradcheck, target, _skew(getattr(gradcheck, target), 0, 1 + 1e-3))
+    def test_grad_check_exits_3(self, monkeypatch, capsys, space, mode):
+        SKEWS[space](monkeypatch, 0, 1 + 1e-3)
         assert main(["grad-check", "--mode", mode, "--samples", "60", "--seed", "1"]) == 3
         assert "FAILURES" in capsys.readouterr().out
+
+
+class TestRunLoopSequence:
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_one_surrogate_renders_once_and_chains_that_render(self, monkeypatch, mode):
+        # per surrogate built: its render calls, and the render count each chain call saw
+        built = []
+        real = gradcheck._surrogate
+
+        def counting(scene, mode_):
+            surrogate = real(scene, mode_)
+            calls = {"render": 0, "chain": []}
+            render, chain = surrogate.render, surrogate.chain
+
+            def counted_render(values):
+                calls["render"] += 1
+                return render(values)
+
+            def counted_chain(grad):
+                calls["chain"].append(calls["render"])
+                return chain(grad)
+
+            surrogate.render, surrogate.chain = counted_render, counted_chain
+            built.append(calls)
+            return surrogate
+
+        monkeypatch.setattr(gradcheck, "_surrogate", counting)
+        result = check_gradients(canonical_scene(), GuidanceConfig(), mode, 1, seed=2, samples=50)
+        assert result.passed
+        assert built == [{"render": 1, "chain": [1]}]
 
 
 class TestPrecisionFallback:

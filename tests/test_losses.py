@@ -21,7 +21,6 @@ from deptharb import (
     check_gradients,
     coord_grid,
     derive_occlusion_pairs,
-    grad_staged_loss,
     interference,
     spatial_mean,
     spatial_variance,
@@ -29,11 +28,17 @@ from deptharb import (
     staged_total,
 )
 from deptharb.gradcheck import scene_masks
+from deptharb.losses import _plan, value_and_grad
 
 from conftest import random_field_latent, random_scene
 
 EPS = 1e-8
 CFG = GuidanceConfig()
+
+
+def kernel_grad(field, scene, pairs, cfg, stage):
+    """d(total)/dA of a field: `value_and_grad` on a fresh plan."""
+    return value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[1]
 
 
 def brute_force_variance(values: np.ndarray, epsilon: float) -> float:
@@ -341,8 +346,6 @@ class TestStagedLoss:
     def test_value_only_pass_is_the_kernel_breakdown_bit_for_bit(self, canonical, stage):
         from dataclasses import fields
 
-        from deptharb.losses import _plan, value_and_grad
-
         field = AttentionField(maps=np.random.default_rng(41).uniform(0, 2, (2, 64, 64)))
         pairs = derive_occlusion_pairs(canonical)
         got = staged_loss(field, canonical, pairs, CFG, stage)
@@ -378,8 +381,6 @@ class TestPlanScratch:
         assert len(calls) == 2
 
     def test_gradient_is_the_plans_buffer(self, canonical):
-        from deptharb.losses import _plan, value_and_grad
-
         pairs = derive_occlusion_pairs(canonical)
         plan = _plan(canonical, pairs, CFG)
         rng = np.random.default_rng(5)
@@ -388,14 +389,14 @@ class TestPlanScratch:
         second = value_and_grad(fields[1].maps, plan, 2)[1]
         # the next call overwrites the buffer the last one returned
         assert second is first and first is plan.grad
-        assert np.array_equal(second, grad_staged_loss(fields[1], canonical, pairs, CFG, 2))
+        assert np.array_equal(second, kernel_grad(fields[1], canonical, pairs, CFG, 2))
 
     def test_public_gradient_is_the_callers_own(self, canonical):
         pairs = derive_occlusion_pairs(canonical)
         field = AttentionField(maps=np.random.default_rng(6).uniform(0, 2, (2, 64, 64)))
-        first = grad_staged_loss(field, canonical, pairs, CFG, 1)
+        first = kernel_grad(field, canonical, pairs, CFG, 1)
         kept = first.copy()
-        second = grad_staged_loss(field, canonical, pairs, CFG, 2)
+        second = kernel_grad(field, canonical, pairs, CFG, 2)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
@@ -405,8 +406,8 @@ class TestGradients:
         rng = np.random.default_rng(41)
         field = AttentionField(maps=rng.uniform(0, 2, (2, 16, 16)))
         pairs = [OcclusionPair(0, 1)]
-        with_pairs = grad_staged_loss(field, two_object_scene, pairs, CFG, 2)
-        without = grad_staged_loss(field, two_object_scene, [], CFG, 2)
+        with_pairs = kernel_grad(field, two_object_scene, pairs, CFG, 2)
+        without = kernel_grad(field, two_object_scene, [], CFG, 2)
         assert np.array_equal(with_pairs, without)
 
     def test_worked_alignment_gradient_against_fd(self):
@@ -415,7 +416,7 @@ class TestGradients:
         scene = one_object_scene(depth=1.0)
         field = AttentionField(maps=np.ones((1, 4, 4)))
         cfg = CFG.updated(lambda_compact=0.0)  # isolate the alignment term
-        g = grad_staged_loss(field, scene, [], cfg, 1)
+        g = kernel_grad(field, scene, [], cfg, 1)
         mask = scene_masks(scene)[0]
         in_box = mask == 1.0
         assert g[0][in_box] == pytest.approx(-0.0703125, abs=1e-7)
@@ -446,7 +447,7 @@ class TestGradients:
         # lambda_ij * lambda_ortho == 1 so the pair term contributes the raw
         # interference gradient M_i / (sum M_i + eps)
         cfg = CFG.updated(lambda0=1.0 / math.exp(0.4), lambda_ortho=1.0)
-        diff = grad_staged_loss(field, scene, pairs, cfg, 1) - grad_staged_loss(
+        diff = kernel_grad(field, scene, pairs, cfg, 1) - kernel_grad(
             field, scene, [], cfg, 1
         )
         mask = scene_masks(scene)[0]
@@ -465,7 +466,7 @@ class TestGradients:
         )
         rng = np.random.default_rng(67)
         field = AttentionField(maps=rng.uniform(0.1, 2, (2, 8, 8)))
-        g = grad_staged_loss(field, scene, [], CFG, 1)
+        g = kernel_grad(field, scene, [], CFG, 1)
         assert (g[0] == 0.0).all()
         assert (g[1] != 0.0).any()
 
@@ -474,15 +475,15 @@ class TestGradients:
         field = AttentionField(maps=rng.uniform(0, 2, (2, 16, 16)))
         pairs = [OcclusionPair(0, 1)]
         base = CFG
-        g_align = grad_staged_loss(field, two_object_scene, [], base.updated(lambda_compact=0.0), 1)
-        g_align_ortho = grad_staged_loss(field, two_object_scene, pairs, base.updated(lambda_compact=0.0), 1)
-        g_full = grad_staged_loss(field, two_object_scene, pairs, base, 1)
+        g_align = kernel_grad(field, two_object_scene, [], base.updated(lambda_compact=0.0), 1)
+        g_align_ortho = kernel_grad(field, two_object_scene, pairs, base.updated(lambda_compact=0.0), 1)
+        g_full = kernel_grad(field, two_object_scene, pairs, base, 1)
         g_ortho_part = g_align_ortho - g_align
         g_compact_part = g_full - g_align_ortho
         recombined = g_align + g_ortho_part + g_compact_part
         assert np.abs(recombined - g_full).max() <= 1e-12
         # stage 2 drops exactly the ortho part
-        g_stage2 = grad_staged_loss(field, two_object_scene, pairs, base, 2)
+        g_stage2 = kernel_grad(field, two_object_scene, pairs, base, 2)
         assert np.abs((g_full - g_ortho_part) - g_stage2).max() <= 1e-12
 
 
@@ -571,7 +572,7 @@ class TestFusedKernel:
         # the largest entry for the gradient
         scene, pairs, field, cfg, stage = case
         bd = staged_loss(field, scene, pairs, cfg, stage)
-        grad = grad_staged_loss(field, scene, pairs, cfg, stage)
+        grad = kernel_grad(field, scene, pairs, cfg, stage)
         ref, ref_grad = reference_loss_and_grad(field, scene, pairs, cfg, stage)
         mass = field.maps.sum(axis=(1, 2))
         scales = {"e_in": mass, "e_out": mass}
@@ -611,7 +612,7 @@ class TestScalingInvariants:
         field = AttentionField(maps=rng.uniform(0.5, 2, (2, 16, 16)))
         f1 = staged_loss(field, two_object_scene, [], CFG, 1).f
         for c in (3.0, 10.0):
-            fc = staged_loss(field.scaled(c), two_object_scene, [], CFG, 1).f
+            fc = staged_loss(AttentionField(maps=field.maps * c), two_object_scene, [], CFG, 1).f
             for k in range(2):
                 assert abs(fc[k] - f1[k]) <= EPS / field.maps[k].sum()
 
@@ -631,7 +632,7 @@ class TestScalingInvariants:
         field = AttentionField(maps=rng.uniform(0.5, 2, (2, 16, 16)))
         var1 = staged_loss(field, two_object_scene, [], CFG, 1).var
         for c in (3.0, 10.0):
-            varc = staged_loss(field.scaled(c), two_object_scene, [], CFG, 1).var
+            varc = staged_loss(AttentionField(maps=field.maps * c), two_object_scene, [], CFG, 1).var
             for k in range(2):
                 assert abs(varc[k] - var1[k]) <= 5 * EPS / field.maps[k].sum()
 
@@ -659,7 +660,7 @@ class TestPairCoefficient:
         cfg = GuidanceConfig(lambda0=1e308, alpha=0.0, lambda_ortho=4.0)
         field = AttentionField(maps=np.ones((2, 64, 64)))
         pairs = derive_occlusion_pairs(canonical)
-        for evaluate in (staged_loss, grad_staged_loss):
+        for evaluate in (staged_loss, kernel_grad):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ConfigError) as exc_info:

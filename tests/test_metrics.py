@@ -213,7 +213,7 @@ class TestScalingInvariance:
         base_focr = focr(field, two_object_scene, pairs)
         base_miou = layout_miou(field, two_object_scene, 0.5)
         for c in (2.0, 3.0):
-            scaled = field.scaled(c)
+            scaled = AttentionField(maps=field.maps * c)
             assert focr(scaled, two_object_scene, pairs) == base_focr
             assert layout_miou(scaled, two_object_scene, 0.5) == base_miou
 

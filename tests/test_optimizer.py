@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deptharb import (
+    AttentionField,
     GuidanceConfig,
     LatentState,
     NumericalAbort,
-    backprop_to_latent,
     canonical_scene,
     derive_occlusion_pairs,
-    grad_staged_loss,
     init_latent,
     render_attention,
     run_guidance,
@@ -108,9 +107,10 @@ class TestRunGuidance:
         traj = run_guidance(two_object_scene, cfg, latent0)
 
         pairs = derive_occlusion_pairs(two_object_scene)
-        field = render_attention(latent0, two_object_scene)
-        grad = grad_staged_loss(field, two_object_scene, pairs, cfg, 1)
-        expected = latent0.values - 0.5 * backprop_to_latent(latent0, two_object_scene, grad)
+        surrogate = _surrogate(two_object_scene, "raster")
+        maps = surrogate.render(latent0.values)
+        grad = value_and_grad(maps, _plan(two_object_scene, pairs, cfg), 1)[1]
+        expected = latent0.values - 0.5 * surrogate.chain(grad)
         assert np.array_equal(traj.final_latent.values, expected)
 
     def test_run_rasterizes_each_box_once(self, two_object_scene, monkeypatch):
@@ -279,15 +279,17 @@ class TestQuietAborts:
 
 
 def _composed_run(scene, cfg, latent0):
-    """The loop written out with the public, validating operations only."""
+    """The loop written out with a fresh surrogate and plan on every step, and
+    the public, validating field, latent and loss wherever there is one."""
     pairs = derive_occlusion_pairs(scene)
     latent, totals = latent0, []
     for t in range(cfg.total_steps):
-        field = render_attention(latent, scene)
+        surrogate = _surrogate(scene, latent.mode)
+        field = AttentionField(maps=surrogate.render(latent.values))
         stage = stage_of(t, cfg)
         totals.append(staged_loss(field, scene, pairs, cfg, stage).total)
-        grad = grad_staged_loss(field, scene, pairs, cfg, stage)
-        step = step_size(t, cfg) * backprop_to_latent(latent, scene, grad)
+        grad = value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[1]
+        step = step_size(t, cfg) * surrogate.chain(grad)
         latent = LatentState(latent.mode, latent.values - step)
     field = render_attention(latent, scene)
     totals.append(staged_loss(field, scene, pairs, cfg, stage_of(cfg.total_steps - 1, cfg)).total)
@@ -420,7 +422,7 @@ def _reference_run(scene, cfg, latent0):
                 break
             if not np.isfinite(grad).all():
                 return ("abort", t, "gradient")
-            latent_grad = surrogate.chain(z, maps, grad)
+            latent_grad = surrogate.chain(grad)
             if not np.isfinite(latent_grad).all():
                 return ("abort", t, "latent gradient")
             z = z - step_size(t, cfg) * latent_grad
