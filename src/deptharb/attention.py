@@ -38,30 +38,19 @@ class AttentionField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "maps", _checked(self.maps, 3, "field"))
 
-    @property
-    def count(self) -> int:
-        return self.maps.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.maps.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.maps.shape[2]
-
     def __getitem__(self, k: int) -> np.ndarray:
         return self.maps[k]
 
 
 def check_alignment(field: AttentionField, scene: SceneSpec) -> None:
     """Ensure a field is index-aligned with a scene's objects and grid."""
-    if field.count != len(scene.objects):
+    count, height, width = field.maps.shape
+    if count != len(scene.objects):
         raise AttentionError(
-            f"field has {field.count} maps for {len(scene.objects)} scene objects"
+            f"field has {count} maps for {len(scene.objects)} scene objects"
         )
-    if (field.height, field.width) != (scene.grid_height, scene.grid_width):
+    if (height, width) != (scene.grid_height, scene.grid_width):
         raise AttentionError(
-            f"field is {field.height}x{field.width}, scene grid is "
+            f"field is {height}x{width}, scene grid is "
             f"{scene.grid_height}x{scene.grid_width}"
         )

@@ -178,17 +178,12 @@ def cmd_grad_check(args) -> int:
     note = precision_note()
     if note:
         print(note)
+    latent = init_latent(scene, args.mode, args.seed)
     worst_rel = 0.0
     failures = []
     for stage in stages:
         result = check_gradients(
-            scene,
-            cfg,
-            mode=args.mode,
-            stage=stage,
-            seed=args.seed,
-            samples=args.samples,
-            rel_tol=args.tol,
+            scene, cfg, latent, stage, seed=args.seed, samples=args.samples, rel_tol=args.tol
         )
         worst_rel = max(worst_rel, result.worst_rel)
         failures.extend(result.failures)

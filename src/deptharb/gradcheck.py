@@ -4,9 +4,9 @@ The oracle owns the literal definition of every loss term, on the pixel
 centres of `coord_grid`, the box masks of `scene_masks` and the blob map
 of `_blob_map`.  From the rest of the package it reads only the scene's
 boxes, pairs and pixel centres, lambda_ij, and the run loop's own sequence
-on the base state: one surrogate renders the field, `value_and_grad` on a
-`_plan` gives dL/dA and the same surrogate's `chain` gives dL/dz, the two
-gradients it checks.
+on the latent it is handed: the surrogate of that latent's mode renders the
+field, `value_and_grad` on a `_plan` gives dL/dA and the same surrogate's
+`chain` gives dL/dz, the two gradients it checks.
 
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
@@ -47,7 +47,7 @@ import numpy as np
 from .attention import AttentionField
 from .losses import _pair_weights, _plan, value_and_grad
 from .scene import GuidanceConfig, SceneSpec, box_indicators, derive_occlusion_pairs, pixel_centers
-from .surrogate import LatentState, _check_match, _surrogate, init_latent
+from .surrogate import LatentState, _check_match, _surrogate
 
 LONG = np.longdouble
 FD_STEP = 1e-6
@@ -305,28 +305,26 @@ def _judge(
 def check_gradients(
     scene: SceneSpec,
     cfg: GuidanceConfig,
-    mode: str,
+    latent: LatentState,
     stage: int,
     seed: int,
     samples: int = 1000,
     rel_tol: float = DEFAULT_REL_TOL,
-    latent: LatentState | None = None,
 ) -> GradCheckResult:
-    """Compare analytic gradients against the extended-precision FD oracle.
+    """Compare analytic gradients at `latent` against the extended-precision FD oracle.
 
     Checks `samples` attention-space coordinates plus `samples` latent-space
-    coordinates (capped at the latent size) on a seeded surrogate state.
+    coordinates (capped at the latent size), drawn with `seed`, in the mode
+    the latent carries.
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor or its map's mass is below
     1e3 * FD_STEP.
     """
     result = GradCheckResult()
     rng = np.random.default_rng(seed)
-    if latent is None:
-        latent = init_latent(scene, mode, seed)
     # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between
     _check_match(latent, scene)
-    surrogate = _surrogate(scene, mode)
+    surrogate = _surrogate(scene, latent.mode)
     field_ = AttentionField(maps=surrogate.render(latent.values))
     terms = _object_terms(scene, cfg)
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
@@ -356,7 +354,7 @@ def check_gradients(
         fd = sums[k].fd(y, x, (a + h) - a, (a - h) - a, h)
         result.absorb(_judge("attention", k, (y, x), float(grad_att[k, y, x]), fd, rel_tol))
 
-    if mode == "raster":
+    if latent.mode == "raster":
         # the literal re-render exp(z) in LONG changes only the perturbed entry
         logits = latent.values.astype(LONG)
         sums = [

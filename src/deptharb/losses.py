@@ -130,16 +130,15 @@ def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
 class _Plan:
     """Step-invariant geometry of one (scene, pairs, cfg), built once per run.
 
-    Box k's mask is exactly rows[k] (outer) cols[k], so every masked sum the
-    objective needs is a contraction of the field with these indicators.
+    Box k's mask is exactly rows[k] (outer) colmat[:, 1 + k], so every masked
+    sum the objective needs is a contraction of the field with these indicators.
     The gradient scratch is part of the plan: `value_and_grad` overwrites
     the factors' step-dependent columns and the buffer on every call.
     """
 
     cfg: GuidanceConfig
     rows: np.ndarray      # (K, H) box row indicators
-    cols: np.ndarray      # (K, W) box column indicators
-    colmat: np.ndarray    # (W, 1 + K): a column of ones, then every box's cols
+    colmat: np.ndarray    # (W, 1 + K): a column of ones, then each box's column indicators
     cx: np.ndarray        # (W,) pixel-center x
     cy: np.ndarray        # (H,) pixel-center y
     depths: np.ndarray    # (K,)
@@ -204,7 +203,6 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
     return _Plan(
         cfg=cfg,
         rows=rows,
-        cols=cols,
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
         cx=pixel_centers(width),
         cy=pixel_centers(height),

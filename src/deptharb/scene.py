@@ -152,9 +152,6 @@ class SceneSpec:
                     f"{self.grid_height}x{self.grid_width} grid"
                 )
 
-    def __len__(self) -> int:
-        return len(self.objects)
-
     def index_of(self, object_id: int) -> int:
         for k, obj in enumerate(self.objects):
             if obj.id == object_id:

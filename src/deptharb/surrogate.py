@@ -12,8 +12,10 @@ Two parametrizations:
   K * (H + W) one-dimensional exponentials, and its chain rule is two small
   contractions of dL/dA against those 1-D factors (see `_Blob.chain`).
 
-Each mode is a class, built once per run, with `render(values)` and
-`chain(grad)`; the run loop and `gradcheck` both drive that one pair.
+Each mode is one class and owns every fact about it: `latent_shape(scene)`
+and the seeded start `init(scene, rng)`, then, built once per run,
+`render(values)` and `chain(grad)`, the one pair the run loop and
+`gradcheck` both drive.  `_SURROGATES` is the only list of modes.
 
 Rendered values are strictly positive for finite latents (down to double
 underflow for extremely narrow blobs).
@@ -28,7 +30,6 @@ import numpy as np
 from .attention import AttentionField
 from .scene import SceneSpec, pixel_centers
 
-MODES = ("raster", "blob")
 JITTER = 0.05  # half-width of the uniform jitter on initial blob centres
 
 
@@ -56,52 +57,21 @@ class LatentState:
         object.__setattr__(self, "values", arr)
 
 
-def _check_match(latent: LatentState, scene: SceneSpec) -> None:
-    k = len(scene.objects)
-    if latent.mode == "raster":
-        expected = (k, scene.grid_height, scene.grid_width)
-        if latent.values.shape != expected:
-            raise SurrogateError(
-                f"raster latent shape {latent.values.shape} != scene shape {expected}"
-            )
-    else:
-        if latent.values.shape != (k, 5):
-            raise SurrogateError(
-                f"blob latent shape {latent.values.shape} != ({k}, 5)"
-            )
-
-
-def init_latent(scene: SceneSpec, mode: str, seed: int) -> LatentState:
-    """Seeded deterministic initialization.
-
-    raster: logits i.i.d. uniform in [-1, 1].  blob: centers at box centers
-    (plus uniform jitter of +/- JITTER), sigmas at a quarter of the box
-    extent, amplitude 1.
-    """
-    rng = np.random.default_rng(seed)
-    k = len(scene.objects)
-    if mode == "raster":
-        values = rng.uniform(-1.0, 1.0, size=(k, scene.grid_height, scene.grid_width))
-        return LatentState(mode=mode, values=values)
-
-    values = np.zeros((k, 5), dtype=np.float64)
-    for i, obj in enumerate(scene.objects):
-        x0, y0, x1, y1 = obj.bbox
-        values[i, 0] = (x0 + x1) / 2.0
-        values[i, 1] = (y0 + y1) / 2.0
-        values[i, 2] = np.log((x1 - x0) / 4.0)
-        values[i, 3] = np.log((y1 - y0) / 4.0)
-        values[i, 4] = 0.0
-    values[:, 0:2] += rng.uniform(-1.0, 1.0, size=(k, 2)) * JITTER
-    return LatentState(mode=mode, values=values)
-
-
 class _Raster:
     """Render and chain rule of the raster surrogate, set up once per run.
 
     Like `_Blob`, it trusts its inputs (callers check shapes and finiteness)
     and renders into one buffer that every `render` call reuses.
     """
+
+    @staticmethod
+    def latent_shape(scene: SceneSpec) -> tuple[int, ...]:
+        return (len(scene.objects), scene.grid_height, scene.grid_width)
+
+    @staticmethod
+    def init(scene: SceneSpec, rng: np.random.Generator) -> np.ndarray:
+        """Logits i.i.d. uniform in [-1, 1]."""
+        return rng.uniform(-1.0, 1.0, size=_Raster.latent_shape(scene))
 
     def __init__(self, scene: SceneSpec):
         self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
@@ -124,6 +94,24 @@ class _Blob:
     factors of the field it writes, and `chain` contracts dL/dA against
     them, so neither evaluates a 2-D exponential or loops over objects.
     """
+
+    @staticmethod
+    def latent_shape(scene: SceneSpec) -> tuple[int, ...]:
+        return (len(scene.objects), 5)
+
+    @staticmethod
+    def init(scene: SceneSpec, rng: np.random.Generator) -> np.ndarray:
+        """Box-centred start with amplitude 1.
+
+        Centres at the box centres plus uniform jitter of +/- JITTER, sigmas at
+        a quarter of the box extent.
+        """
+        x0, y0, x1, y1 = np.array([obj.bbox for obj in scene.objects], dtype=np.float64).T
+        centres = ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+        log_sigmas = (np.log((x1 - x0) / 4.0), np.log((y1 - y0) / 4.0))
+        values = np.stack((*centres, *log_sigmas, np.zeros_like(x0)), axis=1)
+        values[:, 0:2] += rng.uniform(-1.0, 1.0, size=(len(values), 2)) * JITTER
+        return values
 
     def __init__(self, scene: SceneSpec):
         self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
@@ -168,8 +156,27 @@ class _Blob:
         return np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
 
 
+_SURROGATES = {"raster": _Raster, "blob": _Blob}
+MODES = tuple(_SURROGATES)
+
+
+def _check_match(latent: LatentState, scene: SceneSpec) -> None:
+    expected = _SURROGATES[latent.mode].latent_shape(scene)
+    if latent.values.shape != expected:
+        raise SurrogateError(
+            f"{latent.mode} latent shape {latent.values.shape} != scene shape {expected}"
+        )
+
+
+def init_latent(scene: SceneSpec, mode: str, seed: int) -> LatentState:
+    """Seeded deterministic start of `mode`'s latent (see each surrogate's `init`)."""
+    if mode not in _SURROGATES:
+        raise SurrogateError(f"mode must be one of {MODES}, got {mode!r}")
+    return LatentState(mode, _SURROGATES[mode].init(scene, np.random.default_rng(seed)))
+
+
 def _surrogate(scene: SceneSpec, mode: str) -> _Raster | _Blob:
-    return _Raster(scene) if mode == "raster" else _Blob(scene)
+    return _SURROGATES[mode](scene)
 
 
 def render_attention(latent: LatentState, scene: SceneSpec) -> AttentionField:

@@ -43,7 +43,7 @@ class TestAcceptance:
             for mode in ("raster", "blob"):
                 for stage in (1, 2):
                     result = d.check_gradients(
-                        scene, d.GuidanceConfig(), mode, stage, seed=seed,
+                        scene, d.GuidanceConfig(), d.init_latent(scene, mode, seed), stage, seed=seed,
                         samples=1000, rel_tol=1e-5,
                     )
                     assert result.checked >= 1000

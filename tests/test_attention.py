@@ -147,7 +147,3 @@ class TestAttentionField:
             from_maps([np.ones((2, 2)), np.ones((2, 3))])
         with pytest.raises(AttentionError):
             from_maps([-np.ones((2, 2))])
-
-    def test_shape_accessors(self):
-        field = from_maps([np.ones((3, 5)), np.ones((3, 5))])
-        assert (field.count, field.height, field.width) == (2, 3, 5)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deptharb import AttentionField, write_dump
+from deptharb import AttentionField, check_gradients, init_latent, write_dump
 from deptharb.cli import build_parser, dumps_report, main, resolve_config
 from deptharb.scene import GUIDANCE_CONFIG_KEYS, parse_scene_with_config
 
@@ -338,6 +338,24 @@ class TestGradCheckCommand:
             "grad-check", "--scene", scene_path, "--mode", "blob",
             "--stage", "2", "--samples", "50",
         ) == 0
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_both_stages_check_one_seeded_latent(self, monkeypatch, mode):
+        built, checked = [], []
+
+        def init(scene, mode_, seed):
+            built.append(init_latent(scene, mode_, seed))
+            return built[-1]
+
+        def check(scene, cfg, latent, stage, **kwargs):
+            checked.append((latent, stage))
+            return check_gradients(scene, cfg, latent, stage, **kwargs)
+
+        monkeypatch.setattr("deptharb.cli.init_latent", init)
+        monkeypatch.setattr("deptharb.cli.check_gradients", check)
+        assert run_cli("grad-check", "--mode", mode, "--seed", "3", "--samples", "20") == 0
+        assert len(built) == 1 and built[0].mode == mode
+        assert [(latent is built[0], stage) for latent, stage in checked] == [(True, 1), (True, 2)]
 
 
 class TestSweep:

@@ -119,14 +119,17 @@ class TestRankOneOracle:
     def test_anchor_mismatch_raises_without_judging(self, monkeypatch):
         loss = _PixelSums.loss
         monkeypatch.setattr(_PixelSums, "loss", lambda self, *a: loss(self, *a) * (1 + 1e-15))
+        scene = canonical_scene()
         with pytest.raises(OracleError, match="literal"):
-            check_gradients(canonical_scene(), GuidanceConfig(), "raster", 1, seed=0, samples=5)
+            check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), 1, seed=0, samples=5)
 
     def test_same_coordinates_and_counts_as_the_literal_sampler(self, two_object_scene):
         # the rng draws k, y, x per attention sample, then per latent sample
-        result = check_gradients(two_object_scene, GuidanceConfig(), "raster", 1, seed=3, samples=40)
+        latent = init_latent(two_object_scene, "raster", 3)
+        result = check_gradients(two_object_scene, GuidanceConfig(), latent, 1, seed=3, samples=40)
         assert result.checked == 80 and result.passed
-        result = check_gradients(two_object_scene, GuidanceConfig(), "blob", 2, seed=3, samples=40)
+        latent = init_latent(two_object_scene, "blob", 3)
+        result = check_gradients(two_object_scene, GuidanceConfig(), latent, 2, seed=3, samples=40)
         assert result.checked == 40 + 5 * 2 and result.passed
 
 
@@ -140,8 +143,8 @@ class TestCollapsedMaps:
         for stage in (1, 2):
             with pytest.raises(OracleError, match=r"object 1's map mass 0 .* step 1e-06"):
                 check_gradients(
-                    canonical_scene(), GuidanceConfig(), "blob", stage, seed=0, samples=50,
-                    latent=LatentState(mode="blob", values=values),
+                    canonical_scene(), GuidanceConfig(), LatentState(mode="blob", values=values), stage,
+                    seed=0, samples=50,
                 )
 
 
@@ -173,7 +176,8 @@ class TestExtremeScenes:
         scene, seed = case
         for stage in (1, 2):
             result = check_gradients(
-                scene, GuidanceConfig(), "raster", stage, seed=seed, samples=60, rel_tol=1e-5
+                scene, GuidanceConfig(), init_latent(scene, "raster", seed), stage, seed=seed, samples=60,
+                rel_tol=1e-5,
             )
             assert result.passed, result.failures[:3]
 
@@ -277,7 +281,8 @@ class TestNegativeControl:
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_wrong_attention_gradient_is_reported(self, monkeypatch, mode):
         _skew_attention(monkeypatch, 0, 1 + 1e-3)
-        result = check_gradients(canonical_scene(), GuidanceConfig(), mode, 1, seed=2, samples=100)
+        scene = canonical_scene()
+        result = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), 1, seed=2, samples=100)
         failed = {(r.space, r.object_index) for r in result.failures}
         assert ("attention", 0) in failed
         assert all(k == 0 for _, k in failed)
@@ -285,7 +290,8 @@ class TestNegativeControl:
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_wrong_latent_gradient_is_reported(self, monkeypatch, mode):
         _skew_latent(monkeypatch, 1, 1 - 1e-3)
-        result = check_gradients(canonical_scene(), GuidanceConfig(), mode, 2, seed=2, samples=100)
+        scene = canonical_scene()
+        result = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), 2, seed=2, samples=100)
         assert result.failures
         assert {(r.space, r.object_index) for r in result.failures} == {("latent", 1)}
 
@@ -322,7 +328,8 @@ class TestRunLoopSequence:
             return surrogate
 
         monkeypatch.setattr(gradcheck, "_surrogate", counting)
-        result = check_gradients(canonical_scene(), GuidanceConfig(), mode, 1, seed=2, samples=50)
+        scene = canonical_scene()
+        result = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), 1, seed=2, samples=50)
         assert result.passed
         assert built == [{"render": 1, "chain": [1]}]
 
@@ -345,7 +352,9 @@ class TestPrecisionFallback:
         # float64 sums disagree with the literal by far more than 64 extended
         # ulps; the anchor must accept them because its eps is float64's
         monkeypatch.setattr(gradcheck, "LONG", np.float64)
-        result = check_gradients(canonical_scene(), GuidanceConfig(), "raster", 1, seed=4, samples=50)
+        scene = canonical_scene()
+        latent = init_latent(scene, "raster", 4)
+        result = check_gradients(scene, GuidanceConfig(), latent, 1, seed=4, samples=50)
         assert result.passed
 
     @pytest.mark.skipif(

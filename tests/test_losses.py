@@ -645,7 +645,7 @@ class TestFiniteDifferenceAgreement:
         scene = random_scene(71, size=32)
         latent = random_field_latent(scene, 71)
         result = check_gradients(
-            scene, CFG, "raster", stage, seed=71, samples=1000, rel_tol=1e-5, latent=latent,
+            scene, CFG, latent, stage, seed=71, samples=1000, rel_tol=1e-5,
         )
         assert result.checked >= 1000
         assert result.passed, result.failures[:3]

@@ -107,7 +107,7 @@ class TestParseScene:
             parse_scene(text)
         # the same box holds a pixel center on a finer grid
         assert len(parse_scene(scene_file_text(grid=64).replace(
-            "[0.1, 0.1, 0.6, 0.6]", "[0.1, 0.1, 0.12, 0.12]"))) == 2
+            "[0.1, 0.1, 0.6, 0.6]", "[0.1, 0.1, 0.12, 0.12]")).objects) == 2
 
 
 class TestTypeInvariants:

@@ -23,7 +23,7 @@ from deptharb import (
 )
 from deptharb.gradcheck import _blob_map
 from deptharb.losses import _plan, value_and_grad
-from deptharb.surrogate import _Blob, _surrogate
+from deptharb.surrogate import JITTER, _Blob, _surrogate
 
 from reference import normalize_map
 
@@ -34,6 +34,44 @@ def one_blob_scene(bbox=(0.2, 0.2, 0.6, 0.6), grid: int = 9) -> SceneSpec:
         grid_width=grid,
         objects=(SceneObject(id=0, label="", bbox=bbox, depth=0.7),),
     )
+
+
+def per_object_init(scene: SceneSpec, mode: str, seed: int) -> np.ndarray:
+    """The seeded start as a per-object loop: the reference `init_latent` must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    k = len(scene.objects)
+    if mode == "raster":
+        return rng.uniform(-1.0, 1.0, size=(k, scene.grid_height, scene.grid_width))
+    values = np.zeros((k, 5), dtype=np.float64)
+    for i, obj in enumerate(scene.objects):
+        x0, y0, x1, y1 = obj.bbox
+        values[i, 0] = (x0 + x1) / 2.0
+        values[i, 1] = (y0 + y1) / 2.0
+        values[i, 2] = np.log((x1 - x0) / 4.0)
+        values[i, 3] = np.log((y1 - y0) / 4.0)
+        values[i, 4] = 0.0
+    values[:, 0:2] += rng.uniform(-1.0, 1.0, size=(k, 2)) * JITTER
+    return values
+
+
+@st.composite
+def init_cases(draw):
+    """1-6 boxes, some one ulp wide, in either mode, at any seed the CLI accepts."""
+    height, width = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    objects = []
+    for i in range(draw(st.integers(1, 6))):
+        r0, c0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        if draw(st.booleans()):
+            # the thinnest legal box: one ulp wide, starting on a pixel centre
+            x0, y0 = (c0 + 0.5) / width, (r0 + 0.5) / height
+            bbox = (x0, y0, float(np.nextafter(x0, 1.0)), float(np.nextafter(y0, 1.0)))
+        else:
+            r1, c1 = draw(st.integers(r0 + 1, height)), draw(st.integers(c0 + 1, width))
+            bbox = (c0 / width, r0 / height, c1 / width, r1 / height)
+        objects.append(SceneObject(id=i, label="", bbox=bbox, depth=0.5))
+    scene = SceneSpec(grid_height=height, grid_width=width, objects=tuple(objects))
+    seed = draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+    return scene, draw(st.sampled_from(["raster", "blob"])), seed
 
 
 class TestInit:
@@ -80,6 +118,14 @@ class TestInit:
     def test_unknown_mode(self, two_object_scene):
         with pytest.raises(SurrogateError):
             init_latent(two_object_scene, "spline", seed=0)
+
+    @settings(max_examples=60)
+    @given(init_cases())
+    def test_matches_the_per_object_start_bit_for_bit(self, case):
+        scene, mode, seed = case
+        latent = init_latent(scene, mode, seed)
+        assert latent.mode == mode
+        assert np.array_equal(latent.values, per_object_init(scene, mode, seed))
 
 
 class TestRender:
@@ -257,9 +303,8 @@ class TestEndToEndGradients:
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     @pytest.mark.parametrize("stage", [1, 2])
     def test_latent_space_finite_differences(self, two_object_scene, mode, stage):
-        result = check_gradients(
-            two_object_scene, GuidanceConfig(), mode, stage, seed=19, samples=150
-        )
+        latent = init_latent(two_object_scene, mode, 19)
+        result = check_gradients(two_object_scene, GuidanceConfig(), latent, stage, seed=19, samples=150)
         assert result.passed, result.failures[:3]
         assert result.checked >= 150
 
