@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +57,7 @@ def dumps_report(doc: dict) -> str:
 
 
 def _write_report(args, doc: dict, what: str = "report") -> None:
-    """Stamp a report or sweep table and write it where --report points, if anywhere."""
-    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    """Write a report or sweep table where --report points, if anywhere."""
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(dumps_report(doc))
@@ -343,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(check)
     # a check that judges no coordinate would report a pass for nothing
     check.add_argument("--samples", type=_positive_int, default=1000,
-                       help="coordinates per space per stage (at least 1)")
+                       help="coordinates drawn per stage, with replacement, in the attention space and, "
+                            "for a raster latent, in the latent space; a blob latent checks all 5*K "
+                            "parameters (at least 1)")
     check.add_argument("--tol", type=_tolerance, default=DEFAULT_REL_TOL,
                        help="relative tolerance, finite and >= 0 (absolute floor is tol*1e-4)")
     check.add_argument("--stage", choices=("1", "2", "both"), default="both")

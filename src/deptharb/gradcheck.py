@@ -30,8 +30,13 @@ working precision's eps, or `check_gradients` raises `OracleError`.
 
 Attention coordinates perturb the pixel by +-h and raster latent
 coordinates by exp(z_p +- h) - exp(z_p), the one entry the literal
-re-render changes.  Blob latent coordinates move every pixel, so they keep
-the literal re-render `_blob_map` and evaluation of `_restricted_loss`.
+re-render changes.  Both spaces are sampled CHUNK coordinates at a time:
+one `rng.integers` call draws a chunk's (k, y, x) rows, the same stream as
+scalar k, y, x draws per sample, and each object's rows go through
+`_PixelSums` as arrays, with the scalar form's elementwise arithmetic, so
+every difference is the one a per-coordinate loop would take.  Blob latent
+coordinates move every pixel, so they keep the literal re-render
+`_blob_map` and evaluation of `_restricted_loss`.
 
 A coordinate passes when |analytic - fd| <= max(rel_tol * 1e-4, rel_tol * ref)
 with ref = max(|analytic|, |fd|): the relative criterion for significant
@@ -53,6 +58,7 @@ LONG = np.longdouble
 FD_STEP = 1e-6
 DEFAULT_REL_TOL = 1e-5
 ANCHOR_EPS = 64  # sum-form vs literal objective, in units of the working eps
+CHUNK = 256  # sampled coordinates evaluated per array pass: the temporaries' bound at any `samples`
 
 
 class OracleError(RuntimeError):
@@ -79,7 +85,6 @@ class CoordReport:
     fd: float
     abs_err: float
     rel_err: float
-    ok: bool
 
 
 @dataclass
@@ -92,13 +97,6 @@ class GradCheckResult:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def absorb(self, report: CoordReport) -> None:
-        self.checked += 1
-        self.worst_rel = max(self.worst_rel, report.rel_err)
-        self.worst_abs = max(self.worst_abs, report.abs_err)
-        if not report.ok:
-            self.failures.append(report)
 
 
 @dataclass(frozen=True)
@@ -254,9 +252,9 @@ class _PixelSums:
             var = var + (m2 + delta * w * w - off * (2 * m1 - off * s))
         return value + self.compact * (var / denom)
 
-    def fd(self, y: int, x: int, up, down, h) -> float:
-        """Central difference for the entry (y, x) moved up and down by the given deltas."""
-        return float((self.loss(up, y, x) - self.loss(down, y, x)) / (2 * h))
+    def fd(self, y, x, up, down, h):
+        """Central differences, as float64, for the entries (y, x) moved up and down by the given deltas."""
+        return ((self.loss(up, y, x) - self.loss(down, y, x)) / (2 * h)).astype(np.float64)
 
 
 def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
@@ -287,19 +285,49 @@ def _anchored_sums(base, terms, coords, cfg: GuidanceConfig, stage: int) -> _Pix
     return sums
 
 
-def _judge(
-    space: str,
-    k: int,
-    coordinate: tuple[int, ...],
-    analytic: float,
-    fd: float,
-    rel_tol: float,
-) -> CoordReport:
-    abs_err = abs(analytic - fd)
-    ref = max(abs(analytic), abs(fd))
-    rel_err = abs_err / ref if ref > 1e-10 else 0.0
-    ok = abs_err <= max(rel_tol * 1e-4, rel_tol * ref)
-    return CoordReport(space, k, coordinate, analytic, fd, abs_err, rel_err, ok)
+def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float) -> None:
+    """Judge coordinates in sample order into `result`, with a report for each failure.
+
+    Each max(a, b) takes b only where b > a, so a NaN never wins it: a NaN
+    error leaves the worst errors as they were, and fails its coordinate.
+    """
+    # silent, as the same arithmetic on Python floats is: inf - inf is a NaN error, not a warning
+    with np.errstate(all="ignore"):
+        abs_err = np.abs(analytic - fd)
+        ref = np.where(np.abs(fd) > np.abs(analytic), np.abs(fd), np.abs(analytic))
+        rel_err = np.divide(abs_err, ref, out=np.zeros_like(ref), where=ref > 1e-10)
+        floor, scaled = rel_tol * 1e-4, rel_tol * ref
+        ok = abs_err <= np.where(scaled > floor, scaled, floor)
+    result.checked += len(fd)
+    result.worst_rel = float(np.max(rel_err, initial=result.worst_rel, where=rel_err > result.worst_rel))
+    result.worst_abs = float(np.max(abs_err, initial=result.worst_abs, where=abs_err > result.worst_abs))
+    result.failures.extend(
+        CoordReport(
+            space, int(ks[i]), tuple(coordinates[i].tolist()), float(analytic[i]), float(fd[i]),
+            float(abs_err[i]), float(rel_err[i]),
+        )
+        for i in np.flatnonzero(~ok)
+    )
+
+
+def _check_sampled(result, space: str, rng, samples: int, sums, grad, deltas, rel_tol: float) -> None:
+    """Judge `samples` coordinates (k, y, x) of one space, CHUNK at a time.
+
+    One chunk's draw is one `rng.integers` call over (K, H, W), which yields
+    the coordinates of per-sample k, y, x scalar draws.  Each object's
+    coordinates go through its `_PixelSums` as arrays; `deltas(k, y, x, a)`
+    gives the up and down changes of the entries a = base[y, x].
+    """
+    h = LONG(FD_STEP)
+    bounds = np.array(grad.shape)
+    for start in range(0, samples, CHUNK):
+        ks, ys, xs = rng.integers(0, bounds, size=(min(CHUNK, samples - start), 3)).T
+        fd = np.empty(len(ks))
+        for k, object_sums in enumerate(sums):
+            at = np.flatnonzero(ks == k)
+            y, x = ys[at], xs[at]
+            fd[at] = object_sums.fd(y, x, *deltas(k, y, x, object_sums.base[y, x]), h)
+        _judge_all(result, space, ks, np.column_stack((ys, xs)), grad[ks, ys, xs], fd, rel_tol)
 
 
 def check_gradients(
@@ -313,9 +341,11 @@ def check_gradients(
 ) -> GradCheckResult:
     """Compare analytic gradients at `latent` against the extended-precision FD oracle.
 
-    Checks `samples` attention-space coordinates plus `samples` latent-space
-    coordinates (capped at the latent size), drawn with `seed`, in the mode
-    the latent carries.
+    Draws `samples` attention coordinates (k, y, x) with `seed`, with
+    replacement.  The latent space follows the mode the latent carries: a
+    raster latent draws `samples` more coordinates from the same generator,
+    also with replacement, and a blob latent checks all 5 * K parameters
+    whatever `samples` is.
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor or its map's mass is below
     1e3 * FD_STEP.
@@ -332,10 +362,7 @@ def check_gradients(
     grad_att = value_and_grad(field_.maps, _plan(scene, derive_occlusion_pairs(scene), cfg), stage)[1]
     # a copy: the raster chain writes over the gradient it is given
     grad_lat = surrogate.chain(grad_att.copy())
-    k_count, height, width = field_.maps.shape
-
-    def draw() -> tuple[int, int, int]:
-        return int(rng.integers(k_count)), int(rng.integers(height)), int(rng.integers(width))
+    k_count = len(scene.objects)
 
     sums = [
         _anchored_sums(field_.maps[k].astype(LONG), terms[k], coords_ld, cfg, stage)
@@ -348,11 +375,10 @@ def check_gradients(
                 f"object {k}'s map mass {float(object_sums.total):.3g} is below "
                 f"1e3 x the finite-difference step {FD_STEP:g}"
             )
-    for _ in range(samples):
-        k, y, x = draw()
-        a = sums[k].base[y, x]
-        fd = sums[k].fd(y, x, (a + h) - a, (a - h) - a, h)
-        result.absorb(_judge("attention", k, (y, x), float(grad_att[k, y, x]), fd, rel_tol))
+    _check_sampled(
+        result, "attention", rng, samples, sums, grad_att,
+        lambda k, y, x, a: ((a + h) - a, (a - h) - a), rel_tol,
+    )
 
     if latent.mode == "raster":
         # the literal re-render exp(z) in LONG changes only the perturbed entry
@@ -360,22 +386,22 @@ def check_gradients(
         sums = [
             _anchored_sums(np.exp(logits[k]), terms[k], coords_ld, cfg, stage) for k in range(k_count)
         ]
-        for _ in range(samples):
-            k, y, x = draw()
-            z, a = logits[k, y, x], sums[k].base[y, x]
-            fd = sums[k].fd(y, x, np.exp(z + h) - a, np.exp(z - h) - a, h)
-            result.absorb(_judge("latent", k, (y, x), float(grad_lat[k, y, x]), fd, rel_tol))
+        _check_sampled(
+            result, "latent", rng, samples, sums, grad_lat,
+            lambda k, y, x, a: (np.exp(logits[k, y, x] + h) - a, np.exp(logits[k, y, x] - h) - a),
+            rel_tol,
+        )
     else:
         params = latent.values.astype(LONG)
-        for k in range(k_count):
-            for p in range(5):
-                vals = []
-                for sign in (+1, -1):
-                    pert = params[k].copy()
-                    pert[p] += sign * h
-                    map_k = _blob_map(pert, coords_ld.x, coords_ld.y)
-                    vals.append(_restricted_loss(map_k, *terms[k], coords_ld, cfg, stage))
-                fd = float((vals[0] - vals[1]) / (2 * h))
-                result.absorb(_judge("latent", k, (p,), float(grad_lat[k, p]), fd, rel_tol))
+        fd = np.empty(params.shape)
+        for (k, p), _ in np.ndenumerate(params):
+            vals = []
+            for sign in (+1, -1):
+                pert = params[k].copy()
+                pert[p] += sign * h
+                map_k = _blob_map(pert, coords_ld.x, coords_ld.y)
+                vals.append(_restricted_loss(map_k, *terms[k], coords_ld, cfg, stage))
+            fd[k, p] = (vals[0] - vals[1]) / (2 * h)
+        ks, ps = np.indices(params.shape).reshape(2, -1)
+        _judge_all(result, "latent", ks, ps[:, None], grad_lat.ravel(), fd.ravel(), rel_tol)
     return result
-

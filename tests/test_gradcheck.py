@@ -37,6 +37,7 @@ from deptharb.gradcheck import (
 from deptharb.surrogate import _Blob, _Raster
 
 from conftest import scene_file_text
+from reference import scalar_check_gradients
 
 # the benchmark's parse of a per-stage result line
 STAGE_LINE = re.compile(r"^stage (\d) \((\w+)\): (\d+) coordinates, .* -> (pass|\d+ FAILURES)$", re.M)
@@ -131,6 +132,84 @@ class TestRankOneOracle:
         latent = init_latent(two_object_scene, "blob", 3)
         result = check_gradients(two_object_scene, GuidanceConfig(), latent, 2, seed=3, samples=40)
         assert result.checked == 40 + 5 * 2 and result.passed
+
+
+def _bits(result) -> tuple:
+    """Every field of a result, floats as hex so that equal means bit-equal (signed zeros, NaNs)."""
+    return (
+        result.checked,
+        result.worst_rel.hex(),
+        result.worst_abs.hex(),
+        [
+            (r.space, r.object_index, r.coordinate, r.analytic.hex(), r.fd.hex(), r.abs_err.hex(),
+             r.rel_err.hex())
+            for r in result.failures
+        ],
+    )
+
+
+def _outcome(check, *args, **kwargs):
+    """The bits of a check's result, or the message of the oracle's refusal."""
+    try:
+        return _bits(check(*args, **kwargs))
+    except OracleError as exc:
+        return f"refused: {exc}"
+
+
+@st.composite
+def sampler_cases(draw):
+    height, width = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    objects = []
+    for i in range(draw(st.integers(1, 4))):
+        r0, c0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        r1, c1 = draw(st.integers(r0 + 1, height)), draw(st.integers(c0 + 1, width))
+        bbox = (c0 / width, r0 / height, c1 / width, r1 / height)
+        objects.append(SceneObject(id=i, label="", bbox=bbox, depth=draw(st.floats(0.0, 1.0))))
+    scene = SceneSpec(grid_height=height, grid_width=width, objects=tuple(objects))
+    seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    chunk = gradcheck.CHUNK
+    return (
+        scene,
+        init_latent(scene, draw(st.sampled_from(["raster", "blob"])), seed),
+        draw(st.sampled_from([1, 2])),
+        seed,
+        draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1])),
+        draw(st.sampled_from([0.0, 1e-5])),
+    )
+
+
+class TestArrayOracle:
+    @settings(max_examples=100)
+    @given(sampler_cases())
+    def test_equals_the_per_coordinate_sampler(self, case):
+        # the same draws, central differences and judgements as scalar k, y, x
+        # draws evaluated one coordinate at a time: counts, worst errors and the
+        # failure list in sample order, bit for bit
+        scene, latent, stage, seed, samples, rel_tol = case
+        args = (scene, GuidanceConfig(), latent, stage)
+        kwargs = {"seed": seed, "samples": samples, "rel_tol": rel_tol}
+        assert _outcome(check_gradients, *args, **kwargs) == _outcome(scalar_check_gradients, *args, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_chunk_size_changes_nothing_and_bounds_each_pass(self, monkeypatch, two_object_scene, mode):
+        # at rel_tol 0 every coordinate fails, so the failure list pins the order too
+        samples = 40
+        args = (two_object_scene, GuidanceConfig(), init_latent(two_object_scene, mode, 5), 1)
+        kwargs = {"seed": 5, "samples": samples, "rel_tol": 0.0}
+        expected = _bits(check_gradients(*args, **kwargs))
+        assert len(expected[3]) == expected[0] > 0
+        lengths = []
+        fd = _PixelSums.fd
+        monkeypatch.setattr(_PixelSums, "fd", lambda self, y, *a: lengths.append(len(y)) or fd(self, y, *a))
+        for chunk in (1, 3, samples + 7):
+            monkeypatch.setattr(gradcheck, "CHUNK", chunk)
+            lengths.clear()
+            assert _bits(check_gradients(*args, **kwargs)) == expected
+            # per sampled space: one array pass per object and chunk, none longer than a chunk
+            spaces = 2 if mode == "raster" else 1
+            assert max(lengths) <= chunk
+            assert sum(lengths) == spaces * samples
+            assert len(lengths) == spaces * len(two_object_scene.objects) * -(-samples // chunk)
 
 
 class TestCollapsedMaps:
