@@ -204,12 +204,11 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def _sweep_row(scene: SceneSpec, cfg: GuidanceConfig, args, value: float) -> dict:
-    run_cfg = cfg.updated(**{args.param: value})
+def _sweep_row(scene: SceneSpec, run_cfg: GuidanceConfig, args) -> dict:
     report = _score(_run_rounded(scene, run_cfg, args), scene, run_cfg, args, args.seed)
     breakdown = report.breakdown
     return {
-        "value": value,
+        "value": getattr(run_cfg, args.param),
         "losses": {
             "align": breakdown.align,
             "ortho": breakdown.ortho,
@@ -228,7 +227,9 @@ def _sweep_row(scene: SceneSpec, cfg: GuidanceConfig, args, value: float) -> dic
 def cmd_sweep(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    rows = [_sweep_row(scene, cfg, args, value) for value in args.values]
+    # every row's config is checked before the first row runs
+    run_cfgs = [cfg.updated(**{args.param: value}) for value in args.values]
+    rows = [_sweep_row(scene, run_cfg, args) for run_cfg in run_cfgs]
     table = {"param": args.param, "rows": rows, "config": _config_echo(cfg, args), "seed": args.seed}
     _write_report(args, table, "sweep table")
 

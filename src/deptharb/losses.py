@@ -16,12 +16,16 @@ gradient but still reports it diagnostically.
 
 This module holds the one production definition of the objective: one
 kernel, `value_and_grad`, produces the values and the gradient together
-from a per-run `_Plan`; the derivations live in its docstring.  The run
-loop and `gradcheck` call it directly; `staged_loss` is its values-only
-view for scoring and for callers outside the package.  Gradients
-are hand-derived closed forms rather than autodiff, and the literal term
-definitions they are checked against live apart, in `gradcheck`, so the
-finite-difference oracle is a genuinely independent check.
+from a per-run `_Plan`; the derivations live in its docstring.  One
+gathered pass gives every in-box sum and every pair's interference sum,
+and every per-run constant the kernel reads (gather indices, depth and
+epsilon products, scratch) lives in the plan, so a step does only
+step-dependent arithmetic.  The run loop and `gradcheck` call it
+directly; `staged_loss` is its values-only view for scoring and for
+callers outside the package.  Gradients are hand-derived closed forms
+rather than autodiff, and the literal term definitions they are checked
+against live apart, in `gradcheck`, so the finite-difference oracle is a
+genuinely independent check.
 """
 
 from __future__ import annotations
@@ -132,8 +136,26 @@ class _Plan:
 
     Box k's mask is exactly rows[k] (outer) colmat[:, 1 + k], so every masked
     sum the objective needs is a contraction of the field with these indicators.
-    The gradient scratch is part of the plan: `value_and_grad` overwrites
-    the factors' step-dependent columns and the buffer on every call.
+    Every per-run constant the kernel reads is built here, and each member
+    names the kernel line that reads it:
+
+    * `gather`, `gather_rows`: `_values`' one gathered pass,
+      `sums = add.reduce(gather_rows * row_dots.take(gather))`; rows 0..K-1
+      pick A_k[y] . c_k (in-box sums), rows K.. pick A_bg[y] . c_fg of each
+      pair (interference sums), in pair order;
+    * `area_eps`: `inter = sums[K:] / area_eps`;
+    * `neg2_depths`, `compact_depths`, `two_eps`: the gradient coefficients
+      `a = neg2_depths * (1 - f) / D`, `q = compact_depths / D` and
+      `res = two_eps / D` in `value_and_grad`; each is the first product of
+      its left-to-right expression, so forming it once changes no rounding;
+    * `row_dots`, `row_sum`, `col_sum`: scratch that `_values` overwrites on
+      every call, the GEMM `maps @ colmat`, its column 0 (the row sums R) and
+      the column sums C;
+    * `columns`: per stage, views of the factors' step-dependent columns
+      (U[:, :, 0], U[:, :, 1], V[:, 2]) that `value_and_grad` writes;
+    * `grad`: the buffer `value_and_grad` returns, U @ V.
+
+    No array of the breakdown `_values` returns is a view of this scratch.
     """
 
     cfg: GuidanceConfig
@@ -143,11 +165,18 @@ class _Plan:
     cy: np.ndarray        # (H,) pixel-center y
     depths: np.ndarray    # (K,)
     pairs: tuple[OcclusionPair, ...]
-    fg: np.ndarray        # (P,) foreground object indices
-    bg: np.ndarray        # (P,) background object indices
     weights: np.ndarray   # (P,) lambda_ij
-    fg_area: np.ndarray   # (P,) foreground-box pixel counts
+    gather: np.ndarray    # (K + P, H) flat indices into row_dots
+    gather_rows: np.ndarray  # (K + P, H): rows, then each pair's foreground rows
+    area_eps: np.ndarray  # (P,) foreground-box pixel counts + eps
+    neg2_depths: np.ndarray     # (K,) -2.0 * depths
+    compact_depths: np.ndarray  # (K,) lambda_compact * depths
+    two_eps: float              # 2.0 * epsilon
+    row_dots: np.ndarray  # (K * H, 1 + K) scratch: row_dots[k * H + y, 1 + j] = A_k[y] . c_j
+    row_sum: np.ndarray   # (K, H) view of row_dots' column 0
+    col_sum: np.ndarray   # (K, W) scratch
     factors: tuple[tuple[np.ndarray, np.ndarray], ...]  # per stage: (U, V), see _grad_factors
+    columns: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # per stage
     grad: np.ndarray      # (K, H, W), the buffer value_and_grad returns
 
 
@@ -183,6 +212,7 @@ def _grad_factors(rows, cols, pair_terms) -> tuple[np.ndarray, np.ndarray]:
 
 def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig) -> _Plan:
     height, width = scene.grid_height, scene.grid_width
+    k = len(scene.objects)
     boxes = [box_indicators(obj.bbox, height, width) for obj in scene.objects]
     rows = np.stack([r for r, _ in boxes])
     cols = np.stack([c for _, c in boxes])
@@ -200,21 +230,38 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
                 f"finite for lambda_ortho {cfg.lambda_ortho:g}, lambda_ij {w:g}, "
                 f"|M_fg| {area:g}, eps {cfg.epsilon:g}"
             )
+    # the gathered sum n reads map gather_maps[n] against box gather_boxes[n]:
+    # every object against its own box, then each pair's background against
+    # its foreground's box
+    objs = np.arange(k)
+    gather_maps = np.concatenate([objs, bg])
+    gather_boxes = np.concatenate([objs, fg])
+    gather = (gather_maps[:, None] * height + np.arange(height)) * (k + 1) + 1 + gather_boxes[:, None]
+    depths = scene.depths()
+    row_dots = np.empty((k * height, k + 1))
+    # stage 2 drops the orthogonality gradient, so it has no pair columns
+    factors = (_grad_factors(rows, cols, list(zip(bg, fg, coef))), _grad_factors(rows, cols, []))
     return _Plan(
         cfg=cfg,
         rows=rows,
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
         cx=pixel_centers(width),
         cy=pixel_centers(height),
-        depths=scene.depths(),
+        depths=depths,
         pairs=tuple(pairs),
-        fg=fg,
-        bg=bg,
         weights=weights,
-        fg_area=fg_area,
-        # stage 2 drops the orthogonality gradient, so it has no pair columns
-        factors=(_grad_factors(rows, cols, list(zip(bg, fg, coef))), _grad_factors(rows, cols, [])),
-        grad=np.empty((len(scene.objects), height, width)),
+        gather=gather,
+        gather_rows=rows[gather_boxes],
+        area_eps=fg_area + cfg.epsilon,
+        neg2_depths=-2.0 * depths,
+        compact_depths=cfg.lambda_compact * depths,
+        two_eps=2.0 * cfg.epsilon,
+        row_dots=row_dots,
+        row_sum=row_dots.reshape(k, height, k + 1)[:, :, 0],
+        col_sum=np.empty((k, width)),
+        factors=factors,
+        columns=tuple((u[:, :, 0], u[:, :, 1], v[:, 2]) for u, v in factors),
+        grad=np.empty((k, height, width)),
     )
 
 
@@ -222,41 +269,43 @@ def _values(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreakdown, t
     """Forward half of `value_and_grad`: the breakdown and the gradient's inputs (D, x - mu_x, y - mu_y)."""
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    cfg = plan.cfg
-    eps = cfg.epsilon
     k, height, width = maps.shape
-    r, d = plan.rows, plan.depths
-    objs = np.arange(k)
+    d, row_sum = plan.depths, plan.row_sum
 
-    # row_dots[k, y, 0] = R[k, y]; row_dots[k, y, 1 + j] = A_k[y] . c_j
-    row_dots = (maps.reshape(k * height, width) @ plan.colmat).reshape(k, height, k + 1)
-    row_sum = row_dots[:, :, 0]
-    col_sum = maps.sum(axis=1)
-    total = col_sum.sum(axis=1)
-    denom = total + eps
+    # row_dots[k * H + y, 0] = R[k, y]; row_dots[k * H + y, 1 + j] = A_k[y] . c_j
+    row_dots = np.matmul(maps.reshape(k * height, width), plan.colmat, out=plan.row_dots)
+    col_sum = np.add.reduce(maps, axis=1, out=plan.col_sum)
+    total = np.add.reduce(col_sum, axis=1)
+    denom = total + plan.cfg.epsilon
+
+    # one pass gives every in-box sum r_k . (A_k c_k), then every pair's
+    # r_fg . (A_bg c_fg)
+    sums = np.add.reduce(plan.gather_rows * row_dots.take(plan.gather), axis=1)
 
     # the literal sum can round past S when the box covers the whole grid
-    e_in = np.minimum((r * row_dots[objs, :, 1 + objs]).sum(axis=1), total)
+    e_in = np.minimum(sums[:k], total)
     e_out = total - e_in
     e_in = total - e_out
     f = e_in / denom
-    align = (d * (1.0 - f) ** 2).sum()
+    align = np.add.reduce(d * (1.0 - f) ** 2)
 
-    inter = (r[plan.fg] * row_dots[plan.bg, :, 1 + plan.fg]).sum(axis=1) / (plan.fg_area + eps)
-    ortho = (plan.weights * inter).sum()
+    inter = sums[k:] / plan.area_eps
+    ortho = np.add.reduce(plan.weights * inter)
 
-    mu = np.stack([col_sum @ plan.cx, row_sum @ plan.cy], axis=1) / denom[:, None]
+    mu = np.empty((k, 2))
+    np.divide(col_sum @ plan.cx, denom, out=mu[:, 0])
+    np.divide(row_sum @ plan.cy, denom, out=mu[:, 1])
     dx = plan.cx - mu[:, :1]
     dy = plan.cy - mu[:, 1:]
-    var = ((col_sum * dx**2).sum(axis=1) + (row_sum * dy**2).sum(axis=1)) / denom
-    compact = (d * var).sum()
+    var = (np.add.reduce(col_sum * dx**2, axis=1) + np.add.reduce(row_sum * dy**2, axis=1)) / denom
+    compact = np.add.reduce(d * var)
 
     breakdown = LossBreakdown(
         stage=stage,
         align=float(align),
         ortho=float(ortho),
         compact=float(compact),
-        total=float(staged_total(align, ortho, compact, cfg, stage)),
+        total=float(staged_total(align, ortho, compact, plan.cfg, stage)),
         f=f,
         e_in=e_in,
         e_out=e_out,
@@ -303,15 +352,15 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
     same plan overwrites it.
     """
     breakdown, (denom, dx, dy) = _values(maps, plan, stage)
-    cfg, d, f, mu = plan.cfg, plan.depths, breakdown.f, breakdown.mu
-    a = -2.0 * d * (1.0 - f) / denom
-    q = (cfg.lambda_compact * d / denom)[:, None]
-    res = (2.0 * cfg.epsilon / denom)[:, None]
-    u, v = plan.factors[stage - 1]
-    np.multiply(a[:, None], plan.rows, out=u[:, :, 0])
-    u[:, :, 1] = q * (dy * (dy - res * mu[:, 1:]) - breakdown.var[:, None]) - (a * f)[:, None]
-    v[:, 2] = q * dx * (dx - res * mu[:, :1])
-    return breakdown, np.matmul(u, v, out=plan.grad)
+    f, mu = breakdown.f, breakdown.mu
+    a = plan.neg2_depths * (1.0 - f) / denom
+    q = (plan.compact_depths / denom)[:, None]
+    res = (plan.two_eps / denom)[:, None]
+    u0, u1, v2 = plan.columns[stage - 1]
+    np.multiply(a[:, None], plan.rows, out=u0)
+    u1[...] = q * (dy * (dy - res * mu[:, 1:]) - breakdown.var[:, None]) - (a * f)[:, None]
+    v2[...] = q * dx * (dx - res * mu[:, :1])
+    return breakdown, np.matmul(*plan.factors[stage - 1], out=plan.grad)
 
 
 def staged_loss(

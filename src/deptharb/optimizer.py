@@ -4,8 +4,10 @@ Each step renders the field once, evaluates the stage objective and its
 gradient in one kernel call, backpropagates to the latent through the same
 rendered maps and takes a plain gradient-descent step z <- z - eta_t * g
 with eta_t = eta0 * eta_decay^t, in place on the run's own copy of the
-latent.  The trajectory records one evaluation per step plus a final
-evaluation of the end state, so its length is total_steps + 1.
+latent.  The schedule of every pass's (stage, eta_t) is built once per
+run, before the first step, as the loss plan is.  The trajectory records
+one evaluation per step plus a final evaluation of the end state, so its
+length is total_steps + 1.
 
 Inputs are validated at the boundaries: the scene, config and starting
 latent on entry, the final latent and field when they are wrapped for the
@@ -112,24 +114,25 @@ def _check_finite(values: np.ndarray, step: int, what: str) -> None:
 def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> Trajectory:
     """Run the full staged optimization from latent0 (left unchanged).
 
-    Deterministic given (scene, cfg, latent0).  The loss geometry and the
-    surrogate are set up once; each step then renders once and makes one
-    value-and-gradient call.  The last pass, t == total_steps, evaluates the
-    end state's values only, without a gradient or an update.
+    Deterministic given (scene, cfg, latent0).  The loss plan, the surrogate
+    and the (stage, eta) schedule are set up once; each step then renders
+    once and makes one value-and-gradient call.  The last pass,
+    t == total_steps, evaluates the end state's values only, without a
+    gradient or an update.
     """
     _check_match(latent0, scene)
     plan = _plan(scene, derive_occlusion_pairs(scene), cfg)
     surrogate = _surrogate(scene, latent0.mode)
     z = latent0.values.copy()
     records: list[StepRecord] = []
+    schedule = [(stage_of(t, cfg), step_size(t, cfg)) for t in range(cfg.total_steps)]
+    schedule.append((_final_stage(cfg), step_size(cfg.total_steps, cfg)))
 
     # a diverging run turns intermediates inf/nan; every one is checked below
     # and reported as an abort, so numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
-        for t in range(cfg.total_steps + 1):
+        for t, (stage, eta) in enumerate(schedule):
             last = t == cfg.total_steps
-            stage = _final_stage(cfg) if last else stage_of(t, cfg)
-            eta = step_size(t, cfg)
             maps = surrogate.render(z)
             if last:
                 breakdown = _values(maps, plan, stage)[0]

@@ -58,6 +58,11 @@ class GuidanceConfig:
             raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
         if not self.tau > 0:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
+        # 0 switches a term off (the ablations); a negative weight rewards it
+        if not self.lambda_ortho >= 0:
+            raise ConfigError(f"lambda_ortho must be >= 0, got {self.lambda_ortho}")
+        if not self.lambda_compact >= 0:
+            raise ConfigError(f"lambda_compact must be >= 0, got {self.lambda_compact}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 <= self.stage1_fraction <= 1.0:

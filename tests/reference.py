@@ -9,10 +9,20 @@ check that the sliced production values equal the full-mask definitions.
 k, y, x draws, one scalar central difference and one judgement per
 coordinate.  `gradcheck.check_gradients` draws and evaluates the same
 coordinates as arrays and must return the same result, field for field.
+
+`reference_values` and `reference_value_and_grad` are the loss kernel
+with nothing hoisted into the plan: three fancy gathers for the in-box and
+interference sums, and every depth and epsilon product formed on each
+call.  The production kernel runs the same floating-point operations in
+the same order, so it must match them bit for bit; `reference_run` is the
+run loop's step sequence on that kernel, with the stage and step size
+derived on every step.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +31,9 @@ from deptharb import AttentionError, AttentionField, GuidanceConfig, LatentState
 from deptharb import gradcheck
 from deptharb.attention import _checked, check_alignment
 from deptharb.gradcheck import CoordReport, GradCheckResult, OracleError
-from deptharb.losses import _plan, value_and_grad
+from deptharb.losses import LossBreakdown, _plan, staged_total, value_and_grad
 from deptharb.metrics import _above_threshold, _winners
+from deptharb.optimizer import _final_stage, stage_of, step_size
 from deptharb.scene import box_indicators, derive_occlusion_pairs
 from deptharb.surrogate import _check_match, _surrogate
 
@@ -175,3 +186,153 @@ def scalar_check_gradients(
                 fd = float((vals[0] - vals[1]) / (2 * h))
                 _absorb(result, judge("latent", k, (p,), float(grad_lat[k, p]), fd, rel_tol))
     return result
+
+
+def assert_same_breakdown(got: LossBreakdown, want: LossBreakdown) -> None:
+    """Every field equal: arrays under np.array_equal with the same dtype and shape, the rest under ==."""
+    for field in fields(LossBreakdown):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def reference_plan(scene: SceneSpec, pairs, cfg: GuidanceConfig) -> SimpleNamespace:
+    """A fresh `_plan` with the members the reference kernel reads besides it.
+
+    `fg`, `bg` and `fg_area` are the pair indices and foreground-box pixel
+    counts, built as the plan built them.  The factors and gradient buffer
+    are this plan's own, so the reference kernel writes no production plan.
+    """
+    plan = _plan(scene, pairs, cfg)
+    cols = plan.colmat[:, 1:].T
+    fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
+    bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
+    fg_area = plan.rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
+    return SimpleNamespace(**vars(plan), fg=fg, bg=bg, fg_area=fg_area)
+
+
+def reference_values(
+    maps: np.ndarray, plan: SimpleNamespace, stage: int
+) -> tuple[LossBreakdown, tuple]:
+    """Forward half of `reference_value_and_grad`: the breakdown and the gradient's inputs (D, x - mu_x, y - mu_y)."""
+    if stage not in (1, 2):
+        raise ValueError(f"stage must be 1 or 2, got {stage}")
+    cfg = plan.cfg
+    eps = cfg.epsilon
+    k, height, width = maps.shape
+    r, d = plan.rows, plan.depths
+    objs = np.arange(k)
+
+    # row_dots[k, y, 0] = R[k, y]; row_dots[k, y, 1 + j] = A_k[y] . c_j
+    row_dots = (maps.reshape(k * height, width) @ plan.colmat).reshape(k, height, k + 1)
+    row_sum = row_dots[:, :, 0]
+    col_sum = maps.sum(axis=1)
+    total = col_sum.sum(axis=1)
+    denom = total + eps
+
+    # the literal sum can round past S when the box covers the whole grid
+    e_in = np.minimum((r * row_dots[objs, :, 1 + objs]).sum(axis=1), total)
+    e_out = total - e_in
+    e_in = total - e_out
+    f = e_in / denom
+    align = (d * (1.0 - f) ** 2).sum()
+
+    inter = (r[plan.fg] * row_dots[plan.bg, :, 1 + plan.fg]).sum(axis=1) / (plan.fg_area + eps)
+    ortho = (plan.weights * inter).sum()
+
+    mu = np.stack([col_sum @ plan.cx, row_sum @ plan.cy], axis=1) / denom[:, None]
+    dx = plan.cx - mu[:, :1]
+    dy = plan.cy - mu[:, 1:]
+    var = ((col_sum * dx**2).sum(axis=1) + (row_sum * dy**2).sum(axis=1)) / denom
+    compact = (d * var).sum()
+
+    breakdown = LossBreakdown(
+        stage=stage,
+        align=float(align),
+        ortho=float(ortho),
+        compact=float(compact),
+        total=float(staged_total(align, ortho, compact, cfg, stage)),
+        f=f,
+        e_in=e_in,
+        e_out=e_out,
+        mu=mu,
+        var=var,
+        pairs=plan.pairs,
+        pair_interference=inter,
+        pair_weights=plan.weights.copy(),
+    )
+    return breakdown, (denom, dx, dy)
+
+
+def reference_value_and_grad(
+    maps: np.ndarray, plan: SimpleNamespace, stage: int
+) -> tuple[LossBreakdown, np.ndarray]:
+    """The stage objective of a (K, H, W) field and its gradient d(total)/dA.
+
+    With S = sum(A_k), D = S + eps, row sums R (K, H) and column sums C (K, W),
+    and box k's mask M_k = r_k (outer) c_k, every term reads the same few
+    reductions:
+        e_in = r_k . (A_k c_k),     I_{i<-j} = r_i . (A_j c_i) / (|M_i| + eps),
+        mu = (C_k . cx, R_k . cy) / D,
+        Var = (C_k . (cx - mu_x)^2 + R_k . (cy - mu_y)^2) / D   (centred form).
+    e_in is the literal in-box sum; then e_out = S - e_in and e_in = S - e_out.
+    Whichever side holds at least half of S makes the other subtraction exact
+    (Sterbenz), so e_in + e_out == S bit-exactly and a dominant e_in keeps its
+    literal value.
+
+    Gradients, per map:
+    * alignment, by the quotient rule (df/dA(v) = (M(v) - f) / D):
+          d[d (1 - f)^2]/dA(v) = a (M(v) - f),  a = -2 d (1 - f) / D;
+    * orthogonality: I is linear in the background map,
+          dI/dA_bg(v) = M_fg(v) / (|M_fg| + eps), and nothing for the foreground;
+    * compactness: for a fixed per-pixel g, G = sum(A g) / D has
+      dG/dA(v) = (g(v) - G) / D; chaining through mu gives
+          dVar/dA(v) = (|p(v) - mu|^2 - Var) / D - 2 (p(v) - mu) . mu eps / D^2,
+      the last part an eps-order residual of the normalization
+      (sum(A / D) = S / D), kept so the gradient matches finite differences at
+      full precision.
+    Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
+    plus one outer product per stage-1 pair: one product of the plan's
+    low-rank factors (`_grad_factors`), of which only the three step-dependent
+    columns are written here.
+
+    The returned gradient is the plan's own buffer: the next call on the
+    same plan overwrites it.
+    """
+    breakdown, (denom, dx, dy) = reference_values(maps, plan, stage)
+    cfg, d, f, mu = plan.cfg, plan.depths, breakdown.f, breakdown.mu
+    a = -2.0 * d * (1.0 - f) / denom
+    q = (cfg.lambda_compact * d / denom)[:, None]
+    res = (2.0 * cfg.epsilon / denom)[:, None]
+    u, v = plan.factors[stage - 1]
+    np.multiply(a[:, None], plan.rows, out=u[:, :, 0])
+    u[:, :, 1] = q * (dy * (dy - res * mu[:, 1:]) - breakdown.var[:, None]) - (a * f)[:, None]
+    v[:, 2] = q * dx * (dx - res * mu[:, :1])
+    return breakdown, np.matmul(u, v, out=plan.grad)
+
+
+def reference_run(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> list[tuple]:
+    """(step, stage, eta, breakdown) of every pass of a run on the reference kernel.
+
+    The run loop's sequence without its finiteness guards: render, the
+    values and gradient, chain to the latent, z - eta * g; the last pass
+    evaluates values only.
+    """
+    plan = reference_plan(scene, derive_occlusion_pairs(scene), cfg)
+    surrogate = _surrogate(scene, latent0.mode)
+    z = latent0.values.copy()
+    records = []
+    for t in range(cfg.total_steps + 1):
+        last = t == cfg.total_steps
+        stage = _final_stage(cfg) if last else stage_of(t, cfg)
+        eta = step_size(t, cfg)
+        maps = surrogate.render(z)
+        if last:
+            records.append((t, stage, eta, reference_values(maps, plan, stage)[0]))
+            break
+        breakdown, grad = reference_value_and_grad(maps, plan, stage)
+        records.append((t, stage, eta, breakdown))
+        z = z - eta * surrogate.chain(grad)
+    return records

@@ -495,6 +495,35 @@ class TestUndefinedObjectiveConfig:
         assert run_cli("run", "--scene", scene_path, "--steps", "2", flag) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,name", [("--lambda-ortho=-1", "lambda_ortho"), ("--lambda-compact=-5", "lambda_compact")]
+    )
+    def test_run_negative_term_weight(self, monkeypatch, capsys, scene_path, flag, name):
+        calls = []
+        monkeypatch.setattr("deptharb.cli.run_guidance", lambda *a, **k: calls.append(a))
+        assert run_cli("run", "--scene", scene_path, "--steps", "3", flag) == 1
+        assert f"{name} must be >= 0, got -" in capsys.readouterr().err
+        assert calls == []
+
+    def test_sweep_negative_value_rejected_before_any_row_runs(self, monkeypatch, capsys, scene_path):
+        calls = []
+        monkeypatch.setattr("deptharb.cli.run_guidance", lambda *a, **k: calls.append(a))
+        code = run_cli(
+            "sweep", "--scene", scene_path, "--steps", "3", "--param", "lambda_ortho", "--values", "0.5,-1",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "lambda_ortho must be >= 0, got -1.0" in captured.err
+        assert captured.out == ""
+        assert calls == []
+
+    def test_negative_term_weight_in_scene_config_block(self, tmp_path, capsys):
+        path = tmp_path / "negative.json"
+        text = scene_file_text(grid=16)[:-1] + ', "config": {"lambda_compact": -0.5}}'
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("run", "--scene", str(path), "--steps", "1") == 1
+        assert "lambda_compact must be >= 0, got -0.5" in capsys.readouterr().err
+
     def test_non_finite_value_in_scene_config_block(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(scene_file_text(grid=16)[:-1] + ', "config": {"alpha": NaN}}', encoding="utf-8")

@@ -28,9 +28,10 @@ from deptharb import (
     staged_total,
 )
 from deptharb.gradcheck import scene_masks
-from deptharb.losses import _plan, value_and_grad
+from deptharb.losses import _plan, _values, value_and_grad
 
 from conftest import random_field_latent, random_scene
+from reference import assert_same_breakdown, reference_plan, reference_value_and_grad, reference_values
 
 EPS = 1e-8
 CFG = GuidanceConfig()
@@ -606,6 +607,24 @@ class TestFusedKernel:
             assert (bd.e_in + bd.e_out == total).all()
 
 
+class TestKernelMatchesReference:
+    """The kernel runs the reference kernel's floating-point operations in its order."""
+
+    @settings(max_examples=150)
+    @given(kernel_cases())
+    def test_bit_for_bit_in_both_stages(self, case):
+        # one plan serves both stages and both passes, as in a run
+        scene, pairs, field, cfg, _ = case
+        plan, ref_plan = _plan(scene, pairs, cfg), reference_plan(scene, pairs, cfg)
+        for stage in (1, 2):
+            got = _values(field.maps, plan, stage)[0]
+            assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])
+            got, grad = value_and_grad(field.maps, plan, stage)
+            want, want_grad = reference_value_and_grad(field.maps, ref_plan, stage)
+            assert_same_breakdown(got, want)
+            assert np.array_equal(grad, want_grad)
+
+
 class TestScalingInvariants:
     def test_f_shift_bounded_by_epsilon_over_mass(self, two_object_scene):
         rng = np.random.default_rng(53)
@@ -691,6 +710,8 @@ class TestGuidanceConfig:
         [
             {"lambda0": 0.0},
             {"tau": 0.0},
+            {"lambda_ortho": -1e-300},
+            {"lambda_compact": -1e-300},
             {"epsilon": 0.0},
             {"stage1_fraction": 1.5},
             {"eta0": -1.0},
@@ -702,3 +723,9 @@ class TestGuidanceConfig:
     def test_invariants_enforced(self, kwargs):
         with pytest.raises(ConfigError):
             GuidanceConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["lambda_ortho", "lambda_compact"])
+    def test_negative_term_weight_message_and_zero_ablation(self, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must be >= 0, got -1.0$"):
+            GuidanceConfig(**{name: -1.0})
+        assert getattr(GuidanceConfig(**{name: 0.0}), name) == 0.0

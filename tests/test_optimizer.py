@@ -24,9 +24,12 @@ from deptharb import (
     staged_loss,
     step_size,
 )
+from deptharb import losses, optimizer
 from deptharb.losses import _plan, _values, value_and_grad
 from deptharb.optimizer import _all_finite, _final_stage
 from deptharb.surrogate import _surrogate
+
+from reference import assert_same_breakdown, reference_run
 
 
 class TestStageOf:
@@ -348,6 +351,50 @@ class TestSingleRenderLoop:
             grids.append(counts["pixel_centers"])
         # the blob surrogate and the plan read the centres, once per run
         assert grids[0] == grids[1] > 0
+
+
+def _arrays(value):
+    """Every array in a value, through nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+class TestRunOnThePlannedKernel:
+    @pytest.mark.parametrize("mode,eta", [("raster", 800.0), ("blob", 0.5)])
+    def test_records_equal_the_reference_kernel_loop(self, canonical, mode, eta):
+        # 5 steps with stage1_fraction 0.5: two in stage 1, three in stage 2
+        cfg = GuidanceConfig(total_steps=5, eta0=eta, eta_decay=0.9)
+        latent0 = init_latent(canonical, mode, seed=0)
+        records = run_guidance(canonical, cfg, latent0).records
+        expected = reference_run(canonical, cfg, latent0)
+        assert [r.stage for r in records] == [1, 1, 2, 2, 2, 2]
+        assert len(records) == len(expected)
+        for record, (step, stage, eta_t, breakdown) in zip(records, expected):
+            assert (record.step, record.stage, record.eta) == (step, stage, eta_t)
+            assert_same_breakdown(record.breakdown, breakdown)
+
+    @pytest.mark.parametrize("mode,eta", [("raster", 800.0), ("blob", 0.5)])
+    def test_records_share_no_memory_with_each_other_or_the_plan(self, canonical, monkeypatch, mode, eta):
+        plans = []
+
+        def capture(*args):
+            plans.append(losses._plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(optimizer, "_plan", capture)
+        cfg = GuidanceConfig(total_steps=5, eta0=eta)
+        records = run_guidance(canonical, cfg, init_latent(canonical, mode, seed=0)).records
+        (plan,) = plans
+        plan_arrays = list(_arrays(tuple(vars(plan).values())))
+        names = ("f", "e_in", "e_out", "mu", "var", "pair_interference", "pair_weights")
+        arrays = [getattr(r.breakdown, name) for r in records for name in names]
+        assert all(a.size for a in arrays)  # an empty array shares nothing
+        for n, a in enumerate(arrays):
+            for b in arrays[n + 1:] + plan_arrays:
+                assert not np.shares_memory(a, b)
 
 
 # sizes around the BLAS dot kernel's unrolled blocks and tail loops, and a
