@@ -25,6 +25,7 @@ import numpy as np
 from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import DEFAULT_REL_TOL, OracleError, check_gradients, precision_note
+from .losses import _pair_coefficients
 from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, build_metric_report
 from .optimizer import NumericalAbort, _final_stage, run_guidance
 from .scene import (
@@ -34,11 +35,11 @@ from .scene import (
     SceneError,
     SceneSpec,
     canonical_scene,
+    derive_occlusion_pairs,
     read_scene,
 )
-from .surrogate import MODES, SurrogateError, init_latent
+from .surrogate import MODES, SurrogateError, init_latent, with_default_step
 
-BLOB_DEFAULT_ETA0 = 0.5
 SWEEP_PARAMS = tuple(f.name for f in fields(GuidanceConfig) if f.metadata["sweep"])
 
 
@@ -69,12 +70,10 @@ def _write_report(args, doc: dict, what: str = "report") -> None:
 # ---------------------------------------------------------------------------
 
 def resolve_config(args, file_overrides: dict) -> GuidanceConfig:
-    """defaults (per preset) < scene-file config block < command-line flags."""
+    """defaults (per preset, the step per mode) < scene-file config block < command-line flags."""
     flags = vars(args)
     merged = {**file_overrides, **{k: flags[k] for k in GUIDANCE_CONFIG_KEYS if flags[k] is not None}}
-    if "eta0" not in merged and args.mode == "blob":
-        merged["eta0"] = BLOB_DEFAULT_ETA0
-    return GuidanceConfig.preset(args.preset).updated(**merged)
+    return with_default_step(GuidanceConfig.preset(args.preset).updated(**merged), args.mode)
 
 
 def _config_echo(cfg: GuidanceConfig, args) -> dict:
@@ -227,8 +226,11 @@ def _sweep_row(scene: SceneSpec, run_cfg: GuidanceConfig, args) -> dict:
 def cmd_sweep(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    # every row's config is checked before the first row runs
+    # every row's config, its pair coefficients too, is checked before the first row runs
     run_cfgs = [cfg.updated(**{args.param: value}) for value in args.values]
+    pairs = derive_occlusion_pairs(scene)
+    for run_cfg in run_cfgs:
+        _pair_coefficients(scene, pairs, run_cfg)
     rows = [_sweep_row(scene, run_cfg, args) for run_cfg in run_cfgs]
     table = {"param": args.param, "rows": rows, "config": _config_echo(cfg, args), "seed": args.seed}
     _write_report(args, table, "sweep table")
@@ -299,7 +301,8 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="total optimization steps")
     sub.add_argument("--stage1-frac", dest="stage1_fraction", type=float, default=None,
                      help="fraction of steps in stage 1")
-    sub.add_argument("--eta", dest="eta0", type=float, default=None, help="base step size eta0")
+    sub.add_argument("--eta", dest="eta0", type=float, default=None,
+                     help="base step size eta0 (default: the mode's own)")
     sub.add_argument("--eta-decay", type=float, default=None,
                      help="per-step multiplicative step-size decay")
     sub.add_argument("--preset", choices=("main", "appendix"), default="main",

@@ -43,6 +43,7 @@ from .scene import (
     OcclusionPair,
     SceneSpec,
     box_indicators,
+    box_span,
     pixel_centers,
 )
 
@@ -115,6 +116,31 @@ def _pair_weights(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: Guidanc
                 f"{pair.background_id}): {exc}"
             ) from None
     return weights
+
+
+def _pair_coefficients(
+    scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda_ij, |M_fg|, lambda_ortho * lambda_ij / (|M_fg| + eps)) of every pair, in pair order.
+
+    Raises a ConfigError naming the pair when either coefficient is not
+    finite, so a config can be checked before any field is rendered.
+    """
+    weights = np.array(_pair_weights(scene, pairs, cfg), dtype=np.float64)
+    grid = (scene.grid_height, scene.grid_width)
+    spans = [box_span(scene.objects[scene.index_of(p.foreground_id)].bbox, *grid) for p in pairs]
+    fg_area = np.array([float((r1 - r0) * (c1 - c0)) for r0, r1, c0, c1 in spans])
+    with np.errstate(over="ignore"):
+        coef = cfg.lambda_ortho * weights / (fg_area + cfg.epsilon)
+    for pair, w, area, c in zip(pairs, weights, fg_area, coef):
+        if not math.isfinite(c):
+            raise ConfigError(
+                f"occlusion pair (foreground {pair.foreground_id}, background "
+                f"{pair.background_id}): lambda_ortho * lambda_ij / (|M_fg| + eps) is not "
+                f"finite for lambda_ortho {cfg.lambda_ortho:g}, lambda_ij {w:g}, "
+                f"|M_fg| {area:g}, eps {cfg.epsilon:g}"
+            )
+    return weights, fg_area, coef
 
 
 def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
@@ -218,18 +244,7 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig)
     cols = np.stack([c for _, c in boxes])
     fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
-    weights = np.array(_pair_weights(scene, pairs, cfg), dtype=np.float64)
-    fg_area = rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
-    with np.errstate(over="ignore"):
-        coef = cfg.lambda_ortho * weights / (fg_area + cfg.epsilon)
-    for pair, w, area, c in zip(pairs, weights, fg_area, coef):
-        if not math.isfinite(c):
-            raise ConfigError(
-                f"occlusion pair (foreground {pair.foreground_id}, background "
-                f"{pair.background_id}): lambda_ortho * lambda_ij / (|M_fg| + eps) is not "
-                f"finite for lambda_ortho {cfg.lambda_ortho:g}, lambda_ij {w:g}, "
-                f"|M_fg| {area:g}, eps {cfg.epsilon:g}"
-            )
+    weights, fg_area, coef = _pair_coefficients(scene, pairs, cfg)
     # the gathered sum n reads map gather_maps[n] against box gather_boxes[n]:
     # every object against its own box, then each pair's background against
     # its foreground's box

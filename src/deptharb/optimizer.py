@@ -36,8 +36,8 @@ import numpy as np
 
 from .attention import AttentionField
 from .losses import LossBreakdown, _plan, _values, value_and_grad
-from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs
-from .surrogate import LatentState, _check_match, _surrogate
+from .scene import ConfigError, GuidanceConfig, SceneSpec, derive_occlusion_pairs
+from .surrogate import LatentState, _check_match, _surrogate, with_default_step
 
 
 class NumericalAbort(RuntimeError):
@@ -82,6 +82,8 @@ def step_size(step: int, cfg: GuidanceConfig) -> float:
     """Geometric schedule eta0 * eta_decay^step."""
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
+    if cfg.eta0 is None:
+        raise ConfigError("eta0 is not set: fill in the mode's default with surrogate.with_default_step")
     return cfg.eta0 * cfg.eta_decay**step
 
 
@@ -114,13 +116,15 @@ def _check_finite(values: np.ndarray, step: int, what: str) -> None:
 def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> Trajectory:
     """Run the full staged optimization from latent0 (left unchanged).
 
-    Deterministic given (scene, cfg, latent0).  The loss plan, the surrogate
-    and the (stage, eta) schedule are set up once; each step then renders
+    Deterministic given (scene, cfg, latent0).  An unset `cfg.eta0` is the
+    default step of latent0's mode.  The loss plan, the surrogate and the
+    (stage, eta) schedule are set up once; each step then renders
     once and makes one value-and-gradient call.  The last pass,
     t == total_steps, evaluates the end state's values only, without a
     gradient or an update.
     """
     _check_match(latent0, scene)
+    cfg = with_default_step(cfg, latent0.mode)
     plan = _plan(scene, derive_occlusion_pairs(scene), cfg)
     surrogate = _surrogate(scene, latent0.mode)
     z = latent0.values.copy()

@@ -31,9 +31,8 @@ def _knob(default, *, objective: bool = False, sweep: bool = False):
 class GuidanceConfig:
     """Every tunable of the guidance engine.
 
-    The default step size is calibrated for the raster surrogate, whose
-    gradient entries scale like 1/(total attention mass); see the README for
-    blob-mode guidance.
+    `eta0` is None until set: each surrogate mode owns its default step
+    (`default_eta0`), which `surrogate.with_default_step` fills in.
     """
 
     lambda0: float = _knob(0.5, objective=True, sweep=True)
@@ -42,7 +41,7 @@ class GuidanceConfig:
     lambda_ortho: float = _knob(0.5, objective=True, sweep=True)
     lambda_compact: float = _knob(0.2, objective=True, sweep=True)
     epsilon: float = _knob(1e-8, objective=True)
-    eta0: float = _knob(800.0, sweep=True)
+    eta0: float | None = _knob(None, sweep=True)
     eta_decay: float = _knob(1.0)
     stage1_fraction: float = _knob(0.5, sweep=True)
     total_steps: int = _knob(200)
@@ -69,7 +68,7 @@ class GuidanceConfig:
             raise ConfigError(
                 f"stage1_fraction must be within [0, 1], got {self.stage1_fraction}"
             )
-        if not self.eta0 >= 0:
+        if self.eta0 is not None and not self.eta0 >= 0:
             raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
         if not 0.0 < self.eta_decay <= 1.0:
             raise ConfigError(f"eta_decay must be in (0, 1], got {self.eta_decay}")

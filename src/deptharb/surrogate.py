@@ -12,10 +12,10 @@ Two parametrizations:
   K * (H + W) one-dimensional exponentials, and its chain rule is two small
   contractions of dL/dA against those 1-D factors (see `_Blob.chain`).
 
-Each mode is one class and owns every fact about it: `latent_shape(scene)`
-and the seeded start `init(scene, rng)`, then, built once per run,
-`render(values)` and `chain(grad)`, the one pair the run loop and
-`gradcheck` both drive.  `_SURROGATES` is the only list of modes.
+Each mode is one class and owns every fact about it: `latent_shape(scene)`,
+its step size `default_eta0`, the seeded start `init(scene, rng)`, then,
+built once per run, `render(values)` and `chain(grad)`, the one pair the run
+loop and `gradcheck` both drive.  `_SURROGATES` is the only list of modes.
 
 Rendered values are strictly positive for finite latents (down to double
 underflow for extremely narrow blobs).
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionField
-from .scene import SceneSpec, pixel_centers
+from .scene import GuidanceConfig, SceneSpec, pixel_centers
 
 JITTER = 0.05  # half-width of the uniform jitter on initial blob centres
 
@@ -39,19 +39,14 @@ class SurrogateError(ValueError):
 
 @dataclass(frozen=True)
 class LatentState:
-    """Latent parameters: (K, H, W) logits in raster mode, (K, 5) in blob mode."""
+    """Finite latent parameters; their shape is checked where a scene uses them (`_check_match`)."""
 
     mode: str
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise SurrogateError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _mode_class(self.mode)
         arr = np.asarray(self.values, dtype=np.float64)
-        if self.mode == "raster" and arr.ndim != 3:
-            raise SurrogateError(f"raster latent must be (K, H, W), got {arr.shape}")
-        if self.mode == "blob" and (arr.ndim != 2 or arr.shape[1] != 5):
-            raise SurrogateError(f"blob latent must be (K, 5), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise SurrogateError("latent contains non-finite entries")
         object.__setattr__(self, "values", arr)
@@ -63,6 +58,8 @@ class _Raster:
     Like `_Blob`, it trusts its inputs (callers check shapes and finiteness)
     and renders into one buffer that every `render` call reuses.
     """
+
+    default_eta0 = 800.0  # its gradient entries scale like 1/(total attention mass)
 
     @staticmethod
     def latent_shape(scene: SceneSpec) -> tuple[int, ...]:
@@ -94,6 +91,8 @@ class _Blob:
     factors of the field it writes, and `chain` contracts dL/dA against
     them, so neither evaluates a 2-D exponential or loops over objects.
     """
+
+    default_eta0 = 0.5  # each of its five parameters per object moves a whole map
 
     @staticmethod
     def latent_shape(scene: SceneSpec) -> tuple[int, ...]:
@@ -160,6 +159,18 @@ _SURROGATES = {"raster": _Raster, "blob": _Blob}
 MODES = tuple(_SURROGATES)
 
 
+def _mode_class(mode: str) -> type[_Raster | _Blob]:
+    if mode not in MODES:
+        raise SurrogateError(f"mode must be one of {MODES}, got {mode!r}")
+    return _SURROGATES[mode]
+
+
+def with_default_step(cfg: GuidanceConfig, mode: str) -> GuidanceConfig:
+    """`cfg`, with an unset `eta0` filled in from `mode`'s own `default_eta0`."""
+    default_eta0 = _mode_class(mode).default_eta0
+    return cfg if cfg.eta0 is not None else cfg.updated(eta0=default_eta0)
+
+
 def _check_match(latent: LatentState, scene: SceneSpec) -> None:
     expected = _SURROGATES[latent.mode].latent_shape(scene)
     if latent.values.shape != expected:
@@ -170,9 +181,7 @@ def _check_match(latent: LatentState, scene: SceneSpec) -> None:
 
 def init_latent(scene: SceneSpec, mode: str, seed: int) -> LatentState:
     """Seeded deterministic start of `mode`'s latent (see each surrogate's `init`)."""
-    if mode not in _SURROGATES:
-        raise SurrogateError(f"mode must be one of {MODES}, got {mode!r}")
-    return LatentState(mode, _SURROGATES[mode].init(scene, np.random.default_rng(seed)))
+    return LatentState(mode, _mode_class(mode).init(scene, np.random.default_rng(seed)))
 
 
 def _surrogate(scene: SceneSpec, mode: str) -> _Raster | _Blob:

@@ -9,6 +9,7 @@ import pytest
 from deptharb import AttentionField, check_gradients, init_latent, write_dump
 from deptharb.cli import build_parser, dumps_report, main, resolve_config
 from deptharb.scene import GUIDANCE_CONFIG_KEYS, parse_scene_with_config
+from deptharb.surrogate import MODES, _mode_class
 
 from conftest import scene_file_text
 
@@ -201,6 +202,16 @@ class TestRun:
         run_cli("run", "--scene", scene_path, "--steps", "0", "--mode", "blob",
                 "--eta", "0.125", "--report", str(r2))
         assert load_report(r2)["config"]["eta0"] == 0.125
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_default_step_is_the_mode_tables(self, tmp_path, scene_path, mode):
+        default_eta0 = _mode_class(mode).default_eta0
+        reports = [tmp_path / "default.json", tmp_path / "explicit.json"]
+        argv = ["run", "--scene", scene_path, "--steps", "5", "--mode", mode]
+        assert run_cli(*argv, "--report", str(reports[0])) == 0
+        assert run_cli(*argv, "--eta", repr(default_eta0), "--report", str(reports[1])) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert load_report(reports[0])["config"]["eta0"] == default_eta0
 
     def test_blob_mode_run_improves_losses(self, tmp_path, scene_path):
         report_path = tmp_path / "blob.json"
@@ -456,12 +467,22 @@ class TestUndefinedObjectiveConfig:
         assert run_cli("grad-check", "--samples", "5", "--alpha", "1e300") == 1
         assert "occlusion pair (foreground 0, background 1)" in capsys.readouterr().err
 
-    def test_sweep_overflowing_pair_weight(self, capsys, scene_path):
-        code = run_cli(
-            "sweep", "--scene", scene_path, "--steps", "2", "--param", "alpha", "--values", "1,1e300",
-        )
-        assert code == 1
-        assert "occlusion pair (foreground 0, background 1)" in capsys.readouterr().err
+    def test_sweep_overflowing_pair_weight(self, monkeypatch, capsys, scene_path):
+        # a bad weight in any row is rejected before the first row runs, with
+        # the same error whichever row holds it
+        calls = []
+        monkeypatch.setattr("deptharb.cli.run_guidance", lambda *a, **k: calls.append(a))
+        for param, bad in (("alpha", "1e300"), ("tau", "1e-300")):
+            errors = []
+            for values in (f"1,{bad}", f"{bad},1"):
+                argv = ["sweep", "--scene", scene_path, "--steps", "2", "--param", param, "--values", values]
+                assert run_cli(*argv) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                errors.append(captured.err)
+            assert errors[0] == errors[1]
+            assert "occlusion pair (foreground 0, background 1)" in errors[0]
+        assert calls == []
 
     def test_eval_overflowing_pair_weight(self, capsys, scene_path, dump_path):
         code = run_cli("eval", "--dump", dump_path, "--scene", scene_path, "--alpha", "1e300")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from deptharb import (
     AttentionField,
+    ConfigError,
     GuidanceConfig,
     LatentState,
     NumericalAbort,
@@ -27,7 +28,7 @@ from deptharb import (
 from deptharb import losses, optimizer
 from deptharb.losses import _plan, _values, value_and_grad
 from deptharb.optimizer import _all_finite, _final_stage
-from deptharb.surrogate import _surrogate
+from deptharb.surrogate import MODES, _mode_class, _surrogate
 
 from reference import assert_same_breakdown, reference_run
 
@@ -80,6 +81,28 @@ class TestStepSize:
     def test_geometric_decay(self):
         cfg = GuidanceConfig(eta0=0.1, eta_decay=0.5)
         assert step_size(3, cfg) == pytest.approx(0.0125, abs=1e-15)
+
+    def test_unset_eta0_is_a_config_error(self):
+        # the default step belongs to the surrogate mode, which a config does not know
+        assert GuidanceConfig().eta0 is None
+        with pytest.raises(ConfigError, match="^eta0 is not set"):
+            step_size(0, GuidanceConfig())
+
+
+class TestDefaultStep:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_library_run_steps_at_the_modes_default(self, canonical, mode):
+        # only where the step comes from is pinned: seed 0 collapses in blob mode
+        default_eta0 = _mode_class(mode).default_eta0
+        latent0 = init_latent(canonical, mode, 0)
+        got = run_guidance(canonical, GuidanceConfig(total_steps=20), latent0)
+        want = run_guidance(canonical, GuidanceConfig(total_steps=20, eta0=default_eta0), latent0)
+        assert got.records[0].eta == default_eta0
+        assert len(got.records) == len(want.records)
+        for a, b in zip(got.records, want.records):
+            assert (a.step, a.stage, a.eta) == (b.step, b.stage, b.eta)
+            assert_same_breakdown(a.breakdown, b.breakdown)
+        assert np.array_equal(got.final_latent.values, want.final_latent.values)
 
 
 class TestRunGuidance:

@@ -70,6 +70,12 @@ class TestParseScene:
         assert len(scene.objects) == 2
         assert overrides == {"eta0": 3.5, "total_steps": 7}
 
+    def test_null_config_value_rejected(self):
+        # an unset eta0 means the mode's own step; a scene file cannot ask for it with null
+        text = scene_file_text()[:-1] + ', "config": {"eta0": null}}'
+        with pytest.raises(SceneError, match=r"^config\.eta0: expected a number, got None$"):
+            parse_scene(text)
+
     def test_unknown_config_key(self):
         text = scene_file_text()[:-1] + ', "config": {"nope": 1.0}}'
         with pytest.raises(SceneError, match="config.nope"):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +21,13 @@ from deptharb import (
     derive_occlusion_pairs,
     init_latent,
     render_attention,
+    run_guidance,
     spatial_mean,
     staged_loss,
 )
 from deptharb.gradcheck import _blob_map
 from deptharb.losses import _plan, value_and_grad
-from deptharb.surrogate import JITTER, _Blob, _surrogate
+from deptharb.surrogate import JITTER, MODES, _Blob, _mode_class, _surrogate, with_default_step
 
 from reference import normalize_map
 
@@ -116,8 +120,15 @@ class TestInit:
         assert (latent.values >= -1.0).all() and (latent.values <= 1.0).all()
 
     def test_unknown_mode(self, two_object_scene):
-        with pytest.raises(SurrogateError):
+        # one lookup, one message, whichever entry point meets the mode first
+        message = "^" + re.escape(f"mode must be one of {MODES}, got 'spline'") + "$"
+        with pytest.raises(SurrogateError, match=message):
             init_latent(two_object_scene, "spline", seed=0)
+        with pytest.raises(SurrogateError, match=message):
+            LatentState(mode="spline", values=np.zeros((2, 5)))
+        for cfg in (GuidanceConfig(), GuidanceConfig(eta0=1.0)):
+            with pytest.raises(SurrogateError, match=message):
+                with_default_step(cfg, "spline")
 
     @settings(max_examples=60)
     @given(init_cases())
@@ -160,9 +171,24 @@ class TestRender:
             assert np.isfinite(field.maps).all()
 
     def test_shape_mismatch_rejected(self, two_object_scene):
-        latent = LatentState(mode="raster", values=np.zeros((2, 8, 8)))
-        with pytest.raises(SurrogateError):
-            render_attention(latent, two_object_scene)
+        # a latent is built whatever its shape; every consumer checks it
+        # against the mode's `latent_shape` for its scene, with one message
+        scene = two_object_scene
+        consumers = (
+            lambda latent: render_attention(latent, scene),
+            lambda latent: run_guidance(scene, GuidanceConfig(total_steps=1), latent),
+            lambda latent: check_gradients(scene, GuidanceConfig(), latent, 1, seed=0, samples=1),
+        )
+        for mode in MODES:
+            expected = _mode_class(mode).latent_shape(scene)
+            wrong_rank = (expected[:-1], expected + (1,))
+            wrong_size = ((expected[0] + 1, *expected[1:]), expected[:-1] + (expected[-1] + 1,))
+            for shape in wrong_rank + wrong_size:
+                latent = LatentState(mode=mode, values=np.zeros(shape))
+                message = "^" + re.escape(f"{mode} latent shape {shape} != scene shape {expected}") + "$"
+                for consume in consumers:
+                    with pytest.raises(SurrogateError, match=message):
+                        consume(latent)
 
 
 class TestBackprop:
@@ -329,3 +355,70 @@ class TestTranslationCovariance:
             mus.append(spatial_mean(norm, coords))
         assert abs((mus[1][0] - mus[0][0]) - delta) <= 1.0 / 64.0
         assert abs(mus[1][1] - mus[0][1]) <= 1.0 / 64.0
+
+
+# the one deliberate mode-name comparison: the oracle keeps its own latent
+# branch, independent of the surrogate classes it checks
+ORACLE_BRANCH = ("gradcheck.py", "check_gradients")
+
+
+def _names_a_mode(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in MODES
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_mode(elt) for elt in node.elts)
+    if isinstance(node, ast.MatchValue):
+        return _names_a_mode(node.value)
+    if isinstance(node, ast.MatchOr):
+        return any(_names_a_mode(p) for p in node.patterns)
+    return False
+
+
+def mode_comparisons(src: Path) -> list[tuple[str, int, str]]:
+    """(file, line, function) of every comparison or `case` against a mode-name literal under `src`."""
+    found = []
+
+    def visit(node: ast.AST, path: str, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(map(_names_a_mode, (node.left, *node.comparators))):
+            found.append((path, node.lineno, function))
+        if isinstance(node, ast.match_case) and _names_a_mode(node.pattern):
+            found.append((path, node.pattern.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return found
+
+
+class TestModeTable:
+    def test_no_mode_branch_outside_the_table(self):
+        # a mode is added as one class in `_SURROGATES`: no module branches on its name
+        import deptharb
+
+        found = mode_comparisons(Path(deptharb.__file__).parent)
+        assert [f for f in found if (f[0], f[2]) != ORACLE_BRANCH] == []
+
+    def test_the_lint_sees_a_comparison_and_a_case(self, tmp_path):
+        (tmp_path / "m.py").write_text(
+            "def f(mode):\n"
+            f"    if {MODES[-1]!r} == mode:\n"
+            "        return 1\n"
+            f"    if mode in ({MODES[0]!r}, 'other'):\n"
+            "        return 2\n"
+            "    match mode:\n"
+            f"        case {MODES[0]!r} | 'other':\n"
+            "            return 3\n",
+            encoding="utf-8",
+        )
+        assert mode_comparisons(tmp_path) == [("m.py", 2, "f"), ("m.py", 4, "f"), ("m.py", 7, "f")]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_class_owns_its_default_step(self, mode):
+        default_eta0 = _mode_class(mode).default_eta0
+        assert default_eta0 > 0
+        assert with_default_step(GuidanceConfig(), mode) == GuidanceConfig(eta0=default_eta0)
+        set_cfg = GuidanceConfig(eta0=3.0)
+        assert with_default_step(set_cfg, mode) is set_cfg
