@@ -17,9 +17,24 @@ class AttentionError(ValueError):
     """Raised for invalid attention-map inputs."""
 
 
+def _real_array(values, error: type[ValueError], what: str) -> np.ndarray:
+    """`values` as float64, rejected with `error` unless a rectangular array of real numbers.
+
+    Integer and float kinds pass; a bool, complex, string or object array and a
+    ragged list are rejected rather than cast.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise error(f"{what} is not a rectangular array") from None
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{what} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _checked(values, ndim: int, what: str) -> np.ndarray:
-    """`values` as float64, rejected unless `ndim`-D, finite and non-negative."""
-    arr = np.asarray(values, dtype=np.float64)
+    """`values` as float64, rejected unless real, `ndim`-D, finite and non-negative."""
+    arr = _real_array(values, AttentionError, what)
     if arr.ndim != ndim:
         raise AttentionError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():

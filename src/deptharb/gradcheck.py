@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionField
-from .losses import _pair_weights, _plan, value_and_grad
+from .losses import _pair_coefficients, _plan, value_and_grad
 from .scene import GuidanceConfig, SceneSpec, box_indicators, derive_occlusion_pairs, pixel_centers
 from .surrogate import LatentState, _check_match, _surrogate
 
@@ -263,7 +263,7 @@ def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
     depths = scene.depths()
     fg_terms: list[list[tuple[np.ndarray, float]]] = [[] for _ in scene.objects]
     pairs = derive_occlusion_pairs(scene)
-    for pair, weight in zip(pairs, _pair_weights(scene, pairs, cfg)):
+    for pair, weight in zip(pairs, _pair_coefficients(scene, pairs, cfg)[0]):
         fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
         fg_terms[bg].append((masks[fg], weight))
     return [(masks[k], depths[k], fg_terms[k]) for k in range(len(scene.objects))]

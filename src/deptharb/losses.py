@@ -97,27 +97,6 @@ def arbitration_weight(d_fg: float, d_bg: float, cfg: GuidanceConfig) -> float:
     return weight
 
 
-def _pair_weights(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig) -> list[float]:
-    """lambda_ij of every pair, in pair order; a ConfigError names the pair it is for."""
-    depths = scene.depths()
-    weights = []
-    for pair in pairs:
-        try:
-            weights.append(
-                arbitration_weight(
-                    depths[scene.index_of(pair.foreground_id)],
-                    depths[scene.index_of(pair.background_id)],
-                    cfg,
-                )
-            )
-        except ConfigError as exc:
-            raise ConfigError(
-                f"occlusion pair (foreground {pair.foreground_id}, background "
-                f"{pair.background_id}): {exc}"
-            ) from None
-    return weights
-
-
 def _pair_coefficients(
     scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,10 +105,20 @@ def _pair_coefficients(
     Raises a ConfigError naming the pair when either coefficient is not
     finite, so a config can be checked before any field is rendered.
     """
-    weights = np.array(_pair_weights(scene, pairs, cfg), dtype=np.float64)
+    depths = scene.depths()
     grid = (scene.grid_height, scene.grid_width)
-    spans = [box_span(scene.objects[scene.index_of(p.foreground_id)].bbox, *grid) for p in pairs]
-    fg_area = np.array([float((r1 - r0) * (c1 - c0)) for r0, r1, c0, c1 in spans])
+    weights, fg_area = np.empty(len(pairs)), np.empty(len(pairs))
+    for n, pair in enumerate(pairs):
+        fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
+        try:
+            weights[n] = arbitration_weight(depths[fg], depths[bg], cfg)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"occlusion pair (foreground {pair.foreground_id}, background "
+                f"{pair.background_id}): {exc}"
+            ) from None
+        r0, r1, c0, c1 = box_span(scene.objects[fg].bbox, *grid)
+        fg_area[n] = (r1 - r0) * (c1 - c0)
     with np.errstate(over="ignore"):
         coef = cfg.lambda_ortho * weights / (fg_area + cfg.epsilon)
     for pair, w, area, c in zip(pairs, weights, fg_area, coef):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -49,6 +50,12 @@ class GuidanceConfig:
     def __post_init__(self) -> None:
         for knob in fields(self):
             value = getattr(self, knob.name)
+            if knob.name == "eta0" and value is None:  # the latent's mode's own step
+                continue
+            kind = numbers.Integral if knob.name == "total_steps" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a real number"
+                raise ConfigError(f"{knob.name} must be {what}, got {value!r}")
             # a non-finite weight leaves the objective undefined (nan or inf
             # at step 0), which is an input error, not a numerical abort
             if knob.metadata["objective"] and not math.isfinite(value):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionField
+from .attention import AttentionField, _real_array
 from .scene import GuidanceConfig, SceneSpec, pixel_centers
 
 JITTER = 0.05  # half-width of the uniform jitter on initial blob centres
@@ -46,7 +46,7 @@ class LatentState:
 
     def __post_init__(self) -> None:
         _mode_class(self.mode)
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = _real_array(self.values, SurrogateError, "latent")
         if not np.isfinite(arr).all():
             raise SurrogateError("latent contains non-finite entries")
         object.__setattr__(self, "values", arr)

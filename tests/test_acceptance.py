@@ -12,8 +12,15 @@ import numpy as np
 
 import deptharb as d
 from deptharb.cli import main as cli_main
-from deptharb.gradcheck import scene_masks
-from deptharb.losses import _plan, value_and_grad
+from deptharb.gradcheck import (
+    alignment_ratio,
+    coord_grid,
+    interference,
+    scene_masks,
+    spatial_mean,
+    spatial_variance,
+)
+from deptharb.losses import _plan, arbitration_weight, staged_total, value_and_grad
 
 from conftest import dyadic_field, random_scene, scene_file_text
 from reference import normalize_map, pseudo_segment
@@ -62,28 +69,28 @@ class TestAcceptance:
         cfg = d.GuidanceConfig()
         checks = []
 
-        f = d.alignment_ratio(4.0, 12.0, EPS)
+        f = alignment_ratio(4.0, 12.0, EPS)
         checks.append(("f(4,12)", abs(f - 0.25) <= 1e-9))
 
-        lam = d.arbitration_weight(0.37, 0.37, cfg)
+        lam = arbitration_weight(0.37, 0.37, cfg)
         checks.append(("lambda(d_i=d_j)", lam == cfg.lambda0))
 
         delta = np.zeros((8, 8))
         delta[3, 4] = 5.0
-        coords = d.coord_grid(8, 8)
+        coords = coord_grid(8, 8)
         norm = normalize_map(delta, EPS)
-        var_delta = d.spatial_variance(norm, coords, d.spatial_mean(norm, coords))
+        var_delta = spatial_variance(norm, coords, spatial_mean(norm, coords))
         checks.append(("Var(delta)=0", abs(var_delta) <= 1e-12))
 
         uniform = np.ones((8, 8))
         oracle = brute_force_variance(uniform, EPS)
         norm = normalize_map(uniform, EPS)
-        var_uniform = d.spatial_variance(norm, coords, d.spatial_mean(norm, coords))
+        var_uniform = spatial_variance(norm, coords, spatial_mean(norm, coords))
         checks.append(("Var(uniform 8x8)", abs(var_uniform - oracle) <= 1e-6))
         checks.append(("Var(uniform 8x8)~0.16406", abs(var_uniform - 0.16406) <= 1e-4))
 
-        total1 = d.staged_total(0.5625, 1.0, 0.0625, cfg, 1)
-        total2 = d.staged_total(0.5625, 1.0, 0.0625, cfg, 2)
+        total1 = staged_total(0.5625, 1.0, 0.0625, cfg, 1)
+        total2 = staged_total(0.5625, 1.0, 0.0625, cfg, 2)
         checks.append(("staged total stage1", abs(total1 - 1.075) <= 1e-12))
         checks.append(("staged total stage2", abs(total2 - 0.575) <= 1e-12))
 
@@ -234,8 +241,8 @@ class TestAcceptance:
             abs(f3[k] - f1[k]) <= EPS / field.maps[k].sum() for k in range(2)
         )
 
-        i1 = d.interference(field.maps[1], masks[0], EPS)
-        i3 = d.interference(tripled.maps[1], masks[0], EPS)
+        i1 = interference(field.maps[1], masks[0], EPS)
+        i3 = interference(tripled.maps[1], masks[0], EPS)
         interference_scales = i3 == 3.0 * i1
 
         ok = seg_equal and focr_equal and miou_equal and f_bound and interference_scales

@@ -3,14 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deptharb import (
-    NONE_ID,
-    AttentionError,
-    AttentionField,
-    SceneObject,
-    SceneSpec,
-    coord_grid,
-)
+from deptharb import AttentionError, AttentionField, LatentState, SceneObject, SceneSpec, SurrogateError
+from deptharb.gradcheck import coord_grid
+from deptharb.metrics import NONE_ID
 
 from reference import from_maps, normalize_map, pseudo_segment, threshold_mask
 
@@ -147,3 +142,37 @@ class TestAttentionField:
             from_maps([np.ones((2, 2)), np.ones((2, 3))])
         with pytest.raises(AttentionError):
             from_maps([-np.ones((2, 2))])
+
+
+class TestRealDtype:
+    """Both containers reject, rather than cast, values that are not real numbers."""
+
+    @pytest.mark.parametrize(
+        "make, error, name",
+        [
+            (AttentionField, AttentionError, "field"),
+            (lambda values: LatentState("raster", values), SurrogateError, "latent"),
+        ],
+        ids=["AttentionField", "LatentState"],
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.ones((1, 2, 2), dtype=complex),
+            np.full((1, 2, 2), "a"),
+            np.full((1, 2, 2), "1.5"),
+            np.ones((1, 2, 2), dtype=bool),
+            [[[1.0, 2.0], [3.0]]],
+            np.ones((1, 2, 2), dtype=object),
+        ],
+        ids=["complex", "str", "numeric-str", "bool", "ragged", "object"],
+    )
+    def test_rejected_with_the_containers_error(self, make, error, name, values):
+        with pytest.raises(error, match=rf"^{name} (must hold real numbers|is not a rectangular array)"):
+            make(values)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, np.float64])
+    def test_integer_and_float_kinds_pass_as_float64(self, dtype):
+        maps = AttentionField(np.ones((1, 2, 2), dtype=dtype)).maps
+        values = LatentState("raster", np.ones((1, 2, 2), dtype=dtype)).values
+        assert maps.dtype == values.dtype == np.float64

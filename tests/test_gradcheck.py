@@ -10,15 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deptharb import (
-    GuidanceConfig,
-    LatentState,
-    SceneObject,
-    SceneSpec,
-    canonical_scene,
-    coord_grid,
-    init_latent,
-)
+from deptharb import GuidanceConfig, LatentState, SceneObject, SceneSpec, canonical_scene, init_latent
 from deptharb import gradcheck
 from deptharb.cli import main
 from deptharb.gradcheck import (
@@ -31,6 +23,7 @@ from deptharb.gradcheck import (
     _PixelSums,
     _restricted_loss,
     check_gradients,
+    coord_grid,
     spatial_mean,
     spatial_variance,
 )

@@ -15,20 +15,20 @@ from deptharb import (
     SceneError,
     SceneObject,
     SceneSpec,
-    alignment_ratio,
-    arbitration_weight,
-    attention_energies,
     check_gradients,
-    coord_grid,
     derive_occlusion_pairs,
+    staged_loss,
+)
+from deptharb.gradcheck import (
+    alignment_ratio,
+    attention_energies,
+    coord_grid,
     interference,
+    scene_masks,
     spatial_mean,
     spatial_variance,
-    staged_loss,
-    staged_total,
 )
-from deptharb.gradcheck import scene_masks
-from deptharb.losses import _plan, _values, value_and_grad
+from deptharb.losses import _plan, _values, arbitration_weight, staged_total, value_and_grad
 
 from conftest import random_field_latent, random_scene
 from reference import assert_same_breakdown, reference_plan, reference_value_and_grad, reference_values
@@ -718,11 +718,25 @@ class TestGuidanceConfig:
             {"eta_decay": 0.0},
             {"eta_decay": 1.5},
             {"total_steps": -1},
+            {"total_steps": 5.0},
+            {"total_steps": True},
+            {"total_steps": "5"},
+            {"lambda0": "0.5"},
+            {"lambda0": True},
+            {"alpha": 1j},
+            {"eta0": "800"},
+            {"eta0": np.True_},
+            {"eta_decay": None},
+            {"stage1_fraction": [0.5]},
         ],
     )
     def test_invariants_enforced(self, kwargs):
         with pytest.raises(ConfigError):
             GuidanceConfig(**kwargs)
+
+    def test_numpy_scalars_and_unset_step_accepted(self):
+        cfg = GuidanceConfig(total_steps=np.int64(5), lambda0=np.float64(0.25), eta0=None)
+        assert (cfg.total_steps, cfg.lambda0, cfg.eta0) == (5, 0.25, None)
 
     @pytest.mark.parametrize("name", ["lambda_ortho", "lambda_compact"])
     def test_negative_term_weight_message_and_zero_ablation(self, name):

@@ -21,13 +21,11 @@ from deptharb import (
     init_latent,
     render_attention,
     run_guidance,
-    stage_of,
     staged_loss,
-    step_size,
 )
 from deptharb import losses, optimizer
 from deptharb.losses import _plan, _values, value_and_grad
-from deptharb.optimizer import _all_finite, _final_stage
+from deptharb.optimizer import _all_finite, _final_stage, stage_of, step_size
 from deptharb.surrogate import MODES, _mode_class, _surrogate
 
 from reference import assert_same_breakdown, reference_run

@@ -17,15 +17,13 @@ from deptharb import (
     SceneSpec,
     SurrogateError,
     check_gradients,
-    coord_grid,
     derive_occlusion_pairs,
     init_latent,
     render_attention,
     run_guidance,
-    spatial_mean,
     staged_loss,
 )
-from deptharb.gradcheck import _blob_map
+from deptharb.gradcheck import _blob_map, coord_grid, spatial_mean
 from deptharb.losses import _plan, value_and_grad
 from deptharb.surrogate import JITTER, MODES, _Blob, _mode_class, _surrogate, with_default_step
 
