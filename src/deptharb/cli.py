@@ -30,6 +30,7 @@ from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, build_metric_report
 from .optimizer import NumericalAbort, _final_stage, run_guidance
 from .scene import (
     GUIDANCE_CONFIG_KEYS,
+    PRESETS,
     ConfigError,
     GuidanceConfig,
     SceneError,
@@ -100,16 +101,14 @@ def _run_rounded(scene: SceneSpec, cfg: GuidanceConfig, args) -> AttentionField:
         raise NumericalAbort(cfg.total_steps, "float32-rounded field") from exc
 
 
-def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args, seed: int) -> MetricReport:
+def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args) -> MetricReport:
     """The field's report; a loss value it would hold that is not finite aborts at the last step.
 
     A finite field and config can still overflow a sum (the ortho term over
     many pairs, say), so numpy's warnings are silenced and the values checked.
     """
     with np.errstate(all="ignore"):
-        report = build_metric_report(
-            field, scene, cfg, _final_stage(cfg), args.rel_threshold, _config_echo(cfg, args), seed
-        )
+        report = build_metric_report(field, scene, cfg, _final_stage(cfg), args.rel_threshold)
     b = report.breakdown
     if not np.isfinite([b.align, b.ortho, b.compact, b.total, *b.pair_interference]).all():
         raise NumericalAbort(cfg.total_steps, "scored loss")
@@ -136,8 +135,8 @@ def _print_summary(report: dict) -> None:
         )
 
 
-def _publish(args, report: MetricReport) -> int:
-    doc = report.to_json_dict()
+def _publish(args, report: MetricReport, cfg: GuidanceConfig, seed: int) -> int:
+    doc = {**report.to_json_dict(), "config": _config_echo(cfg, args), "seed": seed}
     _write_report(args, doc)
     _print_summary(doc)
     return 0
@@ -151,18 +150,19 @@ def cmd_run(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
     field = _run_rounded(scene, cfg, args)
-    report = _score(field, scene, cfg, args, args.seed)
+    report = _score(field, scene, cfg, args)
     if args.dump:
         write_dump(args.dump, field, args.seed)
         print(f"dump written to {args.dump}")
-    return _publish(args, report)
+    return _publish(args, report, cfg, args.seed)
 
 
 def cmd_eval(args) -> int:
     # a dump that does not match the scene is rejected by the scoring itself
     field, seed = read_dump(args.dump)
     scene, file_overrides = read_scene(args.scene)
-    return _publish(args, _score(field, scene, resolve_config(args, file_overrides), args, seed))
+    cfg = resolve_config(args, file_overrides)
+    return _publish(args, _score(field, scene, cfg, args), cfg, seed)
 
 
 def cmd_grad_check(args) -> int:
@@ -204,7 +204,7 @@ def cmd_grad_check(args) -> int:
 
 
 def _sweep_row(scene: SceneSpec, run_cfg: GuidanceConfig, args) -> dict:
-    report = _score(_run_rounded(scene, run_cfg, args), scene, run_cfg, args, args.seed)
+    report = _score(_run_rounded(scene, run_cfg, args), scene, run_cfg, args)
     breakdown = report.breakdown
     return {
         "value": getattr(run_cfg, args.param),
@@ -305,7 +305,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="base step size eta0 (default: the mode's own)")
     sub.add_argument("--eta-decay", type=float, default=None,
                      help="per-step multiplicative step-size decay")
-    sub.add_argument("--preset", choices=("main", "appendix"), default="main",
+    sub.add_argument("--preset", choices=PRESETS, default="main",
                      help="weight preset (default: main)")
     sub.add_argument("--lambda0", type=float, default=None, help="base repulsion weight")
     sub.add_argument("--alpha", type=float, default=None, help="depth-modulation sharpness")

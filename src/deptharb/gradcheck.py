@@ -348,8 +348,14 @@ def check_gradients(
     whatever `samples` is.
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor or its map's mass is below
-    1e3 * FD_STEP.
+    1e3 * FD_STEP.  Raises ValueError, before any render, for a check that
+    would judge nothing (`samples` < 1) or decide every coordinate alike
+    (`rel_tol` not finite and >= 0).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not (np.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     result = GradCheckResult()
     rng = np.random.default_rng(seed)
     # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between

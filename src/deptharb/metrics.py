@@ -59,15 +59,8 @@ class LayoutMiou:
 
 
 @dataclass(frozen=True)
-class PairFocr:
-    foreground_id: int
-    background_id: int
-    focr: float | None  # None when the rasterized box intersection is empty
-
-
-@dataclass(frozen=True)
 class FocrResult:
-    per_pair: tuple[PairFocr, ...]
+    per_pair: tuple[float | None, ...]  # in pair order; None when the box intersection is empty
     mean: float | None
 
 
@@ -115,29 +108,26 @@ def focr(
     Winners (ties to smaller depth, then smaller id) are taken only over the
     overlap of the two boxes' `box_span` rectangles.  Pairs whose overlap holds
     no pixels report None and are excluded from the mean; an empty pair list
-    yields an absent mean.
+    yields an absent mean.  A pair naming an id the scene lacks raises SceneError.
     """
     check_alignment(field, scene)
-    spans = {obj.id: box_span(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects}
-    per_pair: list[PairFocr] = []
-    values: list[float] = []
+    spans = [box_span(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects]
+    per_pair: list[float | None] = []
     for pair in pairs:
-        fg, bg = spans[pair.foreground_id], spans[pair.background_id]
+        fg, bg = spans[scene.index_of(pair.foreground_id)], spans[scene.index_of(pair.background_id)]
         r0, r1, c0, c1 = max(fg[0], bg[0]), min(fg[1], bg[1]), max(fg[2], bg[2]), min(fg[3], bg[3])
         if r1 <= r0 or c1 <= c0:
-            per_pair.append(PairFocr(pair.foreground_id, pair.background_id, None))
+            per_pair.append(None)
             continue
         winners = _winners(field.maps[:, r0:r1, c0:c1], scene)
-        value = int(np.count_nonzero(winners == pair.foreground_id)) / ((r1 - r0) * (c1 - c0))
-        per_pair.append(PairFocr(pair.foreground_id, pair.background_id, value))
-        values.append(value)
-    mean = float(np.mean(values)) if values else None
-    return FocrResult(per_pair=tuple(per_pair), mean=mean)
+        per_pair.append(int(np.count_nonzero(winners == pair.foreground_id)) / ((r1 - r0) * (c1 - c0)))
+    values = [v for v in per_pair if v is not None]
+    return FocrResult(per_pair=tuple(per_pair), mean=float(np.mean(values)) if values else None)
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Everything a run or evaluation reports: metrics, loss echoes, config, seed.
+    """What scoring a field computes: stage losses, layout mIoU and occlusion coverage.
 
     bor and fbs slots stay absent (None): those scores would need CLIP and a
     vision-language judge, which this engine deliberately does not carry.
@@ -147,13 +137,8 @@ class MetricReport:
     breakdown: LossBreakdown
     miou: LayoutMiou
     focr: FocrResult
-    config: dict
-    seed: int
 
     def to_json_dict(self) -> dict:
-        focr_by_pair = {
-            (p.foreground_id, p.background_id): p.focr for p in self.focr.per_pair
-        }
         per_object = []
         for k, obj in enumerate(self.scene.objects):
             per_object.append(
@@ -169,14 +154,16 @@ class MetricReport:
                 }
             )
         per_pair = []
-        for p_idx, pair in enumerate(self.breakdown.pairs):
+        # build_metric_report hands the loss and focr the same pairs, in the same order
+        scored = zip(self.breakdown.pairs, self.focr.per_pair, strict=True)
+        for p_idx, (pair, pair_focr) in enumerate(scored):
             per_pair.append(
                 {
                     "foreground_id": pair.foreground_id,
                     "background_id": pair.background_id,
                     "interference": float(self.breakdown.pair_interference[p_idx]),
                     "weight": float(self.breakdown.pair_weights[p_idx]),
-                    "focr": focr_by_pair[(pair.foreground_id, pair.background_id)],
+                    "focr": pair_focr,
                 }
             )
         return {
@@ -197,8 +184,6 @@ class MetricReport:
                 "bor": None,
                 "fbs": None,
             },
-            "config": self.config,
-            "seed": self.seed,
         }
 
 
@@ -208,8 +193,6 @@ def build_metric_report(
     cfg: GuidanceConfig,
     stage: int,
     rel_threshold: float,
-    config_echo: dict,
-    seed: int,
 ) -> MetricReport:
     """Evaluate a field end to end: stage losses, layout mIoU, and occlusion coverage."""
     pairs = derive_occlusion_pairs(scene)
@@ -218,6 +201,4 @@ def build_metric_report(
         breakdown=staged_loss(field, scene, pairs, cfg, stage),
         miou=layout_miou(field, scene, rel_threshold),
         focr=focr(field, scene, pairs),
-        config=config_echo,
-        seed=seed,
     )

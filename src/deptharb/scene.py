@@ -84,12 +84,11 @@ class GuidanceConfig:
 
     @classmethod
     def preset(cls, name: str) -> "GuidanceConfig":
-        """Named weight presets: "main" (0.5/0.2) or "appendix" (0.2/0.5)."""
-        if name == "main":
-            return cls()
-        if name == "appendix":
-            return cls(lambda_ortho=0.2, lambda_compact=0.5)
-        raise ConfigError(f"unknown preset {name!r} (expected 'main' or 'appendix')")
+        """The config of a named weight preset in PRESETS."""
+        if not isinstance(name, str) or name not in PRESETS:
+            expected = " or ".join(repr(known) for known in PRESETS)
+            raise ConfigError(f"unknown preset {name!r} (expected {expected})")
+        return cls(**PRESETS[name])
 
     def updated(self, **overrides) -> "GuidanceConfig":
         return replace(self, **overrides)
@@ -98,6 +97,8 @@ class GuidanceConfig:
         return asdict(self)
 
 
+# each weight preset's overrides of the defaults: main text 0.5/0.2, appendix 0.2/0.5
+PRESETS = {"main": {}, "appendix": {"lambda_ortho": 0.2, "lambda_compact": 0.5}}
 GUIDANCE_CONFIG_KEYS = tuple(f.name for f in fields(GuidanceConfig))
 MAX_GRID_PIXELS = 1 << 24  # 4096x4096; one float64 map is then 128 MiB
 

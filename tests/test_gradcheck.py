@@ -205,6 +205,26 @@ class TestArrayOracle:
             assert len(lengths) == spaces * len(two_object_scene.objects) * -(-samples // chunk)
 
 
+class TestRefusedChecks:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"samples": 0}, "samples must be >= 1, got 0"),
+            ({"samples": -1}, "samples must be >= 1, got -1"),
+            ({"rel_tol": np.inf}, "rel_tol must be finite and >= 0, got inf"),
+            ({"rel_tol": np.nan}, "rel_tol must be finite and >= 0, got nan"),
+            ({"rel_tol": -1.0}, "rel_tol must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_judging_nothing_or_everything_is_refused(self, monkeypatch, kwargs, message):
+        # a raster check of 0 samples passed having judged nothing; rel_tol inf
+        # passed every coordinate, nan and -1 failed every one
+        monkeypatch.setattr(gradcheck, "_surrogate", lambda *a: pytest.fail("rendered"))
+        scene = canonical_scene()
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), 1, seed=0, **kwargs)
+
+
 class TestCollapsedMaps:
     def test_map_far_below_the_step_is_refused_by_name(self):
         # log-amplitude -1e4 renders an all-zero map; the central difference

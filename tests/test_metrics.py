@@ -11,15 +11,17 @@ from deptharb import (
     AttentionField,
     GuidanceConfig,
     OcclusionPair,
+    SceneError,
     SceneObject,
     SceneSpec,
     build_metric_report,
     derive_occlusion_pairs,
     focr,
     layout_miou,
+    staged_loss,
 )
 from deptharb.losses import _plan, value_and_grad
-from deptharb.metrics import FocrResult, LayoutMiou, MetricReport, PairFocr
+from deptharb.metrics import FocrResult, LayoutMiou, MetricReport
 
 from conftest import dyadic_field
 from reference import from_maps, mask_iou, pseudo_segment, rasterize_mask, threshold_mask
@@ -140,20 +142,28 @@ class TestFocr:
     def test_foreground_dominant_everywhere(self, two_object_scene):
         field = box_indicator_field(two_object_scene, amplitudes=[2.0, 1.0])
         result = focr(field, two_object_scene, derive_occlusion_pairs(two_object_scene))
-        assert result.per_pair[0].focr == 1.0
+        assert result.per_pair[0] == 1.0
         assert result.mean == 1.0
 
     def test_background_dominant_everywhere(self, two_object_scene):
         field = box_indicator_field(two_object_scene, amplitudes=[1.0, 3.0])
         result = focr(field, two_object_scene, derive_occlusion_pairs(two_object_scene))
-        assert result.per_pair[0].focr == 0.0
+        assert result.per_pair[0] == 0.0
         assert result.mean == 0.0
 
     def test_exact_tie_goes_to_closer_object(self, two_object_scene):
         # equal attention in the intersection: depth 0.2 object wins every pixel
         field = box_indicator_field(two_object_scene, amplitudes=[1.0, 1.0])
         result = focr(field, two_object_scene, derive_occlusion_pairs(two_object_scene))
-        assert result.per_pair[0].focr == 1.0
+        assert result.per_pair[0] == 1.0
+
+    @pytest.mark.parametrize("pair", [OcclusionPair(0, 5), OcclusionPair(5, 1)])
+    def test_unknown_pair_id_is_named_as_the_loss_names_it(self, two_object_scene, pair):
+        field = box_indicator_field(two_object_scene)
+        with pytest.raises(SceneError, match=r"^unknown object id 5$"):
+            focr(field, two_object_scene, [pair])
+        with pytest.raises(SceneError, match=r"^unknown object id 5$"):
+            staged_loss(field, two_object_scene, [pair], GuidanceConfig(), 1)
 
     def test_empty_pairs_reports_absent_mean(self, two_object_scene):
         field = box_indicator_field(two_object_scene)
@@ -167,7 +177,7 @@ class TestFocr:
         for _ in range(10):
             field = AttentionField(maps=rng.uniform(0, 2, (2, 16, 16)))
             result = focr(field, two_object_scene, pairs)
-            assert 0.0 <= result.per_pair[0].focr <= 1.0
+            assert 0.0 <= result.per_pair[0] <= 1.0
 
     def test_monotone_in_foreground_scale(self, two_object_scene):
         rng = np.random.default_rng(33)
@@ -177,7 +187,7 @@ class TestFocr:
         for c in (1.0, 2.0, 4.0, 8.0):
             scaled = maps.copy()
             scaled[0] *= c
-            values.append(focr(AttentionField(maps=scaled), two_object_scene, pairs).per_pair[0].focr)
+            values.append(focr(AttentionField(maps=scaled), two_object_scene, pairs).per_pair[0])
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -187,14 +197,9 @@ class TestMetricReport:
 
         rng = np.random.default_rng(85)
         field = AttentionField(maps=rng.uniform(0, 2, (2, 16, 16)))
-        report = build_metric_report(
-            field, two_object_scene, GuidanceConfig(), stage=1,
-            rel_threshold=0.5, config_echo={"mode": "raster"}, seed=4,
-        )
+        report = build_metric_report(field, two_object_scene, GuidanceConfig(), stage=1, rel_threshold=0.5)
         doc = report.to_json_dict()
-        assert set(doc.keys()) == {
-            "losses", "per_object", "per_pair", "metrics", "config", "seed",
-        }
+        assert set(doc.keys()) == {"losses", "per_object", "per_pair", "metrics"}
         ious = [obj["iou"] for obj in doc["per_object"]]
         assert all(0.0 <= v <= 1.0 for v in ious)
         assert doc["metrics"]["miou_all"] == pytest.approx(np.mean(ious), abs=1e-15)
@@ -203,7 +208,6 @@ class TestMetricReport:
         if focrs:
             assert doc["metrics"]["focr_mean"] == pytest.approx(np.mean(focrs), abs=1e-15)
         assert doc["metrics"]["bor"] is None and doc["metrics"]["fbs"] is None
-        assert doc["seed"] == 4
 
 
 class TestScalingInvariance:
@@ -267,7 +271,7 @@ def scored_cases(draw):
     return scene, AttentionField(maps=maps), draw(st.sampled_from([1e-6, 0.5, 1.0]))
 
 
-def full_mask_report(field, scene, cfg, stage, rel_threshold, config_echo, seed) -> MetricReport:
+def full_mask_report(field, scene, cfg, stage, rel_threshold) -> MetricReport:
     """The literal full-mask definition of the report: thresholded maps against
     rasterized boxes, winners over the whole field."""
     height, width = scene.grid_height, scene.grid_width
@@ -293,11 +297,11 @@ def full_mask_report(field, scene, cfg, stage, rel_threshold, config_echo, seed)
         inter = (m_fg > 0) & (m_bg > 0)
         n = int(inter.sum())
         value = int(np.sum(winners[inter] == pair.foreground_id)) / n if n else None
-        per_pair.append(PairFocr(pair.foreground_id, pair.background_id, value))
-    values = [p.focr for p in per_pair if p.focr is not None]
+        per_pair.append(value)
+    values = [v for v in per_pair if v is not None]
     result = FocrResult(per_pair=tuple(per_pair), mean=float(np.mean(values)) if values else None)
     breakdown = value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[0]
-    return MetricReport(scene, breakdown, miou, result, config_echo, seed)
+    return MetricReport(scene, breakdown, miou, result)
 
 
 class TestBoxRectangleScoring:
@@ -305,7 +309,7 @@ class TestBoxRectangleScoring:
     @given(scored_cases(), st.sampled_from([1, 2]))
     def test_report_equals_full_mask_reference(self, case, stage):
         scene, field, rel = case
-        args = (field, scene, GuidanceConfig(), stage, rel, {"mode": "raster"}, 3)
+        args = (field, scene, GuidanceConfig(), stage, rel)
         expected = json.dumps(full_mask_report(*args).to_json_dict())
         assert json.dumps(build_metric_report(*args).to_json_dict()) == expected
 
@@ -317,5 +321,5 @@ class TestBoxRectangleScoring:
         monkeypatch.setattr(deptharb.losses, "value_and_grad", lambda *a: calls.append(1) or real(*a))
         field = AttentionField(maps=np.random.default_rng(7).uniform(0, 2, (2, 16, 16)))
         for stage in (1, 2):
-            build_metric_report(field, two_object_scene, GuidanceConfig(), stage, 0.5, {}, 0)
+            build_metric_report(field, two_object_scene, GuidanceConfig(), stage, 0.5)
         assert calls == []
