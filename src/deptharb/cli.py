@@ -25,9 +25,8 @@ import numpy as np
 from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import DEFAULT_REL_TOL, OracleError, check_gradients, precision_note
-from .losses import _pair_coefficients
 from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, build_metric_report
-from .optimizer import NumericalAbort, _final_stage, run_guidance
+from .optimizer import NumericalAbort, Trajectory, _final_stage, run_guidance, run_rows
 from .scene import (
     GUIDANCE_CONFIG_KEYS,
     PRESETS,
@@ -36,7 +35,6 @@ from .scene import (
     SceneError,
     SceneSpec,
     canonical_scene,
-    derive_occlusion_pairs,
     read_scene,
 )
 from .surrogate import MODES, SurrogateError, init_latent, with_default_step
@@ -85,18 +83,19 @@ def _config_echo(cfg: GuidanceConfig, args) -> dict:
 # run, score, report
 # ---------------------------------------------------------------------------
 
-def _run_rounded(scene: SceneSpec, cfg: GuidanceConfig, args) -> AttentionField:
-    """The final field of a seeded run, rounded through float32 as the dump stores it.
+def _rounded(outcome: Trajectory | NumericalAbort, cfg: GuidanceConfig) -> AttentionField:
+    """The final field of a run, rounded through float32 as the dump stores it; a run's abort is raised.
 
     Report and dump both see this field, so a later `eval` of the dump
     reproduces the reported numbers exactly.  A finite float64 field can
     still exceed the float32 range; that is a numerical failure of the run,
     reported at its last step.
     """
-    trajectory = run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed))
+    if isinstance(outcome, NumericalAbort):
+        raise outcome
     try:
         with np.errstate(over="ignore"):
-            return round_trip32(trajectory.final_field)
+            return round_trip32(outcome.final_field)
     except AttentionError as exc:
         raise NumericalAbort(cfg.total_steps, "float32-rounded field") from exc
 
@@ -149,7 +148,7 @@ def _publish(args, report: MetricReport, cfg: GuidanceConfig, seed: int) -> int:
 def cmd_run(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    field = _run_rounded(scene, cfg, args)
+    field = _rounded(run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed)), cfg)
     report = _score(field, scene, cfg, args)
     if args.dump:
         write_dump(args.dump, field, args.seed)
@@ -203,8 +202,10 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def _sweep_row(scene: SceneSpec, run_cfg: GuidanceConfig, args) -> dict:
-    report = _score(_run_rounded(scene, run_cfg, args), scene, run_cfg, args)
+def _sweep_row(
+    scene: SceneSpec, run_cfg: GuidanceConfig, outcome: Trajectory | NumericalAbort, args
+) -> dict:
+    report = _score(_rounded(outcome, run_cfg), scene, run_cfg, args)
     breakdown = report.breakdown
     return {
         "value": getattr(run_cfg, args.param),
@@ -226,12 +227,13 @@ def _sweep_row(scene: SceneSpec, run_cfg: GuidanceConfig, args) -> dict:
 def cmd_sweep(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    # every row's config, its pair coefficients too, is checked before the first row runs
     run_cfgs = [cfg.updated(**{args.param: value}) for value in args.values]
-    pairs = derive_occlusion_pairs(scene)
-    for run_cfg in run_cfgs:
-        _pair_coefficients(scene, pairs, run_cfg)
-    rows = [_sweep_row(scene, run_cfg, args) for run_cfg in run_cfgs]
+    # run_rows checks every row's config, its pair coefficients too, before
+    # any row runs; the rows then step in lockstep but fail as if run one
+    # after another: the first failing row, in row order, is the one
+    # reported, and no chunk of rows after it is stepped
+    outcomes = run_rows(scene, run_cfgs, init_latent(scene, args.mode, args.seed))
+    rows = [_sweep_row(scene, run_cfg, outcome, args) for run_cfg, outcome in zip(run_cfgs, outcomes)]
     table = {"param": args.param, "rows": rows, "config": _config_echo(cfg, args), "seed": args.seed}
     _write_report(args, table, "sweep table")
 

@@ -360,14 +360,16 @@ def check_gradients(
     rng = np.random.default_rng(seed)
     # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between
     _check_match(latent, scene)
-    surrogate = _surrogate(scene, latent.mode)
-    field_ = AttentionField(maps=surrogate.render(latent.values))
+    surrogate = _surrogate(scene, latent.mode, 1)
+    maps = surrogate.render(latent.values[None])
+    field_ = AttentionField(maps=maps[0])
     terms = _object_terms(scene, cfg)
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
     h = LONG(FD_STEP)
-    grad_att = value_and_grad(field_.maps, _plan(scene, derive_occlusion_pairs(scene), cfg), stage)[1]
+    grad_att = value_and_grad(maps, _plan(scene, derive_occlusion_pairs(scene), [cfg]), [stage])[1]
     # a copy: the raster chain writes over the gradient it is given
-    grad_lat = surrogate.chain(grad_att.copy())
+    grad_lat = surrogate.chain(grad_att.copy())[0]
+    grad_att = grad_att[0]
     k_count = len(scene.objects)
 
     sums = [

@@ -16,20 +16,23 @@ gradient but still reports it diagnostically.
 
 This module holds the one production definition of the objective: one
 kernel, `value_and_grad`, produces the values and the gradient together
-from a per-run `_Plan`; the derivations live in its docstring.  One
-gathered pass gives every in-box sum and every pair's interference sum,
-and every per-run constant the kernel reads (gather indices, depth and
-epsilon products, scratch) lives in the plan, so a step does only
-step-dependent arithmetic.  The run loop and `gradcheck` call it
-directly; `staged_loss` is its values-only view for scoring and for
-callers outside the package.  Gradients are hand-derived closed forms
-rather than autodiff, and the literal term definitions they are checked
-against live apart, in `gradcheck`, so the finite-difference oracle is a
-genuinely independent check.
+from a per-run `_Plan`; the derivations live in its docstring.  The kernel
+has a leading row axis: it evaluates B configs at once on a (B, K, H, W)
+field, one row per config (the values of a sweep), and a single run is
+B = 1.  One gathered pass gives every in-box sum and every pair's
+interference sum of every row, and every per-run constant the kernel reads
+(gather indices, depth and epsilon products, scratch) lives in the plan,
+so a step does only step-dependent arithmetic.  The run loop and
+`gradcheck` call it directly; `staged_loss` is its one-row, values-only
+view for scoring and for callers outside the package.  Gradients are
+hand-derived closed forms rather than autodiff, and the literal term
+definitions they are checked against live apart, in `gradcheck`, so the
+finite-difference oracle is a genuinely independent check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -147,185 +150,257 @@ def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
 
 @dataclass(frozen=True)
 class _Plan:
-    """Step-invariant geometry of one (scene, pairs, cfg), built once per run.
+    """Step-invariant geometry of one (scene, pairs) and B row configs, built once per run.
 
-    Box k's mask is exactly rows[k] (outer) colmat[:, 1 + k], so every masked
-    sum the objective needs is a contraction of the field with these indicators.
+    The kernel reads a (B, K, H, W) field as one stack of B * K maps, row
+    after row (map m = b * K + k), so it runs a single row's operations on
+    arrays B times as long; only the per-row sums (align, ortho, compact)
+    reduce a (B, K) or (B, P) view.  The geometry is shared by every row;
+    what a config sets (pair coefficients, epsilon, compactness weight) is
+    laid out per map or per pair, row after row.  Every reduction and BLAS
+    product runs within one map or one row, as a lone row's would, so row
+    b's numbers are bit for bit those of a B = 1 plan of `cfgs[b]`.
+
+    Box k's mask is exactly box_rows[k] (outer) colmat[:, 1 + k], so every
+    masked sum the objective needs is a contraction of the field with these
+    indicators.
     Every per-run constant the kernel reads is built here, and each member
     names the kernel line that reads it:
 
     * `gather`, `gather_rows`: `_values`' one gathered pass,
-      `sums = add.reduce(gather_rows * row_dots.take(gather))`; rows 0..K-1
-      pick A_k[y] . c_k (in-box sums), rows K.. pick A_bg[y] . c_fg of each
-      pair (interference sums), in pair order;
-    * `area_eps`: `inter = sums[K:] / area_eps`;
+      `sums = add.reduce(gather_rows * row_dots.take(gather), axis=1)`;
+      entries 0..B*K-1 pick A_m[y] . c_k of every map (in-box sums), the
+      rest A_bg[y] . c_fg of every row's pairs (interference sums), in pair
+      order;
+    * `eps`: `denom = total + eps`;
+    * `area_eps`: `inter = sums[B * K:] / area_eps`;
+    * `depths`, `weights`: the terms' weights d_k and lambda_ij;
     * `neg2_depths`, `compact_depths`, `two_eps`: the gradient coefficients
       `a = neg2_depths * (1 - f) / D`, `q = compact_depths / D` and
       `res = two_eps / D` in `value_and_grad`; each is the first product of
       its left-to-right expression, so forming it once changes no rounding;
+    * `box_rows`: `U[:, :, 0] = a * box_rows`, each map's box row
+      indicators, the first B * K rows of `gather_rows`;
     * `row_dots`, `row_sum`, `col_sum`: scratch that `_values` overwrites on
-      every call, the GEMM `maps @ colmat`, its column 0 (the row sums R) and
-      the column sums C;
-    * `columns`: per stage, views of the factors' step-dependent columns
-      (U[:, :, 0], U[:, :, 1], V[:, 2]) that `value_and_grad` writes;
-    * `grad`: the buffer `value_and_grad` returns, U @ V.
+      every call, one GEMM `(K * H, W) @ colmat` per row, its column 0 (the
+      row sums R) and the column sums C;
+    * `factors`, `columns`: per stage, the gradient's low-rank factors over
+      all B * K maps and views of their step-dependent columns
+      (U[:, :, 0], U[:, :, 1], V[:, 2]), that `value_and_grad` writes;
+    * `grad`, `grad_stack`: the buffer `value_and_grad` returns, U @ V, and
+      its (B * K, H, W) view;
+    * `products`: per tuple of row stages, what `_products` returns for it.
 
-    No array of the breakdown `_values` returns is a view of this scratch.
+    No array of the breakdowns `_values` returns is a view of this scratch.
     """
 
-    cfg: GuidanceConfig
-    rows: np.ndarray      # (K, H) box row indicators
+    cfgs: tuple[GuidanceConfig, ...]  # (B,) one config per row
     colmat: np.ndarray    # (W, 1 + K): a column of ones, then each box's column indicators
     cx: np.ndarray        # (W,) pixel-center x
     cy: np.ndarray        # (H,) pixel-center y
-    depths: np.ndarray    # (K,)
+    depths: np.ndarray    # (B * K,) each map's depth
     pairs: tuple[OcclusionPair, ...]
-    weights: np.ndarray   # (P,) lambda_ij
-    gather: np.ndarray    # (K + P, H) flat indices into row_dots
-    gather_rows: np.ndarray  # (K + P, H): rows, then each pair's foreground rows
-    area_eps: np.ndarray  # (P,) foreground-box pixel counts + eps
-    neg2_depths: np.ndarray     # (K,) -2.0 * depths
-    compact_depths: np.ndarray  # (K,) lambda_compact * depths
-    two_eps: float              # 2.0 * epsilon
-    row_dots: np.ndarray  # (K * H, 1 + K) scratch: row_dots[k * H + y, 1 + j] = A_k[y] . c_j
-    row_sum: np.ndarray   # (K, H) view of row_dots' column 0
-    col_sum: np.ndarray   # (K, W) scratch
+    weights: np.ndarray   # (B * P,) lambda_ij
+    gather: np.ndarray    # (B * (K + P), H) flat indices into row_dots
+    gather_rows: np.ndarray  # (B * (K + P), H): each map's box rows, then each pair's foreground rows
+    box_rows: np.ndarray  # (B * K, H) view of gather_rows
+    eps: np.ndarray       # (B * K,) epsilon
+    area_eps: np.ndarray  # (B * P,) foreground-box pixel counts + eps
+    neg2_depths: np.ndarray     # (B * K,) -2.0 * depths
+    compact_depths: np.ndarray  # (B * K,) lambda_compact * depths
+    two_eps: np.ndarray         # (B * K,) 2.0 * epsilon
+    row_dots: np.ndarray  # (B, K * H, 1 + K) scratch: row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j
+    row_sum: np.ndarray   # (B * K, H) view of row_dots' column 0
+    col_sum: np.ndarray   # (B * K, W) scratch
     factors: tuple[tuple[np.ndarray, np.ndarray], ...]  # per stage: (U, V), see _grad_factors
     columns: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # per stage
-    grad: np.ndarray      # (K, H, W), the buffer value_and_grad returns
+    grad: np.ndarray      # (B, K, H, W), the buffer value_and_grad returns
+    grad_stack: np.ndarray  # (B * K, H, W) view of grad
+    products: dict        # stages tuple -> _products(plan, stages), filled on first use
 
 
-def _grad_factors(rows, cols, pair_terms) -> tuple[np.ndarray, np.ndarray]:
-    """Low-rank factors U (K, H, m) and V (K, m, W) with gradient = U @ V.
+def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank factors U (B * K, H, m) and V (B * K, m, W) with gradient = U @ V, map after map.
 
     Column 0 pairs a_k r_k with c_k, column 1 the row term with ones and
     column 2 ones with the column term: `value_and_grad` writes those three
     step-dependent entries (U[:, :, 0], U[:, :, 1], V[:, 2]) on every step.
     The remaining columns are fixed: for each (background j, foreground i,
     coef) of `pair_terms`, in order, background map j gets coef r_i (outer)
-    c_i, zero-padded to the largest count per map.  Every product is exact
-    (the indicators are 0/1), so the sum runs in the same order as the
-    term-by-term assembly.
+    c_i, zero-padded to the largest count per map; coef holds one value per
+    row.  Every product is exact (the indicators are 0/1), so the sum runs
+    in the same order as the term-by-term assembly.
     """
     k, height = rows.shape
     width = cols.shape[1]
-    slots: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    slots: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(k)]
     for j, i, coef in pair_terms:
         slots[j].append((i, coef))
     m = 3 + max(len(s) for s in slots)
-    u = np.zeros((k, height, m))
-    v = np.zeros((k, m, width))
-    v[:, 0] = cols
-    v[:, 1] = 1.0
-    u[:, :, 2] = 1.0
+    u = np.zeros((batch, k, height, m))
+    v = np.zeros((batch, k, m, width))
+    v[:, :, 0] = cols
+    v[:, :, 1] = 1.0
+    u[..., 2] = 1.0
     for j, backed in enumerate(slots):
         for n, (i, coef) in enumerate(backed):
-            u[j, :, 3 + n] = coef * rows[i]
-            v[j, 3 + n] = cols[i]
-    return u, v
+            u[:, j, :, 3 + n] = coef[:, None] * rows[i]
+            v[:, j, 3 + n] = cols[i]
+    return u.reshape(batch * k, height, m), v.reshape(batch * k, m, width)
 
 
-def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig) -> _Plan:
+def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[GuidanceConfig]) -> _Plan:
+    """The plan of B = len(cfgs) rows, one per config."""
+    if not cfgs:
+        raise ValueError("a plan needs at least one row config")
     height, width = scene.grid_height, scene.grid_width
-    k = len(scene.objects)
+    k, batch = len(scene.objects), len(cfgs)
     boxes = [box_indicators(obj.bbox, height, width) for obj in scene.objects]
     rows = np.stack([r for r, _ in boxes])
     cols = np.stack([c for _, c in boxes])
     fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
-    weights, fg_area, coef = _pair_coefficients(scene, pairs, cfg)
+    # rows are checked in order: the first whose pair coefficients are not
+    # finite raises, naming its pair
+    coefficients = [_pair_coefficients(scene, pairs, cfg) for cfg in cfgs]
+    fg_area = coefficients[0][1]  # geometry: the same in every row
+    coef = np.array([c for _, _, c in coefficients])
     # the gathered sum n reads map gather_maps[n] against box gather_boxes[n]:
-    # every object against its own box, then each pair's background against
-    # its foreground's box
-    objs = np.arange(k)
-    gather_maps = np.concatenate([objs, bg])
-    gather_boxes = np.concatenate([objs, fg])
+    # every map against its own box, then each pair's background against
+    # its foreground's box, row after row
+    first = np.arange(batch)[:, None] * k  # each row's first map
+    objs = np.arange(batch * k) % k  # each map's object
+    gather_maps = np.concatenate([np.arange(batch * k), (first + bg).ravel()])
+    gather_boxes = np.concatenate([objs, *[fg] * batch])
     gather = (gather_maps[:, None] * height + np.arange(height)) * (k + 1) + 1 + gather_boxes[:, None]
-    depths = scene.depths()
-    row_dots = np.empty((k * height, k + 1))
+    gather_rows = rows[gather_boxes]
+    depths = scene.depths()[objs]
+    row_eps = np.array([cfg.epsilon for cfg in cfgs])
+    eps = np.repeat(row_eps, k)
+    row_dots = np.empty((batch, k * height, k + 1))
+    grad = np.empty((batch, k, height, width))
     # stage 2 drops the orthogonality gradient, so it has no pair columns
-    factors = (_grad_factors(rows, cols, list(zip(bg, fg, coef))), _grad_factors(rows, cols, []))
+    factors = (
+        _grad_factors(rows, cols, list(zip(bg, fg, coef.T)), batch),
+        _grad_factors(rows, cols, [], batch),
+    )
     return _Plan(
-        cfg=cfg,
-        rows=rows,
+        cfgs=tuple(cfgs),
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
         cx=pixel_centers(width),
         cy=pixel_centers(height),
         depths=depths,
         pairs=tuple(pairs),
-        weights=weights,
+        weights=np.concatenate([weights for weights, _, _ in coefficients]),
         gather=gather,
-        gather_rows=rows[gather_boxes],
-        area_eps=fg_area + cfg.epsilon,
+        gather_rows=gather_rows,
+        box_rows=gather_rows[: batch * k],
+        eps=eps,
+        area_eps=(fg_area + row_eps[:, None]).ravel(),
         neg2_depths=-2.0 * depths,
-        compact_depths=cfg.lambda_compact * depths,
-        two_eps=2.0 * cfg.epsilon,
+        compact_depths=np.repeat([cfg.lambda_compact for cfg in cfgs], k) * depths,
+        two_eps=2.0 * eps,
         row_dots=row_dots,
-        row_sum=row_dots.reshape(k, height, k + 1)[:, :, 0],
-        col_sum=np.empty((k, width)),
+        row_sum=row_dots.reshape(batch * k, height, k + 1)[:, :, 0],
+        col_sum=np.empty((batch * k, width)),
         factors=factors,
         columns=tuple((u[:, :, 0], u[:, :, 1], v[:, 2]) for u, v in factors),
-        grad=np.empty((k, height, width)),
+        grad=grad,
+        grad_stack=grad.reshape(batch * k, height, width),
+        products={},
     )
 
 
-def _values(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreakdown, tuple]:
-    """Forward half of `value_and_grad`: the breakdown and the gradient's inputs (D, x - mu_x, y - mu_y)."""
-    if stage not in (1, 2):
-        raise ValueError(f"stage must be 1 or 2, got {stage}")
-    k, height, width = maps.shape
+def _values(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> tuple[list[LossBreakdown], tuple]:
+    """Forward half of `value_and_grad`: row b's breakdown at stages[b], and the gradient's inputs.
+
+    The inputs are (D, f, mu, Var, x - mu_x, y - mu_y), one entry per map.
+    """
+    batch, k, height, width = maps.shape
+    n_maps, n_pairs = batch * k, len(plan.pairs)
     d, row_sum = plan.depths, plan.row_sum
 
-    # row_dots[k * H + y, 0] = R[k, y]; row_dots[k * H + y, 1 + j] = A_k[y] . c_j
-    row_dots = np.matmul(maps.reshape(k * height, width), plan.colmat, out=plan.row_dots)
-    col_sum = np.add.reduce(maps, axis=1, out=plan.col_sum)
+    # row_dots[b, k * H + y, 0] = R[b * K + k, y]; row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j.
+    # One GEMM per row: one over all B * K * H rows can round a row's dot
+    # products differently, by where the BLAS kernel's row blocks fall.
+    row_dots = np.matmul(maps.reshape(batch, k * height, width), plan.colmat, out=plan.row_dots)
+    col_sum = np.add.reduce(maps.reshape(n_maps, height, width), axis=1, out=plan.col_sum)
     total = np.add.reduce(col_sum, axis=1)
-    denom = total + plan.cfg.epsilon
+    denom = total + plan.eps
 
-    # one pass gives every in-box sum r_k . (A_k c_k), then every pair's
+    # one pass gives every in-box sum r_k . (A_m c_k), then every pair's
     # r_fg . (A_bg c_fg)
     sums = np.add.reduce(plan.gather_rows * row_dots.take(plan.gather), axis=1)
 
     # the literal sum can round past S when the box covers the whole grid
-    e_in = np.minimum(sums[:k], total)
+    e_in = np.minimum(sums[:n_maps], total)
     e_out = total - e_in
     e_in = total - e_out
     f = e_in / denom
-    align = np.add.reduce(d * (1.0 - f) ** 2)
+    align = np.add.reduce((d * (1.0 - f) ** 2).reshape(batch, k), axis=1)
 
-    inter = sums[k:] / plan.area_eps
-    ortho = np.add.reduce(plan.weights * inter)
+    inter = sums[n_maps:] / plan.area_eps
+    ortho = np.add.reduce((plan.weights * inter).reshape(batch, n_pairs), axis=1)
 
-    mu = np.empty((k, 2))
-    np.divide(col_sum @ plan.cx, denom, out=mu[:, 0])
-    np.divide(row_sum @ plan.cy, denom, out=mu[:, 1])
+    # one matrix-vector product per row, as for the GEMM
+    mu = np.empty((n_maps, 2))
+    np.divide((col_sum.reshape(batch, k, width) @ plan.cx).reshape(n_maps), denom, out=mu[:, 0])
+    np.divide((row_sum.reshape(batch, k, height) @ plan.cy).reshape(n_maps), denom, out=mu[:, 1])
     dx = plan.cx - mu[:, :1]
     dy = plan.cy - mu[:, 1:]
     var = (np.add.reduce(col_sum * dx**2, axis=1) + np.add.reduce(row_sum * dy**2, axis=1)) / denom
-    compact = np.add.reduce(d * var)
+    compact = np.add.reduce((d * var).reshape(batch, k), axis=1)
 
-    breakdown = LossBreakdown(
-        stage=stage,
-        align=float(align),
-        ortho=float(ortho),
-        compact=float(compact),
-        total=float(staged_total(align, ortho, compact, plan.cfg, stage)),
-        f=f,
-        e_in=e_in,
-        e_out=e_out,
-        mu=mu,
-        var=var,
-        pairs=plan.pairs,
-        pair_interference=inter,
-        pair_weights=plan.weights.copy(),
-    )
-    return breakdown, (denom, dx, dy)
+    # Python floats: the same doubles, and the same IEEE sums in staged_total
+    terms = zip(align.tolist(), ortho.tolist(), compact.tolist(), plan.cfgs, stages, strict=True)
+    breakdowns = []
+    for b, (align_b, ortho_b, compact_b, cfg, stage) in enumerate(terms):
+        at, pair_at = slice(b * k, (b + 1) * k), slice(b * n_pairs, (b + 1) * n_pairs)
+        breakdowns.append(LossBreakdown(
+            stage=stage,
+            align=align_b,
+            ortho=ortho_b,
+            compact=compact_b,
+            total=staged_total(align_b, ortho_b, compact_b, cfg, stage),
+            f=f[at],
+            e_in=e_in[at],
+            e_out=e_out[at],
+            mu=mu[at],
+            var=var[at],
+            pairs=plan.pairs,
+            pair_interference=inter[pair_at],
+            pair_weights=plan.weights[pair_at].copy(),
+        ))
+    return breakdowns, (denom, f, mu, var, dx, dy)
 
 
-def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreakdown, np.ndarray]:
-    """The stage objective of a (K, H, W) field and its gradient d(total)/dA.
+def _products(plan: _Plan, stages: Sequence[int]) -> tuple[list[int], list[tuple[np.ndarray, ...]]]:
+    """The stages that `stages` holds, and the (U, V, grad) views of each product of the gradient.
 
-    With S = sum(A_k), D = S + eps, row sums R (K, H) and column sums C (K, W),
+    One product per run of consecutive rows in one stage.  Built on a
+    stages tuple's first use and kept in the plan; a run meets at most one
+    new tuple per step.
+    """
+    key = tuple(stages)
+    if key not in plan.products:
+        k = len(plan.depths) // len(key)
+        views, lo = [], 0
+        for stage, rows in itertools.groupby(key):
+            hi = lo + k * len(list(rows))
+            u, v = plan.factors[stage - 1]
+            views.append((u[lo:hi], v[lo:hi], plan.grad_stack[lo:hi]))
+            lo = hi
+        plan.products[key] = (sorted(set(key)), views)
+    return plan.products[key]
+
+
+def value_and_grad(
+    maps: np.ndarray, plan: _Plan, stages: Sequence[int]
+) -> tuple[list[LossBreakdown], np.ndarray]:
+    """Each row's stage objective on a (B, K, H, W) field and its gradient d(total)/dA.
+
+    Row b is evaluated at stages[b] under plan.cfgs[b].  With S = sum(A_k),
+    D = S + eps, row sums R (K, H) and column sums C (K, W),
     and box k's mask M_k = r_k (outer) c_k, every term reads the same few
     reductions:
         e_in = r_k . (A_k c_k),     I_{i<-j} = r_i . (A_j c_i) / (|M_i| + eps),
@@ -350,21 +425,26 @@ def value_and_grad(maps: np.ndarray, plan: _Plan, stage: int) -> tuple[LossBreak
     Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
     plus one outer product per stage-1 pair: one product of the plan's
     low-rank factors (`_grad_factors`), of which only the three step-dependent
-    columns are written here.
+    columns are written here.  Rows in different stages take one product
+    per run of consecutive rows in one stage.
 
     The returned gradient is the plan's own buffer: the next call on the
     same plan overwrites it.
     """
-    breakdown, (denom, dx, dy) = _values(maps, plan, stage)
-    f, mu = breakdown.f, breakdown.mu
+    breakdowns, (denom, f, mu, var, dx, dy) = _values(maps, plan, stages)
     a = plan.neg2_depths * (1.0 - f) / denom
     q = (plan.compact_depths / denom)[:, None]
     res = (plan.two_eps / denom)[:, None]
-    u0, u1, v2 = plan.columns[stage - 1]
-    np.multiply(a[:, None], plan.rows, out=u0)
-    u1[...] = q * (dy * (dy - res * mu[:, 1:]) - breakdown.var[:, None]) - (a * f)[:, None]
-    v2[...] = q * dx * (dx - res * mu[:, :1])
-    return breakdown, np.matmul(*plan.factors[stage - 1], out=plan.grad)
+    af = (a * f)[:, None]
+    present, products = _products(plan, stages)
+    for stage in present:
+        u0, u1, v2 = plan.columns[stage - 1]
+        np.multiply(a[:, None], plan.box_rows, out=u0)
+        np.subtract(q * (dy * (dy - res * mu[:, 1:]) - var[:, None]), af, out=u1)
+        np.multiply(q * dx, dx - res * mu[:, :1], out=v2)
+    for u, v, out in products:
+        np.matmul(u, v, out=out)
+    return breakdowns, plan.grad
 
 
 def staged_loss(
@@ -380,5 +460,5 @@ def staged_loss(
     excluded from the total (and from the gradient).
     """
     check_alignment(field, scene)
-    return _values(field.maps, _plan(scene, pairs, cfg), stage)[0]
+    return _values(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0][0]
 

@@ -16,6 +16,9 @@ Each mode is one class and owns every fact about it: `latent_shape(scene)`,
 its step size `default_eta0`, the seeded start `init(scene, rng)`, then,
 built once per run, `render(values)` and `chain(grad)`, the one pair the run
 loop and `gradcheck` both drive.  `_SURROGATES` is the only list of modes.
+`render` and `chain` work on B rows at once, the leading axis of a run's
+(B, *latent_shape) latent and (B, K, H, W) field; every row is rendered and
+chained exactly as it would be alone, since no arithmetic mixes maps.
 
 Rendered values are strictly positive for finite latents (down to double
 underflow for extremely narrow blobs).
@@ -53,10 +56,10 @@ class LatentState:
 
 
 class _Raster:
-    """Render and chain rule of the raster surrogate, set up once per run.
+    """Render and chain rule of the raster surrogate for `batch` rows, set up once per run.
 
     Like `_Blob`, it trusts its inputs (callers check shapes and finiteness)
-    and renders into one buffer that every `render` call reuses.
+    and renders into one (B, K, H, W) buffer that every `render` call reuses.
     """
 
     default_eta0 = 800.0  # its gradient entries scale like 1/(total attention mass)
@@ -70,8 +73,8 @@ class _Raster:
         """Logits i.i.d. uniform in [-1, 1]."""
         return rng.uniform(-1.0, 1.0, size=_Raster.latent_shape(scene))
 
-    def __init__(self, scene: SceneSpec):
-        self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
+    def __init__(self, scene: SceneSpec, batch: int):
+        self.maps = np.empty((batch, len(scene.objects), scene.grid_height, scene.grid_width))
 
     def render(self, values: np.ndarray) -> np.ndarray:
         return np.exp(values, out=self.maps)
@@ -83,7 +86,7 @@ class _Raster:
 
 
 class _Blob:
-    """Render and chain rule of the blob surrogate, set up once per run.
+    """Render and chain rule of the blob surrogate for `batch` rows, set up once per run.
 
     A blob map is rank one, A_k = g_y,k (x) g_x,k: the 1-D Gaussians
     g_x = exp(-dx^2 / (2 sx^2)) and g_y = exp(la) * exp(-dy^2 / (2 sy^2)) at
@@ -112,20 +115,23 @@ class _Blob:
         values[:, 0:2] += rng.uniform(-1.0, 1.0, size=(len(values), 2)) * JITTER
         return values
 
-    def __init__(self, scene: SceneSpec):
-        self.maps = np.empty((len(scene.objects), scene.grid_height, scene.grid_width))
+    def __init__(self, scene: SceneSpec, batch: int):
+        self.maps = np.empty((batch, len(scene.objects), scene.grid_height, scene.grid_width))
+        # the B * K maps of the field as one stack, row after row
+        self._stack = self.maps.reshape(-1, scene.grid_height, scene.grid_width)
+        self._latent_shape = (batch, *_Blob.latent_shape(scene))
         self.px = pixel_centers(scene.grid_width)
         self.py = pixel_centers(scene.grid_height)
         self._factors: tuple = ()
 
     def render(self, values: np.ndarray) -> np.ndarray:
-        # (K, 1) columns against the (W,) and (H,) centres give (K, W) and (K, H)
-        cx, cy, lsx, lsy, la = values.T[:, :, None]
+        # (B * K, 1) columns against the (W,) and (H,) centres give (B * K, W) and (B * K, H)
+        cx, cy, lsx, lsy, la = values.reshape(-1, 5).T[:, :, None]
         dx, dy = self.px - cx, self.py - cy
         sx, sy = np.exp(lsx), np.exp(lsy)
         gx = np.exp(-(dx**2 / (2 * sx**2)))
         gy = np.exp(la) * np.exp(-(dy**2 / (2 * sy**2)))
-        np.multiply(gy[:, :, None], gx[:, None, :], out=self.maps)
+        np.multiply(gy[:, :, None], gx[:, None, :], out=self._stack)
         self._factors = (gx, dx / sx, sx[:, 0], gy, dy / sy, sy[:, 0])
         return self.maps
 
@@ -148,11 +154,12 @@ class _Blob:
         the centre partials take their 1 / sigma after the contraction.
         """
         gx, u, sx, gy, v, sy = self._factors
-        # t[k, i, x] = sum_y (g_y, g_y v, g_y v^2)[k, i, y] * dL/dA[k, y, x]
-        t = np.stack((gy, gy * v, gy * v**2), axis=1) @ grad
-        # r[k, i, j] = sum_x t[k, i, x] * (g_x, g_x u, g_x u^2)[k, x, j]
+        # t[m, i, x] = sum_y (g_y, g_y v, g_y v^2)[m, i, y] * dL/dA[m, y, x], over the B * K maps m
+        t = np.stack((gy, gy * v, gy * v**2), axis=1) @ grad.reshape(self._stack.shape)
+        # r[m, i, j] = sum_x t[m, i, x] * (g_x, g_x u, g_x u^2)[m, x, j]
         r = t @ np.stack((gx, gx * u, gx * u**2), axis=2)
-        return np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
+        partials = np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
+        return partials.reshape(self._latent_shape)
 
 
 _SURROGATES = {"raster": _Raster, "blob": _Blob}
@@ -184,11 +191,11 @@ def init_latent(scene: SceneSpec, mode: str, seed: int) -> LatentState:
     return LatentState(mode, _mode_class(mode).init(scene, np.random.default_rng(seed)))
 
 
-def _surrogate(scene: SceneSpec, mode: str) -> _Raster | _Blob:
-    return _SURROGATES[mode](scene)
+def _surrogate(scene: SceneSpec, mode: str, batch: int) -> _Raster | _Blob:
+    return _SURROGATES[mode](scene, batch)
 
 
 def render_attention(latent: LatentState, scene: SceneSpec) -> AttentionField:
     """Render the full field from the latent state."""
     _check_match(latent, scene)
-    return AttentionField(maps=_surrogate(scene, latent.mode).render(latent.values))
+    return AttentionField(maps=_surrogate(scene, latent.mode, 1).render(latent.values[None])[0])

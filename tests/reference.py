@@ -137,13 +137,14 @@ def scalar_check_gradients(
     result = GradCheckResult()
     rng = np.random.default_rng(seed)
     _check_match(latent, scene)
-    surrogate = _surrogate(scene, latent.mode)
-    maps = surrogate.render(latent.values)
+    surrogate = _surrogate(scene, latent.mode, 1)
+    maps = surrogate.render(latent.values[None])
     terms = gradcheck._object_terms(scene, cfg)
     coords = gradcheck.coord_grid(scene.grid_height, scene.grid_width, dtype=long)
     h = long(gradcheck.FD_STEP)
-    grad_att = value_and_grad(maps, _plan(scene, derive_occlusion_pairs(scene), cfg), stage)[1]
-    grad_lat = surrogate.chain(grad_att.copy())
+    grad_att = value_and_grad(maps, _plan(scene, derive_occlusion_pairs(scene), [cfg]), [stage])[1]
+    grad_lat = surrogate.chain(grad_att.copy())[0]
+    maps, grad_att = maps[0], grad_att[0]
     k_count, height, width = maps.shape
 
     def draw() -> tuple[int, int, int]:
@@ -199,18 +200,23 @@ def assert_same_breakdown(got: LossBreakdown, want: LossBreakdown) -> None:
 
 
 def reference_plan(scene: SceneSpec, pairs, cfg: GuidanceConfig) -> SimpleNamespace:
-    """A fresh `_plan` with the members the reference kernel reads besides it.
+    """A fresh one-row `_plan` with the members the reference kernel reads besides it.
 
-    `fg`, `bg` and `fg_area` are the pair indices and foreground-box pixel
-    counts, built as the plan built them.  The factors and gradient buffer
-    are this plan's own, so the reference kernel writes no production plan.
+    A one-row plan's per-map and per-pair members are the (K, ...) and
+    (P,) arrays of its row; `cfg` is its config, `rows` its (K, H) box row
+    indicators and `grad` its (K, H, W) gradient buffer.  `fg`, `bg` and
+    `fg_area` are the pair indices and foreground-box pixel counts, built as
+    the plan built them.  The factors and gradient buffer are this plan's
+    own, so the reference kernel writes no production plan.
     """
-    plan = _plan(scene, pairs, cfg)
-    cols = plan.colmat[:, 1:].T
+    plan = _plan(scene, pairs, [cfg])
+    rows, cols = plan.box_rows, plan.colmat[:, 1:].T
     fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
-    fg_area = plan.rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
-    return SimpleNamespace(**vars(plan), fg=fg, bg=bg, fg_area=fg_area)
+    fg_area = rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
+    return SimpleNamespace(
+        **{**vars(plan), "grad": plan.grad_stack}, cfg=cfg, rows=rows, fg=fg, bg=bg, fg_area=fg_area
+    )
 
 
 def reference_values(
@@ -321,18 +327,18 @@ def reference_run(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -
     evaluates values only.
     """
     plan = reference_plan(scene, derive_occlusion_pairs(scene), cfg)
-    surrogate = _surrogate(scene, latent0.mode)
+    surrogate = _surrogate(scene, latent0.mode, 1)
     z = latent0.values.copy()
     records = []
     for t in range(cfg.total_steps + 1):
         last = t == cfg.total_steps
         stage = _final_stage(cfg) if last else stage_of(t, cfg)
         eta = step_size(t, cfg)
-        maps = surrogate.render(z)
+        maps = surrogate.render(z[None])[0]
         if last:
             records.append((t, stage, eta, reference_values(maps, plan, stage)[0]))
             break
         breakdown, grad = reference_value_and_grad(maps, plan, stage)
         records.append((t, stage, eta, breakdown))
-        z = z - eta * surrogate.chain(grad)
+        z = z - eta * surrogate.chain(grad[None])[0]
     return records

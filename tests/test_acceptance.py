@@ -147,8 +147,8 @@ class TestAcceptance:
         rng = np.random.default_rng(7)
         field = d.AttentionField(maps=rng.uniform(0.1, 2.0, (2, 64, 64)))
         pairs = d.derive_occlusion_pairs(scene)
-        g_with = value_and_grad(field.maps, _plan(scene, pairs, cfg), 2)[1]
-        g_without = value_and_grad(field.maps, _plan(scene, [], cfg), 2)[1]
+        g_with = value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [2])[1]
+        g_without = value_and_grad(field.maps[None], _plan(scene, [], [cfg]), [2])[1]
         ortho_grad_zero = np.array_equal(g_with, g_without)
 
         ok = total_error <= 1e-12 and bd.ortho > 0 and ortho_grad_zero

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deptharb import AttentionField, check_gradients, init_latent, write_dump
+from deptharb import AttentionField, check_gradients, init_latent, optimizer, write_dump
 from deptharb.cli import build_parser, dumps_report, main, resolve_config
 from deptharb.scene import GUIDANCE_CONFIG_KEYS, parse_scene_with_config
 from deptharb.surrogate import MODES, _mode_class
@@ -38,6 +38,32 @@ CONFIG_SAMPLES = {
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def _record_chunks(monkeypatch) -> list[list[float]]:
+    """The eta0 of each chunk of rows the run loop steps, in order."""
+    chunks = []
+    real = optimizer._run_chunk
+
+    def recording(scene, plan, latent0):
+        chunks.append([cfg.eta0 for cfg in plan.cfgs])
+        return real(scene, plan, latent0)
+
+    monkeypatch.setattr("deptharb.optimizer._run_chunk", recording)
+    return chunks
+
+
+def _record_renders(monkeypatch) -> list:
+    """Every surrogate the run loop sets up, with one row per chunk.
+
+    With one row per chunk, a config checked only as its chunk starts would
+    let the rows before it render first.
+    """
+    calls = []
+    real = optimizer._surrogate
+    monkeypatch.setattr("deptharb.optimizer._CHUNK_ENTRIES", 1)
+    monkeypatch.setattr("deptharb.optimizer._surrogate", lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 def load_report(path) -> dict:
@@ -380,6 +406,56 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(f"usage error: {message}")
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # row 2 diverges first, at step 1, but row 1 comes first in row order
+            ("800,1e6,1e9", "non-finite rendered field at step 2"),
+            ("1e9,1e6,800", "non-finite rendered field at step 1"),
+            # row 1's run completes; its field then overflows float32
+            ("800,1e5", "non-finite float32-rounded field at step 20"),
+        ],
+    )
+    def test_first_failing_row_in_row_order_is_reported(self, tmp_path, capsys, values, message):
+        from pathlib import Path
+
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "canonical.json"
+        report = tmp_path / "table.json"
+        argv = [
+            "sweep", "--scene", str(scene), "--param", "eta0", "--values", values,
+            "--steps", "20", "--seed", "3", "--report", str(report),
+        ]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical abort: {message}\n"
+        assert captured.out == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    def test_chunked_sweep_reports_the_first_failing_row(self, monkeypatch, tmp_path, capsys, rows_per_chunk):
+        # 1e6 (row 2) aborts at step 2 and 1e9 (row 3) at step 1; the sweep
+        # reports row 2's abort however the rows are chunked, and no chunk
+        # after the one holding row 2 is stepped
+        from pathlib import Path
+
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "canonical.json"
+        entries = 2 * 64 * 64  # K * H * W of the canonical scene
+        monkeypatch.setattr("deptharb.optimizer._CHUNK_ENTRIES", rows_per_chunk * entries + entries // 2)
+        chunks = _record_chunks(monkeypatch)
+        report = tmp_path / "table.json"
+        argv = [
+            "sweep", "--scene", str(scene), "--param", "eta0", "--values", "800,400,1e6,1e9,200,100",
+            "--steps", "20", "--seed", "3", "--report", str(report),
+        ]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "numerical abort: non-finite rendered field at step 2\n"
+        assert captured.out == ""
+        assert not report.exists()
+        values = [800.0, 400.0, 1e6, 1e9, 200.0, 100.0]
+        stepped = [values[lo : lo + rows_per_chunk] for lo in range(0, 3, rows_per_chunk)]
+        assert chunks == stepped
+
     def test_three_value_sweep_structure(self, tmp_path, scene_path):
         table_path = tmp_path / "table.json"
         code = run_cli(
@@ -427,7 +503,8 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["run", "sweep", "eval"])
     def test_rel_threshold_rejected_before_any_work(self, monkeypatch, capsys, scene_path, command, value):
         calls = []
-        monkeypatch.setattr("deptharb.cli.run_guidance", lambda *a, **k: calls.append(a))
+        for entry_point in ("run_guidance", "run_rows"):  # run's, then sweep's
+            monkeypatch.setattr(f"deptharb.cli.{entry_point}", lambda *a, **k: calls.append(a))
         extra = {
             "run": (),
             "sweep": ("--param", "tau", "--values", "1"),
@@ -470,8 +547,7 @@ class TestUndefinedObjectiveConfig:
     def test_sweep_overflowing_pair_weight(self, monkeypatch, capsys, scene_path):
         # a bad weight in any row is rejected before the first row runs, with
         # the same error whichever row holds it
-        calls = []
-        monkeypatch.setattr("deptharb.cli.run_guidance", lambda *a, **k: calls.append(a))
+        calls = _record_renders(monkeypatch)
         for param, bad in (("alpha", "1e300"), ("tau", "1e-300")):
             errors = []
             for values in (f"1,{bad}", f"{bad},1"):
@@ -527,8 +603,7 @@ class TestUndefinedObjectiveConfig:
         assert calls == []
 
     def test_sweep_negative_value_rejected_before_any_row_runs(self, monkeypatch, capsys, scene_path):
-        calls = []
-        monkeypatch.setattr("deptharb.cli.run_guidance", lambda *a, **k: calls.append(a))
+        calls = _record_renders(monkeypatch)
         code = run_cli(
             "sweep", "--scene", scene_path, "--steps", "3", "--param", "lambda_ortho", "--values", "0.5,-1",
         )

@@ -341,8 +341,9 @@ class TestBroadcastCentres:
 
 
 def _scaled(grad, k: int, factor: float) -> np.ndarray:
+    """A copy of a one-row gradient with object k's entries scaled by `factor`."""
     out = np.array(grad, dtype=np.float64)
-    out[k] *= factor
+    out[:, k] *= factor
     return out
 
 
@@ -402,8 +403,8 @@ class TestRunLoopSequence:
         built = []
         real = gradcheck._surrogate
 
-        def counting(scene, mode_):
-            surrogate = real(scene, mode_)
+        def counting(*args):
+            surrogate = real(*args)
             calls = {"render": 0, "chain": []}
             render, chain = surrogate.render, surrogate.chain
 

@@ -38,8 +38,8 @@ CFG = GuidanceConfig()
 
 
 def kernel_grad(field, scene, pairs, cfg, stage):
-    """d(total)/dA of a field: `value_and_grad` on a fresh plan."""
-    return value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[1]
+    """d(total)/dA of a field: `value_and_grad` on a fresh one-row plan."""
+    return value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[1][0]
 
 
 def brute_force_variance(values: np.ndarray, epsilon: float) -> float:
@@ -350,7 +350,7 @@ class TestStagedLoss:
         field = AttentionField(maps=np.random.default_rng(41).uniform(0, 2, (2, 64, 64)))
         pairs = derive_occlusion_pairs(canonical)
         got = staged_loss(field, canonical, pairs, CFG, stage)
-        want = value_and_grad(field.maps, _plan(canonical, pairs, CFG), stage)[0]
+        want = value_and_grad(field.maps[None], _plan(canonical, pairs, [CFG]), [stage])[0][0]
         for f in fields(got):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(a, np.ndarray):
@@ -383,14 +383,14 @@ class TestPlanScratch:
 
     def test_gradient_is_the_plans_buffer(self, canonical):
         pairs = derive_occlusion_pairs(canonical)
-        plan = _plan(canonical, pairs, CFG)
+        plan = _plan(canonical, pairs, [CFG])
         rng = np.random.default_rng(5)
         fields = [AttentionField(maps=rng.uniform(0, 2, (2, 64, 64))) for _ in range(2)]
-        first = value_and_grad(fields[0].maps, plan, 1)[1]
-        second = value_and_grad(fields[1].maps, plan, 2)[1]
+        first = value_and_grad(fields[0].maps[None], plan, [1])[1]
+        second = value_and_grad(fields[1].maps[None], plan, [2])[1]
         # the next call overwrites the buffer the last one returned
         assert second is first and first is plan.grad
-        assert np.array_equal(second, kernel_grad(fields[1], canonical, pairs, CFG, 2))
+        assert np.array_equal(second[0], kernel_grad(fields[1], canonical, pairs, CFG, 2))
 
     def test_public_gradient_is_the_callers_own(self, canonical):
         pairs = derive_occlusion_pairs(canonical)
@@ -615,14 +615,14 @@ class TestKernelMatchesReference:
     def test_bit_for_bit_in_both_stages(self, case):
         # one plan serves both stages and both passes, as in a run
         scene, pairs, field, cfg, _ = case
-        plan, ref_plan = _plan(scene, pairs, cfg), reference_plan(scene, pairs, cfg)
+        plan, ref_plan = _plan(scene, pairs, [cfg]), reference_plan(scene, pairs, cfg)
         for stage in (1, 2):
-            got = _values(field.maps, plan, stage)[0]
+            (got,) = _values(field.maps[None], plan, [stage])[0]
             assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])
-            got, grad = value_and_grad(field.maps, plan, stage)
+            (got,), grad = value_and_grad(field.maps[None], plan, [stage])
             want, want_grad = reference_value_and_grad(field.maps, ref_plan, stage)
             assert_same_breakdown(got, want)
-            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(grad[0], want_grad)
 
 
 class TestScalingInvariants:

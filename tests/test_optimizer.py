@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from deptharb import (
     GuidanceConfig,
     LatentState,
     NumericalAbort,
+    SceneObject,
+    SceneSpec,
     canonical_scene,
     derive_occlusion_pairs,
     init_latent,
@@ -25,8 +28,9 @@ from deptharb import (
 )
 from deptharb import losses, optimizer
 from deptharb.losses import _plan, _values, value_and_grad
-from deptharb.optimizer import _all_finite, _final_stage, stage_of, step_size
-from deptharb.surrogate import MODES, _mode_class, _surrogate
+from deptharb.cli import SWEEP_PARAMS
+from deptharb.optimizer import _all_finite, _final_stage, run_rows, stage_of, step_size
+from deptharb.surrogate import MODES, _mode_class, _surrogate, with_default_step
 
 from reference import assert_same_breakdown, reference_run
 
@@ -131,10 +135,10 @@ class TestRunGuidance:
         traj = run_guidance(two_object_scene, cfg, latent0)
 
         pairs = derive_occlusion_pairs(two_object_scene)
-        surrogate = _surrogate(two_object_scene, "raster")
-        maps = surrogate.render(latent0.values)
-        grad = value_and_grad(maps, _plan(two_object_scene, pairs, cfg), 1)[1]
-        expected = latent0.values - 0.5 * surrogate.chain(grad)
+        surrogate = _surrogate(two_object_scene, "raster", 1)
+        maps = surrogate.render(latent0.values[None])
+        grad = value_and_grad(maps, _plan(two_object_scene, pairs, [cfg]), [1])[1]
+        expected = latent0.values - 0.5 * surrogate.chain(grad)[0]
         assert np.array_equal(traj.final_latent.values, expected)
 
     def test_run_rasterizes_each_box_once(self, two_object_scene, monkeypatch):
@@ -282,12 +286,12 @@ def _composed_run(scene, cfg, latent0):
     pairs = derive_occlusion_pairs(scene)
     latent, totals = latent0, []
     for t in range(cfg.total_steps):
-        surrogate = _surrogate(scene, latent.mode)
-        field = AttentionField(maps=surrogate.render(latent.values))
+        surrogate = _surrogate(scene, latent.mode, 1)
+        field = AttentionField(maps=surrogate.render(latent.values[None])[0])
         stage = stage_of(t, cfg)
         totals.append(staged_loss(field, scene, pairs, cfg, stage).total)
-        grad = value_and_grad(field.maps, _plan(scene, pairs, cfg), stage)[1]
-        step = step_size(t, cfg) * surrogate.chain(grad)
+        grad = value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[1]
+        step = step_size(t, cfg) * surrogate.chain(grad)[0]
         latent = LatentState(latent.mode, latent.values - step)
     field = render_attention(latent, scene)
     totals.append(staged_loss(field, scene, pairs, cfg, stage_of(cfg.total_steps - 1, cfg)).total)
@@ -442,9 +446,9 @@ def _reference_run(scene, cfg, latent0):
 
     Returns ("abort", step, reason), or ("done", totals, final latent, final field).
     """
-    plan = _plan(scene, derive_occlusion_pairs(scene), cfg)
-    surrogate = _surrogate(scene, latent0.mode)
-    z = latent0.values.copy()
+    plan = _plan(scene, derive_occlusion_pairs(scene), [cfg])
+    surrogate = _surrogate(scene, latent0.mode, 1)
+    z = latent0.values[None].copy()
     totals = []
     with np.errstate(all="ignore"):
         for t in range(cfg.total_steps + 1):
@@ -454,9 +458,9 @@ def _reference_run(scene, cfg, latent0):
             if not np.isfinite(maps).all():
                 return ("abort", t, "rendered field")
             if last:
-                breakdown = _values(maps, plan, stage)[0]
+                (breakdown,) = _values(maps, plan, [stage])[0]
             else:
-                breakdown, grad = value_and_grad(maps, plan, stage)
+                (breakdown,), grad = value_and_grad(maps, plan, [stage])
             if not math.isfinite(breakdown.total):
                 return ("abort", t, "loss")
             totals.append(breakdown.total)
@@ -470,7 +474,7 @@ def _reference_run(scene, cfg, latent0):
             z = z - step_size(t, cfg) * latent_grad
             if not np.isfinite(z).all():
                 return ("abort", t, "latent update")
-    return ("done", totals, z, maps)
+    return ("done", totals, z[0], maps[0])
 
 
 def _guarded_run(scene, cfg, latent0):
@@ -525,14 +529,14 @@ class TestGuardEquivalence:
 
         real = deptharb.optimizer._surrogate
 
-        def poisoned(scene, mode):
-            surrogate = real(scene, mode)
+        def poisoned(*args):
+            surrogate = real(*args)
             render, calls = surrogate.render, Counter()
 
             def render_once_bad(z):
                 maps = render(z)
                 if calls["render"] == at:
-                    maps[1, 3, 5] = value
+                    maps[0, 1, 3, 5] = value
                 calls["render"] += 1
                 return maps
 
@@ -546,3 +550,162 @@ class TestGuardEquivalence:
             with pytest.raises(NumericalAbort) as exc_info:
                 run_guidance(two_object_scene, cfg, init_latent(two_object_scene, mode, seed=3))
         assert str(exc_info.value) == f"non-finite rendered field at step {at}"
+
+
+# ---------------------------------------------------------------------------
+# rows in lockstep
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want) -> bool:
+    """Equal to the bit: arrays by dtype, shape and bytes, floats by their hex form."""
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    if isinstance(want, float):
+        return isinstance(got, float) and got.hex() == want.hex()
+    return got == want
+
+
+def _assert_row_is_standalone(scene, cfg, latent0, outcome) -> None:
+    """A lockstep row's outcome is, bit for bit, a standalone run of its config."""
+    try:
+        want = run_guidance(scene, cfg, latent0)
+    except NumericalAbort as exc:
+        assert isinstance(outcome, NumericalAbort), (str(exc), outcome)
+        assert (str(outcome), outcome.step) == (str(exc), exc.step)
+        return
+    assert not isinstance(outcome, NumericalAbort), str(outcome)
+    assert len(outcome.records) == len(want.records)
+    for got_record, want_record in zip(outcome.records, want.records):
+        for name in ("step", "stage", "eta"):
+            assert _same_bits(getattr(got_record, name), getattr(want_record, name)), name
+        for name in want_record.breakdown.__dataclass_fields__:
+            got_value = getattr(got_record.breakdown, name)
+            assert _same_bits(got_value, getattr(want_record.breakdown, name)), (want_record.step, name)
+    assert _same_bits(outcome.final_latent.values, want.final_latent.values)
+    assert _same_bits(outcome.final_field.maps, want.final_field.maps)
+
+
+# per swept field: values a row can take; eta0 runs from each mode's default
+# up to steps that abort a run
+SWEEP_VALUES = {
+    "lambda0": st.floats(0.05, 3.0),
+    "alpha": st.floats(-3.0, 3.0),
+    "tau": st.floats(0.1, 5.0),
+    "lambda_ortho": st.floats(0.0, 2.0),
+    "lambda_compact": st.floats(0.0, 2.0),
+    "stage1_fraction": st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+}
+
+
+@st.composite
+def lockstep_cases(draw):
+    height, width = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    count = draw(st.integers(1, 5))
+    inset = st.floats(0.0, 0.49)
+    spans = []  # each box's pixel rows r0..r1-1 and columns c0..c1-1
+    objects = []
+    for i in range(count):
+        # inside the first box (containment), or anywhere
+        r_lo, r_hi, c_lo, c_hi = spans[0] if i and draw(st.booleans()) else (0, height, 0, width)
+        r0 = draw(st.integers(r_lo, r_hi - 1))
+        r1 = draw(st.integers(r0 + 1, r_hi))
+        c0 = draw(st.integers(c_lo, c_hi - 1))
+        c1 = draw(st.integers(c0 + 1, c_hi))
+        spans.append((r0, r1, c0, c1))
+        # insets below half a pixel keep pixel centers c0..c1-1, r0..r1-1 inside
+        bbox = (
+            (c0 + draw(inset)) / width, (r0 + draw(inset)) / height,
+            (c1 - draw(inset)) / width, (r1 - draw(inset)) / height,
+        )
+        # a few depths, so that equal depths (no pair) come up
+        depth = draw(st.sampled_from([0.2, 0.5, 0.8]) | st.floats(0.0, 1.0))
+        objects.append(SceneObject(id=i, label="", bbox=bbox, depth=depth))
+    scene = SceneSpec(grid_height=height, grid_width=width, objects=tuple(objects))
+    mode = draw(st.sampled_from(MODES))
+    # every field, and more often the two that vary a row's schedule
+    param = draw(st.sampled_from(SWEEP_PARAMS) | st.sampled_from(["stage1_fraction", "eta0"]))
+    if param == "eta0":
+        default = _mode_class(mode).default_eta0
+        values = draw(st.lists(st.floats(0.0, 9.0).map(lambda e: default * 10.0**e), min_size=1, max_size=6,
+                               unique=True))
+    else:
+        values = draw(st.lists(SWEEP_VALUES[param], min_size=1, max_size=6))
+    steps = draw(st.integers(2, 8) | st.integers(0, 1))
+    decay = draw(st.sampled_from([1.0, 0.9]))
+    base = with_default_step(GuidanceConfig(total_steps=steps, eta_decay=decay), mode)
+    cfgs = [base.updated(**{param: value}) for value in values]
+    latent0 = init_latent(scene, mode, draw(st.integers(0, 2**32 - 1)))
+    # the rows fit one chunk, or are stepped a few at a time
+    rows_per_chunk = draw(st.sampled_from([len(cfgs)]) | st.integers(1, len(cfgs)))
+    return scene, cfgs, latent0, rows_per_chunk * height * width * count
+
+
+class TestLockstepRows:
+    """Each row of a lockstep run is the standalone run of its config, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(lockstep_cases())
+    def test_every_row_is_its_standalone_run(self, case):
+        scene, cfgs, latent0, chunk_entries = case
+        with mock.patch.object(optimizer, "_CHUNK_ENTRIES", chunk_entries):
+            outcomes = list(run_rows(scene, cfgs, latent0))
+        assert len(outcomes) == len(cfgs)
+        for cfg, outcome in zip(cfgs, outcomes):
+            _assert_row_is_standalone(scene, cfg, latent0, outcome)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_in_different_stages_at_one_step(self, canonical, mode):
+        # at 4 steps the rows switch stage after 0, 1, 3 and 4 steps, so every
+        # step has rows in both stages
+        base = with_default_step(GuidanceConfig(total_steps=4), mode)
+        cfgs = [base.updated(stage1_fraction=v) for v in (0.0, 0.25, 0.8, 1.0)]
+        latent0 = init_latent(canonical, mode, 3)
+        outcomes = list(run_rows(canonical, cfgs, latent0))
+        stages = [[r.stage for r in outcome.records] for outcome in outcomes]
+        assert stages == [[2, 2, 2, 2, 2], [1, 2, 2, 2, 2], [1, 1, 1, 2, 2], [1, 1, 1, 1, 1]]
+        for cfg, outcome in zip(cfgs, outcomes):
+            _assert_row_is_standalone(canonical, cfg, latent0, outcome)
+
+    def test_an_aborted_row_leaves_the_others_running(self, canonical):
+        # raster rows at eta0 1e9 and 1e6 diverge at steps 1 and 2; the
+        # others run all 20 steps
+        cfgs = [GuidanceConfig(total_steps=20, eta0=eta) for eta in (800.0, 1e6, 1e9, 400.0)]
+        latent0 = init_latent(canonical, "raster", 3)
+        outcomes = list(run_rows(canonical, cfgs, latent0))
+        assert [str(o) for o in outcomes[1:3]] == [
+            "non-finite rendered field at step 2", "non-finite rendered field at step 1",
+        ]
+        assert [len(o.records) for o in (outcomes[0], outcomes[3])] == [21, 21]
+        for cfg, outcome in zip(cfgs, outcomes):
+            _assert_row_is_standalone(canonical, cfg, latent0, outcome)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_are_stepped_in_chunks_of_bounded_field_size(self, canonical, mode, monkeypatch):
+        # the budget counts field entries (K * H * W per row), whatever the latent's shape
+        monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES", 2 * 2 * 64 * 64 + 1)
+        chunk_rows = []
+        real = optimizer._run_chunk
+
+        def recording(scene, plan, latent0):
+            chunk_rows.append(len(plan.cfgs))
+            return real(scene, plan, latent0)
+
+        monkeypatch.setattr(optimizer, "_run_chunk", recording)
+        base = with_default_step(GuidanceConfig(total_steps=3), mode)
+        cfgs = [base.updated(lambda_ortho=v) for v in (0.1, 0.2, 0.4, 0.8, 1.6)]
+        latent0 = init_latent(canonical, mode, 0)
+        outcomes = run_rows(canonical, cfgs, latent0)
+        assert chunk_rows == []  # nothing is stepped before the iterator is read
+        outcomes = list(outcomes)
+        assert chunk_rows == [2, 2, 1]
+        for cfg, outcome in zip(cfgs, outcomes):
+            _assert_row_is_standalone(canonical, cfg, latent0, outcome)
+
+    def test_rows_must_share_their_step_count(self, canonical):
+        cfgs = [GuidanceConfig(total_steps=steps, eta0=1.0) for steps in (3, 4)]
+        with pytest.raises(ValueError, match="same total_steps"):
+            run_rows(canonical, cfgs, init_latent(canonical, "raster", 0))
+
+    def test_a_plan_needs_a_row(self, canonical):
+        with pytest.raises(ValueError, match="at least one row config"):
+            _plan(canonical, derive_occlusion_pairs(canonical), [])

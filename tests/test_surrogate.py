@@ -193,22 +193,22 @@ class TestBackprop:
     def test_zero_gradient_maps_to_zero(self, two_object_scene):
         for mode in ("raster", "blob"):
             latent = init_latent(two_object_scene, mode, seed=3)
-            surrogate = _surrogate(two_object_scene, mode)
-            surrogate.render(latent.values)
-            g = surrogate.chain(np.zeros((2, 16, 16)))
+            surrogate = _surrogate(two_object_scene, mode, 1)
+            surrogate.render(latent.values[None])
+            g = surrogate.chain(np.zeros((1, 2, 16, 16)))
             assert (g == 0.0).all()
-            assert g.shape == latent.values.shape
+            assert g.shape == (1, *latent.values.shape)
 
     def test_raster_chain_rule_is_single_multiplication(self, two_object_scene):
         latent = init_latent(two_object_scene, "raster", seed=5)
-        grad = np.zeros((2, 16, 16))
-        grad[1, 3, 7] = 2.5
-        surrogate = _surrogate(two_object_scene, "raster")
-        surrogate.render(latent.values)
+        grad = np.zeros((1, 2, 16, 16))
+        grad[0, 1, 3, 7] = 2.5
+        surrogate = _surrogate(two_object_scene, "raster", 1)
+        surrogate.render(latent.values[None])
         out = surrogate.chain(grad)
         expected = 2.5 * math.exp(latent.values[1, 3, 7])
-        assert out[1, 3, 7] == pytest.approx(expected, rel=1e-15)
-        out[1, 3, 7] = 0.0
+        assert out[0, 1, 3, 7] == pytest.approx(expected, rel=1e-15)
+        out[0, 1, 3, 7] = 0.0
         assert (out == 0.0).all()
 
     def test_blob_parameters_match_finite_differences(self):
@@ -223,9 +223,9 @@ class TestBackprop:
             field = render_attention(state, scene)
             return staged_loss(field, scene, pairs, cfg, 1).total
 
-        surrogate = _surrogate(scene, "blob")
-        maps = surrogate.render(latent.values)
-        analytic = surrogate.chain(value_and_grad(maps, _plan(scene, pairs, cfg), 1)[1])
+        surrogate = _surrogate(scene, "blob", 1)
+        maps = surrogate.render(latent.values[None])
+        analytic = surrogate.chain(value_and_grad(maps, _plan(scene, pairs, [cfg]), [1])[1])[0]
         h = 1e-6
         for p in range(5):
             plus = latent.values.copy()
@@ -286,7 +286,7 @@ class TestSeparableBlob:
     @settings(max_examples=300)
     def test_render_matches_the_literal_blob_map(self, state):
         scene, values, _ = state
-        maps = _Blob(scene).render(values)
+        maps = _Blob(scene, 1).render(values[None])[0]
         coords = coord_grid(scene.grid_height, scene.grid_width)
         for k, params in enumerate(values):
             literal = _blob_map(params, coords.x, coords.y)
@@ -305,12 +305,12 @@ class TestSeparableBlob:
     @settings(max_examples=300)
     def test_chain_matches_the_dense_five_sums(self, state):
         scene, values, seed = state
-        blob = _Blob(scene)
-        maps = blob.render(values)
+        blob = _Blob(scene, 1)
+        maps = blob.render(values[None])[0]
         coords = coord_grid(scene.grid_height, scene.grid_width)
         # scaled so that no dense product overflows at an amplitude of e^709
         grad = np.random.default_rng(seed).uniform(-1.0, 1.0, maps.shape) * 2.0**-12
-        got = blob.chain(grad)
+        got = blob.chain(grad[None])[0]
         want = five_sums(values, maps, grad, coords)
         scale = five_sums(values, maps, grad, coords, mag=np.abs)
         # a factor product in the subnormal range is off by up to 2^-1075,
