@@ -38,9 +38,11 @@ every difference is the one a per-coordinate loop would take.  Blob latent
 coordinates move every pixel, so they keep the literal re-render
 `_blob_map` and evaluation of `_restricted_loss`.
 
-A coordinate passes when |analytic - fd| <= max(rel_tol * 1e-4, rel_tol * ref)
-with ref = max(|analytic|, |fd|): the relative criterion for significant
-gradients, an absolute floor for near-zero ones.
+A coordinate passes when both values are finite and
+|analytic - fd| <= max(rel_tol * 1e-4, rel_tol * ref) with
+ref = max(|analytic|, |fd|): the relative criterion for significant
+gradients, an absolute floor for near-zero ones.  An infinite value would
+make that bound infinite too, so it fails on its own.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float
         ref = np.where(np.abs(fd) > np.abs(analytic), np.abs(fd), np.abs(analytic))
         rel_err = np.divide(abs_err, ref, out=np.zeros_like(ref), where=ref > 1e-10)
         floor, scaled = rel_tol * 1e-4, rel_tol * ref
-        ok = abs_err <= np.where(scaled > floor, scaled, floor)
+        ok = (abs_err <= np.where(scaled > floor, scaled, floor)) & np.isfinite(analytic) & np.isfinite(fd)
     result.checked += len(fd)
     result.worst_rel = float(np.max(rel_err, initial=result.worst_rel, where=rel_err > result.worst_rel))
     result.worst_abs = float(np.max(abs_err, initial=result.worst_abs, where=abs_err > result.worst_abs))
@@ -361,14 +363,17 @@ def check_gradients(
     # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between
     _check_match(latent, scene)
     surrogate = _surrogate(scene, latent.mode, 1)
-    maps = surrogate.render(latent.values[None])
-    field_ = AttentionField(maps=maps[0])
     terms = _object_terms(scene, cfg)
+    plan = _plan(scene, derive_occlusion_pairs(scene), [cfg])
+    # as in the run loop: a non-finite gradient is judged below, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        maps = surrogate.render(latent.values[None])
+        grad_att = value_and_grad(maps, plan, [stage])[1]
+        # a copy: the raster chain writes over the gradient it is given
+        grad_lat = surrogate.chain(grad_att.copy())[0]
+    field_ = AttentionField(maps=maps[0])
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
     h = LONG(FD_STEP)
-    grad_att = value_and_grad(maps, _plan(scene, derive_occlusion_pairs(scene), [cfg]), [stage])[1]
-    # a copy: the raster chain writes over the gradient it is given
-    grad_lat = surrogate.chain(grad_att.copy())[0]
     grad_att = grad_att[0]
     k_count = len(scene.objects)
 

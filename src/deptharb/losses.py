@@ -108,7 +108,8 @@ def _pair_coefficients(
     Raises a ConfigError naming the pair when either coefficient is not
     finite, so a config can be checked before any field is rendered.
     """
-    depths = scene.depths()
+    # Python floats: their division overflows to inf silently, as numpy scalars' does not
+    depths = scene.depths().tolist()
     grid = (scene.grid_height, scene.grid_width)
     weights, fg_area = np.empty(len(pairs)), np.empty(len(pairs))
     for n, pair in enumerate(pairs):
@@ -184,9 +185,9 @@ class _Plan:
     * `row_dots`, `row_sum`, `col_sum`: scratch that `_values` overwrites on
       every call, one GEMM `(K * H, W) @ colmat` per row, its column 0 (the
       row sums R) and the column sums C;
-    * `factors`, `columns`: per stage, the gradient's low-rank factors over
-      all B * K maps and views of their step-dependent columns
-      (U[:, :, 0], U[:, :, 1], V[:, 2]), that `value_and_grad` writes;
+    * `factors`, `columns`: the gradient's low-rank factors over all B * K
+      maps and views of their step-dependent columns (U[:, :, 0],
+      U[:, :, 1], V[:, 2]), that `value_and_grad` writes;
     * `grad`, `grad_stack`: the buffer `value_and_grad` returns, U @ V, and
       its (B * K, H, W) view;
     * `products`: per tuple of row stages, what `_products` returns for it.
@@ -212,8 +213,8 @@ class _Plan:
     row_dots: np.ndarray  # (B, K * H, 1 + K) scratch: row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j
     row_sum: np.ndarray   # (B * K, H) view of row_dots' column 0
     col_sum: np.ndarray   # (B * K, W) scratch
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]  # per stage: (U, V), see _grad_factors
-    columns: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # per stage
+    factors: tuple[np.ndarray, np.ndarray]  # (U, V), see _grad_factors
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # (U[:, :, 0], U[:, :, 1], V[:, 2])
     grad: np.ndarray      # (B, K, H, W), the buffer value_and_grad returns
     grad_stack: np.ndarray  # (B * K, H, W) view of grad
     products: dict        # stages tuple -> _products(plan, stages), filled on first use
@@ -229,7 +230,8 @@ def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.nd
     coef) of `pair_terms`, in order, background map j gets coef r_i (outer)
     c_i, zero-padded to the largest count per map; coef holds one value per
     row.  Every product is exact (the indicators are 0/1), so the sum runs
-    in the same order as the term-by-term assembly.
+    in the same order as the term-by-term assembly; stage 2, which has no
+    pair terms, multiplies U[..., :3] @ V[:, :3].
     """
     k, height = rows.shape
     width = cols.shape[1]
@@ -277,13 +279,12 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
     depths = scene.depths()[objs]
     row_eps = np.array([cfg.epsilon for cfg in cfgs])
     eps = np.repeat(row_eps, k)
+    # 2 * eps is inf above half the float range: a non-finite gradient, which the run loop reports
+    with np.errstate(over="ignore"):
+        two_eps = 2.0 * eps
     row_dots = np.empty((batch, k * height, k + 1))
     grad = np.empty((batch, k, height, width))
-    # stage 2 drops the orthogonality gradient, so it has no pair columns
-    factors = (
-        _grad_factors(rows, cols, list(zip(bg, fg, coef.T)), batch),
-        _grad_factors(rows, cols, [], batch),
-    )
+    u, v = _grad_factors(rows, cols, list(zip(bg, fg, coef.T)), batch)
     return _Plan(
         cfgs=tuple(cfgs),
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
@@ -299,12 +300,12 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
         area_eps=(fg_area + row_eps[:, None]).ravel(),
         neg2_depths=-2.0 * depths,
         compact_depths=np.repeat([cfg.lambda_compact for cfg in cfgs], k) * depths,
-        two_eps=2.0 * eps,
+        two_eps=two_eps,
         row_dots=row_dots,
         row_sum=row_dots.reshape(batch * k, height, k + 1)[:, :, 0],
         col_sum=np.empty((batch * k, width)),
-        factors=factors,
-        columns=tuple((u[:, :, 0], u[:, :, 1], v[:, 2]) for u, v in factors),
+        factors=(u, v),
+        columns=(u[:, :, 0], u[:, :, 1], v[:, 2]),
         grad=grad,
         grad_stack=grad.reshape(batch * k, height, width),
         products={},
@@ -374,23 +375,24 @@ def _values(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> tuple[list[
     return breakdowns, (denom, f, mu, var, dx, dy)
 
 
-def _products(plan: _Plan, stages: Sequence[int]) -> tuple[list[int], list[tuple[np.ndarray, ...]]]:
-    """The stages that `stages` holds, and the (U, V, grad) views of each product of the gradient.
+def _products(plan: _Plan, stages: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """The (U, V, grad) views of each product of the gradient, one per run of consecutive rows in one stage.
 
-    One product per run of consecutive rows in one stage.  Built on a
-    stages tuple's first use and kept in the plan; a run meets at most one
-    new tuple per step.
+    A stage-2 run reads only the first three columns of the factors.  Built
+    on a stages tuple's first use and kept in the plan; a run meets at most
+    one new tuple per step.
     """
     key = tuple(stages)
     if key not in plan.products:
         k = len(plan.depths) // len(key)
+        u, v = plan.factors
         views, lo = [], 0
         for stage, rows in itertools.groupby(key):
             hi = lo + k * len(list(rows))
-            u, v = plan.factors[stage - 1]
-            views.append((u[lo:hi], v[lo:hi], plan.grad_stack[lo:hi]))
+            m = 3 if stage == 2 else None
+            views.append((u[lo:hi, :, :m], v[lo:hi, :m], plan.grad_stack[lo:hi]))
             lo = hi
-        plan.products[key] = (sorted(set(key)), views)
+        plan.products[key] = views
     return plan.products[key]
 
 
@@ -425,8 +427,8 @@ def value_and_grad(
     Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
     plus one outer product per stage-1 pair: one product of the plan's
     low-rank factors (`_grad_factors`), of which only the three step-dependent
-    columns are written here.  Rows in different stages take one product
-    per run of consecutive rows in one stage.
+    columns are written here.  A stage-2 row, which has no pair terms,
+    multiplies only those three columns.
 
     The returned gradient is the plan's own buffer: the next call on the
     same plan overwrites it.
@@ -435,14 +437,11 @@ def value_and_grad(
     a = plan.neg2_depths * (1.0 - f) / denom
     q = (plan.compact_depths / denom)[:, None]
     res = (plan.two_eps / denom)[:, None]
-    af = (a * f)[:, None]
-    present, products = _products(plan, stages)
-    for stage in present:
-        u0, u1, v2 = plan.columns[stage - 1]
-        np.multiply(a[:, None], plan.box_rows, out=u0)
-        np.subtract(q * (dy * (dy - res * mu[:, 1:]) - var[:, None]), af, out=u1)
-        np.multiply(q * dx, dx - res * mu[:, :1], out=v2)
-    for u, v, out in products:
+    u0, u1, v2 = plan.columns
+    np.multiply(a[:, None], plan.box_rows, out=u0)
+    np.subtract(q * (dy * (dy - res * mu[:, 1:]) - var[:, None]), (a * f)[:, None], out=u1)
+    np.multiply(q * dx, dx - res * mu[:, :1], out=v2)
+    for u, v, out in _products(plan, stages):
         np.matmul(u, v, out=out)
     return breakdowns, plan.grad
 

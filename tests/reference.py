@@ -21,6 +21,7 @@ derived on every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from types import SimpleNamespace
 from typing import Sequence
@@ -101,11 +102,12 @@ def judge(
     """One coordinate's report and verdict.
 
     The error is relative where the reference exceeds 1e-10; it passes under an absolute floor rel_tol * 1e-4.
+    A coordinate whose analytic or FD value is not finite fails.
     """
     abs_err = abs(analytic - fd)
     ref = max(abs(analytic), abs(fd))
     rel_err = abs_err / ref if ref > 1e-10 else 0.0
-    ok = abs_err <= max(rel_tol * 1e-4, rel_tol * ref)
+    ok = math.isfinite(analytic) and math.isfinite(fd) and abs_err <= max(rel_tol * 1e-4, rel_tol * ref)
     return CoordReport(space, k, coordinate, analytic, fd, abs_err, rel_err), ok
 
 
@@ -302,7 +304,8 @@ def reference_value_and_grad(
     Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
     plus one outer product per stage-1 pair: one product of the plan's
     low-rank factors (`_grad_factors`), of which only the three step-dependent
-    columns are written here.
+    columns are written here.  Stage 2, which has no pair terms, multiplies
+    contiguous copies of those three columns.
 
     The returned gradient is the plan's own buffer: the next call on the
     same plan overwrites it.
@@ -312,10 +315,12 @@ def reference_value_and_grad(
     a = -2.0 * d * (1.0 - f) / denom
     q = (cfg.lambda_compact * d / denom)[:, None]
     res = (2.0 * cfg.epsilon / denom)[:, None]
-    u, v = plan.factors[stage - 1]
+    u, v = plan.factors
     np.multiply(a[:, None], plan.rows, out=u[:, :, 0])
     u[:, :, 1] = q * (dy * (dy - res * mu[:, 1:]) - breakdown.var[:, None]) - (a * f)[:, None]
     v[:, 2] = q * dx * (dx - res * mu[:, :1])
+    if stage == 2:
+        u, v = u[:, :, :3].copy(), v[:, :3].copy()
     return breakdown, np.matmul(u, v, out=plan.grad)
 
 

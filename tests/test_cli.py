@@ -651,6 +651,44 @@ class TestUndefinedObjectiveConfig:
         assert "non-finite latent update at step 0" in capsys.readouterr().err
 
 
+class TestExtremeScaleValues:
+    """A subnormal tau or an epsilon above half the float range leaks no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "flag,verdicts",
+        [
+            # lambda_ij overflows: an input error before any render
+            ("--tau=1e-320", {"run": (1, "error: occlusion pair"), "sweep": (1, "error: occlusion pair"),
+                              "grad-check": (1, "error: occlusion pair")}),
+            # 2 * eps overflows: the gradient is not finite at step 0, and grad-check fails it
+            ("--epsilon=1.7e308", {"run": (2, "numerical abort: non-finite gradient at step 0"),
+                                   "sweep": (2, "numerical abort: non-finite gradient at step 0"),
+                                   "grad-check": (3, "")}),
+        ],
+        ids=["subnormal-tau", "huge-epsilon"],
+    )
+    @pytest.mark.parametrize(
+        "command,mode", [("run", "raster"), ("run", "blob"), ("sweep", "raster"),
+                         ("grad-check", "raster"), ("grad-check", "blob")],
+    )
+    def test_one_verdict_on_stderr(self, capsys, scene_path, command, mode, flag, verdicts):
+        argv = {
+            "run": ["run", "--scene", scene_path, "--steps", "3"],
+            "sweep": ["sweep", "--scene", scene_path, "--steps", "3", "--param", "lambda_ortho",
+                      "--values", "0.5,1"],
+            "grad-check": ["grad-check", "--samples", "5"],
+        }[command]
+        code, err = verdicts[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--mode", mode, flag) == code
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) <= 1
+        assert captured.err.startswith(err)
+        if code == 3:
+            assert "FAILURES" in captured.out
+
+
 class TestScoringAbort:
     """A loss value a report would hold that is not finite exits 2 at the last step, with no report."""
 

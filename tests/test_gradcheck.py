@@ -17,6 +17,7 @@ from deptharb.gradcheck import (
     ANCHOR_EPS,
     FD_STEP,
     CoordGrid,
+    GradCheckResult,
     OracleError,
     _blob_map,
     _object_terms,
@@ -30,7 +31,7 @@ from deptharb.gradcheck import (
 from deptharb.surrogate import _Blob, _Raster
 
 from conftest import scene_file_text
-from reference import scalar_check_gradients
+from reference import _absorb, judge, scalar_check_gradients
 
 # the benchmark's parse of a per-stage result line
 STAGE_LINE = re.compile(r"^stage (\d) \((\w+)\): (\d+) coordinates, .* -> (pass|\d+ FAILURES)$", re.M)
@@ -203,6 +204,20 @@ class TestArrayOracle:
             assert max(lengths) <= chunk
             assert sum(lengths) == spaces * samples
             assert len(lengths) == spaces * len(two_object_scene.objects) * -(-samples // chunk)
+
+    @pytest.mark.parametrize(
+        "analytic,fd", [(np.inf, 0.0), (0.0, np.inf), (-np.inf, 1.0), (np.inf, np.inf), (np.nan, 0.0)]
+    )
+    def test_non_finite_value_fails_as_in_the_scalar_judge(self, analytic, fd):
+        # an infinite value makes rel_tol * ref infinite, so the bound alone would pass it
+        judged = GradCheckResult()
+        gradcheck._judge_all(
+            judged, "attention", np.array([1]), np.array([[2, 3]]), np.array([analytic]), np.array([fd]), 1e-5
+        )
+        scalar = GradCheckResult()
+        _absorb(scalar, judge("attention", 1, (2, 3), analytic, fd, 1e-5))
+        assert not judged.passed
+        assert _bits(judged) == _bits(scalar)
 
 
 class TestRefusedChecks:
