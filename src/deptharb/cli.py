@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import Sequence
@@ -51,6 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _print(*args, **kwargs) -> None:
+    """print to stdout; once its reader has gone, the rest goes to os.devnull and the command keeps its verdict."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def dumps_report(doc: dict) -> str:
     """JSON text of a report; floats in the shortest form that reads back exactly."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -61,7 +72,7 @@ def _write_report(args, doc: dict, what: str = "report") -> None:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(dumps_report(doc))
-        print(f"{what} written to {args.report}")
+        _print(f"{what} written to {args.report}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +128,18 @@ def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args) -
 def _print_summary(report: dict) -> None:
     losses = report["losses"]
     metrics = report["metrics"]
-    print(
+    _print(
         f"stage {losses['stage']}: total {losses['total']:.6g} "
         f"(align {losses['align']:.6g}, ortho {losses['ortho']:.6g}, "
         f"compact {losses['compact']:.6g})"
     )
     focr_mean = metrics["focr_mean"]
-    print(
+    _print(
         f"miou_all {metrics['miou_all']:.4f}  "
         f"focr_mean {'n/a' if focr_mean is None else f'{focr_mean:.4f}'}"
     )
     for obj in report["per_object"]:
-        print(
+        _print(
             f"  object {obj['id']} ({obj['label'] or 'unlabeled'}): "
             f"f {obj['f']:.4f}  var {obj['var']:.6g}  iou {obj['iou']:.4f}"
         )
@@ -152,7 +163,7 @@ def cmd_run(args) -> int:
     report = _score(field, scene, cfg, args)
     if args.dump:
         write_dump(args.dump, field, args.seed)
-        print(f"dump written to {args.dump}")
+        _print(f"dump written to {args.dump}")
     return _publish(args, report, cfg, args.seed)
 
 
@@ -173,7 +184,7 @@ def cmd_grad_check(args) -> int:
     stages = (1, 2) if args.stage == "both" else (int(args.stage),)
     note = precision_note()
     if note:
-        print(note)
+        _print(note)
     latent = init_latent(scene, args.mode, args.seed)
     worst_rel = 0.0
     failures = []
@@ -181,20 +192,22 @@ def cmd_grad_check(args) -> int:
         result = check_gradients(
             scene, cfg, latent, stage, seed=args.seed, samples=args.samples, rel_tol=args.tol
         )
-        worst_rel = max(worst_rel, result.worst_rel)
-        failures.extend(result.failures)
-        print(
+        # np.max, not max: a NaN error, which fails its coordinate, shows
+        worst_rel = float(np.max([worst_rel, result.worst_rel]))
+        failures.extend((stage, r) for r in result.failures)
+        _print(
             f"stage {stage} ({args.mode}): {result.checked} coordinates, "
             f"worst rel {result.worst_rel:.3e}, worst abs {result.worst_abs:.3e} "
             f"-> {'pass' if result.passed else f'{len(result.failures)} FAILURES'}"
         )
-    print(f"worst relative error: {worst_rel:.6e}")
+    _print(f"worst relative error: {worst_rel:.6e}")
     if failures:
-        failures.sort(key=lambda r: r.rel_err, reverse=True)
-        print("worst offenders:")
-        for r in failures[:10]:
-            print(
-                f"  {r.space} obj {r.object_index} coord {r.coordinate}: "
+        # non-finite errors first, then the largest; ties keep sample order
+        failures.sort(key=lambda f: -f[1].rel_err if math.isfinite(f[1].rel_err) else -math.inf)
+        _print("worst offenders:")
+        for stage, r in failures[:10]:
+            _print(
+                f"  stage {stage} {r.space} obj {r.object_index} coord {r.coordinate}: "
                 f"analytic {r.analytic:.6e} fd {r.fd:.6e} "
                 f"rel {r.rel_err:.3e} abs {r.abs_err:.3e}"
             )
@@ -206,17 +219,12 @@ def _sweep_row(
     scene: SceneSpec, run_cfg: GuidanceConfig, outcome: Trajectory | NumericalAbort, args
 ) -> dict:
     report = _score(_rounded(outcome, run_cfg), scene, run_cfg, args)
-    breakdown = report.breakdown
+    b = report.breakdown
     return {
         "value": getattr(run_cfg, args.param),
-        "losses": {
-            "align": breakdown.align,
-            "ortho": breakdown.ortho,
-            "compact": breakdown.compact,
-            "total": breakdown.total,
-        },
-        "mean_interference": breakdown.mean_interference(),
-        "mean_var": breakdown.mean_var(),
+        "losses": {"align": b.align, "ortho": b.ortho, "compact": b.compact, "total": b.total},
+        "mean_interference": float(np.mean(b.pair_interference)) if len(b.pair_interference) else None,
+        "mean_var": float(np.mean(b.var)),
         "metrics": {
             "miou_all": report.miou.all,
             "focr_mean": report.focr.mean,
@@ -238,11 +246,11 @@ def cmd_sweep(args) -> int:
     _write_report(args, table, "sweep table")
 
     header = f"{args.param:>16}  {'total':>12}  {'mean_I':>10}  {'mean_var':>10}  {'miou':>8}  {'focr':>8}"
-    print(header)
+    _print(header)
     for row in rows:
         mean_i = row["mean_interference"]
         focr_mean = row["metrics"]["focr_mean"]
-        print(
+        _print(
             f"{row['value']:>16.6g}  {row['losses']['total']:>12.6g}  "
             f"{'n/a' if mean_i is None else f'{mean_i:>10.4g}'}  "
             f"{row['mean_var']:>10.4g}  {row['metrics']['miou_all']:>8.4f}  "
@@ -395,6 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SceneError, AttentionError, DumpError, ConfigError, SurrogateError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # a block-buffered stdout meets a closed pipe only when it is flushed
+        _print(end="", flush=True)
 
 
 if __name__ == "__main__":

@@ -290,8 +290,8 @@ def _anchored_sums(base, terms, coords, cfg: GuidanceConfig, stage: int) -> _Pix
 def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float) -> None:
     """Judge coordinates in sample order into `result`, with a report for each failure.
 
-    Each max(a, b) takes b only where b > a, so a NaN never wins it: a NaN
-    error leaves the worst errors as they were, and fails its coordinate.
+    A NaN error fails its coordinate and wins the worst-error max, so a
+    result whose worst error reads NaN holds a non-finite failure.
     """
     # silent, as the same arithmetic on Python floats is: inf - inf is a NaN error, not a warning
     with np.errstate(all="ignore"):
@@ -301,8 +301,8 @@ def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float
         floor, scaled = rel_tol * 1e-4, rel_tol * ref
         ok = (abs_err <= np.where(scaled > floor, scaled, floor)) & np.isfinite(analytic) & np.isfinite(fd)
     result.checked += len(fd)
-    result.worst_rel = float(np.max(rel_err, initial=result.worst_rel, where=rel_err > result.worst_rel))
-    result.worst_abs = float(np.max(abs_err, initial=result.worst_abs, where=abs_err > result.worst_abs))
+    result.worst_rel = float(np.max(rel_err, initial=result.worst_rel))
+    result.worst_abs = float(np.max(abs_err, initial=result.worst_abs))
     result.failures.extend(
         CoordReport(
             space, int(ks[i]), tuple(coordinates[i].tolist()), float(analytic[i]), float(fd[i]),

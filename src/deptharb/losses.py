@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,12 @@ from .scene import (
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term loss values with the diagnostics every term is built from."""
+    """Per-term loss values with the diagnostics every term is built from.
+
+    The shapes below are `staged_loss`'s: one evaluation, scalar terms.  A
+    kernel call's fields but `pairs` carry a leading row axis (`stage` is the
+    tuple of row stages), a trajectory's a leading pass axis; `take` indexes them.
+    """
 
     stage: int
     align: float
@@ -69,13 +74,22 @@ class LossBreakdown:
     pair_interference: np.ndarray  # (P,) I values
     pair_weights: np.ndarray       # (P,) lambda_ij values
 
-    def mean_interference(self) -> float | None:
-        if len(self.pair_interference) == 0:
-            return None
-        return float(np.mean(self.pair_interference))
+    def take(self, index) -> LossBreakdown:
+        """Every field but `pairs` indexed by `index`; a field that becomes one number is a Python scalar."""
+        def pick(values):
+            picked = np.asarray(values)[index]
+            return picked.item() if picked.ndim == 0 else picked
 
-    def mean_var(self) -> float:
-        return float(np.mean(self.var))
+        return replace(self, **{name: pick(getattr(self, name)) for name in _INDEXED})
+
+
+# the fields that carry a kernel call's row axis or a trajectory's pass axis
+_INDEXED = tuple(f.name for f in fields(LossBreakdown) if f.name != "pairs")
+
+
+def _stacked(breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
+    """One breakdown whose every field but `pairs` stacks the given ones' along a new leading axis."""
+    return replace(breakdowns[0], **{name: np.array([getattr(b, name) for b in breakdowns]) for name in _INDEXED})
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +206,8 @@ class _Plan:
       its (B * K, H, W) view;
     * `products`: per tuple of row stages, what `_products` returns for it.
 
-    No array of the breakdowns `_values` returns is a view of this scratch.
+    No array of the breakdown `_values` returns is a view of this scratch;
+    its `pair_weights` is a view of `weights`, which no call writes.
     """
 
     cfgs: tuple[GuidanceConfig, ...]  # (B,) one config per row
@@ -312,8 +327,8 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
     )
 
 
-def _values(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> tuple[list[LossBreakdown], tuple]:
-    """Forward half of `value_and_grad`: row b's breakdown at stages[b], and the gradient's inputs.
+def _values(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> tuple[LossBreakdown, tuple]:
+    """Forward half of `value_and_grad`: the rows' breakdown, row b at stages[b], and the gradient's inputs.
 
     The inputs are (D, f, mu, Var, x - mu_x, y - mu_y), one entry per map.
     """
@@ -354,25 +369,14 @@ def _values(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> tuple[list[
 
     # Python floats: the same doubles, and the same IEEE sums in staged_total
     terms = zip(align.tolist(), ortho.tolist(), compact.tolist(), plan.cfgs, stages, strict=True)
-    breakdowns = []
-    for b, (align_b, ortho_b, compact_b, cfg, stage) in enumerate(terms):
-        at, pair_at = slice(b * k, (b + 1) * k), slice(b * n_pairs, (b + 1) * n_pairs)
-        breakdowns.append(LossBreakdown(
-            stage=stage,
-            align=align_b,
-            ortho=ortho_b,
-            compact=compact_b,
-            total=staged_total(align_b, ortho_b, compact_b, cfg, stage),
-            f=f[at],
-            e_in=e_in[at],
-            e_out=e_out[at],
-            mu=mu[at],
-            var=var[at],
-            pairs=plan.pairs,
-            pair_interference=inter[pair_at],
-            pair_weights=plan.weights[pair_at].copy(),
-        ))
-    return breakdowns, (denom, f, mu, var, dx, dy)
+    breakdown = LossBreakdown(
+        stage=tuple(stages), align=align, ortho=ortho, compact=compact,
+        total=np.array([staged_total(*row) for row in terms]),
+        f=f.reshape(batch, k), e_in=e_in.reshape(batch, k), e_out=e_out.reshape(batch, k),
+        mu=mu.reshape(batch, k, 2), var=var.reshape(batch, k), pairs=plan.pairs,
+        pair_interference=inter.reshape(batch, n_pairs), pair_weights=plan.weights.reshape(batch, n_pairs),
+    )
+    return breakdown, (denom, f, mu, var, dx, dy)
 
 
 def _products(plan: _Plan, stages: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
@@ -398,7 +402,7 @@ def _products(plan: _Plan, stages: Sequence[int]) -> list[tuple[np.ndarray, ...]
 
 def value_and_grad(
     maps: np.ndarray, plan: _Plan, stages: Sequence[int]
-) -> tuple[list[LossBreakdown], np.ndarray]:
+) -> tuple[LossBreakdown, np.ndarray]:
     """Each row's stage objective on a (B, K, H, W) field and its gradient d(total)/dA.
 
     Row b is evaluated at stages[b] under plan.cfgs[b].  With S = sum(A_k),
@@ -433,7 +437,7 @@ def value_and_grad(
     The returned gradient is the plan's own buffer: the next call on the
     same plan overwrites it.
     """
-    breakdowns, (denom, f, mu, var, dx, dy) = _values(maps, plan, stages)
+    breakdown, (denom, f, mu, var, dx, dy) = _values(maps, plan, stages)
     a = plan.neg2_depths * (1.0 - f) / denom
     q = (plan.compact_depths / denom)[:, None]
     res = (plan.two_eps / denom)[:, None]
@@ -443,7 +447,7 @@ def value_and_grad(
     np.multiply(q * dx, dx - res * mu[:, :1], out=v2)
     for u, v, out in _products(plan, stages):
         np.matmul(u, v, out=out)
-    return breakdowns, plan.grad
+    return breakdown, plan.grad
 
 
 def staged_loss(
@@ -459,5 +463,5 @@ def staged_loss(
     excluded from the total (and from the gradient).
     """
     check_alignment(field, scene)
-    return _values(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0][0]
+    return _values(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0].take(0)
 

@@ -139,41 +139,22 @@ class MetricReport:
     focr: FocrResult
 
     def to_json_dict(self) -> dict:
-        per_object = []
-        for k, obj in enumerate(self.scene.objects):
-            per_object.append(
-                {
-                    "id": obj.id,
-                    "label": obj.label,
-                    "f": float(self.breakdown.f[k]),
-                    "e_in": float(self.breakdown.e_in[k]),
-                    "e_out": float(self.breakdown.e_out[k]),
-                    "mu": [float(self.breakdown.mu[k, 0]), float(self.breakdown.mu[k, 1])],
-                    "var": float(self.breakdown.var[k]),
-                    "iou": self.miou.per_object[obj.id],
-                }
-            )
-        per_pair = []
+        b = self.breakdown
+        f, e_in, e_out, mu, var = (values.tolist() for values in (b.f, b.e_in, b.e_out, b.mu, b.var))
+        per_object = [
+            {"id": obj.id, "label": obj.label, "f": f[k], "e_in": e_in[k], "e_out": e_out[k], "mu": mu[k],
+             "var": var[k], "iou": self.miou.per_object[obj.id]}
+            for k, obj in enumerate(self.scene.objects)
+        ]
         # build_metric_report hands the loss and focr the same pairs, in the same order
-        scored = zip(self.breakdown.pairs, self.focr.per_pair, strict=True)
-        for p_idx, (pair, pair_focr) in enumerate(scored):
-            per_pair.append(
-                {
-                    "foreground_id": pair.foreground_id,
-                    "background_id": pair.background_id,
-                    "interference": float(self.breakdown.pair_interference[p_idx]),
-                    "weight": float(self.breakdown.pair_weights[p_idx]),
-                    "focr": pair_focr,
-                }
-            )
+        scored = zip(b.pairs, b.pair_interference.tolist(), b.pair_weights.tolist(), self.focr.per_pair, strict=True)
+        per_pair = [
+            {"foreground_id": pair.foreground_id, "background_id": pair.background_id, "interference": inter,
+             "weight": weight, "focr": pair_focr}
+            for pair, inter, weight, pair_focr in scored
+        ]
         return {
-            "losses": {
-                "stage": self.breakdown.stage,
-                "align": self.breakdown.align,
-                "ortho": self.breakdown.ortho,
-                "compact": self.breakdown.compact,
-                "total": self.breakdown.total,
-            },
+            "losses": {"stage": b.stage, "align": b.align, "ortho": b.ortho, "compact": b.compact, "total": b.total},
             "per_object": per_object,
             "per_pair": per_pair,
             "metrics": {

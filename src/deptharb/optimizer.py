@@ -9,9 +9,9 @@ latent through the same rendered maps and takes a plain gradient-descent
 step z <- z - eta_t * g with eta_t = eta0 * eta_decay^t, in place on the
 run's own copy of the latent.  The schedule of every pass's per-row
 (stage, eta_t) is built once per chunk, before its first step, as the loss
-plan is; rows may be in different stages at one step.  Each trajectory
-records one evaluation per step plus a final evaluation of the end state,
-so its length is total_steps + 1.
+plan is; rows may be in different stages at one step.  A trajectory holds
+each pass's step size and loss terms as columns, one entry per pass: one
+per step plus a final evaluation of the end state, total_steps + 1 in all.
 
 Inputs are validated at the boundaries: the scene, config and starting
 latent on entry, the final latent and field when they are wrapped for the
@@ -36,14 +36,15 @@ and a non-finite S scans the row's field; a field that passes the scan
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .attention import AttentionField
-from .losses import LossBreakdown, _Plan, _pair_coefficients, _plan, _values, value_and_grad
+from .losses import LossBreakdown, _Plan, _pair_coefficients, _plan, _stacked, _values, value_and_grad
 from .scene import ConfigError, GuidanceConfig, SceneSpec, derive_occlusion_pairs
 from .surrogate import LatentState, _check_match, _surrogate, with_default_step
 
@@ -62,23 +63,18 @@ class NumericalAbort(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    stage: int
-    eta: float
-    breakdown: LossBreakdown
-
-
 @dataclass
 class Trajectory:
-    records: list[StepRecord]
+    eta: np.ndarray  # (T + 1,) each pass's step size
     final_latent: LatentState
     final_field: AttentionField
+    _columns: Callable[[], LossBreakdown] = field(repr=False)  # the chunk's passes, stacked on first call
+    _row: int = field(repr=False)
 
     @property
-    def final_breakdown(self) -> LossBreakdown:
-        return self.records[-1].breakdown
+    def terms(self) -> LossBreakdown:
+        """Each pass's breakdown, with a leading pass axis; the last pass is the end state's."""
+        return self._columns().take((slice(None), self._row))
 
 
 def _stage1_steps(cfg: GuidanceConfig) -> int:
@@ -181,8 +177,9 @@ def run_rows(
 def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Trajectory | NumericalAbort]:
     """Run every row of `plan` from latent0 in lockstep: per row, its trajectory or its abort.
 
-    A row that aborts stops being checked and recorded while the others go
-    on; once none is left, the loop stops.
+    A row that aborts stops being checked while the others go on; once none
+    is left, the loop stops.  Each pass keeps the kernel's breakdown of all
+    rows, and the passes are stacked once per chunk.
     """
     schedule, etas = _schedule(plan.cfgs)
     batch = len(plan.cfgs)
@@ -190,7 +187,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
     z = np.repeat(latent0.values[None], batch, axis=0)
     # each pass's step sizes as a column that broadcasts against z
     steps = np.array(etas).reshape(len(schedule), batch, *(1,) * (z.ndim - 1))
-    records: list[list[StepRecord]] = [[] for _ in range(batch)]
+    passes: list[LossBreakdown] = []
     aborts: list[NumericalAbort | None] = [None] * batch
     live = list(range(batch))
 
@@ -201,20 +198,16 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
             last = t == len(schedule) - 1
             maps = surrogate.render(z)
             if last:
-                breakdowns = _values(maps, plan, stages)[0]
+                terms = _values(maps, plan, stages)[0]
             else:
-                breakdowns, grad = value_and_grad(maps, plan, stages)
+                terms, grad = value_and_grad(maps, plan, stages)
+            passes.append(terms)
             for b in live:
-                breakdown = breakdowns[b]
-                if math.isfinite(breakdown.total):
-                    record = StepRecord(step=t, stage=stages[b], eta=etas[t][b], breakdown=breakdown)
-                    records[b].append(record)
-                # every entry lies in one map's total S = e_in + e_out, finite
-                # only if all of its entries are; only a non-finite S scans the field
-                elif not (np.isfinite(breakdown.e_in + breakdown.e_out).all() or _all_finite(maps[b])):
-                    aborts[b] = NumericalAbort(t, "rendered field")
-                else:
-                    aborts[b] = NumericalAbort(t, "loss")
+                if not math.isfinite(terms.total[b]):
+                    # every entry lies in one map's total S = e_in + e_out, finite
+                    # only if all of its entries are; only a non-finite S scans the field
+                    field_ok = np.isfinite(terms.e_in[b] + terms.e_out[b]).all() or _all_finite(maps[b])
+                    aborts[b] = NumericalAbort(t, "loss" if field_ok else "rendered field")
             if last:
                 break
             # a row aborted during this step goes through the rest of it unchecked
@@ -229,11 +222,18 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
             if not live:
                 break
 
+    # a row that did not abort has run every pass, so its column is whole.  The
+    # passes are stacked when a row's terms are first read: a caller that reads
+    # only the end state, as every command does, never pays for it
+    columns = functools.cache(lambda: _stacked(passes))
+    eta = steps.reshape(len(schedule), batch)
     return [
         abort or Trajectory(
-            records=records[b],
+            eta=eta[:, b],
             final_latent=LatentState(mode=latent0.mode, values=z[b]),
             final_field=AttentionField(maps=maps[b]),
+            _columns=columns,
+            _row=b,
         )
         for b, abort in enumerate(aborts)
     ]

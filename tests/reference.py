@@ -16,7 +16,8 @@ interference sums, and every depth and epsilon product formed on each
 call.  The production kernel runs the same floating-point operations in
 the same order, so it must match them bit for bit; `reference_run` is the
 run loop's step sequence on that kernel, with the stage and step size
-derived on every step.
+derived on every step, and `columns` stacks its per-pass breakdowns as a
+trajectory holds them.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def judge(
 def _absorb(result: GradCheckResult, judged: tuple[CoordReport, bool]) -> None:
     report, ok = judged
     result.checked += 1
-    result.worst_rel = max(result.worst_rel, report.rel_err)
-    result.worst_abs = max(result.worst_abs, report.abs_err)
+    # np.max, not max: a NaN error wins it
+    result.worst_rel = float(np.max([result.worst_rel, report.rel_err]))
+    result.worst_abs = float(np.max([result.worst_abs, report.abs_err]))
     if not ok:
         result.failures.append(report)
 
@@ -191,14 +193,27 @@ def scalar_check_gradients(
     return result
 
 
+def same_bits(got, want) -> bool:
+    """Equal to the bit: arrays by dtype, shape and bytes, floats by their hex form, the rest under ==."""
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    if isinstance(want, float):
+        return isinstance(got, float) and got.hex() == want.hex()
+    return got == want
+
+
 def assert_same_breakdown(got: LossBreakdown, want: LossBreakdown) -> None:
-    """Every field equal: arrays under np.array_equal with the same dtype and shape, the rest under ==."""
+    """Every field equal to the bit."""
     for field in fields(LossBreakdown):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
+        assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def columns(breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
+    """One-pass breakdowns as a trajectory holds them: every field but `pairs` stacked, pass after pass."""
+    return LossBreakdown(**{
+        f.name: breakdowns[0].pairs if f.name == "pairs" else np.stack([getattr(b, f.name) for b in breakdowns])
+        for f in fields(LossBreakdown)
+    })
 
 
 def reference_plan(scene: SceneSpec, pairs, cfg: GuidanceConfig) -> SimpleNamespace:
@@ -324,8 +339,8 @@ def reference_value_and_grad(
     return breakdown, np.matmul(u, v, out=plan.grad)
 
 
-def reference_run(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> list[tuple]:
-    """(step, stage, eta, breakdown) of every pass of a run on the reference kernel.
+def reference_run(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> tuple[np.ndarray, LossBreakdown]:
+    """(eta, terms) of a run on the reference kernel, as a trajectory holds them.
 
     The run loop's sequence without its finiteness guards: render, the
     values and gradient, chain to the latent, z - eta * g; the last pass
@@ -334,16 +349,16 @@ def reference_run(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -
     plan = reference_plan(scene, derive_occlusion_pairs(scene), cfg)
     surrogate = _surrogate(scene, latent0.mode, 1)
     z = latent0.values.copy()
-    records = []
+    etas, passes = [], []
     for t in range(cfg.total_steps + 1):
         last = t == cfg.total_steps
         stage = _final_stage(cfg) if last else stage_of(t, cfg)
-        eta = step_size(t, cfg)
+        etas.append(step_size(t, cfg))
         maps = surrogate.render(z[None])[0]
         if last:
-            records.append((t, stage, eta, reference_values(maps, plan, stage)[0]))
+            passes.append(reference_values(maps, plan, stage)[0])
             break
         breakdown, grad = reference_value_and_grad(maps, plan, stage)
-        records.append((t, stage, eta, breakdown))
-        z = z - eta * surrogate.chain(grad[None])[0]
-    return records
+        passes.append(breakdown)
+        z = z - etas[-1] * surrogate.chain(grad[None])[0]
+    return np.array(etas), columns(passes)

@@ -21,6 +21,7 @@ from deptharb.gradcheck import (
     spatial_variance,
 )
 from deptharb.losses import _plan, arbitration_weight, staged_total, value_and_grad
+from deptharb.optimizer import _final_stage
 
 from conftest import dyadic_field, random_scene, scene_file_text
 from reference import normalize_map, pseudo_segment
@@ -107,20 +108,20 @@ class TestAcceptance:
         cfg = d.GuidanceConfig()  # defaults: 200 steps, calibrated eta0
         latent0 = d.init_latent(scene, "raster", seed=42)
         trajectory = d.run_guidance(scene, cfg, latent0)
-        breakdown = trajectory.final_breakdown
         pairs = d.derive_occlusion_pairs(scene)
+        breakdown = d.staged_loss(trajectory.final_field, scene, pairs, cfg, _final_stage(cfg))
         focr_mean = d.focr(trajectory.final_field, scene, pairs).mean
 
         small = cfg.updated(eta0=0.01)
         descent_traj = d.run_guidance(scene, small, d.init_latent(scene, "raster", seed=42))
-        first50 = [r.breakdown.total for r in descent_traj.records[:51]]
-        assert all(r.stage == 1 for r in descent_traj.records[:51])
+        first50 = descent_traj.terms.total[:51].tolist()
+        assert (descent_traj.terms.stage[:51] == 1).all()
         non_increasing = all(b <= a for a, b in zip(first50, first50[1:]))
         elapsed = time.perf_counter() - start
 
         ok = (
             bool((breakdown.f >= 0.90).all())
-            and breakdown.mean_interference() <= 0.05
+            and np.mean(breakdown.pair_interference) <= 0.05
             and focr_mean >= 0.95
             and non_increasing
             and elapsed < 60.0
@@ -129,7 +130,7 @@ class TestAcceptance:
             "arbitration dynamics",
             ok,
             f"f={np.round(breakdown.f, 4).tolist()}, "
-            f"mean I={breakdown.mean_interference():.4f}, FOCR={focr_mean:.4f}, "
+            f"mean I={np.mean(breakdown.pair_interference):.4f}, FOCR={focr_mean:.4f}, "
             f"stage-1 descent at eta0=0.01: {non_increasing}, {elapsed:.1f}s",
         )
 
@@ -139,9 +140,8 @@ class TestAcceptance:
         latent0 = d.init_latent(scene, "raster", seed=42)
         trajectory = d.run_guidance(scene, cfg, latent0)
         boundary = 10
-        record = trajectory.records[boundary]
-        assert record.stage == 2 and trajectory.records[boundary - 1].stage == 1
-        bd = record.breakdown
+        bd = trajectory.terms.take(boundary)
+        assert bd.stage == 2 and trajectory.terms.stage[boundary - 1] == 1
         total_error = abs(bd.total - (bd.align + cfg.lambda_compact * bd.compact))
 
         rng = np.random.default_rng(7)
@@ -164,20 +164,22 @@ class TestAcceptance:
         base = d.GuidanceConfig()
         latent0 = d.init_latent(scene, "raster", seed=42)
 
+        pairs = d.derive_occlusion_pairs(scene)
+
+        def final_terms(cfg):
+            field = d.run_guidance(scene, cfg, latent0).final_field
+            return d.staged_loss(field, scene, pairs, cfg, _final_stage(cfg))
+
         mean_interference = []
         for value in (0.1, 0.5, 1.0):
-            cfg = base.updated(lambda_ortho=value)
-            trajectory = d.run_guidance(scene, cfg, latent0)
-            mean_interference.append(trajectory.final_breakdown.mean_interference())
+            mean_interference.append(np.mean(final_terms(base.updated(lambda_ortho=value)).pair_interference))
         interference_monotone = all(
             b <= a for a, b in zip(mean_interference, mean_interference[1:])
         )
 
         mean_var = []
         for value in (0.1, 0.5, 2.0):
-            cfg = base.updated(lambda_compact=value)
-            trajectory = d.run_guidance(scene, cfg, latent0)
-            mean_var.append(trajectory.final_breakdown.mean_var())
+            mean_var.append(np.mean(final_terms(base.updated(lambda_compact=value)).var))
         var_monotone = all(b <= a for a, b in zip(mean_var, mean_var[1:]))
 
         _criterion(

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import deptharb
 from deptharb import AttentionField, check_gradients, init_latent, optimizer, write_dump
 from deptharb.cli import build_parser, dumps_report, main, resolve_config
+from deptharb.gradcheck import CoordReport, GradCheckResult
 from deptharb.scene import GUIDANCE_CONFIG_KEYS, parse_scene_with_config
 from deptharb.surrogate import MODES, _mode_class
 
@@ -381,6 +387,65 @@ class TestGradCheckCommand:
         assert len(built) == 1 and built[0].mode == mode
         assert [(latent is built[0], stage) for latent, stage in checked] == [(True, 1), (True, 2)]
 
+
+    def test_non_finite_errors_show_and_lead_the_offenders(self, capsys):
+        # -inf against FD 0: the relative error inf / inf is NaN in every coordinate
+        assert run_cli("grad-check", "--samples", "3", "--epsilon", "1.7e308") == 3
+        offenders = [
+            "attention obj 1 coord (40, 32)", "attention obj 0 coord (19, 2)", "attention obj 0 coord (1, 11)",
+            "latent obj 1 coord (41, 58)", "latent obj 1 coord (38, 62)", "latent obj 1 coord (40, 34)",
+        ]
+        assert capsys.readouterr().out.splitlines() == [
+            "stage 1 (raster): 6 coordinates, worst rel nan, worst abs inf -> 6 FAILURES",
+            "stage 2 (raster): 6 coordinates, worst rel nan, worst abs inf -> 6 FAILURES",
+            "worst relative error: nan",
+            "worst offenders:",
+            *(
+                f"  stage {stage} {where}: analytic -inf fd 0.000000e+00 rel nan abs inf"
+                for stage, where in [(1, o) for o in offenders] + [(2, o) for o in offenders[:4]]
+            ),
+        ]
+
+    def test_offenders_sort_non_finite_errors_first(self, monkeypatch, capsys):
+        # each stage fails coordinates 0-3 with these relative errors, in sample order
+        errors = [1e-3, math.nan, 5e-2, math.inf]
+
+        def check(scene, cfg, latent, stage, **kwargs):
+            failures = [CoordReport("attention", 0, (n, stage), 1.0, 0.0, 1.0, rel) for n, rel in enumerate(errors)]
+            return GradCheckResult(checked=4, failures=failures, worst_rel=math.nan, worst_abs=1.0)
+
+        monkeypatch.setattr("deptharb.cli.check_gradients", check)
+        assert run_cli("grad-check") == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == "worst relative error: nan"
+        order = [(line.split()[1], line.split(" rel ")[1].split()[0]) for line in out[4:]]
+        assert order == [
+            ("1", "nan"), ("1", "inf"), ("2", "nan"), ("2", "inf"),
+            ("1", "5.000e-02"), ("2", "5.000e-02"), ("1", "1.000e-03"), ("2", "1.000e-03"),
+        ]
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early changes neither the exit code nor stderr."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv,code,err", [
+        (["grad-check", "--samples", "3", "--epsilon", "1.7e308"], 3, ""),
+        (["run", "--steps", "3"], 0, ""),
+        (["run", "--steps", "3", "--eta", "1e9"], 2, "numerical abort: non-finite rendered field at step 1\n"),
+    ], ids=["grad-check-fails", "run-passes", "run-aborts"])
+    def test_keeps_the_commands_verdict(self, scene_path, unbuffered, argv, code, err):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(deptharb.__file__))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if argv[0] == "run":
+            argv = [*argv, "--scene", scene_path]
+        command = [sys.executable, "-m", "deptharb.cli", *argv]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()  # no reader is left: every write to stdout fails with EPIPE
+            got = proc.wait(timeout=60), proc.stderr.read().decode()
+        assert got == (code, err)
 
 class TestSweep:
     def test_unknown_parameter(self, scene_path):

@@ -350,7 +350,7 @@ class TestStagedLoss:
         field = AttentionField(maps=np.random.default_rng(41).uniform(0, 2, (2, 64, 64)))
         pairs = derive_occlusion_pairs(canonical)
         got = staged_loss(field, canonical, pairs, CFG, stage)
-        want = value_and_grad(field.maps[None], _plan(canonical, pairs, [CFG]), [stage])[0][0]
+        want = value_and_grad(field.maps[None], _plan(canonical, pairs, [CFG]), [stage])[0].take(0)
         for f in fields(got):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(a, np.ndarray):
@@ -618,9 +618,10 @@ class TestKernelMatchesReference:
         scene, pairs, field, cfg, _ = case
         plan, ref_plan = _plan(scene, pairs, [cfg]), reference_plan(scene, pairs, cfg)
         for stage in (1, 2):
-            (got,) = _values(field.maps[None], plan, [stage])[0]
+            got = _values(field.maps[None], plan, [stage])[0].take(0)
             assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])
-            (got,), grad = value_and_grad(field.maps[None], plan, [stage])
+            terms, grad = value_and_grad(field.maps[None], plan, [stage])
+            got = terms.take(0)
             want, want_grad = reference_value_and_grad(field.maps, ref_plan, stage)
             assert_same_breakdown(got, want)
             assert np.array_equal(grad[0], want_grad)

@@ -300,7 +300,7 @@ def full_mask_report(field, scene, cfg, stage, rel_threshold) -> MetricReport:
         per_pair.append(value)
     values = [v for v in per_pair if v is not None]
     result = FocrResult(per_pair=tuple(per_pair), mean=float(np.mean(values)) if values else None)
-    breakdown = value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0][0]
+    breakdown = value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0].take(0)
     return MetricReport(scene, breakdown, miou, result)
 
 

@@ -32,7 +32,7 @@ from deptharb.cli import SWEEP_PARAMS
 from deptharb.optimizer import _all_finite, _final_stage, run_rows, stage_of, step_size
 from deptharb.surrogate import MODES, _mode_class, _surrogate, with_default_step
 
-from reference import assert_same_breakdown, reference_run
+from reference import assert_same_breakdown, reference_run, same_bits
 
 
 class TestStageOf:
@@ -99,11 +99,9 @@ class TestDefaultStep:
         latent0 = init_latent(canonical, mode, 0)
         got = run_guidance(canonical, GuidanceConfig(total_steps=20), latent0)
         want = run_guidance(canonical, GuidanceConfig(total_steps=20, eta0=default_eta0), latent0)
-        assert got.records[0].eta == default_eta0
-        assert len(got.records) == len(want.records)
-        for a, b in zip(got.records, want.records):
-            assert (a.step, a.stage, a.eta) == (b.step, b.stage, b.eta)
-            assert_same_breakdown(a.breakdown, b.breakdown)
+        assert got.eta[0] == default_eta0
+        assert same_bits(got.eta, want.eta)
+        assert_same_breakdown(got.terms, want.terms)
         assert np.array_equal(got.final_latent.values, want.final_latent.values)
 
 
@@ -112,7 +110,7 @@ class TestRunGuidance:
         cfg = GuidanceConfig(total_steps=0)
         latent0 = init_latent(two_object_scene, "raster", seed=1)
         traj = run_guidance(two_object_scene, cfg, latent0)
-        assert len(traj.records) == 1
+        assert traj.eta.shape == traj.terms.total.shape == (1,)
         assert np.array_equal(traj.final_latent.values, latent0.values)
 
     def test_zero_step_size_freezes_latent(self, two_object_scene):
@@ -123,11 +121,11 @@ class TestRunGuidance:
         # components never move; totals are constant within each stage (the
         # stage switch itself drops the ortho term from the total)
         for name in ("align", "ortho", "compact"):
-            values = [getattr(r.breakdown, name) for r in traj.records]
-            assert all(v == values[0] for v in values)
+            values = getattr(traj.terms, name)
+            assert (values == values[0]).all()
         for stage in (1, 2):
-            totals = [r.breakdown.total for r in traj.records if r.stage == stage]
-            assert all(t == totals[0] for t in totals)
+            totals = traj.terms.total[traj.terms.stage == stage]
+            assert (totals == totals[0]).all()
 
     def test_single_step_composes_public_operations(self, two_object_scene):
         cfg = GuidanceConfig(total_steps=1, eta0=0.5, stage1_fraction=1.0)
@@ -171,16 +169,15 @@ class TestRunGuidance:
         monkeypatch.setattr(deptharb.optimizer, "value_and_grad", lambda *a: calls.append(1) or real(*a))
         cfg = GuidanceConfig(total_steps=7, eta0=1.0 if mode == "raster" else 0.1)
         traj = run_guidance(two_object_scene, cfg, init_latent(two_object_scene, mode, seed=6))
-        assert len(calls) == 7 and len(traj.records) == 8
+        assert len(calls) == 7 and traj.terms.total.shape == (8,)
 
     def test_trajectory_length_and_stage_labels(self, two_object_scene):
         cfg = GuidanceConfig(total_steps=8, stage1_fraction=0.5, eta0=1.0)
         latent0 = init_latent(two_object_scene, "raster", seed=4)
         traj = run_guidance(two_object_scene, cfg, latent0)
-        assert len(traj.records) == 9
-        stages = [r.stage for r in traj.records]
+        assert traj.eta.shape == (9,)
+        stages = traj.terms.stage.tolist()
         assert stages == [1, 1, 1, 1, 2, 2, 2, 2, 2]
-        assert [r.step for r in traj.records] == list(range(9))
         transitions = sum(1 for a, b in zip(stages, stages[1:]) if a != b)
         assert transitions == 1
 
@@ -189,26 +186,24 @@ class TestRunGuidance:
         latent0 = init_latent(two_object_scene, "raster", seed=5)
         t1 = run_guidance(two_object_scene, cfg, latent0)
         t2 = run_guidance(two_object_scene, cfg, latent0)
-        assert np.array_equal(t1.final_latent.values, t2.final_latent.values)
-        assert [r.breakdown.total for r in t1.records] == [
-            r.breakdown.total for r in t2.records
-        ]
+        assert same_bits(t1.final_latent.values, t2.final_latent.values)
+        assert same_bits(t1.eta, t2.eta)
+        assert_same_breakdown(t1.terms, t2.terms)
 
     def test_descent_at_small_step_size(self):
         scene = canonical_scene()
         cfg = GuidanceConfig(total_steps=55, eta0=0.01, eta_decay=1.0)
         latent0 = init_latent(scene, "raster", seed=42)
         traj = run_guidance(scene, cfg, latent0)
-        stage1 = [r.breakdown.total for r in traj.records if r.stage == 1][:51]
+        stage1 = traj.terms.total[traj.terms.stage == 1][:51]
         assert all(b <= a for a, b in zip(stage1, stage1[1:]))
 
     def test_stage_switch_total_drops_ortho(self, two_object_scene):
         cfg = GuidanceConfig(total_steps=6, stage1_fraction=0.5, eta0=1.0)
         latent0 = init_latent(two_object_scene, "raster", seed=6)
         traj = run_guidance(two_object_scene, cfg, latent0)
-        first_stage2 = traj.records[3]
-        assert first_stage2.stage == 2
-        bd = first_stage2.breakdown
+        bd = traj.terms.take(3)
+        assert bd.stage == 2
         assert abs(bd.total - (bd.align + cfg.lambda_compact * bd.compact)) <= 1e-12
         assert bd.ortho > 0.0  # still reported diagnostically
 
@@ -223,8 +218,8 @@ class TestRunGuidance:
         cfg = GuidanceConfig(total_steps=10, eta0=0.2)
         latent0 = init_latent(two_object_scene, "blob", seed=9)
         traj = run_guidance(two_object_scene, cfg, latent0)
-        assert len(traj.records) == 11
-        assert traj.records[-1].breakdown.total <= traj.records[0].breakdown.total
+        assert traj.terms.total.shape == (11,)
+        assert traj.terms.total[-1] <= traj.terms.total[0]
 
 
 # Abort step and reason of each run, recorded with the loop that rendered,
@@ -306,8 +301,8 @@ class TestSingleRenderLoop:
         latent0 = init_latent(two_object_scene, mode, seed=8)
         traj = run_guidance(two_object_scene, cfg, latent0)
         latent, field, totals = _composed_run(two_object_scene, cfg, latent0)
-        assert [r.stage for r in traj.records] == [1, 1, 1, 2, 2, 2, 2, 2]
-        assert [r.breakdown.total for r in traj.records] == totals
+        assert traj.terms.stage.tolist() == [1, 1, 1, 2, 2, 2, 2, 2]
+        assert traj.terms.total.tolist() == totals
         assert np.array_equal(traj.final_latent.values, latent.values)
         assert np.array_equal(traj.final_field.maps, field.maps)
 
@@ -367,13 +362,11 @@ class TestRunOnThePlannedKernel:
         # 5 steps with stage1_fraction 0.5: two in stage 1, three in stage 2
         cfg = GuidanceConfig(total_steps=5, eta0=eta, eta_decay=0.9)
         latent0 = init_latent(canonical, mode, seed=0)
-        records = run_guidance(canonical, cfg, latent0).records
-        expected = reference_run(canonical, cfg, latent0)
-        assert [r.stage for r in records] == [1, 1, 2, 2, 2, 2]
-        assert len(records) == len(expected)
-        for record, (step, stage, eta_t, breakdown) in zip(records, expected):
-            assert (record.step, record.stage, record.eta) == (step, stage, eta_t)
-            assert_same_breakdown(record.breakdown, breakdown)
+        traj = run_guidance(canonical, cfg, latent0)
+        eta, terms = reference_run(canonical, cfg, latent0)
+        assert traj.terms.stage.tolist() == [1, 1, 2, 2, 2, 2]
+        assert same_bits(traj.eta, eta)
+        assert_same_breakdown(traj.terms, terms)
 
     @pytest.mark.parametrize("mode,eta", [("raster", 800.0), ("blob", 0.5)])
     def test_records_share_no_memory_with_each_other_or_the_plan(self, canonical, monkeypatch, mode, eta):
@@ -385,15 +378,30 @@ class TestRunOnThePlannedKernel:
 
         monkeypatch.setattr(optimizer, "_plan", capture)
         cfg = GuidanceConfig(total_steps=5, eta0=eta)
-        records = run_guidance(canonical, cfg, init_latent(canonical, mode, seed=0)).records
+        traj = run_guidance(canonical, cfg, init_latent(canonical, mode, seed=0))
         (plan,) = plans
         plan_arrays = list(_arrays(tuple(vars(plan).values())))
-        names = ("f", "e_in", "e_out", "mu", "var", "pair_interference", "pair_weights")
-        arrays = [getattr(r.breakdown, name) for r in records for name in names]
+        arrays = [traj.eta, *(value for value in vars(traj.terms).values() if isinstance(value, np.ndarray))]
+        assert len(arrays) == 13
         assert all(a.size for a in arrays)  # an empty array shares nothing
         for n, a in enumerate(arrays):
             for b in arrays[n + 1:] + plan_arrays:
                 assert not np.shares_memory(a, b)
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_last_pass_is_the_end_states_staged_loss(self, canonical, mode):
+        # a run that ends in stage 2 and one that ends in stage 1, alone and as lockstep rows
+        pairs = derive_occlusion_pairs(canonical)
+        base = with_default_step(GuidanceConfig(total_steps=5), mode)
+        cfgs = [base.updated(stage1_fraction=v) for v in (0.5, 1.0)]
+        latent0 = init_latent(canonical, mode, seed=0)
+        runs = [(cfg, run_guidance(canonical, cfg, latent0)) for cfg in cfgs]
+        runs += zip(cfgs, run_rows(canonical, cfgs, latent0))
+        assert [_final_stage(cfg) for cfg, _ in runs] == [2, 1, 2, 1]
+        for cfg, traj in runs:
+            want = staged_loss(traj.final_field, canonical, pairs, cfg, _final_stage(cfg))
+            assert_same_breakdown(traj.terms.take(-1), want)
 
 
 # sizes around the BLAS dot kernel's unrolled blocks and tail loops, and a
@@ -458,9 +466,10 @@ def _reference_run(scene, cfg, latent0):
             if not np.isfinite(maps).all():
                 return ("abort", t, "rendered field")
             if last:
-                (breakdown,) = _values(maps, plan, [stage])[0]
+                breakdown = _values(maps, plan, [stage])[0].take(0)
             else:
-                (breakdown,), grad = value_and_grad(maps, plan, [stage])
+                terms, grad = value_and_grad(maps, plan, [stage])
+                breakdown = terms.take(0)
             if not math.isfinite(breakdown.total):
                 return ("abort", t, "loss")
             totals.append(breakdown.total)
@@ -483,7 +492,7 @@ def _guarded_run(scene, cfg, latent0):
     except NumericalAbort as exc:
         reason = str(exc).removeprefix("non-finite ").removesuffix(f" at step {exc.step}")
         return ("abort", exc.step, reason)
-    totals = [r.breakdown.total for r in traj.records]
+    totals = traj.terms.total.tolist()
     return ("done", totals, traj.final_latent.values, traj.final_field.maps)
 
 
@@ -556,15 +565,6 @@ class TestGuardEquivalence:
 # rows in lockstep
 # ---------------------------------------------------------------------------
 
-def _same_bits(got, want) -> bool:
-    """Equal to the bit: arrays by dtype, shape and bytes, floats by their hex form."""
-    if isinstance(want, np.ndarray):
-        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-    if isinstance(want, float):
-        return isinstance(got, float) and got.hex() == want.hex()
-    return got == want
-
-
 def _assert_row_is_standalone(scene, cfg, latent0, outcome) -> None:
     """A lockstep row's outcome is, bit for bit, a standalone run of its config."""
     try:
@@ -574,15 +574,10 @@ def _assert_row_is_standalone(scene, cfg, latent0, outcome) -> None:
         assert (str(outcome), outcome.step) == (str(exc), exc.step)
         return
     assert not isinstance(outcome, NumericalAbort), str(outcome)
-    assert len(outcome.records) == len(want.records)
-    for got_record, want_record in zip(outcome.records, want.records):
-        for name in ("step", "stage", "eta"):
-            assert _same_bits(getattr(got_record, name), getattr(want_record, name)), name
-        for name in want_record.breakdown.__dataclass_fields__:
-            got_value = getattr(got_record.breakdown, name)
-            assert _same_bits(got_value, getattr(want_record.breakdown, name)), (want_record.step, name)
-    assert _same_bits(outcome.final_latent.values, want.final_latent.values)
-    assert _same_bits(outcome.final_field.maps, want.final_field.maps)
+    assert same_bits(outcome.eta, want.eta)
+    assert_same_breakdown(outcome.terms, want.terms)
+    assert same_bits(outcome.final_latent.values, want.final_latent.values)
+    assert same_bits(outcome.final_field.maps, want.final_field.maps)
 
 
 # per swept field: values a row can take; eta0 runs from each mode's default
@@ -661,7 +656,7 @@ class TestLockstepRows:
         cfgs = [base.updated(stage1_fraction=v) for v in (0.0, 0.25, 0.8, 1.0)]
         latent0 = init_latent(canonical, mode, 3)
         outcomes = list(run_rows(canonical, cfgs, latent0))
-        stages = [[r.stage for r in outcome.records] for outcome in outcomes]
+        stages = [outcome.terms.stage.tolist() for outcome in outcomes]
         assert stages == [[2, 2, 2, 2, 2], [1, 2, 2, 2, 2], [1, 1, 1, 2, 2], [1, 1, 1, 1, 1]]
         for cfg, outcome in zip(cfgs, outcomes):
             _assert_row_is_standalone(canonical, cfg, latent0, outcome)
@@ -675,7 +670,7 @@ class TestLockstepRows:
         assert [str(o) for o in outcomes[1:3]] == [
             "non-finite rendered field at step 2", "non-finite rendered field at step 1",
         ]
-        assert [len(o.records) for o in (outcomes[0], outcomes[3])] == [21, 21]
+        assert [o.eta.shape for o in (outcomes[0], outcomes[3])] == [(21,), (21,)]
         for cfg, outcome in zip(cfgs, outcomes):
             _assert_row_is_standalone(canonical, cfg, latent0, outcome)
 
@@ -700,6 +695,19 @@ class TestLockstepRows:
         assert chunk_rows == [2, 2, 1]
         for cfg, outcome in zip(cfgs, outcomes):
             _assert_row_is_standalone(canonical, cfg, latent0, outcome)
+
+    def test_passes_are_stacked_once_per_chunk_and_only_when_read(self, canonical, monkeypatch):
+        stacks = []
+        real = optimizer._stacked
+        monkeypatch.setattr(optimizer, "_stacked", lambda passes: stacks.append(len(passes)) or real(passes))
+        cfgs = [GuidanceConfig(total_steps=4, eta0=eta) for eta in (400.0, 800.0)]
+        latent0 = init_latent(canonical, "raster", 0)
+        outcomes = list(run_rows(canonical, cfgs, latent0))
+        run_guidance(canonical, cfgs[0], latent0).final_field
+        assert stacks == []  # a caller that reads only the end state never stacks
+        for outcome in outcomes:
+            assert outcome.terms.total.shape == (5,)
+        assert stacks == [5]
 
     def test_rows_must_share_their_step_count(self, canonical):
         cfgs = [GuidanceConfig(total_steps=steps, eta0=1.0) for steps in (3, 4)]
