@@ -22,12 +22,18 @@ field, one row per config (the values of a sweep), and a single run is
 B = 1.  One gathered pass gives every in-box sum and every pair's
 interference sum of every row, and every per-run constant the kernel reads
 (gather indices, depth and epsilon products, scratch) lives in the plan,
-so a step does only step-dependent arithmetic.  The run loop and
-`gradcheck` call it directly; `staged_loss` is its one-row, values-only
-view for scoring and for callers outside the package.  Gradients are
-hand-derived closed forms rather than autodiff, and the literal term
-definitions they are checked against live apart, in `gradcheck`, so the
-finite-difference oracle is a genuinely independent check.
+so a step does only step-dependent arithmetic.  The kernel comes in two
+halves: `_step_factors` gives the values and writes the gradient's
+step-dependent low-rank factors, and `_grad_product` multiplies them out for
+any range of maps.  `value_and_grad` makes both for all maps, into the
+plan's own gradient buffer, for `gradcheck` and the tests; the run loop
+makes the second a tile of maps at a time, into a scratch that stays in
+cache, and never writes a whole-field gradient.  `staged_loss` is the
+kernel's one-row, values-only view for scoring and for callers outside the
+package.  Gradients are hand-derived closed forms rather than autodiff, and
+the literal term definitions they are checked against live apart, in
+`gradcheck`, so the finite-difference oracle is a genuinely independent
+check.
 """
 
 from __future__ import annotations
@@ -192,7 +198,7 @@ class _Plan:
     * `depths`, `weights`: the terms' weights d_k and lambda_ij;
     * `neg2_depths`, `compact_depths`, `two_eps`: the gradient coefficients
       `a = neg2_depths * (1 - f) / D`, `q = compact_depths / D` and
-      `res = two_eps / D` in `value_and_grad`; each is the first product of
+      `res = two_eps / D` in `_step_factors`; each is the first product of
       its left-to-right expression, so forming it once changes no rounding;
     * `box_rows`: `U[:, :, 0] = a * box_rows`, each map's box row
       indicators, the first B * K rows of `gather_rows`;
@@ -201,10 +207,10 @@ class _Plan:
       row sums R) and the column sums C;
     * `factors`, `columns`: the gradient's low-rank factors over all B * K
       maps and views of their step-dependent columns (U[:, :, 0],
-      U[:, :, 1], V[:, 2]), that `value_and_grad` writes;
+      U[:, :, 1], V[:, 2]), that `_step_factors` writes;
     * `grad`, `grad_stack`: the buffer `value_and_grad` returns, U @ V, and
-      its (B * K, H, W) view;
-    * `products`: per tuple of row stages, what `_products` returns for it.
+      its (B * K, H, W) view; the run loop, which writes the gradient a tile
+      at a time into its own scratch, never touches it.
 
     No array of the breakdown `_values` returns is a view of this scratch;
     its `pair_weights` is a view of `weights`, which no call writes.
@@ -232,14 +238,13 @@ class _Plan:
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # (U[:, :, 0], U[:, :, 1], V[:, 2])
     grad: np.ndarray      # (B, K, H, W), the buffer value_and_grad returns
     grad_stack: np.ndarray  # (B * K, H, W) view of grad
-    products: dict        # stages tuple -> _products(plan, stages), filled on first use
 
 
 def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """Low-rank factors U (B * K, H, m) and V (B * K, m, W) with gradient = U @ V, map after map.
 
     Column 0 pairs a_k r_k with c_k, column 1 the row term with ones and
-    column 2 ones with the column term: `value_and_grad` writes those three
+    column 2 ones with the column term: `_step_factors` writes those three
     step-dependent entries (U[:, :, 0], U[:, :, 1], V[:, 2]) on every step.
     The remaining columns are fixed: for each (background j, foreground i,
     coef) of `pair_terms`, in order, background map j gets coef r_i (outer)
@@ -323,7 +328,6 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
         columns=(u[:, :, 0], u[:, :, 1], v[:, 2]),
         grad=grad,
         grad_stack=grad.reshape(batch * k, height, width),
-        products={},
     )
 
 
@@ -379,25 +383,48 @@ def _values(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> tuple[LossB
     return breakdown, (denom, f, mu, var, dx, dy)
 
 
-def _products(plan: _Plan, stages: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
-    """The (U, V, grad) views of each product of the gradient, one per run of consecutive rows in one stage.
+def _product_views(
+    plan: _Plan, stages: Sequence[int], lo: int, hi: int, out: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (U, V, out) views whose products write the gradient of maps lo..hi-1 into `out` (hi - lo, H, W).
 
-    A stage-2 run reads only the first three columns of the factors.  Built
-    on a stages tuple's first use and kept in the plan; a run meets at most
-    one new tuple per step.
+    The maps are those of the plan's stack (map m = b * K + k), and there is
+    one product per run of consecutive maps whose rows are in one stage: a
+    stage-2 run reads only the first three columns of the factors.  Every
+    product multiplies map by map, so a map's gradient is the same whatever
+    range it is written in.
     """
-    key = tuple(stages)
-    if key not in plan.products:
-        k = len(plan.depths) // len(key)
-        u, v = plan.factors
-        views, lo = [], 0
-        for stage, rows in itertools.groupby(key):
-            hi = lo + k * len(list(rows))
-            m = 3 if stage == 2 else None
-            views.append((u[lo:hi, :, :m], v[lo:hi, :m], plan.grad_stack[lo:hi]))
-            lo = hi
-        plan.products[key] = views
-    return plan.products[key]
+    k = len(plan.depths) // len(stages)
+    u, v = plan.factors
+    views, start = [], lo
+    for stage, run in itertools.groupby(range(lo, hi), key=lambda m: stages[m // k]):
+        end = start + len(list(run))
+        m = 3 if stage == 2 else None
+        views.append((u[start:end, :, :m], v[start:end, :m], out[start - lo : end - lo]))
+        start = end
+    return views
+
+
+def _grad_product(views: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+    """Write the gradient U @ V into each `out` of `_product_views`' (U, V, out) views."""
+    for u, v, out in views:
+        np.matmul(u, v, out=out)
+
+
+def _step_factors(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> LossBreakdown:
+    """Factor half of `value_and_grad`: the rows' breakdown, with the factors' three step-dependent columns written.
+
+    After it, `_grad_product` writes the gradient of any range of maps.
+    """
+    breakdown, (denom, f, mu, var, dx, dy) = _values(maps, plan, stages)
+    a = plan.neg2_depths * (1.0 - f) / denom
+    q = (plan.compact_depths / denom)[:, None]
+    res = (plan.two_eps / denom)[:, None]
+    u0, u1, v2 = plan.columns
+    np.multiply(a[:, None], plan.box_rows, out=u0)
+    np.subtract(q * (dy * (dy - res * mu[:, 1:]) - var[:, None]), (a * f)[:, None], out=u1)
+    np.multiply(q * dx, dx - res * mu[:, :1], out=v2)
+    return breakdown
 
 
 def value_and_grad(
@@ -431,22 +458,16 @@ def value_and_grad(
     Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
     plus one outer product per stage-1 pair: one product of the plan's
     low-rank factors (`_grad_factors`), of which only the three step-dependent
-    columns are written here.  A stage-2 row, which has no pair terms,
-    multiplies only those three columns.
+    columns are written on each call (`_step_factors`).  A stage-2 row, which
+    has no pair terms, multiplies only those three columns.
 
-    The returned gradient is the plan's own buffer: the next call on the
-    same plan overwrites it.
+    This is the call for all maps at once; the run loop makes the same two
+    halves, `_step_factors` and then `_grad_product` one tile of maps at a
+    time.  The returned gradient is the plan's own buffer: the next call on
+    the same plan overwrites it.
     """
-    breakdown, (denom, f, mu, var, dx, dy) = _values(maps, plan, stages)
-    a = plan.neg2_depths * (1.0 - f) / denom
-    q = (plan.compact_depths / denom)[:, None]
-    res = (plan.two_eps / denom)[:, None]
-    u0, u1, v2 = plan.columns
-    np.multiply(a[:, None], plan.box_rows, out=u0)
-    np.subtract(q * (dy * (dy - res * mu[:, 1:]) - var[:, None]), (a * f)[:, None], out=u1)
-    np.multiply(q * dx, dx - res * mu[:, :1], out=v2)
-    for u, v, out in _products(plan, stages):
-        np.matmul(u, v, out=out)
+    breakdown = _step_factors(maps, plan, stages)
+    _grad_product(_product_views(plan, stages, 0, len(plan.depths), plan.grad_stack))
     return breakdown, plan.grad
 
 

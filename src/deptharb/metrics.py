@@ -7,9 +7,10 @@ values are therefore not comparable to detector-based evaluations; orderings
 are.
 
 Both read only box rectangles, the slices [r0:r1, c0:c1] of `box_span`:
-mIoU counts over each box, FOCR takes winners over each pair's intersection
-rectangle.  The values are those of the full-mask definitions.  The two
-pixel rules they apply, relative thresholding (`_above_threshold`) and the
+mIoU counts over each box, FOCR counts winners over each pair's
+intersection rectangle, taken in one pass over the rectangle bounding them
+all.  The values are those of the full-mask definitions.  The two pixel
+rules they apply, relative thresholding (`_above_threshold`) and the
 per-pixel winner (`_winners`), live here and nowhere else.
 """
 
@@ -105,22 +106,32 @@ def focr(
 ) -> FocrResult:
     """Fraction of each pair's box-intersection pixels won by the foreground.
 
-    Winners (ties to smaller depth, then smaller id) are taken only over the
-    overlap of the two boxes' `box_span` rectangles.  Pairs whose overlap holds
+    Winners (ties to smaller depth, then smaller id) are taken once, over the
+    rectangle bounding every pair's overlap of its two boxes' `box_span`
+    rectangles, and each pair counts its own overlap.  Pairs whose overlap holds
     no pixels report None and are excluded from the mean; an empty pair list
     yields an absent mean.  A pair naming an id the scene lacks raises SceneError.
     """
     check_alignment(field, scene)
     spans = [box_span(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects]
-    per_pair: list[float | None] = []
+    overlaps: list[tuple[int, int, int, int] | None] = []
     for pair in pairs:
         fg, bg = spans[scene.index_of(pair.foreground_id)], spans[scene.index_of(pair.background_id)]
         r0, r1, c0, c1 = max(fg[0], bg[0]), min(fg[1], bg[1]), max(fg[2], bg[2]), min(fg[3], bg[3])
-        if r1 <= r0 or c1 <= c0:
-            per_pair.append(None)
-            continue
-        winners = _winners(field.maps[:, r0:r1, c0:c1], scene)
-        per_pair.append(int(np.count_nonzero(winners == pair.foreground_id)) / ((r1 - r0) * (c1 - c0)))
+        overlaps.append((r0, r1, c0, c1) if r1 > r0 and c1 > c0 else None)
+    per_pair: list[float | None] = [None] * len(overlaps)
+    spanned = [span for span in overlaps if span is not None]
+    if spanned:
+        # a pixel's winner depends on that pixel alone: one pass over the
+        # rectangle bounding every overlap, sliced per pair
+        r0s, r1s, c0s, c1s = zip(*spanned)
+        top, left = min(r0s), min(c0s)
+        winners = _winners(field.maps[:, top : max(r1s), left : max(c1s)], scene)
+        for n, (pair, span) in enumerate(zip(pairs, overlaps)):
+            if span is not None:
+                r0, r1, c0, c1 = span
+                won = np.count_nonzero(winners[r0 - top : r1 - top, c0 - left : c1 - left] == pair.foreground_id)
+                per_pair[n] = int(won) / ((r1 - r0) * (c1 - c0))
     values = [v for v in per_pair if v is not None]
     return FocrResult(per_pair=tuple(per_pair), mean=float(np.mean(values)) if values else None)
 

@@ -14,10 +14,12 @@ Two parametrizations:
 
 Each mode is one class and owns every fact about it: `latent_shape(scene)`,
 its step size `default_eta0`, the seeded start `init(scene, rng)`, then,
-built once per run, `render(values)` and `chain(grad)`, the one pair the run
-loop and `gradcheck` both drive.  `_SURROGATES` is the only list of modes.
-`render` and `chain` work on B rows at once, the leading axis of a run's
-(B, *latent_shape) latent and (B, K, H, W) field; every row is rendered and
+built once per run, `render(values)` and `chain(grad, lo, hi)`, the one
+pair the run loop and `gradcheck` both drive.  `_SURROGATES` is the only
+list of modes.  `render` works on B rows at once, the leading axis of a
+run's (B, *latent_shape) latent and (B, K, H, W) field; `chain` on any range
+lo..hi-1 of the field's B * K maps, all of them by default, which lets the
+run loop chain one tile of maps at a time.  Every map is rendered and
 chained exactly as it would be alone, since no arithmetic mixes maps.
 
 Rendered values are strictly positive for finite latents (down to double
@@ -75,13 +77,19 @@ class _Raster:
 
     def __init__(self, scene: SceneSpec, batch: int):
         self.maps = np.empty((batch, len(scene.objects), scene.grid_height, scene.grid_width))
+        # the B * K maps of the field as one stack, row after row
+        self._stack = self.maps.reshape(-1, scene.grid_height, scene.grid_width)
 
     def render(self, values: np.ndarray) -> np.ndarray:
         return np.exp(values, out=self.maps)
 
-    def chain(self, grad: np.ndarray) -> np.ndarray:
-        """dL/dlogit = dL/dA * A (A = exp(logit)), from the last render, written over grad."""
-        grad *= self.maps
+    def chain(self, grad: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """dL/dlogit = dL/dA * A (A = exp(logit)) of maps lo..hi-1 of the last render, written over grad.
+
+        As for `_Blob.chain`, the maps are those of the field's stack, all of
+        them by default, and grad holds theirs in any shape ending in (H, W).
+        """
+        grad *= self._stack[lo:hi].reshape(grad.shape)
         return grad
 
 
@@ -119,7 +127,6 @@ class _Blob:
         self.maps = np.empty((batch, len(scene.objects), scene.grid_height, scene.grid_width))
         # the B * K maps of the field as one stack, row after row
         self._stack = self.maps.reshape(-1, scene.grid_height, scene.grid_width)
-        self._latent_shape = (batch, *_Blob.latent_shape(scene))
         self.px = pixel_centers(scene.grid_width)
         self.py = pixel_centers(scene.grid_height)
         self._factors: tuple = ()
@@ -132,11 +139,20 @@ class _Blob:
         gx = np.exp(-(dx**2 / (2 * sx**2)))
         gy = np.exp(la) * np.exp(-(dy**2 / (2 * sy**2)))
         np.multiply(gy[:, :, None], gx[:, None, :], out=self._stack)
-        self._factors = (gx, dx / sx, sx[:, 0], gy, dy / sy, sy[:, 0])
+        u, v = dx / sx, dy / sy
+        # the two sides of `chain`'s contractions, map by map
+        self._factors = (
+            np.stack((gy, gy * v, gy * v**2), axis=1), np.stack((gx, gx * u, gx * u**2), axis=2), sx[:, 0], sy[:, 0],
+        )
         return self.maps
 
-    def chain(self, grad: np.ndarray) -> np.ndarray:
-        """dL/d(cx, cy, lsx, lsy, la) from dL/dA, on the factors of the last render.
+    def chain(self, grad: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """dL/d(cx, cy, lsx, lsy, la) of maps lo..hi-1 of the last render, from their dL/dA.
+
+        The maps are those of the field's stack (map m = b * K + k), all of
+        them by default; grad holds their dL/dA in any shape ending in
+        (H, W), and the result has the same leading shape, ending in the
+        five partials.  The run loop chains one tile of maps at a time.
 
         With u = (x - cx)/sx, v = (y - cy)/sy and A the rendered map,
             dA/dcx = A * u / sx = A * (x - cx) / sx^2    dA/dlsx = A * u^2
@@ -153,13 +169,14 @@ class _Blob:
         than dx and dy keeps g * u and g * u^2 below the peak of g for any sigma;
         the centre partials take their 1 / sigma after the contraction.
         """
-        gx, u, sx, gy, v, sy = self._factors
-        # t[m, i, x] = sum_y (g_y, g_y v, g_y v^2)[m, i, y] * dL/dA[m, y, x], over the B * K maps m
-        t = np.stack((gy, gy * v, gy * v**2), axis=1) @ grad.reshape(self._stack.shape)
+        left, right, sx, sy = self._factors
+        # t[m, i, x] = sum_y (g_y, g_y v, g_y v^2)[m, i, y] * dL/dA[m, y, x], over the maps m
+        t = left[lo:hi] @ grad.reshape(-1, *self._stack.shape[1:])
         # r[m, i, j] = sum_x t[m, i, x] * (g_x, g_x u, g_x u^2)[m, x, j]
-        r = t @ np.stack((gx, gx * u, gx * u**2), axis=2)
+        r = t @ right[lo:hi]
+        sx, sy = sx[lo:hi], sy[lo:hi]
         partials = np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
-        return partials.reshape(self._latent_shape)
+        return partials.reshape(*grad.shape[:-2], 5)
 
 
 _SURROGATES = {"raster": _Raster, "blob": _Blob}

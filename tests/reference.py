@@ -339,12 +339,14 @@ def reference_value_and_grad(
     return breakdown, np.matmul(u, v, out=plan.grad)
 
 
-def reference_run(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -> tuple[np.ndarray, LossBreakdown]:
-    """(eta, terms) of a run on the reference kernel, as a trajectory holds them.
+def reference_run(
+    scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState
+) -> tuple[np.ndarray, LossBreakdown, np.ndarray, np.ndarray]:
+    """(eta, terms, final latent, final field) of a run on the reference kernel, as a trajectory holds them.
 
-    The run loop's sequence without its finiteness guards: render, the
-    values and gradient, chain to the latent, z - eta * g; the last pass
-    evaluates values only.
+    The run loop's sequence without its finiteness guards or its tiles:
+    render, the values and the whole field's gradient, chain to the latent,
+    z - eta * g; the last pass evaluates values only.
     """
     plan = reference_plan(scene, derive_occlusion_pairs(scene), cfg)
     surrogate = _surrogate(scene, latent0.mode, 1)
@@ -361,4 +363,4 @@ def reference_run(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) -
         breakdown, grad = reference_value_and_grad(maps, plan, stage)
         passes.append(breakdown)
         z = z - etas[-1] * surrogate.chain(grad[None])[0]
-    return np.array(etas), columns(passes)
+    return np.array(etas), columns(passes), z, maps

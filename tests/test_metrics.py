@@ -191,6 +191,26 @@ class TestFocr:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+    def test_one_winners_pass_over_the_pairs_bounding_rectangle(self, monkeypatch):
+        # three boxes in a row: pairs (0, 1) and (1, 2) overlap in rows 4-5, at
+        # column 5 and at column 10, so the winners cover rows 4-5, columns 5-10
+        import deptharb.metrics
+
+        boxes = [(0.1, 0.2, 0.35, 0.4), (0.3, 0.25, 0.7, 0.4), (0.6, 0.1, 0.9, 0.35)]
+        scene = SceneSpec(grid_height=16, grid_width=16, objects=tuple(
+            SceneObject(id=i, label="", bbox=bbox, depth=0.2 * (i + 1)) for i, bbox in enumerate(boxes)
+        ))
+        pairs = derive_occlusion_pairs(scene)
+        assert len(pairs) == 2
+        shapes = []
+        real = deptharb.metrics._winners
+        monkeypatch.setattr(deptharb.metrics, "_winners", lambda maps, sc: shapes.append(maps.shape) or real(maps, sc))
+        field = AttentionField(maps=np.random.default_rng(3).uniform(0, 2, (3, 16, 16)))
+        result = focr(field, scene, pairs)
+        assert shapes == [(3, 2, 6)]
+        assert result == full_mask_report(field, scene, GuidanceConfig(), 1, 0.5).focr
+
+
 class TestMetricReport:
     def test_report_dict_invariants(self, two_object_scene):
         from deptharb import GuidanceConfig, build_metric_report

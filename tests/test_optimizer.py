@@ -162,14 +162,21 @@ class TestRunGuidance:
 
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_one_gradient_per_step_and_none_for_the_end_state(self, two_object_scene, monkeypatch, mode):
-        import deptharb.optimizer
-
-        calls = []
-        real = deptharb.optimizer.value_and_grad
-        monkeypatch.setattr(deptharb.optimizer, "value_and_grad", lambda *a: calls.append(1) or real(*a))
+        # the log holds "step" for each factor half, then the maps each gradient product writes
+        log = []
+        factors, product = optimizer._step_factors, optimizer._grad_product
+        monkeypatch.setattr(optimizer, "_step_factors", lambda *a: log.append("step") or factors(*a))
+        monkeypatch.setattr(
+            optimizer, "_grad_product", lambda views: log.append(sum(len(out) for *_, out in views)) or product(views)
+        )
         cfg = GuidanceConfig(total_steps=7, eta0=1.0 if mode == "raster" else 0.1)
-        traj = run_guidance(two_object_scene, cfg, init_latent(two_object_scene, mode, seed=6))
-        assert len(calls) == 7 and traj.terms.total.shape == (8,)
+        latent0 = init_latent(two_object_scene, mode, seed=6)
+        # both maps in one tile, then one map per tile
+        for tile_entries, products in ((optimizer._TILE_ENTRIES, [2]), (16 * 16, [1, 1])):
+            log.clear()
+            with mock.patch.object(optimizer, "_TILE_ENTRIES", tile_entries):
+                traj = run_guidance(two_object_scene, cfg, latent0)
+            assert log == ["step", *products] * 7 and traj.terms.total.shape == (8,)
 
     def test_trajectory_length_and_stage_labels(self, two_object_scene):
         cfg = GuidanceConfig(total_steps=8, stage1_fraction=0.5, eta0=1.0)
@@ -363,7 +370,7 @@ class TestRunOnThePlannedKernel:
         cfg = GuidanceConfig(total_steps=5, eta0=eta, eta_decay=0.9)
         latent0 = init_latent(canonical, mode, seed=0)
         traj = run_guidance(canonical, cfg, latent0)
-        eta, terms = reference_run(canonical, cfg, latent0)
+        eta, terms, _, _ = reference_run(canonical, cfg, latent0)
         assert traj.terms.stage.tolist() == [1, 1, 2, 2, 2, 2]
         assert same_bits(traj.eta, eta)
         assert_same_breakdown(traj.terms, terms)
@@ -447,6 +454,26 @@ class TestFinitePredicate:
         a[at] = value
         with np.errstate(all="ignore"):
             assert _all_finite(a) == math.isfinite(value)
+
+
+class TestRowFaults:
+    """A tile's per-row check names exactly the live rows whose lines a literal scan fails."""
+
+    @given(st.integers(1, 4), st.sampled_from(PREDICATE_SIZES[1:-1]), st.integers(0, 3), st.data())
+    @settings(max_examples=300)
+    def test_equals_the_literal_scan(self, rows, n, first, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.uniform(-3.0, 3.0, size=(rows, n))
+        # non-finite entries, and finite ones whose sum overflows
+        for value in data.draw(st.lists(st.sampled_from(PLANTED + [1.7e308, -1.7e308]), max_size=4), label="planted"):
+            values.flat[int(rng.integers(values.size))] = value
+        aborts = data.draw(st.lists(st.sampled_from([None, "aborted"]), min_size=first + rows, max_size=first + rows))
+        before = values.copy()
+        with np.errstate(all="ignore"):  # as inside the run loop
+            got = optimizer._faults(values, range(first, first + rows), aborts)
+        want = [first + r for r in range(rows) if aborts[first + r] is None and not np.isfinite(values[r]).all()]
+        assert got == want
+        assert np.array_equal(values, before, equal_nan=True)
 
 
 def _reference_run(scene, cfg, latent0):
@@ -717,3 +744,160 @@ class TestLockstepRows:
     def test_a_plan_needs_a_row(self, canonical):
         with pytest.raises(ValueError, match="at least one row config"):
             _plan(canonical, derive_occlusion_pairs(canonical), [])
+
+
+# ---------------------------------------------------------------------------
+# tiles
+# ---------------------------------------------------------------------------
+
+def _row_matches_the_reference_loop(scene, cfg, latent0, outcome) -> None:
+    """A row's eta, terms, final latent and final field are, bit for bit, the untiled reference loop's."""
+    eta, terms, latent, maps = reference_run(scene, cfg, latent0)
+    assert same_bits(outcome.eta, eta)
+    assert_same_breakdown(outcome.terms, terms)
+    assert same_bits(outcome.final_latent.values, latent)
+    assert same_bits(outcome.final_field.maps, maps)
+
+
+class TestTileBoundaries:
+    """However a step's maps fall into tiles, each row's run is its untiled one, bit for bit."""
+
+    @pytest.mark.parametrize("tiling", ["one map per tile", "two rows per tile"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_equal_the_reference_loop_and_standalone_runs(self, canonical, mode, tiling):
+        # at 4 steps the rows switch stage after 0, 1, 3, 4 and 2 steps, so a
+        # two-row tile holds rows in different stages; the fifth row is a tile alone
+        base = with_default_step(GuidanceConfig(total_steps=4), mode)
+        cfgs = [base.updated(stage1_fraction=v) for v in (0.0, 0.25, 0.8, 1.0, 0.5)]
+        latent0 = init_latent(canonical, mode, 3)
+        map_entries = canonical.grid_height * canonical.grid_width
+        rows = 1 if tiling == "one map per tile" else 2
+        tile_entries = map_entries if rows == 1 else rows * len(canonical.objects) * map_entries
+        tiles = []
+        real = optimizer._tiles
+        with mock.patch.object(optimizer, "_TILE_ENTRIES", tile_entries), \
+                mock.patch.object(optimizer, "_tiles", lambda *a: tiles.append(real(*a)) or tiles[-1]):
+            outcomes = list(run_rows(canonical, cfgs, latent0))
+        assert [(tile.lo, tile.hi) for tile in tiles[0]] == (
+            [(m, m + 1) for m in range(10)] if rows == 1 else [(0, 4), (4, 8), (8, 10)]
+        )
+        assert [outcome.terms.stage.tolist()[:2] for outcome in outcomes[:2]] == [[2, 2], [1, 2]]
+        for cfg, outcome in zip(cfgs, outcomes):
+            _row_matches_the_reference_loop(canonical, cfg, latent0, outcome)
+            _assert_row_is_standalone(canonical, cfg, latent0, outcome)
+
+    @settings(max_examples=150)
+    @given(lockstep_cases(), st.data())
+    def test_every_tile_size_gives_the_standalone_runs(self, case, data):
+        scene, cfgs, latent0, chunk_entries = case
+        size = len(scene.objects) * scene.grid_height * scene.grid_width
+        tile_entries = data.draw(st.integers(1, 2 * len(cfgs) * size), label="tile_entries")
+        with mock.patch.object(optimizer, "_CHUNK_ENTRIES", chunk_entries), \
+                mock.patch.object(optimizer, "_TILE_ENTRIES", tile_entries):
+            outcomes = list(run_rows(scene, cfgs, latent0))
+        for cfg, outcome in zip(cfgs, outcomes):
+            _assert_row_is_standalone(scene, cfg, latent0, outcome)
+
+    @pytest.mark.parametrize("name,mode,eta,steps,seed,step,reason", ABORT_PINS)
+    def test_abort_pins_hold_at_one_map_per_tile(self, two_object_scene, name, mode, eta, steps, seed, step, reason):
+        scene = _scene(name, two_object_scene)
+        cfg = GuidanceConfig(total_steps=steps, eta0=eta)
+        with mock.patch.object(optimizer, "_TILE_ENTRIES", 1):
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(scene, cfg, init_latent(scene, mode, seed))
+        assert str(exc_info.value) == f"non-finite {reason} at step {step}"
+
+
+def _poisoned_at(step: int, poison):
+    """The run loop's factor half, with `poison(plan)` applied after its call at `step`."""
+    real, calls = optimizer._step_factors, Counter()
+
+    def step_factors(maps, plan, stages):
+        terms = real(maps, plan, stages)
+        if calls["steps"] == step:
+            poison(plan)
+        calls["steps"] += 1
+        return terms
+
+    return step_factors
+
+
+def _chain_poisoned_at(step: int, planted: int):
+    """The run loop's surrogate, whose every chain of map `planted` at `step` holds a NaN."""
+    real = optimizer._surrogate
+
+    def surrogate_of(*args):
+        surrogate = real(*args)
+        render, chain, renders = surrogate.render, surrogate.chain, Counter()
+
+        def counted_render(z):
+            renders["n"] += 1
+            return render(z)
+
+        def poisoned_chain(grad, lo, hi):
+            out = chain(grad, lo, hi)
+            if renders["n"] == step + 1 and lo <= planted < hi:
+                out[planted - lo].flat[3] = math.nan
+            return out
+
+        surrogate.render, surrogate.chain = counted_render, poisoned_chain
+        return surrogate
+
+    return surrogate_of
+
+
+# (rows, faulty row, planted map) of each case: the planted map shares a tile
+# with the rest of its row, is the second tile of a row split one map a tile,
+# or is one of three lockstep rows sharing a tile
+PLANT_CASES = {"one tile": (1, 0, 1), "second tile of a row": (1, 0, 1), "lockstep row": (3, 1, 2)}
+
+
+def _planted_run(scene, mode, case, eta0=None, **patches):
+    """Every row's outcome of a run of PLANT_CASES[case] under the given patches of `optimizer`; and the configs."""
+    rows = PLANT_CASES[case][0]
+    base = with_default_step(GuidanceConfig(total_steps=4, eta0=eta0), mode)
+    cfgs = [base.updated(lambda_ortho=v) for v in (0.5, 1.0, 2.0)[:rows]]
+    tile_entries = 16 * 16 if case == "second tile of a row" else optimizer._TILE_ENTRIES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(optimizer, "_TILE_ENTRIES", tile_entries), mock.patch.multiple(optimizer, **patches):
+            return list(run_rows(scene, cfgs, init_latent(scene, mode, 5))), cfgs
+
+
+class TestPlantedFaults:
+    """TestGuardEquivalence's grid never reaches a gradient abort; planted faults do, in any tile."""
+
+    def _check(self, scene, mode, case, outcomes, cfgs, abort):
+        row = PLANT_CASES[case][1]
+        assert str(outcomes[row]) == abort
+        for b, (cfg, outcome) in enumerate(zip(cfgs, outcomes)):
+            if b != row:
+                _assert_row_is_standalone(scene, cfg, init_latent(scene, mode, 5), outcome)
+
+    @pytest.mark.parametrize("case", list(PLANT_CASES))
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_non_finite_factor_is_a_gradient_abort(self, two_object_scene, mode, value, case):
+        def poison(plan):
+            # U[:, :, 1] multiplies a column of ones: a whole line of the map's gradient
+            plan.columns[1][PLANT_CASES[case][2], 7] = value
+
+        outcomes, cfgs = _planted_run(two_object_scene, mode, case, _step_factors=_poisoned_at(1, poison))
+        self._check(two_object_scene, mode, case, outcomes, cfgs, "non-finite gradient at step 1")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_gradient_fault_outranks_an_update_fault_in_an_earlier_tile(self, two_object_scene, mode):
+        # at eta0 = inf every map's update fails at step 0; map 1's gradient, the second tile, too
+        def poison(plan):
+            plan.columns[1][1, 7] = math.nan
+
+        case = "second tile of a row"
+        outcomes, cfgs = _planted_run(two_object_scene, mode, case, math.inf, _step_factors=_poisoned_at(0, poison))
+        self._check(two_object_scene, mode, case, outcomes, cfgs, "non-finite gradient at step 0")
+
+    @pytest.mark.parametrize("case", list(PLANT_CASES))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_non_finite_latent_gradient_is_told_from_an_update_fault(self, two_object_scene, mode, case):
+        planted = PLANT_CASES[case][2]
+        outcomes, cfgs = _planted_run(two_object_scene, mode, case, _surrogate=_chain_poisoned_at(1, planted))
+        self._check(two_object_scene, mode, case, outcomes, cfgs, "non-finite latent gradient at step 1")
