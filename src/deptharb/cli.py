@@ -2,18 +2,22 @@
 
 Config precedence is total and fixed: preset defaults < scene-file "config"
 block < command-line flags; each config flag's dest is the config field it
-sets.  `run`, `sweep` and `eval` score a field through one call (value-only
-losses, metrics on box rectangles), and reports are JSON whose floats read
-back exactly.  Exit codes: 0 success, 1 input/usage error (among them a
-`--tol` that is not finite and >= 0, a `--rel-threshold` outside (0, 1] and
-a grad-check state the oracle refuses), 2 numerical abort (a diverging run,
-or a scored loss that is not finite), 3 gradient-check failure.
+sets.  Scoring (value-only losses, metrics on box rectangles) takes a row
+axis: `sweep` scores each chunk of rows of the lockstep run in one call as
+it is reached, and `run` and `eval` score their one field as B = 1.  Reports
+are JSON whose floats read back exactly.  Exit codes: 0 success, 1
+input/usage error (among them a `--tol` that is not finite and >= 0, a
+`--rel-threshold` outside (0, 1] and a grad-check state the oracle
+refuses), 2 numerical abort (a diverging run, or a scored loss that is not
+finite; a sweep names the failing row by its value), 3 gradient-check
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -26,8 +30,8 @@ import numpy as np
 from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import DEFAULT_REL_TOL, OracleError, check_gradients, precision_note
-from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, build_metric_report
-from .optimizer import NumericalAbort, Trajectory, _final_stage, run_guidance, run_rows
+from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, _score_rows, build_metric_report
+from .optimizer import NumericalAbort, Trajectory, _final_stage, _rows_per_chunk, run_guidance, run_rows
 from .scene import (
     GUIDANCE_CONFIG_KEYS,
     PRESETS,
@@ -94,35 +98,74 @@ def _config_echo(cfg: GuidanceConfig, args) -> dict:
 # run, score, report
 # ---------------------------------------------------------------------------
 
-def _rounded(outcome: Trajectory | NumericalAbort, cfg: GuidanceConfig) -> AttentionField:
-    """The final field of a run, rounded through float32 as the dump stores it; a run's abort is raised.
+def _rounded(run: Trajectory, cfg: GuidanceConfig) -> AttentionField:
+    """The final field of a run, rounded through float32 as the dump stores it.
 
     Report and dump both see this field, so a later `eval` of the dump
     reproduces the reported numbers exactly.  A finite float64 field can
     still exceed the float32 range; that is a numerical failure of the run,
     reported at its last step.
     """
-    if isinstance(outcome, NumericalAbort):
-        raise outcome
     try:
         with np.errstate(over="ignore"):
-            return round_trip32(outcome.final_field)
+            return round_trip32(run.final_field)
     except AttentionError as exc:
         raise NumericalAbort(cfg.total_steps, "float32-rounded field") from exc
 
 
-def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args) -> MetricReport:
-    """The field's report; a loss value it would hold that is not finite aborts at the last step.
+def _finite_losses(report: MetricReport) -> bool:
+    """Whether every loss value the report holds is finite.
 
     A finite field and config can still overflow a sum (the ortho term over
-    many pairs, say), so numpy's warnings are silenced and the values checked.
+    many pairs, say), so scoring runs with numpy's warnings silenced and its
+    values are checked here.
     """
+    b = report.breakdown
+    return bool(np.isfinite([b.align, b.ortho, b.compact, b.total, *b.pair_interference]).all())
+
+
+def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args) -> MetricReport:
+    """The field's report, scored alone as `run` and `eval` score; a loss value it would hold that is not
+    finite aborts at the last step."""
     with np.errstate(all="ignore"):
         report = build_metric_report(field, scene, cfg, _final_stage(cfg), args.rel_threshold)
-    b = report.breakdown
-    if not np.isfinite([b.align, b.ortho, b.compact, b.total, *b.pair_interference]).all():
+    if not _finite_losses(report):
         raise NumericalAbort(cfg.total_steps, "scored loss")
     return report
+
+
+def _score_chunk(
+    scene: SceneSpec, cfgs: Sequence[GuidanceConfig], outcomes: Sequence[Trajectory | NumericalAbort], args
+) -> list[MetricReport | NumericalAbort]:
+    """Each row's report, or its abort, in row order: what `run` would report for the row's config.
+
+    A row's abort is, in this order, its run's own, a final field that
+    rounding through float32 takes out of range, or a scored loss that is not
+    finite; the last two happen at the row's last step.  The rows that ran
+    are rounded, as the dump would store them, in one cast of their stacked
+    fields, and scored in one `_score_rows` call.
+    """
+    results: list = list(outcomes)
+    ran = [n for n, outcome in enumerate(outcomes) if not isinstance(outcome, NumericalAbort)]
+    if not ran:
+        return results
+    with np.errstate(all="ignore"):
+        # round_trip32's rounding, over the stacked rows
+        maps = np.stack([outcomes[n].final_field.maps for n in ran], dtype=np.float32).astype(np.float64)
+        # entries of the float32 range sum to a finite double: a row's sum is
+        # finite only if each of its entries is
+        in_range = np.isfinite(maps.sum(axis=(1, 2, 3))).tolist()
+        reports = _score_rows(
+            maps, scene, [cfgs[n] for n in ran], [_final_stage(cfgs[n]) for n in ran], args.rel_threshold
+        )
+    for n, finite, report in zip(ran, in_range, reports):
+        if not finite:
+            results[n] = NumericalAbort(cfgs[n].total_steps, "float32-rounded field")
+        elif not _finite_losses(report):
+            results[n] = NumericalAbort(cfgs[n].total_steps, "scored loss")
+        else:
+            results[n] = report
+    return results
 
 
 def _print_summary(report: dict) -> None:
@@ -215,10 +258,7 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def _sweep_row(
-    scene: SceneSpec, run_cfg: GuidanceConfig, outcome: Trajectory | NumericalAbort, args
-) -> dict:
-    report = _score(_rounded(outcome, run_cfg), scene, run_cfg, args)
+def _sweep_row(run_cfg: GuidanceConfig, report: MetricReport, args) -> dict:
     b = report.breakdown
     return {
         "value": getattr(run_cfg, args.param),
@@ -237,11 +277,19 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args, file_overrides)
     run_cfgs = [cfg.updated(**{args.param: value}) for value in args.values]
     # run_rows checks every row's config, its pair coefficients too, before
-    # any row runs; the rows then step in lockstep but fail as if run one
-    # after another: the first failing row, in row order, is the one
-    # reported, and no chunk of rows after it is stepped
+    # any row runs; the rows then step in lockstep, a chunk at a time, and
+    # each chunk is scored as it is reached.  They fail as if run one after
+    # another: the first failing row, in row order, is the one reported, and
+    # no chunk of rows after it is stepped
     outcomes = run_rows(scene, run_cfgs, init_latent(scene, args.mode, args.seed))
-    rows = [_sweep_row(scene, run_cfg, outcome, args) for run_cfg, outcome in zip(run_cfgs, outcomes)]
+    size = _rows_per_chunk(scene)
+    rows = []
+    for lo in range(0, len(run_cfgs), size):
+        chunk = run_cfgs[lo : lo + size]
+        for run_cfg, scored in zip(chunk, _score_chunk(scene, chunk, list(itertools.islice(outcomes, size)), args)):
+            if isinstance(scored, NumericalAbort):
+                raise NumericalAbort(scored.step, scored.what, row=f"{args.param} = {getattr(run_cfg, args.param):g}")
+            rows.append(_sweep_row(run_cfg, scored, args))
     table = {"param": args.param, "rows": rows, "config": _config_echo(cfg, args), "seed": args.seed}
     _write_report(args, table, "sweep table")
 

@@ -28,9 +28,11 @@ step-dependent low-rank factors, and `_grad_product` multiplies them out for
 any range of maps.  `value_and_grad` makes both for all maps, into the
 plan's own gradient buffer, for `gradcheck` and the tests; the run loop
 makes the second a tile of maps at a time, into a scratch that stays in
-cache, and never writes a whole-field gradient.  `staged_loss` is the
-kernel's one-row, values-only view for scoring and for callers outside the
-package.  Gradients are hand-derived closed forms rather than autodiff, and
+cache, and never writes a whole-field gradient.  The plan builds the
+gradient's factors and buffer the first time they are read, so the
+values-only forward half, `_values`, which scoring runs on its rows, builds
+none; `staged_loss` is its one-row view for callers outside the package.
+Gradients are hand-derived closed forms rather than autodiff, and
 the literal term definitions they are checked against live apart, in
 `gradcheck`, so the finite-difference oracle is a genuinely independent
 check.
@@ -38,6 +40,7 @@ check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
@@ -212,6 +215,10 @@ class _Plan:
       its (B * K, H, W) view; the run loop, which writes the gradient a tile
       at a time into its own scratch, never touches it.
 
+    The gradient's members (`factors`, `columns`, `grad`, `grad_stack`) are
+    built where they are first read, once per plan: a value-only caller,
+    which reads none of them, builds none.
+
     No array of the breakdown `_values` returns is a view of this scratch;
     its `pair_weights` is a view of `weights`, which no call writes.
     """
@@ -234,10 +241,29 @@ class _Plan:
     row_dots: np.ndarray  # (B, K * H, 1 + K) scratch: row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j
     row_sum: np.ndarray   # (B * K, H) view of row_dots' column 0
     col_sum: np.ndarray   # (B * K, W) scratch
-    factors: tuple[np.ndarray, np.ndarray]  # (U, V), see _grad_factors
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # (U[:, :, 0], U[:, :, 1], V[:, 2])
-    grad: np.ndarray      # (B, K, H, W), the buffer value_and_grad returns
-    grad_stack: np.ndarray  # (B * K, H, W) view of grad
+    pair_terms: tuple     # (background j, foreground i, coef (B,)) of every pair, the factors' input
+
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, V), see _grad_factors."""
+        k = len(self.depths) // len(self.cfgs)
+        return _grad_factors(self.box_rows[:k], self.colmat[:, 1:].T, self.pair_terms, len(self.cfgs))
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U[:, :, 0], U[:, :, 1], V[:, 2])."""
+        u, v = self.factors
+        return u[:, :, 0], u[:, :, 1], v[:, 2]
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        """(B, K, H, W), the buffer value_and_grad returns."""
+        return np.empty((len(self.cfgs), len(self.depths) // len(self.cfgs), len(self.cy), len(self.cx)))
+
+    @functools.cached_property
+    def grad_stack(self) -> np.ndarray:
+        """(B * K, H, W) view of grad."""
+        return self.grad.reshape(-1, len(self.cy), len(self.cx))
 
 
 def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +329,6 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
     with np.errstate(over="ignore"):
         two_eps = 2.0 * eps
     row_dots = np.empty((batch, k * height, k + 1))
-    grad = np.empty((batch, k, height, width))
-    u, v = _grad_factors(rows, cols, list(zip(bg, fg, coef.T)), batch)
     return _Plan(
         cfgs=tuple(cfgs),
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
@@ -324,10 +348,7 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
         row_dots=row_dots,
         row_sum=row_dots.reshape(batch * k, height, k + 1)[:, :, 0],
         col_sum=np.empty((batch * k, width)),
-        factors=(u, v),
-        columns=(u[:, :, 0], u[:, :, 1], v[:, 2]),
-        grad=grad,
-        grad_stack=grad.reshape(batch * k, height, width),
+        pair_terms=tuple(zip(bg.tolist(), fg.tolist(), coef.T)),
     )
 
 

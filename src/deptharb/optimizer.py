@@ -92,11 +92,15 @@ _TILE_ENTRIES = 1 << 16
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when a loss or gradient stops being finite; carries the step index."""
+    """Raised when a loss or gradient stops being finite; carries the step index and what failed.
 
-    def __init__(self, step: int, what: str):
-        super().__init__(f"non-finite {what} at step {step}")
+    `row`, if given, names the run among others, as a sweep names a row by its value.
+    """
+
+    def __init__(self, step: int, what: str, row: str | None = None):
+        super().__init__(f"non-finite {what} at step {step}" + (f" ({row})" if row else ""))
         self.step = step
+        self.what = what
 
 
 @dataclass
@@ -242,6 +246,11 @@ def _schedule(cfgs: Sequence[GuidanceConfig]) -> tuple[list[tuple[int, ...]], li
     return stages, [[step_size(t, cfg) for cfg in cfgs] for t in range(steps + 1)]
 
 
+def _rows_per_chunk(scene: SceneSpec) -> int:
+    """How many rows of the scene `run_rows` steps together."""
+    return max(1, _CHUNK_ENTRIES // (len(scene.objects) * scene.grid_height * scene.grid_width))
+
+
 def run_rows(
     scene: SceneSpec, cfgs: Sequence[GuidanceConfig], latent0: LatentState
 ) -> Iterator[Trajectory | NumericalAbort]:
@@ -255,10 +264,10 @@ def run_rows(
 
     Every config is checked before this returns, so a bad one is rejected
     before any row runs.  The rows are stepped as the iterator reaches
-    them, a chunk at a time: as many rows as hold _CHUNK_ENTRIES field
-    entries, and at least one.  So the run's memory does not grow with its
-    number of rows, and a caller that stops at a failing row never steps
-    the chunks after it.
+    them, a chunk at a time (`_rows_per_chunk`): as many rows as hold
+    _CHUNK_ENTRIES field entries, and at least one.  So the run's memory
+    does not grow with its number of rows, and a caller that stops at a
+    failing row never steps the chunks after it.
     """
     _check_match(latent0, scene)
     cfgs = [with_default_step(cfg, latent0.mode) for cfg in cfgs]
@@ -268,7 +277,7 @@ def run_rows(
     # in row order: the first config whose pair coefficients are not finite raises
     for cfg in cfgs:
         _pair_coefficients(scene, pairs, cfg)
-    size = max(1, _CHUNK_ENTRIES // (len(scene.objects) * scene.grid_height * scene.grid_width))
+    size = _rows_per_chunk(scene)
     return (
         outcome
         for lo in range(0, len(cfgs), size)

@@ -232,7 +232,8 @@ def reference_plan(scene: SceneSpec, pairs, cfg: GuidanceConfig) -> SimpleNamesp
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
     fg_area = rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
     return SimpleNamespace(
-        **{**vars(plan), "grad": plan.grad_stack}, cfg=cfg, rows=rows, fg=fg, bg=bg, fg_area=fg_area
+        **{**vars(plan), "factors": plan.factors, "grad": plan.grad_stack},
+        cfg=cfg, rows=rows, fg=fg, bg=bg, fg_area=fg_area,
     )
 
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deptharb
 from deptharb import AttentionField, check_gradients, init_latent, optimizer, write_dump
@@ -474,11 +480,12 @@ class TestSweep:
     @pytest.mark.parametrize(
         "values, message",
         [
-            # row 2 diverges first, at step 1, but row 1 comes first in row order
-            ("800,1e6,1e9", "non-finite rendered field at step 2"),
-            ("1e9,1e6,800", "non-finite rendered field at step 1"),
+            # row 2 diverges first, at step 1, but row 1 comes first in row order;
+            # the message names the failing row by its value
+            ("800,1e6,1e9", "non-finite rendered field at step 2 (eta0 = 1e+06)"),
+            ("1e9,1e6,800", "non-finite rendered field at step 1 (eta0 = 1e+09)"),
             # row 1's run completes; its field then overflows float32
-            ("800,1e5", "non-finite float32-rounded field at step 20"),
+            ("800,1e5", "non-finite float32-rounded field at step 20 (eta0 = 100000)"),
         ],
     )
     def test_first_failing_row_in_row_order_is_reported(self, tmp_path, capsys, values, message):
@@ -514,7 +521,7 @@ class TestSweep:
         ]
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == "numerical abort: non-finite rendered field at step 2\n"
+        assert captured.err == "numerical abort: non-finite rendered field at step 2 (eta0 = 1e+06)\n"
         assert captured.out == ""
         assert not report.exists()
         values = [800.0, 400.0, 1e6, 1e9, 200.0, 100.0]
@@ -761,13 +768,13 @@ class TestScoringAbort:
     # lambda_ij * I overflows once the pair's interference I exceeds about 1.06
     WEIGHTS = ("--lambda0", "1.7e308", "--alpha", "0")
 
-    def check(self, capsys, tmp_path, argv, step):
+    def check(self, capsys, tmp_path, argv, step, row=""):
         report = tmp_path / "r.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(*argv, *self.WEIGHTS, "--report", str(report)) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"numerical abort: non-finite scored loss at step {step}\n"
+        assert captured.err == f"numerical abort: non-finite scored loss at step {step}{row}\n"
         assert not report.exists()
 
     def test_run(self, capsys, tmp_path, scene_path):
@@ -787,7 +794,7 @@ class TestScoringAbort:
             "sweep", "--scene", scene_path, "--steps", "2", "--stage1-frac", "0", "--eta", "0",
             "--param", "tau", "--values", "1,2",
         ]
-        self.check(capsys, tmp_path, argv, 2)
+        self.check(capsys, tmp_path, argv, 2, " (tau = 1)")
 
 
 class TestOracleRefusal:
@@ -845,3 +852,169 @@ class TestSweepParams:
             table = load_report(report)
             assert table["param"] == param
             assert table["rows"][0]["value"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# sweep scoring: each row's report is the run's
+# ---------------------------------------------------------------------------
+
+# the swept fields the property draws, with their run flag and values
+SCORED_PARAMS = {
+    "stage1_fraction": ("--stage1-frac", st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0])),
+    "lambda_ortho": ("--lambda-ortho", st.floats(0.0, 2.0)),
+    "lambda_compact": ("--lambda-compact", st.floats(0.0, 1.0)),
+    "alpha": ("--alpha", st.floats(0.0, 3.0)),
+    "tau": ("--tau", st.floats(0.1, 4.0)),
+    # multiples of the mode's default step: rows far apart, down to a row that never moves
+    "eta0": ("--eta", st.sampled_from([0.0, 0.3, 1.0, 2.0])),
+}
+
+
+def scene_doc(height: int, width: int, objects) -> dict:
+    """A scene file's document; `objects` holds (bbox, depth) per object."""
+    return {"grid": {"height": height, "width": width},
+            "objects": [{"id": i, "label": "", "bbox": list(bbox), "depth": depth}
+                        for i, (bbox, depth) in enumerate(objects)]}
+
+
+@st.composite
+def scored_sweep_cases(draw):
+    height, width = draw(st.integers(4, 20)), draw(st.integers(4, 20))
+    objects = []
+    for _ in range(draw(st.integers(1, 4))):
+        x0, x1 = sorted(draw(st.integers(0, width)) for _ in range(2))
+        y0, y1 = sorted(draw(st.integers(0, height)) for _ in range(2))
+        bbox = (x0 / width, y0 / height, max(x1, x0 + 1) / width, max(y1, y0 + 1) / height)
+        # a few depths, so that equal depths (no pair) come up
+        objects.append((bbox, draw(st.sampled_from([0.2, 0.5, 0.8]))))
+    mode = draw(st.sampled_from(MODES))
+    param = draw(st.sampled_from(sorted(SCORED_PARAMS)))
+    values = draw(st.lists(SCORED_PARAMS[param][1], min_size=1, max_size=5))
+    if param == "eta0":
+        values = [_mode_class(mode).default_eta0 * v for v in values]
+    flags = [
+        "--mode", mode, "--steps", str(draw(st.integers(1, 8))),
+        "--seed", str(draw(st.integers(0, 2**32 - 1))),
+        "--rel-threshold", repr(draw(st.sampled_from([1e-6, 0.3, 0.5, 1.0]))),
+    ]
+    if param != "stage1_fraction":
+        # the rows' runs end in stage 1 or stage 2
+        flags += ["--stage1-frac", draw(st.sampled_from(["0", "0.5", "1"]))]
+    rows_per_chunk = draw(st.integers(1, len(values)))
+    return scene_doc(height, width, objects), param, values, flags, rows_per_chunk
+
+
+def _cli(*argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    return code, err.getvalue()
+
+
+def _assert_rows_are_run_reports(workdir, doc, param, values, flags, rows_per_chunk) -> None:
+    """Sweep `values` of `param`, its rows stepped `rows_per_chunk` at a time, against a `run` of each row's config.
+
+    Each scored row's report is, byte for byte, the one its `run` writes,
+    and its table row is that report's summary; a row whose `run` fails
+    scores as that run's abort.  The sweep fails as the first failing row's
+    run does, naming the row, and scores no chunk after that row's.
+    """
+    scene = os.path.join(workdir, "scene.json")
+    with open(scene, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    runs = []
+    for n, value in enumerate(values):
+        path = os.path.join(workdir, f"run{n}.json")
+        code, err = _cli("run", "--scene", scene, *flags, f"{SCORED_PARAMS[param][0]}={value!r}", "--report", path)
+        runs.append((code, err, load_report(path) if code == 0 else None))
+    scored = []  # every row the sweep scores, in row order
+    real = deptharb.cli._score_chunk
+
+    def recording(*args):
+        results = real(*args)
+        scored.extend(results)
+        return results
+
+    entries = len(doc["objects"]) * doc["grid"]["height"] * doc["grid"]["width"]
+    table = os.path.join(workdir, "table.json")
+    argv = ["sweep", "--scene", scene, *flags, "--param", param, "--values", ",".join(map(repr, values)),
+            "--report", table]
+    with mock.patch.object(optimizer, "_CHUNK_ENTRIES", rows_per_chunk * entries), \
+            mock.patch.object(deptharb.cli, "_score_chunk", recording):
+        code, err = _cli(*argv)
+    failing = next((n for n, run in enumerate(runs) if run[0]), None)
+    if failing is None:
+        assert (code, err) == (0, "")
+        assert len(scored) == len(values)
+    else:
+        assert code == runs[failing][0] == 2
+        assert err == runs[failing][1].replace("\n", f" ({param} = {values[failing]:g})\n")
+        assert len(scored) == min(len(values), (failing // rows_per_chunk + 1) * rows_per_chunk)
+    for report, (run_code, run_err, run) in zip(scored, runs):
+        if run_code:
+            assert f"numerical abort: {report}\n" == run_err
+            continue
+        del run["config"], run["seed"]
+        assert dumps_report(report.to_json_dict()) == dumps_report(run)
+    if failing is None:
+        for value, row, (_, _, run) in zip(values, load_report(table)["rows"], runs, strict=True):
+            summary = {
+                "value": value,
+                "losses": {name: run["losses"][name] for name in ("align", "ortho", "compact", "total")},
+                "mean_interference": float(np.mean([p["interference"] for p in run["per_pair"]]))
+                if run["per_pair"] else None,
+                "mean_var": float(np.mean([o["var"] for o in run["per_object"]])),
+                "metrics": {"miou_all": run["metrics"]["miou_all"], "focr_mean": run["metrics"]["focr_mean"]},
+            }
+            assert json.dumps(row) == json.dumps(summary)
+
+
+class TestSweepScoring:
+    """A sweep scores its rows a chunk at a time, and each row's report is its config's `run` report."""
+
+    @settings(max_examples=60)
+    @given(scored_sweep_cases())
+    def test_every_scored_row_is_its_run_report(self, case):
+        with tempfile.TemporaryDirectory() as workdir:
+            _assert_rows_are_run_reports(workdir, *case)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_scene_with_no_pairs_scores_no_interference_and_no_focr(self, tmp_path, mode):
+        doc = scene_doc(16, 16, [((0.1, 0.1, 0.6, 0.6), 0.5), ((0.4, 0.4, 0.9, 0.9), 0.5)])
+        flags = ["--mode", mode, "--steps", "3", "--stage1-frac", "1"]
+        _assert_rows_are_run_reports(str(tmp_path), doc, "lambda_ortho", [0.5, 1.0], flags, 1)
+        rows = load_report(tmp_path / "table.json")["rows"]
+        assert [(row["mean_interference"], row["metrics"]["focr_mean"]) for row in rows] == [(None, None)] * 2
+
+    def test_a_pair_whose_overlap_holds_no_pixel_scores_none(self, tmp_path):
+        # boxes 0 and 1 overlap in x in [0.45, 0.5), where no pixel centre of an
+        # 8-pixel row lies; boxes 0 and 2 share pixels
+        doc = scene_doc(8, 8, [((0.0, 0.0, 0.5, 0.5), 0.2), ((0.45, 0.2, 1.0, 1.0), 0.8),
+                               ((0.2, 0.2, 0.9, 0.4), 0.6)])
+        _assert_rows_are_run_reports(str(tmp_path), doc, "alpha", [0.0, 1.0, 2.0], ["--steps", "3"], 2)
+        run = load_report(tmp_path / "run0.json")
+        assert [p["focr"] is None for p in run["per_pair"]] == [True, False, False]
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # 1e5's run ends at step 20 and its field then overflows float32;
+            # 1e6's run aborts at step 2: the row that comes first is reported
+            ("800,1e5,1e6", "non-finite float32-rounded field at step 20 (eta0 = 100000)"),
+            ("800,1e6,1e5", "non-finite rendered field at step 2 (eta0 = 1e+06)"),
+        ],
+    )
+    def test_a_rounding_abort_is_ordered_with_run_aborts_by_row(
+        self, monkeypatch, capsys, values, message, rows_per_chunk
+    ):
+        from pathlib import Path
+
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "canonical.json"
+        monkeypatch.setattr("deptharb.optimizer._CHUNK_ENTRIES", rows_per_chunk * 2 * 64 * 64)
+        argv = ["sweep", "--scene", str(scene), "--param", "eta0", "--values", values, "--steps", "20", "--seed", "3"]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical abort: {message}\n"
+        assert captured.out == ""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from reference import assert_same_breakdown, reference_plan, reference_value_and
 
 EPS = 1e-8
 CFG = GuidanceConfig()
+
+CANONICAL_FILE = str(Path(__file__).resolve().parent.parent / "scenes" / "canonical.json")
 
 
 def kernel_grad(field, scene, pairs, cfg, stage):
@@ -381,6 +384,33 @@ class TestPlanScratch:
         latent0 = init_latent(two_object_scene, "raster", seed=1)
         run_guidance(two_object_scene, GuidanceConfig(total_steps=9, eta0=1.0), latent0)
         assert len(calls) == 1
+
+    def test_value_only_callers_build_no_factors(self, canonical, monkeypatch, tmp_path):
+        # staged_loss, scoring and eval read values only: their plans build no gradient scratch
+        from deptharb import build_metric_report, write_dump
+        from deptharb.cli import main
+
+        calls = self.count_factor_builds(monkeypatch)
+        pairs = derive_occlusion_pairs(canonical)
+        field = AttentionField(maps=np.random.default_rng(4).uniform(0, 2, (2, 64, 64)))
+        for stage in (1, 2):
+            staged_loss(field, canonical, pairs, CFG, stage)
+            build_metric_report(field, canonical, CFG, stage, 0.5)
+        dump = tmp_path / "field.darb"
+        write_dump(str(dump), field, 0)
+        assert main(["eval", "--scene", CANONICAL_FILE, "--dump", str(dump)]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 5])
+    def test_a_sweep_builds_one_factor_set_per_run_chunk_and_none_to_score(self, monkeypatch, rows_per_chunk):
+        import deptharb.optimizer
+        from deptharb.cli import main
+
+        monkeypatch.setattr(deptharb.optimizer, "_CHUNK_ENTRIES", rows_per_chunk * 2 * 64 * 64)
+        calls = self.count_factor_builds(monkeypatch)
+        argv = ["sweep", "--scene", CANONICAL_FILE, "--param", "tau", "--values", "0.5,1,2,3,4", "--steps", "3"]
+        assert main(argv) == 0
+        assert len(calls) == math.ceil(5 / rows_per_chunk)
 
     def test_gradient_is_the_plans_buffer(self, canonical):
         pairs = derive_occlusion_pairs(canonical)

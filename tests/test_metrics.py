@@ -21,7 +21,7 @@ from deptharb import (
     staged_loss,
 )
 from deptharb.losses import _plan, value_and_grad
-from deptharb.metrics import FocrResult, LayoutMiou, MetricReport
+from deptharb.metrics import FocrResult, LayoutMiou, MetricReport, _score_rows
 
 from conftest import dyadic_field
 from reference import from_maps, mask_iou, pseudo_segment, rasterize_mask, threshold_mask
@@ -343,3 +343,50 @@ class TestBoxRectangleScoring:
         for stage in (1, 2):
             build_metric_report(field, two_object_scene, GuidanceConfig(), stage, 0.5)
         assert calls == []
+
+
+# each variant derives a row's field from the drawn one
+ROW_VARIANTS = {
+    "same": lambda maps, k: maps,
+    "zero map": lambda maps, k: np.where(np.arange(len(maps))[:, None, None] == k % len(maps), 0.0, maps),
+    "all zero": lambda maps, k: np.zeros_like(maps),
+    "scaled": lambda maps, k: 3.0 * maps,
+    "rolled": lambda maps, k: np.roll(maps, k + 1, axis=(1, 2)),
+}
+
+
+class TestScoreRows:
+    """Scoring on the row axis: each row of a stack is scored as its field alone."""
+
+    @settings(max_examples=150)
+    @given(
+        scored_cases(),
+        st.lists(st.tuples(st.sampled_from(sorted(ROW_VARIANTS)), st.sampled_from([1, 2]),
+                           st.sampled_from([0.0, 0.5, 2.0])), min_size=1, max_size=4),
+    )
+    def test_each_row_is_the_full_mask_report_of_its_field(self, case, rows):
+        scene, field, rel = case
+        stack = np.array([ROW_VARIANTS[variant](field.maps, k) for k, (variant, _, _) in enumerate(rows)])
+        cfgs = [GuidanceConfig(lambda_ortho=ortho) for _, _, ortho in rows]
+        stages = [stage for _, stage, _ in rows]
+        reports = _score_rows(stack, scene, cfgs, stages, rel)
+        for maps, cfg, stage, report in zip(stack, cfgs, stages, reports, strict=True):
+            args = (AttentionField(maps=maps), scene, cfg, stage, rel)
+            expected = json.dumps(full_mask_report(*args).to_json_dict())
+            assert json.dumps(report.to_json_dict()) == expected
+            assert json.dumps(build_metric_report(*args).to_json_dict()) == expected
+
+    def test_an_all_zero_map_predicts_nothing_and_wins_nothing(self, two_object_scene):
+        # row 0 random; row 1's foreground map is all zero; row 2 is all zero
+        maps = np.random.default_rng(11).uniform(0.5, 2.0, (2, 16, 16))
+        stack = np.array([maps, [np.zeros((16, 16)), maps[1]], np.zeros((2, 16, 16))])
+        cfg = GuidanceConfig()
+        reports = _score_rows(stack, two_object_scene, [cfg] * 3, [1] * 3, 0.5)
+        # an empty mask: no intersection, so IoU 0
+        assert reports[1].miou.per_object[0] == 0.0
+        assert reports[2].miou.per_object == {0: 0.0, 1: 0.0}
+        # the background wins every overlap pixel of row 1; row 2's are NONE_ID
+        assert [r.focr.per_pair for r in reports[1:]] == [(0.0,), (0.0,)]
+        for row, report in zip(stack, reports):
+            args = (AttentionField(maps=row), two_object_scene, cfg, 1, 0.5)
+            assert json.dumps(report.to_json_dict()) == json.dumps(full_mask_report(*args).to_json_dict())
