@@ -228,13 +228,13 @@ def cmd_grad_check(args) -> int:
     note = precision_note()
     if note:
         _print(note)
-    latent = init_latent(scene, args.mode, args.seed)
+    results = check_gradients(
+        scene, cfg, init_latent(scene, args.mode, args.seed), stages, seed=args.seed, samples=args.samples,
+        rel_tol=args.tol,
+    )
     worst_rel = 0.0
     failures = []
-    for stage in stages:
-        result = check_gradients(
-            scene, cfg, latent, stage, seed=args.seed, samples=args.samples, rel_tol=args.tol
-        )
+    for stage, result in zip(stages, results):
         # np.max, not max: a NaN error, which fails its coordinate, shows
         worst_rel = float(np.max([worst_rel, result.worst_rel]))
         failures.extend((stage, r) for r in result.failures)

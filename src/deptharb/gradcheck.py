@@ -6,7 +6,9 @@ of `_blob_map`.  From the rest of the package it reads only the scene's
 boxes, pairs and pixel centres, lambda_ij, and the run loop's own sequence
 on the latent it is handed: the surrogate of that latent's mode renders the
 field, `value_and_grad` on a `_plan` gives dL/dA and the same surrogate's
-`chain` gives dL/dz, the two gradients it checks.
+`chain` gives dL/dz, the two gradients it checks.  `check_gradients`
+checks every stage it is given in one pass: that sequence runs once on a
+field of one row per stage, and row b is bit for bit a lone stage's.
 
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
@@ -15,17 +17,20 @@ involving the perturbed map are constants of the difference and are omitted,
 which removes their rounding noise from the quotient without changing the
 derivative being measured.
 
-`_restricted_loss` is the literal forward definition of those terms.  Every
-quantity it reads is a pixel sum of the map against a fixed weight: the
-total, the in-box sum, the foreground-mask sum of each pair the object backs,
-and the first and second coordinate moments.  `_PixelSums` takes these sums
-once per object and stage, so raising pixel p by delta changes each by
+`_restricted_loss` is the literal forward definition of those terms.  It is
+`_restricted_terms`, the stage-free summands (alignment, each pair's
+orthogonality term, compactness), added by `_staged` in a stage's order, so
+one literal evaluation of a map serves every stage.  Every quantity it
+reads is a pixel sum of the map against a fixed weight: the total, the
+in-box sum, the foreground-mask sum of each pair the object backs, and the
+first and second coordinate moments.  `_PixelSums` takes these sums once
+per object and stage, so raising pixel p by delta changes each by
 delta * w_p and a checked coordinate costs a rank-one update of a few
 scalars instead of full-map passes.  The moments are taken about the
 base-point mean, so Var is never a difference of O(1) numbers, and the
 algebra keeps epsilon exact (the normalized map sums to S / (S + eps), not 1).
 Before any coordinate is judged, each object's sum-form value at the base
-point must match the literal `_restricted_loss` to a small multiple of the
+point must match its stage's literal value to a small multiple of the
 working precision's eps, or `check_gradients` raises `OracleError`.
 
 Attention coordinates perturb the pixel by +-h and raster latent
@@ -36,7 +41,8 @@ scalar k, y, x draws per sample, and each object's rows go through
 `_PixelSums` as arrays, with the scalar form's elementwise arithmetic, so
 every difference is the one a per-coordinate loop would take.  Blob latent
 coordinates move every pixel, so they keep the literal re-render
-`_blob_map` and evaluation of `_restricted_loss`.
+`_blob_map` and evaluation of `_restricted_terms`: 2 * 5 * K of each per
+call, whatever the number of stages.
 
 A coordinate passes when both values are finite and
 |analytic - fd| <= max(rel_tol * 1e-4, rel_tol * ref) with
@@ -47,7 +53,9 @@ make that bound infinite too, so it fails on its own.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -187,6 +195,36 @@ def spatial_variance(norm_map: np.ndarray, coords: CoordGrid, mu) -> float:
     return (a * dist2).sum()
 
 
+def _restricted_terms(
+    map_k: np.ndarray,
+    mask_k: np.ndarray,
+    depth_k: float,
+    fg_terms: list[tuple[np.ndarray, float]],
+    coords: CoordGrid,
+    cfg: GuidanceConfig,
+):
+    """The literal summands that depend on one object's map: (alignment, [each pair's ortho term], compactness).
+
+    None depends on the stage; `_staged` adds them into a stage's objective.
+    """
+    e_in, e_out = attention_energies(map_k, mask_k)
+    f = alignment_ratio(e_in, e_out, cfg.epsilon)
+    ortho = [cfg.lambda_ortho * lam * interference(map_k, mask_fg, cfg.epsilon) for mask_fg, lam in fg_terms]
+    norm = map_k / (map_k.sum() + cfg.epsilon)
+    var = spatial_variance(norm, coords, spatial_mean(norm, coords))
+    return depth_k * (1 - f) ** 2, ortho, cfg.lambda_compact * depth_k * var
+
+
+def _staged(terms, stage: int):
+    """The stage objective of `_restricted_terms`' summands, added in pair order; stage 2 drops ortho."""
+    align, ortho, compact = terms
+    value = align
+    if stage == 1:
+        for term in ortho:
+            value = value + term
+    return value + compact
+
+
 def _restricted_loss(
     map_k: np.ndarray,
     mask_k: np.ndarray,
@@ -197,15 +235,7 @@ def _restricted_loss(
     stage: int,
 ):
     """Stage objective restricted to the terms that depend on one object's map."""
-    e_in, e_out = attention_energies(map_k, mask_k)
-    f = alignment_ratio(e_in, e_out, cfg.epsilon)
-    value = depth_k * (1 - f) ** 2
-    if stage == 1:
-        for mask_fg, lam in fg_terms:
-            value = value + cfg.lambda_ortho * lam * interference(map_k, mask_fg, cfg.epsilon)
-    norm = map_k / (map_k.sum() + cfg.epsilon)
-    var = spatial_variance(norm, coords, spatial_mean(norm, coords))
-    return value + cfg.lambda_compact * depth_k * var
+    return _staged(_restricted_terms(map_k, mask_k, depth_k, fg_terms, coords, cfg), stage)
 
 
 class _PixelSums:
@@ -265,26 +295,35 @@ def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
     depths = scene.depths()
     fg_terms: list[list[tuple[np.ndarray, float]]] = [[] for _ in scene.objects]
     pairs = derive_occlusion_pairs(scene)
-    for pair, weight in zip(pairs, _pair_coefficients(scene, pairs, cfg)[0]):
+    for pair, weight in zip(pairs, _pair_coefficients(scene, pairs, cfg, masks.sum(axis=(1, 2)))[0]):
         fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
         fg_terms[bg].append((masks[fg], weight))
     return [(masks[k], depths[k], fg_terms[k]) for k in range(len(scene.objects))]
 
 
-def _anchored_sums(base, terms, coords, cfg: GuidanceConfig, stage: int) -> _PixelSums:
-    """One object's `_PixelSums`, checked against the literal objective at the base map."""
-    sums = _PixelSums(base, *terms, coords, cfg, stage)
-    literal = _restricted_loss(base, *terms, coords, cfg, stage)
+def _anchored(sums: _PixelSums, literal) -> _PixelSums:
+    """One object's `_PixelSums`, checked against its literal objective at the base map."""
     summed = sums.loss(LONG(0), 0, 0)
     # the alignment term's scale d_k floors the reference, since (1 - f)^2
     # loses relative precision as f nears 1
-    bound = ANCHOR_EPS * np.finfo(LONG).eps * (abs(literal) + terms[1])
+    bound = ANCHOR_EPS * np.finfo(LONG).eps * (abs(literal) + sums.depth)
     if not abs(summed - literal) <= bound:
         raise OracleError(
             f"sum-form restricted loss {float(summed)!r} != literal {float(literal)!r} "
             f"(bound {float(bound):.3g})"
         )
     return sums
+
+
+def _check_mass(sums: list[_PixelSums]) -> None:
+    """Raise OracleError for the first object whose map is too light for the finite-difference step."""
+    # once S nears h, the central difference of f = e_in / (S + eps) leaves its linear regime
+    for k, object_sums in enumerate(sums):
+        if not object_sums.total >= 1e3 * FD_STEP:
+            raise OracleError(
+                f"object {k}'s map mass {float(object_sums.total):.3g} is below "
+                f"1e3 x the finite-difference step {FD_STEP:g}"
+            )
 
 
 def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float) -> None:
@@ -332,89 +371,126 @@ def _check_sampled(result, space: str, rng, samples: int, sums, grad, deltas, re
         _judge_all(result, space, ks, np.column_stack((ys, xs)), grad[ks, ys, xs], fd, rel_tol)
 
 
+def _checked_stages(stages) -> tuple[int, ...]:
+    """`stages` as a tuple, or a ValueError unless it names stage 1, stage 2 or both, each once."""
+    try:
+        stages = tuple(stages)
+    except TypeError:
+        raise ValueError(f"stages must be a sequence of stages 1 and 2, got {stages!r}") from None
+    if not stages:
+        raise ValueError("stages must name at least one stage, got ()")
+    for stage in stages:
+        if isinstance(stage, bool) or not isinstance(stage, numbers.Integral) or stage not in (1, 2):
+            raise ValueError(f"stages must hold only stages 1 and 2, got {stages!r}")
+    if len(set(stages)) != len(stages):
+        raise ValueError(f"stages must name each stage once, got {stages!r}")
+    return tuple(int(stage) for stage in stages)
+
+
 def check_gradients(
     scene: SceneSpec,
     cfg: GuidanceConfig,
     latent: LatentState,
-    stage: int,
+    stages: Sequence[int],
     seed: int,
     samples: int = 1000,
     rel_tol: float = DEFAULT_REL_TOL,
-) -> GradCheckResult:
-    """Compare analytic gradients at `latent` against the extended-precision FD oracle.
+) -> list[GradCheckResult]:
+    """Compare analytic gradients at `latent` against the extended-precision FD oracle, one result per stage.
 
-    Draws `samples` attention coordinates (k, y, x) with `seed`, with
-    replacement.  The latent space follows the mode the latent carries: a
-    raster latent draws `samples` more coordinates from the same generator,
-    also with replacement, and a blob latent checks all 5 * K parameters
-    whatever `samples` is.
+    Each stage of `stages` is checked as if alone, in order, and gets its own
+    generator `default_rng(seed)`: it draws `samples` attention coordinates
+    (k, y, x), with replacement.  The latent space follows the mode the
+    latent carries: a raster latent draws `samples` more coordinates from
+    the same generator, also with replacement, and a blob latent checks all
+    5 * K parameters whatever `samples` is.
+    The stages share every render and every literal evaluation: one row per
+    stage on the analytic side, and on the literal side each base map's
+    stage-free terms (`_restricted_terms`) taken once and added per stage.
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor or its map's mass is below
-    1e3 * FD_STEP.  Raises ValueError, before any render, for a check that
-    would judge nothing (`samples` < 1) or decide every coordinate alike
-    (`rel_tol` not finite and >= 0).
+    1e3 * FD_STEP; the refusal is that of the first stage that would refuse
+    alone.  Raises ValueError, before any render, for `stages` not naming
+    stage 1, stage 2 or both, each once, for a check that would judge
+    nothing (`samples` < 1) or decide every coordinate alike (`rel_tol` not
+    finite and >= 0).
     """
+    stages = _checked_stages(stages)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not (np.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    result = GradCheckResult()
-    rng = np.random.default_rng(seed)
-    # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between
+    # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between,
+    # with one row per stage
     _check_match(latent, scene)
-    surrogate = _surrogate(scene, latent.mode, 1)
+    batch = len(stages)
+    surrogate = _surrogate(scene, latent.mode, batch)
     terms = _object_terms(scene, cfg)
-    plan = _plan(scene, derive_occlusion_pairs(scene), [cfg])
+    plan = _plan(scene, derive_occlusion_pairs(scene), [cfg] * batch)
     # as in the run loop: a non-finite gradient is judged below, so numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
-        maps = surrogate.render(latent.values[None])
-        grad_att = value_and_grad(maps, plan, [stage])[1]
+        maps = surrogate.render(np.repeat(latent.values[None], batch, axis=0))
+        grad_att = value_and_grad(maps, plan, stages)[1]
         # a copy: the raster chain writes over the gradient it is given
-        grad_lat = surrogate.chain(grad_att.copy())[0]
+        grad_lat = surrogate.chain(grad_att.copy())
     field_ = AttentionField(maps=maps[0])
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
     h = LONG(FD_STEP)
-    grad_att = grad_att[0]
     k_count = len(scene.objects)
+    raster = latent.mode == "raster"
 
-    sums = [
-        _anchored_sums(field_.maps[k].astype(LONG), terms[k], coords_ld, cfg, stage)
-        for k in range(k_count)
+    # the sampled spaces' base maps, and their literal terms, once for every
+    # stage; the literal re-render exp(z) of a raster latent in LONG changes
+    # only the perturbed entry
+    values = latent.values.astype(LONG)
+    bases = [field_.maps.astype(LONG)] + ([np.exp(values)] if raster else [])
+    literals = [
+        [_restricted_terms(base[k], *terms[k], coords_ld, cfg) for k in range(k_count)] for base in bases
     ]
-    # once S nears h, the central difference of f = e_in / (S + eps) leaves its linear regime
-    for k, object_sums in enumerate(sums):
-        if not object_sums.total >= 1e3 * FD_STEP:
-            raise OracleError(
-                f"object {k}'s map mass {float(object_sums.total):.3g} is below "
-                f"1e3 x the finite-difference step {FD_STEP:g}"
-            )
-    _check_sampled(
-        result, "attention", rng, samples, sums, grad_att,
-        lambda k, y, x, a: ((a + h) - a, (a - h) - a), rel_tol,
-    )
 
-    if latent.mode == "raster":
-        # the literal re-render exp(z) in LONG changes only the perturbed entry
-        logits = latent.values.astype(LONG)
-        sums = [
-            _anchored_sums(np.exp(logits[k]), terms[k], coords_ld, cfg, stage) for k in range(k_count)
+    def anchored(space: int, stage: int) -> list[_PixelSums]:
+        base, literal = bases[space], literals[space]
+        return [
+            _anchored(_PixelSums(base[k], *terms[k], coords_ld, cfg, stage), _staged(literal[k], stage))
+            for k in range(k_count)
         ]
-        _check_sampled(
-            result, "latent", rng, samples, sums, grad_lat,
-            lambda k, y, x, a: (np.exp(logits[k, y, x] + h) - a, np.exp(logits[k, y, x] - h) - a),
-            rel_tol,
-        )
-    else:
-        params = latent.values.astype(LONG)
-        fd = np.empty(params.shape)
-        for (k, p), _ in np.ndenumerate(params):
+
+    # per stage, each sampled space's anchored sums, in the order a lone stage's check takes them
+    sums = []
+    for stage in stages:
+        attention = anchored(0, stage)
+        _check_mass(attention)
+        sums.append((attention, anchored(1, stage) if raster else None))
+
+    if not raster:
+        # blob latent coordinates move every pixel: each perturbed map is rendered and its terms taken once
+        fd = np.empty((batch, *values.shape))
+        for (k, p), _ in np.ndenumerate(values):
             vals = []
             for sign in (+1, -1):
-                pert = params[k].copy()
+                pert = values[k].copy()
                 pert[p] += sign * h
                 map_k = _blob_map(pert, coords_ld.x, coords_ld.y)
-                vals.append(_restricted_loss(map_k, *terms[k], coords_ld, cfg, stage))
-            fd[k, p] = (vals[0] - vals[1]) / (2 * h)
-        ks, ps = np.indices(params.shape).reshape(2, -1)
-        _judge_all(result, "latent", ks, ps[:, None], grad_lat.ravel(), fd.ravel(), rel_tol)
-    return result
+                vals.append(_restricted_terms(map_k, *terms[k], coords_ld, cfg))
+            for row, stage in enumerate(stages):
+                fd[row, k, p] = (_staged(vals[0], stage) - _staged(vals[1], stage)) / (2 * h)
+        ks, ps = np.indices(values.shape).reshape(2, -1)
+
+    results = []
+    for row, (attention, latent_sums) in enumerate(sums):
+        result = GradCheckResult()
+        rng = np.random.default_rng(seed)
+        _check_sampled(
+            result, "attention", rng, samples, attention, grad_att[row],
+            lambda k, y, x, a: ((a + h) - a, (a - h) - a), rel_tol,
+        )
+        if raster:
+            _check_sampled(
+                result, "latent", rng, samples, latent_sums, grad_lat[row],
+                lambda k, y, x, a: (np.exp(values[k, y, x] + h) - a, np.exp(values[k, y, x] - h) - a),
+                rel_tol,
+            )
+        else:
+            _judge_all(result, "latent", ks, ps[:, None], grad_lat[row].ravel(), fd[row].ravel(), rel_tol)
+        results.append(result)
+    return results

@@ -55,7 +55,6 @@ from .scene import (
     OcclusionPair,
     SceneSpec,
     box_indicators,
-    box_span,
     pixel_centers,
 )
 
@@ -123,17 +122,26 @@ def arbitration_weight(d_fg: float, d_bg: float, cfg: GuidanceConfig) -> float:
     return weight
 
 
-def _pair_coefficients(
-    scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda_ij, |M_fg|, lambda_ortho * lambda_ij / (|M_fg| + eps)) of every pair, in pair order.
+def _box_geometry(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every box's row (K, H) and column (K, W) indicators and pixel count (K,), one `box_span` per box."""
+    boxes = [box_indicators(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects]
+    rows = np.stack([r for r, _ in boxes])
+    cols = np.stack([c for _, c in boxes])
+    # sums and a product of whole numbers far below 2**53: exact
+    return rows, cols, rows.sum(axis=1) * cols.sum(axis=1)
 
+
+def _pair_coefficients(
+    scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig, areas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_ij, lambda_ortho * lambda_ij / (|M_fg| + eps)) of every pair, in pair order.
+
+    `areas` holds each object's box pixel count, as `_box_geometry` gives it.
     Raises a ConfigError naming the pair when either coefficient is not
     finite, so a config can be checked before any field is rendered.
     """
     # Python floats: their division overflows to inf silently, as numpy scalars' does not
     depths = scene.depths().tolist()
-    grid = (scene.grid_height, scene.grid_width)
     weights, fg_area = np.empty(len(pairs)), np.empty(len(pairs))
     for n, pair in enumerate(pairs):
         fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
@@ -144,8 +152,7 @@ def _pair_coefficients(
                 f"occlusion pair (foreground {pair.foreground_id}, background "
                 f"{pair.background_id}): {exc}"
             ) from None
-        r0, r1, c0, c1 = box_span(scene.objects[fg].bbox, *grid)
-        fg_area[n] = (r1 - r0) * (c1 - c0)
+        fg_area[n] = areas[fg]
     with np.errstate(over="ignore"):
         coef = cfg.lambda_ortho * weights / (fg_area + cfg.epsilon)
     for pair, w, area, c in zip(pairs, weights, fg_area, coef):
@@ -156,7 +163,7 @@ def _pair_coefficients(
                 f"finite for lambda_ortho {cfg.lambda_ortho:g}, lambda_ij {w:g}, "
                 f"|M_fg| {area:g}, eps {cfg.epsilon:g}"
             )
-    return weights, fg_area, coef
+    return weights, coef
 
 
 def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
@@ -297,22 +304,21 @@ def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.nd
     return u.reshape(batch * k, height, m), v.reshape(batch * k, m, width)
 
 
-def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[GuidanceConfig]) -> _Plan:
-    """The plan of B = len(cfgs) rows, one per config."""
+def _plan(
+    scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[GuidanceConfig], geometry: tuple | None = None
+) -> _Plan:
+    """The plan of B = len(cfgs) rows, one per config, on the scene's `_box_geometry`, built here unless given."""
     if not cfgs:
         raise ValueError("a plan needs at least one row config")
     height, width = scene.grid_height, scene.grid_width
     k, batch = len(scene.objects), len(cfgs)
-    boxes = [box_indicators(obj.bbox, height, width) for obj in scene.objects]
-    rows = np.stack([r for r, _ in boxes])
-    cols = np.stack([c for _, c in boxes])
+    rows, cols, areas = geometry or _box_geometry(scene)
     fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
     # rows are checked in order: the first whose pair coefficients are not
     # finite raises, naming its pair
-    coefficients = [_pair_coefficients(scene, pairs, cfg) for cfg in cfgs]
-    fg_area = coefficients[0][1]  # geometry: the same in every row
-    coef = np.array([c for _, _, c in coefficients])
+    coefficients = [_pair_coefficients(scene, pairs, cfg, areas) for cfg in cfgs]
+    coef = np.array([c for _, c in coefficients])
     # the gathered sum n reads map gather_maps[n] against box gather_boxes[n]:
     # every map against its own box, then each pair's background against
     # its foreground's box, row after row
@@ -336,12 +342,12 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
         cy=pixel_centers(height),
         depths=depths,
         pairs=tuple(pairs),
-        weights=np.concatenate([weights for weights, _, _ in coefficients]),
+        weights=np.concatenate([weights for weights, _ in coefficients]),
         gather=gather,
         gather_rows=gather_rows,
         box_rows=gather_rows[: batch * k],
         eps=eps,
-        area_eps=(fg_area + row_eps[:, None]).ravel(),
+        area_eps=(areas[fg] + row_eps[:, None]).ravel(),
         neg2_depths=-2.0 * depths,
         compact_depths=np.repeat([cfg.lambda_compact for cfg in cfgs], k) * depths,
         two_eps=two_eps,

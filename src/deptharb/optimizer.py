@@ -65,6 +65,7 @@ import numpy as np
 from .attention import AttentionField
 from .losses import (
     LossBreakdown,
+    _box_geometry,
     _grad_product,
     _pair_coefficients,
     _Plan,
@@ -274,14 +275,16 @@ def run_rows(
     if len({cfg.total_steps for cfg in cfgs}) > 1:
         raise ValueError("rows run in lockstep, so every row needs the same total_steps")
     pairs = derive_occlusion_pairs(scene)
+    # one rasterization of the boxes for the check and every chunk's plan
+    geometry = _box_geometry(scene)
     # in row order: the first config whose pair coefficients are not finite raises
     for cfg in cfgs:
-        _pair_coefficients(scene, pairs, cfg)
+        _pair_coefficients(scene, pairs, cfg, geometry[2])
     size = _rows_per_chunk(scene)
     return (
         outcome
         for lo in range(0, len(cfgs), size)
-        for outcome in _run_chunk(scene, _plan(scene, pairs, cfgs[lo : lo + size]), latent0)
+        for outcome in _run_chunk(scene, _plan(scene, pairs, cfgs[lo : lo + size], geometry), latent0)
     )
 
 

@@ -155,7 +155,13 @@ def scalar_check_gradients(
         return int(rng.integers(k_count)), int(rng.integers(height)), int(rng.integers(width))
 
     def anchored(bases):
-        return [gradcheck._anchored_sums(bases[k], terms[k], coords, cfg, stage) for k in range(k_count)]
+        return [
+            gradcheck._anchored(
+                gradcheck._PixelSums(bases[k], *terms[k], coords, cfg, stage),
+                gradcheck._restricted_loss(bases[k], *terms[k], coords, cfg, stage),
+            )
+            for k in range(k_count)
+        ]
 
     sums = anchored(maps.astype(long))
     for k, object_sums in enumerate(sums):

@@ -48,11 +48,12 @@ class TestAcceptance:
             scene = random_scene(seed, size=32, min_objects=2, max_objects=4)
             assert 2 <= len(scene.objects) <= 4
             for mode in ("raster", "blob"):
-                for stage in (1, 2):
-                    result = d.check_gradients(
-                        scene, d.GuidanceConfig(), d.init_latent(scene, mode, seed), stage, seed=seed,
-                        samples=1000, rel_tol=1e-5,
-                    )
+                results = d.check_gradients(
+                    scene, d.GuidanceConfig(), d.init_latent(scene, mode, seed), (1, 2), seed=seed,
+                    samples=1000, rel_tol=1e-5,
+                )
+                assert len(results) == 2
+                for result in results:
                     assert result.checked >= 1000
                     checked += result.checked
                     failures += len(result.failures)

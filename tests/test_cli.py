@@ -377,21 +377,22 @@ class TestGradCheckCommand:
 
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_both_stages_check_one_seeded_latent(self, monkeypatch, mode):
+        # one oracle call checks both stages, on the one latent built
         built, checked = [], []
 
         def init(scene, mode_, seed):
             built.append(init_latent(scene, mode_, seed))
             return built[-1]
 
-        def check(scene, cfg, latent, stage, **kwargs):
-            checked.append((latent, stage))
-            return check_gradients(scene, cfg, latent, stage, **kwargs)
+        def check(scene, cfg, latent, stages, **kwargs):
+            checked.append((latent, stages))
+            return check_gradients(scene, cfg, latent, stages, **kwargs)
 
         monkeypatch.setattr("deptharb.cli.init_latent", init)
         monkeypatch.setattr("deptharb.cli.check_gradients", check)
         assert run_cli("grad-check", "--mode", mode, "--seed", "3", "--samples", "20") == 0
         assert len(built) == 1 and built[0].mode == mode
-        assert [(latent is built[0], stage) for latent, stage in checked] == [(True, 1), (True, 2)]
+        assert [(latent is built[0], stages) for latent, stages in checked] == [(True, (1, 2))]
 
 
     def test_non_finite_errors_show_and_lead_the_offenders(self, capsys):
@@ -416,9 +417,14 @@ class TestGradCheckCommand:
         # each stage fails coordinates 0-3 with these relative errors, in sample order
         errors = [1e-3, math.nan, 5e-2, math.inf]
 
-        def check(scene, cfg, latent, stage, **kwargs):
-            failures = [CoordReport("attention", 0, (n, stage), 1.0, 0.0, 1.0, rel) for n, rel in enumerate(errors)]
-            return GradCheckResult(checked=4, failures=failures, worst_rel=math.nan, worst_abs=1.0)
+        def check(scene, cfg, latent, stages, **kwargs):
+            return [
+                GradCheckResult(
+                    checked=4, worst_rel=math.nan, worst_abs=1.0,
+                    failures=[CoordReport("attention", 0, (n, stage), 1.0, 0.0, 1.0, rel) for n, rel in enumerate(errors)],
+                )
+                for stage in stages
+            ]
 
         monkeypatch.setattr("deptharb.cli.check_gradients", check)
         assert run_cli("grad-check") == 3
@@ -811,6 +817,24 @@ class TestOracleRefusal:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {message}"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_a_stage_2_refusal_comes_before_any_stage_line(self, monkeypatch, capsys, mode):
+        # stage 2's anchor is off, stage 1's is not: both stages are judged in
+        # one oracle pass, so no stage line is printed before the refusal
+        from deptharb import gradcheck
+
+        staged = gradcheck._staged
+        monkeypatch.setattr(
+            gradcheck, "_staged", lambda terms, stage: staged(terms, stage) * (1 + 1e-15 * (stage == 2))
+        )
+        assert run_cli("grad-check", "--mode", mode, "--stage", "1", "--samples", "5") == 0
+        capsys.readouterr()
+        assert run_cli("grad-check", "--mode", mode, "--samples", "5") == 1
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if not line.startswith("note:")] == []
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: sum-form restricted loss ")
 
 
 class TestGradCheckSamples:

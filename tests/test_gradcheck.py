@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deptharb import GuidanceConfig, LatentState, SceneObject, SceneSpec, canonical_scene, init_latent
+from deptharb import GuidanceConfig, LatentState, SceneObject, SceneSpec, canonical_scene, init_latent, parse_scene
 from deptharb import gradcheck
 from deptharb.cli import main
 from deptharb.gradcheck import (
@@ -31,6 +31,7 @@ from deptharb.gradcheck import (
 from deptharb.surrogate import _Blob, _Raster
 
 from conftest import scene_file_text
+from perfbench import scenegen
 from reference import _absorb, judge, scalar_check_gradients
 
 # the benchmark's parse of a per-stage result line
@@ -116,15 +117,15 @@ class TestRankOneOracle:
         monkeypatch.setattr(_PixelSums, "loss", lambda self, *a: loss(self, *a) * (1 + 1e-15))
         scene = canonical_scene()
         with pytest.raises(OracleError, match="literal"):
-            check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), 1, seed=0, samples=5)
+            check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), (1,), seed=0, samples=5)
 
     def test_same_coordinates_and_counts_as_the_literal_sampler(self, two_object_scene):
         # the rng draws k, y, x per attention sample, then per latent sample
         latent = init_latent(two_object_scene, "raster", 3)
-        result = check_gradients(two_object_scene, GuidanceConfig(), latent, 1, seed=3, samples=40)
+        [result] = check_gradients(two_object_scene, GuidanceConfig(), latent, (1,), seed=3, samples=40)
         assert result.checked == 80 and result.passed
         latent = init_latent(two_object_scene, "blob", 3)
-        result = check_gradients(two_object_scene, GuidanceConfig(), latent, 2, seed=3, samples=40)
+        [result] = check_gradients(two_object_scene, GuidanceConfig(), latent, (2,), seed=3, samples=40)
         assert result.checked == 40 + 5 * 2 and result.passed
 
 
@@ -140,6 +141,12 @@ def _bits(result) -> tuple:
             for r in result.failures
         ],
     )
+
+
+def _one_stage(scene, cfg, latent, stage: int, **kwargs) -> GradCheckResult:
+    """The one result of a `check_gradients` call on `stage` alone."""
+    [result] = check_gradients(scene, cfg, latent, (stage,), **kwargs)
+    return result
 
 
 def _outcome(check, *args, **kwargs):
@@ -182,7 +189,7 @@ class TestArrayOracle:
         scene, latent, stage, seed, samples, rel_tol = case
         args = (scene, GuidanceConfig(), latent, stage)
         kwargs = {"seed": seed, "samples": samples, "rel_tol": rel_tol}
-        assert _outcome(check_gradients, *args, **kwargs) == _outcome(scalar_check_gradients, *args, **kwargs)
+        assert _outcome(_one_stage, *args, **kwargs) == _outcome(scalar_check_gradients, *args, **kwargs)
 
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_chunk_size_changes_nothing_and_bounds_each_pass(self, monkeypatch, two_object_scene, mode):
@@ -190,7 +197,7 @@ class TestArrayOracle:
         samples = 40
         args = (two_object_scene, GuidanceConfig(), init_latent(two_object_scene, mode, 5), 1)
         kwargs = {"seed": 5, "samples": samples, "rel_tol": 0.0}
-        expected = _bits(check_gradients(*args, **kwargs))
+        expected = _bits(_one_stage(*args, **kwargs))
         assert len(expected[3]) == expected[0] > 0
         lengths = []
         fd = _PixelSums.fd
@@ -198,7 +205,7 @@ class TestArrayOracle:
         for chunk in (1, 3, samples + 7):
             monkeypatch.setattr(gradcheck, "CHUNK", chunk)
             lengths.clear()
-            assert _bits(check_gradients(*args, **kwargs)) == expected
+            assert _bits(_one_stage(*args, **kwargs)) == expected
             # per sampled space: one array pass per object and chunk, none longer than a chunk
             spaces = 2 if mode == "raster" else 1
             assert max(lengths) <= chunk
@@ -237,7 +244,113 @@ class TestRefusedChecks:
         monkeypatch.setattr(gradcheck, "_surrogate", lambda *a: pytest.fail("rendered"))
         scene = canonical_scene()
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), 1, seed=0, **kwargs)
+            check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), (1,), seed=0, **kwargs)
+
+
+class TestRefusedStages:
+    @pytest.mark.parametrize(
+        "stages,message",
+        [
+            ((), "stages must name at least one stage, got ()"),
+            ([], "stages must name at least one stage, got ()"),
+            ((1, 1), "stages must name each stage once, got (1, 1)"),
+            ((2, 1, 2), "stages must name each stage once, got (2, 1, 2)"),
+            ((0,), "stages must hold only stages 1 and 2, got (0,)"),
+            ((1, 3), "stages must hold only stages 1 and 2, got (1, 3)"),
+            (("1",), "stages must hold only stages 1 and 2, got ('1',)"),
+            ((True,), "stages must hold only stages 1 and 2, got (True,)"),
+            ((1.0,), "stages must hold only stages 1 and 2, got (1.0,)"),
+            (1, "stages must be a sequence of stages 1 and 2, got 1"),
+        ],
+    )
+    def test_bad_stages_are_refused_before_any_render(self, monkeypatch, stages, message):
+        monkeypatch.setattr(gradcheck, "_surrogate", lambda *a: pytest.fail("rendered"))
+        scene = canonical_scene()
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), stages, seed=0, samples=5)
+
+
+def _joint_outcome(scene, cfg, latent, stages, **kwargs):
+    """The bits of each result of one `check_gradients` call on `stages`, or its refusal."""
+    try:
+        return [_bits(result) for result in check_gradients(scene, cfg, latent, stages, **kwargs)]
+    except OracleError as exc:
+        return f"refused: {exc}"
+
+
+@st.composite
+def joint_cases(draw):
+    if draw(st.booleans()):
+        scene = canonical_scene()
+    else:
+        scene = parse_scene(json.dumps(scenegen.small_scene(draw(st.integers(0, 2**32 - 1)))))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return (
+        scene,
+        init_latent(scene, draw(st.sampled_from(["raster", "blob"])), seed),
+        draw(st.sampled_from([(1, 2), (2, 1)])),
+        seed,
+        draw(st.sampled_from([1, 40, gradcheck.CHUNK + 1])),
+        draw(st.sampled_from([0.0, 1e-5])),
+    )
+
+
+class TestJointStages:
+    """One call checks every stage it is given, each exactly as a call on that stage alone would."""
+
+    @settings(max_examples=24)
+    @given(joint_cases())
+    def test_each_result_equals_its_one_stage_call_and_the_scalar_sampler(self, case):
+        # at rel_tol 0 every coordinate fails, so the failure lists pin every
+        # analytic and FD value; a refusal is the first refusing stage's
+        scene, latent, stages, seed, samples, rel_tol = case
+        kwargs = {"seed": seed, "samples": samples, "rel_tol": rel_tol}
+        alone = [_outcome(_one_stage, scene, GuidanceConfig(), latent, stage, **kwargs) for stage in stages]
+        for stage, outcome in zip(stages, alone):
+            assert outcome == _outcome(scalar_check_gradients, scene, GuidanceConfig(), latent, stage, **kwargs)
+        refusals = [outcome for outcome in alone if isinstance(outcome, str)]
+        expected = refusals[0] if refusals else alone
+        assert _joint_outcome(scene, GuidanceConfig(), latent, stages, **kwargs) == expected
+
+    def test_a_stage_2_refusal_refuses_the_joint_call(self, monkeypatch):
+        # the stage-2 anchor is off: alone, stage 1 is judged and stage 2 refused
+        staged = gradcheck._staged
+        monkeypatch.setattr(
+            gradcheck, "_staged", lambda terms, stage: staged(terms, stage) * (1 + 1e-15 * (stage == 2))
+        )
+        scene = canonical_scene()
+        args = (scene, GuidanceConfig(), init_latent(scene, "blob", 0))
+        assert _one_stage(*args, 1, seed=0, samples=5).passed
+        for stages in ((1, 2), (2, 1)):
+            with pytest.raises(OracleError, match="literal"):
+                check_gradients(*args, stages, seed=0, samples=5)
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_each_literal_map_is_evaluated_once_for_any_number_of_stages(self, monkeypatch, mode):
+        # per call: each base map's literal terms once per object (the
+        # attention field, and the raster latent's exp(z)); a blob latent
+        # adds its 2 * 5 * K perturbed maps, each rendered and evaluated once
+        calls = {"blob": 0, "terms": 0}
+        blob_map, terms = gradcheck._blob_map, gradcheck._restricted_terms
+
+        def count(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr(gradcheck, "_blob_map", count("blob", blob_map))
+        monkeypatch.setattr(gradcheck, "_restricted_terms", count("terms", terms))
+        scene = parse_scene(json.dumps(scenegen.small_scene(3)))
+        k = len(scene.objects)
+        perturbed = 2 * 5 * k if mode == "blob" else 0
+        bases = 2 if mode == "raster" else 1
+        for stages in ((1,), (2,), (1, 2), (2, 1)):
+            calls.update(blob=0, terms=0)
+            results = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 4), stages, seed=4, samples=30)
+            assert [result.passed for result in results] == [True] * len(stages)
+            assert calls == {"blob": perturbed, "terms": bases * k + perturbed}
 
 
 class TestCollapsedMaps:
@@ -247,10 +360,10 @@ class TestCollapsedMaps:
         latent = init_latent(canonical_scene(), "blob", 0)
         values = latent.values.copy()
         values[1, 4] = -1e4
-        for stage in (1, 2):
+        for stages in ((1,), (2,), (1, 2)):
             with pytest.raises(OracleError, match=r"object 1's map mass 0 .* step 1e-06"):
                 check_gradients(
-                    canonical_scene(), GuidanceConfig(), LatentState(mode="blob", values=values), stage,
+                    canonical_scene(), GuidanceConfig(), LatentState(mode="blob", values=values), stages,
                     seed=0, samples=50,
                 )
 
@@ -281,11 +394,11 @@ class TestExtremeScenes:
     @given(extreme_scenes())
     def test_analytic_gradient_passes_at_rel_1e_5(self, case):
         scene, seed = case
-        for stage in (1, 2):
-            result = check_gradients(
-                scene, GuidanceConfig(), init_latent(scene, "raster", seed), stage, seed=seed, samples=60,
-                rel_tol=1e-5,
-            )
+        results = check_gradients(
+            scene, GuidanceConfig(), init_latent(scene, "raster", seed), (1, 2), seed=seed, samples=60,
+            rel_tol=1e-5,
+        )
+        for result in results:
             assert result.passed, result.failures[:3]
 
 
@@ -390,7 +503,7 @@ class TestNegativeControl:
     def test_wrong_attention_gradient_is_reported(self, monkeypatch, mode):
         _skew_attention(monkeypatch, 0, 1 + 1e-3)
         scene = canonical_scene()
-        result = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), 1, seed=2, samples=100)
+        [result] = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), (1,), seed=2, samples=100)
         failed = {(r.space, r.object_index) for r in result.failures}
         assert ("attention", 0) in failed
         assert all(k == 0 for _, k in failed)
@@ -399,7 +512,7 @@ class TestNegativeControl:
     def test_wrong_latent_gradient_is_reported(self, monkeypatch, mode):
         _skew_latent(monkeypatch, 1, 1 - 1e-3)
         scene = canonical_scene()
-        result = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), 2, seed=2, samples=100)
+        [result] = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), (2,), seed=2, samples=100)
         assert result.failures
         assert {(r.space, r.object_index) for r in result.failures} == {("latent", 1)}
 
@@ -437,8 +550,9 @@ class TestRunLoopSequence:
 
         monkeypatch.setattr(gradcheck, "_surrogate", counting)
         scene = canonical_scene()
-        result = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), 1, seed=2, samples=50)
-        assert result.passed
+        # both stages: one render of one row per stage, and one chain of it
+        results = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), (1, 2), seed=2, samples=50)
+        assert [result.passed for result in results] == [True, True]
         assert built == [{"render": 1, "chain": [1]}]
 
 
@@ -462,7 +576,7 @@ class TestPrecisionFallback:
         monkeypatch.setattr(gradcheck, "LONG", np.float64)
         scene = canonical_scene()
         latent = init_latent(scene, "raster", 4)
-        result = check_gradients(scene, GuidanceConfig(), latent, 1, seed=4, samples=50)
+        [result] = check_gradients(scene, GuidanceConfig(), latent, (1,), seed=4, samples=50)
         assert result.passed
 
     @pytest.mark.skipif(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from deptharb import (
     SceneSpec,
     check_gradients,
     derive_occlusion_pairs,
+    init_latent,
+    parse_scene,
     staged_loss,
 )
 from deptharb.gradcheck import (
@@ -32,6 +35,7 @@ from deptharb.gradcheck import (
 from deptharb.losses import _plan, _values, arbitration_weight, staged_total, value_and_grad
 
 from conftest import random_field_latent, random_scene
+from perfbench import scenegen
 from reference import assert_same_breakdown, reference_plan, reference_value_and_grad, reference_values
 
 EPS = 1e-8
@@ -412,6 +416,44 @@ class TestPlanScratch:
         assert main(argv) == 0
         assert len(calls) == math.ceil(5 / rows_per_chunk)
 
+    @staticmethod
+    def count_box_spans(monkeypatch):
+        import sys
+
+        import deptharb.scene
+
+        calls = []
+        real = deptharb.scene.box_span
+        # swap it in wherever a module bound it by import
+        for name, module in list(sys.modules.items()):
+            if name == "deptharb" or name.startswith("deptharb."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is real:
+                        monkeypatch.setattr(module, attr, lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_a_plan_rasterizes_each_box_once_whatever_its_rows(self, monkeypatch, batch):
+        # K = 8, P = 16: each foreground's area comes from the box indicators
+        # the plan builds, not from a box_span per pair and row (K + B * P calls)
+        scene = parse_scene(json.dumps(scenegen.large_scene(1)))
+        pairs = derive_occlusion_pairs(scene)
+        assert (len(scene.objects), len(pairs)) == (8, 16)
+        calls = self.count_box_spans(monkeypatch)
+        _plan(scene, pairs, [CFG.updated(lambda_ortho=0.1 * (b + 1)) for b in range(batch)])
+        assert len(calls) == 8
+
+    def test_run_rows_rasterizes_each_box_once_for_its_check_and_every_chunk(self, monkeypatch):
+        import deptharb.optimizer
+
+        scene = parse_scene(json.dumps(scenegen.large_scene(1)))
+        monkeypatch.setattr(deptharb.optimizer, "_CHUNK_ENTRIES", 8 * 256 * 256)  # one row per chunk
+        calls = self.count_box_spans(monkeypatch)
+        cfgs = [CFG.updated(total_steps=1, eta0=1.0, tau=tau) for tau in (0.5, 1.0, 2.0)]
+        outcomes = list(deptharb.optimizer.run_rows(scene, cfgs, init_latent(scene, "blob", 0)))
+        assert len(outcomes) == 3
+        assert len(calls) == 8
+
     def test_gradient_is_the_plans_buffer(self, canonical):
         pairs = derive_occlusion_pairs(canonical)
         plan = _plan(canonical, pairs, [CFG])
@@ -695,8 +737,8 @@ class TestFiniteDifferenceAgreement:
         # >= 1000 sampled coordinates, rel tol 1e-5 with abs floor 1e-9
         scene = random_scene(71, size=32)
         latent = random_field_latent(scene, 71)
-        result = check_gradients(
-            scene, CFG, latent, stage, seed=71, samples=1000, rel_tol=1e-5,
+        [result] = check_gradients(
+            scene, CFG, latent, (stage,), seed=71, samples=1000, rel_tol=1e-5,
         )
         assert result.checked >= 1000
         assert result.passed, result.failures[:3]

@@ -175,7 +175,7 @@ class TestRender:
         consumers = (
             lambda latent: render_attention(latent, scene),
             lambda latent: run_guidance(scene, GuidanceConfig(total_steps=1), latent),
-            lambda latent: check_gradients(scene, GuidanceConfig(), latent, 1, seed=0, samples=1),
+            lambda latent: check_gradients(scene, GuidanceConfig(), latent, (1,), seed=0, samples=1),
         )
         for mode in MODES:
             expected = _mode_class(mode).latent_shape(scene)
@@ -328,7 +328,7 @@ class TestEndToEndGradients:
     @pytest.mark.parametrize("stage", [1, 2])
     def test_latent_space_finite_differences(self, two_object_scene, mode, stage):
         latent = init_latent(two_object_scene, mode, 19)
-        result = check_gradients(two_object_scene, GuidanceConfig(), latent, stage, seed=19, samples=150)
+        [result] = check_gradients(two_object_scene, GuidanceConfig(), latent, (stage,), seed=19, samples=150)
         assert result.passed, result.failures[:3]
         assert result.checked >= 150
 
