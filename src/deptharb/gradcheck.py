@@ -24,7 +24,8 @@ one literal evaluation of a map serves every stage.  Every quantity it
 reads is a pixel sum of the map against a fixed weight: the total, the
 in-box sum, the foreground-mask sum of each pair the object backs, and the
 first and second coordinate moments.  `_PixelSums` takes these sums once
-per object and stage, so raising pixel p by delta changes each by
+per object, and each stage only its own pair sums on top, so raising
+pixel p by delta changes each by
 delta * w_p and a checked coordinate costs a rank-one update of a few
 scalars instead of full-map passes.  The moments are taken about the
 base-point mean, so Var is never a difference of O(1) numbers, and the
@@ -53,6 +54,7 @@ make that bound infinite too, so it fails on its own.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -243,7 +245,9 @@ class _PixelSums:
 
     `loss(delta, y, x)` is the restricted objective of the base map with entry
     (y, x) raised by delta.  Each term keeps the literal's float64 coefficient
-    products, so at delta = 0 the two differ only by summation order.
+    products, so at delta = 0 the two differ only by summation order.  Only
+    the pair sums `fg` depend on the stage; `at_stage` gives the same sums
+    for another stage without taking the others again.
     """
 
     def __init__(self, base, mask_k, depth_k, fg_terms, coords, cfg: GuidanceConfig, stage: int):
@@ -254,11 +258,7 @@ class _PixelSums:
         self.compact = cfg.lambda_compact * depth_k
         self.total = base.sum()
         self.e_in = (base * mask_k).sum()
-        # per pair: foreground-mask sum, the mask, lambda_ortho * lambda_ij, |M_fg| + eps
-        self.fg = [
-            ((base * mask_fg).sum(), mask_fg, cfg.lambda_ortho * lam, mask_fg.sum() + cfg.epsilon)
-            for mask_fg, lam in (fg_terms if stage == 1 else ())
-        ]
+        self.fg = self._pair_sums(fg_terms, cfg, stage)
         col = base.sum(axis=0)
         row = base.sum(axis=1)
         # moments about the base-point mean c = sum(A x) / (S + eps): u = x - c
@@ -268,6 +268,19 @@ class _PixelSums:
         self.vy = coords.y[:, 0] - self.centre[1]
         self.m1 = ((col * self.ux).sum(), (row * self.vy).sum())
         self.m2 = ((col * self.ux**2).sum(), (row * self.vy**2).sum())
+
+    def _pair_sums(self, fg_terms, cfg: GuidanceConfig, stage: int) -> list:
+        """Per pair of `fg_terms` that `stage` adds: foreground-mask sum, the mask, lambda_ortho * lambda_ij, |M_fg| + eps."""
+        return [
+            ((self.base * mask_fg).sum(), mask_fg, cfg.lambda_ortho * lam, mask_fg.sum() + cfg.epsilon)
+            for mask_fg, lam in (fg_terms if stage == 1 else ())
+        ]
+
+    def at_stage(self, stage: int, fg_terms, cfg: GuidanceConfig) -> _PixelSums:
+        """These sums as `stage` reads them: a copy with the stage's own pair sums, sharing every other sum."""
+        staged = copy.copy(self)
+        staged.fg = self._pair_sums(fg_terms, cfg, stage)
+        return staged
 
     def loss(self, delta, y: int, x: int):
         s = self.total + delta
@@ -448,12 +461,22 @@ def check_gradients(
         [_restricted_terms(base[k], *terms[k], coords_ld, cfg) for k in range(k_count)] for base in bases
     ]
 
+    # each sampled space's sums as the first stage to read them took them: a
+    # later stage takes only its own pair sums
+    taken: dict[int, list[_PixelSums]] = {}
+
     def anchored(space: int, stage: int) -> list[_PixelSums]:
-        base, literal = bases[space], literals[space]
-        return [
-            _anchored(_PixelSums(base[k], *terms[k], coords_ld, cfg, stage), _staged(literal[k], stage))
+        base, literal, first = bases[space], literals[space], taken.get(space)
+        sums = [
+            _anchored(
+                first[k].at_stage(stage, terms[k][2], cfg) if first
+                else _PixelSums(base[k], *terms[k], coords_ld, cfg, stage),
+                _staged(literal[k], stage),
+            )
             for k in range(k_count)
         ]
+        taken.setdefault(space, sums)
+        return sums
 
     # per stage, each sampled space's anchored sums, in the order a lone stage's check takes them
     sums = []

@@ -15,23 +15,29 @@ config weights); stage 2 drops the orthogonality term from the total and the
 gradient but still reports it diagnostically.
 
 This module holds the one production definition of the objective: one
-kernel, `value_and_grad`, produces the values and the gradient together
-from a per-run `_Plan`; the derivations live in its docstring.  The kernel
+kernel produces the values and the gradient together from a per-run
+`_Plan`; the derivations live in `value_and_grad`'s docstring.  The kernel
 has a leading row axis: it evaluates B configs at once on a (B, K, H, W)
 field, one row per config (the values of a sweep), and a single run is
 B = 1.  One gathered pass gives every in-box sum and every pair's
-interference sum of every row, and every per-run constant the kernel reads
-(gather indices, depth and epsilon products, scratch) lives in the plan,
-so a step does only step-dependent arithmetic.  The kernel comes in two
-halves: `_step_factors` gives the values and writes the gradient's
-step-dependent low-rank factors, and `_grad_product` multiplies them out for
-any range of maps.  `value_and_grad` makes both for all maps, into the
-plan's own gradient buffer, for `gradcheck` and the tests; the run loop
-makes the second a tile of maps at a time, into a scratch that stays in
-cache, and never writes a whole-field gradient.  The plan builds the
-gradient's factors and buffer the first time they are read, so the
-values-only forward half, `_values`, which scoring runs on its rows, builds
-none; `staged_loss` is its one-row view for callers outside the package.
+interference sum of every row.  Every per-run constant the kernel reads
+(gather indices, depth and epsilon products) and every intermediate it
+writes lives in the plan, so a step does only step-dependent arithmetic,
+written in place, and the kernel allocates no array.  The kernel writes
+each evaluation's breakdown into pass columns (`_columns`), one
+(passes, B, ...) array per field: a run allocates them once and its
+trajectory is written in place, pass after pass, and a value-only call
+runs into a one-pass column set of its own (`_evaluate`).  The kernel
+comes in two halves: `_values` writes the values, `_step_factors` the
+values and the gradient's step-dependent low-rank factors, and
+`_grad_product` multiplies the factors out for any range of maps.
+`value_and_grad` makes both for all maps, into the plan's own gradient
+buffer, for `gradcheck` and the tests; the run loop makes the second a
+tile of maps at a time, into a scratch that stays in cache, and never
+writes a whole-field gradient.  The plan builds the gradient's factors
+and buffer the first time they are read, so a value-only caller
+(scoring, and `staged_loss`, the one-row view for callers outside the
+package) builds none.
 Gradients are hand-derived closed forms rather than autodiff, and
 the literal term definitions they are checked against live apart, in
 `gradcheck`, so the finite-difference oracle is a genuinely independent
@@ -44,7 +50,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,9 +69,10 @@ from .scene import (
 class LossBreakdown:
     """Per-term loss values with the diagnostics every term is built from.
 
-    The shapes below are `staged_loss`'s: one evaluation, scalar terms.  A
-    kernel call's fields but `pairs` carry a leading row axis (`stage` is the
-    tuple of row stages), a trajectory's a leading pass axis; `take` indexes them.
+    The shapes below are `staged_loss`'s: one evaluation, scalar terms.  The
+    kernel's pass columns (`_columns`) carry every field but `pairs` with a
+    leading (pass, row) axis pair, a kernel call's breakdown a leading row
+    axis and a trajectory's a leading pass axis; `take` indexes them.
     """
 
     stage: int
@@ -91,13 +98,8 @@ class LossBreakdown:
         return replace(self, **{name: pick(getattr(self, name)) for name in _INDEXED})
 
 
-# the fields that carry a kernel call's row axis or a trajectory's pass axis
+# the fields that carry the pass and row axes
 _INDEXED = tuple(f.name for f in fields(LossBreakdown) if f.name != "pairs")
-
-
-def _stacked(breakdowns: Sequence[LossBreakdown]) -> LossBreakdown:
-    """One breakdown whose every field but `pairs` stacks the given ones' along a new leading axis."""
-    return replace(breakdowns[0], **{name: np.array([getattr(b, name) for b in breakdowns]) for name in _INDEXED})
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +181,79 @@ def staged_total(align, ortho, compact, cfg: GuidanceConfig, stage: int):
 # the production objective: a per-run plan and one value-and-gradient kernel
 # ---------------------------------------------------------------------------
 
+class _Scratch(NamedTuple):
+    """Every intermediate the kernel writes, overwritten on each call; shapes for B rows of K maps and P pairs.
+
+    Each array is its intermediate's one home, so a call allocates none.
+    The views among them (each `_col` a (B * K, 1) view of the array
+    before it, each `_rows` a (B, ...) view of one) are the shapes the
+    kernel's broadcasts and per-row reductions read.  `x_terms` and
+    `y_terms` hold one intermediate in `_values` and another in
+    `_step_factors`, which reads them only after `_values` is done with them.
+    """
+
+    row_dots: np.ndarray   # (B, K * H, 1 + K): row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j, one GEMM per row
+    row_sum: np.ndarray    # (B * K, H) view of row_dots' column 0: the row sums R
+    row_sum_rows: np.ndarray  # (B, K, H) view of row_sum
+    col_sum: np.ndarray    # (B * K, W) the column sums C
+    col_sum_rows: np.ndarray  # (B, K, W) view of col_sum
+    total: np.ndarray      # (B * K,) S
+    denom: np.ndarray      # (B * K,) D = S + eps
+    denom_col: np.ndarray  # (B * K, 1)
+    gathered: np.ndarray   # (B * (K + P), H) the gathered dot products, then their products with gather_rows
+    sums: np.ndarray       # (B * (K + P),) the gathered sums
+    in_box: np.ndarray     # (B * K,) view of sums: each map's in-box sum
+    pair_sums: np.ndarray  # (B * P,) view of sums: each pair's interference sum
+    one_f: np.ndarray      # (B * K,) 1 - f
+    one_f_col: np.ndarray  # (B * K, 1)
+    per_map: np.ndarray    # (B * K,) d (1 - f)^2, then d Var: the summands of align and compact
+    per_map_rows: np.ndarray  # (B, K)
+    weighted: np.ndarray   # (B * P,) lambda_ij I, the summands of ortho
+    weighted_rows: np.ndarray  # (B, P)
+    moments: np.ndarray    # (2, B, K) the GEMV per row C . cx, then R . cy
+    moments_t: np.ndarray  # (B * K, 2) view of moments, map by map
+    dx: np.ndarray         # (B * K, W) x - mu_x
+    dy: np.ndarray         # (B * K, H) y - mu_y
+    x_terms: np.ndarray    # (B * K, W) C (x - mu_x)^2; then x - mu_x - res mu_x
+    y_terms: np.ndarray    # (B * K, H) R (y - mu_y)^2; then q ((y - mu_y) (y - mu_y - res mu_y) - Var)
+    var_x: np.ndarray      # (B * K,) sum C (x - mu_x)^2
+    a: np.ndarray          # (B * K, 1) -2 d (1 - f) / D
+    q_res: np.ndarray      # (B * K, 2) q = lambda_compact d / D and res = 2 eps / D
+    q: np.ndarray          # (B * K, 1) view of q_res
+    res: np.ndarray        # (B * K, 1) view of q_res
+    res_mu: np.ndarray     # (B * K, 2) res mu_x and res mu_y
+    res_mu_x: np.ndarray   # (B * K, 1) view of res_mu
+    res_mu_y: np.ndarray   # (B * K, 1) view of res_mu
+    af: np.ndarray         # (B * K, 1) a f
+
+
+def _scratch(batch: int, k: int, n_pairs: int, height: int, width: int) -> _Scratch:
+    """The kernel's scratch for B = batch rows of k maps and n_pairs pairs on an (height, width) grid."""
+    n_maps = batch * k
+    row_dots = np.empty((batch, k * height, k + 1))
+    col_sum = np.empty((n_maps, width))
+    denom, one_f, per_map = np.empty(n_maps), np.empty(n_maps), np.empty(n_maps)
+    sums = np.empty(n_maps + batch * n_pairs)
+    weighted = np.empty(batch * n_pairs)
+    moments = np.empty((2, batch, k))
+    q_res, res_mu = np.empty((n_maps, 2)), np.empty((n_maps, 2))
+    return _Scratch(
+        row_dots=row_dots,
+        row_sum=row_dots.reshape(n_maps, height, k + 1)[:, :, 0],
+        row_sum_rows=row_dots.reshape(batch, k, height, k + 1)[..., 0],
+        col_sum=col_sum, col_sum_rows=col_sum.reshape(batch, k, width),
+        total=np.empty(n_maps), denom=denom, denom_col=denom[:, None],
+        gathered=np.empty((len(sums), height)), sums=sums, in_box=sums[:n_maps], pair_sums=sums[n_maps:],
+        one_f=one_f, one_f_col=one_f[:, None], per_map=per_map, per_map_rows=per_map.reshape(batch, k),
+        weighted=weighted, weighted_rows=weighted.reshape(batch, n_pairs),
+        moments=moments, moments_t=moments.reshape(2, n_maps).T,
+        dx=np.empty((n_maps, width)), dy=np.empty((n_maps, height)),
+        x_terms=np.empty((n_maps, width)), y_terms=np.empty((n_maps, height)), var_x=np.empty(n_maps),
+        a=np.empty((n_maps, 1)), q_res=q_res, q=q_res[:, :1], res=q_res[:, 1:],
+        res_mu=res_mu, res_mu_x=res_mu[:, :1], res_mu_y=res_mu[:, 1:], af=np.empty((n_maps, 1)),
+    )
+
+
 @dataclass(frozen=True)
 class _Plan:
     """Step-invariant geometry of one (scene, pairs) and B row configs, built once per run.
@@ -198,23 +273,22 @@ class _Plan:
     Every per-run constant the kernel reads is built here, and each member
     names the kernel line that reads it:
 
-    * `gather`, `gather_rows`: `_values`' one gathered pass,
-      `sums = add.reduce(gather_rows * row_dots.take(gather), axis=1)`;
-      entries 0..B*K-1 pick A_m[y] . c_k of every map (in-box sums), the
-      rest A_bg[y] . c_fg of every row's pairs (interference sums), in pair
-      order;
-    * `eps`: `denom = total + eps`;
-    * `area_eps`: `inter = sums[B * K:] / area_eps`;
+    * `gather`, `gather_rows`: `_values`' one gathered pass, the sums over
+      y of gather_rows times row_dots.take(gather); entries 0..B*K-1 pick
+      A_m[y] . c_k of every map (in-box sums), the rest A_bg[y] . c_fg of
+      every row's pairs (interference sums), in pair order;
+    * `eps`: D = S + eps;
+    * `area_eps`: I = (interference sum) / area_eps;
     * `depths`, `weights`: the terms' weights d_k and lambda_ij;
-    * `neg2_depths`, `compact_depths`, `two_eps`: the gradient coefficients
-      `a = neg2_depths * (1 - f) / D`, `q = compact_depths / D` and
-      `res = two_eps / D` in `_step_factors`; each is the first product of
-      its left-to-right expression, so forming it once changes no rounding;
-    * `box_rows`: `U[:, :, 0] = a * box_rows`, each map's box row
+    * `neg2_depths`, `q_res_numerators`: the gradient coefficients
+      a = neg2_depths * (1 - f) / D and (q, res) = q_res_numerators / D in
+      `_step_factors`, the numerators being -2 d, lambda_compact d and
+      2 eps; each is the first product of its left-to-right expression, so
+      forming it once changes no rounding;
+    * `box_rows`: U[:, :, 0] = a * box_rows, each map's box row
       indicators, the first B * K rows of `gather_rows`;
-    * `row_dots`, `row_sum`, `col_sum`: scratch that `_values` overwrites on
-      every call, one GEMM `(K * H, W) @ colmat` per row, its column 0 (the
-      row sums R) and the column sums C;
+    * `scratch`: every intermediate of `_values` and `_step_factors`, from
+      the GEMM per row to the factors' coefficients (`_Scratch`);
     * `factors`, `columns`: the gradient's low-rank factors over all B * K
       maps and views of their step-dependent columns (U[:, :, 0],
       U[:, :, 1], V[:, 2]), that `_step_factors` writes;
@@ -226,8 +300,8 @@ class _Plan:
     built where they are first read, once per plan: a value-only caller,
     which reads none of them, builds none.
 
-    No array of the breakdown `_values` returns is a view of this scratch;
-    its `pair_weights` is a view of `weights`, which no call writes.
+    The breakdown a call writes goes to the caller's pass columns
+    (`_columns`), none of which is a view of the plan.
     """
 
     cfgs: tuple[GuidanceConfig, ...]  # (B,) one config per row
@@ -242,12 +316,9 @@ class _Plan:
     box_rows: np.ndarray  # (B * K, H) view of gather_rows
     eps: np.ndarray       # (B * K,) epsilon
     area_eps: np.ndarray  # (B * P,) foreground-box pixel counts + eps
-    neg2_depths: np.ndarray     # (B * K,) -2.0 * depths
-    compact_depths: np.ndarray  # (B * K,) lambda_compact * depths
-    two_eps: np.ndarray         # (B * K,) 2.0 * epsilon
-    row_dots: np.ndarray  # (B, K * H, 1 + K) scratch: row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j
-    row_sum: np.ndarray   # (B * K, H) view of row_dots' column 0
-    col_sum: np.ndarray   # (B * K, W) scratch
+    neg2_depths: np.ndarray       # (B * K, 1) -2.0 * depths
+    q_res_numerators: np.ndarray  # (B * K, 2) lambda_compact * depths and 2.0 * epsilon
+    scratch: _Scratch
     pair_terms: tuple     # (background j, foreground i, coef (B,)) of every pair, the factors' input
 
     @functools.cached_property
@@ -334,7 +405,6 @@ def _plan(
     # 2 * eps is inf above half the float range: a non-finite gradient, which the run loop reports
     with np.errstate(over="ignore"):
         two_eps = 2.0 * eps
-    row_dots = np.empty((batch, k * height, k + 1))
     return _Plan(
         cfgs=tuple(cfgs),
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
@@ -348,66 +418,97 @@ def _plan(
         box_rows=gather_rows[: batch * k],
         eps=eps,
         area_eps=(areas[fg] + row_eps[:, None]).ravel(),
-        neg2_depths=-2.0 * depths,
-        compact_depths=np.repeat([cfg.lambda_compact for cfg in cfgs], k) * depths,
-        two_eps=two_eps,
-        row_dots=row_dots,
-        row_sum=row_dots.reshape(batch * k, height, k + 1)[:, :, 0],
-        col_sum=np.empty((batch * k, width)),
+        neg2_depths=(-2.0 * depths)[:, None],
+        q_res_numerators=np.column_stack([np.repeat([cfg.lambda_compact for cfg in cfgs], k) * depths, two_eps]),
+        scratch=_scratch(batch, k, len(pairs), height, width),
         pair_terms=tuple(zip(bg.tolist(), fg.tolist(), coef.T)),
     )
 
 
-def _values(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> tuple[LossBreakdown, tuple]:
-    """Forward half of `value_and_grad`: the rows' breakdown, row b at stages[b], and the gradient's inputs.
+def _columns(plan: _Plan, schedule: Sequence[Sequence[int]]) -> LossBreakdown:
+    """Pass columns for len(schedule) evaluations of the plan's rows, pass t's row b at stage schedule[t][b].
 
-    The inputs are (D, f, mu, Var, x - mu_x, y - mu_y), one entry per map.
+    Every field but `pairs` is one (passes, B, ...) array of its own: the
+    stages come from the schedule and the pair weights from the plan, and
+    the kernel writes the rest, a pass at a time.
+    """
+    passes, batch = len(schedule), len(plan.cfgs)
+    k, n_pairs = len(plan.depths) // batch, len(plan.pairs)
+
+    def empty(*shape: int) -> np.ndarray:
+        return np.empty((passes, batch, *shape))
+
+    return LossBreakdown(
+        stage=np.array(schedule), align=empty(), ortho=empty(), compact=empty(), total=empty(),
+        f=empty(k), e_in=empty(k), e_out=empty(k), mu=empty(k, 2), var=empty(k), pairs=plan.pairs,
+        pair_interference=empty(n_pairs),
+        pair_weights=np.repeat(plan.weights.reshape(1, batch, n_pairs), passes, axis=0),
+    )
+
+
+def _values(maps: np.ndarray, plan: _Plan, out: LossBreakdown, t: int) -> tuple[np.ndarray, ...]:
+    """Forward half of the kernel: write pass t of the columns `out`, each row's breakdown of a (B, K, H, W) field.
+
+    Row b is evaluated at stage out.stage[t, b].  Returns the pass's f, mu
+    and Var, map by map, as views of `out`; the gradient's other inputs
+    (D, 1 - f, x - mu_x, y - mu_y) stay in the plan's scratch for
+    `_step_factors`.
     """
     batch, k, height, width = maps.shape
-    n_maps, n_pairs = batch * k, len(plan.pairs)
-    d, row_sum = plan.depths, plan.row_sum
+    n_maps = batch * k
+    s = plan.scratch
+    e_in, e_out, f, var = (column[t].reshape(n_maps) for column in (out.e_in, out.e_out, out.f, out.var))
+    mu, inter = out.mu[t].reshape(n_maps, 2), out.pair_interference[t].reshape(-1)
+    align, ortho, compact = out.align[t], out.ortho[t], out.compact[t]
 
     # row_dots[b, k * H + y, 0] = R[b * K + k, y]; row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j.
     # One GEMM per row: one over all B * K * H rows can round a row's dot
     # products differently, by where the BLAS kernel's row blocks fall.
-    row_dots = np.matmul(maps.reshape(batch, k * height, width), plan.colmat, out=plan.row_dots)
-    col_sum = np.add.reduce(maps.reshape(n_maps, height, width), axis=1, out=plan.col_sum)
-    total = np.add.reduce(col_sum, axis=1)
-    denom = total + plan.eps
+    np.matmul(maps.reshape(batch, k * height, width), plan.colmat, out=s.row_dots)
+    np.add.reduce(maps.reshape(n_maps, height, width), axis=1, out=s.col_sum)
+    np.add.reduce(s.col_sum, axis=1, out=s.total)
+    np.add(s.total, plan.eps, out=s.denom)
 
     # one pass gives every in-box sum r_k . (A_m c_k), then every pair's
-    # r_fg . (A_bg c_fg)
-    sums = np.add.reduce(plan.gather_rows * row_dots.take(plan.gather), axis=1)
+    # r_fg . (A_bg c_fg); the indices are in range, and "clip" lets take write
+    # into its scratch directly rather than through a buffer
+    s.row_dots.take(plan.gather, out=s.gathered, mode="clip")
+    np.multiply(plan.gather_rows, s.gathered, out=s.gathered)
+    np.add.reduce(s.gathered, axis=1, out=s.sums)
 
     # the literal sum can round past S when the box covers the whole grid
-    e_in = np.minimum(sums[:n_maps], total)
-    e_out = total - e_in
-    e_in = total - e_out
-    f = e_in / denom
-    align = np.add.reduce((d * (1.0 - f) ** 2).reshape(batch, k), axis=1)
+    np.minimum(s.in_box, s.total, out=e_in)
+    np.subtract(s.total, e_in, out=e_out)
+    np.subtract(s.total, e_out, out=e_in)
+    np.divide(e_in, s.denom, out=f)
+    np.subtract(1.0, f, out=s.one_f)
+    np.multiply(plan.depths, np.square(s.one_f, out=s.per_map), out=s.per_map)
+    np.add.reduce(s.per_map_rows, axis=1, out=align)
 
-    inter = sums[n_maps:] / plan.area_eps
-    ortho = np.add.reduce((plan.weights * inter).reshape(batch, n_pairs), axis=1)
+    np.divide(s.pair_sums, plan.area_eps, out=inter)
+    np.multiply(plan.weights, inter, out=s.weighted)
+    np.add.reduce(s.weighted_rows, axis=1, out=ortho)
 
     # one matrix-vector product per row, as for the GEMM
-    mu = np.empty((n_maps, 2))
-    np.divide((col_sum.reshape(batch, k, width) @ plan.cx).reshape(n_maps), denom, out=mu[:, 0])
-    np.divide((row_sum.reshape(batch, k, height) @ plan.cy).reshape(n_maps), denom, out=mu[:, 1])
-    dx = plan.cx - mu[:, :1]
-    dy = plan.cy - mu[:, 1:]
-    var = (np.add.reduce(col_sum * dx**2, axis=1) + np.add.reduce(row_sum * dy**2, axis=1)) / denom
-    compact = np.add.reduce((d * var).reshape(batch, k), axis=1)
+    np.matmul(s.col_sum_rows, plan.cx, out=s.moments[0])
+    np.matmul(s.row_sum_rows, plan.cy, out=s.moments[1])
+    np.divide(s.moments_t, s.denom_col, out=mu)
+    np.subtract(plan.cx, mu[:, :1], out=s.dx)
+    np.subtract(plan.cy, mu[:, 1:], out=s.dy)
+    np.multiply(s.col_sum, np.square(s.dx, out=s.x_terms), out=s.x_terms)
+    np.multiply(s.row_sum, np.square(s.dy, out=s.y_terms), out=s.y_terms)
+    np.add.reduce(s.x_terms, axis=1, out=s.var_x)
+    np.add(s.var_x, np.add.reduce(s.y_terms, axis=1, out=var), out=var)
+    np.divide(var, s.denom, out=var)
+    np.multiply(plan.depths, var, out=s.per_map)
+    np.add.reduce(s.per_map_rows, axis=1, out=compact)
 
     # Python floats: the same doubles, and the same IEEE sums in staged_total
-    terms = zip(align.tolist(), ortho.tolist(), compact.tolist(), plan.cfgs, stages, strict=True)
-    breakdown = LossBreakdown(
-        stage=tuple(stages), align=align, ortho=ortho, compact=compact,
-        total=np.array([staged_total(*row) for row in terms]),
-        f=f.reshape(batch, k), e_in=e_in.reshape(batch, k), e_out=e_out.reshape(batch, k),
-        mu=mu.reshape(batch, k, 2), var=var.reshape(batch, k), pairs=plan.pairs,
-        pair_interference=inter.reshape(batch, n_pairs), pair_weights=plan.weights.reshape(batch, n_pairs),
-    )
-    return breakdown, (denom, f, mu, var, dx, dy)
+    terms = zip(align.tolist(), ortho.tolist(), compact.tolist(), plan.cfgs, out.stage[t].tolist(), strict=True)
+    total = out.total[t]
+    for b, row in enumerate(terms):
+        total[b] = staged_total(*row)
+    return f, mu, var
 
 
 def _product_views(
@@ -438,20 +539,32 @@ def _grad_product(views: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) ->
         np.matmul(u, v, out=out)
 
 
-def _step_factors(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> LossBreakdown:
-    """Factor half of `value_and_grad`: the rows' breakdown, with the factors' three step-dependent columns written.
+def _step_factors(maps: np.ndarray, plan: _Plan, out: LossBreakdown, t: int) -> None:
+    """Factor half of the kernel: `_values`, then the factors' three step-dependent columns.
 
     After it, `_grad_product` writes the gradient of any range of maps.
     """
-    breakdown, (denom, f, mu, var, dx, dy) = _values(maps, plan, stages)
-    a = plan.neg2_depths * (1.0 - f) / denom
-    q = (plan.compact_depths / denom)[:, None]
-    res = (plan.two_eps / denom)[:, None]
+    f, mu, var = _values(maps, plan, out, t)
+    s = plan.scratch
     u0, u1, v2 = plan.columns
-    np.multiply(a[:, None], plan.box_rows, out=u0)
-    np.subtract(q * (dy * (dy - res * mu[:, 1:]) - var[:, None]), (a * f)[:, None], out=u1)
-    np.multiply(q * dx, dx - res * mu[:, :1], out=v2)
-    return breakdown
+
+    # a = neg2_depths * (1 - f) / D, and q and res side by side
+    np.divide(np.multiply(plan.neg2_depths, s.one_f_col, out=s.a), s.denom_col, out=s.a)
+    np.divide(plan.q_res_numerators, s.denom_col, out=s.q_res)
+    np.multiply(s.a, plan.box_rows, out=u0)
+    np.multiply(s.res, mu, out=s.res_mu)
+
+    # u1 = q * (dy * (dy - res * mu_y) - Var) - a * f
+    np.subtract(s.dy, s.res_mu_y, out=s.y_terms)
+    np.multiply(s.dy, s.y_terms, out=s.y_terms)
+    np.subtract(s.y_terms, var[:, None], out=s.y_terms)
+    np.multiply(s.q, s.y_terms, out=s.y_terms)
+    np.subtract(s.y_terms, np.multiply(s.a, f[:, None], out=s.af), out=u1)
+
+    # v2 = (q * dx) * (dx - res * mu_x)
+    np.subtract(s.dx, s.res_mu_x, out=s.x_terms)
+    np.multiply(s.q, s.dx, out=v2)
+    np.multiply(v2, s.x_terms, out=v2)
 
 
 def value_and_grad(
@@ -488,14 +601,23 @@ def value_and_grad(
     columns are written on each call (`_step_factors`).  A stage-2 row, which
     has no pair terms, multiplies only those three columns.
 
-    This is the call for all maps at once; the run loop makes the same two
-    halves, `_step_factors` and then `_grad_product` one tile of maps at a
-    time.  The returned gradient is the plan's own buffer: the next call on
-    the same plan overwrites it.
+    This is the call for all maps at once, into one-pass columns of its own;
+    the run loop makes the same two halves into its run's columns,
+    `_step_factors` and then `_grad_product` one tile of maps at a time.
+    The returned gradient is the plan's own buffer: the next call on the
+    same plan overwrites it.
     """
-    breakdown = _step_factors(maps, plan, stages)
+    out = _columns(plan, [stages])
+    _step_factors(maps, plan, out, 0)
     _grad_product(_product_views(plan, stages, 0, len(plan.depths), plan.grad_stack))
-    return breakdown, plan.grad
+    return out.take(0), plan.grad
+
+
+def _evaluate(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> LossBreakdown:
+    """Each row's breakdown of a (B, K, H, W) field, row b at stages[b]: `_values` into one-pass columns of its own."""
+    out = _columns(plan, [stages])
+    _values(maps, plan, out, 0)
+    return out.take(0)
 
 
 def staged_loss(
@@ -511,5 +633,5 @@ def staged_loss(
     excluded from the total (and from the gradient).
     """
     check_alignment(field, scene)
-    return _values(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0].take(0)
+    return _evaluate(field.maps[None], _plan(scene, pairs, [cfg]), [stage]).take(0)
 

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import AttentionError, AttentionField, check_alignment
-from .losses import LossBreakdown, _plan, _values
+from .losses import LossBreakdown, _evaluate, _plan
 from .scene import GuidanceConfig, OcclusionPair, SceneSpec, box_span, derive_occlusion_pairs
 
 DEFAULT_REL_THRESHOLD = 0.5
@@ -241,7 +241,7 @@ def _score_rows(
     """
     pairs = derive_occlusion_pairs(scene)
     spans = _spans(scene)
-    breakdown = _values(maps, _plan(scene, pairs, cfgs), stages)[0]
+    breakdown = _evaluate(maps, _plan(scene, pairs, cfgs), stages)
     mious = _miou_rows(maps, scene, spans, {p.foreground_id for p in pairs}, rel_threshold)
     focrs = _focr_rows(maps, scene, spans, pairs)
     return [

@@ -12,6 +12,9 @@ run's own copy of the latent.  The schedule of every pass's per-row
 plan is; rows may be in different stages at one step.  A trajectory holds
 each pass's step size and loss terms as columns, one entry per pass: one
 per step plus a final evaluation of the end state, total_steps + 1 in all.
+The chunk allocates its loss columns (`losses._columns`) once, before its
+first step, and the kernel writes each pass's terms of every row straight
+into them; a row's trajectory reads views of its row.
 
 A step walks the field in tiles (`_tiles`): sets of whole maps of at most
 _TILE_ENTRIES entries between them, whole rows while they fit, else maps of
@@ -55,10 +58,9 @@ its spinning workers would slow the step's next ufunc.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,12 +68,12 @@ from .attention import AttentionField
 from .losses import (
     LossBreakdown,
     _box_geometry,
+    _columns,
     _grad_product,
     _pair_coefficients,
     _Plan,
     _plan,
     _product_views,
-    _stacked,
     _step_factors,
     _values,
 )
@@ -109,13 +111,16 @@ class Trajectory:
     eta: np.ndarray  # (T + 1,) each pass's step size
     final_latent: LatentState
     final_field: AttentionField
-    _columns: Callable[[], LossBreakdown] = field(repr=False)  # the chunk's passes, stacked on first call
+    _columns: LossBreakdown = field(repr=False)  # the chunk's (passes, B, ...) loss columns
     _row: int = field(repr=False)
 
     @property
     def terms(self) -> LossBreakdown:
-        """Each pass's breakdown, with a leading pass axis; the last pass is the end state's."""
-        return self._columns().take((slice(None), self._row))
+        """Each pass's breakdown, with a leading pass axis; the last pass is the end state's.
+
+        Every field but `pairs` is a view of the row's line of its chunk's columns.
+        """
+        return self._columns.take((slice(None), self._row))
 
 
 def _stage1_steps(cfg: GuidanceConfig) -> int:
@@ -173,6 +178,7 @@ class _Tile(NamedTuple):
     grad_rows: np.ndarray    # grad, line by line
     latent_rows: np.ndarray  # the maps' latent, a view of the run's, line by line
     steps: np.ndarray        # (passes, len(rows), 1) each pass's step size, line by line
+    sums: np.ndarray         # (len(rows),) scratch for `_faults`' line sums
 
 
 def _tiles(z: np.ndarray, eta: np.ndarray, height: int, width: int) -> list[_Tile]:
@@ -198,13 +204,15 @@ def _tiles(z: np.ndarray, eta: np.ndarray, height: int, width: int) -> list[_Til
         grad = scratch[: (hi - lo) * size].reshape(hi - lo, height, width)
         tiles.append(_Tile(
             lo, hi, rows, grad, grad.reshape(len(rows), -1), latent[lo:hi].reshape(len(rows), -1),
-            eta[:, rows.start : rows.stop, None],
+            eta[:, rows.start : rows.stop, None], np.empty(len(rows)),
         ))
     return tiles
 
 
-def _faults(values: np.ndarray, rows: range, aborts: list) -> list[int]:
+def _faults(values: np.ndarray, rows: range, aborts: list, sums: np.ndarray) -> list[int]:
     """Each row b of `rows`, not yet aborted, whose line of `values` (one per row) is not all finite.
+
+    The line sums are written into `sums`, a tile's scratch.
 
     A NaN or infinite entry makes its line's sum NaN or infinite, so a
     finite sum clears the line, and a finite sum of those sums clears every
@@ -212,7 +220,7 @@ def _faults(values: np.ndarray, rows: range, aborts: list) -> list[int]:
     sum overflows) falls back to the literal scan, so the verdict is the
     same for every array.
     """
-    totals = np.add.reduce(values, axis=1).tolist()
+    totals = np.add.reduce(values, axis=1, out=sums).tolist()
     if math.isfinite(sum(totals)):
         return []
     return [
@@ -243,7 +251,12 @@ def _schedule(cfgs: Sequence[GuidanceConfig]) -> tuple[list[tuple[int, ...]], li
     The last pass only evaluates the end state; its stage is _final_stage.
     """
     steps = cfgs[0].total_steps
-    stages = list(zip(*([stage_of(t, cfg) for t in range(steps)] + [_final_stage(cfg)] for cfg in cfgs)))
+    rows = []
+    for cfg in cfgs:
+        # stage_of(t, cfg), with the stage-1 step count taken once
+        stage1 = _stage1_steps(cfg)
+        rows.append([1 if t < stage1 else 2 for t in range(steps)] + [_final_stage(cfg)])
+    stages = list(zip(*rows))
     return stages, [[step_size(t, cfg) for cfg in cfgs] for t in range(steps + 1)]
 
 
@@ -292,8 +305,8 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
     """Run every row of `plan` from latent0 in lockstep: per row, its trajectory or its abort.
 
     A row that aborts stops being checked while the others go on; once none
-    is left, the loop stops.  Each pass keeps the kernel's breakdown of all
-    rows, and the passes are stacked once per chunk.
+    is left, the loop stops.  The kernel writes each pass's breakdown of all
+    rows into the chunk's columns, which every row's trajectory views.
     """
     schedule, etas = _schedule(plan.cfgs)
     batch = len(plan.cfgs)
@@ -306,7 +319,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
         stages: [_product_views(plan, stages, tile.lo, tile.hi, tile.grad) for tile in tiles]
         for stages in set(schedule[:-1])
     }
-    passes: list[LossBreakdown] = []
+    columns = _columns(plan, schedule)
     aborts: list[NumericalAbort | None] = [None] * batch
     live = list(range(batch))
 
@@ -316,13 +329,13 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
         for t, stages in enumerate(schedule):
             last = t == len(schedule) - 1
             maps = surrogate.render(z)
-            terms = _values(maps, plan, stages)[0] if last else _step_factors(maps, plan, stages)
-            passes.append(terms)
+            (_values if last else _step_factors)(maps, plan, columns, t)
+            totals = columns.total[t].tolist()
             for b in live:
-                if not math.isfinite(terms.total[b]):
+                if not math.isfinite(totals[b]):
                     # every entry lies in one map's total S = e_in + e_out, finite
                     # only if all of its entries are; only a non-finite S scans the field
-                    field_ok = np.isfinite(terms.e_in[b] + terms.e_out[b]).all() or _all_finite(maps[b])
+                    field_ok = np.isfinite(columns.e_in[t, b] + columns.e_out[t, b]).all() or _all_finite(maps[b])
                     aborts[b] = NumericalAbort(t, "loss" if field_ok else "rendered field")
             if last:
                 break
@@ -331,13 +344,13 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
             faults: dict[int, str] = {}
             for tile, views in zip(tiles, products[stages]):
                 _grad_product(views)
-                for b in _faults(tile.grad_rows, tile.rows, aborts):
+                for b in _faults(tile.grad_rows, tile.rows, aborts, tile.sums):
                     faults[b] = "gradient"
                 # z - eta * g, rounded as written, through the latent gradient's own buffer
                 latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi).reshape(tile.latent_rows.shape)
                 np.multiply(latent_grad, tile.steps[t], out=latent_grad)
                 np.subtract(tile.latent_rows, latent_grad, out=tile.latent_rows)
-                for b in _faults(tile.latent_rows, tile.rows, aborts):
+                for b in _faults(tile.latent_rows, tile.rows, aborts, tile.sums):
                     faults.setdefault(b, "latent update")
             for b, what in faults.items():
                 if what == "latent update" and _latent_gradient_fault(b, tiles, products[stages], surrogate):
@@ -347,10 +360,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
             if not live:
                 break
 
-    # a row that did not abort has run every pass, so its column is whole.  The
-    # passes are stacked when a row's terms are first read: a caller that reads
-    # only the end state, as every command does, never pays for it
-    columns = functools.cache(lambda: _stacked(passes))
+    # a row that did not abort has run every pass, so its line of the columns is whole
     return [
         abort or Trajectory(
             eta=eta[:, b],

@@ -32,7 +32,7 @@ from deptharb.gradcheck import (
     spatial_mean,
     spatial_variance,
 )
-from deptharb.losses import _plan, _values, arbitration_weight, staged_total, value_and_grad
+from deptharb.losses import _columns, _evaluate, _plan, _values, arbitration_weight, staged_total, value_and_grad
 
 from conftest import random_field_latent, random_scene
 from perfbench import scenegen
@@ -454,6 +454,22 @@ class TestPlanScratch:
         assert len(outcomes) == 3
         assert len(calls) == 8
 
+    def test_breakdowns_of_one_plan_keep_their_own_values(self, canonical):
+        # the kernel's intermediates live in the plan and each breakdown in columns of its
+        # own: breakdowns kept side by side are each their field's, whatever came after
+        pairs = derive_occlusion_pairs(canonical)
+        plan, ref_plan = _plan(canonical, pairs, [CFG]), reference_plan(canonical, pairs, CFG)
+        rng = np.random.default_rng(7)
+        fields = [AttentionField(maps=rng.uniform(0, 2, (2, 64, 64))) for _ in range(4)]
+        stages = (1, 2, 2, 1)
+        kept = [_evaluate(fields[0].maps[None], plan, [1]).take(0), _evaluate(fields[1].maps[None], plan, [2]).take(0)]
+        columns = _columns(plan, [[2], [1]])
+        _values(fields[2].maps[None], plan, columns, 0)
+        _values(fields[3].maps[None], plan, columns, 1)
+        kept += [columns.take((0, 0)), columns.take((1, 0))]
+        for field, stage, got in zip(fields, stages, kept, strict=True):
+            assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])
+
     def test_gradient_is_the_plans_buffer(self, canonical):
         pairs = derive_occlusion_pairs(canonical)
         plan = _plan(canonical, pairs, [CFG])
@@ -690,7 +706,7 @@ class TestKernelMatchesReference:
         scene, pairs, field, cfg, _ = case
         plan, ref_plan = _plan(scene, pairs, [cfg]), reference_plan(scene, pairs, cfg)
         for stage in (1, 2):
-            got = _values(field.maps[None], plan, [stage])[0].take(0)
+            got = _evaluate(field.maps[None], plan, [stage]).take(0)
             assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])
             terms, grad = value_and_grad(field.maps[None], plan, [stage])
             got = terms.take(0)

@@ -4,12 +4,14 @@ import math
 import sys
 import warnings
 from collections import Counter
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from deptharb import (
     AttentionField,
@@ -27,7 +29,7 @@ from deptharb import (
     staged_loss,
 )
 from deptharb import losses, optimizer
-from deptharb.losses import _plan, _values, value_and_grad
+from deptharb.losses import _evaluate, _plan, value_and_grad
 from deptharb.cli import SWEEP_PARAMS
 from deptharb.optimizer import _all_finite, _final_stage, run_rows, stage_of, step_size
 from deptharb.surrogate import MODES, _mode_class, _surrogate, with_default_step
@@ -470,7 +472,7 @@ class TestRowFaults:
         aborts = data.draw(st.lists(st.sampled_from([None, "aborted"]), min_size=first + rows, max_size=first + rows))
         before = values.copy()
         with np.errstate(all="ignore"):  # as inside the run loop
-            got = optimizer._faults(values, range(first, first + rows), aborts)
+            got = optimizer._faults(values, range(first, first + rows), aborts, np.empty(rows))
         want = [first + r for r in range(rows) if aborts[first + r] is None and not np.isfinite(values[r]).all()]
         assert got == want
         assert np.array_equal(values, before, equal_nan=True)
@@ -493,7 +495,7 @@ def _reference_run(scene, cfg, latent0):
             if not np.isfinite(maps).all():
                 return ("abort", t, "rendered field")
             if last:
-                breakdown = _values(maps, plan, [stage])[0].take(0)
+                breakdown = _evaluate(maps, plan, [stage]).take(0)
             else:
                 terms, grad = value_and_grad(maps, plan, [stage])
                 breakdown = terms.take(0)
@@ -723,18 +725,35 @@ class TestLockstepRows:
         for cfg, outcome in zip(cfgs, outcomes):
             _assert_row_is_standalone(canonical, cfg, latent0, outcome)
 
-    def test_passes_are_stacked_once_per_chunk_and_only_when_read(self, canonical, monkeypatch):
-        stacks = []
-        real = optimizer._stacked
-        monkeypatch.setattr(optimizer, "_stacked", lambda passes: stacks.append(len(passes)) or real(passes))
+    def test_terms_are_views_of_their_chunks_columns(self, canonical):
+        # the kernel writes each pass into the chunk's columns; a row's terms read its line of them, no copy
         cfgs = [GuidanceConfig(total_steps=4, eta0=eta) for eta in (400.0, 800.0)]
         latent0 = init_latent(canonical, "raster", 0)
         outcomes = list(run_rows(canonical, cfgs, latent0))
-        run_guidance(canonical, cfgs[0], latent0).final_field
-        assert stacks == []  # a caller that reads only the end state never stacks
-        for outcome in outcomes:
-            assert outcome.terms.total.shape == (5,)
-        assert stacks == [5]
+        columns = outcomes[0]._columns
+        assert outcomes[1]._columns is columns  # one chunk, one set of columns
+        for b, outcome in enumerate(outcomes):
+            terms = outcome.terms
+            assert terms.pairs is columns.pairs
+            for name in (f.name for f in fields(terms) if f.name != "pairs"):
+                value, column = getattr(terms, name), getattr(columns, name)
+                assert column.base is None and column.shape[:2] == (5, 2), name
+                assert value.base is column and same_bits(value, column[:, b]), name
+                assert byte_bounds(value) == byte_bounds(column[:, b]), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_kept_terms_survive_every_later_chunk(self, canonical, mode):
+        # one row per chunk, every row's terms read only once the last chunk has run:
+        # no chunk writes under a trajectory an earlier one returned
+        base = with_default_step(GuidanceConfig(total_steps=4), mode)
+        cfgs = [base.updated(lambda_ortho=v) for v in (0.1, 0.4, 1.6)]
+        latent0 = init_latent(canonical, mode, 0)
+        with mock.patch.object(optimizer, "_CHUNK_ENTRIES", 1):
+            outcomes = list(run_rows(canonical, cfgs, latent0))
+        assert len({id(outcome._columns) for outcome in outcomes}) == 3
+        for cfg, outcome in zip(cfgs, outcomes):
+            _assert_row_is_standalone(canonical, cfg, latent0, outcome)
+            _row_matches_the_reference_loop(canonical, cfg, latent0, outcome)
 
     def test_rows_must_share_their_step_count(self, canonical):
         cfgs = [GuidanceConfig(total_steps=steps, eta0=1.0) for steps in (3, 4)]
@@ -812,12 +831,11 @@ def _poisoned_at(step: int, poison):
     """The run loop's factor half, with `poison(plan)` applied after its call at `step`."""
     real, calls = optimizer._step_factors, Counter()
 
-    def step_factors(maps, plan, stages):
-        terms = real(maps, plan, stages)
+    def step_factors(maps, plan, *columns):
+        real(maps, plan, *columns)
         if calls["steps"] == step:
             poison(plan)
         calls["steps"] += 1
-        return terms
 
     return step_factors
 
