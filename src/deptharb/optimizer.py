@@ -44,16 +44,19 @@ checks S, and a non-finite S scans the row's field (`_all_finite`); a field
 that passes the scan (finite entries whose sum overflows) is a loss abort,
 as is a finite S.
 
-Each tile then checks two things per row: the sum of its gradient and the
-sum of its updated latent (`_faults`).  A NaN or infinite entry makes a sum
-non-finite, so a finite sum clears its entries; only a non-finite sum is
-scanned literally.  The latent gradient itself is not checked: the update
-z - eta * g is non-finite wherever g is, for every eta in [0, inf], so a
-row whose updated latent holds a non-finite entry recomputes its latent
-gradient, tile by tile, to tell a latent-gradient fault from an update one
-(`_latent_gradient_fault`).  The sums are numpy reductions rather than BLAS
-dot products: OpenBLAS threads a dot product above about 10^4 entries, and
-its spinning workers would slow the step's next ufunc.
+Each tile then checks one thing per row: the sum of its updated latent
+(`_faults`).  A NaN or infinite entry makes a sum non-finite, so a finite
+sum clears its entries; only a non-finite sum is scanned literally.  The
+gradient dL/dA and the latent gradient g are not checked on their own:
+the update z - eta * g is non-finite wherever g is, for every eta in
+[0, inf], and g is wherever dL/dA is.  A raster g is dL/dA times the
+finite field; each of a blob map's five partials sums every entry of its
+dL/dA times finite weights, and a non-finite entry times a finite weight
+is never finite.  So a row whose updated latent holds a non-finite entry
+recomputes its gradient and latent gradient, tile by tile, to tell the
+three faults apart (`_step_fault`).  The sums are numpy reductions rather
+than BLAS dot products: OpenBLAS threads a dot product above about 10^4
+entries, and its spinning workers would slow the step's next ufunc.
 """
 
 from __future__ import annotations
@@ -230,19 +233,24 @@ def _faults(values: np.ndarray, rows: range, aborts: list, sums: np.ndarray) -> 
     ]
 
 
-def _latent_gradient_fault(b: int, tiles: list[_Tile], products: list, surrogate) -> bool:
-    """Whether row b's latent gradient at this step holds a non-finite entry, recomputed tile by tile.
+def _step_fault(b: int, tiles: list[_Tile], products: list, surrogate) -> str:
+    """What failed in row b's step, whose updated latent holds a non-finite entry: its gradient and latent
+    gradient recomputed tile by tile.
 
-    The factors and the rendered field it is made from are still those of
-    the step, so each tile's latent gradient comes out as the step made it.
+    The factors and the rendered field they are made from are still those
+    of the step, so each tile's gradient and latent gradient come out as the
+    step made them.  A non-finite gradient anywhere outranks a non-finite
+    latent gradient, which outranks the update.
     """
+    gradient = latent_gradient = False
     for tile, views in zip(tiles, products):
         if b in tile.rows:
+            line = b - tile.rows.start
             _grad_product(views)
+            gradient = gradient or not np.isfinite(tile.grad_rows[line]).all()
             latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi)
-            if not np.isfinite(latent_grad.reshape(len(tile.rows), -1)[b - tile.rows.start]).all():
-                return True
-    return False
+            latent_gradient = latent_gradient or not np.isfinite(latent_grad.reshape(len(tile.rows), -1)[line]).all()
+    return "gradient" if gradient else "latent gradient" if latent_gradient else "latent update"
 
 
 def _schedule(cfgs: Sequence[GuidanceConfig]) -> tuple[list[tuple[int, ...]], list[list[float]]]:
@@ -339,23 +347,17 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
                     aborts[b] = NumericalAbort(t, "loss" if field_ok else "rendered field")
             if last:
                 break
-            # a row aborted during this step goes through the rest of it unchecked;
-            # a gradient fault outranks an update fault found in an earlier tile
-            faults: dict[int, str] = {}
+            # a row aborted during this step goes through the rest of it unchecked
+            faulted: set[int] = set()
             for tile, views in zip(tiles, products[stages]):
                 _grad_product(views)
-                for b in _faults(tile.grad_rows, tile.rows, aborts, tile.sums):
-                    faults[b] = "gradient"
                 # z - eta * g, rounded as written, through the latent gradient's own buffer
                 latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi).reshape(tile.latent_rows.shape)
                 np.multiply(latent_grad, tile.steps[t], out=latent_grad)
                 np.subtract(tile.latent_rows, latent_grad, out=tile.latent_rows)
-                for b in _faults(tile.latent_rows, tile.rows, aborts, tile.sums):
-                    faults.setdefault(b, "latent update")
-            for b, what in faults.items():
-                if what == "latent update" and _latent_gradient_fault(b, tiles, products[stages], surrogate):
-                    what = "latent gradient"
-                aborts[b] = NumericalAbort(t, what)
+                faulted.update(_faults(tile.latent_rows, tile.rows, aborts, tile.sums))
+            for b in faulted:
+                aborts[b] = NumericalAbort(t, _step_fault(b, tiles, products[stages], surrogate))
             live = [b for b in live if aborts[b] is None]
             if not live:
                 break
