@@ -137,13 +137,17 @@ def stage_of(step: int, cfg: GuidanceConfig) -> int:
     return 1 if step < _stage1_steps(cfg) else 2
 
 
+def _eta0(cfg: GuidanceConfig) -> float:
+    if cfg.eta0 is None:
+        raise ConfigError("eta0 is not set: fill in the mode's default with surrogate.with_default_step")
+    return cfg.eta0
+
+
 def step_size(step: int, cfg: GuidanceConfig) -> float:
     """Geometric schedule eta0 * eta_decay^step."""
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
-    if cfg.eta0 is None:
-        raise ConfigError("eta0 is not set: fill in the mode's default with surrogate.with_default_step")
-    return cfg.eta0 * cfg.eta_decay**step
+    return _eta0(cfg) * cfg.eta_decay**step
 
 
 def _final_stage(cfg: GuidanceConfig) -> int:
@@ -265,7 +269,9 @@ def _schedule(cfgs: Sequence[GuidanceConfig]) -> tuple[list[tuple[int, ...]], li
         stage1 = _stage1_steps(cfg)
         rows.append([1 if t < stage1 else 2 for t in range(steps)] + [_final_stage(cfg)])
     stages = list(zip(*rows))
-    return stages, [[step_size(t, cfg) for cfg in cfgs] for t in range(steps + 1)]
+    # step_size(t, cfg), with eta0 checked once per row
+    rates = [(_eta0(cfg), cfg.eta_decay) for cfg in cfgs]
+    return stages, [[eta0 * decay**t for eta0, decay in rates] for t in range(steps + 1)]
 
 
 def _rows_per_chunk(scene: SceneSpec) -> int:

@@ -22,6 +22,14 @@ lo..hi-1 of the field's B * K maps, all of them by default, which lets the
 run loop chain one tile of maps at a time.  Every map is rendered and
 chained exactly as it would be alone, since no arithmetic mixes maps.
 
+Both classes allocate their buffers once, when a run sets them up, and
+write every intermediate of `render` and `chain` into them with `out=`,
+so neither allocates an array per call.  `render` returns the surrogate's
+own field, which the next `render` writes over; `chain` returns a view of
+the surrogate's scratch (the raster chain writes over the gradient it is
+given), which the next `chain` writes over, so a caller reads each result
+before it chains again.
+
 Rendered values are strictly positive for finite latents (down to double
 underflow for extremely narrow blobs).
 """
@@ -101,6 +109,13 @@ class _Blob:
     the pixel centres, the amplitude folded into g_y.  `render` keeps the
     factors of the field it writes, and `chain` contracts dL/dA against
     them, so neither evaluates a 2-D exponential or loops over objects.
+
+    Every intermediate has a buffer sized for all B * K maps, allocated
+    here: the sigmas, the x and y offsets and 1-D Gaussians, the field and
+    both factor stacks for `render`; the products t and r and the partials
+    for `chain`, which slices them to the maps of each call.  The
+    arithmetic is that of a fresh array per intermediate, in the same
+    order and bit for bit (`tests/reference.py` keeps that form).
     """
 
     default_eta0 = 0.5  # each of its five parameters per object moves a whole map
@@ -124,26 +139,63 @@ class _Blob:
         return values
 
     def __init__(self, scene: SceneSpec, batch: int):
-        self.maps = np.empty((batch, len(scene.objects), scene.grid_height, scene.grid_width))
+        k, height, width = len(scene.objects), scene.grid_height, scene.grid_width
+        n = batch * k
+        self.maps = np.empty((batch, k, height, width))
         # the B * K maps of the field as one stack, row after row
-        self._stack = self.maps.reshape(-1, scene.grid_height, scene.grid_width)
-        self.px = pixel_centers(scene.grid_width)
-        self.py = pixel_centers(scene.grid_height)
-        self._factors: tuple = ()
+        self._stack = self.maps.reshape(-1, height, width)
+        self.px = pixel_centers(width)
+        self.py = pixel_centers(height)
+        # per map: (sx, sy, exp(la)), and the divisors -(2 sx^2), -(2 sy^2)
+        self._scales = np.empty((n, 3))
+        self._sigmas = self._scales[:, :2]
+        self._divisors = np.empty((n, 2))
+        # per map, x then y: dx | dy, then u | v, then u^2 | v^2 ...
+        self._d = np.empty((n, width + height))
+        self._dx, self._dy = self._d[:, :width], self._d[:, width:]
+        # ... and dx^2 | dy^2, then g_x | exp(-v^2 / 2)
+        self._g = np.empty((n, width + height))
+        self._gx, self._ey = self._g[:, :width], self._g[:, width:]
+        # the two sides of `chain`'s contractions, map by map
+        self._left = np.empty((n, 3, height))  # g_y, g_y v, g_y v^2
+        self._right = np.empty((n, width, 3))  # g_x, g_x u, g_x u^2
+        # `chain`'s products and partials, sliced to the maps of each call
+        self._t = np.empty((n, 3, width))
+        self._r = np.empty((n, 3, 3))
+        self._partials = np.empty((n, 5))
 
     def render(self, values: np.ndarray) -> np.ndarray:
+        """The field of latent `values` (B, K, 5), written into `maps`, with its factors for `chain`."""
+        params = values.reshape(-1, 5)
+        scales, sigmas, divisors = self._scales, self._sigmas, self._divisors
+        np.exp(params[:, 2:], out=scales)
+        # -(dx^2 / (2 sx^2)) is dx^2 / -(2 sx^2) exactly, so the negation goes into the divisor
+        np.multiply(sigmas, sigmas, out=divisors)
+        np.multiply(divisors, -2.0, out=divisors)
         # (B * K, 1) columns against the (W,) and (H,) centres give (B * K, W) and (B * K, H)
-        cx, cy, lsx, lsy, la = values.reshape(-1, 5).T[:, :, None]
-        dx, dy = self.px - cx, self.py - cy
-        sx, sy = np.exp(lsx), np.exp(lsy)
-        gx = np.exp(-(dx**2 / (2 * sx**2)))
-        gy = np.exp(la) * np.exp(-(dy**2 / (2 * sy**2)))
-        np.multiply(gy[:, :, None], gx[:, None, :], out=self._stack)
-        u, v = dx / sx, dy / sy
-        # the two sides of `chain`'s contractions, map by map
-        self._factors = (
-            np.stack((gy, gy * v, gy * v**2), axis=1), np.stack((gx, gx * u, gx * u**2), axis=2), sx[:, 0], sy[:, 0],
-        )
+        d, dx, dy, g, gx, ey = self._d, self._dx, self._dy, self._g, self._gx, self._ey
+        np.subtract(self.px, params[:, 0:1], out=dx)
+        np.subtract(self.py, params[:, 1:2], out=dy)
+        np.multiply(d, d, out=g)
+        np.divide(gx, divisors[:, 0:1], out=gx)
+        np.divide(ey, divisors[:, 1:2], out=ey)
+        np.exp(g, out=g)
+        left, right = self._left, self._right
+        gy = left[:, 0]
+        np.multiply(scales[:, 2:3], ey, out=gy)
+        # the field, g_y (x) g_x map by map.  np.multiply buffers its two broadcast operands on every
+        # call and is slower; einsum adds each product to a zeroed map, which changes only a -0, and
+        # g_y, g_x >= 0
+        np.einsum("mi,mj->mij", gy, gx, out=self._stack)
+        u = np.divide(dx, sigmas[:, 0:1], out=dx)
+        v = np.divide(dy, sigmas[:, 1:2], out=dy)
+        # the factor stacks; g * u^2 is formed as g * (u * u)
+        right[:, :, 0] = gx
+        np.multiply(gx, u, out=right[:, :, 1])
+        np.multiply(gy, v, out=left[:, 1])
+        np.multiply(d, d, out=d)
+        np.multiply(gx, u, out=right[:, :, 2])
+        np.multiply(gy, v, out=left[:, 2])
         return self.maps
 
     def chain(self, grad: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -152,7 +204,9 @@ class _Blob:
         The maps are those of the field's stack (map m = b * K + k), all of
         them by default; grad holds their dL/dA in any shape ending in
         (H, W), and the result has the same leading shape, ending in the
-        five partials.  The run loop chains one tile of maps at a time.
+        five partials.  The run loop chains one tile of maps at a time.  The
+        result is a view of the surrogate's scratch, which the next `chain`
+        call writes over.
 
         With u = (x - cx)/sx, v = (y - cy)/sy and A the rendered map,
             dA/dcx = A * u / sx = A * (x - cx) / sx^2    dA/dlsx = A * u^2
@@ -169,14 +223,20 @@ class _Blob:
         than dx and dy keeps g * u and g * u^2 below the peak of g for any sigma;
         the centre partials take their 1 / sigma after the contraction.
         """
-        left, right, sx, sy = self._factors
+        left = self._left[lo:hi]
+        count = len(left)
         # t[m, i, x] = sum_y (g_y, g_y v, g_y v^2)[m, i, y] * dL/dA[m, y, x], over the maps m
-        t = left[lo:hi] @ grad.reshape(-1, *self._stack.shape[1:])
+        t = np.matmul(left, grad.reshape(-1, *self._stack.shape[1:]), out=self._t[:count])
         # r[m, i, j] = sum_x t[m, i, x] * (g_x, g_x u, g_x u^2)[m, x, j]
-        r = t @ right[lo:hi]
-        sx, sy = sx[lo:hi], sy[lo:hi]
-        partials = np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
+        r = np.matmul(t, self._right[lo:hi], out=self._r[:count])
+        # r[0, 1], r[1, 0], r[0, 2], r[2, 0], r[0, 0]; the indices are in range, so no mode clips
+        partials = np.take(r.reshape(count, 9), _PARTIALS, axis=1, out=self._partials[:count], mode="clip")
+        np.divide(partials[:, :2], self._sigmas[lo:hi], out=partials[:, :2])
         return partials.reshape(*grad.shape[:-2], 5)
+
+
+# the entries of a map's r (3, 3), flattened, that `_Blob.chain` returns
+_PARTIALS = np.array([1, 3, 2, 6, 0], dtype=np.intp)
 
 
 _SURROGATES = {"raster": _Raster, "blob": _Blob}

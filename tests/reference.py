@@ -18,6 +18,12 @@ the same order, so it must match them bit for bit; `reference_run` is the
 run loop's step sequence on that kernel, with the stage and step size
 derived on every step, and `columns` stacks its per-pass breakdowns as a
 trajectory holds them.
+
+`reference_blob_render` and `reference_blob_chain` are the blob
+surrogate's render and chain rule with a fresh array for every
+intermediate.  `surrogate._Blob` writes the same floating-point operations,
+in the same order, into buffers it allocates once, so it must match them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from deptharb.gradcheck import CoordReport, GradCheckResult, OracleError
 from deptharb.losses import LossBreakdown, _plan, staged_total, value_and_grad
 from deptharb.metrics import _above_threshold, _winners
 from deptharb.optimizer import _final_stage, stage_of, step_size
-from deptharb.scene import box_indicators, derive_occlusion_pairs
+from deptharb.scene import box_indicators, derive_occlusion_pairs, pixel_centers
 from deptharb.surrogate import _check_match, _surrogate
 
 
@@ -371,3 +377,29 @@ def reference_run(
         passes.append(breakdown)
         z = z - etas[-1] * surrogate.chain(grad[None])[0]
     return np.array(etas), columns(passes), z, maps
+
+
+def reference_blob_render(values: np.ndarray, height: int, width: int) -> tuple[np.ndarray, tuple]:
+    """The (B, K, H, W) field of a blob latent (B, K, 5), and the factors `reference_blob_chain` reads."""
+    # (B * K, 1) columns against the (W,) and (H,) centres give (B * K, W) and (B * K, H)
+    cx, cy, lsx, lsy, la = values.reshape(-1, 5).T[:, :, None]
+    dx, dy = pixel_centers(width) - cx, pixel_centers(height) - cy
+    sx, sy = np.exp(lsx), np.exp(lsy)
+    gx = np.exp(-(dx**2 / (2 * sx**2)))
+    gy = np.exp(la) * np.exp(-(dy**2 / (2 * sy**2)))
+    maps = (gy[:, :, None] * gx[:, None, :]).reshape(*values.shape[:-1], height, width)
+    u, v = dx / sx, dy / sy
+    factors = (
+        np.stack((gy, gy * v, gy * v**2), axis=1), np.stack((gx, gx * u, gx * u**2), axis=2), sx[:, 0], sy[:, 0],
+    )
+    return maps, factors
+
+
+def reference_blob_chain(factors: tuple, grad: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """dL/d(cx, cy, lsx, lsy, la) of maps lo..hi-1 of a `reference_blob_render`, from their dL/dA."""
+    left, right, sx, sy = factors
+    t = left[lo:hi] @ grad.reshape(-1, *grad.shape[-2:])
+    r = t @ right[lo:hi]
+    sx, sy = sx[lo:hi], sy[lo:hi]
+    partials = np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
+    return partials.reshape(*grad.shape[:-2], 5)

@@ -97,6 +97,7 @@ class TestDefaultStep:
     @pytest.mark.parametrize("mode", MODES)
     def test_library_run_steps_at_the_modes_default(self, canonical, mode):
         # only where the step comes from is pinned: seed 0 collapses in blob mode
+        # (test_acceptance.TestKnownDefects)
         default_eta0 = _mode_class(mode).default_eta0
         latent0 = init_latent(canonical, mode, 0)
         got = run_guidance(canonical, GuidanceConfig(total_steps=20), latent0)

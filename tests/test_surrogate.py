@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from deptharb.gradcheck import _blob_map, coord_grid, spatial_mean
 from deptharb.losses import _plan, value_and_grad
 from deptharb.surrogate import JITTER, MODES, _Blob, _mode_class, _surrogate, with_default_step
 
-from reference import normalize_map
+from reference import normalize_map, reference_blob_chain, reference_blob_render
 
 
 def one_blob_scene(bbox=(0.2, 0.2, 0.6, 0.6), grid: int = 9) -> SceneSpec:
@@ -239,23 +240,37 @@ class TestBackprop:
 TINY = np.finfo(np.float64).tiny
 
 
+CENTRE = st.floats(-0.5, 1.5)
+LOG_SIGMA = st.floats(math.log(1e-3), math.log(10.0))
+LOG_AMPLITUDE = st.floats(-50.0, 709.0)
+
+
+def blob_params(draw) -> list[float]:
+    """One object's (cx, cy, lsx, lsy, la): a centre off the canvas, any sigma in [1e-3, 10] and a
+    log-amplitude up to 709."""
+    return [draw(CENTRE), draw(CENTRE), draw(LOG_SIGMA), draw(LOG_SIGMA), draw(LOG_AMPLITUDE)]
+
+
 @st.composite
 def blob_states(draw):
-    """A K-object blob latent on an H != W grid, centres off the canvas, any sigma
-    in [1e-3, 10] and log-amplitudes up to 709, with a seed for dL/dA."""
+    """A K-object blob latent (`blob_params`) on an H != W grid, with a seed for dL/dA."""
     k = draw(st.integers(1, 5))
     height = draw(st.integers(2, 40))
     width = draw(st.integers(2, 40).filter(lambda w: w != height))
-    centre = st.floats(-0.5, 1.5)
-    log_sigma = st.floats(math.log(1e-3), math.log(10.0))
-    values = np.array(
-        [
-            [draw(centre), draw(centre), draw(log_sigma), draw(log_sigma), draw(st.floats(-50.0, 709.0))]
-            for _ in range(k)
-        ]
-    )
+    values = np.array([blob_params(draw) for _ in range(k)])
     objects = tuple(SceneObject(id=i, label="", bbox=(0.0, 0.0, 1.0, 1.0), depth=0.5) for i in range(k))
     return SceneSpec(grid_height=height, grid_width=width, objects=objects), values, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def blob_batches(draw):
+    """A `blob_states` case with B in {1, 3} rows of latent (B, K, 5), and a range lo..hi of its B * K maps."""
+    scene, values, seed = draw(blob_states())
+    batch = draw(st.sampled_from([1, 3]))
+    rows = [values] + [np.array([blob_params(draw) for _ in values]) for _ in range(batch - 1)]
+    lo = draw(st.integers(0, batch * len(values) - 1))
+    hi = draw(st.integers(lo + 1, batch * len(values)))
+    return scene, np.stack(rows), seed, lo, hi
 
 
 def five_sums(values, maps, grad, coords, mag=lambda a: a):
@@ -321,6 +336,58 @@ class TestSeparableBlob:
         subnormal = 2.0**-1070 * maps[0].size * (1 + 1 / sx2 + 1 / sy2) * amp
         assert np.isfinite(want).all()
         assert (np.abs(got - want) <= 1e-12 * scale + subnormal[:, None]).all()
+
+
+class TestBlobMatchesReference:
+    """The blob render and chain, written into per-run buffers, against the allocating ones in `reference`."""
+
+    @given(blob_batches())
+    @settings(max_examples=200)
+    def test_field_and_partials_bit_for_bit(self, case):
+        scene, values, seed, lo, hi = case
+        height, width = scene.grid_height, scene.grid_width
+        blob = _Blob(scene, len(values))
+        maps = blob.render(values)
+        want_maps, factors = reference_blob_render(values, height, width)
+        assert np.array_equal(maps, want_maps)
+        grad = np.random.default_rng(seed).uniform(-1.0, 1.0, maps.shape) * 2.0**-12
+        assert np.array_equal(blob.chain(grad), reference_blob_chain(factors, grad))
+        tile = grad.reshape(-1, height, width)[lo:hi]
+        assert np.array_equal(blob.chain(tile, lo, hi), reference_blob_chain(factors, tile, lo, hi))
+
+    def test_render_and_chain_allocate_nothing_per_call(self):
+        # numpy's ufunc iterator may buffer an operand, at most 8192 elements per operand and call; with
+        # rows of 8192 pixels one (B * K, W) array is larger than any such buffer
+        scene = SceneSpec(
+            grid_height=4,
+            grid_width=8192,
+            objects=(
+                SceneObject(id=0, label="", bbox=(0.1, 0.2, 0.6, 0.7), depth=0.2),
+                SceneObject(id=1, label="", bbox=(0.4, 0.3, 0.9, 0.9), depth=0.8),
+            ),
+        )
+        batch, k, width = 3, len(scene.objects), scene.grid_width
+        values = np.stack([init_latent(scene, "blob", seed).values for seed in range(batch)])
+        grad = np.random.default_rng(0).uniform(-1.0, 1.0, (batch, k, scene.grid_height, width))
+        tile = grad.reshape(-1, scene.grid_height, width)[1:4]
+        blob = _Blob(scene, batch)
+        # every call returns views of the same surrogate-owned buffers
+        maps, partials = blob.render(values), blob.chain(grad)
+        assert np.shares_memory(blob.chain(tile, 1, 4), partials)
+        tracemalloc.start()
+        try:
+            blob.render(values)
+            blob.chain(grad)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                assert np.shares_memory(blob.render(values), maps)
+                assert np.shares_memory(blob.chain(grad), partials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no temporary as large as one (B * K, W) array of doubles was ever alive
+        assert peak - before < batch * k * width * 8
 
 
 class TestEndToEndGradients:
