@@ -119,6 +119,7 @@ class _Blob:
     """
 
     default_eta0 = 0.5  # each of its five parameters per object moves a whole map
+    _entries = np.array([1, 3, 2, 6, 0], dtype=np.intp)  # those of a map's flattened r that `chain` returns
 
     @staticmethod
     def latent_shape(scene: SceneSpec) -> tuple[int, ...]:
@@ -229,14 +230,11 @@ class _Blob:
         t = np.matmul(left, grad.reshape(-1, *self._stack.shape[1:]), out=self._t[:count])
         # r[m, i, j] = sum_x t[m, i, x] * (g_x, g_x u, g_x u^2)[m, x, j]
         r = np.matmul(t, self._right[lo:hi], out=self._r[:count])
-        # r[0, 1], r[1, 0], r[0, 2], r[2, 0], r[0, 0]; the indices are in range, so no mode clips
-        partials = np.take(r.reshape(count, 9), _PARTIALS, axis=1, out=self._partials[:count], mode="clip")
+        # r[0, 1], r[1, 0], r[0, 2], r[2, 0], r[0, 0]: mode "raise" would copy `out`, and these
+        # indices are in range, so "clip" never clips
+        partials = np.take(r.reshape(count, 9), self._entries, axis=1, out=self._partials[:count], mode="clip")
         np.divide(partials[:, :2], self._sigmas[lo:hi], out=partials[:, :2])
         return partials.reshape(*grad.shape[:-2], 5)
-
-
-# the entries of a map's r (3, 3), flattened, that `_Blob.chain` returns
-_PARTIALS = np.array([1, 3, 2, 6, 0], dtype=np.intp)
 
 
 _SURROGATES = {"raster": _Raster, "blob": _Blob}
