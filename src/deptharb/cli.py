@@ -2,10 +2,13 @@
 
 Config precedence is total and fixed: preset defaults < scene-file "config"
 block < command-line flags; each config flag's dest is the config field it
-sets.  Scoring (value-only losses, metrics on box rectangles) takes a row
-axis: `sweep` scores each chunk of rows of the lockstep run in one call as
-it is reached, and `run` and `eval` score their one field as B = 1.  Reports
-are JSON whose floats read back exactly.  Exit codes: 0 success, 1
+sets.  Every command that reports scores through one function,
+`_score_chunk` (value-only losses, metrics on box rectangles, and the
+aborts of a field that float32 cannot hold or of a loss that is not
+finite), which takes a row axis: `sweep` scores each chunk of rows of the
+lockstep run in one call as `run_rows` hands it out, and `run` and `eval`
+score their one field as B = 1.  Reports are JSON whose floats read back
+exactly.  Exit codes: 0 success, 1
 input/usage error (among them a `--tol` that is not finite and >= 0, a
 `--rel-threshold` outside (0, 1] and a grad-check state the oracle
 refuses), 2 numerical abort (a diverging run, or a scored loss that is not
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -27,11 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionError, AttentionField
-from .dumpio import DumpError, read_dump, round_trip32, write_dump
+from .attention import AttentionError, AttentionField, check_alignment
+from .dumpio import DumpError, read_dump, write_dump
 from .gradcheck import DEFAULT_REL_TOL, OracleError, check_gradients, precision_note
-from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, _score_rows, build_metric_report
-from .optimizer import NumericalAbort, Trajectory, _final_stage, _rows_per_chunk, run_guidance, run_rows
+from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, _score_rows
+from .optimizer import NumericalAbort, _final_stage, run_guidance, run_rows
 from .scene import (
     GUIDANCE_CONFIG_KEYS,
     PRESETS,
@@ -98,21 +100,6 @@ def _config_echo(cfg: GuidanceConfig, args) -> dict:
 # run, score, report
 # ---------------------------------------------------------------------------
 
-def _rounded(run: Trajectory, cfg: GuidanceConfig) -> AttentionField:
-    """The final field of a run, rounded through float32 as the dump stores it.
-
-    Report and dump both see this field, so a later `eval` of the dump
-    reproduces the reported numbers exactly.  A finite float64 field can
-    still exceed the float32 range; that is a numerical failure of the run,
-    reported at its last step.
-    """
-    try:
-        with np.errstate(over="ignore"):
-            return round_trip32(run.final_field)
-    except AttentionError as exc:
-        raise NumericalAbort(cfg.total_steps, "float32-rounded field") from exc
-
-
 def _finite_losses(report: MetricReport) -> bool:
     """Whether every loss value the report holds is finite.
 
@@ -124,34 +111,27 @@ def _finite_losses(report: MetricReport) -> bool:
     return bool(np.isfinite([b.align, b.ortho, b.compact, b.total, *b.pair_interference]).all())
 
 
-def _score(field: AttentionField, scene: SceneSpec, cfg: GuidanceConfig, args) -> MetricReport:
-    """The field's report, scored alone as `run` and `eval` score; a loss value it would hold that is not
-    finite aborts at the last step."""
-    with np.errstate(all="ignore"):
-        report = build_metric_report(field, scene, cfg, _final_stage(cfg), args.rel_threshold)
-    if not _finite_losses(report):
-        raise NumericalAbort(cfg.total_steps, "scored loss")
-    return report
-
-
 def _score_chunk(
-    scene: SceneSpec, cfgs: Sequence[GuidanceConfig], outcomes: Sequence[Trajectory | NumericalAbort], args
+    scene: SceneSpec, cfgs: Sequence[GuidanceConfig], finals: Sequence[AttentionField | NumericalAbort], args
 ) -> list[MetricReport | NumericalAbort]:
-    """Each row's report, or its abort, in row order: what `run` would report for the row's config.
+    """Each row's report, or its abort, in row order, from its run's final field or abort.
 
-    A row's abort is, in this order, its run's own, a final field that
-    rounding through float32 takes out of range, or a scored loss that is not
-    finite; the last two happen at the row's last step.  The rows that ran
-    are rounded, as the dump would store them, in one cast of their stacked
-    fields, and scored in one `_score_rows` call.
+    `run` and `eval` score their one field as a one-row call, and `sweep`
+    each chunk of its rows; the fields match the scene.  A row's abort is,
+    in this order, its run's own, a final field that rounding through
+    float32 takes out of range, or a scored loss that is not finite; the
+    last two happen at the row's last step.  Every row is scored as the dump
+    stores its field, rounded through float32, so a later `eval` of the dump
+    reproduces the reported numbers exactly: the fields are rounded in one
+    cast of their stack and scored in one `_score_rows` call.
     """
-    results: list = list(outcomes)
-    ran = [n for n, outcome in enumerate(outcomes) if not isinstance(outcome, NumericalAbort)]
+    results: list = list(finals)
+    ran = [n for n, final in enumerate(finals) if not isinstance(final, NumericalAbort)]
     if not ran:
         return results
     with np.errstate(all="ignore"):
         # round_trip32's rounding, over the stacked rows
-        maps = np.stack([outcomes[n].final_field.maps for n in ran], dtype=np.float32).astype(np.float64)
+        maps = np.stack([finals[n].maps for n in ran], dtype=np.float32).astype(np.float64)
         # entries of the float32 range sum to a finite double: a row's sum is
         # finite only if each of its entries is
         in_range = np.isfinite(maps.sum(axis=(1, 2, 3))).tolist()
@@ -202,20 +182,26 @@ def _publish(args, report: MetricReport, cfg: GuidanceConfig, seed: int) -> int:
 def cmd_run(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    field = _rounded(run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed)), cfg)
-    report = _score(field, scene, cfg, args)
+    field = run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed)).final_field
+    (report,) = _score_chunk(scene, [cfg], [field], args)
+    if isinstance(report, NumericalAbort):
+        raise report
     if args.dump:
+        # the dump rounds the field through float32, as it was scored
         write_dump(args.dump, field, args.seed)
         _print(f"dump written to {args.dump}")
     return _publish(args, report, cfg, args.seed)
 
 
 def cmd_eval(args) -> int:
-    # a dump that does not match the scene is rejected by the scoring itself
     field, seed = read_dump(args.dump)
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    return _publish(args, _score(field, scene, cfg, args), cfg, seed)
+    check_alignment(field, scene)
+    (report,) = _score_chunk(scene, [cfg], [field], args)
+    if isinstance(report, NumericalAbort):
+        raise report
+    return _publish(args, report, cfg, seed)
 
 
 def cmd_grad_check(args) -> int:
@@ -281,12 +267,11 @@ def cmd_sweep(args) -> int:
     # each chunk is scored as it is reached.  They fail as if run one after
     # another: the first failing row, in row order, is the one reported, and
     # no chunk of rows after it is stepped
-    outcomes = run_rows(scene, run_cfgs, init_latent(scene, args.mode, args.seed))
-    size = _rows_per_chunk(scene)
     rows = []
-    for lo in range(0, len(run_cfgs), size):
-        chunk = run_cfgs[lo : lo + size]
-        for run_cfg, scored in zip(chunk, _score_chunk(scene, chunk, list(itertools.islice(outcomes, size)), args)):
+    for outcomes in run_rows(scene, run_cfgs, init_latent(scene, args.mode, args.seed)):
+        chunk = run_cfgs[len(rows) : len(rows) + len(outcomes)]
+        finals = [o if isinstance(o, NumericalAbort) else o.final_field for o in outcomes]
+        for run_cfg, scored in zip(chunk, _score_chunk(scene, chunk, finals, args)):
             if isinstance(scored, NumericalAbort):
                 raise NumericalAbort(scored.step, scored.what, row=f"{args.param} = {getattr(run_cfg, args.param):g}")
             rows.append(_sweep_row(run_cfg, scored, args))

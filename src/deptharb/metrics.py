@@ -18,8 +18,8 @@ fields, one row per config, as a sweep's rows are, with one value-only loss
 plan and kernel call and one winners pass for all rows; the pairs and box
 spans are derived once.  Every reduction stays within one row, so row b's
 report is bit for bit the one of its field alone.
-`build_metric_report`, `layout_miou` and `focr` are its B = 1 calls, for
-`run`, `eval` and callers outside the package.
+The CLI scores through it; `build_metric_report`, `layout_miou` and
+`focr` are its B = 1 calls, for callers outside the package.
 """
 
 from __future__ import annotations

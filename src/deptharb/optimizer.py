@@ -2,16 +2,17 @@
 
 The loop steps B rows in lockstep (`run_rows`): one config per row, all
 from the same starting latent, as a sweep's rows are, a chunk of rows of at
-most _CHUNK_ENTRIES field entries at a time; `run_guidance` is its B = 1
-call.  Each step renders every row's field once, evaluates each row's
-stage objective and the factors of its gradient, backpropagates to the
-latent through the same rendered maps and takes a plain gradient-descent
-step z <- z - eta_t * g with eta_t = eta0 * eta_decay^t, in place on the
-run's own copy of the latent.  The schedule of every pass's per-row
-(stage, eta_t) is built once per chunk, before its first step, as the loss
-plan is; rows may be in different stages at one step.  A trajectory holds
-each pass's step size and loss terms as columns, one entry per pass: one
-per step plus a final evaluation of the end state, total_steps + 1 in all.
+most _CHUNK_ENTRIES field entries at a time, and it hands out each chunk's
+outcomes together; `run_guidance` is its B = 1 call.  Each step renders
+every row's field once, evaluates each row's stage objective and the
+factors of its gradient, backpropagates to the latent through the same
+rendered maps and takes a plain gradient-descent step z <- z - eta_t * g
+with eta_t = eta0 * eta_decay^t, in place on the run's own copy of the
+latent.  The schedule of every pass's per-row (stage, eta_t) is built once
+per chunk, before its first step, as the loss plan is (`_schedule`); rows
+may be in different stages at one step.  A trajectory holds each pass's
+step size and loss terms as columns, one entry per pass: one per step plus
+a final evaluation of the end state, total_steps + 1 in all.
 The chunk allocates its loss columns (`losses._columns`) once, before its
 first step, and the kernel writes each pass's terms of every row straight
 into them; a row's trajectory reads views of its row.
@@ -39,10 +40,9 @@ row's intermediate, at less cost.  The rendered field is not read at all
 while the row's loss total is finite.  Each map's total S = e_in + e_out,
 which the loss reduces anyway, is finite only if all of the map's entries
 are, and a non-finite S makes that map's f, and with it the total, NaN; so
-a finite total clears the field and the loss at once.  A non-finite total
-checks S, and a non-finite S scans the row's field (`_all_finite`); a field
-that passes the scan (finite entries whose sum overflows) is a loss abort,
-as is a finite S.
+a finite total clears the field and the loss at once.  A row whose total
+is not finite, which ends it, scans its field once: a field of finite
+entries (whose sum overflows) is a loss abort.
 
 Each tile then checks one thing per row: the sum of its updated latent
 (`_faults`).  A NaN or infinite entry makes a sum non-finite, so a finite
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,51 +124,6 @@ class Trajectory:
         Every field but `pairs` is a view of the row's line of its chunk's columns.
         """
         return self._columns.take((slice(None), self._row))
-
-
-def _stage1_steps(cfg: GuidanceConfig) -> int:
-    return int(math.floor(cfg.stage1_fraction * cfg.total_steps))
-
-
-def stage_of(step: int, cfg: GuidanceConfig) -> int:
-    """Stage 1 iff step < floor(stage1_fraction * total_steps), else stage 2."""
-    if not 0 <= step < cfg.total_steps:
-        raise ValueError(f"step {step} out of range [0, {cfg.total_steps})")
-    return 1 if step < _stage1_steps(cfg) else 2
-
-
-def _eta0(cfg: GuidanceConfig) -> float:
-    if cfg.eta0 is None:
-        raise ConfigError("eta0 is not set: fill in the mode's default with surrogate.with_default_step")
-    return cfg.eta0
-
-
-def step_size(step: int, cfg: GuidanceConfig) -> float:
-    """Geometric schedule eta0 * eta_decay^step."""
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    return _eta0(cfg) * cfg.eta_decay**step
-
-
-def _final_stage(cfg: GuidanceConfig) -> int:
-    # stage label for the trailing evaluation record
-    if cfg.total_steps >= 1:
-        return stage_of(cfg.total_steps - 1, cfg)
-    return 1 if cfg.stage1_fraction > 0 else 2
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    """np.isfinite(values).all(), in one pass for the usual, finite case.
-
-    A NaN or infinite entry makes the sum of squares NaN or +inf, so a
-    finite sum clears the array with one dot product and no temporary bool
-    array.  A non-finite sum (a real fault, or finite entries whose squares
-    overflow, above about 1e154) falls back to the literal scan, so the
-    verdict is the same for every array.  An overflowing dot product warns,
-    so it is called inside the loop's silenced floating-point state.
-    """
-    flat = values.reshape(-1)
-    return math.isfinite(flat @ flat) or bool(np.isfinite(flat).all())
 
 
 class _Tile(NamedTuple):
@@ -257,32 +212,38 @@ def _step_fault(b: int, tiles: list[_Tile], products: list, surrogate) -> str:
     return "gradient" if gradient else "latent gradient" if latent_gradient else "latent update"
 
 
-def _schedule(cfgs: Sequence[GuidanceConfig]) -> tuple[list[tuple[int, ...]], list[list[float]]]:
-    """Each pass's stage and step size per row, for passes t = 0..total_steps.
+def _stages(cfg: GuidanceConfig, passes: Iterable[int]) -> list[int]:
+    """The stage of each pass t of `passes`, out of passes 0..total_steps.
 
-    The last pass only evaluates the end state; its stage is _final_stage.
+    Step t is in stage 1 iff t < floor(stage1_fraction * total_steps), else
+    in stage 2.  The last pass, t == total_steps, only evaluates the end
+    state: at stage 1 iff every step is (with no step, iff
+    stage1_fraction > 0).
     """
-    steps = cfgs[0].total_steps
-    rows = []
+    stage1 = math.floor(cfg.stage1_fraction * cfg.total_steps)
+    end = 1 if stage1 == cfg.total_steps and cfg.stage1_fraction > 0 else 2
+    return [end if t == cfg.total_steps else 1 if t < stage1 else 2 for t in passes]
+
+
+def _final_stage(cfg: GuidanceConfig) -> int:
+    """The stage of a run's last pass, which only evaluates the end state: the stage it is scored at."""
+    return _stages(cfg, [cfg.total_steps])[0]
+
+
+def _schedule(cfgs: Sequence[GuidanceConfig]) -> tuple[list[tuple[int, ...]], list[list[float]]]:
+    """Each pass's stage (`_stages`) and step size eta0 * eta_decay^t per row, for passes t = 0..total_steps."""
     for cfg in cfgs:
-        # stage_of(t, cfg), with the stage-1 step count taken once
-        stage1 = _stage1_steps(cfg)
-        rows.append([1 if t < stage1 else 2 for t in range(steps)] + [_final_stage(cfg)])
-    stages = list(zip(*rows))
-    # step_size(t, cfg), with eta0 checked once per row
-    rates = [(_eta0(cfg), cfg.eta_decay) for cfg in cfgs]
-    return stages, [[eta0 * decay**t for eta0, decay in rates] for t in range(steps + 1)]
-
-
-def _rows_per_chunk(scene: SceneSpec) -> int:
-    """How many rows of the scene `run_rows` steps together."""
-    return max(1, _CHUNK_ENTRIES // (len(scene.objects) * scene.grid_height * scene.grid_width))
+        if cfg.eta0 is None:
+            raise ConfigError("eta0 is not set: fill in the mode's default with surrogate.with_default_step")
+    passes = range(cfgs[0].total_steps + 1)
+    stages = list(zip(*(_stages(cfg, passes) for cfg in cfgs)))
+    return stages, [[cfg.eta0 * cfg.eta_decay**t for cfg in cfgs] for t in passes]
 
 
 def run_rows(
     scene: SceneSpec, cfgs: Sequence[GuidanceConfig], latent0: LatentState
-) -> Iterator[Trajectory | NumericalAbort]:
-    """Run every config from latent0 (left unchanged) in lockstep; yield each row's outcome, in order.
+) -> Iterator[list[Trajectory | NumericalAbort]]:
+    """Run every config from latent0 (left unchanged) in lockstep; yield each chunk's outcomes, in row order.
 
     A row's outcome is its trajectory or the abort that ended it, bit for
     bit the run of its config alone: the rows share the rendering, the
@@ -291,11 +252,11 @@ def run_rows(
     needs the same total_steps.
 
     Every config is checked before this returns, so a bad one is rejected
-    before any row runs.  The rows are stepped as the iterator reaches
-    them, a chunk at a time (`_rows_per_chunk`): as many rows as hold
-    _CHUNK_ENTRIES field entries, and at least one.  So the run's memory
-    does not grow with its number of rows, and a caller that stops at a
-    failing row never steps the chunks after it.
+    before any row runs.  The rows are stepped a chunk at a time, as the
+    iterator reaches the chunk: as many rows as hold _CHUNK_ENTRIES field
+    entries, and at least one.  So the run's memory does not grow with its
+    number of rows, and a caller that stops at a chunk holding a failing
+    row never steps the chunks after it.
     """
     _check_match(latent0, scene)
     cfgs = [with_default_step(cfg, latent0.mode) for cfg in cfgs]
@@ -307,11 +268,10 @@ def run_rows(
     # in row order: the first config whose pair coefficients are not finite raises
     for cfg in cfgs:
         _pair_coefficients(scene, pairs, cfg, geometry[2])
-    size = _rows_per_chunk(scene)
+    size = max(1, _CHUNK_ENTRIES // (len(scene.objects) * scene.grid_height * scene.grid_width))
     return (
-        outcome
+        _run_chunk(scene, _plan(scene, pairs, cfgs[lo : lo + size], geometry), latent0)
         for lo in range(0, len(cfgs), size)
-        for outcome in _run_chunk(scene, _plan(scene, pairs, cfgs[lo : lo + size], geometry), latent0)
     )
 
 
@@ -347,10 +307,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
             totals = columns.total[t].tolist()
             for b in live:
                 if not math.isfinite(totals[b]):
-                    # every entry lies in one map's total S = e_in + e_out, finite
-                    # only if all of its entries are; only a non-finite S scans the field
-                    field_ok = np.isfinite(columns.e_in[t, b] + columns.e_out[t, b]).all() or _all_finite(maps[b])
-                    aborts[b] = NumericalAbort(t, "loss" if field_ok else "rendered field")
+                    aborts[b] = NumericalAbort(t, "loss" if np.isfinite(maps[b]).all() else "rendered field")
             if last:
                 break
             # a row aborted during this step goes through the rest of it unchecked
@@ -391,7 +348,7 @@ def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) ->
     half once and walks its tiles.  The last pass, t == total_steps, evaluates the end state's values
     only, without a gradient or an update.  Raises the run's NumericalAbort.
     """
-    (outcome,) = run_rows(scene, [cfg], latent0)
+    ((outcome,),) = run_rows(scene, [cfg], latent0)
     if isinstance(outcome, NumericalAbort):
         raise outcome
     return outcome

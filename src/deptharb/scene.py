@@ -23,6 +23,16 @@ class ConfigError(ValueError):
     """Raised for invalid guidance configuration values."""
 
 
+def _is_integer(value: Any) -> bool:
+    """An integer, numpy's too, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """A real number, numpy's too, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _knob(default, *, objective: bool = False, sweep: bool = False):
     """A config field; `objective` fields define the loss, `sweep` ones can be swept."""
     return field(default=default, metadata={"objective": objective, "sweep": sweep})
@@ -52,10 +62,9 @@ class GuidanceConfig:
             value = getattr(self, knob.name)
             if knob.name == "eta0" and value is None:  # the latent's mode's own step
                 continue
-            kind = numbers.Integral if knob.name == "total_steps" else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is numbers.Integral else "a real number"
-                raise ConfigError(f"{knob.name} must be {what}, got {value!r}")
+            integer = knob.name == "total_steps"
+            if not (_is_integer if integer else _is_real)(value):
+                raise ConfigError(f"{knob.name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
             # a non-finite weight leaves the objective undefined (nan or inf
             # at step 0), which is an input error, not a numerical abort
             if knob.metadata["objective"] and not math.isfinite(value):
@@ -117,9 +126,15 @@ class SceneObject:
     depth: float
 
     def __post_init__(self) -> None:
-        # every value rule of an object lives here; a message opens with its field
-        if self.id < 0:
-            raise SceneError(f"id: expected a non-negative integer, got {self.id}")
+        # every type and value rule of an object lives here; a message opens with its field
+        if not _is_integer(self.id) or self.id < 0:
+            raise SceneError(f"id: expected a non-negative integer, got {self.id!r}")
+        if not isinstance(self.label, str):
+            raise SceneError(f"label: expected a string, got {self.label!r}")
+        if not (isinstance(self.bbox, tuple) and len(self.bbox) == 4 and all(map(_is_real, self.bbox))):
+            raise SceneError(f"bbox: expected a tuple (x_min, y_min, x_max, y_max) of numbers, got {self.bbox!r}")
+        if not _is_real(self.depth):
+            raise SceneError(f"depth: expected a number, got {self.depth!r}")
         x0, y0, x1, y1 = self.bbox
         for coord in self.bbox:
             if not 0.0 <= coord <= 1.0:
@@ -141,11 +156,16 @@ class SceneSpec:
     objects: tuple[SceneObject, ...]
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.grid_height) and _is_integer(self.grid_width)):
+            raise SceneError(f"grid: expected integer sides, got {self.grid_height!r}x{self.grid_width!r}")
+        if not (isinstance(self.objects, tuple) and all(isinstance(obj, SceneObject) for obj in self.objects)):
+            raise SceneError(f"objects: expected a tuple of SceneObject, got {self.objects!r}")
         if self.grid_height < 2 or self.grid_width < 2:
             raise SceneError(
                 f"grid: must be at least 2x2, got {self.grid_height}x{self.grid_width}"
             )
-        if self.grid_height * self.grid_width > MAX_GRID_PIXELS:
+        # Python integers: a product of numpy ones can wrap
+        if int(self.grid_height) * int(self.grid_width) > MAX_GRID_PIXELS:
             raise SceneError(
                 f"grid: {self.grid_height}x{self.grid_width} exceeds {MAX_GRID_PIXELS} pixels"
             )
@@ -188,7 +208,7 @@ def _require(cond: bool, where: str, message: str) -> None:
 
 
 def _as_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise SceneError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -196,16 +216,12 @@ def _as_number(value: Any, where: str) -> float:
         raise SceneError(f"{where}: integer too large for a float") from None
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_object(raw: Any, index: int) -> SceneObject:
     """JSON shape and types of one object; `SceneObject` judges the values."""
     where = f"objects[{index}]"
     _require(isinstance(raw, dict), where, "expected an object")
     _require("id" in raw, f"{where}.id", "missing")
-    _require(_is_int(raw["id"]), f"{where}.id", f"expected an integer, got {raw['id']!r}")
+    _require(_is_integer(raw["id"]), f"{where}.id", f"expected an integer, got {raw['id']!r}")
     label = raw.get("label", "")
     _require(isinstance(label, str), f"{where}.label", "expected a string")
 
@@ -243,7 +259,7 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
     _require(isinstance(grid, dict), "grid", "expected an object")
     for key in ("height", "width"):
         _require(key in grid, f"grid.{key}", "missing")
-        _require(_is_int(grid[key]), f"grid.{key}", f"expected an integer, got {grid[key]!r}")
+        _require(_is_integer(grid[key]), f"grid.{key}", f"expected an integer, got {grid[key]!r}")
 
     _require("objects" in doc, "objects", "missing")
     raw_objects = doc["objects"]
@@ -258,7 +274,7 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
         for key, value in raw_cfg.items():
             _require(key in GUIDANCE_CONFIG_KEYS, f"config.{key}", "unknown config key")
             if key == "total_steps":
-                _require(_is_int(value), f"config.{key}", f"expected an integer, got {value!r}")
+                _require(_is_integer(value), f"config.{key}", f"expected an integer, got {value!r}")
                 overrides[key] = value
             else:
                 overrides[key] = _as_number(value, f"config.{key}")

@@ -17,7 +17,9 @@ call.  The production kernel runs the same floating-point operations in
 the same order, so it must match them bit for bit; `reference_run` is the
 run loop's step sequence on that kernel, with the stage and step size
 derived on every step, and `columns` stacks its per-pass breakdowns as a
-trajectory holds them.
+trajectory holds them.  `stage_of`, `final_stage` and `step_size` are the
+stage and step-size rules written per step, which `optimizer._schedule`
+builds as columns.
 
 `reference_blob_render` and `reference_blob_chain` are the blob
 surrogate's render and chain rule with a fresh array for every
@@ -41,7 +43,6 @@ from deptharb.attention import _checked, check_alignment
 from deptharb.gradcheck import CoordReport, GradCheckResult, OracleError
 from deptharb.losses import LossBreakdown, _plan, staged_total, value_and_grad
 from deptharb.metrics import _above_threshold, _winners
-from deptharb.optimizer import _final_stage, stage_of, step_size
 from deptharb.scene import box_indicators, derive_occlusion_pairs, pixel_centers
 from deptharb.surrogate import _check_match, _surrogate
 
@@ -352,6 +353,23 @@ def reference_value_and_grad(
     return breakdown, np.matmul(u, v, out=plan.grad)
 
 
+def stage_of(step: int, cfg: GuidanceConfig) -> int:
+    """Stage 1 iff step < floor(stage1_fraction * total_steps), else stage 2."""
+    return 1 if step < math.floor(cfg.stage1_fraction * cfg.total_steps) else 2
+
+
+def final_stage(cfg: GuidanceConfig) -> int:
+    """The end state's stage: the last step's, or with no step, stage 1 iff stage1_fraction > 0."""
+    if cfg.total_steps >= 1:
+        return stage_of(cfg.total_steps - 1, cfg)
+    return 1 if cfg.stage1_fraction > 0 else 2
+
+
+def step_size(step: int, cfg: GuidanceConfig) -> float:
+    """The geometric schedule eta0 * eta_decay^step."""
+    return cfg.eta0 * cfg.eta_decay**step
+
+
 def reference_run(
     scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState
 ) -> tuple[np.ndarray, LossBreakdown, np.ndarray, np.ndarray]:
@@ -367,7 +385,7 @@ def reference_run(
     etas, passes = [], []
     for t in range(cfg.total_steps + 1):
         last = t == cfg.total_steps
-        stage = _final_stage(cfg) if last else stage_of(t, cfg)
+        stage = final_stage(cfg) if last else stage_of(t, cfg)
         etas.append(step_size(t, cfg))
         maps = surrogate.render(z[None])[0]
         if last:

@@ -51,6 +51,39 @@ class TestRoundTrip:
         assert rounded.maps[0, 0, 0] != value
 
 
+# the largest double that rounds to a finite float32: halfway between float32's
+# maximum and 2^128 rounds to even, which is 2^128, out of range
+_F32_ROUNDS_FINITE = float(np.nextafter(2.0**128 - 2.0**103, 0.0))
+
+
+def _float32_ties():
+    """Doubles exactly halfway between two adjacent non-negative float32 values, subnormal ones too."""
+    below = st.integers(0, 0x7F7FFFFE).map(lambda bits: np.array(bits, dtype=np.uint32).view(np.float32))
+    return below.map(lambda f: (float(f) + float(np.nextafter(f, np.float32(np.inf)))) / 2)
+
+
+dump_values = st.one_of(
+    st.floats(0.0, _F32_ROUNDS_FINITE),
+    st.floats(0.9 * _F32_ROUNDS_FINITE, _F32_ROUNDS_FINITE),  # near float32's maximum
+    st.floats(0.0, 2.0**-126),  # float32's subnormals, and double ones
+    _float32_ties(),
+)
+
+
+class TestRoundedWrite:
+    @settings(max_examples=300)
+    @given(st.lists(dump_values, min_size=1, max_size=12))
+    def test_a_field_and_its_round_trip32_write_the_same_bytes(self, values):
+        # a run scores its field rounded through float32 and dumps it unrounded
+        field = AttentionField(maps=np.array(values).reshape(1, 1, -1))
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, rounded = os.path.join(tmp, "raw.darb"), os.path.join(tmp, "rounded.darb")
+            write_dump(raw, field, seed=5)
+            write_dump(rounded, round_trip32(field), seed=5)
+            with open(raw, "rb") as fh, open(rounded, "rb") as gh:
+                assert fh.read() == gh.read()
+
+
 class TestHeaderLayout:
     def test_exact_byte_layout(self, tmp_path):
         field = AttentionField(maps=np.arange(8.0).reshape(2, 2, 2))

@@ -450,8 +450,8 @@ class TestPlanScratch:
         monkeypatch.setattr(deptharb.optimizer, "_CHUNK_ENTRIES", 8 * 256 * 256)  # one row per chunk
         calls = self.count_box_spans(monkeypatch)
         cfgs = [CFG.updated(total_steps=1, eta0=1.0, tau=tau) for tau in (0.5, 1.0, 2.0)]
-        outcomes = list(deptharb.optimizer.run_rows(scene, cfgs, init_latent(scene, "blob", 0)))
-        assert len(outcomes) == 3
+        chunks = list(deptharb.optimizer.run_rows(scene, cfgs, init_latent(scene, "blob", 0)))
+        assert [len(chunk) for chunk in chunks] == [1, 1, 1]
         assert len(calls) == 8
 
     def test_breakdowns_of_one_plan_keep_their_own_values(self, canonical):

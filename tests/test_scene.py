@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,39 @@ class TestTypeInvariants:
             SceneSpec(grid_height=8, grid_width=8, objects=())
         with pytest.raises(SceneError):
             SceneSpec(grid_height=8, grid_width=8, objects=(obj, obj))
+
+    # each ill-typed value a library caller might pass, built from a valid object
+    ILL_TYPED = {
+        "float grid side": ("grid", lambda obj: SceneSpec(64.0, 64, (obj,))),
+        "bool grid side": ("grid", lambda obj: SceneSpec(64, True, (obj,))),
+        "objects in a list": ("objects", lambda obj: SceneSpec(8, 8, [obj])),
+        "object of another type": ("objects", lambda obj: SceneSpec(8, 8, (obj, {"id": 1}))),
+        "float id": ("id", lambda obj: replace(obj, id=1.5)),
+        "string id": ("id", lambda obj: replace(obj, id="3")),
+        "bool id": ("id", lambda obj: replace(obj, id=True)),
+        "missing label": ("label", lambda obj: replace(obj, label=None)),
+        "three-coordinate bbox": ("bbox", lambda obj: replace(obj, bbox=(0.1, 0.1, 0.5))),
+        "bbox in a list": ("bbox", lambda obj: replace(obj, bbox=[0.1, 0.1, 0.5, 0.5])),
+        "string coordinate": ("bbox", lambda obj: replace(obj, bbox=(0.1, 0.1, "0.5", 0.5))),
+        "bool coordinate": ("bbox", lambda obj: replace(obj, bbox=(False, 0.1, 0.5, 0.5))),
+        "string depth": ("depth", lambda obj: replace(obj, depth="0.5")),
+    }
+
+    @pytest.mark.parametrize("case", list(ILL_TYPED))
+    def test_ill_typed_values_are_scene_errors_naming_their_field(self, case):
+        field, build = self.ILL_TYPED[case]
+        obj = SceneObject(id=0, label="", bbox=(0.1, 0.1, 0.5, 0.5), depth=0.5)
+        with pytest.raises(SceneError, match=f"^{field}: expected "):
+            build(obj)
+
+    def test_numpy_numbers_are_accepted(self):
+        bbox = (np.float32(0.25), 0.1, 0.5, np.float64(0.5))
+        obj = SceneObject(id=np.int64(3), label="", bbox=bbox, depth=np.float64(0.5))
+        scene = SceneSpec(grid_height=np.int32(8), grid_width=np.uint8(8), objects=(obj,))
+        assert scene.objects[0].id == 3
+        # the pixel limit is checked on Python integers, so a product of numpy ones cannot wrap
+        with pytest.raises(SceneError, match="^grid: 65536x65536 exceeds"):
+            SceneSpec(grid_height=np.int32(65536), grid_width=np.int32(65536), objects=(obj,))
 
 
 class TestCanonicalScene:
