@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import sys
 import warnings
@@ -25,6 +26,7 @@ from deptharb import (
     canonical_scene,
     derive_occlusion_pairs,
     init_latent,
+    parse_scene,
     render_attention,
     run_guidance,
     staged_loss,
@@ -34,6 +36,7 @@ from deptharb.losses import _evaluate, _plan, value_and_grad
 from deptharb.cli import SWEEP_PARAMS
 from deptharb.optimizer import _final_stage, _schedule, run_rows
 from deptharb.surrogate import MODES, _mode_class, _surrogate, with_default_step
+from perfbench import scenegen
 
 from reference import assert_same_breakdown, final_stage, reference_run, same_bits, stage_of, step_size
 
@@ -442,6 +445,38 @@ class TestRunOnThePlannedKernel:
 LINE_SIZES = [1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65]
 # non-finite entries, and large finite ones
 PLANTED = [math.nan, math.inf, -math.inf, 1e200, -1e300, 1.5e154]
+
+
+class TestFinitePredicate:
+    """A row whose loss total is not finite is a field abort iff one entry of its field is not finite."""
+
+    @pytest.mark.parametrize("value", PLANTED)
+    @pytest.mark.parametrize("at", [0, 1, 8 * 256 * 256 - 1])
+    def test_one_planted_entry_in_a_full_field(self, monkeypatch, value, at):
+        # a 256x256, K = 8 field too large to sum, so the scan alone tells the two apart
+        scene = parse_scene(json.dumps(scenegen.large_scene(1)))
+        real = optimizer._surrogate
+
+        def planted(*args):
+            surrogate = real(*args)
+            render = surrogate.render
+
+            def render_planted(z):
+                maps = render(z)
+                maps[0] = 1e306
+                maps[0].reshape(-1)[at] = value
+                return maps
+
+            surrogate.render = render_planted
+            return surrogate
+
+        monkeypatch.setattr(optimizer, "_surrogate", planted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(scene, GuidanceConfig(total_steps=0, eta0=1.0), init_latent(scene, "blob", 0))
+        reason = "loss" if math.isfinite(value) else "rendered field"
+        assert str(exc_info.value) == f"non-finite {reason} at step 0"
 
 
 class TestRowFaults:
