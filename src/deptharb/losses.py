@@ -28,13 +28,17 @@ each evaluation's breakdown into pass columns (`_columns`), one
 (passes, B, ...) array per field: a run allocates them once and its
 trajectory is written in place, pass after pass, and a value-only call
 runs into a one-pass column set of its own (`_evaluate`).  The kernel
-comes in two halves: `_values` writes the values, `_step_factors` the
-values and the gradient's step-dependent low-rank factors, and
-`_grad_product` multiplies the factors out for any range of maps.
-`value_and_grad` makes both for all maps, into the plan's own gradient
-buffer, for `gradcheck` and the tests; the run loop makes the second a
-tile of maps at a time, into a scratch that stays in cache, and never
-writes a whole-field gradient.  The plan builds the gradient's factors
+comes in halves.  The field half, `_reduce`, is the only one that reads
+the field: it writes the reductions every term is built from, one GEMM
+against the box columns and the column sums per map, for any range of
+maps.  From the reductions of every map, `_values` writes the values and
+`_step_factors` the values and the gradient's step-dependent low-rank
+factors; `_grad_product` multiplies the factors out for any range of maps.
+`value_and_grad` runs them all for all maps, into the plan's own gradient
+buffer, for `gradcheck` and the tests, and `_evaluate` the first two.  The
+run loop takes the field half and the product a tile of maps at a time,
+while the tile is in cache (the reductions right after the tile's maps are
+rendered), and never writes a whole-field gradient.  The plan builds the gradient's factors
 and buffer the first time they are read, so a value-only caller
 (scoring, and `staged_loss`, the one-row view for callers outside the
 package) builds none.
@@ -190,9 +194,11 @@ class _Scratch(NamedTuple):
     kernel's broadcasts and per-row reductions read.  `x_terms` and
     `y_terms` hold one intermediate in `_values` and another in
     `_step_factors`, which reads them only after `_values` is done with them.
+    `row_dots` and `col_sum`, which `_reduce` writes, are the only ones a
+    call of `_values` does not write first.
     """
 
-    row_dots: np.ndarray   # (B, K * H, 1 + K): row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j, one GEMM per row
+    row_dots: np.ndarray   # (B * K, H, 1 + K): row_dots[m, y, 1 + j] = A_m[y] . c_j, one GEMM per map
     row_sum: np.ndarray    # (B * K, H) view of row_dots' column 0: the row sums R
     row_sum_rows: np.ndarray  # (B, K, H) view of row_sum
     col_sum: np.ndarray    # (B * K, W) the column sums C
@@ -230,7 +236,7 @@ class _Scratch(NamedTuple):
 def _scratch(batch: int, k: int, n_pairs: int, height: int, width: int) -> _Scratch:
     """The kernel's scratch for B = batch rows of k maps and n_pairs pairs on an (height, width) grid."""
     n_maps = batch * k
-    row_dots = np.empty((batch, k * height, k + 1))
+    row_dots = np.empty((n_maps, height, k + 1))
     col_sum = np.empty((n_maps, width))
     denom, one_f, per_map = np.empty(n_maps), np.empty(n_maps), np.empty(n_maps)
     sums = np.empty(n_maps + batch * n_pairs)
@@ -239,7 +245,7 @@ def _scratch(batch: int, k: int, n_pairs: int, height: int, width: int) -> _Scra
     q_res, res_mu = np.empty((n_maps, 2)), np.empty((n_maps, 2))
     return _Scratch(
         row_dots=row_dots,
-        row_sum=row_dots.reshape(n_maps, height, k + 1)[:, :, 0],
+        row_sum=row_dots[:, :, 0],
         row_sum_rows=row_dots.reshape(batch, k, height, k + 1)[..., 0],
         col_sum=col_sum, col_sum_rows=col_sum.reshape(batch, k, width),
         total=np.empty(n_maps), denom=denom, denom_col=denom[:, None],
@@ -273,6 +279,7 @@ class _Plan:
     Every per-run constant the kernel reads is built here, and each member
     names the kernel line that reads it:
 
+    * `colmat`: `_reduce`'s GEMM of each map against the box columns;
     * `gather`, `gather_rows`: `_values`' one gathered pass, the sums over
       y of gather_rows times row_dots.take(gather); entries 0..B*K-1 pick
       A_m[y] . c_k of every map (in-box sums), the rest A_bg[y] . c_fg of
@@ -287,8 +294,9 @@ class _Plan:
       forming it once changes no rounding;
     * `box_rows`: U[:, :, 0] = a * box_rows, each map's box row
       indicators, the first B * K rows of `gather_rows`;
-    * `scratch`: every intermediate of `_values` and `_step_factors`, from
-      the GEMM per row to the factors' coefficients (`_Scratch`);
+    * `scratch`: every intermediate of `_reduce`, `_values` and
+      `_step_factors`, from the GEMM per map to the factors' coefficients
+      (`_Scratch`);
     * `factors`, `columns`: the gradient's low-rank factors over all B * K
       maps and views of their step-dependent columns (U[:, :, 0],
       U[:, :, 1], V[:, 2]), that `_step_factors` writes;
@@ -446,26 +454,47 @@ def _columns(plan: _Plan, schedule: Sequence[Sequence[int]]) -> LossBreakdown:
     )
 
 
-def _values(maps: np.ndarray, plan: _Plan, out: LossBreakdown, t: int) -> tuple[np.ndarray, ...]:
-    """Forward half of the kernel: write pass t of the columns `out`, each row's breakdown of a (B, K, H, W) field.
+def _reduce_views(maps: np.ndarray, plan: _Plan, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The views whose `_reduce` writes the reductions of maps lo..hi-1 of a (B, K, H, W) field into the plan's scratch.
 
-    Row b is evaluated at stage out.stage[t, b].  Returns the pass's f, mu
-    and Var, map by map, as views of `out`; the gradient's other inputs
-    (D, 1 - f, x - mu_x, y - mu_y) stay in the plan's scratch for
-    `_step_factors`.
+    The maps are those of the plan's stack (map m = b * K + k), and their
+    reductions are their blocks of `row_dots` and their column sums.
     """
     batch, k, height, width = maps.shape
-    n_maps = batch * k
+    stack = maps.reshape(batch * k, height, width)[lo:hi]
+    return stack, plan.colmat, plan.scratch.row_dots[lo:hi], plan.scratch.col_sum[lo:hi]
+
+
+def _reduce(views: tuple[np.ndarray, ...]) -> None:
+    """Field half of the kernel: write the GEMM and column sums of each of `_reduce_views`' maps.
+
+    row_dots[m, y, 0] = R[m, y] and row_dots[m, y, 1 + j] = A_m[y] . c_j
+    come from one GEMM per map, and a column sum adds a map's pixel rows in
+    order, so a map's reductions are the same whatever maps they are taken
+    with.  A GEMM over several maps would not be: the BLAS picks its kernel
+    by the product's size, and its kernels round some dot products
+    differently.  A grid is at least 2 pixels tall, so no GEMM has one row,
+    for which numpy takes another path.
+    """
+    stack, colmat, dots, col_sum = views
+    np.matmul(stack, colmat, out=dots)
+    np.add.reduce(stack, axis=1, out=col_sum)
+
+
+def _values(plan: _Plan, out: LossBreakdown, t: int) -> tuple[np.ndarray, ...]:
+    """Value half of the kernel: write pass t of the columns `out`, each row's breakdown, from the reductions.
+
+    The reductions are those `_reduce` last wrote of each map.  Row b is
+    evaluated at stage out.stage[t, b].  Returns the pass's f, mu and Var,
+    map by map, as views of `out`; the gradient's other inputs (D, 1 - f,
+    x - mu_x, y - mu_y) stay in the plan's scratch for `_step_factors`.
+    """
+    n_maps = len(plan.depths)
     s = plan.scratch
     e_in, e_out, f, var = (column[t].reshape(n_maps) for column in (out.e_in, out.e_out, out.f, out.var))
     mu, inter = out.mu[t].reshape(n_maps, 2), out.pair_interference[t].reshape(-1)
     align, ortho, compact = out.align[t], out.ortho[t], out.compact[t]
 
-    # row_dots[b, k * H + y, 0] = R[b * K + k, y]; row_dots[b, k * H + y, 1 + j] = A_bk[y] . c_j.
-    # One GEMM per row: one over all B * K * H rows can round a row's dot
-    # products differently, by where the BLAS kernel's row blocks fall.
-    np.matmul(maps.reshape(batch, k * height, width), plan.colmat, out=s.row_dots)
-    np.add.reduce(maps.reshape(n_maps, height, width), axis=1, out=s.col_sum)
     np.add.reduce(s.col_sum, axis=1, out=s.total)
     np.add(s.total, plan.eps, out=s.denom)
 
@@ -489,7 +518,7 @@ def _values(maps: np.ndarray, plan: _Plan, out: LossBreakdown, t: int) -> tuple[
     np.multiply(plan.weights, inter, out=s.weighted)
     np.add.reduce(s.weighted_rows, axis=1, out=ortho)
 
-    # one matrix-vector product per row, as for the GEMM
+    # one matrix-vector product per row: one over every row's maps can round a row's products differently
     np.matmul(s.col_sum_rows, plan.cx, out=s.moments[0])
     np.matmul(s.row_sum_rows, plan.cy, out=s.moments[1])
     np.divide(s.moments_t, s.denom_col, out=mu)
@@ -539,12 +568,12 @@ def _grad_product(views: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) ->
         np.matmul(u, v, out=out)
 
 
-def _step_factors(maps: np.ndarray, plan: _Plan, out: LossBreakdown, t: int) -> None:
+def _step_factors(plan: _Plan, out: LossBreakdown, t: int) -> None:
     """Factor half of the kernel: `_values`, then the factors' three step-dependent columns.
 
     After it, `_grad_product` writes the gradient of any range of maps.
     """
-    f, mu, var = _values(maps, plan, out, t)
+    f, mu, var = _values(plan, out, t)
     s = plan.scratch
     u0, u1, v2 = plan.columns
 
@@ -602,21 +631,24 @@ def value_and_grad(
     has no pair terms, multiplies only those three columns.
 
     This is the call for all maps at once, into one-pass columns of its own;
-    the run loop makes the same two halves into its run's columns,
-    `_step_factors` and then `_grad_product` one tile of maps at a time.
-    The returned gradient is the plan's own buffer: the next call on the
-    same plan overwrites it.
+    the run loop makes the same halves into its run's columns, `_reduce`
+    and `_grad_product` one tile of maps at a time and `_step_factors` once
+    for all of them.  The returned gradient is the plan's own buffer: the
+    next call on the same plan overwrites it.
     """
     out = _columns(plan, [stages])
-    _step_factors(maps, plan, out, 0)
+    _reduce(_reduce_views(maps, plan, 0, len(plan.depths)))
+    _step_factors(plan, out, 0)
     _grad_product(_product_views(plan, stages, 0, len(plan.depths), plan.grad_stack))
     return out.take(0), plan.grad
 
 
 def _evaluate(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> LossBreakdown:
-    """Each row's breakdown of a (B, K, H, W) field, row b at stages[b]: `_values` into one-pass columns of its own."""
+    """Each row's breakdown of a (B, K, H, W) field, row b at stages[b]: `_reduce` of every map, then `_values`
+    into one-pass columns of its own."""
     out = _columns(plan, [stages])
-    _values(maps, plan, out, 0)
+    _reduce(_reduce_views(maps, plan, 0, len(plan.depths)))
+    _values(plan, out, 0)
     return out.take(0)
 
 

@@ -3,12 +3,13 @@
 The loop steps B rows in lockstep (`run_rows`): one config per row, all
 from the same starting latent, as a sweep's rows are, a chunk of rows of at
 most _CHUNK_ENTRIES field entries at a time, and it hands out each chunk's
-outcomes together; `run_guidance` is its B = 1 call.  Each step renders
-every row's field once, evaluates each row's stage objective and the
-factors of its gradient, backpropagates to the latent through the same
-rendered maps and takes a plain gradient-descent step z <- z - eta_t * g
-with eta_t = eta0 * eta_decay^t, in place on the run's own copy of the
-latent.  The schedule of every pass's per-row (stage, eta_t) is built once
+outcomes together; `run_guidance` is its B = 1 call.  Each pass
+evaluates each row's stage objective and the factors of its gradient from
+the reductions of the field that the pass before it rendered; each step
+then backpropagates to the latent through that same render and takes a
+plain gradient-descent step z <- z - eta_t * g with
+eta_t = eta0 * eta_decay^t, in place on the run's own copy of the latent.
+The schedule of every pass's per-row (stage, eta_t) is built once
 per chunk, before its first step, as the loss plan is (`_schedule`); rows
 may be in different stages at one step.  A trajectory holds each pass's
 step size and loss terms as columns, one entry per pass: one per step plus
@@ -23,8 +24,12 @@ one row.  The loss kernel's factor half (`losses._step_factors`) runs once
 for every row; then, tile by tile, the gradient's product
 (`losses._grad_product`) writes the tile's dL/dA into one small scratch,
 `surrogate.chain` turns it into the tile's latent gradient, and it is scaled
-by eta_t and subtracted from the tile's latent while all of it is still in
-cache.  A run never writes a whole-field gradient.
+by eta_t and subtracted from the tile's latent; the surrogate renders the
+tile's maps from the updated latent and the kernel's field half
+(`losses._reduce`) takes their reductions, the next pass's input, while all
+of it is still in cache.  So each map is rendered once per pass, pass 0's
+tile by tile before the first step, nothing but the walk reads the field,
+and a run never writes a whole-field gradient.
 
 Inputs are validated at the boundaries: the scene, config and starting
 latent on entry, the final latent and field when they are wrapped for the
@@ -52,11 +57,12 @@ the update z - eta * g is non-finite wherever g is, for every eta in
 [0, inf], and g is wherever dL/dA is.  A raster g is dL/dA times the
 finite field; each of a blob map's five partials sums every entry of its
 dL/dA times finite weights, and a non-finite entry times a finite weight
-is never finite.  So a row whose updated latent holds a non-finite entry
-recomputes its gradient and latent gradient, tile by tile, to tell the
-three faults apart (`_step_fault`).  The sums are numpy reductions rather
-than BLAS dot products: OpenBLAS threads a dot product above about 10^4
-entries, and its spinning workers would slow the step's next ufunc.
+is never finite.  So a tile whose updated latent holds a non-finite entry
+recomputes its gradient and latent gradient to tell the three faults apart
+(`_name_faults`), before it renders over the maps they are made from; a
+row's verdict is the worst of its tiles'.  The sums are numpy reductions
+rather than BLAS dot products: OpenBLAS threads a dot product above about
+10^4 entries, and its spinning workers would slow the step's next ufunc.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ from .losses import (
     _Plan,
     _plan,
     _product_views,
+    _reduce,
+    _reduce_views,
     _step_factors,
     _values,
 )
@@ -138,19 +146,21 @@ class _Tile(NamedTuple):
     rows: range              # the rows its maps belong to
     grad: np.ndarray         # (hi - lo, H, W) view of the run's scratch
     grad_rows: np.ndarray    # grad, line by line
-    latent_rows: np.ndarray  # the maps' latent, a view of the run's, line by line
+    latent_rows: np.ndarray  # the maps' latent, a view of the run's, line by line; what `render` reads
     steps: np.ndarray        # (passes, len(rows), 1) each pass's step size, line by line
     sums: np.ndarray         # (len(rows),) scratch for `_faults`' line sums
+    reduce: tuple            # the maps' `losses._reduce_views`
 
 
-def _tiles(z: np.ndarray, eta: np.ndarray, height: int, width: int) -> list[_Tile]:
-    """The tiles of a run's maps, with views of one scratch, of latent z (B, K, ...) and of eta (passes, B).
+def _tiles(z: np.ndarray, eta: np.ndarray, maps: np.ndarray, plan: _Plan) -> list[_Tile]:
+    """The tiles of a run's maps, with views of one scratch, of latent z (B, K, ...), of eta (passes, B), of
+    the surrogate's field `maps` (B, K, H, W) and of the plan's scratch.
 
     A tile holds at most _TILE_ENTRIES field entries and at least one map:
     as many whole rows as fit, else as many maps of one row.  Every tile
     reuses the one scratch.
     """
-    batch, k = z.shape[:2]
+    batch, k, height, width = maps.shape
     size = height * width
     if k * size <= _TILE_ENTRIES:
         span = _TILE_ENTRIES // (k * size) * k
@@ -166,7 +176,7 @@ def _tiles(z: np.ndarray, eta: np.ndarray, height: int, width: int) -> list[_Til
         grad = scratch[: (hi - lo) * size].reshape(hi - lo, height, width)
         tiles.append(_Tile(
             lo, hi, rows, grad, grad.reshape(len(rows), -1), latent[lo:hi].reshape(len(rows), -1),
-            eta[:, rows.start : rows.stop, None], np.empty(len(rows)),
+            eta[:, rows.start : rows.stop, None], np.empty(len(rows)), _reduce_views(maps, plan, lo, hi),
         ))
     return tiles
 
@@ -192,24 +202,24 @@ def _faults(values: np.ndarray, rows: range, aborts: list, sums: np.ndarray) -> 
     ]
 
 
-def _step_fault(b: int, tiles: list[_Tile], products: list, surrogate) -> str:
-    """What failed in row b's step, whose updated latent holds a non-finite entry: its gradient and latent
-    gradient recomputed tile by tile.
+# what failed in a step whose updated latent holds a non-finite entry, the least severe first
+_FAULTS = ("latent update", "latent gradient", "gradient")
 
-    The factors and the rendered field they are made from are still those
-    of the step, so each tile's gradient and latent gradient come out as the
-    step made them.  A non-finite gradient anywhere outranks a non-finite
-    latent gradient, which outranks the update.
+
+def _name_faults(faulted: list[int], tile: _Tile, views: list, surrogate, worst: dict[int, int]) -> None:
+    """Rank what failed in tile's part of each row of `faulted`, whose updated latent holds a non-finite entry,
+    into `worst` (row -> index into _FAULTS), keeping each row's worst rank over the step's tiles.
+
+    The tile's gradient and latent gradient are recomputed as the step made
+    them: the factors are still the step's, and so is the tile's render,
+    which the walk writes over only after this.
     """
-    gradient = latent_gradient = False
-    for tile, views in zip(tiles, products):
-        if b in tile.rows:
-            line = b - tile.rows.start
-            _grad_product(views)
-            gradient = gradient or not np.isfinite(tile.grad_rows[line]).all()
-            latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi)
-            latent_gradient = latent_gradient or not np.isfinite(latent_grad.reshape(len(tile.rows), -1)[line]).all()
-    return "gradient" if gradient else "latent gradient" if latent_gradient else "latent update"
+    _grad_product(views)
+    gradient = [not np.isfinite(tile.grad_rows[b - tile.rows.start]).all() for b in faulted]
+    latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi).reshape(len(tile.rows), -1)
+    for b, bad_gradient in zip(faulted, gradient):
+        rank = 2 if bad_gradient else 0 if np.isfinite(latent_grad[b - tile.rows.start]).all() else 1
+        worst[b] = max(rank, worst.get(b, 0))
 
 
 def _stages(cfg: GuidanceConfig, passes: Iterable[int]) -> list[int]:
@@ -285,9 +295,10 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
     schedule, etas = _schedule(plan.cfgs)
     batch = len(plan.cfgs)
     surrogate = _surrogate(scene, latent0.mode, batch)
+    maps = surrogate.maps
     z = np.repeat(latent0.values[None], batch, axis=0)
     eta = np.array(etas)  # (passes, B)
-    tiles = _tiles(z, eta, scene.grid_height, scene.grid_width)
+    tiles = _tiles(z, eta, maps, plan)
     # each stage tuple's gradient products, tile by tile, built before the first step
     products = {
         stages: [_product_views(plan, stages, tile.lo, tile.hi, tile.grad) for tile in tiles]
@@ -300,10 +311,13 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
     # a diverging run turns intermediates inf/nan; every one is checked below
     # and reported as an abort, so numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
+        # pass 0's field, and its reductions, a tile at a time
+        for tile in tiles:
+            surrogate.render(tile.latent_rows, tile.lo, tile.hi)
+            _reduce(tile.reduce)
         for t, stages in enumerate(schedule):
             last = t == len(schedule) - 1
-            maps = surrogate.render(z)
-            (_values if last else _step_factors)(maps, plan, columns, t)
+            (_values if last else _step_factors)(plan, columns, t)
             totals = columns.total[t].tolist()
             for b in live:
                 if not math.isfinite(totals[b]):
@@ -311,16 +325,21 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
             if last:
                 break
             # a row aborted during this step goes through the rest of it unchecked
-            faulted: set[int] = set()
+            worst: dict[int, int] = {}
             for tile, views in zip(tiles, products[stages]):
                 _grad_product(views)
                 # z - eta * g, rounded as written, through the latent gradient's own buffer
                 latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi).reshape(tile.latent_rows.shape)
                 np.multiply(latent_grad, tile.steps[t], out=latent_grad)
                 np.subtract(tile.latent_rows, latent_grad, out=tile.latent_rows)
-                faulted.update(_faults(tile.latent_rows, tile.rows, aborts, tile.sums))
-            for b in faulted:
-                aborts[b] = NumericalAbort(t, _step_fault(b, tiles, products[stages], surrogate))
+                faulted = _faults(tile.latent_rows, tile.rows, aborts, tile.sums)
+                if faulted:
+                    _name_faults(faulted, tile, views, surrogate, worst)
+                # the next pass's maps, and their reductions, while the tile is in cache
+                surrogate.render(tile.latent_rows, tile.lo, tile.hi)
+                _reduce(tile.reduce)
+            for b, rank in worst.items():
+                aborts[b] = NumericalAbort(t, _FAULTS[rank])
             live = [b for b in live if aborts[b] is None]
             if not live:
                 break
@@ -344,9 +363,10 @@ def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) ->
     Deterministic given (scene, cfg, latent0).  An unset `cfg.eta0` is the
     default step of latent0's mode.  It is the one-row call of `run_rows`:
     the loss plan, the surrogate and the (stage, eta) schedule are set up
-    once; each step then renders once, evaluates the loss kernel's factor
-    half once and walks its tiles.  The last pass, t == total_steps, evaluates the end state's values
-    only, without a gradient or an update.  Raises the run's NumericalAbort.
+    once; each step then evaluates the loss kernel's factor half once and
+    walks its tiles, which update, render and reduce.  The last pass,
+    t == total_steps, evaluates the end state's values only, without a
+    gradient or an update.  Raises the run's NumericalAbort.
     """
     ((outcome,),) = run_rows(scene, [cfg], latent0)
     if isinstance(outcome, NumericalAbort):

@@ -14,19 +14,21 @@ Two parametrizations:
 
 Each mode is one class and owns every fact about it: `latent_shape(scene)`,
 its step size `default_eta0`, the seeded start `init(scene, rng)`, then,
-built once per run, `render(values)` and `chain(grad, lo, hi)`, the one
-pair the run loop and `gradcheck` both drive.  `_SURROGATES` is the only
-list of modes.  `render` works on B rows at once, the leading axis of a
-run's (B, *latent_shape) latent and (B, K, H, W) field; `chain` on any range
-lo..hi-1 of the field's B * K maps, all of them by default, which lets the
-run loop chain one tile of maps at a time.  Every map is rendered and
-chained exactly as it would be alone, since no arithmetic mixes maps.
+built once per run, `render(values, lo, hi)` and `chain(grad, lo, hi)`, the
+one pair the run loop and `gradcheck` both drive.  `_SURROGATES` is the
+only list of modes.  A surrogate holds the (B, K, H, W) field of B rows,
+read as one stack of B * K maps, row after row (map m = b * K + k), and
+both calls work on any range lo..hi-1 of that stack, all of it by default:
+the run loop renders and chains one tile of maps at a time.  Every map is
+rendered and chained exactly as it would be alone, since no arithmetic
+mixes maps, and `chain` reads the factors of its maps' last render.
 
 Both classes allocate their buffers once, when a run sets them up, and
 write every intermediate of `render` and `chain` into them with `out=`,
 so neither allocates an array per call.  `render` returns the surrogate's
-own field, which the next `render` writes over; `chain` returns a view of
-the surrogate's scratch (the raster chain writes over the gradient it is
+own field, whose maps lo..hi-1 it has just written and which the next
+`render` of those maps writes over; `chain` returns a view of the
+surrogate's scratch (the raster chain writes over the gradient it is
 given), which the next `chain` writes over, so a caller reads each result
 before it chains again.
 
@@ -88,8 +90,14 @@ class _Raster:
         # the B * K maps of the field as one stack, row after row
         self._stack = self.maps.reshape(-1, scene.grid_height, scene.grid_width)
 
-    def render(self, values: np.ndarray) -> np.ndarray:
-        return np.exp(values, out=self.maps)
+    def render(self, values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """exp(logit) of maps lo..hi-1 of the field's stack, all of them by default, written into `maps`.
+
+        values holds the maps' logits in any shape of the same size, as
+        (B, K, H, W) for the whole field.
+        """
+        np.exp(values, out=self._stack[lo:hi].reshape(values.shape))
+        return self.maps
 
     def chain(self, grad: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """dL/dlogit = dL/dA * A (A = exp(logit)) of maps lo..hi-1 of the last render, written over grad.
@@ -113,7 +121,7 @@ class _Blob:
     Every intermediate has a buffer sized for all B * K maps, allocated
     here: the sigmas, the x and y offsets and 1-D Gaussians, the field and
     both factor stacks for `render`; the products t and r and the partials
-    for `chain`, which slices them to the maps of each call.  The
+    for `chain`.  Both calls slice them to the maps of the call.  The
     arithmetic is that of a fresh array per intermediate, in the same
     order and bit for bit (`tests/reference.py` keeps that form).
     """
@@ -165,29 +173,35 @@ class _Blob:
         self._r = np.empty((n, 3, 3))
         self._partials = np.empty((n, 5))
 
-    def render(self, values: np.ndarray) -> np.ndarray:
-        """The field of latent `values` (B, K, 5), written into `maps`, with its factors for `chain`."""
+    def render(self, values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Maps lo..hi-1 of the field's stack, all of them by default, written into `maps`, with their factors
+        for `chain`.
+
+        values holds the maps' latent in any shape ending in the five
+        parameters, as (B, K, 5) for the whole field.
+        """
         params = values.reshape(-1, 5)
-        scales, sigmas, divisors = self._scales, self._sigmas, self._divisors
+        scales, sigmas, divisors = self._scales[lo:hi], self._sigmas[lo:hi], self._divisors[lo:hi]
         np.exp(params[:, 2:], out=scales)
         # -(dx^2 / (2 sx^2)) is dx^2 / -(2 sx^2) exactly, so the negation goes into the divisor
         np.multiply(sigmas, sigmas, out=divisors)
         np.multiply(divisors, -2.0, out=divisors)
         # (B * K, 1) columns against the (W,) and (H,) centres give (B * K, W) and (B * K, H)
-        d, dx, dy, g, gx, ey = self._d, self._dx, self._dy, self._g, self._gx, self._ey
+        d, dx, dy = self._d[lo:hi], self._dx[lo:hi], self._dy[lo:hi]
+        g, gx, ey = self._g[lo:hi], self._gx[lo:hi], self._ey[lo:hi]
         np.subtract(self.px, params[:, 0:1], out=dx)
         np.subtract(self.py, params[:, 1:2], out=dy)
         np.multiply(d, d, out=g)
         np.divide(gx, divisors[:, 0:1], out=gx)
         np.divide(ey, divisors[:, 1:2], out=ey)
         np.exp(g, out=g)
-        left, right = self._left, self._right
+        left, right = self._left[lo:hi], self._right[lo:hi]
         gy = left[:, 0]
         np.multiply(scales[:, 2:3], ey, out=gy)
         # the field, g_y (x) g_x map by map.  np.multiply buffers its two broadcast operands on every
         # call and is slower; einsum adds each product to a zeroed map, which changes only a -0, and
         # g_y, g_x >= 0
-        np.einsum("mi,mj->mij", gy, gx, out=self._stack)
+        np.einsum("mi,mj->mij", gy, gx, out=self._stack[lo:hi])
         u = np.divide(dx, sigmas[:, 0:1], out=dx)
         v = np.divide(dy, sigmas[:, 1:2], out=dy)
         # the factor stacks; g * u^2 is formed as g * (u * u)

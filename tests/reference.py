@@ -263,7 +263,7 @@ def reference_values(
     objs = np.arange(k)
 
     # row_dots[k, y, 0] = R[k, y]; row_dots[k, y, 1 + j] = A_k[y] . c_j
-    row_dots = (maps.reshape(k * height, width) @ plan.colmat).reshape(k, height, k + 1)
+    row_dots = maps @ plan.colmat
     row_sum = row_dots[:, :, 0]
     col_sum = maps.sum(axis=1)
     total = col_sum.sum(axis=1)

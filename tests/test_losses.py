@@ -32,7 +32,9 @@ from deptharb.gradcheck import (
     spatial_mean,
     spatial_variance,
 )
-from deptharb.losses import _columns, _evaluate, _plan, _values, arbitration_weight, staged_total, value_and_grad
+from deptharb.losses import (
+    _columns, _evaluate, _plan, _reduce, _reduce_views, _values, arbitration_weight, staged_total, value_and_grad,
+)
 
 from conftest import random_field_latent, random_scene
 from perfbench import scenegen
@@ -464,8 +466,9 @@ class TestPlanScratch:
         stages = (1, 2, 2, 1)
         kept = [_evaluate(fields[0].maps[None], plan, [1]).take(0), _evaluate(fields[1].maps[None], plan, [2]).take(0)]
         columns = _columns(plan, [[2], [1]])
-        _values(fields[2].maps[None], plan, columns, 0)
-        _values(fields[3].maps[None], plan, columns, 1)
+        for t, field in enumerate(fields[2:]):
+            _reduce(_reduce_views(field.maps[None], plan, 0, 2))
+            _values(plan, columns, t)
         kept += [columns.take((0, 0)), columns.take((1, 0))]
         for field, stage, got in zip(fields, stages, kept, strict=True):
             assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])

@@ -447,6 +447,11 @@ LINE_SIZES = [1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65]
 PLANTED = [math.nan, math.inf, -math.inf, 1e200, -1e300, 1.5e154]
 
 
+def _drawn(maps, lo, hi):
+    """The maps that `render(values, lo, hi)` writes, as indices into the B * K-map stack of its field `maps`."""
+    return range(maps.shape[0] * maps.shape[1])[lo:hi]
+
+
 class TestFinitePredicate:
     """A row whose loss total is not finite is a field abort iff one entry of its field is not finite."""
 
@@ -461,10 +466,13 @@ class TestFinitePredicate:
             surrogate = real(*args)
             render = surrogate.render
 
-            def render_planted(z):
-                maps = render(z)
-                maps[0] = 1e306
-                maps[0].reshape(-1)[at] = value
+            def render_planted(values, lo=0, hi=None):
+                maps = render(values, lo, hi)
+                entries = maps[0].reshape(len(maps[0]), -1)  # row 0's maps, the whole stack of a one-row run
+                for m in _drawn(maps, lo, hi):
+                    entries[m] = 1e306
+                    if m == at // entries.shape[1]:
+                        entries[m, at % entries.shape[1]] = value
                 return maps
 
             surrogate.render = render_planted
@@ -592,11 +600,13 @@ class TestGuardEquivalence:
             surrogate = real(*args)
             render, calls = surrogate.render, Counter()
 
-            def render_once_bad(z):
-                maps = render(z)
-                if calls["render"] == at:
-                    maps[0, 1, 3, 5] = value
-                calls["render"] += 1
+            def render_once_bad(values, lo=0, hi=None):
+                maps = render(values, lo, hi)
+                # the renders of map 1 of row 0, the planted one
+                if 1 in _drawn(maps, lo, hi):
+                    if calls["render"] == at:
+                        maps[0, 1, 3, 5] = value
+                    calls["render"] += 1
                 return maps
 
             surrogate.render = render_once_bad
@@ -852,8 +862,8 @@ def _poisoned_at(step: int, poison):
     """The run loop's factor half, with `poison(plan)` applied after its call at `step`."""
     real, calls = optimizer._step_factors, Counter()
 
-    def step_factors(maps, plan, *columns):
-        real(maps, plan, *columns)
+    def step_factors(plan, *columns):
+        real(plan, *columns)
         if calls["steps"] == step:
             poison(plan)
         calls["steps"] += 1
@@ -869,9 +879,11 @@ def _chain_poisoned_at(step: int, planted: int):
         surrogate = real(*args)
         render, chain, renders = surrogate.render, surrogate.chain, Counter()
 
-        def counted_render(z):
-            renders["n"] += 1
-            return render(z)
+        def counted_render(values, lo=0, hi=None):
+            maps = render(values, lo, hi)
+            # the renders of the planted map: its chain at `step` follows the render of pass `step`
+            renders["n"] += planted in _drawn(maps, lo, hi)
+            return maps
 
         def poisoned_chain(grad, lo, hi):
             out = chain(grad, lo, hi)
