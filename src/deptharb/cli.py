@@ -31,7 +31,7 @@ import numpy as np
 
 from .attention import AttentionError, AttentionField, check_alignment
 from .dumpio import DumpError, read_dump, write_dump
-from .gradcheck import DEFAULT_REL_TOL, OracleError, check_gradients, precision_note
+from .gradcheck import DEFAULT_REL_TOL, FLOOR_REF, OracleError, check_gradients, precision_note
 from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, _score_rows
 from .optimizer import NumericalAbort, _final_stage, run_guidance, run_rows
 from .scene import (
@@ -226,7 +226,8 @@ def cmd_grad_check(args) -> int:
         failures.extend((stage, r) for r in result.failures)
         _print(
             f"stage {stage} ({args.mode}): {result.checked} coordinates, "
-            f"worst rel {result.worst_rel:.3e}, worst abs {result.worst_abs:.3e} "
+            f"worst rel {result.worst_rel:.3e} ({result.floored} judged by the {args.tol * FLOOR_REF:g} floor), "
+            f"worst abs {result.worst_abs:.3e} "
             f"-> {'pass' if result.passed else f'{len(result.failures)} FAILURES'}"
         )
     _print(f"worst relative error: {worst_rel:.6e}")

@@ -46,10 +46,15 @@ coordinates move every pixel, so they keep the literal re-render
 call, whatever the number of stages.
 
 A coordinate passes when both values are finite and
-|analytic - fd| <= max(rel_tol * 1e-4, rel_tol * ref) with
+|analytic - fd| <= max(rel_tol * FLOOR_REF, rel_tol * ref) with
 ref = max(|analytic|, |fd|): the relative criterion for significant
 gradients, an absolute floor for near-zero ones.  An infinite value would
-make that bound infinite too, so it fails on its own.
+make that bound infinite too, so it fails on its own.  A result's worst
+relative error is taken over the coordinates the relative criterion
+judges; those the floor judges (both values finite and ref <= FLOOR_REF,
+where the floor is the larger bound) are only counted, since a near-zero
+gradient's relative error says nothing about the check.  A NaN or
+infinite value is judged by neither and shows in the worst errors.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .surrogate import LatentState, _check_match, _surrogate
 LONG = np.longdouble
 FD_STEP = 1e-6
 DEFAULT_REL_TOL = 1e-5
+FLOOR_REF = 1e-4  # at and below this reference, the absolute floor rel_tol * FLOOR_REF judges a coordinate
 ANCHOR_EPS = 64  # sum-form vs literal objective, in units of the working eps
 CHUNK = 256  # sampled coordinates evaluated per array pass: the temporaries' bound at any `samples`
 
@@ -103,8 +109,9 @@ class CoordReport:
 class GradCheckResult:
     checked: int = 0
     failures: list[CoordReport] = field(default_factory=list)
-    worst_rel: float = 0.0
+    worst_rel: float = 0.0  # over the coordinates the relative criterion judges
     worst_abs: float = 0.0
+    floored: int = 0  # the coordinates the absolute floor judges
 
     @property
     def passed(self) -> bool:
@@ -343,17 +350,22 @@ def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float
     """Judge coordinates in sample order into `result`, with a report for each failure.
 
     A NaN error fails its coordinate and wins the worst-error max, so a
-    result whose worst error reads NaN holds a non-finite failure.
+    result whose worst error reads NaN holds a non-finite failure.  The
+    worst relative error skips the coordinates the absolute floor judges,
+    which are counted instead.
     """
     # silent, as the same arithmetic on Python floats is: inf - inf is a NaN error, not a warning
     with np.errstate(all="ignore"):
         abs_err = np.abs(analytic - fd)
         ref = np.where(np.abs(fd) > np.abs(analytic), np.abs(fd), np.abs(analytic))
         rel_err = np.divide(abs_err, ref, out=np.zeros_like(ref), where=ref > 1e-10)
-        floor, scaled = rel_tol * 1e-4, rel_tol * ref
-        ok = (abs_err <= np.where(scaled > floor, scaled, floor)) & np.isfinite(analytic) & np.isfinite(fd)
+        floor, scaled = rel_tol * FLOOR_REF, rel_tol * ref
+        finite = np.isfinite(analytic) & np.isfinite(fd)
+        ok = (abs_err <= np.where(scaled > floor, scaled, floor)) & finite
+        floored = finite & (ref <= FLOOR_REF)
     result.checked += len(fd)
-    result.worst_rel = float(np.max(rel_err, initial=result.worst_rel))
+    result.floored += int(np.count_nonzero(floored))
+    result.worst_rel = float(np.max(rel_err[~floored], initial=result.worst_rel))
     result.worst_abs = float(np.max(abs_err, initial=result.worst_abs))
     result.failures.extend(
         CoordReport(

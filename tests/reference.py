@@ -106,24 +106,29 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def judge(
     space: str, k: int, coordinate: tuple[int, ...], analytic: float, fd: float, rel_tol: float
-) -> tuple[CoordReport, bool]:
-    """One coordinate's report and verdict.
+) -> tuple[CoordReport, bool, bool]:
+    """One coordinate's report, verdict, and whether the absolute floor judged it.
 
-    The error is relative where the reference exceeds 1e-10; it passes under an absolute floor rel_tol * 1e-4.
+    The error is relative where the reference exceeds 1e-10; it passes under an absolute floor rel_tol * 1e-4,
+    which judges the coordinate when both values are finite and the reference is at most 1e-4.
     A coordinate whose analytic or FD value is not finite fails.
     """
     abs_err = abs(analytic - fd)
     ref = max(abs(analytic), abs(fd))
     rel_err = abs_err / ref if ref > 1e-10 else 0.0
-    ok = math.isfinite(analytic) and math.isfinite(fd) and abs_err <= max(rel_tol * 1e-4, rel_tol * ref)
-    return CoordReport(space, k, coordinate, analytic, fd, abs_err, rel_err), ok
+    finite = math.isfinite(analytic) and math.isfinite(fd)
+    ok = finite and abs_err <= max(rel_tol * 1e-4, rel_tol * ref)
+    return CoordReport(space, k, coordinate, analytic, fd, abs_err, rel_err), ok, finite and ref <= 1e-4
 
 
-def _absorb(result: GradCheckResult, judged: tuple[CoordReport, bool]) -> None:
-    report, ok = judged
+def _absorb(result: GradCheckResult, judged: tuple[CoordReport, bool, bool]) -> None:
+    report, ok, floored = judged
     result.checked += 1
-    # np.max, not max: a NaN error wins it
-    result.worst_rel = float(np.max([result.worst_rel, report.rel_err]))
+    # np.max, not max: a NaN error wins it; the worst relative error skips what the floor judges
+    if floored:
+        result.floored += 1
+    else:
+        result.worst_rel = float(np.max([result.worst_rel, report.rel_err]))
     result.worst_abs = float(np.max([result.worst_abs, report.abs_err]))
     if not ok:
         result.failures.append(report)

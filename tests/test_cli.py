@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -358,6 +359,20 @@ class TestGradCheckCommand:
         assert code == 1  # epsilon must be > 0: config validation rejects it
         assert "epsilon" in capsys.readouterr().err
 
+    def test_worst_relative_error_is_over_the_coordinates_the_relative_bound_judges(self, capsys):
+        # at lambda_compact 1e4 a few near-zero blob coordinates pass under the absolute floor with
+        # relative errors near 1e-3; every other coordinate is within 1e-8
+        assert run_cli("grad-check", "--mode", "blob", "--lambda-compact", "1e4") == 0
+        out = capsys.readouterr().out.splitlines()
+        stage_lines = [re.fullmatch(
+            r"stage (\d) \(blob\): 1010 coordinates, worst rel (\S+) \((\d+) judged by the 1e-09 floor\), "
+            r"worst abs \S+ -> pass", line) for line in out[-3:-1]]
+        assert [m.group(1) for m in stage_lines] == ["1", "2"]
+        worst = [float(m.group(2)) for m in stage_lines]
+        assert max(worst) < 1e-8 and all(int(m.group(3)) > 0 for m in stage_lines)
+        final = float(out[-1].removeprefix("worst relative error: "))
+        assert f"{final:.3e}" == f"{max(worst):.3e}"
+
     def test_impossible_tolerance_fails(self):
         assert run_cli("grad-check", "--samples", "40", "--tol", "0") == 3
 
@@ -403,8 +418,8 @@ class TestGradCheckCommand:
             "latent obj 1 coord (41, 58)", "latent obj 1 coord (38, 62)", "latent obj 1 coord (40, 34)",
         ]
         assert capsys.readouterr().out.splitlines() == [
-            "stage 1 (raster): 6 coordinates, worst rel nan, worst abs inf -> 6 FAILURES",
-            "stage 2 (raster): 6 coordinates, worst rel nan, worst abs inf -> 6 FAILURES",
+            "stage 1 (raster): 6 coordinates, worst rel nan (0 judged by the 1e-09 floor), worst abs inf -> 6 FAILURES",
+            "stage 2 (raster): 6 coordinates, worst rel nan (0 judged by the 1e-09 floor), worst abs inf -> 6 FAILURES",
             "worst relative error: nan",
             "worst offenders:",
             *(

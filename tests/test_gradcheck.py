@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -140,6 +141,7 @@ def _bits(result) -> tuple:
              r.rel_err.hex())
             for r in result.failures
         ],
+        result.floored,
     )
 
 
@@ -225,6 +227,25 @@ class TestArrayOracle:
         _absorb(scalar, judge("attention", 1, (2, 3), analytic, fd, 1e-5))
         assert not judged.passed
         assert _bits(judged) == _bits(scalar)
+
+
+    def test_worst_relative_error_skips_the_coordinates_the_floor_judges(self):
+        # 1e-9 against 1.5e-9 is off by a third, and 5e-5 against 5e-5 + 1e-10 by 2e-6; both references
+        # are at most 1e-4, so the floor 1e-9 judges and passes them.  The worst relative error is the
+        # third coordinate's, and a NaN difference against a small gradient still shows in it
+        analytic, fd = np.array([1e-9, 5e-5, 1.0, 5e-5]), np.array([1.5e-9, 5e-5 + 1e-10, 1.0 + 1e-6, np.nan])
+        for n in (3, 4):
+            judged, scalar = GradCheckResult(), GradCheckResult()
+            gradcheck._judge_all(
+                judged, "attention", np.zeros(n, int), np.zeros((n, 2), int), analytic[:n], fd[:n], 1e-5
+            )
+            for a, f in zip(analytic[:n], fd[:n]):
+                _absorb(scalar, judge("attention", 0, (0, 0), float(a), float(f), 1e-5))
+            assert _bits(judged) == _bits(scalar)
+            assert judged.floored == 2
+            if n == 3:
+                assert judged.passed and judged.worst_rel == (1.0 + 1e-6 - 1.0) / (1.0 + 1e-6)
+        assert math.isnan(judged.worst_rel) and len(judged.failures) == 1
 
 
 class TestRefusedChecks:
