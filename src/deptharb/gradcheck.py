@@ -358,14 +358,15 @@ def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float
     with np.errstate(all="ignore"):
         abs_err = np.abs(analytic - fd)
         ref = np.where(np.abs(fd) > np.abs(analytic), np.abs(fd), np.abs(analytic))
-        rel_err = np.divide(abs_err, ref, out=np.zeros_like(ref), where=ref > 1e-10)
+        # a NaN reference (a NaN analytic value) gives a NaN relative error, not 0
+        rel_err = np.divide(abs_err, ref, out=np.zeros_like(ref), where=~(ref <= 1e-10))
         floor, scaled = rel_tol * FLOOR_REF, rel_tol * ref
         finite = np.isfinite(analytic) & np.isfinite(fd)
         ok = (abs_err <= np.where(scaled > floor, scaled, floor)) & finite
         floored = finite & (ref <= FLOOR_REF)
     result.checked += len(fd)
     result.floored += int(np.count_nonzero(floored))
-    result.worst_rel = float(np.max(rel_err[~floored], initial=result.worst_rel))
+    result.worst_rel = float(np.max(rel_err, initial=result.worst_rel, where=~floored))
     result.worst_abs = float(np.max(abs_err, initial=result.worst_abs))
     result.failures.extend(
         CoordReport(

@@ -473,8 +473,7 @@ def _reduce(views: tuple[np.ndarray, ...]) -> None:
     order, so a map's reductions are the same whatever maps they are taken
     with.  A GEMM over several maps would not be: the BLAS picks its kernel
     by the product's size, and its kernels round some dot products
-    differently.  A grid is at least 2 pixels tall, so no GEMM has one row,
-    for which numpy takes another path.
+    differently.
     """
     stack, colmat, dots, col_sum = views
     np.matmul(stack, colmat, out=dots)

@@ -109,13 +109,13 @@ def judge(
 ) -> tuple[CoordReport, bool, bool]:
     """One coordinate's report, verdict, and whether the absolute floor judged it.
 
-    The error is relative where the reference exceeds 1e-10; it passes under an absolute floor rel_tol * 1e-4,
+    The error is relative where the reference exceeds 1e-10 or is NaN; it passes under an absolute floor rel_tol * 1e-4,
     which judges the coordinate when both values are finite and the reference is at most 1e-4.
     A coordinate whose analytic or FD value is not finite fails.
     """
     abs_err = abs(analytic - fd)
     ref = max(abs(analytic), abs(fd))
-    rel_err = abs_err / ref if ref > 1e-10 else 0.0
+    rel_err = abs_err / ref if not ref <= 1e-10 else 0.0
     finite = math.isfinite(analytic) and math.isfinite(fd)
     ok = finite and abs_err <= max(rel_tol * 1e-4, rel_tol * ref)
     return CoordReport(space, k, coordinate, analytic, fd, abs_err, rel_err), ok, finite and ref <= 1e-4

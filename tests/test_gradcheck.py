@@ -248,6 +248,18 @@ class TestArrayOracle:
         assert math.isnan(judged.worst_rel) and len(judged.failures) == 1
 
 
+    def test_a_nan_analytic_value_reads_nan_in_the_relative_error(self):
+        # its reference max(|analytic|, |fd|) is NaN; a relative error of 0 would hide it from the worst
+        # relative error and sort it last among a failing check's offenders
+        judged = GradCheckResult()
+        gradcheck._judge_all(
+            judged, "attention", np.zeros(2, int), np.zeros((2, 2), int), np.array([np.nan, 1.0]),
+            np.array([0.0, 2.0]), 1e-5,
+        )
+        assert [math.isnan(r.rel_err) for r in judged.failures] == [True, False]
+        assert math.isnan(judged.worst_rel) and judged.floored == 0
+
+
 class TestRefusedChecks:
     @pytest.mark.parametrize(
         "kwargs,message",

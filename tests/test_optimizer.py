@@ -32,7 +32,7 @@ from deptharb import (
     staged_loss,
 )
 from deptharb import losses, optimizer
-from deptharb.losses import _evaluate, _plan, value_and_grad
+from deptharb.losses import _evaluate, _plan, _reduce, _reduce_views, value_and_grad
 from deptharb.cli import SWEEP_PARAMS
 from deptharb.optimizer import _final_stage, _schedule, run_rows
 from deptharb.surrogate import MODES, _mode_class, _surrogate, with_default_step
@@ -856,6 +856,114 @@ class TestTileBoundaries:
             with pytest.raises(NumericalAbort) as exc_info:
                 run_guidance(scene, cfg, init_latent(scene, mode, seed))
         assert str(exc_info.value) == f"non-finite {reason} at step {step}"
+
+
+def _partition(draw, batch: int, k: int, whole_rows: bool) -> list[tuple[int, int]]:
+    """Tiles (lo, hi) over the B * K maps of a run's stack, cut where hypothesis draws: runs of whole rows, or
+    runs of maps of one row."""
+    def runs(count: int) -> list[tuple[int, int]]:
+        cuts = draw(st.lists(st.booleans(), min_size=count - 1, max_size=count - 1))
+        ends = [n for n, cut in enumerate(cuts, 1) if cut] + [count]
+        return list(zip([0, *ends[:-1]], ends))
+
+    if whole_rows:
+        return [(lo * k, hi * k) for lo, hi in runs(batch)]
+    return [(b * k + lo, b * k + hi) for b in range(batch) for lo, hi in runs(k)]
+
+
+def _tiled_and_whole(scene, mode, values, tiles):
+    """The field and reductions of latent `values` (B, ...) rendered and reduced tile by tile, and at once.
+
+    Each is (maps, row_dots, col_sum, the blob or raster chain of one fixed gradient); the tiled buffers
+    start out NaN, so an entry no tile writes shows.
+    """
+    batch = len(values)
+    cfgs = [GuidanceConfig()] * batch
+    pairs = derive_occlusion_pairs(scene)
+    grad = np.random.default_rng(0).uniform(-1.0, 1.0, (batch * len(scene.objects), scene.grid_height,
+                                                          scene.grid_width))
+    out = []
+    for tiling in (tiles, None):
+        surrogate, plan = _surrogate(scene, mode, batch), _plan(scene, pairs, cfgs)
+        for array in (surrogate.maps, plan.scratch.row_dots, plan.scratch.col_sum):
+            array.fill(math.nan)
+        if tiling is None:
+            surrogate.render(values)
+            _reduce(_reduce_views(surrogate.maps, plan, 0, batch * len(scene.objects)))
+        else:
+            stack = values.reshape(batch * len(scene.objects), -1)
+            for lo, hi in tiling:
+                surrogate.render(stack[lo:hi], lo, hi)
+                _reduce(_reduce_views(surrogate.maps, plan, lo, hi))
+        chained = surrogate.chain(grad.copy()).copy()
+        out.append((surrogate.maps, plan.scratch.row_dots, plan.scratch.col_sum, chained))
+    return out
+
+
+def _rows_of(scene, mode, batch):
+    """B distinct start latents of `mode` for `scene`, one per row."""
+    return np.stack([init_latent(scene, mode, seed).values for seed in range(batch)])
+
+
+class TestTilePartitions:
+    """Rendering and reducing a field tile by tile writes, bit for bit, what the whole-field calls write."""
+
+    @settings(max_examples=150)
+    @given(lockstep_cases(), st.integers(1, 3), st.booleans(), st.data())
+    def test_any_partition_equals_the_whole_field(self, case, batch, whole_rows, data):
+        scene, cfgs, _, _ = case
+        mode = data.draw(st.sampled_from(MODES), label="mode")
+        tiles = _partition(data.draw, batch, len(scene.objects), whole_rows)
+        tiled, whole = _tiled_and_whole(scene, mode, _rows_of(scene, mode, batch), tiles)
+        for got, want in zip(tiled, whole):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("field", ["large_scene(1)", "2 pixels tall"])
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_map_tiled_fields_equal_the_whole_field(self, mode, field, data):
+        # a 256x256, K = 8 field, and a 2x40000, K = 2 one: fields whose rows a run splits into map tiles
+        if field == "large_scene(1)":
+            scene = parse_scene(json.dumps(scenegen.large_scene(1)))
+        else:
+            scene = SceneSpec(grid_height=2, grid_width=40000, objects=(
+                SceneObject(id=0, label="", bbox=(0.1, 0.0, 0.6, 1.0), depth=0.2),
+                SceneObject(id=1, label="", bbox=(0.4, 0.0, 0.9, 1.0), depth=0.8),
+            ))
+        size = len(scene.objects) * scene.grid_height * scene.grid_width
+        assert size > optimizer._TILE_ENTRIES
+        tiles = _partition(data.draw, 1, len(scene.objects), whole_rows=False)
+        tiled, whole = _tiled_and_whole(scene, mode, _rows_of(scene, mode, 1), tiles)
+        for got, want in zip(tiled, whole):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("tile_entries", [optimizer._TILE_ENTRIES, 16 * 16, 1])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_map_is_rendered_once_per_pass(self, two_object_scene, monkeypatch, mode, tile_entries):
+        # 3 rows of 2 maps: one tile, one map per tile; 5 steps and the end state are 6 passes
+        renders = Counter()
+        real = optimizer._surrogate
+
+        def counted(*args):
+            surrogate = real(*args)
+            render = surrogate.render
+
+            def counting(values, lo=0, hi=None):
+                maps = render(values, lo, hi)
+                renders.update(_drawn(maps, lo, hi))
+                return maps
+
+            surrogate.render = counting
+            return surrogate
+
+        monkeypatch.setattr(optimizer, "_surrogate", counted)
+        monkeypatch.setattr(optimizer, "_TILE_ENTRIES", tile_entries)
+        base = with_default_step(GuidanceConfig(total_steps=5), mode)
+        cfgs = [base.updated(lambda_ortho=v) for v in (0.5, 1.0, 2.0)]
+        outcomes = list(chain.from_iterable(run_rows(two_object_scene, cfgs, init_latent(two_object_scene, mode, 4))))
+        assert all(isinstance(outcome, optimizer.Trajectory) for outcome in outcomes)
+        assert renders == {m: 6 for m in range(6)}
 
 
 def _poisoned_at(step: int, poison):
