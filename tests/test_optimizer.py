@@ -911,7 +911,7 @@ class TestTilePartitions:
     @settings(max_examples=150)
     @given(lockstep_cases(), st.integers(1, 3), st.booleans(), st.data())
     def test_any_partition_equals_the_whole_field(self, case, batch, whole_rows, data):
-        scene, cfgs, _, _ = case
+        scene = case[0]
         mode = data.draw(st.sampled_from(MODES), label="mode")
         tiles = _partition(data.draw, batch, len(scene.objects), whole_rows)
         tiled, whole = _tiled_and_whole(scene, mode, _rows_of(scene, mode, batch), tiles)
@@ -938,10 +938,10 @@ class TestTilePartitions:
         for got, want in zip(tiled, whole):
             assert same_bits(got, want)
 
-    @pytest.mark.parametrize("tile_entries", [optimizer._TILE_ENTRIES, 16 * 16, 1])
+    @pytest.mark.parametrize("tile_entries", [optimizer._TILE_ENTRIES, 2 * 16 * 16, 16 * 16])
     @pytest.mark.parametrize("mode", MODES)
     def test_each_map_is_rendered_once_per_pass(self, two_object_scene, monkeypatch, mode, tile_entries):
-        # 3 rows of 2 maps: one tile, one map per tile; 5 steps and the end state are 6 passes
+        # 3 rows of 2 maps in one tile, a row per tile or a map per tile; 5 steps and the end state are 6 passes
         renders = Counter()
         real = optimizer._surrogate
 
