@@ -38,10 +38,10 @@ factors; `_grad_product` multiplies the factors out for any range of maps.
 buffer, for `gradcheck` and the tests, and `_evaluate` the first two.  The
 run loop takes the field half and the product a tile of maps at a time,
 while the tile is in cache (the reductions right after the tile's maps are
-rendered), and never writes a whole-field gradient.  The plan builds the gradient's factors
-and buffer the first time they are read, so a value-only caller
-(scoring, and `staged_loss`, the one-row view for callers outside the
-package) builds none.
+rendered), and never writes a whole-field gradient.  The plan builds the
+gradient's factors and buffer the first time they are read, so a
+value-only caller (scoring, and `staged_loss`, the one-row view for
+callers outside the package) builds none.
 Gradients are hand-derived closed forms rather than autodiff, and
 the literal term definitions they are checked against live apart, in
 `gradcheck`, so the finite-difference oracle is a genuinely independent

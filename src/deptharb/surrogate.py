@@ -186,7 +186,7 @@ class _Blob:
         # -(dx^2 / (2 sx^2)) is dx^2 / -(2 sx^2) exactly, so the negation goes into the divisor
         np.multiply(sigmas, sigmas, out=divisors)
         np.multiply(divisors, -2.0, out=divisors)
-        # (B * K, 1) columns against the (W,) and (H,) centres give (B * K, W) and (B * K, H)
+        # the n maps' (n, 1) columns against the (W,) and (H,) centres give (n, W) and (n, H)
         d, dx, dy = self._d[lo:hi], self._dx[lo:hi], self._dy[lo:hi]
         g, gx, ey = self._g[lo:hi], self._gx[lo:hi], self._ey[lo:hi]
         np.subtract(self.px, params[:, 0:1], out=dx)
