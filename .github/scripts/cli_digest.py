@@ -9,10 +9,18 @@ exit code, its stdout, its stderr and every file it writes into that
 directory (reports and dumps).  Every command that writes a file names it
 relatively, so the trees' results compare byte for byte.
 
+The commands print rounded numbers and write float32 fields, which can hide
+a change in the float64 values behind them.  So after the commands, each
+probe of PROBES runs as `python -c` in a process of the tree's own and
+prints exact digests: every field of `check_gradients`' results, floats in
+hex, and a sha256 of every loss column, the final latent and the final
+field of a map-tiled raster run.  A probe's results are compared as a
+command's are.
+
 The scenes both trees read are written once, before any command runs: the
 repository's `scenes/canonical.json`, a 16x16 two-object scene, and
-`perfbench.scenegen`'s `small_scene(3)` and `large_scene(2)`, all taken
-from the repository that holds this script.
+`perfbench.scenegen`'s `small_scene(3)`, `large_scene(2)` and
+`large_scene(1)`, all taken from the repository that holds this script.
 
 Usage: python3 .github/scripts/cli_digest.py PARENT_TREE CHANGE_TREE
 
@@ -41,7 +49,7 @@ TWO_OBJECTS = {
     ],
 }
 
-# {canonical}, {two}, {small} and {large} name the scene files
+# {canonical}, {two}, {small}, {large} and {tiled} name the scene files
 COMMANDS = [
     # run with a dump and a report, then eval of the dump, in both modes
     "run --scene {canonical} --seed 0 --dump d0.darb --report r0.json",
@@ -87,12 +95,70 @@ COMMANDS = [
     "grad-check --samples 50 --lambda-ortho 1e300",
 ]
 
+# every field of a check's results, floats in hex, per mode and stages; at
+# rel_tol 0 every coordinate fails, so the failures hold every analytic and
+# finite-difference value
+GRADCHECK_PROBE = """
+import dataclasses, sys
+from deptharb import GuidanceConfig, check_gradients, init_latent, parse_scene
+
+def hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return "(" + " ".join(map(hexed, value)) + ")"
+    return repr(value)
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    scene = parse_scene(fh.read())
+for mode in ("raster", "blob"):
+    for stages in ((1,), (2,), (1, 2)):
+        latent = init_latent(scene, mode, 0)
+        results = check_gradients(scene, GuidanceConfig(), latent, stages, seed=0, samples=200, rel_tol=0.0)
+        for stage, result in zip(stages, results):
+            print(mode, stages, stage, hexed(result))
+"""
+
+# a sha256 of each loss column, the step sizes, the final latent and the
+# final field of a 16-step raster run
+TRAJECTORY_PROBE = """
+import dataclasses, hashlib, sys
+import numpy as np
+from deptharb import GuidanceConfig, init_latent, parse_scene, run_guidance
+
+def digest(values):
+    values = np.ascontiguousarray(values)
+    return f"{values.dtype} {values.shape} {hashlib.sha256(values.tobytes()).hexdigest()}"
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    scene = parse_scene(fh.read())
+trajectory = run_guidance(scene, GuidanceConfig(total_steps=16), init_latent(scene, "raster", 0))
+for f in dataclasses.fields(trajectory.terms):
+    column = getattr(trajectory.terms, f.name)
+    print(f.name, repr(column) if f.name == "pairs" else digest(column))
+print("eta", digest(trajectory.eta))
+print("final latent", digest(trajectory.final_latent.values))
+print("final field", digest(trajectory.final_field.maps))
+"""
+
+# (label, code, its arguments); {tiled} is 256x256 with K = 8, so its run walks tiles of one map
+PROBES = [
+    ("probe: grad-check results in hex, canonical", GRADCHECK_PROBE, "{canonical}"),
+    ("probe: grad-check results in hex, small", GRADCHECK_PROBE, "{small}"),
+    ("probe: trajectory digests, map-tiled raster run", TRAJECTORY_PROBE, "{tiled}"),
+]
+
 
 def write_scenes(directory: str) -> dict[str, str]:
     sys.path.insert(0, REPO)
     from perfbench import scenegen
 
-    docs = {"two": TWO_OBJECTS, "small": scenegen.small_scene(3), "large": scenegen.large_scene(2)}
+    docs = {
+        "two": TWO_OBJECTS, "small": scenegen.small_scene(3), "large": scenegen.large_scene(2),
+        "tiled": scenegen.large_scene(1),
+    }
     paths = {"canonical": os.path.join(directory, "canonical.json")}
     shutil.copyfile(os.path.join(REPO, "scenes", "canonical.json"), paths["canonical"])
     for name, doc in docs.items():
@@ -111,7 +177,7 @@ def snapshot(directory: str) -> dict[str, bytes]:
 
 
 def run_all(tree: str, scenes: dict[str, str], workdir: str) -> list[tuple]:
-    """Each command's (exit code, stdout, stderr, files it wrote) on `tree`."""
+    """Each command's (exit code, stdout, stderr, files it wrote) on `tree`, then each probe's."""
     src = os.path.realpath(os.path.join(tree, "src"))
     env = {**os.environ, "PYTHONPATH": src}
     origin = subprocess.run(
@@ -119,9 +185,10 @@ def run_all(tree: str, scenes: dict[str, str], workdir: str) -> list[tuple]:
     ).stdout.strip()
     if not os.path.realpath(origin).startswith(src + os.sep):
         raise SystemExit(f"deptharb imports from {origin or 'nowhere'}, not from {src}")
+    argvs = [[sys.executable, "-m", "deptharb.cli", *shlex.split(command.format(**scenes))] for command in COMMANDS]
+    argvs += [[sys.executable, "-c", code, *shlex.split(args.format(**scenes))] for _, code, args in PROBES]
     results, before = [], {}
-    for command in COMMANDS:
-        argv = [sys.executable, "-m", "deptharb.cli", *shlex.split(command.format(**scenes))]
+    for argv in argvs:
         done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, timeout=600)
         after = snapshot(workdir)
         written = {name: data for name, data in after.items() if before.get(name) != data}
@@ -142,13 +209,14 @@ def main(argv: list[str]) -> int:
             os.mkdir(workdir)
             runs.append(run_all(tree, scenes, workdir))
     differing = 0
-    for command, parent, change in zip(COMMANDS, *runs):
+    labels = COMMANDS + [label for label, _, _ in PROBES]
+    for command, parent, change in zip(labels, *runs, strict=True):
         diffs = [what for what, a, b in zip(("exit code", "stdout", "stderr"), parent, change) if a != b]
         written = sorted(parent[3].keys() | change[3].keys())
         diffs += [f"file {name}" for name in written if parent[3].get(name) != change[3].get(name)]
         differing += bool(diffs)
         print(f"{'DIFFERS in ' + ', '.join(diffs) if diffs else 'same'}: {command} (exit {parent[0]})")
-    print(f"{differing} of {len(COMMANDS)} commands differ")
+    print(f"{differing} of {len(labels)} commands and probes differ")
     return 1 if differing else 0
 
 

@@ -24,15 +24,16 @@ one literal evaluation of a map serves every stage.  Every quantity it
 reads is a pixel sum of the map against a fixed weight: the total, the
 in-box sum, the foreground-mask sum of each pair the object backs, and the
 first and second coordinate moments.  `_PixelSums` takes these sums once
-per object, and each stage only its own pair sums on top, so raising
-pixel p by delta changes each by
+per object, whatever the stage, so raising pixel p by delta changes each by
 delta * w_p and a checked coordinate costs a rank-one update of a few
-scalars instead of full-map passes.  The moments are taken about the
-base-point mean, so Var is never a difference of O(1) numbers, and the
-algebra keeps epsilon exact (the normalized map sums to S / (S + eps), not 1).
-Before any coordinate is judged, each object's sum-form value at the base
-point must match its stage's literal value to a small multiple of the
-working precision's eps, or `check_gradients` raises `OracleError`.
+scalars instead of full-map passes.  Its `terms` are the same summands as
+`_restricted_terms`, and `_staged` adds them too: it is the one place that
+decides what a stage adds.  The moments are taken about the base-point
+mean, so Var is never a difference of O(1) numbers, and the algebra keeps
+epsilon exact (the normalized map sums to S / (S + eps), not 1).  Before
+any coordinate is judged, each object's sum-form value at the base point
+must match its literal value, at every stage checked, to a small multiple
+of the working precision's eps, or `check_gradients` raises `OracleError`.
 
 Attention coordinates perturb the pixel by +-h and raster latent
 coordinates by exp(z_p +- h) - exp(z_p), the one entry the literal
@@ -59,7 +60,6 @@ infinite value is judged by neither and shows in the worst errors.
 
 from __future__ import annotations
 
-import copy
 import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -248,16 +248,16 @@ def _restricted_loss(
 
 
 class _PixelSums:
-    """The pixel sums `_restricted_loss` reads, taken once at a base map.
+    """The pixel sums `_restricted_terms` reads, taken once at a base map.
 
-    `loss(delta, y, x)` is the restricted objective of the base map with entry
-    (y, x) raised by delta.  Each term keeps the literal's float64 coefficient
-    products, so at delta = 0 the two differ only by summation order.  Only
-    the pair sums `fg` depend on the stage; `at_stage` gives the same sums
-    for another stage without taking the others again.
+    `terms(delta, y, x)` are the summands of `_restricted_terms` for the base
+    map with entry (y, x) raised by delta.  Each keeps the literal's float64
+    coefficient products, so at delta = 0 the two differ only by summation
+    order.  None depends on the stage: `loss` adds a stage's through
+    `_staged`, as the literal form does.
     """
 
-    def __init__(self, base, mask_k, depth_k, fg_terms, coords, cfg: GuidanceConfig, stage: int):
+    def __init__(self, base, mask_k, depth_k, fg_terms, coords, cfg: GuidanceConfig):
         self.base = base
         self.mask = mask_k
         self.depth = depth_k
@@ -265,7 +265,11 @@ class _PixelSums:
         self.compact = cfg.lambda_compact * depth_k
         self.total = base.sum()
         self.e_in = (base * mask_k).sum()
-        self.fg = self._pair_sums(fg_terms, cfg, stage)
+        # per pair the object backs: foreground-mask sum, the mask, lambda_ortho * lambda_ij, |M_fg| + eps
+        self.fg = [
+            ((base * mask_fg).sum(), mask_fg, cfg.lambda_ortho * lam, mask_fg.sum() + cfg.epsilon)
+            for mask_fg, lam in fg_terms
+        ]
         col = base.sum(axis=0)
         row = base.sum(axis=1)
         # moments about the base-point mean c = sum(A x) / (S + eps): u = x - c
@@ -276,37 +280,26 @@ class _PixelSums:
         self.m1 = ((col * self.ux).sum(), (row * self.vy).sum())
         self.m2 = ((col * self.ux**2).sum(), (row * self.vy**2).sum())
 
-    def _pair_sums(self, fg_terms, cfg: GuidanceConfig, stage: int) -> list:
-        """Per pair of `fg_terms` that `stage` adds: foreground-mask sum, the mask, lambda_ortho * lambda_ij, |M_fg| + eps."""
-        return [
-            ((self.base * mask_fg).sum(), mask_fg, cfg.lambda_ortho * lam, mask_fg.sum() + cfg.epsilon)
-            for mask_fg, lam in (fg_terms if stage == 1 else ())
-        ]
-
-    def at_stage(self, stage: int, fg_terms, cfg: GuidanceConfig) -> _PixelSums:
-        """These sums as `stage` reads them: a copy with the stage's own pair sums, sharing every other sum."""
-        staged = copy.copy(self)
-        staged.fg = self._pair_sums(fg_terms, cfg, stage)
-        return staged
-
-    def loss(self, delta, y: int, x: int):
+    def terms(self, delta, y: int, x: int):
+        """(alignment, [each pair's ortho term], compactness), as `_restricted_terms` gives them."""
         s = self.total + delta
         denom = s + self.eps
         f = (self.e_in + delta * self.mask[y, x]) / denom
-        value = self.depth * (1 - f) ** 2
-        for fg_sum, mask_fg, coef, area in self.fg:
-            value = value + coef * ((fg_sum + delta * mask_fg[y, x]) / area)
+        ortho = [coef * ((fg_sum + delta * mask_fg[y, x]) / area) for fg_sum, mask_fg, coef, area in self.fg]
         var = 0
         for m1, m2, w, c in zip(self.m1, self.m2, (self.ux[x], self.vy[y]), self.centre):
             m1 = m1 + delta * w
             # the mean's offset from the centre: mu - c = (m1 - c * eps) / denom
             off = (m1 - c * self.eps) / denom
             var = var + (m2 + delta * w * w - off * (2 * m1 - off * s))
-        return value + self.compact * (var / denom)
+        return self.depth * (1 - f) ** 2, ortho, self.compact * (var / denom)
 
-    def fd(self, y, x, up, down, h):
-        """Central differences, as float64, for the entries (y, x) moved up and down by the given deltas."""
-        return ((self.loss(up, y, x) - self.loss(down, y, x)) / (2 * h)).astype(np.float64)
+    def loss(self, delta, y: int, x: int, stage: int):
+        return _staged(self.terms(delta, y, x), stage)
+
+    def fd(self, y, x, up, down, h, stage: int):
+        """Central differences at `stage`, as float64, for the entries (y, x) moved up and down by the given deltas."""
+        return ((self.loss(up, y, x, stage) - self.loss(down, y, x, stage)) / (2 * h)).astype(np.float64)
 
 
 def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
@@ -315,24 +308,28 @@ def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
     depths = scene.depths()
     fg_terms: list[list[tuple[np.ndarray, float]]] = [[] for _ in scene.objects]
     pairs = derive_occlusion_pairs(scene)
-    for pair, weight in zip(pairs, _pair_coefficients(scene, pairs, cfg, masks.sum(axis=(1, 2)))[0]):
+    for pair, weight in zip(pairs, _pair_coefficients(scene, pairs, cfg)[0]):
         fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
         fg_terms[bg].append((masks[fg], weight))
     return [(masks[k], depths[k], fg_terms[k]) for k in range(len(scene.objects))]
 
 
-def _anchored(sums: _PixelSums, literal) -> _PixelSums:
-    """One object's `_PixelSums`, checked against its literal objective at the base map."""
-    summed = sums.loss(LONG(0), 0, 0)
-    # the alignment term's scale d_k floors the reference, since (1 - f)^2
-    # loses relative precision as f nears 1
-    bound = ANCHOR_EPS * np.finfo(LONG).eps * (abs(literal) + sums.depth)
-    if not abs(summed - literal) <= bound:
-        raise OracleError(
-            f"sum-form restricted loss {float(summed)!r} != literal {float(literal)!r} "
-            f"(bound {float(bound):.3g})"
-        )
-    return sums
+def _check_anchors(sums: list[_PixelSums], literals: list, stage: int) -> None:
+    """Raise OracleError for the first object whose sum-form objective at `stage` misses its literal one.
+
+    Both are taken at the base map; `literals` holds each object's
+    `_restricted_terms` there.
+    """
+    for object_sums, terms in zip(sums, literals):
+        summed, literal = object_sums.loss(LONG(0), 0, 0, stage), _staged(terms, stage)
+        # the alignment term's scale d_k floors the reference, since (1 - f)^2
+        # loses relative precision as f nears 1
+        bound = ANCHOR_EPS * np.finfo(LONG).eps * (abs(literal) + object_sums.depth)
+        if not abs(summed - literal) <= bound:
+            raise OracleError(
+                f"sum-form restricted loss {float(summed)!r} != literal {float(literal)!r} "
+                f"(bound {float(bound):.3g})"
+            )
 
 
 def _check_mass(sums: list[_PixelSums]) -> None:
@@ -377,8 +374,8 @@ def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float
     )
 
 
-def _check_sampled(result, space: str, rng, samples: int, sums, grad, deltas, rel_tol: float) -> None:
-    """Judge `samples` coordinates (k, y, x) of one space, CHUNK at a time.
+def _check_sampled(result, space: str, rng, samples: int, sums, stage: int, grad, deltas, rel_tol: float) -> None:
+    """Judge `samples` coordinates (k, y, x) of one space at `stage`, CHUNK at a time.
 
     One chunk's draw is one `rng.integers` call over (K, H, W), which yields
     the coordinates of per-sample k, y, x scalar draws.  Each object's
@@ -393,7 +390,7 @@ def _check_sampled(result, space: str, rng, samples: int, sums, grad, deltas, re
         for k, object_sums in enumerate(sums):
             at = np.flatnonzero(ks == k)
             y, x = ys[at], xs[at]
-            fd[at] = object_sums.fd(y, x, *deltas(k, y, x, object_sums.base[y, x]), h)
+            fd[at] = object_sums.fd(y, x, *deltas(k, y, x, object_sums.base[y, x]), h, stage)
         _judge_all(result, space, ks, np.column_stack((ys, xs)), grad[ks, ys, xs], fd, rel_tol)
 
 
@@ -432,7 +429,8 @@ def check_gradients(
     5 * K parameters whatever `samples` is.
     The stages share every render and every literal evaluation: one row per
     stage on the analytic side, and on the literal side each base map's
-    stage-free terms (`_restricted_terms`) taken once and added per stage.
+    stage-free terms (`_restricted_terms`) and pixel sums (`_PixelSums`)
+    taken once and added per stage.
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor or its map's mass is below
     1e3 * FD_STEP; the refusal is that of the first stage that would refuse
@@ -465,38 +463,22 @@ def check_gradients(
     k_count = len(scene.objects)
     raster = latent.mode == "raster"
 
-    # the sampled spaces' base maps, and their literal terms, once for every
-    # stage; the literal re-render exp(z) of a raster latent in LONG changes
-    # only the perturbed entry
+    # the sampled spaces' base maps, their sums and their literal terms, once
+    # for every stage; the literal re-render exp(z) of a raster latent in
+    # LONG changes only the perturbed entry
     values = latent.values.astype(LONG)
     bases = [field_.maps.astype(LONG)] + ([np.exp(values)] if raster else [])
     literals = [
         [_restricted_terms(base[k], *terms[k], coords_ld, cfg) for k in range(k_count)] for base in bases
     ]
-
-    # each sampled space's sums as the first stage to read them took them: a
-    # later stage takes only its own pair sums
-    taken: dict[int, list[_PixelSums]] = {}
-
-    def anchored(space: int, stage: int) -> list[_PixelSums]:
-        base, literal, first = bases[space], literals[space], taken.get(space)
-        sums = [
-            _anchored(
-                first[k].at_stage(stage, terms[k][2], cfg) if first
-                else _PixelSums(base[k], *terms[k], coords_ld, cfg, stage),
-                _staged(literal[k], stage),
-            )
-            for k in range(k_count)
-        ]
-        taken.setdefault(space, sums)
-        return sums
-
-    # per stage, each sampled space's anchored sums, in the order a lone stage's check takes them
-    sums = []
+    sums = [[_PixelSums(base[k], *terms[k], coords_ld, cfg) for k in range(k_count)] for base in bases]
+    # per stage, in the order a lone stage's check takes them: the attention
+    # sums anchored and their masses checked, then the latent sums anchored
     for stage in stages:
-        attention = anchored(0, stage)
-        _check_mass(attention)
-        sums.append((attention, anchored(1, stage) if raster else None))
+        _check_anchors(sums[0], literals[0], stage)
+        _check_mass(sums[0])
+        if raster:
+            _check_anchors(sums[1], literals[1], stage)
 
     if not raster:
         # blob latent coordinates move every pixel: each perturbed map is rendered and its terms taken once
@@ -513,16 +495,16 @@ def check_gradients(
         ks, ps = np.indices(values.shape).reshape(2, -1)
 
     results = []
-    for row, (attention, latent_sums) in enumerate(sums):
+    for row, stage in enumerate(stages):
         result = GradCheckResult()
         rng = np.random.default_rng(seed)
         _check_sampled(
-            result, "attention", rng, samples, attention, grad_att[row],
+            result, "attention", rng, samples, sums[0], stage, grad_att[row],
             lambda k, y, x, a: ((a + h) - a, (a - h) - a), rel_tol,
         )
         if raster:
             _check_sampled(
-                result, "latent", rng, samples, latent_sums, grad_lat[row],
+                result, "latent", rng, samples, sums[1], stage, grad_lat[row],
                 lambda k, y, x, a: (np.exp(values[k, y, x] + h) - a, np.exp(values[k, y, x] - h) - a),
                 rel_tol,
             )

@@ -64,7 +64,6 @@ from .scene import (
     GuidanceConfig,
     OcclusionPair,
     SceneSpec,
-    box_indicators,
     pixel_centers,
 )
 
@@ -128,26 +127,31 @@ def arbitration_weight(d_fg: float, d_bg: float, cfg: GuidanceConfig) -> float:
     return weight
 
 
-def _box_geometry(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every box's row (K, H) and column (K, W) indicators and pixel count (K,), one `box_span` per box."""
-    boxes = [box_indicators(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects]
-    rows = np.stack([r for r, _ in boxes])
-    cols = np.stack([c for _, c in boxes])
-    # sums and a product of whole numbers far below 2**53: exact
-    return rows, cols, rows.sum(axis=1) * cols.sum(axis=1)
+def _box_geometry(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every box's 0/1 row (K, H) and column (K, W) indicators, from the scene's spans."""
+    k = len(scene.spans)
+    rows, cols = np.zeros((k, scene.grid_height)), np.zeros((k, scene.grid_width))
+    for k, (r0, r1, c0, c1) in enumerate(scene.spans):
+        rows[k, r0:r1] = cols[k, c0:c1] = 1.0
+    return rows, cols
+
+
+def _box_areas(scene: SceneSpec) -> np.ndarray:
+    """Every box's pixel count (K,), from the scene's spans."""
+    return np.array([(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in scene.spans], dtype=np.float64)
 
 
 def _pair_coefficients(
-    scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig, areas: np.ndarray
+    scene: SceneSpec, pairs: Sequence[OcclusionPair], cfg: GuidanceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_ij, lambda_ortho * lambda_ij / (|M_fg| + eps)) of every pair, in pair order.
 
-    `areas` holds each object's box pixel count, as `_box_geometry` gives it.
     Raises a ConfigError naming the pair when either coefficient is not
     finite, so a config can be checked before any field is rendered.
     """
     # Python floats: their division overflows to inf silently, as numpy scalars' does not
     depths = scene.depths().tolist()
+    areas = _box_areas(scene)
     weights, fg_area = np.empty(len(pairs)), np.empty(len(pairs))
     for n, pair in enumerate(pairs):
         fg, bg = scene.index_of(pair.foreground_id), scene.index_of(pair.background_id)
@@ -383,20 +387,18 @@ def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.nd
     return u.reshape(batch * k, height, m), v.reshape(batch * k, m, width)
 
 
-def _plan(
-    scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[GuidanceConfig], geometry: tuple | None = None
-) -> _Plan:
-    """The plan of B = len(cfgs) rows, one per config, on the scene's `_box_geometry`, built here unless given."""
+def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[GuidanceConfig]) -> _Plan:
+    """The plan of B = len(cfgs) rows, one per config, on the scene's `_box_geometry`."""
     if not cfgs:
         raise ValueError("a plan needs at least one row config")
     height, width = scene.grid_height, scene.grid_width
     k, batch = len(scene.objects), len(cfgs)
-    rows, cols, areas = geometry or _box_geometry(scene)
+    rows, cols = _box_geometry(scene)
     fg = np.array([scene.index_of(p.foreground_id) for p in pairs], dtype=np.intp)
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
     # rows are checked in order: the first whose pair coefficients are not
     # finite raises, naming its pair
-    coefficients = [_pair_coefficients(scene, pairs, cfg, areas) for cfg in cfgs]
+    coefficients = [_pair_coefficients(scene, pairs, cfg) for cfg in cfgs]
     coef = np.array([c for _, c in coefficients])
     # the gathered sum n reads map gather_maps[n] against box gather_boxes[n]:
     # every map against its own box, then each pair's background against
@@ -425,7 +427,7 @@ def _plan(
         gather_rows=gather_rows,
         box_rows=gather_rows[: batch * k],
         eps=eps,
-        area_eps=(areas[fg] + row_eps[:, None]).ravel(),
+        area_eps=(_box_areas(scene)[fg] + row_eps[:, None]).ravel(),
         neg2_depths=(-2.0 * depths)[:, None],
         q_res_numerators=np.column_stack([np.repeat([cfg.lambda_compact for cfg in cfgs], k) * depths, two_eps]),
         scratch=_scratch(batch, k, len(pairs), height, width),

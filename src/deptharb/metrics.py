@@ -6,7 +6,8 @@ stands in for instance masks (foreground occlusion coverage).  Absolute
 values are therefore not comparable to detector-based evaluations; orderings
 are.
 
-Both read only box rectangles, the slices [r0:r1, c0:c1] of `box_span`:
+Both read only box rectangles, the slices [r0:r1, c0:c1] of the scene's
+`spans`:
 mIoU counts over each box, FOCR counts winners over each pair's
 intersection rectangle, taken in one pass over the rectangle bounding them
 all.  The values are those of the full-mask definitions.  The two pixel
@@ -15,8 +16,8 @@ per-pixel winner (`_winners`), live here and nowhere else.
 
 Scoring has a leading row axis: `_score_rows` scores a (B, K, H, W) stack of
 fields, one row per config, as a sweep's rows are, with one value-only loss
-plan and kernel call and one winners pass for all rows; the pairs and box
-spans are derived once.  Every reduction stays within one row, so row b's
+plan and kernel call and one winners pass for all rows; the pairs are
+derived once.  Every reduction stays within one row, so row b's
 report is bit for bit the one of its field alone.
 The CLI scores through it; `build_metric_report`, `layout_miou` and
 `focr` are its B = 1 calls, for callers outside the package.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .attention import AttentionError, AttentionField, check_alignment
 from .losses import LossBreakdown, _evaluate, _plan
-from .scene import GuidanceConfig, OcclusionPair, SceneSpec, box_span, derive_occlusion_pairs
+from .scene import GuidanceConfig, OcclusionPair, SceneSpec, derive_occlusion_pairs
 
 DEFAULT_REL_THRESHOLD = 0.5
 NONE_ID = -1  # _winners value for pixels where every map is zero
@@ -73,30 +74,22 @@ class FocrResult:
     mean: float | None
 
 
-def _spans(scene: SceneSpec) -> list[tuple[int, int, int, int]]:
-    """Each object's `box_span`, in object order."""
-    return [box_span(obj.bbox, scene.grid_height, scene.grid_width) for obj in scene.objects]
-
-
-def _miou_rows(
-    maps: np.ndarray, scene: SceneSpec, spans: Sequence[tuple[int, int, int, int]], fg_ids: set[int],
-    rel_threshold: float,
-) -> list[LayoutMiou]:
-    """`layout_miou` of each row of a (B, K, H, W) stack, given the box spans and the foreground ids.
+def _miou_rows(maps: np.ndarray, scene: SceneSpec, fg_ids: set[int], rel_threshold: float) -> list[LayoutMiou]:
+    """`layout_miou` of each row of a (B, K, H, W) stack, given the foreground ids.
 
     Each map is thresholded and counted on its own, while it is still in
     cache: on a 256x256 scene of 8 maps, one threshold pass over the whole
     stack took about 1.5 times as long.
     """
-    areas = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans]
+    areas = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in scene.spans]
     ious = []
     for row in maps:
-        for values, (r0, r1, c0, c1), area in zip(row, spans, areas):
+        for values, (r0, r1, c0, c1), area in zip(row, scene.spans, areas):
             predicted = _above_threshold(values, rel_threshold)
             inter = np.count_nonzero(predicted[r0:r1, c0:c1])
             # a valid scene's boxes hold pixels, so the union is never empty
             ious.append(inter / (np.count_nonzero(predicted) + area - inter))
-    iou = np.array(ious).reshape(len(maps), len(spans))
+    iou = np.array(ious).reshape(len(maps), len(scene.spans))
     ids = [obj.id for obj in scene.objects]
     fg = [k for k, obj_id in enumerate(ids) if obj_id in fg_ids]
     bg = [k for k, obj_id in enumerate(ids) if obj_id not in fg_ids]
@@ -124,17 +117,14 @@ def layout_miou(
     """
     check_alignment(field, scene)
     fg_ids = {p.foreground_id for p in derive_occlusion_pairs(scene)}
-    return _miou_rows(field.maps[None], scene, _spans(scene), fg_ids, rel_threshold)[0]
+    return _miou_rows(field.maps[None], scene, fg_ids, rel_threshold)[0]
 
 
-def _focr_rows(
-    maps: np.ndarray, scene: SceneSpec, spans: Sequence[tuple[int, int, int, int]],
-    pairs: Sequence[OcclusionPair],
-) -> list[FocrResult]:
-    """`focr` of each row of a (B, K, H, W) stack, given the box spans."""
+def _focr_rows(maps: np.ndarray, scene: SceneSpec, pairs: Sequence[OcclusionPair]) -> list[FocrResult]:
+    """`focr` of each row of a (B, K, H, W) stack."""
     overlaps: list[tuple[int, int, int, int] | None] = []
     for pair in pairs:
-        fg, bg = spans[scene.index_of(pair.foreground_id)], spans[scene.index_of(pair.background_id)]
+        fg, bg = scene.spans[scene.index_of(pair.foreground_id)], scene.spans[scene.index_of(pair.background_id)]
         r0, r1, c0, c1 = max(fg[0], bg[0]), min(fg[1], bg[1]), max(fg[2], bg[2]), min(fg[3], bg[3])
         overlaps.append((r0, r1, c0, c1) if r1 > r0 and c1 > c0 else None)
     batch = len(maps)
@@ -175,13 +165,13 @@ def focr(
     """Fraction of each pair's box-intersection pixels won by the foreground.
 
     Winners (ties to smaller depth, then smaller id) are taken once, over the
-    rectangle bounding every pair's overlap of its two boxes' `box_span`
+    rectangle bounding every pair's overlap of its two boxes' span
     rectangles, and each pair counts its own overlap.  Pairs whose overlap holds
     no pixels report None and are excluded from the mean; an empty pair list
     yields an absent mean.  A pair naming an id the scene lacks raises SceneError.
     """
     check_alignment(field, scene)
-    return _focr_rows(field.maps[None], scene, _spans(scene), pairs)[0]
+    return _focr_rows(field.maps[None], scene, pairs)[0]
 
 
 @dataclass(frozen=True)
@@ -240,10 +230,9 @@ def _score_rows(
     row come from one value-only plan and one kernel call.
     """
     pairs = derive_occlusion_pairs(scene)
-    spans = _spans(scene)
     breakdown = _evaluate(maps, _plan(scene, pairs, cfgs), stages)
-    mious = _miou_rows(maps, scene, spans, {p.foreground_id for p in pairs}, rel_threshold)
-    focrs = _focr_rows(maps, scene, spans, pairs)
+    mious = _miou_rows(maps, scene, {p.foreground_id for p in pairs}, rel_threshold)
+    focrs = _focr_rows(maps, scene, pairs)
     return [
         MetricReport(scene=scene, breakdown=breakdown.take(b), miou=miou, focr=result)
         for b, (miou, result) in enumerate(zip(mious, focrs, strict=True))

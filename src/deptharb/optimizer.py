@@ -76,7 +76,6 @@ import numpy as np
 from .attention import AttentionField
 from .losses import (
     LossBreakdown,
-    _box_geometry,
     _columns,
     _grad_product,
     _pair_coefficients,
@@ -96,6 +95,12 @@ from .surrogate import LatentState, _check_match, _surrogate, with_default_step
 # (B * K * H * W) between them, so its scratch does not grow with its number
 # of rows; a row larger than this runs alone
 _CHUNK_ENTRIES = 1 << 20
+
+# the rows a run steps together take at most this many passes between them
+# (B * (total_steps + 1)): the schedule and the loss columns hold an entry
+# per pass and row, a few hundred bytes each, so a run of more passes than
+# this is refused, as a scene of too many pixels is
+_PASS_ENTRIES = 1 << 20
 
 # a step's tile holds at most this many field entries (see `_tiles`): the
 # tile's gradient scratch, its rendered maps and its latent, three
@@ -262,25 +267,28 @@ def run_rows(
     needs the same total_steps.
 
     Every config is checked before this returns, so a bad one is rejected
-    before any row runs.  The rows are stepped a chunk at a time, as the
-    iterator reaches the chunk: as many rows as hold _CHUNK_ENTRIES field
-    entries, and at least one.  So the run's memory does not grow with its
-    number of rows, and a caller that stops at a chunk holding a failing
-    row never steps the chunks after it.
+    before any row runs, as is a run of more than _PASS_ENTRIES passes.
+    The rows are stepped a chunk at a time, as the iterator reaches the
+    chunk: as many rows as hold _CHUNK_ENTRIES field entries and
+    _PASS_ENTRIES passes, and at least one.  So the run's memory does not
+    grow with its number of rows, and a caller that stops at a chunk
+    holding a failing row never steps the chunks after it.
     """
     _check_match(latent0, scene)
     cfgs = [with_default_step(cfg, latent0.mode) for cfg in cfgs]
     if len({cfg.total_steps for cfg in cfgs}) > 1:
         raise ValueError("rows run in lockstep, so every row needs the same total_steps")
+    passes = cfgs[0].total_steps + 1
+    if passes > _PASS_ENTRIES:
+        raise ConfigError(f"total_steps: {passes - 1} exceeds the {_PASS_ENTRIES - 1} steps a run can take")
     pairs = derive_occlusion_pairs(scene)
-    # one rasterization of the boxes for the check and every chunk's plan
-    geometry = _box_geometry(scene)
     # in row order: the first config whose pair coefficients are not finite raises
     for cfg in cfgs:
-        _pair_coefficients(scene, pairs, cfg, geometry[2])
-    size = max(1, _CHUNK_ENTRIES // (len(scene.objects) * scene.grid_height * scene.grid_width))
+        _pair_coefficients(scene, pairs, cfg)
+    row_entries = len(scene.objects) * scene.grid_height * scene.grid_width
+    size = max(1, min(_CHUNK_ENTRIES // row_entries, _PASS_ENTRIES // passes))
     return (
-        _run_chunk(scene, _plan(scene, pairs, cfgs[lo : lo + size], geometry), latent0)
+        _run_chunk(scene, _plan(scene, pairs, cfgs[lo : lo + size]), latent0)
         for lo in range(0, len(cfgs), size)
     )
 

@@ -149,11 +149,16 @@ class SceneObject:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Validated scene: grid dimensions plus objects in file order."""
+    """Validated scene: grid dimensions plus objects in file order.
+
+    `spans` holds each object's `box_span`, in object order, as validation
+    took it: nothing downstream rasterizes a box again.
+    """
 
     grid_height: int
     grid_width: int
     objects: tuple[SceneObject, ...]
+    spans: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.grid_height) and _is_integer(self.grid_width)):
@@ -172,6 +177,7 @@ class SceneSpec:
         if not self.objects:
             raise SceneError("objects: need at least one object")
         seen: set[int] = set()
+        spans = []
         for k, obj in enumerate(self.objects):
             if obj.id in seen:
                 raise SceneError(f"objects[{k}].id: duplicate id {obj.id}")
@@ -183,6 +189,8 @@ class SceneSpec:
                     f"objects[{k}].bbox: {obj.bbox} covers no pixel center of the "
                     f"{self.grid_height}x{self.grid_width} grid"
                 )
+            spans.append((r0, r1, c0, c1))
+        object.__setattr__(self, "spans", tuple(spans))
 
     def index_of(self, object_id: int) -> int:
         for k, obj in enumerate(self.objects):

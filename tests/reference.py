@@ -134,9 +134,9 @@ def _absorb(result: GradCheckResult, judged: tuple[CoordReport, bool, bool]) -> 
         result.failures.append(report)
 
 
-def scalar_fd(sums, y: int, x: int, up, down, h) -> float:
-    """The central difference of one entry, from two scalar `_PixelSums.loss` calls."""
-    return float((sums.loss(up, y, x) - sums.loss(down, y, x)) / (2 * h))
+def scalar_fd(sums, y: int, x: int, up, down, h, stage: int) -> float:
+    """The central difference of one entry at `stage`, from two scalar `_PixelSums.loss` calls."""
+    return float((sums.loss(up, y, x, stage) - sums.loss(down, y, x, stage)) / (2 * h))
 
 
 def scalar_check_gradients(
@@ -167,13 +167,10 @@ def scalar_check_gradients(
         return int(rng.integers(k_count)), int(rng.integers(height)), int(rng.integers(width))
 
     def anchored(bases):
-        return [
-            gradcheck._anchored(
-                gradcheck._PixelSums(bases[k], *terms[k], coords, cfg, stage),
-                gradcheck._restricted_loss(bases[k], *terms[k], coords, cfg, stage),
-            )
-            for k in range(k_count)
-        ]
+        sums = [gradcheck._PixelSums(bases[k], *terms[k], coords, cfg) for k in range(k_count)]
+        literals = [gradcheck._restricted_terms(bases[k], *terms[k], coords, cfg) for k in range(k_count)]
+        gradcheck._check_anchors(sums, literals, stage)
+        return sums
 
     sums = anchored(maps.astype(long))
     for k, object_sums in enumerate(sums):
@@ -185,7 +182,7 @@ def scalar_check_gradients(
     for _ in range(samples):
         k, y, x = draw()
         a = sums[k].base[y, x]
-        fd = scalar_fd(sums[k], y, x, (a + h) - a, (a - h) - a, h)
+        fd = scalar_fd(sums[k], y, x, (a + h) - a, (a - h) - a, h, stage)
         _absorb(result, judge("attention", k, (y, x), float(grad_att[k, y, x]), fd, rel_tol))
 
     if latent.mode == "raster":
@@ -194,7 +191,7 @@ def scalar_check_gradients(
         for _ in range(samples):
             k, y, x = draw()
             z, a = logits[k, y, x], sums[k].base[y, x]
-            fd = scalar_fd(sums[k], y, x, np.exp(z + h) - a, np.exp(z - h) - a, h)
+            fd = scalar_fd(sums[k], y, x, np.exp(z + h) - a, np.exp(z - h) - a, h, stage)
             _absorb(result, judge("latent", k, (y, x), float(grad_lat[k, y, x]), fd, rel_tol))
     else:
         params = latent.values.astype(long)

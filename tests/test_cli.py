@@ -125,6 +125,19 @@ class TestRun:
         assert report["losses"]["total"] == bd.total
         assert report["losses"]["align"] == bd.align
 
+    def test_more_steps_than_a_run_can_take_exit_1_at_once(self, tmp_path, monkeypatch, capsys, scene_path):
+        # refused before the run builds any per-pass list: 10^12 passes would take the machine's memory;
+        # eval derives only the end state's stage, so it still scores a dump at that step count
+        dump_path = str(tmp_path / "f.darb")
+        assert run_cli("run", "--scene", scene_path, "--steps", "0", "--dump", dump_path) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(optimizer, "_schedule", lambda cfgs: pytest.fail("a schedule was built"))
+        assert run_cli("run", "--scene", scene_path, "--steps", "1000000000000") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: total_steps: 1000000000000 exceeds the {optimizer._PASS_ENTRIES - 1} steps a run can take"
+        ]
+        assert run_cli("eval", "--scene", scene_path, "--dump", dump_path, "--steps", "1000000000000") == 0
+
     def test_config_keeps_number_types(self, tmp_path, scene_path):
         report_path = tmp_path / "r.json"
         assert run_cli("run", "--scene", scene_path, "--steps", "0", "--report", str(report_path)) == 0
@@ -839,10 +852,12 @@ class TestOracleRefusal:
         # one oracle pass, so no stage line is printed before the refusal
         from deptharb import gradcheck
 
-        staged = gradcheck._staged
-        monkeypatch.setattr(
-            gradcheck, "_staged", lambda terms, stage: staged(terms, stage) * (1 + 1e-15 * (stage == 2))
-        )
+        loss = gradcheck._PixelSums.loss
+
+        def off_at_stage_2(self, delta, y, x, stage):
+            return loss(self, delta, y, x, stage) * (1 + 1e-15 * (stage == 2))
+
+        monkeypatch.setattr(gradcheck._PixelSums, "loss", off_at_stage_2)
         assert run_cli("grad-check", "--mode", mode, "--stage", "1", "--samples", "5") == 0
         capsys.readouterr()
         assert run_cli("grad-check", "--mode", mode, "--samples", "5") == 1

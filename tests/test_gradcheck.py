@@ -88,9 +88,9 @@ class TestRankOneOracle:
 
             z = logits[k].astype(long)
             for space, base in (("attention", np.exp(logits[k]).astype(long)), ("latent", np.exp(z))):
-                sums = _PixelSums(base, *terms, coords, cfg, stage)
+                sums = _PixelSums(base, *terms, coords, cfg)
                 value = literal(base)
-                assert abs(sums.loss(long(0), 0, 0) - value) <= _value_bound(value, terms[1])
+                assert abs(sums.loss(long(0), 0, 0, stage) - value) <= _value_bound(value, terms[1])
                 for (y, x), a in np.ndenumerate(base):
                     perturbed = []
                     for sign in (+1, -1):
@@ -106,9 +106,9 @@ class TestRankOneOracle:
                         perturbed.append((pert, pert[y, x] - a))
                     (up_map, up), (down_map, down) = perturbed
                     value_up = literal(up_map)
-                    assert abs(sums.loss(up, y, x) - value_up) <= _value_bound(value_up, terms[1])
+                    assert abs(sums.loss(up, y, x, stage) - value_up) <= _value_bound(value_up, terms[1])
                     fd = float((value_up - literal(down_map)) / (2 * h))
-                    rank_one = sums.fd(y, x, up, down, h)
+                    rank_one = sums.fd(y, x, up, down, h, stage)
                     assert abs(rank_one - fd) <= max(1e-9 * max(abs(rank_one), abs(fd)), 1e-11), (
                         space, k, y, x, rank_one, fd,
                     )
@@ -347,10 +347,12 @@ class TestJointStages:
 
     def test_a_stage_2_refusal_refuses_the_joint_call(self, monkeypatch):
         # the stage-2 anchor is off: alone, stage 1 is judged and stage 2 refused
-        staged = gradcheck._staged
-        monkeypatch.setattr(
-            gradcheck, "_staged", lambda terms, stage: staged(terms, stage) * (1 + 1e-15 * (stage == 2))
-        )
+        loss = _PixelSums.loss
+
+        def off_at_stage_2(self, delta, y, x, stage):
+            return loss(self, delta, y, x, stage) * (1 + 1e-15 * (stage == 2))
+
+        monkeypatch.setattr(_PixelSums, "loss", off_at_stage_2)
         scene = canonical_scene()
         args = (scene, GuidanceConfig(), init_latent(scene, "blob", 0))
         assert _one_stage(*args, 1, seed=0, samples=5).passed

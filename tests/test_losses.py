@@ -436,21 +436,23 @@ class TestPlanScratch:
 
     @pytest.mark.parametrize("batch", [1, 8])
     def test_a_plan_rasterizes_each_box_once_whatever_its_rows(self, monkeypatch, batch):
-        # K = 8, P = 16: each foreground's area comes from the box indicators
-        # the plan builds, not from a box_span per pair and row (K + B * P calls)
+        # K = 8, P = 16: the scene's validation takes one box_span per box,
+        # and the plan, its areas included, reads them from the scene
+        calls = self.count_box_spans(monkeypatch)
         scene = parse_scene(json.dumps(scenegen.large_scene(1)))
         pairs = derive_occlusion_pairs(scene)
         assert (len(scene.objects), len(pairs)) == (8, 16)
-        calls = self.count_box_spans(monkeypatch)
+        assert len(calls) == 8
         _plan(scene, pairs, [CFG.updated(lambda_ortho=0.1 * (b + 1)) for b in range(batch)])
         assert len(calls) == 8
 
     def test_run_rows_rasterizes_each_box_once_for_its_check_and_every_chunk(self, monkeypatch):
         import deptharb.optimizer
 
-        scene = parse_scene(json.dumps(scenegen.large_scene(1)))
         monkeypatch.setattr(deptharb.optimizer, "_CHUNK_ENTRIES", 8 * 256 * 256)  # one row per chunk
         calls = self.count_box_spans(monkeypatch)
+        scene = parse_scene(json.dumps(scenegen.large_scene(1)))
+        assert len(calls) == 8
         cfgs = [CFG.updated(total_steps=1, eta0=1.0, tau=tau) for tau in (0.5, 1.0, 2.0)]
         chunks = list(deptharb.optimizer.run_rows(scene, cfgs, init_latent(scene, "blob", 0)))
         assert [len(chunk) for chunk in chunks] == [1, 1, 1]

@@ -172,7 +172,7 @@ class TestRunGuidance:
     def test_run_rasterizes_each_box_once(self, two_object_scene, monkeypatch):
         import deptharb.scene
 
-        real = deptharb.scene.box_indicators
+        real = deptharb.scene.box_span
         calls = Counter()
 
         def counting(bbox, height, width):
@@ -185,10 +185,12 @@ class TestRunGuidance:
                 for attr, obj in list(vars(module).items()):
                     if obj is real:
                         monkeypatch.setattr(module, attr, counting)
+        # one span per box as the scene is validated, and none in the run
+        scene = SceneSpec(two_object_scene.grid_height, two_object_scene.grid_width, two_object_scene.objects)
+        assert calls == Counter(obj.bbox for obj in scene.objects)
         cfg = GuidanceConfig(total_steps=20, eta0=50.0)
-        run_guidance(two_object_scene, cfg, init_latent(two_object_scene, "raster", seed=5))
-        assert set(calls) == {obj.bbox for obj in two_object_scene.objects}
-        assert max(calls.values()) == 1
+        run_guidance(scene, cfg, init_latent(scene, "raster", seed=5))
+        assert calls == Counter(obj.bbox for obj in scene.objects)
 
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_one_gradient_per_step_and_none_for_the_end_state(self, two_object_scene, monkeypatch, mode):
@@ -734,10 +736,13 @@ class TestLockstepRows:
         for cfg, outcome in zip(cfgs, outcomes):
             _assert_row_is_standalone(canonical, cfg, latent0, outcome)
 
+    @pytest.mark.parametrize("bound", ["_CHUNK_ENTRIES", "_PASS_ENTRIES"])
     @pytest.mark.parametrize("mode", MODES)
-    def test_rows_are_stepped_in_chunks_of_bounded_field_size(self, canonical, mode, monkeypatch):
-        # the budget counts field entries (K * H * W per row), whatever the latent's shape
-        monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES", 2 * 2 * 64 * 64 + 1)
+    def test_rows_are_stepped_in_chunks_of_bounded_field_size(self, canonical, mode, monkeypatch, bound):
+        # the budgets count field entries (K * H * W per row), whatever the
+        # latent's shape, and passes (total_steps + 1 per row)
+        budget = {"_CHUNK_ENTRIES": 2 * 2 * 64 * 64 + 1, "_PASS_ENTRIES": 2 * 4 + 1}[bound]
+        monkeypatch.setattr(optimizer, bound, budget)
         chunk_rows = []
         real = optimizer._run_chunk
 
@@ -755,6 +760,15 @@ class TestLockstepRows:
         assert chunk_rows == [len(chunk) for chunk in chunks] == [2, 2, 1]
         for cfg, outcome in zip(cfgs, chain.from_iterable(chunks)):
             _assert_row_is_standalone(canonical, cfg, latent0, outcome)
+
+    def test_a_run_of_more_passes_than_the_bound_is_refused_before_any_chunk(self, canonical, monkeypatch):
+        # 4 passes fit a bound of 4; 5 are refused before any schedule is built
+        monkeypatch.setattr(optimizer, "_PASS_ENTRIES", 4)
+        monkeypatch.setattr(optimizer, "_schedule", lambda cfgs: pytest.fail("a schedule was built"))
+        latent0 = init_latent(canonical, "raster", 0)
+        run_rows(canonical, [GuidanceConfig(total_steps=3, eta0=1.0)], latent0)
+        with pytest.raises(ConfigError, match="^total_steps: 4 exceeds the 3 steps a run can take$"):
+            run_rows(canonical, [GuidanceConfig(total_steps=4, eta0=1.0)], latent0)
 
     def test_terms_are_views_of_their_chunks_columns(self, canonical):
         # the kernel writes each pass into the chunk's columns; a row's terms read its line of them, no copy
