@@ -93,6 +93,8 @@ COMMANDS = [
     "grad-check --mode blob --samples 50 --stage 1",
     "grad-check --scene {small} --samples 100 --stage 2",
     "grad-check --samples 50 --lambda-ortho 1e300",
+    # a joint check whose stage 1 fails (exit 3) while stage 2 passes: the printed offender ranking
+    "grad-check --samples 200 --lambda0 1e8",
 ]
 
 # every field of a check's results, floats in hex, per mode and stages; at

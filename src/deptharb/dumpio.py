@@ -9,6 +9,7 @@ round-trips are bit-exact at 32 bits.
 
 from __future__ import annotations
 
+import numbers
 import struct
 
 import numpy as np
@@ -25,12 +26,14 @@ class DumpError(ValueError):
 
 
 def write_dump(path: str, field: AttentionField, seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise DumpError(f"seed must fit an unsigned 64-bit integer, got {seed}")
+    """Write `field` and `seed` to `path`; a rejected seed leaves any file there untouched."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise DumpError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     k, h, w = field.maps.shape
+    header = _HEADER.pack(MAGIC, VERSION, h, w, k, seed)
     payload = field.maps.astype("<f4").tobytes(order="C")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, h, w, k, seed))
+        fh.write(header)
         fh.write(payload)
 
 

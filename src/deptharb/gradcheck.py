@@ -8,7 +8,8 @@ on the latent it is handed: the surrogate of that latent's mode renders the
 field, `value_and_grad` on a `_plan` gives dL/dA and the same surrogate's
 `chain` gives dL/dz, the two gradients it checks.  `check_gradients`
 checks every stage it is given in one pass: that sequence runs once on a
-field of one row per stage, and row b is bit for bit a lone stage's.
+field of one row per stage, and row b is bit for bit a lone stage's.  The
+oracle draws each coordinate and takes its terms once for every stage.
 
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
@@ -44,7 +45,7 @@ scalar k, y, x draws per sample, and each object's rows go through
 every difference is the one a per-coordinate loop would take.  Blob latent
 coordinates move every pixel, so they keep the literal re-render
 `_blob_map` and evaluation of `_restricted_terms`: 2 * 5 * K of each per
-call, whatever the number of stages.
+call.  `_differences` stages either form's up and down terms.
 
 A coordinate passes when both values are finite and
 |analytic - fd| <= max(rel_tol * FLOOR_REF, rel_tol * ref) with
@@ -234,6 +235,11 @@ def _staged(terms, stage: int):
     return value + compact
 
 
+def _differences(up, down, stages, h) -> list:
+    """Per stage, the central difference of its objective between the up and the down terms."""
+    return [(_staged(up, stage) - _staged(down, stage)) / (2 * h) for stage in stages]
+
+
 def _restricted_loss(
     map_k: np.ndarray,
     mask_k: np.ndarray,
@@ -296,10 +302,6 @@ class _PixelSums:
 
     def loss(self, delta, y: int, x: int, stage: int):
         return _staged(self.terms(delta, y, x), stage)
-
-    def fd(self, y, x, up, down, h, stage: int):
-        """Central differences at `stage`, as float64, for the entries (y, x) moved up and down by the given deltas."""
-        return ((self.loss(up, y, x, stage) - self.loss(down, y, x, stage)) / (2 * h)).astype(np.float64)
 
 
 def _object_terms(scene: SceneSpec, cfg: GuidanceConfig) -> list:
@@ -374,24 +376,28 @@ def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float
     )
 
 
-def _check_sampled(result, space: str, rng, samples: int, sums, stage: int, grad, deltas, rel_tol: float) -> None:
-    """Judge `samples` coordinates (k, y, x) of one space at `stage`, CHUNK at a time.
+def _check_sampled(results, space: str, rng, samples: int, sums, stages, grad, deltas, rel_tol: float) -> None:
+    """Judge `samples` coordinates (k, y, x) of one space at every stage, CHUNK at a time.
 
     One chunk's draw is one `rng.integers` call over (K, H, W), which yields
     the coordinates of per-sample k, y, x scalar draws.  Each object's
-    coordinates go through its `_PixelSums` as arrays; `deltas(k, y, x, a)`
-    gives the up and down changes of the entries a = base[y, x].
+    coordinates go through its `_PixelSums` as arrays, up and down once;
+    `deltas(k, y, x, a)` gives the up and down changes of the entries
+    a = base[y, x].  Row b of `grad` and of the differences is judged into
+    `results[b]`.
     """
     h = LONG(FD_STEP)
-    bounds = np.array(grad.shape)
+    bounds = np.array(grad.shape[1:])
     for start in range(0, samples, CHUNK):
         ks, ys, xs = rng.integers(0, bounds, size=(min(CHUNK, samples - start), 3)).T
-        fd = np.empty(len(ks))
+        fd = np.empty((len(stages), len(ks)))
         for k, object_sums in enumerate(sums):
             at = np.flatnonzero(ks == k)
             y, x = ys[at], xs[at]
-            fd[at] = object_sums.fd(y, x, *deltas(k, y, x, object_sums.base[y, x]), h, stage)
-        _judge_all(result, space, ks, np.column_stack((ys, xs)), grad[ks, ys, xs], fd, rel_tol)
+            up, down = deltas(k, y, x, object_sums.base[y, x])
+            fd[:, at] = _differences(object_sums.terms(up, y, x), object_sums.terms(down, y, x), stages, h)
+        for result, row_grad, row_fd in zip(results, grad, fd):
+            _judge_all(result, space, ks, np.column_stack((ys, xs)), row_grad[ks, ys, xs], row_fd, rel_tol)
 
 
 def _checked_stages(stages) -> tuple[int, ...]:
@@ -421,25 +427,26 @@ def check_gradients(
 ) -> list[GradCheckResult]:
     """Compare analytic gradients at `latent` against the extended-precision FD oracle, one result per stage.
 
-    Each stage of `stages` is checked as if alone, in order, and gets its own
-    generator `default_rng(seed)`: it draws `samples` attention coordinates
-    (k, y, x), with replacement.  The latent space follows the mode the
-    latent carries: a raster latent draws `samples` more coordinates from
-    the same generator, also with replacement, and a blob latent checks all
-    5 * K parameters whatever `samples` is.
-    The stages share every render and every literal evaluation: one row per
-    stage on the analytic side, and on the literal side each base map's
-    stage-free terms (`_restricted_terms`) and pixel sums (`_PixelSums`)
-    taken once and added per stage.
+    Each stage of `stages` is checked as if alone, in order, on the same
+    coordinates: one generator `default_rng(seed)` draws `samples` attention
+    coordinates (k, y, x), with replacement.  The latent space follows the
+    mode the latent carries: a raster latent draws `samples` more
+    coordinates from the same generator, also with replacement, and a blob
+    latent checks all 5 * K parameters whatever `samples` is.  The stages
+    share every render and every literal evaluation: one row per stage on
+    the analytic side, and on the literal side the stage-free terms of each
+    base map and each coordinate, taken once and added per stage.
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor or its map's mass is below
     1e3 * FD_STEP; the refusal is that of the first stage that would refuse
     alone.  Raises ValueError, before any render, for `stages` not naming
-    stage 1, stage 2 or both, each once, for a check that would judge
-    nothing (`samples` < 1) or decide every coordinate alike (`rel_tol` not
-    finite and >= 0).
+    stage 1, stage 2 or both, each once, for `samples` not an integer
+    (a bool included), for a check that would judge nothing (`samples` < 1)
+    or decide every coordinate alike (`rel_tol` not finite and >= 0).
     """
     stages = _checked_stages(stages)
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not (np.isfinite(rel_tol) and rel_tol >= 0):
@@ -480,7 +487,18 @@ def check_gradients(
         if raster:
             _check_anchors(sums[1], literals[1], stage)
 
-    if not raster:
+    results = [GradCheckResult() for _ in stages]
+    rng = np.random.default_rng(seed)
+    _check_sampled(
+        results, "attention", rng, samples, sums[0], stages, grad_att,
+        lambda k, y, x, a: ((a + h) - a, (a - h) - a), rel_tol,
+    )
+    if raster:
+        _check_sampled(
+            results, "latent", rng, samples, sums[1], stages, grad_lat,
+            lambda k, y, x, a: (np.exp(values[k, y, x] + h) - a, np.exp(values[k, y, x] - h) - a), rel_tol,
+        )
+    else:
         # blob latent coordinates move every pixel: each perturbed map is rendered and its terms taken once
         fd = np.empty((batch, *values.shape))
         for (k, p), _ in np.ndenumerate(values):
@@ -488,27 +506,9 @@ def check_gradients(
             for sign in (+1, -1):
                 pert = values[k].copy()
                 pert[p] += sign * h
-                map_k = _blob_map(pert, coords_ld.x, coords_ld.y)
-                vals.append(_restricted_terms(map_k, *terms[k], coords_ld, cfg))
-            for row, stage in enumerate(stages):
-                fd[row, k, p] = (_staged(vals[0], stage) - _staged(vals[1], stage)) / (2 * h)
+                vals.append(_restricted_terms(_blob_map(pert, coords_ld.x, coords_ld.y), *terms[k], coords_ld, cfg))
+            fd[:, k, p] = _differences(*vals, stages, h)
         ks, ps = np.indices(values.shape).reshape(2, -1)
-
-    results = []
-    for row, stage in enumerate(stages):
-        result = GradCheckResult()
-        rng = np.random.default_rng(seed)
-        _check_sampled(
-            result, "attention", rng, samples, sums[0], stage, grad_att[row],
-            lambda k, y, x, a: ((a + h) - a, (a - h) - a), rel_tol,
-        )
-        if raster:
-            _check_sampled(
-                result, "latent", rng, samples, sums[1], stage, grad_lat[row],
-                lambda k, y, x, a: (np.exp(values[k, y, x] + h) - a, np.exp(values[k, y, x] - h) - a),
-                rel_tol,
-            )
-        else:
-            _judge_all(result, "latent", ks, ps[:, None], grad_lat[row].ravel(), fd[row].ravel(), rel_tol)
-        results.append(result)
+        for result, row_grad, row_fd in zip(results, grad_lat, fd):
+            _judge_all(result, "latent", ks, ps[:, None], row_grad.ravel(), row_fd.ravel(), rel_tol)
     return results

@@ -267,7 +267,8 @@ def run_rows(
     needs the same total_steps.
 
     Every config is checked before this returns, so a bad one is rejected
-    before any row runs, as is a run of more than _PASS_ENTRIES passes.
+    before any row runs, as are no config at all and a run of more than
+    _PASS_ENTRIES passes.
     The rows are stepped a chunk at a time, as the iterator reaches the
     chunk: as many rows as hold _CHUNK_ENTRIES field entries and
     _PASS_ENTRIES passes, and at least one.  So the run's memory does not
@@ -276,6 +277,8 @@ def run_rows(
     """
     _check_match(latent0, scene)
     cfgs = [with_default_step(cfg, latent0.mode) for cfg in cfgs]
+    if not cfgs:
+        raise ValueError("run_rows needs at least one config, got none")
     if len({cfg.total_steps for cfg in cfgs}) > 1:
         raise ValueError("rows run in lockstep, so every row needs the same total_steps")
     passes = cfgs[0].total_steps + 1

@@ -104,6 +104,22 @@ class TestHeaderLayout:
         with pytest.raises(DumpError):
             write_dump(str(tmp_path / "x.darb"), field, seed=2**64)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, np.float64(3.0), True, False, np.bool_(True), "3", None])
+    def test_a_rejected_seed_leaves_the_file_untouched(self, tmp_path, seed):
+        # a float seed raised struct.error after the file was opened and truncated; True was stored as 1
+        path = tmp_path / "x.darb"
+        write_dump(str(path), random_field(5, shape=(2, 64, 64)), seed=7)
+        before = path.read_bytes()
+        with pytest.raises(DumpError, match="^seed must be an unsigned 64-bit integer, got "):
+            write_dump(str(path), random_field(4), seed=seed)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5), 0])
+    def test_numpy_integer_seeds_are_stored(self, tmp_path, seed):
+        path = tmp_path / "x.darb"
+        write_dump(str(path), random_field(4), seed=seed)
+        assert read_dump(str(path))[1] == int(seed)
+
 
 class TestReadErrors:
     def test_bad_magic(self, tmp_path):

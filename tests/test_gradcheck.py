@@ -108,7 +108,8 @@ class TestRankOneOracle:
                     value_up = literal(up_map)
                     assert abs(sums.loss(up, y, x, stage) - value_up) <= _value_bound(value_up, terms[1])
                     fd = float((value_up - literal(down_map)) / (2 * h))
-                    rank_one = sums.fd(y, x, up, down, h, stage)
+                    [rank_one] = gradcheck._differences(sums.terms(up, y, x), sums.terms(down, y, x), (stage,), h)
+                    rank_one = float(rank_one)
                     assert abs(rank_one - fd) <= max(1e-9 * max(abs(rank_one), abs(fd)), 1e-11), (
                         space, k, y, x, rank_one, fd,
                     )
@@ -181,6 +182,21 @@ def sampler_cases(draw):
     )
 
 
+def _spy_on_sampled_terms(monkeypatch) -> list[int]:
+    """The length of each `_PixelSums.terms` call on sampled coordinates, in call order."""
+    lengths = []
+    terms = _PixelSums.terms
+
+    def spied(self, delta, y, x):
+        # the anchors take one scalar entry; a sampled pass takes arrays
+        if np.ndim(y):
+            lengths.append(len(y))
+        return terms(self, delta, y, x)
+
+    monkeypatch.setattr(_PixelSums, "terms", spied)
+    return lengths
+
+
 class TestArrayOracle:
     @settings(max_examples=100)
     @given(sampler_cases())
@@ -201,18 +217,19 @@ class TestArrayOracle:
         kwargs = {"seed": 5, "samples": samples, "rel_tol": 0.0}
         expected = _bits(_one_stage(*args, **kwargs))
         assert len(expected[3]) == expected[0] > 0
-        lengths = []
-        fd = _PixelSums.fd
-        monkeypatch.setattr(_PixelSums, "fd", lambda self, y, *a: lengths.append(len(y)) or fd(self, y, *a))
+        lengths = _spy_on_sampled_terms(monkeypatch)
         for chunk in (1, 3, samples + 7):
             monkeypatch.setattr(gradcheck, "CHUNK", chunk)
             lengths.clear()
             assert _bits(_one_stage(*args, **kwargs)) == expected
-            # per sampled space: one array pass per object and chunk, none longer than a chunk
+            # per sampled space: one array pass per object and chunk, none longer than a chunk;
+            # a pass takes the terms of its coordinates moved up, then down
+            passes = lengths[::2]
+            assert lengths[1::2] == passes
             spaces = 2 if mode == "raster" else 1
-            assert max(lengths) <= chunk
-            assert sum(lengths) == spaces * samples
-            assert len(lengths) == spaces * len(two_object_scene.objects) * -(-samples // chunk)
+            assert max(passes) <= chunk
+            assert sum(passes) == spaces * samples
+            assert len(passes) == spaces * len(two_object_scene.objects) * -(-samples // chunk)
 
     @pytest.mark.parametrize(
         "analytic,fd", [(np.inf, 0.0), (0.0, np.inf), (-np.inf, 1.0), (np.inf, np.inf), (np.nan, 0.0)]
@@ -266,6 +283,10 @@ class TestRefusedChecks:
         [
             ({"samples": 0}, "samples must be >= 1, got 0"),
             ({"samples": -1}, "samples must be >= 1, got -1"),
+            ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+            ({"samples": 1.0}, "samples must be an integer, got 1.0"),
+            ({"samples": True}, "samples must be an integer, got True"),
+            ({"samples": "5"}, "samples must be an integer, got '5'"),
             ({"rel_tol": np.inf}, "rel_tol must be finite and >= 0, got inf"),
             ({"rel_tol": np.nan}, "rel_tol must be finite and >= 0, got nan"),
             ({"rel_tol": -1.0}, "rel_tol must be finite and >= 0, got -1.0"),
@@ -386,6 +407,21 @@ class TestJointStages:
             results = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 4), stages, seed=4, samples=30)
             assert [result.passed for result in results] == [True] * len(stages)
             assert calls == {"blob": perturbed, "terms": bases * k + perturbed}
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_each_sampled_coordinate_is_evaluated_once_for_any_number_of_stages(self, monkeypatch, mode):
+        # the stages judge the same draws, so the sum form's terms of a chunk are
+        # taken once, up and down, and staged per stage: as many calls as one stage makes
+        lengths = _spy_on_sampled_terms(monkeypatch)
+        scene = parse_scene(json.dumps(scenegen.small_scene(3)))
+        counts = {}
+        for stages in ((1,), (2,), (1, 2), (2, 1)):
+            lengths.clear()
+            check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 4), stages, seed=4, samples=300)
+            counts[stages] = list(lengths)
+        assert counts[(1,)] and all(calls == counts[(1,)] for calls in counts.values())
+        spaces = 2 if mode == "raster" else 1
+        assert sum(counts[(1,)]) == 2 * spaces * 300
 
 
 class TestCollapsedMaps:

@@ -770,6 +770,12 @@ class TestLockstepRows:
         with pytest.raises(ConfigError, match="^total_steps: 4 exceeds the 3 steps a run can take$"):
             run_rows(canonical, [GuidanceConfig(total_steps=4, eta0=1.0)], latent0)
 
+    def test_no_config_is_refused_when_called(self, canonical, monkeypatch):
+        # cfgs[0] raised IndexError for an empty list of rows
+        monkeypatch.setattr(optimizer, "_run_chunk", lambda *a: pytest.fail("a chunk ran"))
+        with pytest.raises(ValueError, match="^run_rows needs at least one config, got none$"):
+            run_rows(canonical, [], init_latent(canonical, "raster", 0))
+
     def test_terms_are_views_of_their_chunks_columns(self, canonical):
         # the kernel writes each pass into the chunk's columns; a row's terms read its line of them, no copy
         cfgs = [GuidanceConfig(total_steps=4, eta0=eta) for eta in (400.0, 800.0)]
