@@ -14,7 +14,6 @@ from .attention import AttentionError, AttentionField
 from .dumpio import DumpError, read_dump, round_trip32, write_dump
 from .gradcheck import check_gradients
 from .losses import staged_loss
-from .metrics import build_metric_report, focr, layout_miou
 from .optimizer import NumericalAbort, run_guidance
 from .scene import (
     ConfigError,

@@ -18,11 +18,11 @@ involving the perturbed map are constants of the difference and are omitted,
 which removes their rounding noise from the quotient without changing the
 derivative being measured.
 
-`_restricted_loss` is the literal forward definition of those terms.  It is
-`_restricted_terms`, the stage-free summands (alignment, each pair's
-orthogonality term, compactness), added by `_staged` in a stage's order, so
-one literal evaluation of a map serves every stage.  Every quantity it
-reads is a pixel sum of the map against a fixed weight: the total, the
+`_restricted_terms` is the literal forward definition of those terms: the
+stage-free summands (alignment, each pair's orthogonality term,
+compactness), which `_staged` adds in a stage's order, so one literal
+evaluation of a map serves every stage.  Every quantity they
+read is a pixel sum of the map against a fixed weight: the total, the
 in-box sum, the foreground-mask sum of each pair the object backs, and the
 first and second coordinate moments.  `_PixelSums` takes these sums once
 per object, whatever the stage, so raising pixel p by delta changes each by
@@ -69,7 +69,7 @@ import numpy as np
 
 from .attention import AttentionField
 from .losses import _pair_coefficients, _plan, value_and_grad
-from .scene import GuidanceConfig, SceneSpec, box_indicators, derive_occlusion_pairs, pixel_centers
+from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs, pixel_centers
 from .surrogate import LatentState, _check_match, _surrogate
 
 LONG = np.longdouble
@@ -136,10 +136,11 @@ def coord_grid(height: int, width: int, dtype=np.float64) -> CoordGrid:
 
 
 def scene_masks(scene: SceneSpec) -> np.ndarray:
-    """Stack of per-object binary box masks, shape (K, H, W)."""
-    return np.stack(
-        [np.outer(*box_indicators(obj.bbox, scene.grid_height, scene.grid_width)) for obj in scene.objects]
-    )
+    """Stack of per-object binary box masks, shape (K, H, W), from the scene's spans."""
+    masks = np.zeros((len(scene.spans), scene.grid_height, scene.grid_width))
+    for mask, (r0, r1, c0, c1) in zip(masks, scene.spans):
+        mask[r0:r1, c0:c1] = 1.0
+    return masks
 
 
 def _blob_map(params: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -238,19 +239,6 @@ def _staged(terms, stage: int):
 def _differences(up, down, stages, h) -> list:
     """Per stage, the central difference of its objective between the up and the down terms."""
     return [(_staged(up, stage) - _staged(down, stage)) / (2 * h) for stage in stages]
-
-
-def _restricted_loss(
-    map_k: np.ndarray,
-    mask_k: np.ndarray,
-    depth_k: float,
-    fg_terms: list[tuple[np.ndarray, float]],
-    coords: CoordGrid,
-    cfg: GuidanceConfig,
-    stage: int,
-):
-    """Stage objective restricted to the terms that depend on one object's map."""
-    return _staged(_restricted_terms(map_k, mask_k, depth_k, fg_terms, coords, cfg), stage)
 
 
 class _PixelSums:

@@ -18,9 +18,9 @@ Scoring has a leading row axis: `_score_rows` scores a (B, K, H, W) stack of
 fields, one row per config, as a sweep's rows are, with one value-only loss
 plan and kernel call and one winners pass for all rows; the pairs are
 derived once.  Every reduction stays within one row, so row b's
-report is bit for bit the one of its field alone.
-The CLI scores through it; `build_metric_report`, `layout_miou` and
-`focr` are its B = 1 calls, for callers outside the package.
+report is bit for bit the one of its field alone.  It has no one-row
+form: `run`, `eval` and `sweep` all score through it, and a lone field
+is a stack of one row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionError, AttentionField, check_alignment
+from .attention import AttentionError
 from .losses import LossBreakdown, _evaluate, _plan
 from .scene import GuidanceConfig, OcclusionPair, SceneSpec, derive_occlusion_pairs
 
@@ -75,9 +75,13 @@ class FocrResult:
 
 
 def _miou_rows(maps: np.ndarray, scene: SceneSpec, fg_ids: set[int], rel_threshold: float) -> list[LayoutMiou]:
-    """`layout_miou` of each row of a (B, K, H, W) stack, given the foreground ids.
+    """IoU of each thresholded map against its box, with aggregates, for each row of a (B, K, H, W) stack.
 
-    Each map is thresholded and counted on its own, while it is still in
+    The intersection is the predicted count inside the box slice, the union
+    the predicted count plus the box area minus the intersection.
+    Objects are grouped as foreground if their id is in `fg_ids` (the
+    foregrounds of the occlusion pairs, so foreground membership wins for
+    objects playing both roles), background otherwise.  Each map is thresholded and counted on its own, while it is still in
     cache: on a 256x256 scene of 8 maps, one threshold pass over the whole
     stack took about 1.5 times as long.
     """
@@ -102,26 +106,15 @@ def _miou_rows(maps: np.ndarray, scene: SceneSpec, fg_ids: set[int], rel_thresho
     ]
 
 
-def layout_miou(
-    field: AttentionField,
-    scene: SceneSpec,
-    rel_threshold: float = DEFAULT_REL_THRESHOLD,
-) -> LayoutMiou:
-    """IoU of each thresholded map against its rasterized box, with aggregates.
-
-    The intersection is the predicted count inside the box slice, the union
-    the predicted count plus the box area minus the intersection.
-    Objects are grouped as foreground if they lead any occlusion pair
-    (foreground membership wins for objects playing both roles), background
-    otherwise.
-    """
-    check_alignment(field, scene)
-    fg_ids = {p.foreground_id for p in derive_occlusion_pairs(scene)}
-    return _miou_rows(field.maps[None], scene, fg_ids, rel_threshold)[0]
-
-
 def _focr_rows(maps: np.ndarray, scene: SceneSpec, pairs: Sequence[OcclusionPair]) -> list[FocrResult]:
-    """`focr` of each row of a (B, K, H, W) stack."""
+    """Fraction of each pair's box-intersection pixels won by the foreground, for each row of a (B, K, H, W) stack.
+
+    Winners (ties to smaller depth, then smaller id) are taken once, over the
+    rectangle bounding every pair's overlap of its two boxes' span
+    rectangles, and each pair counts its own overlap.  Pairs whose overlap holds
+    no pixels report None and are excluded from the mean; an empty pair list
+    yields an absent mean.  A pair naming an id the scene lacks raises SceneError.
+    """
     overlaps: list[tuple[int, int, int, int] | None] = []
     for pair in pairs:
         fg, bg = scene.spans[scene.index_of(pair.foreground_id)], scene.spans[scene.index_of(pair.background_id)]
@@ -157,23 +150,6 @@ def _focr_rows(maps: np.ndarray, scene: SceneSpec, pairs: Sequence[OcclusionPair
     return [FocrResult(per_pair=tuple(row), mean=mean) for row, mean in zip(per_pair, means)]
 
 
-def focr(
-    field: AttentionField,
-    scene: SceneSpec,
-    pairs: Sequence[OcclusionPair],
-) -> FocrResult:
-    """Fraction of each pair's box-intersection pixels won by the foreground.
-
-    Winners (ties to smaller depth, then smaller id) are taken once, over the
-    rectangle bounding every pair's overlap of its two boxes' span
-    rectangles, and each pair counts its own overlap.  Pairs whose overlap holds
-    no pixels report None and are excluded from the mean; an empty pair list
-    yields an absent mean.  A pair naming an id the scene lacks raises SceneError.
-    """
-    check_alignment(field, scene)
-    return _focr_rows(field.maps[None], scene, pairs)[0]
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """What scoring a field computes: stage losses, layout mIoU and occlusion coverage.
@@ -195,7 +171,7 @@ class MetricReport:
              "var": var[k], "iou": self.miou.per_object[obj.id]}
             for k, obj in enumerate(self.scene.objects)
         ]
-        # build_metric_report hands the loss and focr the same pairs, in the same order
+        # _score_rows hands the loss and the FOCR rows the same pairs, in the same order
         scored = zip(b.pairs, b.pair_interference.tolist(), b.pair_weights.tolist(), self.focr.per_pair, strict=True)
         per_pair = [
             {"foreground_id": pair.foreground_id, "background_id": pair.background_id, "interference": inter,
@@ -237,15 +213,3 @@ def _score_rows(
         MetricReport(scene=scene, breakdown=breakdown.take(b), miou=miou, focr=result)
         for b, (miou, result) in enumerate(zip(mious, focrs, strict=True))
     ]
-
-
-def build_metric_report(
-    field: AttentionField,
-    scene: SceneSpec,
-    cfg: GuidanceConfig,
-    stage: int,
-    rel_threshold: float,
-) -> MetricReport:
-    """Evaluate a field end to end: stage losses, layout mIoU, and occlusion coverage."""
-    check_alignment(field, scene)
-    return _score_rows(field.maps[None], scene, [cfg], [stage], rel_threshold)[0]

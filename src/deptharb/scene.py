@@ -152,7 +152,8 @@ class SceneSpec:
     """Validated scene: grid dimensions plus objects in file order.
 
     `spans` holds each object's `box_span`, in object order, as validation
-    took it: nothing downstream rasterizes a box again.
+    took it: scoring, the loss plan and the oracle's box masks all read
+    their rectangles from it, and nothing downstream rasterizes a box again.
     """
 
     grid_height: int
@@ -324,16 +325,6 @@ def box_span(
     r0, r1 = np.searchsorted(pixel_centers(height), (y0, y1), side="left").tolist()
     c0, c1 = np.searchsorted(pixel_centers(width), (x0, x1), side="left").tolist()
     return r0, r1, c0, c1
-
-
-def box_indicators(
-    bbox: tuple[float, float, float, float], height: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row (height,) and column (width,) 0/1 float64 indicators; the box mask is their outer product."""
-    r0, r1, c0, c1 = box_span(bbox, height, width)
-    rows, cols = np.zeros(height), np.zeros(width)
-    rows[r0:r1] = cols[c0:c1] = 1.0
-    return rows, cols
 
 
 def _boxes_overlap(a: tuple[float, ...], b: tuple[float, ...]) -> bool:

@@ -43,7 +43,7 @@ from deptharb.attention import _checked, check_alignment
 from deptharb.gradcheck import CoordReport, GradCheckResult, OracleError
 from deptharb.losses import LossBreakdown, _plan, staged_total, value_and_grad
 from deptharb.metrics import _above_threshold, _winners
-from deptharb.scene import box_indicators, derive_occlusion_pairs, pixel_centers
+from deptharb.scene import derive_occlusion_pairs, pixel_centers
 from deptharb.surrogate import _check_match, _surrogate
 
 
@@ -88,9 +88,13 @@ def threshold_mask(values: np.ndarray, rel_threshold: float) -> np.ndarray:
 
 
 def rasterize_mask(bbox: tuple[float, float, float, float], height: int, width: int) -> np.ndarray:
-    """Rasterize a normalized box to a binary (height, width) float64 mask."""
-    rows, cols = box_indicators(bbox, height, width)
-    return np.outer(rows, cols)
+    """Rasterize a normalized box to a binary (height, width) float64 mask.
+
+    A pixel is inside iff its centre lies in [x_min, x_max) x [y_min, y_max).
+    """
+    x0, y0, x1, y1 = bbox
+    cx, cy = pixel_centers(width), pixel_centers(height)
+    return np.outer((cy >= y0) & (cy < y1), (cx >= x0) & (cx < x1)).astype(np.float64)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -202,7 +206,7 @@ def scalar_check_gradients(
                     pert = params[k].copy()
                     pert[p] += sign * h
                     map_k = gradcheck._blob_map(pert, coords.x, coords.y)
-                    vals.append(gradcheck._restricted_loss(map_k, *terms[k], coords, cfg, stage))
+                    vals.append(gradcheck._staged(gradcheck._restricted_terms(map_k, *terms[k], coords, cfg), stage))
                 fd = float((vals[0] - vals[1]) / (2 * h))
                 _absorb(result, judge("latent", k, (p,), float(grad_lat[k, p]), fd, rel_tol))
     return result

@@ -23,6 +23,7 @@ from deptharb.gradcheck import (
     spatial_variance,
 )
 from deptharb.losses import _plan, arbitration_weight, staged_total, value_and_grad
+from deptharb.metrics import _focr_rows, _miou_rows
 from deptharb.optimizer import _final_stage
 
 from conftest import dyadic_field, random_scene, scene_file_text
@@ -113,7 +114,7 @@ class TestAcceptance:
         trajectory = d.run_guidance(scene, cfg, latent0)
         pairs = d.derive_occlusion_pairs(scene)
         breakdown = d.staged_loss(trajectory.final_field, scene, pairs, cfg, _final_stage(cfg))
-        focr_mean = d.focr(trajectory.final_field, scene, pairs).mean
+        focr_mean = _focr_rows(trajectory.final_field.maps[None], scene, pairs)[0].mean
 
         small = cfg.updated(eta0=0.01)
         descent_traj = d.run_guidance(scene, small, d.init_latent(scene, "raster", seed=42))
@@ -235,8 +236,9 @@ class TestAcceptance:
         seg_equal = np.array_equal(
             pseudo_segment(field, scene), pseudo_segment(tripled, scene)
         )
-        focr_equal = d.focr(field, scene, pairs) == d.focr(tripled, scene, pairs)
-        miou_equal = d.layout_miou(field, scene, 0.5) == d.layout_miou(tripled, scene, 0.5)
+        stacks, fg_ids = (field.maps[None], tripled.maps[None]), {p.foreground_id for p in pairs}
+        focr_equal = _focr_rows(stacks[0], scene, pairs) == _focr_rows(stacks[1], scene, pairs)
+        miou_equal = _miou_rows(stacks[0], scene, fg_ids, 0.5) == _miou_rows(stacks[1], scene, fg_ids, 0.5)
 
         masks = scene_masks(scene)
         cfg = d.GuidanceConfig(epsilon=EPS)
@@ -282,7 +284,8 @@ class TestKnownDefects:
     def test_raster_maps_cover_their_boxes(self):
         scene = d.canonical_scene()
         trajectory = d.run_guidance(scene, d.GuidanceConfig(), d.init_latent(scene, "raster", seed=42))
-        miou = d.layout_miou(trajectory.final_field, scene).all
+        fg_ids = {p.foreground_id for p in d.derive_occlusion_pairs(scene)}
+        miou = _miou_rows(trajectory.final_field.maps[None], scene, fg_ids, 0.5)[0].all
         _criterion("raster layout", miou >= 0.5, f"seed 42, miou_all {miou:.4f}")
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the oracle fails a correct gradient at lambda0 1e8")

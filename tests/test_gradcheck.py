@@ -23,7 +23,8 @@ from deptharb.gradcheck import (
     _blob_map,
     _object_terms,
     _PixelSums,
-    _restricted_loss,
+    _restricted_terms,
+    _staged,
     check_gradients,
     coord_grid,
     spatial_mean,
@@ -73,7 +74,7 @@ class TestRankOneOracle:
     @given(oracle_cases())
     def test_matches_literal_fd_at_every_coordinate(self, case):
         # every attention and raster-latent coordinate: the rank-one FD equals
-        # the FD of _restricted_loss on the fully perturbed map to 1e-9
+        # the FD of the literal terms on the fully perturbed map to 1e-9
         # relative, floored at 1e-11 (the literal's own rounding noise is
         # about 1e-19 * |loss| / h per ulp); the sum-form values match the
         # literal ones at the base and at every perturbed map
@@ -84,7 +85,7 @@ class TestRankOneOracle:
         for k, terms in enumerate(_object_terms(scene, cfg)):
 
             def literal(map_k, terms=terms):
-                return _restricted_loss(map_k, *terms, coords, cfg, stage)
+                return _staged(_restricted_terms(map_k, *terms, coords, cfg), stage)
 
             z = logits[k].astype(long)
             for space, base in (("attention", np.exp(logits[k]).astype(long)), ("latent", np.exp(z))):
@@ -531,8 +532,8 @@ class TestBroadcastCentres:
         assert mu == spatial_mean(norm, full)
         assert spatial_variance(norm, thin, mu) == spatial_variance(norm, full, mu)
         cfg = GuidanceConfig()
-        assert _restricted_loss(map_k, mask_k, depth, fg_terms, thin, cfg, stage) == _restricted_loss(
-            map_k, mask_k, depth, fg_terms, full, cfg, stage
+        assert _staged(_restricted_terms(map_k, mask_k, depth, fg_terms, thin, cfg), stage) == _staged(
+            _restricted_terms(map_k, mask_k, depth, fg_terms, full, cfg), stage
         )
         blob = _blob_map(params, thin.x, thin.y)
         assert blob.shape == (height, width)

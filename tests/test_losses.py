@@ -393,15 +393,16 @@ class TestPlanScratch:
 
     def test_value_only_callers_build_no_factors(self, canonical, monkeypatch, tmp_path):
         # staged_loss, scoring and eval read values only: their plans build no gradient scratch
-        from deptharb import build_metric_report, write_dump
+        from deptharb import write_dump
         from deptharb.cli import main
+        from deptharb.metrics import _score_rows
 
         calls = self.count_factor_builds(monkeypatch)
         pairs = derive_occlusion_pairs(canonical)
         field = AttentionField(maps=np.random.default_rng(4).uniform(0, 2, (2, 64, 64)))
         for stage in (1, 2):
             staged_loss(field, canonical, pairs, CFG, stage)
-            build_metric_report(field, canonical, CFG, stage, 0.5)
+            _score_rows(field.maps[None], canonical, [CFG], [stage], 0.5)
         dump = tmp_path / "field.darb"
         write_dump(str(dump), field, 0)
         assert main(["eval", "--scene", CANONICAL_FILE, "--dump", str(dump)]) == 0

@@ -14,14 +14,11 @@ from deptharb import (
     SceneError,
     SceneObject,
     SceneSpec,
-    build_metric_report,
     derive_occlusion_pairs,
-    focr,
-    layout_miou,
     staged_loss,
 )
 from deptharb.losses import _plan, value_and_grad
-from deptharb.metrics import FocrResult, LayoutMiou, MetricReport, _score_rows
+from deptharb.metrics import FocrResult, LayoutMiou, MetricReport, _focr_rows, _miou_rows, _score_rows
 
 from conftest import dyadic_field
 from reference import from_maps, mask_iou, pseudo_segment, rasterize_mask, threshold_mask
@@ -60,7 +57,7 @@ class TestMaskIou:
 class TestLayoutMiou:
     def test_exact_box_maps_score_one(self, two_object_scene):
         field = box_indicator_field(two_object_scene)
-        result = layout_miou(field, two_object_scene, 0.5)
+        result = _miou_rows(field.maps[None], two_object_scene, {0}, 0.5)[0]
         assert result.per_object == {0: 1.0, 1: 1.0}
         assert result.all == 1.0
         assert result.fg == 1.0 and result.bg == 1.0
@@ -72,7 +69,7 @@ class TestLayoutMiou:
             objects=(SceneObject(id=0, label="", bbox=(0.5, 0.5, 1.0, 1.0), depth=0.5),),
         )
         values = rasterize_mask((0.0, 0.0, 0.4, 0.4), 16, 16)
-        result = layout_miou(from_maps([values]), scene, 0.5)
+        result = _miou_rows(from_maps([values]).maps[None], scene, set(), 0.5)[0]
         assert result.per_object[0] == 0.0
 
     def test_half_coverage(self):
@@ -83,7 +80,7 @@ class TestLayoutMiou:
         )
         # attention covers only the left half of the box
         values = rasterize_mask((0.0, 0.25, 0.5, 0.75), 16, 16)
-        result = layout_miou(from_maps([values]), scene, 0.5)
+        result = _miou_rows(from_maps([values]).maps[None], scene, set(), 0.5)[0]
         box = rasterize_mask(scene.objects[0].bbox, 16, 16)
         expected = np.sum((values > 0) & (box > 0)) / np.sum((values > 0) | (box > 0))
         assert result.per_object[0] == expected == 0.5
@@ -102,7 +99,7 @@ class TestLayoutMiou:
         # object 1 is background to 0 and foreground to 2: foreground wins
         assert OcclusionPair(0, 1) in pairs and OcclusionPair(1, 2) in pairs
         field = box_indicator_field(scene)
-        result = layout_miou(field, scene, 0.5)
+        result = _miou_rows(field.maps[None], scene, {p.foreground_id for p in pairs}, 0.5)[0]
         assert result.fg == 1.0  # objects 0 and 1
         assert result.bg == 1.0  # object 2
         assert result.all == 1.0
@@ -113,7 +110,7 @@ class TestLayoutMiou:
             grid_width=16,
             objects=(SceneObject(id=0, label="", bbox=(0.1, 0.1, 0.9, 0.9), depth=0.5),),
         )
-        result = layout_miou(box_indicator_field(scene), scene, 0.5)
+        result = _miou_rows(box_indicator_field(scene).maps[None], scene, set(), 0.5)[0]
         assert result.fg is None
         assert result.bg == result.all
 
@@ -125,14 +122,14 @@ class TestLayoutMiou:
         )
         rng = np.random.default_rng(13)
         values = rng.uniform(0.5, 2.0, size=(16, 16))  # strictly positive
-        result = layout_miou(from_maps([values]), scene, 1e-9)
+        result = _miou_rows(from_maps([values]).maps[None], scene, set(), 1e-9)[0]
         box = rasterize_mask(scene.objects[0].bbox, 16, 16)
         assert result.per_object[0] == box.sum() / (16 * 16)
 
     def test_aggregates_are_means(self, two_object_scene):
         rng = np.random.default_rng(15)
         field = AttentionField(maps=rng.uniform(0, 2, (2, 16, 16)))
-        result = layout_miou(field, two_object_scene, 0.5)
+        result = _miou_rows(field.maps[None], two_object_scene, {0}, 0.5)[0]
         values = list(result.per_object.values())
         assert result.all == pytest.approx(np.mean(values), abs=1e-15)
         assert 0.0 <= result.all <= 1.0
@@ -141,33 +138,33 @@ class TestLayoutMiou:
 class TestFocr:
     def test_foreground_dominant_everywhere(self, two_object_scene):
         field = box_indicator_field(two_object_scene, amplitudes=[2.0, 1.0])
-        result = focr(field, two_object_scene, derive_occlusion_pairs(two_object_scene))
+        result = _focr_rows(field.maps[None], two_object_scene, derive_occlusion_pairs(two_object_scene))[0]
         assert result.per_pair[0] == 1.0
         assert result.mean == 1.0
 
     def test_background_dominant_everywhere(self, two_object_scene):
         field = box_indicator_field(two_object_scene, amplitudes=[1.0, 3.0])
-        result = focr(field, two_object_scene, derive_occlusion_pairs(two_object_scene))
+        result = _focr_rows(field.maps[None], two_object_scene, derive_occlusion_pairs(two_object_scene))[0]
         assert result.per_pair[0] == 0.0
         assert result.mean == 0.0
 
     def test_exact_tie_goes_to_closer_object(self, two_object_scene):
         # equal attention in the intersection: depth 0.2 object wins every pixel
         field = box_indicator_field(two_object_scene, amplitudes=[1.0, 1.0])
-        result = focr(field, two_object_scene, derive_occlusion_pairs(two_object_scene))
+        result = _focr_rows(field.maps[None], two_object_scene, derive_occlusion_pairs(two_object_scene))[0]
         assert result.per_pair[0] == 1.0
 
     @pytest.mark.parametrize("pair", [OcclusionPair(0, 5), OcclusionPair(5, 1)])
     def test_unknown_pair_id_is_named_as_the_loss_names_it(self, two_object_scene, pair):
         field = box_indicator_field(two_object_scene)
         with pytest.raises(SceneError, match=r"^unknown object id 5$"):
-            focr(field, two_object_scene, [pair])
+            _focr_rows(field.maps[None], two_object_scene, [pair])
         with pytest.raises(SceneError, match=r"^unknown object id 5$"):
             staged_loss(field, two_object_scene, [pair], GuidanceConfig(), 1)
 
     def test_empty_pairs_reports_absent_mean(self, two_object_scene):
         field = box_indicator_field(two_object_scene)
-        result = focr(field, two_object_scene, [])
+        result = _focr_rows(field.maps[None], two_object_scene, [])[0]
         assert result.per_pair == ()
         assert result.mean is None
 
@@ -176,7 +173,7 @@ class TestFocr:
         pairs = derive_occlusion_pairs(two_object_scene)
         for _ in range(10):
             field = AttentionField(maps=rng.uniform(0, 2, (2, 16, 16)))
-            result = focr(field, two_object_scene, pairs)
+            result = _focr_rows(field.maps[None], two_object_scene, pairs)[0]
             assert 0.0 <= result.per_pair[0] <= 1.0
 
     def test_monotone_in_foreground_scale(self, two_object_scene):
@@ -187,7 +184,7 @@ class TestFocr:
         for c in (1.0, 2.0, 4.0, 8.0):
             scaled = maps.copy()
             scaled[0] *= c
-            values.append(focr(AttentionField(maps=scaled), two_object_scene, pairs).per_pair[0])
+            values.append(_focr_rows(scaled[None], two_object_scene, pairs)[0].per_pair[0])
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -206,18 +203,16 @@ class TestFocr:
         real = deptharb.metrics._winners
         monkeypatch.setattr(deptharb.metrics, "_winners", lambda maps, sc: shapes.append(maps.shape) or real(maps, sc))
         field = AttentionField(maps=np.random.default_rng(3).uniform(0, 2, (3, 16, 16)))
-        result = focr(field, scene, pairs)
+        result = _focr_rows(field.maps[None], scene, pairs)[0]
         assert shapes == [(3, 2, 6)]
         assert result == full_mask_report(field, scene, GuidanceConfig(), 1, 0.5).focr
 
 
 class TestMetricReport:
     def test_report_dict_invariants(self, two_object_scene):
-        from deptharb import GuidanceConfig, build_metric_report
-
         rng = np.random.default_rng(85)
         field = AttentionField(maps=rng.uniform(0, 2, (2, 16, 16)))
-        report = build_metric_report(field, two_object_scene, GuidanceConfig(), stage=1, rel_threshold=0.5)
+        [report] = _score_rows(field.maps[None], two_object_scene, [GuidanceConfig()], [1], 0.5)
         doc = report.to_json_dict()
         assert set(doc.keys()) == {"losses", "per_object", "per_pair", "metrics"}
         ious = [obj["iou"] for obj in doc["per_object"]]
@@ -234,12 +229,12 @@ class TestScalingInvariance:
     def test_metrics_unchanged_under_common_scaling(self, two_object_scene):
         field = dyadic_field((2, 16, 16), seed=77)
         pairs = derive_occlusion_pairs(two_object_scene)
-        base_focr = focr(field, two_object_scene, pairs)
-        base_miou = layout_miou(field, two_object_scene, 0.5)
+        base_focr = _focr_rows(field.maps[None], two_object_scene, pairs)
+        base_miou = _miou_rows(field.maps[None], two_object_scene, {0}, 0.5)
         for c in (2.0, 3.0):
-            scaled = AttentionField(maps=field.maps * c)
-            assert focr(scaled, two_object_scene, pairs) == base_focr
-            assert layout_miou(scaled, two_object_scene, 0.5) == base_miou
+            scaled = field.maps[None] * c
+            assert _focr_rows(scaled, two_object_scene, pairs) == base_focr
+            assert _miou_rows(scaled, two_object_scene, {0}, 0.5) == base_miou
 
 
 @st.composite
@@ -329,9 +324,9 @@ class TestBoxRectangleScoring:
     @given(scored_cases(), st.sampled_from([1, 2]))
     def test_report_equals_full_mask_reference(self, case, stage):
         scene, field, rel = case
-        args = (field, scene, GuidanceConfig(), stage, rel)
-        expected = json.dumps(full_mask_report(*args).to_json_dict())
-        assert json.dumps(build_metric_report(*args).to_json_dict()) == expected
+        expected = json.dumps(full_mask_report(field, scene, GuidanceConfig(), stage, rel).to_json_dict())
+        [report] = _score_rows(field.maps[None], scene, [GuidanceConfig()], [stage], rel)
+        assert json.dumps(report.to_json_dict()) == expected
 
     def test_report_assembles_no_gradient(self, two_object_scene, monkeypatch):
         import deptharb.losses
@@ -341,7 +336,7 @@ class TestBoxRectangleScoring:
         monkeypatch.setattr(deptharb.losses, "value_and_grad", lambda *a: calls.append(1) or real(*a))
         field = AttentionField(maps=np.random.default_rng(7).uniform(0, 2, (2, 16, 16)))
         for stage in (1, 2):
-            build_metric_report(field, two_object_scene, GuidanceConfig(), stage, 0.5)
+            _score_rows(field.maps[None], two_object_scene, [GuidanceConfig()], [stage], 0.5)
         assert calls == []
 
 
@@ -374,7 +369,8 @@ class TestScoreRows:
             args = (AttentionField(maps=maps), scene, cfg, stage, rel)
             expected = json.dumps(full_mask_report(*args).to_json_dict())
             assert json.dumps(report.to_json_dict()) == expected
-            assert json.dumps(build_metric_report(*args).to_json_dict()) == expected
+            [alone] = _score_rows(maps[None], scene, [cfg], [stage], rel)
+            assert json.dumps(alone.to_json_dict()) == expected
 
     def test_an_all_zero_map_predicts_nothing_and_wins_nothing(self, two_object_scene):
         # row 0 random; row 1's foreground map is all zero; row 2 is all zero
