@@ -93,8 +93,11 @@ COMMANDS = [
     "grad-check --mode blob --samples 50 --stage 1",
     "grad-check --scene {small} --samples 100 --stage 2",
     "grad-check --samples 50 --lambda-ortho 1e300",
-    # a joint check whose stage 1 fails (exit 3) while stage 2 passes: the printed offender ranking
+    # large pair weights: each summand is differenced on its own, so a correct raster gradient passes
     "grad-check --samples 200 --lambda0 1e8",
+    "grad-check --samples 200 --lambda0 1e12",
+    # a large compactness weight, where blob coordinates still fail (exit 3): the printed offender ranking
+    "grad-check --mode blob --samples 5 --lambda-compact 1e8",
 ]
 
 # every field of a check's results, floats in hex, per mode and stages; at

@@ -14,20 +14,21 @@ oracle draws each coordinate and takes its terms once for every stage.
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
 platform provides it; `precision_note` says when it does not).  Terms not
-involving the perturbed map are constants of the difference and are omitted,
-which removes their rounding noise from the quotient without changing the
-derivative being measured.
+involving the perturbed map are constants of the difference and are omitted.
+Each remaining summand is differenced on its own, then staged: a summand the
+coordinate leaves alone (a pair term of 1e8 outside its foreground box) adds
+exactly 0, not its rounding noise, and the derivative measured is the same.
 
 `_restricted_terms` is the literal forward definition of those terms: the
-stage-free summands (alignment, each pair's orthogonality term,
-compactness), which `_staged` adds in a stage's order, so one literal
-evaluation of a map serves every stage.  Every quantity they
-read is a pixel sum of the map against a fixed weight: the total, the
-in-box sum, the foreground-mask sum of each pair the object backs, and the
-first and second coordinate moments.  `_PixelSums` takes these sums once
-per object, whatever the stage, so raising pixel p by delta changes each by
-delta * w_p and a checked coordinate costs a rank-one update of a few
-scalars instead of full-map passes.  Its `terms` are the same summands as
+stage-free summands (alignment, each pair's orthogonality term, compactness),
+which `_staged` adds in a stage's order, so one literal evaluation of a map
+serves every stage.  Every quantity they read is a pixel sum of the map
+against a fixed weight: the total, the in-box sum, the foreground-mask sum
+of each pair the object backs, and the first and second coordinate moments.
+`_PixelSums` takes these sums once per object, whatever the stage, so
+raising pixel p by delta changes each by delta * w_p and a checked
+coordinate costs a rank-one update of a few scalars instead of full-map
+passes.  Its `terms` are the same summands as
 `_restricted_terms`, and `_staged` adds them too: it is the one place that
 decides what a stage adds.  The moments are taken about the base-point
 mean, so Var is never a difference of O(1) numbers, and the algebra keeps
@@ -45,7 +46,7 @@ scalar k, y, x draws per sample, and each object's rows go through
 every difference is the one a per-coordinate loop would take.  Blob latent
 coordinates move every pixel, so they keep the literal re-render
 `_blob_map` and evaluation of `_restricted_terms`: 2 * 5 * K of each per
-call.  `_differences` stages either form's up and down terms.
+call.  `_differences` differences either form's up and down terms.
 
 A coordinate passes when both values are finite and
 |analytic - fd| <= max(rel_tol * FLOOR_REF, rel_tol * ref) with
@@ -237,8 +238,10 @@ def _staged(terms, stage: int):
 
 
 def _differences(up, down, stages, h) -> list:
-    """Per stage, the central difference of its objective between the up and the down terms."""
-    return [(_staged(up, stage) - _staged(down, stage)) / (2 * h) for stage in stages]
+    """Per stage, the central difference of its objective: each summand differenced on its own, then staged."""
+    (align_up, ortho_up, compact_up), (align_down, ortho_down, compact_down) = up, down
+    diff = (align_up - align_down, [u - d for u, d in zip(ortho_up, ortho_down)], compact_up - compact_down)
+    return [_staged(diff, stage) / (2 * h) for stage in stages]
 
 
 class _PixelSums:
@@ -423,7 +426,7 @@ def check_gradients(
     latent checks all 5 * K parameters whatever `samples` is.  The stages
     share every render and every literal evaluation: one row per stage on
     the analytic side, and on the literal side the stage-free terms of each
-    base map and each coordinate, taken once and added per stage.
+    base map and each coordinate, taken once, differenced, then staged.
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor or its map's mass is below
     1e3 * FD_STEP; the refusal is that of the first stage that would refuse

@@ -78,12 +78,12 @@ def _miou_rows(maps: np.ndarray, scene: SceneSpec, fg_ids: set[int], rel_thresho
     """IoU of each thresholded map against its box, with aggregates, for each row of a (B, K, H, W) stack.
 
     The intersection is the predicted count inside the box slice, the union
-    the predicted count plus the box area minus the intersection.
-    Objects are grouped as foreground if their id is in `fg_ids` (the
-    foregrounds of the occlusion pairs, so foreground membership wins for
-    objects playing both roles), background otherwise.  Each map is thresholded and counted on its own, while it is still in
-    cache: on a 256x256 scene of 8 maps, one threshold pass over the whole
-    stack took about 1.5 times as long.
+    the predicted count plus the box area minus the intersection.  Objects
+    whose id is in `fg_ids` (the pairs' foregrounds, so foreground wins for
+    an object in both roles) are grouped as foreground, the rest as
+    background.  Each map is thresholded and counted on its own, while it
+    is still in cache: on a 256x256 scene of 8 maps, one threshold pass
+    over the whole stack took about 1.5 times as long.
     """
     areas = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in scene.spans]
     ious = []

@@ -6,8 +6,8 @@ the same quantities out over whole (H, W) masks and fields, so a test can
 check that the sliced production values equal the full-mask definitions.
 
 `scalar_check_gradients` is the oracle's per-coordinate sampler: scalar
-k, y, x draws, one scalar central difference and one judgement per
-coordinate.  `gradcheck.check_gradients` draws and evaluates the same
+k, y, x draws, one scalar central difference of each summand, staged
+(`per_term_fd`), and one judgement per coordinate.  `gradcheck.check_gradients` draws and evaluates the same
 coordinates as arrays and must return the same result, field for field.
 
 `reference_values` and `reference_value_and_grad` are the loss kernel
@@ -138,9 +138,19 @@ def _absorb(result: GradCheckResult, judged: tuple[CoordReport, bool, bool]) -> 
         result.failures.append(report)
 
 
+def per_term_fd(up_terms, down_terms, h, stage: int) -> float:
+    """The central difference at `stage` of two (align, [ortho per pair], compact) triples.
+
+    Each summand is differenced on its own, then the differences are staged.
+    """
+    (align_up, ortho_up, compact_up), (align_down, ortho_down, compact_down) = up_terms, down_terms
+    diffs = (align_up - align_down, [u - d for u, d in zip(ortho_up, ortho_down)], compact_up - compact_down)
+    return float(gradcheck._staged(diffs, stage) / (2 * h))
+
+
 def scalar_fd(sums, y: int, x: int, up, down, h, stage: int) -> float:
-    """The central difference of one entry at `stage`, from two scalar `_PixelSums.loss` calls."""
-    return float((sums.loss(up, y, x, stage) - sums.loss(down, y, x, stage)) / (2 * h))
+    """The central difference of one entry at `stage`, from two scalar `_PixelSums.terms` calls."""
+    return per_term_fd(sums.terms(up, y, x), sums.terms(down, y, x), h, stage)
 
 
 def scalar_check_gradients(
@@ -206,8 +216,8 @@ def scalar_check_gradients(
                     pert = params[k].copy()
                     pert[p] += sign * h
                     map_k = gradcheck._blob_map(pert, coords.x, coords.y)
-                    vals.append(gradcheck._staged(gradcheck._restricted_terms(map_k, *terms[k], coords, cfg), stage))
-                fd = float((vals[0] - vals[1]) / (2 * h))
+                    vals.append(gradcheck._restricted_terms(map_k, *terms[k], coords, cfg))
+                fd = per_term_fd(*vals, h, stage)
                 _absorb(result, judge("latent", k, (p,), float(grad_lat[k, p]), fd, rel_tol))
     return result
 

@@ -424,21 +424,27 @@ class TestGradCheckCommand:
 
 
     def test_non_finite_errors_show_and_lead_the_offenders(self, capsys):
-        # -inf against FD 0: the relative error inf / inf is NaN in every coordinate
+        # -inf against a subnormal FD, each summand differenced on its own: the relative error
+        # inf / inf is NaN in every coordinate
         assert run_cli("grad-check", "--samples", "3", "--epsilon", "1.7e308") == 3
         offenders = [
-            "attention obj 1 coord (40, 32)", "attention obj 0 coord (19, 2)", "attention obj 0 coord (1, 11)",
-            "latent obj 1 coord (41, 58)", "latent obj 1 coord (38, 62)", "latent obj 1 coord (40, 34)",
+            (1, "attention obj 1 coord (40, 32)", "3.299187e-309"),
+            (1, "attention obj 0 coord (19, 2)", "2.220244e-311"),
+            (1, "attention obj 0 coord (1, 11)", "7.726333e-312"),
+            (1, "latent obj 1 coord (41, 58)", "1.804778e-309"),
+            (1, "latent obj 1 coord (38, 62)", "2.241439e-309"),
+            (1, "latent obj 1 coord (40, 34)", "1.253082e-309"),
+            (2, "attention obj 1 coord (40, 32)", "6.196002e-310"),
+            (2, "attention obj 0 coord (19, 2)", "2.220244e-311"),
+            (2, "attention obj 0 coord (1, 11)", "7.726333e-312"),
+            (2, "latent obj 1 coord (41, 58)", "1.804778e-309"),
         ]
         assert capsys.readouterr().out.splitlines() == [
             "stage 1 (raster): 6 coordinates, worst rel nan (0 judged by the 1e-09 floor), worst abs inf -> 6 FAILURES",
             "stage 2 (raster): 6 coordinates, worst rel nan (0 judged by the 1e-09 floor), worst abs inf -> 6 FAILURES",
             "worst relative error: nan",
             "worst offenders:",
-            *(
-                f"  stage {stage} {where}: analytic -inf fd 0.000000e+00 rel nan abs inf"
-                for stage, where in [(1, o) for o in offenders] + [(2, o) for o in offenders[:4]]
-            ),
+            *(f"  stage {stage} {where}: analytic -inf fd {fd} rel nan abs inf" for stage, where, fd in offenders),
         ]
 
     def test_offenders_sort_non_finite_errors_first(self, monkeypatch, capsys):

@@ -74,9 +74,9 @@ class TestRankOneOracle:
     @given(oracle_cases())
     def test_matches_literal_fd_at_every_coordinate(self, case):
         # every attention and raster-latent coordinate: the rank-one FD equals
-        # the FD of the literal terms on the fully perturbed map to 1e-9
-        # relative, floored at 1e-11 (the literal's own rounding noise is
-        # about 1e-19 * |loss| / h per ulp); the sum-form values match the
+        # the per-term FD of the literal terms on the fully perturbed map to
+        # 1e-9 relative, floored at 1e-11 (the literal's own rounding noise is
+        # about 1e-19 * |term| / h per ulp); the sum-form values match the
         # literal ones at the base and at every perturbed map
         scene, cfg, stage, logits = case
         long = gradcheck.LONG
@@ -85,12 +85,12 @@ class TestRankOneOracle:
         for k, terms in enumerate(_object_terms(scene, cfg)):
 
             def literal(map_k, terms=terms):
-                return _staged(_restricted_terms(map_k, *terms, coords, cfg), stage)
+                return _restricted_terms(map_k, *terms, coords, cfg)
 
             z = logits[k].astype(long)
             for space, base in (("attention", np.exp(logits[k]).astype(long)), ("latent", np.exp(z))):
                 sums = _PixelSums(base, *terms, coords, cfg)
-                value = literal(base)
+                value = _staged(literal(base), stage)
                 assert abs(sums.loss(long(0), 0, 0, stage) - value) <= _value_bound(value, terms[1])
                 for (y, x), a in np.ndenumerate(base):
                     perturbed = []
@@ -106,9 +106,11 @@ class TestRankOneOracle:
                             assert pert[y, x] == np.exp(z[y, x] + sign * h)
                         perturbed.append((pert, pert[y, x] - a))
                     (up_map, up), (down_map, down) = perturbed
-                    value_up = literal(up_map)
+                    terms_up = literal(up_map)
+                    value_up = _staged(terms_up, stage)
                     assert abs(sums.loss(up, y, x, stage) - value_up) <= _value_bound(value_up, terms[1])
-                    fd = float((value_up - literal(down_map)) / (2 * h))
+                    [fd] = gradcheck._differences(terms_up, literal(down_map), (stage,), h)
+                    fd = float(fd)
                     [rank_one] = gradcheck._differences(sums.terms(up, y, x), sums.terms(down, y, x), (stage,), h)
                     rank_one = float(rank_one)
                     assert abs(rank_one - fd) <= max(1e-9 * max(abs(rank_one), abs(fd)), 1e-11), (
@@ -594,6 +596,30 @@ class TestNegativeControl:
         SKEWS[space](monkeypatch, 0, 1 + 1e-3)
         assert main(["grad-check", "--mode", mode, "--samples", "60", "--seed", "1"]) == 3
         assert "FAILURES" in capsys.readouterr().out
+
+
+class TestWeightScale:
+    """The verdict on a raster latent does not depend on the scale of the pair weights."""
+
+    @pytest.mark.parametrize("lambda0", [1e-3, 1.0, 1e4, 1e8, 1e12])
+    def test_a_correct_gradient_passes_at_any_weight(self, lambda0):
+        # each summand is differenced on its own: a pair term that a coordinate
+        # leaves alone adds exactly 0, not its own rounding, to the difference
+        scene = canonical_scene()
+        latent = init_latent(scene, "raster", 0)
+        results = check_gradients(scene, GuidanceConfig(lambda0=lambda0), latent, (1, 2), seed=0, samples=200)
+        for result in results:
+            assert result.passed, result.failures[:3]
+
+    @pytest.mark.parametrize("lambda0", [1.0, 1e8])
+    def test_a_planted_error_of_rel_1e_4_fails_at_any_weight(self, monkeypatch, lambda0):
+        _skew_attention(monkeypatch, 1, 1 + 1e-4)
+        scene = canonical_scene()
+        latent = init_latent(scene, "raster", 0)
+        results = check_gradients(scene, GuidanceConfig(lambda0=lambda0), latent, (1, 2), seed=0, samples=200)
+        for result in results:
+            assert result.failures
+            assert {r.object_index for r in result.failures} == {1}
 
 
 class TestRunLoopSequence:

@@ -14,8 +14,8 @@ SURFACE = {
     "AttentionError", "AttentionField", "ConfigError", "DumpError", "GuidanceConfig",
     "LatentState", "NumericalAbort", "OcclusionPair", "SceneError", "SceneObject",
     "SceneSpec", "SurrogateError", "canonical_scene", "check_gradients",
-    "derive_occlusion_pairs", "init_latent", "parse_scene", "read_dump", "render_attention", "round_trip32", "run_guidance",
-    "staged_loss", "write_dump",
+    "derive_occlusion_pairs", "init_latent", "parse_scene", "read_dump", "render_attention",
+    "round_trip32", "run_guidance", "staged_loss", "write_dump",
 }
 # the names the benchmark harness reads from `deptharb` (perfbench/workloads.py)
 BENCHMARK_NAMES = {
