@@ -34,14 +34,12 @@ against the box columns and the column sums per map, for any range of
 maps.  From the reductions of every map, `_values` writes the values and
 `_step_factors` the values and the gradient's step-dependent low-rank
 factors; `_grad_product` multiplies the factors out for any range of maps.
-`value_and_grad` runs them all for all maps, into the plan's own gradient
-buffer, for `gradcheck` and the tests, and `_evaluate` the first two.  The
-run loop takes the field half and the product a tile of maps at a time,
-while the tile is in cache (the reductions right after the tile's maps are
-rendered), and never writes a whole-field gradient.  The plan builds the
-gradient's factors and buffer the first time they are read, so a
-value-only caller (scoring, and `staged_loss`, the one-row view for
-callers outside the package) builds none.
+`value_and_grad` runs them all for all maps, into a gradient it allocates
+and returns, for `gradcheck` and the tests, and `_evaluate` the first two
+(scoring, and `staged_loss`, the one-row view for callers outside the
+package).  The run loop takes the field half and the product a tile of
+maps at a time, while the tile is in cache (the reductions right after the
+tile's maps are rendered), and never writes a whole-field gradient.
 Gradients are hand-derived closed forms rather than autodiff, and
 the literal term definitions they are checked against live apart, in
 `gradcheck`, so the finite-difference oracle is a genuinely independent
@@ -50,7 +48,6 @@ check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
@@ -303,14 +300,7 @@ class _Plan:
       (`_Scratch`);
     * `factors`, `columns`: the gradient's low-rank factors over all B * K
       maps and views of their step-dependent columns (U[:, :, 0],
-      U[:, :, 1], V[:, 2]), that `_step_factors` writes;
-    * `grad`, `grad_stack`: the buffer `value_and_grad` returns, U @ V, and
-      its (B * K, H, W) view; the run loop, which writes the gradient a tile
-      at a time into its own scratch, never touches it.
-
-    The gradient's members (`factors`, `columns`, `grad`, `grad_stack`) are
-    built where they are first read, once per plan: a value-only caller,
-    which reads none of them, builds none.
+      U[:, :, 1], V[:, 2]), that `_step_factors` writes.
 
     The breakdown a call writes goes to the caller's pass columns
     (`_columns`), none of which is a view of the plan.
@@ -331,39 +321,18 @@ class _Plan:
     neg2_depths: np.ndarray       # (B * K, 1) -2.0 * depths
     q_res_numerators: np.ndarray  # (B * K, 2) lambda_compact * depths and 2.0 * epsilon
     scratch: _Scratch
-    pair_terms: tuple     # (background j, foreground i, coef (B,)) of every pair, the factors' input
-
-    @functools.cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, V), see _grad_factors."""
-        k = len(self.depths) // len(self.cfgs)
-        return _grad_factors(self.box_rows[:k], self.colmat[:, 1:].T, self.pair_terms, len(self.cfgs))
-
-    @functools.cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U[:, :, 0], U[:, :, 1], V[:, 2])."""
-        u, v = self.factors
-        return u[:, :, 0], u[:, :, 1], v[:, 2]
-
-    @functools.cached_property
-    def grad(self) -> np.ndarray:
-        """(B, K, H, W), the buffer value_and_grad returns."""
-        return np.empty((len(self.cfgs), len(self.depths) // len(self.cfgs), len(self.cy), len(self.cx)))
-
-    @functools.cached_property
-    def grad_stack(self) -> np.ndarray:
-        """(B * K, H, W) view of grad."""
-        return self.grad.reshape(-1, len(self.cy), len(self.cx))
+    factors: tuple[np.ndarray, np.ndarray]  # (U, V), see _grad_factors
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # (U[:, :, 0], U[:, :, 1], V[:, 2])
 
 
-def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.ndarray]:
+def _grad_factors(rows, cols, terms, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """Low-rank factors U (B * K, H, m) and V (B * K, m, W) with gradient = U @ V, map after map.
 
     Column 0 pairs a_k r_k with c_k, column 1 the row term with ones and
     column 2 ones with the column term: `_step_factors` writes those three
     step-dependent entries (U[:, :, 0], U[:, :, 1], V[:, 2]) on every step.
     The remaining columns are fixed: for each (background j, foreground i,
-    coef) of `pair_terms`, in order, background map j gets coef r_i (outer)
+    coef) of `terms`, in order, background map j gets coef r_i (outer)
     c_i, zero-padded to the largest count per map; coef holds one value per
     row.  Every product is exact (the indicators are 0/1), so the sum runs
     in the same order as the term-by-term assembly; stage 2, which has no
@@ -372,7 +341,7 @@ def _grad_factors(rows, cols, pair_terms, batch: int) -> tuple[np.ndarray, np.nd
     k, height = rows.shape
     width = cols.shape[1]
     slots: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(k)]
-    for j, i, coef in pair_terms:
+    for j, i, coef in terms:
         slots[j].append((i, coef))
     m = 3 + max(len(s) for s in slots)
     u = np.zeros((batch, k, height, m))
@@ -415,6 +384,7 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
     # 2 * eps is inf above half the float range: a non-finite gradient, which the run loop reports
     with np.errstate(over="ignore"):
         two_eps = 2.0 * eps
+    u, v = _grad_factors(rows, cols, tuple(zip(bg.tolist(), fg.tolist(), coef.T)), batch)
     return _Plan(
         cfgs=tuple(cfgs),
         colmat=np.vstack([np.ones(width), cols]).T.copy(),
@@ -431,7 +401,8 @@ def _plan(scene: SceneSpec, pairs: Sequence[OcclusionPair], cfgs: Sequence[Guida
         neg2_depths=(-2.0 * depths)[:, None],
         q_res_numerators=np.column_stack([np.repeat([cfg.lambda_compact for cfg in cfgs], k) * depths, two_eps]),
         scratch=_scratch(batch, k, len(pairs), height, width),
-        pair_terms=tuple(zip(bg.tolist(), fg.tolist(), coef.T)),
+        factors=(u, v),
+        columns=(u[:, :, 0], u[:, :, 1], v[:, 2]),
     )
 
 
@@ -634,14 +605,14 @@ def value_and_grad(
     This is the call for all maps at once, into one-pass columns of its own;
     the run loop makes the same halves into its run's columns, `_reduce`
     and `_grad_product` one tile of maps at a time and `_step_factors` once
-    for all of them.  The returned gradient is the plan's own buffer: the
-    next call on the same plan overwrites it.
+    for all of them.  The returned gradient is the caller's own.
     """
     out = _columns(plan, [stages])
+    grad = np.empty(maps.shape)
     _reduce(_reduce_views(maps, plan, 0, len(plan.depths)))
     _step_factors(plan, out, 0)
-    _grad_product(_product_views(plan, stages, 0, len(plan.depths), plan.grad_stack))
-    return out.take(0), plan.grad
+    _grad_product(_product_views(plan, stages, 0, len(plan.depths), grad.reshape(-1, *maps.shape[2:])))
+    return out.take(0), grad
 
 
 def _evaluate(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> LossBreakdown:

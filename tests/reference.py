@@ -252,8 +252,9 @@ def reference_plan(scene: SceneSpec, pairs, cfg: GuidanceConfig) -> SimpleNamesp
     (P,) arrays of its row; `cfg` is its config, `rows` its (K, H) box row
     indicators and `grad` its (K, H, W) gradient buffer.  `fg`, `bg` and
     `fg_area` are the pair indices and foreground-box pixel counts, built as
-    the plan built them.  The factors and gradient buffer are this plan's
-    own, so the reference kernel writes no production plan.
+    the plan built them.  The plan is a fresh one and the gradient buffer
+    is allocated here, so the reference kernel writes no other plan's
+    factors.
     """
     plan = _plan(scene, pairs, [cfg])
     rows, cols = plan.box_rows, plan.colmat[:, 1:].T
@@ -261,8 +262,8 @@ def reference_plan(scene: SceneSpec, pairs, cfg: GuidanceConfig) -> SimpleNamesp
     bg = np.array([scene.index_of(p.background_id) for p in pairs], dtype=np.intp)
     fg_area = rows[fg].sum(axis=1) * cols[fg].sum(axis=1)
     return SimpleNamespace(
-        **{**vars(plan), "factors": plan.factors, "grad": plan.grad_stack},
-        cfg=cfg, rows=rows, fg=fg, bg=bg, fg_area=fg_area,
+        **vars(plan), cfg=cfg, rows=rows, fg=fg, bg=bg, fg_area=fg_area,
+        grad=np.empty((len(rows), scene.grid_height, scene.grid_width)),
     )
 
 

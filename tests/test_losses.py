@@ -391,25 +391,9 @@ class TestPlanScratch:
         run_guidance(two_object_scene, GuidanceConfig(total_steps=9, eta0=1.0), latent0)
         assert len(calls) == 1
 
-    def test_value_only_callers_build_no_factors(self, canonical, monkeypatch, tmp_path):
-        # staged_loss, scoring and eval read values only: their plans build no gradient scratch
-        from deptharb import write_dump
-        from deptharb.cli import main
-        from deptharb.metrics import _score_rows
-
-        calls = self.count_factor_builds(monkeypatch)
-        pairs = derive_occlusion_pairs(canonical)
-        field = AttentionField(maps=np.random.default_rng(4).uniform(0, 2, (2, 64, 64)))
-        for stage in (1, 2):
-            staged_loss(field, canonical, pairs, CFG, stage)
-            _score_rows(field.maps[None], canonical, [CFG], [stage], 0.5)
-        dump = tmp_path / "field.darb"
-        write_dump(str(dump), field, 0)
-        assert main(["eval", "--scene", CANONICAL_FILE, "--dump", str(dump)]) == 0
-        assert calls == []
-
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 5])
-    def test_a_sweep_builds_one_factor_set_per_run_chunk_and_none_to_score(self, monkeypatch, rows_per_chunk):
+    def test_a_sweep_builds_one_factor_set_per_plan(self, monkeypatch, rows_per_chunk):
+        # one plan runs each chunk and one scores it
         import deptharb.optimizer
         from deptharb.cli import main
 
@@ -417,7 +401,7 @@ class TestPlanScratch:
         calls = self.count_factor_builds(monkeypatch)
         argv = ["sweep", "--scene", CANONICAL_FILE, "--param", "tau", "--values", "0.5,1,2,3,4", "--steps", "3"]
         assert main(argv) == 0
-        assert len(calls) == math.ceil(5 / rows_per_chunk)
+        assert len(calls) == 2 * math.ceil(5 / rows_per_chunk)
 
     @staticmethod
     def count_box_spans(monkeypatch):
@@ -476,15 +460,18 @@ class TestPlanScratch:
         for field, stage, got in zip(fields, stages, kept, strict=True):
             assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])
 
-    def test_gradient_is_the_plans_buffer(self, canonical):
+    def test_gradients_of_one_plan_keep_their_own_values(self, canonical):
         pairs = derive_occlusion_pairs(canonical)
         plan = _plan(canonical, pairs, [CFG])
         rng = np.random.default_rng(5)
         fields = [AttentionField(maps=rng.uniform(0, 2, (2, 64, 64))) for _ in range(2)]
         first = value_and_grad(fields[0].maps[None], plan, [1])[1]
+        kept = first.copy()
         second = value_and_grad(fields[1].maps[None], plan, [2])[1]
-        # the next call overwrites the buffer the last one returned
-        assert second is first and first is plan.grad
+        # each call returns a gradient of its own, which the next call leaves alone
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(first[0], kernel_grad(fields[0], canonical, pairs, CFG, 1))
         assert np.array_equal(second[0], kernel_grad(fields[1], canonical, pairs, CFG, 2))
 
     def test_public_gradient_is_the_callers_own(self, canonical):
