@@ -96,7 +96,9 @@ COMMANDS = [
     # large pair weights: each summand is differenced on its own, so a correct raster gradient passes
     "grad-check --samples 200 --lambda0 1e8",
     "grad-check --samples 200 --lambda0 1e12",
-    # a large compactness weight, where blob coordinates still fail (exit 3): the printed offender ranking
+    # blob compactness weights: one the oracle judges and passes, and one whose
+    # finite differences are too noisy to judge, which it refuses (exit 1)
+    "grad-check --mode blob --samples 5 --lambda-compact 1e4",
     "grad-check --mode blob --samples 5 --lambda-compact 1e8",
 ]
 

@@ -46,7 +46,12 @@ scalar k, y, x draws per sample, and each object's rows go through
 every difference is the one a per-coordinate loop would take.  Blob latent
 coordinates move every pixel, so they keep the literal re-render
 `_blob_map` and evaluation of `_restricted_terms`: 2 * 5 * K of each per
-call.  `_differences` differences either form's up and down terms.
+call.  `_differences` differences either form's up and down terms.  A blob
+coordinate changes every summand, the compactness term included, so its
+difference carries the rounding of whole summands: `_noise` estimates it
+from the coordinate's own summands as eps * staged(|up| + |down|) / 2h, and
+where that exceeds the judge's floor rel_tol * FLOOR_REF the check is
+refused, not judged on noise.
 
 A coordinate passes when both values are finite and
 |analytic - fd| <= max(rel_tol * FLOOR_REF, rel_tol * ref) with
@@ -79,10 +84,11 @@ DEFAULT_REL_TOL = 1e-5
 FLOOR_REF = 1e-4  # at and below this reference, the absolute floor rel_tol * FLOOR_REF judges a coordinate
 ANCHOR_EPS = 64  # sum-form vs literal objective, in units of the working eps
 CHUNK = 256  # sampled coordinates evaluated per array pass: the temporaries' bound at any `samples`
+BLOB_PARAMS = ("cx", "cy", "lsx", "lsy", "la")  # a blob latent's parameters per object, in order
 
 
 class OracleError(RuntimeError):
-    """Raised when the oracle cannot judge a state: sum form off its literal, or too light a map."""
+    """Raised when the oracle cannot judge a state: sum form off its literal, a light map, a noisy blob FD."""
 
 
 def precision_note() -> str | None:
@@ -237,11 +243,22 @@ def _staged(terms, stage: int):
     return value + compact
 
 
+def _summandwise(op, up, down):
+    """`op` of each summand of `_restricted_terms`' up and down terms, in their shape."""
+    (align_up, ortho_up, compact_up), (align_down, ortho_down, compact_down) = up, down
+    return op(align_up, align_down), [op(u, d) for u, d in zip(ortho_up, ortho_down)], op(compact_up, compact_down)
+
+
 def _differences(up, down, stages, h) -> list:
     """Per stage, the central difference of its objective: each summand differenced on its own, then staged."""
-    (align_up, ortho_up, compact_up), (align_down, ortho_down, compact_down) = up, down
-    diff = (align_up - align_down, [u - d for u, d in zip(ortho_up, ortho_down)], compact_up - compact_down)
+    diff = _summandwise(lambda u, d: u - d, up, down)
     return [_staged(diff, stage) / (2 * h) for stage in stages]
+
+
+def _noise(up, down, stages, h) -> list:
+    """Per stage, an estimate of `_differences`' rounding noise: eps * staged(|up| + |down|) / 2h."""
+    size = _summandwise(lambda u, d: abs(u) + abs(d), up, down)
+    return [np.finfo(LONG).eps * _staged(size, stage) / (2 * h) for stage in stages]
 
 
 class _PixelSums:
@@ -333,6 +350,16 @@ def _check_mass(sums: list[_PixelSums]) -> None:
             raise OracleError(
                 f"object {k}'s map mass {float(object_sums.total):.3g} is below "
                 f"1e3 x the finite-difference step {FD_STEP:g}"
+            )
+
+
+def _check_noise(noise: np.ndarray, floor: float) -> None:
+    """Raise OracleError for the first blob coordinate (k, p) whose estimated FD noise exceeds the judge's floor."""
+    for (k, p), estimate in np.ndenumerate(noise):
+        if estimate > floor:
+            raise OracleError(
+                f"object {k}'s blob parameter {BLOB_PARAMS[p]}: the finite difference's estimated "
+                f"rounding noise {float(estimate):.3g} exceeds the judge's floor {floor:.3g}"
             )
 
 
@@ -428,12 +455,17 @@ def check_gradients(
     the analytic side, and on the literal side the stage-free terms of each
     base map and each coordinate, taken once, differenced, then staged.
     Raises OracleError, before judging any coordinate, when an object's
-    sum-form objective misses its literal anchor or its map's mass is below
-    1e3 * FD_STEP; the refusal is that of the first stage that would refuse
-    alone.  Raises ValueError, before any render, for `stages` not naming
-    stage 1, stage 2 or both, each once, for `samples` not an integer
-    (a bool included), for a check that would judge nothing (`samples` < 1)
-    or decide every coordinate alike (`rel_tol` not finite and >= 0).
+    sum-form objective misses its literal anchor, its map's mass is below
+    1e3 * FD_STEP, or, for a blob latent, a parameter's estimated
+    finite-difference noise (`_noise`) exceeds the judge's floor
+    rel_tol * FLOOR_REF; the refusal is that of the first stage that would
+    refuse alone.  A `rel_tol` of 0 asks for exact agreement, which no
+    finite difference gives, so it refuses nothing for noise and judges
+    (fails) every coordinate.  Raises ValueError, before any render, for
+    `stages` not naming stage 1, stage 2 or both, each once, for `samples`
+    not an integer (a bool included), for a check that would judge nothing
+    (`samples` < 1) or decide every coordinate alike (`rel_tol` not finite
+    and >= 0).
     """
     stages = _checked_stages(stages)
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
@@ -470,13 +502,28 @@ def check_gradients(
         [_restricted_terms(base[k], *terms[k], coords_ld, cfg) for k in range(k_count)] for base in bases
     ]
     sums = [[_PixelSums(base[k], *terms[k], coords_ld, cfg) for k in range(k_count)] for base in bases]
+    if not raster:
+        # blob latent coordinates move every pixel: each perturbed map is
+        # rendered and its terms taken once, before any coordinate is judged
+        fd, noise = np.empty((2, batch, *values.shape))
+        for (k, p), _ in np.ndenumerate(values):
+            vals = []
+            for sign in (+1, -1):
+                pert = values[k].copy()
+                pert[p] += sign * h
+                vals.append(_restricted_terms(_blob_map(pert, coords_ld.x, coords_ld.y), *terms[k], coords_ld, cfg))
+            fd[:, k, p] = _differences(*vals, stages, h)
+            noise[:, k, p] = _noise(*vals, stages, h)
     # per stage, in the order a lone stage's check takes them: the attention
     # sums anchored and their masses checked, then the latent sums anchored
-    for stage in stages:
+    # or the blob differences' noise checked
+    for b, stage in enumerate(stages):
         _check_anchors(sums[0], literals[0], stage)
         _check_mass(sums[0])
         if raster:
             _check_anchors(sums[1], literals[1], stage)
+        elif rel_tol > 0:
+            _check_noise(noise[b], rel_tol * FLOOR_REF)
 
     results = [GradCheckResult() for _ in stages]
     rng = np.random.default_rng(seed)
@@ -490,15 +537,6 @@ def check_gradients(
             lambda k, y, x, a: (np.exp(values[k, y, x] + h) - a, np.exp(values[k, y, x] - h) - a), rel_tol,
         )
     else:
-        # blob latent coordinates move every pixel: each perturbed map is rendered and its terms taken once
-        fd = np.empty((batch, *values.shape))
-        for (k, p), _ in np.ndenumerate(values):
-            vals = []
-            for sign in (+1, -1):
-                pert = values[k].copy()
-                pert[p] += sign * h
-                vals.append(_restricted_terms(_blob_map(pert, coords_ld.x, coords_ld.y), *terms[k], coords_ld, cfg))
-            fd[:, k, p] = _differences(*vals, stages, h)
         ks, ps = np.indices(values.shape).reshape(2, -1)
         for result, row_grad, row_fd in zip(results, grad_lat, fd):
             _judge_all(result, "latent", ks, ps[:, None], row_grad.ravel(), row_fd.ravel(), rel_tol)

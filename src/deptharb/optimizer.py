@@ -102,11 +102,13 @@ _CHUNK_ENTRIES = 1 << 20
 # this is refused, as a scene of too many pixels is
 _PASS_ENTRIES = 1 << 20
 
-# a step's tile holds at most this many field entries (see `_tiles`): the
-# tile's gradient scratch, its rendered maps and its latent, three
-# tile-sized arrays of doubles, must stay in a 2 MB L2 cache.  On a 256x256
-# scene of 8 maps, with a 2 MB L2, a 16-step run took 0.69-0.74 of the
-# untiled loop's time at 2^16 entries, 0.78-0.84 at 2^17 and 0.86-0.94 at 2^18
+# a step's tile holds at most this many field entries (see `_tiles`), for
+# the measured times: on a 256x256 scene of 8 maps, with a 2 MB L2, a
+# 16-step run took 0.69-0.74 of the untiled loop's time at 2^16 entries,
+# 0.78-0.84 at 2^17 and 0.86-0.94 at 2^18.  That the tile's gradient
+# scratch, rendered maps and latent (1.5 MB of doubles at 2^16) stay in L2
+# between its ops is unverified: timed inside the walk, its ops ran 1.4-2.4x
+# slower than on a warm tile
 _TILE_ENTRIES = 1 << 16
 
 

@@ -305,13 +305,10 @@ class TestKnownDefects:
             f"raster seed 0, stage 1, {len(result.failures)} of {result.checked} coordinates fail",
         )
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="the oracle fails a correct blob gradient at lambda_compact 1e8"
-    )
     def test_the_blob_oracle_judges_or_refuses_at_a_large_weight(self):
         # a blob coordinate moves every pixel, so the compactness term (about
-        # 1e8) changes under every perturbation, and its own difference still
-        # carries that term's rounding
+        # 1e8) changes under every perturbation, and its own difference
+        # carries that term's rounding: the oracle refuses such a check
         scene = d.canonical_scene()
         try:
             results = d.check_gradients(

@@ -599,7 +599,8 @@ class TestNegativeControl:
 
 
 class TestWeightScale:
-    """The verdict on a raster latent does not depend on the scale of the pair weights."""
+    """The verdict on a raster latent does not depend on the scale of the pair weights; a blob latent's
+    is a pass or a refusal at any compactness weight."""
 
     @pytest.mark.parametrize("lambda0", [1e-3, 1.0, 1e4, 1e8, 1e12])
     def test_a_correct_gradient_passes_at_any_weight(self, lambda0):
@@ -620,6 +621,43 @@ class TestWeightScale:
         for result in results:
             assert result.failures
             assert {r.object_index for r in result.failures} == {1}
+
+    @pytest.mark.parametrize("lambda_compact", [0.2, 1e4, 1e6, 1e8, 1e10])
+    def test_a_correct_blob_gradient_passes_or_is_refused(self, lambda_compact):
+        # a blob coordinate changes the compactness term, so its difference carries that
+        # term's rounding: the oracle judges the check or refuses it, never fails it
+        scene = canonical_scene()
+        cfg = GuidanceConfig(lambda_compact=lambda_compact)
+        try:
+            results = check_gradients(scene, cfg, init_latent(scene, "blob", 0), (1, 2), seed=0, samples=200)
+        except OracleError as exc:
+            assert re.fullmatch(
+                r"object \d's blob parameter (cx|cy|lsx|lsy|la): the finite difference's estimated rounding "
+                r"noise \S+ exceeds the judge's floor 1e-09", str(exc),
+            )
+            return
+        assert lambda_compact < 1e8, "refused at 1e8 and 1e10"
+        for result in results:
+            assert result.passed, result.failures[:3]
+
+    @pytest.mark.parametrize("lambda_compact", [0.2, 1e4])
+    def test_a_planted_blob_error_of_rel_1e_4_fails_where_judged(self, monkeypatch, lambda_compact):
+        _skew_latent(monkeypatch, 1, 1 + 1e-4)
+        scene = canonical_scene()
+        cfg = GuidanceConfig(lambda_compact=lambda_compact)
+        results = check_gradients(scene, cfg, init_latent(scene, "blob", 0), (1, 2), seed=0, samples=200)
+        for result in results:
+            assert result.failures
+            assert {(r.space, r.object_index) for r in result.failures} == {("latent", 1)}
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_no_refusal_at_default_weights(self, mode):
+        # the benchmark's grad-check traffic: the canonical scene and generated 32x32 ones
+        scenes = [canonical_scene()] + [parse_scene(json.dumps(scenegen.small_scene(n))) for n in range(20)]
+        for n, scene in enumerate(scenes):
+            latent = init_latent(scene, mode, n)
+            for result in check_gradients(scene, GuidanceConfig(), latent, (1, 2), seed=n, samples=20):
+                assert result.passed, (n, result.failures[:3])
 
 
 class TestRunLoopSequence:
