@@ -14,7 +14,7 @@ a change in the float64 values behind them.  So after the commands, each
 probe of PROBES runs as `python -c` in a process of the tree's own and
 prints exact digests: every field of `check_gradients`' results, floats in
 hex, and a sha256 of every loss column, the final latent and the final
-field of a map-tiled raster run.  A probe's results are compared as a
+field of a map-tiled raster run and of a 200-step canonical blob run.  A probe's results are compared as a
 command's are.
 
 The scenes both trees read are written once, before any command runs: the
@@ -129,7 +129,7 @@ for mode in ("raster", "blob"):
 """
 
 # a sha256 of each loss column, the step sizes, the final latent and the
-# final field of a 16-step raster run
+# final field of a run: scene, mode, steps and seed are its arguments
 TRAJECTORY_PROBE = """
 import dataclasses, hashlib, sys
 import numpy as np
@@ -139,9 +139,10 @@ def digest(values):
     values = np.ascontiguousarray(values)
     return f"{values.dtype} {values.shape} {hashlib.sha256(values.tobytes()).hexdigest()}"
 
-with open(sys.argv[1], encoding="utf-8") as fh:
+path, mode, steps, seed = sys.argv[1:]
+with open(path, encoding="utf-8") as fh:
     scene = parse_scene(fh.read())
-trajectory = run_guidance(scene, GuidanceConfig(total_steps=16), init_latent(scene, "raster", 0))
+trajectory = run_guidance(scene, GuidanceConfig(total_steps=int(steps)), init_latent(scene, mode, int(seed)))
 for f in dataclasses.fields(trajectory.terms):
     column = getattr(trajectory.terms, f.name)
     print(f.name, repr(column) if f.name == "pairs" else digest(column))
@@ -154,7 +155,8 @@ print("final field", digest(trajectory.final_field.maps))
 PROBES = [
     ("probe: grad-check results in hex, canonical", GRADCHECK_PROBE, "{canonical}"),
     ("probe: grad-check results in hex, small", GRADCHECK_PROBE, "{small}"),
-    ("probe: trajectory digests, map-tiled raster run", TRAJECTORY_PROBE, "{tiled}"),
+    ("probe: trajectory digests, map-tiled raster run", TRAJECTORY_PROBE, "{tiled} raster 16 0"),
+    ("probe: trajectory digests, canonical blob run", TRAJECTORY_PROBE, "{canonical} blob 200 7"),
 ]
 
 

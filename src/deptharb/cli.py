@@ -7,7 +7,8 @@ sets.  Every command that reports scores through one function,
 aborts of a field that float32 cannot hold or of a loss that is not
 finite), which takes a row axis: `sweep` scores each chunk of rows of the
 lockstep run in one call as `run_rows` hands it out, and `run` and `eval`
-score their one field as B = 1.  Reports are JSON whose floats read back
+score their one field as B = 1.  `run` and `sweep` score on the loss plan
+that ran the rows; `eval`, which ran nothing, builds its own.  Reports are JSON whose floats read back
 exactly.  Exit codes: 0 success, 1
 input/usage error (among them a `--tol` that is not finite and >= 0, a
 `--rel-threshold` outside (0, 1] and a grad-check state the oracle
@@ -32,6 +33,7 @@ import numpy as np
 from .attention import AttentionError, AttentionField, check_alignment
 from .dumpio import DumpError, read_dump, write_dump
 from .gradcheck import DEFAULT_REL_TOL, FLOOR_REF, OracleError, check_gradients, precision_note
+from .losses import _Plan
 from .metrics import DEFAULT_REL_THRESHOLD, MetricReport, _score_rows
 from .optimizer import NumericalAbort, _final_stage, run_guidance, run_rows
 from .scene import (
@@ -112,12 +114,19 @@ def _finite_losses(report: MetricReport) -> bool:
 
 
 def _score_chunk(
-    scene: SceneSpec, cfgs: Sequence[GuidanceConfig], finals: Sequence[AttentionField | NumericalAbort], args
+    scene: SceneSpec,
+    cfgs: Sequence[GuidanceConfig],
+    finals: Sequence[AttentionField | NumericalAbort],
+    args,
+    plan: _Plan | None = None,
 ) -> list[MetricReport | NumericalAbort]:
     """Each row's report, or its abort, in row order, from its run's final field or abort.
 
     `run` and `eval` score their one field as a one-row call, and `sweep`
-    each chunk of its rows; the fields match the scene.  A row's abort is,
+    each chunk of its rows; the fields match the scene.  `plan`, if given,
+    is the loss plan that ran the rows, one per config, which scores them
+    when every row ran; a chunk holding an abort, which ends a sweep, is
+    scored on a plan of the rows that ran.  A row's abort is,
     in this order, its run's own, a final field that rounding through
     float32 takes out of range, or a scored loss that is not finite; the
     last two happen at the row's last step.  Every row is scored as the dump
@@ -136,7 +145,8 @@ def _score_chunk(
         # finite only if each of its entries is
         in_range = np.isfinite(maps.sum(axis=(1, 2, 3))).tolist()
         reports = _score_rows(
-            maps, scene, [cfgs[n] for n in ran], [_final_stage(cfgs[n]) for n in ran], args.rel_threshold
+            maps, scene, [cfgs[n] for n in ran], [_final_stage(cfgs[n]) for n in ran], args.rel_threshold,
+            plan if len(ran) == len(finals) else None,
         )
     for n, finite, report in zip(ran, in_range, reports):
         if not finite:
@@ -182,8 +192,9 @@ def _publish(args, report: MetricReport, cfg: GuidanceConfig, seed: int) -> int:
 def cmd_run(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
-    field = run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed)).final_field
-    (report,) = _score_chunk(scene, [cfg], [field], args)
+    trajectory = run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed))
+    field = trajectory.final_field
+    (report,) = _score_chunk(scene, [cfg], [field], args, trajectory._plan)
     if isinstance(report, NumericalAbort):
         raise report
     if args.dump:
@@ -272,7 +283,8 @@ def cmd_sweep(args) -> int:
     for outcomes in run_rows(scene, run_cfgs, init_latent(scene, args.mode, args.seed)):
         chunk = run_cfgs[len(rows) : len(rows) + len(outcomes)]
         finals = [o if isinstance(o, NumericalAbort) else o.final_field for o in outcomes]
-        for run_cfg, scored in zip(chunk, _score_chunk(scene, chunk, finals, args)):
+        plan = next((o._plan for o in outcomes if not isinstance(o, NumericalAbort)), None)
+        for run_cfg, scored in zip(chunk, _score_chunk(scene, chunk, finals, args, plan)):
             if isinstance(scored, NumericalAbort):
                 raise NumericalAbort(scored.step, scored.what, row=f"{args.param} = {getattr(run_cfg, args.param):g}")
             rows.append(_sweep_row(run_cfg, scored, args))

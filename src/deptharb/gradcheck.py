@@ -5,8 +5,9 @@ centres of `coord_grid`, the box masks of `scene_masks` and the blob map
 of `_blob_map`.  From the rest of the package it reads only the scene's
 boxes, pairs and pixel centres, lambda_ij, and the run loop's own sequence
 on the latent it is handed: the surrogate of that latent's mode renders the
-field, `value_and_grad` on a `_plan` gives dL/dA and the same surrogate's
-`chain` gives dL/dz, the two gradients it checks.  `check_gradients`
+field, `value_and_grad` on a `_plan` gives dL/dA, and the same surrogate's
+`chain` of the plan's low-rank factors of that dL/dA, the run's chain,
+gives dL/dz: the two gradients it checks.  `check_gradients`
 checks every stage it is given in one pass: that sequence runs once on a
 field of one row per stage, and row b is bit for bit a lone stage's.  The
 oracle draws each coordinate and takes its terms once for every stage.
@@ -74,7 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import AttentionField
-from .losses import _pair_coefficients, _plan, value_and_grad
+from .losses import _pair_coefficients, _plan, _product_views, value_and_grad
 from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs, pixel_centers
 from .surrogate import LatentState, _check_match, _surrogate
 
@@ -483,10 +484,13 @@ def check_gradients(
     plan = _plan(scene, derive_occlusion_pairs(scene), [cfg] * batch)
     # as in the run loop: a non-finite gradient is judged below, so numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
-        maps = surrogate.render(np.repeat(latent.values[None], batch, axis=0))
+        surrogate.render(np.repeat(latent.values[None], batch, axis=0))
+        maps = surrogate.field()
         grad_att = value_and_grad(maps, plan, stages)[1]
-        # a copy: the raster chain writes over the gradient it is given
-        grad_lat = surrogate.chain(grad_att.copy())
+        # the factors value_and_grad left in the plan; the raster chain writes their product into a buffer
+        buffer = np.empty_like(grad_att).reshape(-1, scene.grid_height, scene.grid_width)
+        products = _product_views(plan, stages, 0, len(buffer), buffer)
+        grad_lat = surrogate.chain(products, buffer).reshape(batch, *latent.values.shape)
     field_ = AttentionField(maps=maps[0])
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
     h = LONG(FD_STEP)

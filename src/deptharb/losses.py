@@ -28,18 +28,22 @@ each evaluation's breakdown into pass columns (`_columns`), one
 (passes, B, ...) array per field: a run allocates them once and its
 trajectory is written in place, pass after pass, and a value-only call
 runs into a one-pass column set of its own (`_evaluate`).  The kernel
-comes in halves.  The field half, `_reduce`, is the only one that reads
-the field: it writes the reductions every term is built from, one GEMM
-against the box columns and the column sums per map, for any range of
-maps.  From the reductions of every map, `_values` writes the values and
-`_step_factors` the values and the gradient's step-dependent low-rank
-factors; `_grad_product` multiplies the factors out for any range of maps.
-`value_and_grad` runs them all for all maps, into a gradient it allocates
-and returns, for `gradcheck` and the tests, and `_evaluate` the first two
-(scoring, and `staged_loss`, the one-row view for callers outside the
-package).  The run loop takes the field half and the product a tile of
+comes in halves.  The field half, `_reduce`, reads a dense field: it
+writes the reductions every term is built from (`_Scratch.row_dots` and
+`col_sum`), one GEMM against the box columns and the column sums per map,
+for any range of maps.  From the reductions of every map, `_values` writes
+the values and `_step_factors` the values and the gradient's
+step-dependent low-rank factors; `_grad_product` multiplies the factors
+out for any range of maps.  `value_and_grad` runs them all for all maps,
+into a gradient it allocates and returns, for `gradcheck` and the tests,
+and `_evaluate` the first two (scoring, and `staged_loss`, the one-row
+view for callers outside the package).  In the run loop each surrogate
+mode writes the reductions and reads the factors its own way, a tile of
 maps at a time, while the tile is in cache (the reductions right after the
-tile's maps are rendered), and never writes a whole-field gradient.
+tile's maps are rendered): the raster mode through `_reduce` and
+`_grad_product`, the blob mode from its rank-one maps' 1-D factors, so
+that it reads no dense field and forms no dL/dA (see `surrogate`).  No run
+writes a whole-field gradient.
 Gradients are hand-derived closed forms rather than autodiff, and
 the literal term definitions they are checked against live apart, in
 `gradcheck`, so the finite-difference oracle is a genuinely independent
@@ -603,9 +607,10 @@ def value_and_grad(
     has no pair terms, multiplies only those three columns.
 
     This is the call for all maps at once, into one-pass columns of its own;
-    the run loop makes the same halves into its run's columns, `_reduce`
-    and `_grad_product` one tile of maps at a time and `_step_factors` once
-    for all of them.  The returned gradient is the caller's own.
+    the run loop makes the same halves into its run's columns,
+    `_step_factors` once for all maps and the surrogate's reductions and
+    chain of the factors one tile of maps at a time.  The returned gradient
+    is the caller's own.
     """
     out = _columns(plan, [stages])
     grad = np.empty(maps.shape)

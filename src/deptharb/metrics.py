@@ -15,8 +15,9 @@ rules they apply, relative thresholding (`_above_threshold`) and the
 per-pixel winner (`_winners`), live here and nowhere else.
 
 Scoring has a leading row axis: `_score_rows` scores a (B, K, H, W) stack of
-fields, one row per config, as a sweep's rows are, with one value-only loss
-plan and kernel call and one winners pass for all rows; the pairs are
+fields, one row per config, as a sweep's rows are, with one value-only
+kernel call on one loss plan (the plan of the run that made the fields,
+when the caller has it) and one winners pass for all rows; the pairs are
 derived once.  Every reduction stays within one row, so row b's
 report is bit for bit the one of its field alone.  It has no one-row
 form: `run`, `eval` and `sweep` all score through it, and a lone field
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import AttentionError
-from .losses import LossBreakdown, _evaluate, _plan
+from .losses import LossBreakdown, _evaluate, _Plan, _plan
 from .scene import GuidanceConfig, OcclusionPair, SceneSpec, derive_occlusion_pairs
 
 DEFAULT_REL_THRESHOLD = 0.5
@@ -199,14 +200,17 @@ def _score_rows(
     cfgs: Sequence[GuidanceConfig],
     stages: Sequence[int],
     rel_threshold: float,
+    plan: _Plan | None = None,
 ) -> list[MetricReport]:
     """Score each row of a (B, K, H, W) stack of the scene's fields: row b under cfgs[b], at stages[b].
 
     The caller has checked the stack against the scene.  The losses of every
-    row come from one value-only plan and one kernel call.
+    row come from one kernel call on `plan`, a loss plan of the scene with
+    one row per config, such as the one that ran the rows, or, by default,
+    one built here.
     """
     pairs = derive_occlusion_pairs(scene)
-    breakdown = _evaluate(maps, _plan(scene, pairs, cfgs), stages)
+    breakdown = _evaluate(maps, _plan(scene, pairs, cfgs) if plan is None else plan, stages)
     mious = _miou_rows(maps, scene, {p.foreground_id for p in pairs}, rel_threshold)
     focrs = _focr_rows(maps, scene, pairs)
     return [

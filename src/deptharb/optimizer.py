@@ -21,15 +21,20 @@ into them; a row's trajectory reads views of its row.
 A step walks the field in tiles (`_tiles`): sets of whole maps of at most
 _TILE_ENTRIES entries between them, whole rows while they fit, else maps of
 one row.  The loss kernel's factor half (`losses._step_factors`) runs once
-for every row; then, tile by tile, the gradient's product
-(`losses._grad_product`) writes the tile's dL/dA into one small scratch,
-`surrogate.chain` turns it into the tile's latent gradient, and it is scaled
-by eta_t and subtracted from the tile's latent; the surrogate renders the
-tile's maps from the updated latent and the kernel's field half
-(`losses._reduce`) takes their reductions, the next pass's input, while all
-of it is still in cache.  So each map is rendered once per pass, pass 0's
-tile by tile before the first step, nothing but the walk reads the field,
-and a run never writes a whole-field gradient.
+for every row; then, tile by tile, the surrogate's `chain` turns the plan's
+low-rank factors (U, V) of the tile's dL/dA into the tile's latent
+gradient, which is scaled by eta_t and subtracted from the tile's latent;
+the surrogate renders the tile's maps from the updated latent and its
+`reduce` takes their reductions, the next pass's input, while all of it is
+still in cache.  The surrogate decides how: the raster chain writes dL/dA
+into one small scratch (`losses._grad_product`) and multiplies it by the
+field, and the raster reductions read the field (`losses._reduce`); the
+blob works from its 1-D factors and the plan's (U, V) alone, so it writes
+neither a field nor a gradient on a step.  So each map is rendered once per
+pass, pass 0's tile by tile before the first step, nothing but the walk
+reads the factors of a render, and a run never writes a whole-field
+gradient.  The dense field is asked of the surrogate (`field()`) once, for
+the trajectories, when the run ends.
 
 Inputs are validated at the boundaries: the scene, config and starting
 latent on entry, the final latent and field when they are wrapped for the
@@ -43,23 +48,36 @@ row reports.
 The checks give the verdicts of a literal np.isfinite(x).all() on each
 row's intermediate, at less cost.  The rendered field is not read at all
 while the row's loss total is finite.  Each map's total S = e_in + e_out,
-which the loss reduces anyway, is finite only if all of the map's entries
-are, and a non-finite S makes that map's f, and with it the total, NaN; so
-a finite total clears the field and the loss at once.  A row whose total
-is not finite, which ends it, scans its field once: a field of finite
-entries (whose sum overflows) is a loss abort.
+which the loss reduces anyway, is non-finite whenever one of the map's
+entries is, and a non-finite S makes that map's f, and with it the total,
+NaN; so a finite total clears the field and the loss at once.  A raster
+map's S is the sum of its entries.  A blob map's is the sum over x of
+col_sum = (sum g_y) g_x, and its entries are A = g_y (x) g_x: g_x is
+exp(-u^2 / 2) <= 1 or NaN, so A <= g_y.  A NaN g_x makes its column sum
+NaN; an infinite or NaN g_y makes sum g_y so (the g_y are >= 0, so no
+infinities cancel), and the column sums with it: inf * g_x is inf, or NaN
+where g_x is 0, which is also how the dense entry inf * 0 turns NaN.  So a
+non-finite entry, inf * 0 included, makes S non-finite.  A row whose total
+is not finite, which ends it, scans its field once, which the surrogate
+renders for it: a field of finite entries (whose sum, or a blob's sum of
+g_y, overflows) is a loss abort.
 
 Each tile then checks one thing per row: the sum of its updated latent
 (`_faults`).  A NaN or infinite entry makes a sum non-finite, so a finite
 sum clears its entries; only a non-finite sum is scanned literally.  The
 gradient dL/dA and the latent gradient g are not checked on their own:
 the update z - eta * g is non-finite wherever g is, for every eta in
-[0, inf], and g is wherever dL/dA is.  A raster g is dL/dA times the
-finite field; each of a blob map's five partials sums every entry of its
-dL/dA times finite weights, and a non-finite entry times a finite weight
-is never finite.  So a tile whose updated latent holds a non-finite entry
-recomputes its gradient and latent gradient to tell the three faults apart
-(`_name_faults`), before it renders over the maps they are made from; a
+[0, inf].  A raster g is dL/dA times the finite field, so it is non-finite
+wherever dL/dA is.  A blob map's five partials are entries of
+r = (left @ U) @ (V @ right), whose every row and column one of them
+reads; with the map's factors finite, a non-finite entry of U (V) makes a
+whole column of left @ U (row of V @ right) non-finite, since a finite
+weight times NaN or inf is never finite, and with it every entry of r.
+dL/dA = U @ V is non-finite only where U or V is, or where finite factors'
+products overflow, which the blob, never forming that product, does not
+meet.  So a tile whose updated latent holds a non-finite entry recomputes
+dL/dA and its latent gradient to tell the three faults apart
+(`_name_faults`), before it renders over the factors they are made from; a
 row's verdict is the worst of its tiles'.  The sums are numpy reductions
 rather than BLAS dot products: OpenBLAS threads a dot product above about
 10^4 entries, and its spinning workers would slow the step's next ufunc.
@@ -82,8 +100,6 @@ from .losses import (
     _Plan,
     _plan,
     _product_views,
-    _reduce,
-    _reduce_views,
     _step_factors,
     _values,
 )
@@ -103,12 +119,15 @@ _CHUNK_ENTRIES = 1 << 20
 _PASS_ENTRIES = 1 << 20
 
 # a step's tile holds at most this many field entries (see `_tiles`), for
-# the measured times: on a 256x256 scene of 8 maps, with a 2 MB L2, a
-# 16-step run took 0.69-0.74 of the untiled loop's time at 2^16 entries,
-# 0.78-0.84 at 2^17 and 0.86-0.94 at 2^18.  That the tile's gradient
-# scratch, rendered maps and latent (1.5 MB of doubles at 2^16) stay in L2
-# between its ops is unverified: timed inside the walk, its ops ran 1.4-2.4x
-# slower than on a warm tile
+# the measured times of a 16-step raster run on 256x256 scenes of 8 maps
+# (`run --steps 16`, a 2-vCPU Xeon with a 2 MB L2): 44 ms at 2^16 entries,
+# 47 ms at 2^17, 53 ms at 2^18 and 54 ms at 2^20.  Smaller tiles do not pay
+# either: a prototype that walked such a run in bands of 128, 64, 32 or 16
+# pixel rows over all 8 maps, reducing each whole map after its last band,
+# took 48-49, 45, 43-45 and 45 ms against 41-42 ms for whole maps.  Why
+# 2^16 wins is unverified: timed inside the walk, a tile's ops ran 1.4-2.4x
+# slower than on a warm tile, so its arrays (1.5 MB of doubles) do not stay
+# in L2 between them
 _TILE_ENTRIES = 1 << 16
 
 
@@ -131,6 +150,7 @@ class Trajectory:
     final_field: AttentionField
     _columns: LossBreakdown = field(repr=False)  # the chunk's (passes, B, ...) loss columns
     _row: int = field(repr=False)
+    _plan: _Plan = field(repr=False)  # the chunk's loss plan, which scores its rows too
 
     @property
     def terms(self) -> LossBreakdown:
@@ -156,18 +176,18 @@ class _Tile(NamedTuple):
     latent_rows: np.ndarray  # the maps' latent, a view of the run's, line by line; what `render` reads
     steps: np.ndarray        # (passes, len(rows), 1) each pass's step size, line by line
     sums: np.ndarray         # (len(rows),) scratch for `_faults`' line sums
-    reduce: tuple            # the maps' `losses._reduce_views`
+    reduce: tuple            # the maps' `reduce_views` of the surrogate
 
 
-def _tiles(z: np.ndarray, eta: np.ndarray, maps: np.ndarray, plan: _Plan) -> list[_Tile]:
+def _tiles(z: np.ndarray, eta: np.ndarray, surrogate, plan: _Plan) -> list[_Tile]:
     """The tiles of a run's maps, with views of one scratch, of latent z (B, K, ...), of eta (passes, B), of
-    the surrogate's field `maps` (B, K, H, W) and of the plan's scratch.
+    the surrogate's buffers and of the plan's scratch.
 
     A tile holds at most _TILE_ENTRIES field entries and at least one map:
     as many whole rows as fit, else as many maps of one row.  Every tile
     reuses the one scratch.
     """
-    batch, k, height, width = maps.shape
+    batch, k, height, width = surrogate.maps.shape
     size = height * width
     if k * size <= _TILE_ENTRIES:
         span = _TILE_ENTRIES // (k * size) * k
@@ -183,7 +203,7 @@ def _tiles(z: np.ndarray, eta: np.ndarray, maps: np.ndarray, plan: _Plan) -> lis
         grad = scratch[: (hi - lo) * size].reshape(hi - lo, height, width)
         tiles.append(_Tile(
             lo, hi, rows, grad, grad.reshape(len(rows), -1), latent[lo:hi].reshape(len(rows), -1),
-            eta[:, rows.start : rows.stop, None], np.empty(len(rows)), _reduce_views(maps, plan, lo, hi),
+            eta[:, rows.start : rows.stop, None], np.empty(len(rows)), surrogate.reduce_views(plan, lo, hi),
         ))
     return tiles
 
@@ -217,13 +237,14 @@ def _name_faults(faulted: list[int], tile: _Tile, views: list, surrogate, worst:
     """Rank what failed in tile's part of each row of `faulted`, whose updated latent holds a non-finite entry,
     into `worst` (row -> index into _FAULTS), keeping each row's worst rank over the step's tiles.
 
-    The tile's gradient and latent gradient are recomputed as the step made
-    them: the factors are still the step's, and so is the tile's render,
+    The tile's dL/dA is written from the plan's factors (which the blob's
+    step never forms), and its latent gradient recomputed as the step made
+    it: the factors are still the step's, and so is the tile's render,
     which the walk writes over only after this.
     """
     _grad_product(views)
     gradient = [not np.isfinite(tile.grad_rows[b - tile.rows.start]).all() for b in faulted]
-    latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi).reshape(len(tile.rows), -1)
+    latent_grad = surrogate.chain(views, tile.grad, tile.lo, tile.hi).reshape(len(tile.rows), -1)
     for b, bad_gradient in zip(faulted, gradient):
         rank = 2 if bad_gradient else 0 if np.isfinite(latent_grad[b - tile.rows.start]).all() else 1
         worst[b] = max(rank, worst.get(b, 0))
@@ -308,10 +329,9 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
     schedule, etas = _schedule(plan.cfgs)
     batch = len(plan.cfgs)
     surrogate = _surrogate(scene, latent0.mode, batch)
-    maps = surrogate.maps
     z = np.repeat(latent0.values[None], batch, axis=0)
     eta = np.array(etas)  # (passes, B)
-    tiles = _tiles(z, eta, maps, plan)
+    tiles = _tiles(z, eta, surrogate, plan)
     # each stage tuple's gradient products, tile by tile, built before the first step
     products = {
         stages: [_product_views(plan, stages, tile.lo, tile.hi, tile.grad) for tile in tiles]
@@ -327,22 +347,23 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
         # pass 0's field, and its reductions, a tile at a time
         for tile in tiles:
             surrogate.render(tile.latent_rows, tile.lo, tile.hi)
-            _reduce(tile.reduce)
+            surrogate.reduce(tile.reduce)
         for t, stages in enumerate(schedule):
             last = t == len(schedule) - 1
             (_values if last else _step_factors)(plan, columns, t)
             totals = columns.total[t].tolist()
-            for b in live:
-                if not math.isfinite(totals[b]):
+            failed = [b for b in live if not math.isfinite(totals[b])]
+            if failed:
+                maps = surrogate.field()
+                for b in failed:
                     aborts[b] = NumericalAbort(t, "loss" if np.isfinite(maps[b]).all() else "rendered field")
             if last:
                 break
             # a row aborted during this step goes through the rest of it unchecked
             worst: dict[int, int] = {}
             for tile, views in zip(tiles, products[stages]):
-                _grad_product(views)
                 # z - eta * g, rounded as written, through the latent gradient's own buffer
-                latent_grad = surrogate.chain(tile.grad, tile.lo, tile.hi).reshape(tile.latent_rows.shape)
+                latent_grad = surrogate.chain(views, tile.grad, tile.lo, tile.hi).reshape(tile.latent_rows.shape)
                 np.multiply(latent_grad, tile.steps[t], out=latent_grad)
                 np.subtract(tile.latent_rows, latent_grad, out=tile.latent_rows)
                 faulted = _faults(tile.latent_rows, tile.rows, aborts, tile.sums)
@@ -350,7 +371,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
                     _name_faults(faulted, tile, views, surrogate, worst)
                 # the next pass's maps, and their reductions, while the tile is in cache
                 surrogate.render(tile.latent_rows, tile.lo, tile.hi)
-                _reduce(tile.reduce)
+                surrogate.reduce(tile.reduce)
             for b, rank in worst.items():
                 aborts[b] = NumericalAbort(t, _FAULTS[rank])
             live = [b for b in live if aborts[b] is None]
@@ -358,6 +379,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
                 break
 
     # a row that did not abort has run every pass, so its line of the columns is whole
+    maps = surrogate.field()
     return [
         abort or Trajectory(
             eta=eta[:, b],
@@ -365,6 +387,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
             final_field=AttentionField(maps=maps[b]),
             _columns=columns,
             _row=b,
+            _plan=plan,
         )
         for b, abort in enumerate(aborts)
     ]
@@ -377,7 +400,7 @@ def run_guidance(scene: SceneSpec, cfg: GuidanceConfig, latent0: LatentState) ->
     default step of latent0's mode.  It is the one-row call of `run_rows`:
     the loss plan, the surrogate and the (stage, eta) schedule are set up
     once; each step then evaluates the loss kernel's factor half once and
-    walks its tiles, which update, render and reduce.  The last pass,
+    walks its tiles, which chain, update, render and reduce.  The last pass,
     t == total_steps, evaluates the end state's values only, without a
     gradient or an update.  Raises the run's NumericalAbort.
     """

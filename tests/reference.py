@@ -13,19 +13,25 @@ coordinates as arrays and must return the same result, field for field.
 `reference_values` and `reference_value_and_grad` are the loss kernel
 with nothing hoisted into the plan: three fancy gathers for the in-box and
 interference sums, and every depth and epsilon product formed on each
-call.  The production kernel runs the same floating-point operations in
-the same order, so it must match them bit for bit; `reference_run` is the
-run loop's step sequence on that kernel, with the stage and step size
-derived on every step, and `columns` stacks its per-pass breakdowns as a
-trajectory holds them.  `stage_of`, `final_stage` and `step_size` are the
-stage and step-size rules written per step, which `optimizer._schedule`
-builds as columns.
+call.  They read a dense field's reductions (`dense_reductions`);
+`reduced_values` and `reduced_factors` are the same kernel from any
+reductions, the latter ending in the gradient's low-rank factors (U, V).
+The production kernel runs the same floating-point operations in the same
+order, so it must match them bit for bit; `reference_run` is the run loop's
+step sequence on that kernel, with the stage and step size derived on
+every step, and `columns` stacks its per-pass breakdowns as a trajectory
+holds them.  `stage_of`, `final_stage` and `step_size` are the stage and
+step-size rules written per step, which `optimizer._schedule` builds as
+columns.
 
-`reference_blob_render` and `reference_blob_chain` are the blob
-surrogate's render and chain rule with a fresh array for every
+`reference_blob_render`, `reference_blob_reduce` and `reference_blob_chain`
+are the blob surrogate's render, reductions and chain rule, which read its
+rank-one maps through their 1-D factors, with a fresh array for every
 intermediate.  `surrogate._Blob` writes the same floating-point operations,
 in the same order, into buffers it allocates once, so it must match them
-bit for bit.
+bit for bit.  `dense_reductions` of the rendered field and
+`dense_blob_chain` of a dense dL/dA = U @ V are the definitions they
+rewrite, which they match to rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from deptharb import AttentionError, AttentionField, GuidanceConfig, LatentState
 from deptharb import gradcheck
 from deptharb.attention import _checked, check_alignment
 from deptharb.gradcheck import CoordReport, GradCheckResult, OracleError
-from deptharb.losses import LossBreakdown, _plan, staged_total, value_and_grad
+from deptharb.losses import LossBreakdown, _plan, _product_views, staged_total, value_and_grad
 from deptharb.metrics import _above_threshold, _winners
 from deptharb.scene import derive_occlusion_pairs, pixel_centers
 from deptharb.surrogate import _check_match, _surrogate
@@ -168,12 +174,16 @@ def scalar_check_gradients(
     rng = np.random.default_rng(seed)
     _check_match(latent, scene)
     surrogate = _surrogate(scene, latent.mode, 1)
-    maps = surrogate.render(latent.values[None])
+    surrogate.render(latent.values[None])
+    maps = surrogate.field()
     terms = gradcheck._object_terms(scene, cfg)
     coords = gradcheck.coord_grid(scene.grid_height, scene.grid_width, dtype=long)
     h = long(gradcheck.FD_STEP)
-    grad_att = value_and_grad(maps, _plan(scene, derive_occlusion_pairs(scene), [cfg]), [stage])[1]
-    grad_lat = surrogate.chain(grad_att.copy())[0]
+    plan = _plan(scene, derive_occlusion_pairs(scene), [cfg])
+    grad_att = value_and_grad(maps, plan, [stage])[1]
+    buffer = np.empty_like(grad_att[0])
+    grad_lat = surrogate.chain(_product_views(plan, [stage], 0, len(buffer), buffer), buffer)
+    grad_lat = grad_lat.reshape(latent.values.shape)
     maps, grad_att = maps[0], grad_att[0]
     k_count, height, width = maps.shape
 
@@ -267,22 +277,29 @@ def reference_plan(scene: SceneSpec, pairs, cfg: GuidanceConfig) -> SimpleNamesp
     )
 
 
+def dense_reductions(maps: np.ndarray, colmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row_dots, col_sum) of a (K, H, W) field: row_dots[k, y, 0] = R[k, y], row_dots[k, y, 1 + j] = A_k[y] . c_j."""
+    return maps @ colmat, maps.sum(axis=1)
+
+
 def reference_values(
     maps: np.ndarray, plan: SimpleNamespace, stage: int
 ) -> tuple[LossBreakdown, tuple]:
     """Forward half of `reference_value_and_grad`: the breakdown and the gradient's inputs (D, x - mu_x, y - mu_y)."""
+    return reduced_values(dense_reductions(maps, plan.colmat), plan, stage)
+
+
+def reduced_values(reductions: tuple, plan: SimpleNamespace, stage: int) -> tuple[LossBreakdown, tuple]:
+    """`reference_values` of the field whose (row_dots, col_sum) are `reductions`."""
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     cfg = plan.cfg
     eps = cfg.epsilon
-    k, height, width = maps.shape
+    row_dots, col_sum = reductions
     r, d = plan.rows, plan.depths
-    objs = np.arange(k)
+    objs = np.arange(len(row_dots))
 
-    # row_dots[k, y, 0] = R[k, y]; row_dots[k, y, 1 + j] = A_k[y] . c_j
-    row_dots = maps @ plan.colmat
     row_sum = row_dots[:, :, 0]
-    col_sum = maps.sum(axis=1)
     total = col_sum.sum(axis=1)
     denom = total + eps
 
@@ -356,7 +373,18 @@ def reference_value_and_grad(
     The returned gradient is the plan's own buffer: the next call on the
     same plan overwrites it.
     """
-    breakdown, (denom, dx, dy) = reference_values(maps, plan, stage)
+    breakdown, (u, v) = reduced_factors(dense_reductions(maps, plan.colmat), plan, stage)
+    return breakdown, np.matmul(u, v, out=plan.grad)
+
+
+def reduced_factors(reductions: tuple, plan: SimpleNamespace, stage: int) -> tuple[LossBreakdown, tuple]:
+    """The breakdown of the field whose (row_dots, col_sum) are `reductions`, and the factors (U, V) of its gradient.
+
+    U and V are the plan's own, with their three step-dependent columns
+    written: all their columns at stage 1, contiguous copies of the first
+    three at stage 2.
+    """
+    breakdown, (denom, dx, dy) = reduced_values(reductions, plan, stage)
     cfg, d, f, mu = plan.cfg, plan.depths, breakdown.f, breakdown.mu
     a = -2.0 * d * (1.0 - f) / denom
     q = (cfg.lambda_compact * d / denom)[:, None]
@@ -367,7 +395,7 @@ def reference_value_and_grad(
     v[:, 2] = q * dx * (dx - res * mu[:, :1])
     if stage == 2:
         u, v = u[:, :, :3].copy(), v[:, :3].copy()
-    return breakdown, np.matmul(u, v, out=plan.grad)
+    return breakdown, (u, v)
 
 
 def stage_of(step: int, cfg: GuidanceConfig) -> int:
@@ -393,30 +421,51 @@ def reference_run(
     """(eta, terms, final latent, final field) of a run on the reference kernel, as a trajectory holds them.
 
     The run loop's sequence without its finiteness guards or its tiles:
-    render, the values and the whole field's gradient, chain to the latent,
-    z - eta * g; the last pass evaluates values only.
+    render, the reductions, the values and the gradient's factors (U, V),
+    chain to the latent, z - eta * g; the last pass evaluates values only.
+    A raster field is reduced densely and chained as (U @ V) * A; a blob
+    latent is rendered, reduced and chained through its factors.
     """
     plan = reference_plan(scene, derive_occlusion_pairs(scene), cfg)
-    surrogate = _surrogate(scene, latent0.mode, 1)
     z = latent0.values.copy()
     etas, passes = [], []
     for t in range(cfg.total_steps + 1):
         last = t == cfg.total_steps
         stage = final_stage(cfg) if last else stage_of(t, cfg)
         etas.append(step_size(t, cfg))
-        maps = surrogate.render(z[None])[0]
+        maps, reductions, chain = reference_render(latent0.mode, z, plan)
         if last:
-            passes.append(reference_values(maps, plan, stage)[0])
+            passes.append(reduced_values(reductions, plan, stage)[0])
             break
-        breakdown, grad = reference_value_and_grad(maps, plan, stage)
+        breakdown, factors = reduced_factors(reductions, plan, stage)
         passes.append(breakdown)
-        z = z - etas[-1] * surrogate.chain(grad[None])[0]
+        z = z - etas[-1] * chain(*factors)
     return np.array(etas), columns(passes), z, maps
 
 
-def reference_blob_render(values: np.ndarray, height: int, width: int) -> tuple[np.ndarray, tuple]:
-    """The (B, K, H, W) field of a blob latent (B, K, 5), and the factors `reference_blob_chain` reads."""
-    # (B * K, 1) columns against the (W,) and (H,) centres give (B * K, W) and (B * K, H)
+def reference_render(mode: str, z: np.ndarray, plan: SimpleNamespace) -> tuple:
+    """(field, reductions, chain) of one row's latent z of `mode` on a `reference_plan`'s scene.
+
+    `chain(u, v)` is the latent gradient whose dL/dA is u @ v: (u @ v) * A
+    for a raster latent, `reference_blob_chain` for a blob one, whose field
+    is also reduced through its factors.
+    """
+    if mode == "raster":
+        maps = np.exp(z)
+        return maps, dense_reductions(maps, plan.colmat), lambda u, v: np.matmul(u, v) * maps
+    maps, factors = reference_blob_render(z, *plan.grad.shape[1:])
+    chain = lambda u, v: reference_blob_chain(factors, [(u, v)])  # noqa: E731
+    return maps, reference_blob_reduce(factors, plan.colmat), chain
+
+
+def reference_blob_render(values: np.ndarray, height: int, width: int) -> tuple[np.ndarray, SimpleNamespace]:
+    """The (..., H, W) field of a blob latent (..., 5), g_y (x) g_x map by map, and its factors.
+
+    The factors, one line per map of the stack: g_y (amplitude included)
+    and g_x, `left` = [g_y, g_y v, g_y v^2] (n, 3, H), `right` =
+    [g_x, g_x u, g_x u^2] (n, W, 3), and the sigmas sx and sy.
+    """
+    # (n, 1) columns against the (W,) and (H,) centres give (n, W) and (n, H)
     cx, cy, lsx, lsy, la = values.reshape(-1, 5).T[:, :, None]
     dx, dy = pixel_centers(width) - cx, pixel_centers(height) - cy
     sx, sy = np.exp(lsx), np.exp(lsy)
@@ -424,17 +473,44 @@ def reference_blob_render(values: np.ndarray, height: int, width: int) -> tuple[
     gy = np.exp(la) * np.exp(-(dy**2 / (2 * sy**2)))
     maps = (gy[:, :, None] * gx[:, None, :]).reshape(*values.shape[:-1], height, width)
     u, v = dx / sx, dy / sy
-    factors = (
-        np.stack((gy, gy * v, gy * v**2), axis=1), np.stack((gx, gx * u, gx * u**2), axis=2), sx[:, 0], sy[:, 0],
+    factors = SimpleNamespace(
+        gy=gy, gx=gx, left=np.stack((gy, gy * v, gy * v**2), axis=1), right=np.stack((gx, gx * u, gx * u**2), axis=2),
+        sx=sx[:, 0], sy=sy[:, 0],
     )
     return maps, factors
 
 
-def reference_blob_chain(factors: tuple, grad: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """dL/d(cx, cy, lsx, lsy, la) of maps lo..hi-1 of a `reference_blob_render`, from their dL/dA."""
-    left, right, sx, sy = factors
-    t = left[lo:hi] @ grad.reshape(-1, *grad.shape[-2:])
-    r = t @ right[lo:hi]
-    sx, sy = sx[lo:hi], sy[lo:hi]
-    partials = np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
-    return partials.reshape(*grad.shape[:-2], 5)
+def reference_blob_reduce(factors: SimpleNamespace, colmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`dense_reductions` of a `reference_blob_render`'s maps, from their factors.
+
+    row_dots = g_y (x) (g_x @ colmat), one (1, W) @ (W, 1 + K) product per
+    map, and col_sum = (sum g_y) g_x.
+    """
+    gy, gx = factors.gy, factors.gx
+    return gy[:, :, None] * (gx[:, None, :] @ colmat), gy.sum(axis=1)[:, None] * gx
+
+
+def _partials(r: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """The five partials of each map's r = left @ dL/dA @ right (see `surrogate._Blob.chain`)."""
+    return np.stack((r[:, 0, 1] / sx, r[:, 1, 0] / sy, r[:, 0, 2], r[:, 2, 0], r[:, 0, 0]), axis=1)
+
+
+def reference_blob_chain(factors: SimpleNamespace, products, lo: int = 0) -> np.ndarray:
+    """dL/d(cx, cy, lsx, lsy, la) (n, 5) of maps lo, lo + 1, ... of a `reference_blob_render`.
+
+    products holds the (U, V) factors of their dL/dA = U @ V, one pair per
+    run of consecutive maps, in order: r = (left @ U) @ (V @ right).
+    """
+    rs, start = [], lo
+    for u, v in products:
+        end = start + len(u)
+        rs.append((factors.left[start:end] @ u) @ (v @ factors.right[start:end]))
+        start = end
+    return _partials(np.concatenate(rs), factors.sx[lo:start], factors.sy[lo:start])
+
+
+def dense_blob_chain(factors: SimpleNamespace, grad: np.ndarray, lo: int = 0) -> np.ndarray:
+    """The partials of `reference_blob_chain` from the dense dL/dA (n, H, W): r = (left @ dL/dA) @ right."""
+    end = lo + len(grad)
+    r = (factors.left[lo:end] @ grad) @ factors.right[lo:end]
+    return _partials(r, factors.sx[lo:end], factors.sy[lo:end])

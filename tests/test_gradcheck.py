@@ -563,8 +563,12 @@ def _skew_attention(monkeypatch, k: int, factor: float) -> None:
 def _skew_latent(monkeypatch, k: int, factor: float) -> None:
     """Both surrogates' chain rule for object k off by `factor`."""
     for cls in (_Raster, _Blob):
-        real = cls.chain
-        monkeypatch.setattr(cls, "chain", lambda self, grad, real=real: _scaled(real(self, grad), k, factor))
+        def skewed(self, products, grad, lo=0, hi=None, real=cls.chain):
+            # the chain's maps, row by row: (B, K, ...)
+            partials = real(self, products, grad, lo, hi)
+            return _scaled(partials.reshape(-1, self.maps.shape[1], *partials.shape[1:]), k, factor)
+
+        monkeypatch.setattr(cls, "chain", skewed)
 
 
 SKEWS = {"attention": _skew_attention, "latent": _skew_latent}
@@ -676,9 +680,9 @@ class TestRunLoopSequence:
                 calls["render"] += 1
                 return render(values)
 
-            def counted_chain(grad):
+            def counted_chain(products, grad):
                 calls["chain"].append(calls["render"])
-                return chain(grad)
+                return chain(products, grad)
 
             surrogate.render, surrogate.chain = counted_render, counted_chain
             built.append(calls)

@@ -393,7 +393,7 @@ class TestPlanScratch:
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 5])
     def test_a_sweep_builds_one_factor_set_per_plan(self, monkeypatch, rows_per_chunk):
-        # one plan runs each chunk and one scores it
+        # one plan runs each chunk and scores it
         import deptharb.optimizer
         from deptharb.cli import main
 
@@ -401,7 +401,19 @@ class TestPlanScratch:
         calls = self.count_factor_builds(monkeypatch)
         argv = ["sweep", "--scene", CANONICAL_FILE, "--param", "tau", "--values", "0.5,1,2,3,4", "--steps", "3"]
         assert main(argv) == 0
-        assert len(calls) == 2 * math.ceil(5 / rows_per_chunk)
+        assert len(calls) == math.ceil(5 / rows_per_chunk)
+
+    @pytest.mark.parametrize("mode", ["raster", "blob"])
+    def test_a_run_is_scored_on_the_plan_that_ran_it(self, monkeypatch, tmp_path, mode):
+        from deptharb.cli import main
+
+        calls = self.count_factor_builds(monkeypatch)
+        dump = str(tmp_path / "d.darb")
+        assert main(["run", "--scene", CANONICAL_FILE, "--mode", mode, "--steps", "3", "--dump", dump]) == 0
+        assert len(calls) == 1
+        # eval ran nothing, so it builds a plan to score on
+        assert main(["eval", "--scene", CANONICAL_FILE, "--mode", mode, "--dump", dump]) == 0
+        assert len(calls) == 2
 
     @staticmethod
     def count_box_spans(monkeypatch):

@@ -32,13 +32,24 @@ from deptharb import (
     staged_loss,
 )
 from deptharb import losses, optimizer
-from deptharb.losses import _evaluate, _plan, _reduce, _reduce_views, value_and_grad
+from deptharb.losses import _columns, _plan, _product_views, _step_factors, _values, value_and_grad
 from deptharb.cli import SWEEP_PARAMS
 from deptharb.optimizer import _final_stage, _schedule, run_rows
 from deptharb.surrogate import MODES, _mode_class, _surrogate, with_default_step
 from perfbench import scenegen
 
-from reference import assert_same_breakdown, final_stage, reference_run, same_bits, stage_of, step_size
+from reference import (
+    assert_same_breakdown,
+    final_stage,
+    reduced_factors,
+    reduced_values,
+    reference_plan,
+    reference_render,
+    reference_run,
+    same_bits,
+    stage_of,
+    step_size,
+)
 
 
 def _stage_column(cfg):
@@ -163,10 +174,10 @@ class TestRunGuidance:
         traj = run_guidance(two_object_scene, cfg, latent0)
 
         pairs = derive_occlusion_pairs(two_object_scene)
-        surrogate = _surrogate(two_object_scene, "raster", 1)
-        maps = surrogate.render(latent0.values[None])
-        grad = value_and_grad(maps, _plan(two_object_scene, pairs, [cfg]), [1])[1]
-        expected = latent0.values - 0.5 * surrogate.chain(grad)[0]
+        field = render_attention(latent0, two_object_scene)
+        grad = value_and_grad(field.maps[None], _plan(two_object_scene, pairs, [cfg]), [1])[1]
+        # dL/dlogit = dL/dA * A
+        expected = latent0.values - 0.5 * (grad[0] * field.maps)
         assert np.array_equal(traj.final_latent.values, expected)
 
     def test_run_rasterizes_each_box_once(self, two_object_scene, monkeypatch):
@@ -194,13 +205,23 @@ class TestRunGuidance:
 
     @pytest.mark.parametrize("mode", ["raster", "blob"])
     def test_one_gradient_per_step_and_none_for_the_end_state(self, two_object_scene, monkeypatch, mode):
-        # the log holds "step" for each factor half, then the maps each gradient product writes
+        # the log holds "step" for each factor half, then the maps each chain of the gradient's factors reads
         log = []
-        factors, product = optimizer._step_factors, optimizer._grad_product
+        factors, real = optimizer._step_factors, optimizer._surrogate
+
+        def logging(*args):
+            surrogate = real(*args)
+            chain = surrogate.chain
+
+            def logged(products, grad, lo, hi):
+                log.append(sum(len(u) for u, *_ in products))
+                return chain(products, grad, lo, hi)
+
+            surrogate.chain = logged
+            return surrogate
+
         monkeypatch.setattr(optimizer, "_step_factors", lambda *a: log.append("step") or factors(*a))
-        monkeypatch.setattr(
-            optimizer, "_grad_product", lambda views: log.append(sum(len(out) for *_, out in views)) or product(views)
-        )
+        monkeypatch.setattr(optimizer, "_surrogate", logging)
         cfg = GuidanceConfig(total_steps=7, eta0=1.0 if mode == "raster" else 0.1)
         latent0 = init_latent(two_object_scene, mode, seed=6)
         # both maps in one tile, then one map per tile
@@ -289,6 +310,15 @@ OVERSIZED_LATENTS = {
 }
 
 
+# blob latents of the two-object scene whose g_y overflows (an amplitude e^710) while g_x underflows to 0:
+# everywhere (a narrow blob far off the canvas), so every entry of object 0's field is inf * 0 = NaN, or
+# only at the columns away from a narrow blob's centre, so its field holds both inf and NaN
+INF_TIMES_ZERO_LATENTS = {
+    "g_x all 0": np.array([[3.0, 0.35, -5.0, 0.0, 710.0], [0.65, 0.65, -2.0, -2.0, 0.0]]),
+    "g_x 0 at some columns": np.array([[0.35, 0.35, -5.0, 0.0, 710.0], [0.65, 0.65, -2.0, -2.0, 0.0]]),
+}
+
+
 class TestAbortPins:
     """A diverging run raises its pinned abort and emits no numpy warning on the way."""
 
@@ -313,22 +343,55 @@ class TestAbortPins:
                 run_guidance(two_object_scene, GuidanceConfig(total_steps=steps), latent0)
         assert str(exc_info.value) == "non-finite loss at step 0"
 
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("case", list(INF_TIMES_ZERO_LATENTS))
+    def test_an_overflowing_g_y_times_an_underflowing_g_x_is_a_field_abort(self, two_object_scene, case, steps):
+        # the blob reads its field through g_y and g_x, and never forms the dense inf * 0
+        latent0 = LatentState("blob", INF_TIMES_ZERO_LATENTS[case])
+        surrogate = _surrogate(two_object_scene, "blob", 1)
+        with np.errstate(all="ignore"):
+            surrogate.render(latent0.values[None])
+            maps = surrogate.field()[0, 0]
+        assert np.isnan(maps).any() and (np.isnan(maps) | np.isinf(maps)).all()
+        assert np.isinf(maps).any() == (case == "g_x 0 at some columns")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort) as exc_info:
+                run_guidance(two_object_scene, GuidanceConfig(total_steps=steps), latent0)
+        assert str(exc_info.value) == "non-finite rendered field at step 0"
+        assert _reference_run(two_object_scene, GuidanceConfig(total_steps=steps, eta0=0.5), latent0) == (
+            "abort", 0, "rendered field"
+        )
+
+
+def _loss_of(scene, pairs, cfg, latent, stage, step=None):
+    """The stage loss total of `latent`, from a fresh surrogate and plan that reduce its render as the run does;
+    with a step size, also the latent z - step * g that step takes."""
+    k = len(scene.objects)
+    surrogate, plan = _surrogate(scene, latent.mode, 1), _plan(scene, pairs, [cfg])
+    surrogate.render(latent.values[None])
+    AttentionField(maps=surrogate.field()[0])  # the public, validating field
+    surrogate.reduce(surrogate.reduce_views(plan))
+    columns = _columns(plan, [[stage]])
+    (_values if step is None else _step_factors)(plan, columns, 0)
+    total = columns.total[0, 0]
+    if step is None:
+        return total, None
+    grad = np.empty((k, scene.grid_height, scene.grid_width))
+    latent_grad = surrogate.chain(_product_views(plan, [stage], 0, k, grad), grad)
+    return total, LatentState(latent.mode, latent.values - step * latent_grad.reshape(latent.values.shape))
+
 
 def _composed_run(scene, cfg, latent0):
     """The loop written out with a fresh surrogate and plan on every step, and
-    the public, validating field, latent and loss wherever there is one."""
+    the public, validating field and latent wherever there is one."""
     pairs = derive_occlusion_pairs(scene)
     latent, totals = latent0, []
     for t in range(cfg.total_steps):
-        surrogate = _surrogate(scene, latent.mode, 1)
-        field = AttentionField(maps=surrogate.render(latent.values[None])[0])
-        stage = stage_of(t, cfg)
-        totals.append(staged_loss(field, scene, pairs, cfg, stage).total)
-        grad = value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[1]
-        step = step_size(t, cfg) * surrogate.chain(grad)[0]
-        latent = LatentState(latent.mode, latent.values - step)
+        total, latent = _loss_of(scene, pairs, cfg, latent, stage_of(t, cfg), step_size(t, cfg))
+        totals.append(total)
     field = render_attention(latent, scene)
-    totals.append(staged_loss(field, scene, pairs, cfg, stage_of(cfg.total_steps - 1, cfg)).total)
+    totals.append(_loss_of(scene, pairs, cfg, latent, stage_of(cfg.total_steps - 1, cfg))[0])
     return latent, field, totals
 
 
@@ -355,6 +418,7 @@ class TestSingleRenderLoop:
         assert not np.array_equal(traj.final_latent.values, before)
 
     def test_blob_renders_once_per_step_and_plans_its_grid_once(self, two_object_scene, monkeypatch):
+        # its factors once per pass, and its dense field once per run, for the trajectory
         import deptharb.scene
         import deptharb.surrogate
 
@@ -369,6 +433,7 @@ class TestSingleRenderLoop:
 
         blob = deptharb.surrogate._Blob
         monkeypatch.setattr(blob, "render", counting("render", blob.render))
+        monkeypatch.setattr(blob, "field", counting("field", blob.field))
         real_centers = deptharb.scene.pixel_centers
         for name, module in list(sys.modules.items()):
             if name == "deptharb" or name.startswith("deptharb."):
@@ -381,6 +446,7 @@ class TestSingleRenderLoop:
             cfg = GuidanceConfig(total_steps=steps, eta0=0.5)
             run_guidance(two_object_scene, cfg, init_latent(two_object_scene, "blob", seed=1))
             assert counts["render"] == steps + 1
+            assert counts["field"] == 1
             grids.append(counts["pixel_centers"])
         # the blob surrogate and the plan read the centres, once per run
         assert grids[0] == grids[1] > 0
@@ -439,8 +505,16 @@ class TestRunOnThePlannedKernel:
         runs += zip(cfgs, chain.from_iterable(run_rows(canonical, cfgs, latent0)))
         assert [_final_stage(cfg) for cfg, _ in runs] == [2, 1, 2, 1]
         for cfg, traj in runs:
-            want = staged_loss(traj.final_field, canonical, pairs, cfg, _final_stage(cfg))
-            assert_same_breakdown(traj.terms.take(-1), want)
+            dense = staged_loss(traj.final_field, canonical, pairs, cfg, _final_stage(cfg))
+            if mode == "raster":
+                assert_same_breakdown(traj.terms.take(-1), dense)
+                continue
+            # the blob reduces its field through its factors: bit for bit their reference, and
+            # the dense loss to rounding
+            plan = reference_plan(canonical, pairs, cfg)
+            reductions = reference_render(mode, traj.final_latent.values, plan)[1]
+            assert_same_breakdown(traj.terms.take(-1), reduced_values(reductions, plan, _final_stage(cfg))[0])
+            assert traj.terms.total[-1] == pytest.approx(dense.total, rel=1e-12, abs=0.0)
 
 
 # line lengths around numpy's unrolled reduction blocks and their tail loops
@@ -460,7 +534,9 @@ class TestFinitePredicate:
     @pytest.mark.parametrize("value", PLANTED)
     @pytest.mark.parametrize("at", [0, 1, 8 * 256 * 256 - 1])
     def test_one_planted_entry_in_a_full_field(self, monkeypatch, value, at):
-        # a 256x256, K = 8 field too large to sum, so the scan alone tells the two apart
+        # a 256x256, K = 8 field too large to sum, so the scan alone tells the two apart.  A blob
+        # field is g_y (x) g_x: every map's g_y is 1e306 and its g_x 1, and the planted map's g_x
+        # at the planted entry's column is value / 1e306, so that column of the field reads value
         scene = parse_scene(json.dumps(scenegen.large_scene(1)))
         real = optimizer._surrogate
 
@@ -469,13 +545,12 @@ class TestFinitePredicate:
             render = surrogate.render
 
             def render_planted(values, lo=0, hi=None):
-                maps = render(values, lo, hi)
-                entries = maps[0].reshape(len(maps[0]), -1)  # row 0's maps, the whole stack of a one-row run
-                for m in _drawn(maps, lo, hi):
-                    entries[m] = 1e306
-                    if m == at // entries.shape[1]:
-                        entries[m, at % entries.shape[1]] = value
-                return maps
+                render(values, lo, hi)
+                gy, gx = surrogate._left[:, 0], surrogate._gx  # row 0's maps, the whole stack of a one-row run
+                for m in _drawn(surrogate.maps, lo, hi):
+                    gy[m], gx[m] = 1e306, 1.0
+                    if m == at // gy[m].size // gx[m].size:
+                        gx[m, at % gx[m].size] = value / 1e306
 
             surrogate.render = render_planted
             return surrogate
@@ -513,37 +588,37 @@ def _reference_run(scene, cfg, latent0):
     """The guided loop with the literal np.isfinite(x).all() guards, in their order.
 
     Returns ("abort", step, reason), or ("done", totals, final latent, final field).
+    The field, its reductions and the chain are the reference's (`reference_render`), and
+    the gradient checked is the dense U @ V of the factors the chain reads.
     """
-    plan = _plan(scene, derive_occlusion_pairs(scene), [cfg])
-    surrogate = _surrogate(scene, latent0.mode, 1)
-    z = latent0.values[None].copy()
+    plan = reference_plan(scene, derive_occlusion_pairs(scene), cfg)
+    z = latent0.values.copy()
     totals = []
     with np.errstate(all="ignore"):
         for t in range(cfg.total_steps + 1):
             last = t == cfg.total_steps
             stage = final_stage(cfg) if last else stage_of(t, cfg)
-            maps = surrogate.render(z)
+            maps, reductions, chain = reference_render(latent0.mode, z, plan)
             if not np.isfinite(maps).all():
                 return ("abort", t, "rendered field")
             if last:
-                breakdown = _evaluate(maps, plan, [stage]).take(0)
+                breakdown = reduced_values(reductions, plan, stage)[0]
             else:
-                terms, grad = value_and_grad(maps, plan, [stage])
-                breakdown = terms.take(0)
+                breakdown, (u, v) = reduced_factors(reductions, plan, stage)
             if not math.isfinite(breakdown.total):
                 return ("abort", t, "loss")
             totals.append(breakdown.total)
             if last:
                 break
-            if not np.isfinite(grad).all():
+            if not np.isfinite(np.matmul(u, v)).all():
                 return ("abort", t, "gradient")
-            latent_grad = surrogate.chain(grad)
+            latent_grad = chain(u, v)
             if not np.isfinite(latent_grad).all():
                 return ("abort", t, "latent gradient")
             z = z - step_size(t, cfg) * latent_grad
             if not np.isfinite(z).all():
                 return ("abort", t, "latent update")
-    return ("done", totals, z[0], maps[0])
+    return ("done", totals, z, maps)
 
 
 def _guarded_run(scene, cfg, latent0):
@@ -603,13 +678,16 @@ class TestGuardEquivalence:
             render, calls = surrogate.render, Counter()
 
             def render_once_bad(values, lo=0, hi=None):
-                maps = render(values, lo, hi)
-                # the renders of map 1 of row 0, the planted one
-                if 1 in _drawn(maps, lo, hi):
+                render(values, lo, hi)
+                # the renders of map 1 of row 0, the planted one: a raster map's pixel (3, 5), or
+                # column 5 of a blob map, through its factor g_x
+                if 1 in _drawn(surrogate.maps, lo, hi):
                     if calls["render"] == at:
-                        maps[0, 1, 3, 5] = value
+                        if mode == "raster":
+                            surrogate.maps[0, 1, 3, 5] = value
+                        else:
+                            surrogate._gx[1, 5] = value
                     calls["render"] += 1
-                return maps
 
             surrogate.render = render_once_bad
             return surrogate
@@ -892,31 +970,33 @@ def _partition(draw, batch: int, k: int, whole_rows: bool) -> list[tuple[int, in
 
 
 def _tiled_and_whole(scene, mode, values, tiles):
-    """The field and reductions of latent `values` (B, ...) rendered and reduced tile by tile, and at once.
+    """The field and reductions of latent `values` (B, ...) rendered, reduced and chained tile by tile, and at
+    once.
 
-    Each is (maps, row_dots, col_sum, the blob or raster chain of one fixed gradient); the tiled buffers
-    start out NaN, so an entry no tile writes shows.
+    Each is (maps, row_dots, col_sum, the blob or raster chain of one fixed set of gradient factors); the
+    tiled buffers start out NaN, so an entry no tile writes shows.  Rows alternate between the stages, so a
+    tile can chain two runs of maps.
     """
-    batch = len(values)
+    batch, k = len(values), len(scene.objects)
     cfgs = [GuidanceConfig()] * batch
+    stages = [1 + b % 2 for b in range(batch)]
     pairs = derive_occlusion_pairs(scene)
-    grad = np.random.default_rng(0).uniform(-1.0, 1.0, (batch * len(scene.objects), scene.grid_height,
-                                                          scene.grid_width))
     out = []
-    for tiling in (tiles, None):
+    for tiling in (tiles, [(0, batch * k)]):
         surrogate, plan = _surrogate(scene, mode, batch), _plan(scene, pairs, cfgs)
+        for column in plan.columns:
+            column[...] = np.random.default_rng(0).uniform(-1.0, 1.0, column.shape)
         for array in (surrogate.maps, plan.scratch.row_dots, plan.scratch.col_sum):
             array.fill(math.nan)
-        if tiling is None:
-            surrogate.render(values)
-            _reduce(_reduce_views(surrogate.maps, plan, 0, batch * len(scene.objects)))
-        else:
-            stack = values.reshape(batch * len(scene.objects), -1)
-            for lo, hi in tiling:
-                surrogate.render(stack[lo:hi], lo, hi)
-                _reduce(_reduce_views(surrogate.maps, plan, lo, hi))
-        chained = surrogate.chain(grad.copy()).copy()
-        out.append((surrogate.maps, plan.scratch.row_dots, plan.scratch.col_sum, chained))
+        stack = values.reshape(batch * k, -1)
+        for lo, hi in tiling:
+            surrogate.render(stack[lo:hi], lo, hi)
+            surrogate.reduce(surrogate.reduce_views(plan, lo, hi))
+        chained = []
+        for lo, hi in tiling:
+            grad = np.empty((hi - lo, scene.grid_height, scene.grid_width))
+            chained.append(surrogate.chain(_product_views(plan, stages, lo, hi, grad), grad, lo, hi).copy())
+        out.append((surrogate.field(), plan.scratch.row_dots, plan.scratch.col_sum, np.concatenate(chained)))
     return out
 
 
@@ -970,9 +1050,8 @@ class TestTilePartitions:
             render = surrogate.render
 
             def counting(values, lo=0, hi=None):
-                maps = render(values, lo, hi)
-                renders.update(_drawn(maps, lo, hi))
-                return maps
+                render(values, lo, hi)
+                renders.update(_drawn(surrogate.maps, lo, hi))
 
             surrogate.render = counting
             return surrogate
@@ -1008,13 +1087,12 @@ def _chain_poisoned_at(step: int, planted: int):
         render, chain, renders = surrogate.render, surrogate.chain, Counter()
 
         def counted_render(values, lo=0, hi=None):
-            maps = render(values, lo, hi)
+            render(values, lo, hi)
             # the renders of the planted map: its chain at `step` follows the render of pass `step`
-            renders["n"] += planted in _drawn(maps, lo, hi)
-            return maps
+            renders["n"] += planted in _drawn(surrogate.maps, lo, hi)
 
-        def poisoned_chain(grad, lo, hi):
-            out = chain(grad, lo, hi)
+        def poisoned_chain(products, grad, lo, hi):
+            out = chain(products, grad, lo, hi)
             if renders["n"] == step + 1 and lo <= planted < hi:
                 out[planted - lo].flat[3] = math.nan
             return out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import math
 import re
 import tracemalloc
@@ -24,11 +25,19 @@ from deptharb import (
     run_guidance,
     staged_loss,
 )
+from deptharb import canonical_scene, parse_scene
 from deptharb.gradcheck import _blob_map, coord_grid, spatial_mean
-from deptharb.losses import _plan, value_and_grad
+from deptharb.losses import _columns, _plan, _product_views, _reduce, _reduce_views, _step_factors
 from deptharb.surrogate import JITTER, MODES, _Blob, _mode_class, _surrogate, with_default_step
+from perfbench import scenegen
 
-from reference import normalize_map, reference_blob_chain, reference_blob_render
+from reference import (
+    dense_blob_chain,
+    normalize_map,
+    reference_blob_chain,
+    reference_blob_reduce,
+    reference_blob_render,
+)
 
 
 def one_blob_scene(bbox=(0.2, 0.2, 0.6, 0.6), grid: int = 9) -> SceneSpec:
@@ -190,26 +199,34 @@ class TestRender:
                         consume(latent)
 
 
+def _products(u: np.ndarray, v: np.ndarray, grad: np.ndarray) -> list:
+    """One run of maps whose dL/dA = u @ v, as `losses._product_views` hands it out, writing into grad."""
+    return [(u, v, grad)]
+
+
 class TestBackprop:
     def test_zero_gradient_maps_to_zero(self, two_object_scene):
         for mode in ("raster", "blob"):
             latent = init_latent(two_object_scene, mode, seed=3)
             surrogate = _surrogate(two_object_scene, mode, 1)
             surrogate.render(latent.values[None])
-            g = surrogate.chain(np.zeros((1, 2, 16, 16)))
+            grad = np.empty((2, 16, 16))
+            g = surrogate.chain(_products(np.zeros((2, 16, 3)), np.zeros((2, 3, 16)), grad), grad)
             assert (g == 0.0).all()
-            assert g.shape == (1, *latent.values.shape)
+            assert g.shape == latent.values.shape
 
     def test_raster_chain_rule_is_single_multiplication(self, two_object_scene):
         latent = init_latent(two_object_scene, "raster", seed=5)
-        grad = np.zeros((1, 2, 16, 16))
-        grad[0, 1, 3, 7] = 2.5
+        # dL/dA = u @ v is 2.5 at (1, 3, 7) and 0 elsewhere
+        u, v = np.zeros((2, 16, 1)), np.zeros((2, 1, 16))
+        u[1, 3, 0], v[1, 0, 7] = 2.5, 1.0
         surrogate = _surrogate(two_object_scene, "raster", 1)
         surrogate.render(latent.values[None])
-        out = surrogate.chain(grad)
+        grad = np.empty((2, 16, 16))
+        out = surrogate.chain(_products(u, v, grad), grad)
         expected = 2.5 * math.exp(latent.values[1, 3, 7])
-        assert out[0, 1, 3, 7] == pytest.approx(expected, rel=1e-15)
-        out[0, 1, 3, 7] = 0.0
+        assert out[1, 3, 7] == pytest.approx(expected, rel=1e-15)
+        out[1, 3, 7] = 0.0
         assert (out == 0.0).all()
 
     def test_blob_parameters_match_finite_differences(self):
@@ -224,9 +241,13 @@ class TestBackprop:
             field = render_attention(state, scene)
             return staged_loss(field, scene, pairs, cfg, 1).total
 
-        surrogate = _surrogate(scene, "blob", 1)
-        maps = surrogate.render(latent.values[None])
-        analytic = surrogate.chain(value_and_grad(maps, _plan(scene, pairs, [cfg]), [1])[1])[0]
+        # the run's sequence: render, reduce, the kernel's factors, chain
+        surrogate, plan = _surrogate(scene, "blob", 1), _plan(scene, pairs, [cfg])
+        surrogate.render(latent.values[None])
+        surrogate.reduce(surrogate.reduce_views(plan))
+        _step_factors(plan, _columns(plan, [[1]]), 0)
+        grad = np.empty((1, 24, 24))
+        analytic = surrogate.chain(_product_views(plan, [1], 0, 1, grad), grad)
         h = 1e-6
         for p in range(5):
             plus = latent.values.copy()
@@ -301,7 +322,9 @@ class TestSeparableBlob:
     @settings(max_examples=300)
     def test_render_matches_the_literal_blob_map(self, state):
         scene, values, _ = state
-        maps = _Blob(scene, 1).render(values[None])[0]
+        blob = _Blob(scene, 1)
+        blob.render(values[None])
+        maps = blob.field()[0]
         coords = coord_grid(scene.grid_height, scene.grid_width)
         for k, params in enumerate(values):
             literal = _blob_map(params, coords.x, coords.y)
@@ -321,13 +344,17 @@ class TestSeparableBlob:
     def test_chain_matches_the_dense_five_sums(self, state):
         scene, values, seed = state
         blob = _Blob(scene, 1)
-        maps = blob.render(values[None])[0]
+        blob.render(values[None])
+        maps = blob.field()[0]
         coords = coord_grid(scene.grid_height, scene.grid_width)
-        # scaled so that no dense product overflows at an amplitude of e^709
-        grad = np.random.default_rng(seed).uniform(-1.0, 1.0, maps.shape) * 2.0**-12
-        got = blob.chain(grad[None])[0]
-        want = five_sums(values, maps, grad, coords)
-        scale = five_sums(values, maps, grad, coords, mag=np.abs)
+        # dL/dA = u @ v of four columns, scaled so that no dense product overflows at an amplitude of e^709
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.0, 1.0, (len(values), scene.grid_height, 4)) * 2.0**-7
+        v = rng.uniform(-1.0, 1.0, (len(values), 4, scene.grid_width)) * 2.0**-7
+        got = blob.chain(_products(u, v, None))
+        want = five_sums(values, maps, u @ v, coords)
+        # the factor form rounds the products of |u| and |v| that u @ v sums
+        scale = five_sums(values, maps, np.abs(u) @ np.abs(v), coords, mag=np.abs)
         # a factor product in the subnormal range is off by up to 2^-1075,
         # which the amplitude and a partial's 1 / sigma^2 scale; per pixel,
         # with a 32x margin
@@ -339,21 +366,33 @@ class TestSeparableBlob:
 
 
 class TestBlobMatchesReference:
-    """The blob render and chain, written into per-run buffers, against the allocating ones in `reference`."""
+    """The blob render, reductions and chain, written into per-run buffers, against the allocating factor forms
+    in `reference`."""
 
     @given(blob_batches())
     @settings(max_examples=200)
     def test_field_and_partials_bit_for_bit(self, case):
         scene, values, seed, lo, hi = case
-        height, width = scene.grid_height, scene.grid_width
+        height, width, n = scene.grid_height, scene.grid_width, values.shape[0] * values.shape[1]
         blob = _Blob(scene, len(values))
-        maps = blob.render(values)
+        plan = _plan(scene, derive_occlusion_pairs(scene), [GuidanceConfig()] * len(values))
+        blob.render(values)
         want_maps, factors = reference_blob_render(values, height, width)
-        assert np.array_equal(maps, want_maps)
-        grad = np.random.default_rng(seed).uniform(-1.0, 1.0, maps.shape) * 2.0**-12
-        assert np.array_equal(blob.chain(grad), reference_blob_chain(factors, grad))
-        tile = grad.reshape(-1, height, width)[lo:hi]
-        assert np.array_equal(blob.chain(tile, lo, hi), reference_blob_chain(factors, tile, lo, hi))
+        assert np.array_equal(blob.field(), want_maps)
+        # at an amplitude near e^709 a sum of g_y, and the reductions with it, can overflow, in both forms
+        with np.errstate(over="ignore", invalid="ignore"):
+            blob.reduce(blob.reduce_views(plan))
+            row_dots, col_sum = reference_blob_reduce(factors, plan.colmat)
+        assert np.array_equal(plan.scratch.row_dots, row_dots, equal_nan=True)
+        assert np.array_equal(plan.scratch.col_sum, col_sum, equal_nan=True)
+        # dL/dA = u @ v of five columns; a tile's second run of maps reads the first three, as stage 2 does
+        rng = np.random.default_rng(seed)
+        u, v = rng.uniform(-1.0, 1.0, (n, height, 5)) * 2.0**-7, rng.uniform(-1.0, 1.0, (n, 5, width)) * 2.0**-7
+        assert np.array_equal(blob.chain(_products(u, v, None)), reference_blob_chain(factors, [(u, v)]))
+        mid = (lo + hi + 1) // 2
+        products = [(u[lo:mid], v[lo:mid]), (u[mid:hi, :, :3], v[mid:hi, :3])]
+        got = blob.chain([(*product, None) for product in products], None, lo, hi)
+        assert np.array_equal(got, reference_blob_chain(factors, products, lo))
 
     def test_render_and_chain_allocate_nothing_per_call(self):
         # numpy's ufunc iterator may buffer an operand, at most 8192 elements per operand and call; with
@@ -368,26 +407,109 @@ class TestBlobMatchesReference:
         )
         batch, k, width = 3, len(scene.objects), scene.grid_width
         values = np.stack([init_latent(scene, "blob", seed).values for seed in range(batch)])
-        grad = np.random.default_rng(0).uniform(-1.0, 1.0, (batch, k, scene.grid_height, width))
-        tile = grad.reshape(-1, scene.grid_height, width)[1:4]
         blob = _Blob(scene, batch)
-        # every call returns views of the same surrogate-owned buffers
-        maps, partials = blob.render(values), blob.chain(grad)
-        assert np.shares_memory(blob.chain(tile, 1, 4), partials)
+        plan = _plan(scene, derive_occlusion_pairs(scene), [GuidanceConfig()] * batch)
+        views = blob.reduce_views(plan)
+        u, v = plan.factors
+        products = _products(u, v, None)
+        # every chain returns a view of the same surrogate-owned buffer
+        blob.render(values)
+        blob.reduce(views)
+        partials = blob.chain(products)
+        assert np.shares_memory(blob.chain(_products(u[1:4], v[1:4], None), None, 1, 4), partials)
         tracemalloc.start()
         try:
             blob.render(values)
-            blob.chain(grad)
+            blob.reduce(views)
+            blob.chain(products)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(50):
-                assert np.shares_memory(blob.render(values), maps)
-                assert np.shares_memory(blob.chain(grad), partials)
+                blob.render(values)
+                blob.reduce(views)
+                assert np.shares_memory(blob.chain(products), partials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # no temporary as large as one (B * K, W) array of doubles was ever alive
         assert peak - before < batch * k * width * 8
+
+
+def _blob_run_state(scene: SceneSpec, seed: int, steps: int) -> np.ndarray:
+    """The blob latent of `scene` from seed `seed` after `steps` steps at the mode's default step."""
+    return run_guidance(scene, GuidanceConfig(total_steps=steps), init_latent(scene, "blob", seed)).final_latent.values
+
+
+LOG = math.log
+# (cx, cy, lsx, lsy, la) per object of the canonical scene; the amplitude e^708.5 keeps sum g_y and
+# sum g_x * g_y finite (about 1.5e308 at most), where the factor and dense forms can be compared
+EXTREME_LATENTS = {
+    "sigma 1e-3 of the canvas": [[0.3, 0.4, LOG(1e-3), LOG(1e-3), 0.0], [0.62, 0.55, LOG(1e-3), LOG(2e-3), 0.0]],
+    "centre off the canvas": [[-0.5, 0.4, LOG(0.05), LOG(0.1), 0.0], [0.6, 1.5, LOG(0.1), LOG(0.05), 0.0]],
+    "la near 709": [[0.35, 0.35, LOG(0.02), LOG(0.02), 708.5], [0.65, 0.6, LOG(0.01), LOG(0.015), 708.5]],
+}
+
+AGREEMENT_CASES = {
+    **{f"canonical seed {seed}": (lambda seed=seed: (canonical_scene(), init_latent(canonical_scene(), "blob", seed)
+                                                      .values)) for seed in range(4)},
+    "canonical seed 7 after 20 steps": lambda: (canonical_scene(), _blob_run_state(canonical_scene(), 7, 20)),
+    **{f"small_scene({n})": (lambda n=n: (lambda scene: (scene, init_latent(scene, "blob", n).values))(
+        parse_scene(json.dumps(scenegen.small_scene(n))))) for n in range(5)},
+    **{name: (lambda values=values: (canonical_scene(), np.array(values))) for name, values in EXTREME_LATENTS.items()},
+}
+
+EPS = np.finfo(np.float64).eps
+SUBNORMAL = 2.0**-1074
+
+
+class TestFactorFormsMatchDense:
+    """The blob's reductions and chain, read from its 1-D factors, against the dense definitions: the field
+    rendered and reduced by `losses._reduce`, and the (3, H) @ (H, W) chain of the dense dL/dA = U @ V.
+
+    A reduction's terms are all >= 0, and the two forms round one product per term and a sum over a grid
+    line in other orders: on these cases they differ by at most 3.9 eps relative, and must agree to
+    8 eps, plus (H + W) * 2^-1074 for products that fall in the subnormal range.  The chain's terms have
+    both signs and cancel, so its forms are compared against the sum of the terms' magnitudes, the scale
+    of their rounding (a partial can be 1e5 times smaller): they differ by at most 1.1 eps of it and must
+    agree to 4 eps, plus 2^-1074 per term, scaled by a partial's 1 / sigma.
+    """
+
+    @pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+    def test_reductions_and_chain(self, case):
+        scene, values = AGREEMENT_CASES[case]()
+        k, height, width = len(scene.objects), scene.grid_height, scene.grid_width
+        pairs = derive_occlusion_pairs(scene)
+        cfg = GuidanceConfig()
+        blob, plan, dense = _Blob(scene, 1), _plan(scene, pairs, [cfg]), _plan(scene, pairs, [cfg])
+        blob.render(values[None])
+        blob.reduce(blob.reduce_views(plan))
+        maps = blob.field()
+        _reduce(_reduce_views(maps, dense, 0, k))
+        for name in ("row_dots", "col_sum"):
+            got, want = getattr(plan.scratch, name), getattr(dense.scratch, name)
+            assert np.isfinite(want).all()
+            assert (np.abs(got - want) <= 8 * EPS * want + (height + width) * SUBNORMAL).all()
+
+        # the run's own factors at both stages; random ones at the extreme states, whose loss can overflow
+        _, factors = reference_blob_render(values, height, width)
+        if case in EXTREME_LATENTS:
+            rng = np.random.default_rng(0)
+            u, v = rng.uniform(-1.0, 1.0, (k, height, 5)) * 2.0**-20, rng.uniform(-1.0, 1.0, (k, 5, width)) * 2.0**-20
+            runs = [(u, v)]
+        else:
+            _step_factors(plan, _columns(plan, [[1]]), 0)
+            u, v = plan.factors
+            runs = [(u, v), (u[:, :, :3], v[:, :3])]
+        magnitudes = reference_blob_render(values, height, width)[1]
+        magnitudes.left, magnitudes.right = np.abs(factors.left), np.abs(factors.right)
+        for u, v in runs:
+            m = u.shape[2]
+            got = blob.chain(_products(u, v, None))
+            want = dense_blob_chain(factors, u @ v)
+            scale = dense_blob_chain(magnitudes, np.abs(u) @ np.abs(v))
+            slack = SUBNORMAL * (height * width + m * (height + width + 9)) * (1 + 1 / factors.sx + 1 / factors.sy)
+            assert np.isfinite(want).all()
+            assert (np.abs(got - want) <= 4 * EPS * scale + slack[:, None]).all()
 
 
 class TestEndToEndGradients:
