@@ -8,9 +8,9 @@ aborts of a field that float32 cannot hold or of a loss that is not
 finite), which takes a row axis: `sweep` scores each chunk of rows of the
 lockstep run in one call as `run_rows` hands it out, and `run` and `eval`
 score their one field as B = 1.  `run` and `sweep` score on the loss plan
-that ran the rows; `eval`, which ran nothing, builds its own.  Reports are JSON whose floats read back
-exactly.  Exit codes: 0 success, 1
-input/usage error (among them a `--tol` that is not finite and >= 0, a
+that ran the rows; `eval`, which ran nothing, builds its own.  Reports are
+JSON whose floats read back exactly.  Exit codes: 0 success, 1 input/usage
+error (among them a `--tol` that is not finite and >= 0, a
 `--rel-threshold` outside (0, 1] and a grad-check state the oracle
 refuses), 2 numerical abort (a diverging run, or a scored loss that is not
 finite; a sweep names the failing row by its value), 3 gradient-check
@@ -193,8 +193,11 @@ def cmd_run(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
     trajectory = run_guidance(scene, cfg, init_latent(scene, args.mode, args.seed))
-    field = trajectory.final_field
-    (report,) = _score_chunk(scene, [cfg], [field], args, trajectory._plan)
+    # scoring reads only the field and the plan; the final latent (4 MB on a 256x256 scene of 8 raster
+    # maps) is freed before scoring allocates its own arrays
+    field, plan = trajectory.final_field, trajectory._plan
+    del trajectory
+    (report,) = _score_chunk(scene, [cfg], [field], args, plan)
     if isinstance(report, NumericalAbort):
         raise report
     if args.dump:
