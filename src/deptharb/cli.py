@@ -45,6 +45,7 @@ from .scene import (
     SceneSpec,
     canonical_scene,
     read_scene,
+    takes_integer,
 )
 from .surrogate import MODES, SurrogateError, init_latent, with_default_step
 
@@ -355,23 +356,13 @@ def _sweep_values(text: str) -> list[float]:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    # each dest is the GuidanceConfig field the flag sets; None leaves it unset
-    sub.add_argument("--steps", dest="total_steps", type=int, default=None,
-                     help="total optimization steps")
-    sub.add_argument("--stage1-frac", dest="stage1_fraction", type=float, default=None,
-                     help="fraction of steps in stage 1")
-    sub.add_argument("--eta", dest="eta0", type=float, default=None,
-                     help="base step size eta0 (default: the mode's own)")
-    sub.add_argument("--eta-decay", type=float, default=None,
-                     help="per-step multiplicative step-size decay")
-    sub.add_argument("--preset", choices=PRESETS, default="main",
-                     help="weight preset (default: main)")
-    sub.add_argument("--lambda0", type=float, default=None, help="base repulsion weight")
-    sub.add_argument("--alpha", type=float, default=None, help="depth-modulation sharpness")
-    sub.add_argument("--tau", type=float, default=None, help="depth-modulation temperature")
-    sub.add_argument("--lambda-ortho", type=float, default=None, help="orthogonality term weight")
-    sub.add_argument("--lambda-compact", type=float, default=None, help="compactness term weight")
-    sub.add_argument("--epsilon", type=float, default=None, help="stability constant")
+    # each GuidanceConfig field declares its flag and help; the flag's dest is the field, and None leaves it unset
+    for knob in fields(GuidanceConfig):
+        sub.add_argument(
+            knob.metadata["flag"] or "--" + knob.name.replace("_", "-"), dest=knob.name, default=None,
+            type=int if takes_integer(knob) else float, help=knob.metadata["help"],
+        )
+    sub.add_argument("--preset", choices=PRESETS, default="main", help="weight preset (default: main)")
     sub.add_argument("--mode", choices=MODES, default="raster", help="surrogate parametrization")
 
 

@@ -33,9 +33,26 @@ def _is_real(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _knob(default, *, objective: bool = False, sweep: bool = False):
-    """A config field; `objective` fields define the loss, `sweep` ones can be swept."""
-    return field(default=default, metadata={"objective": objective, "sweep": sweep})
+# each domain a config field may declare, keyed by the text its message prints
+DOMAINS = {
+    "> 0": lambda value: value > 0,
+    ">= 0": lambda value: value >= 0,
+    "within [0, 1]": lambda value: 0 <= value <= 1,
+    "in (0, 1]": lambda value: 0 < value <= 1,
+}
+
+
+def _knob(default, help: str, *, domain: str | None = None, flag: str | None = None, objective=False, sweep=False):
+    """A config field: its CLI help, its domain in DOMAINS (None: any real), its flag
+    (None: `--` and the name with `-` for `_`), whether it defines the loss
+    (`objective`) and whether it can be swept."""
+    meta = {"help": help, "domain": domain, "flag": flag, "objective": objective, "sweep": sweep}
+    return field(default=default, metadata=meta)
+
+
+def takes_integer(knob) -> bool:
+    """Whether a config field takes an integer, as its default does."""
+    return isinstance(knob.default, int)
 
 
 @dataclass(frozen=True)
@@ -46,50 +63,39 @@ class GuidanceConfig:
     (`default_eta0`), which `surrogate.with_default_step` fills in.
     """
 
-    lambda0: float = _knob(0.5, objective=True, sweep=True)
-    alpha: float = _knob(1.0, objective=True, sweep=True)
-    tau: float = _knob(1.0, objective=True, sweep=True)
-    lambda_ortho: float = _knob(0.5, objective=True, sweep=True)
-    lambda_compact: float = _knob(0.2, objective=True, sweep=True)
-    epsilon: float = _knob(1e-8, objective=True)
-    eta0: float | None = _knob(None, sweep=True)
-    eta_decay: float = _knob(1.0)
-    stage1_fraction: float = _knob(0.5, sweep=True)
-    total_steps: int = _knob(200)
+    lambda0: float = _knob(0.5, "base repulsion weight", domain="> 0", objective=True, sweep=True)
+    alpha: float = _knob(1.0, "depth-modulation sharpness", objective=True, sweep=True)
+    tau: float = _knob(1.0, "depth-modulation temperature", domain="> 0", objective=True, sweep=True)
+    # 0 switches a term off (the ablations); a negative weight rewards it
+    lambda_ortho: float = _knob(0.5, "orthogonality term weight", domain=">= 0", objective=True, sweep=True)
+    lambda_compact: float = _knob(0.2, "compactness term weight", domain=">= 0", objective=True, sweep=True)
+    epsilon: float = _knob(1e-8, "stability constant", domain="> 0", objective=True)
+    eta0: float | None = _knob(
+        None, "base step size eta0 (default: the mode's own)", domain=">= 0", flag="--eta", sweep=True
+    )
+    eta_decay: float = _knob(1.0, "per-step multiplicative step-size decay", domain="in (0, 1]")
+    stage1_fraction: float = _knob(
+        0.5, "fraction of steps in stage 1", domain="within [0, 1]", flag="--stage1-frac", sweep=True
+    )
+    total_steps: int = _knob(200, "total optimization steps", domain=">= 0", flag="--steps")
 
     def __post_init__(self) -> None:
         for knob in fields(self):
             value = getattr(self, knob.name)
-            if knob.name == "eta0" and value is None:  # the latent's mode's own step
+            if value is None and knob.default is None:  # unset: eta0 is then the latent's mode's own step
                 continue
-            integer = knob.name == "total_steps"
+            integer = takes_integer(knob)
             if not (_is_integer if integer else _is_real)(value):
                 raise ConfigError(f"{knob.name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
             # a non-finite weight leaves the objective undefined (nan or inf
             # at step 0), which is an input error, not a numerical abort
             if knob.metadata["objective"] and not math.isfinite(value):
                 raise ConfigError(f"{knob.name} must be finite, got {value}")
-        if not self.lambda0 > 0:
-            raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        # 0 switches a term off (the ablations); a negative weight rewards it
-        if not self.lambda_ortho >= 0:
-            raise ConfigError(f"lambda_ortho must be >= 0, got {self.lambda_ortho}")
-        if not self.lambda_compact >= 0:
-            raise ConfigError(f"lambda_compact must be >= 0, got {self.lambda_compact}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0.0 <= self.stage1_fraction <= 1.0:
-            raise ConfigError(
-                f"stage1_fraction must be within [0, 1], got {self.stage1_fraction}"
-            )
-        if self.eta0 is not None and not self.eta0 >= 0:
-            raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
-        if not 0.0 < self.eta_decay <= 1.0:
-            raise ConfigError(f"eta_decay must be in (0, 1], got {self.eta_decay}")
-        if not self.total_steps >= 0:
-            raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
+        for knob in fields(self):
+            # a None that passed the loop above is an unset field, which has no domain to meet
+            value, domain = getattr(self, knob.name), knob.metadata["domain"]
+            if value is not None and domain is not None and not DOMAINS[domain](value):
+                raise ConfigError(f"{knob.name} must be {domain}, got {value}")
 
     @classmethod
     def preset(cls, name: str) -> "GuidanceConfig":
@@ -110,6 +116,7 @@ class GuidanceConfig:
 PRESETS = {"main": {}, "appendix": {"lambda_ortho": 0.2, "lambda_compact": 0.5}}
 GUIDANCE_CONFIG_KEYS = tuple(f.name for f in fields(GuidanceConfig))
 MAX_GRID_PIXELS = 1 << 24  # 4096x4096; one float64 map is then 128 MiB
+ID_LIMIT = 1 << 63  # ids are held in int64 arrays (the winners map of scoring)
 
 
 class SceneError(ValueError):
@@ -127,10 +134,14 @@ class SceneObject:
 
     def __post_init__(self) -> None:
         # every type and value rule of an object lives here; a message opens with its field
-        if not _is_integer(self.id) or self.id < 0:
-            raise SceneError(f"id: expected a non-negative integer, got {self.id!r}")
+        if not (_is_integer(self.id) and 0 <= self.id < ID_LIMIT):
+            raise SceneError(f"id: expected an integer in [0, 2^63), got {self.id!r}")
         if not isinstance(self.label, str):
             raise SceneError(f"label: expected a string, got {self.label!r}")
+        try:
+            self.label.encode("utf-8")  # reports and summaries write labels as UTF-8
+        except UnicodeEncodeError:
+            raise SceneError(f"label: expected text that encodes as UTF-8, got {self.label!r}") from None
         if not (isinstance(self.bbox, tuple) and len(self.bbox) == 4 and all(map(_is_real, self.bbox))):
             raise SceneError(f"bbox: expected a tuple (x_min, y_min, x_max, y_max) of numbers, got {self.bbox!r}")
         if not _is_real(self.depth):
@@ -226,27 +237,15 @@ def _as_number(value: Any, where: str) -> float:
 
 
 def _parse_object(raw: Any, index: int) -> SceneObject:
-    """JSON shape and types of one object; `SceneObject` judges the values."""
+    """JSON shape of one object; `SceneObject` judges its types and values."""
     where = f"objects[{index}]"
     _require(isinstance(raw, dict), where, "expected an object")
-    _require("id" in raw, f"{where}.id", "missing")
-    _require(_is_integer(raw["id"]), f"{where}.id", f"expected an integer, got {raw['id']!r}")
-    label = raw.get("label", "")
-    _require(isinstance(label, str), f"{where}.label", "expected a string")
-
-    _require("bbox" in raw, f"{where}.bbox", "missing")
-    bbox_raw = raw["bbox"]
-    _require(
-        isinstance(bbox_raw, (list, tuple)) and len(bbox_raw) == 4,
-        f"{where}.bbox",
-        "expected [x_min, y_min, x_max, y_max]",
-    )
-    bbox = tuple(_as_number(v, f"{where}.bbox") for v in bbox_raw)
-
-    _require("depth" in raw, f"{where}.depth", "missing")
-    depth = _as_number(raw["depth"], f"{where}.depth")
+    for key in ("id", "bbox", "depth"):
+        _require(key in raw, f"{where}.{key}", "missing")
+    bbox = raw["bbox"]
+    _require(isinstance(bbox, list) and len(bbox) == 4, f"{where}.bbox", "expected [x_min, y_min, x_max, y_max]")
     try:
-        return SceneObject(id=raw["id"], label=label, bbox=bbox, depth=depth)
+        return SceneObject(id=raw["id"], label=raw.get("label", ""), bbox=tuple(bbox), depth=raw["depth"])
     except SceneError as exc:
         raise SceneError(f"{where}.{exc}") from None
 
@@ -254,8 +253,8 @@ def _parse_object(raw: Any, index: int) -> SceneObject:
 def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
     """Parse a scene file, returning the scene and any config overrides it carries.
 
-    The parser checks JSON shape and types; `SceneObject` and `SceneSpec`
-    judge every value, and their messages name the field.
+    The parser checks JSON shape; `SceneObject` and `SceneSpec` judge every
+    type and value, and their messages name the field.
     """
     try:
         doc = json.loads(text)
@@ -268,7 +267,6 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
     _require(isinstance(grid, dict), "grid", "expected an object")
     for key in ("height", "width"):
         _require(key in grid, f"grid.{key}", "missing")
-        _require(_is_integer(grid[key]), f"grid.{key}", f"expected an integer, got {grid[key]!r}")
 
     _require("objects" in doc, "objects", "missing")
     raw_objects = doc["objects"]
@@ -280,12 +278,14 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
     if "config" in doc:
         raw_cfg = doc["config"]
         _require(isinstance(raw_cfg, dict), "config", "expected an object")
+        knobs = {knob.name: knob for knob in fields(GuidanceConfig)}
         for key, value in raw_cfg.items():
-            _require(key in GUIDANCE_CONFIG_KEYS, f"config.{key}", "unknown config key")
-            if key == "total_steps":
+            _require(key in knobs, f"config.{key}", "unknown config key")
+            if takes_integer(knobs[key]):
                 _require(_is_integer(value), f"config.{key}", f"expected an integer, got {value!r}")
                 overrides[key] = value
             else:
+                # a number, not null: an unset eta0 is the mode's own step, which a file cannot ask for
                 overrides[key] = _as_number(value, f"config.{key}")
 
     return scene, overrides

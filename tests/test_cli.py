@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,14 +15,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deptharb
 from deptharb import AttentionField, check_gradients, init_latent, optimizer, write_dump
-from deptharb.cli import build_parser, dumps_report, main, resolve_config
+from deptharb.cli import _print_summary, build_parser, dumps_report, main, resolve_config
 from deptharb.gradcheck import CoordReport, GradCheckResult
-from deptharb.scene import GUIDANCE_CONFIG_KEYS, parse_scene_with_config
+from deptharb.metrics import DEFAULT_REL_THRESHOLD, _score_rows
+from deptharb.scene import GUIDANCE_CONFIG_KEYS, SceneError, parse_scene_with_config
 from deptharb.surrogate import MODES, _mode_class
 
 from conftest import scene_file_text
@@ -632,6 +634,22 @@ class TestUsage:
         assert run_cli("grad-check", "--samples", "20", "--tol", "0") == 3
         assert run_cli("grad-check", "--samples", "20") == 0
 
+    @pytest.mark.parametrize("command", ["run", "grad-check", "sweep", "eval"])
+    def test_one_flag_per_config_field_as_it_declares(self, command):
+        from dataclasses import fields
+
+        from deptharb import GuidanceConfig
+
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subs.choices[command]._actions}
+        flagged = [a.dest for a in subs.choices[command]._actions if a.dest in GUIDANCE_CONFIG_KEYS]
+        assert flagged == list(GUIDANCE_CONFIG_KEYS)
+        for knob in fields(GuidanceConfig):
+            action = actions[knob.name]
+            assert action.option_strings == [CONFIG_SAMPLES[knob.name][0]]
+            assert action.help == knob.metadata["help"]
+            assert action.default is None
+
 
 class TestUndefinedObjectiveConfig:
     """Config values that leave the objective undefined are input errors (exit 1)."""
@@ -1078,3 +1096,54 @@ class TestSweepScoring:
         captured = capsys.readouterr()
         assert captured.err == f"numerical abort: {message}\n"
         assert captured.out == ""
+
+
+# each scene a parser let through until scoring or printing failed: an id an
+# int64 cannot hold, and a label that does not encode as UTF-8
+UNSCORABLE = {
+    "id": (2**63, "expected an integer in [0, 2^63), got 9223372036854775808"),
+    "label": ("\ud800", "expected text that encodes as UTF-8, got '\\ud800'"),
+}
+
+
+@st.composite
+def scene_texts_with_extreme_ids_and_labels(draw):
+    """A two-object scene's text, its ids on both sides of 2^63 and its labels from every code point."""
+    ids = st.integers(0, 2**64) | st.integers(2**63 - 2, 2**63 + 1)
+    labels = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=4)
+    doc = scene_doc(8, 8, [((0.1, 0.1, 0.6, 0.6), 0.2), ((0.4, 0.4, 0.9, 0.9), 0.8)])
+    for obj in doc["objects"]:
+        obj["id"], obj["label"] = draw(ids), draw(labels)
+    return json.dumps(doc)
+
+
+class TestUnscorableSceneInputs:
+    @pytest.mark.parametrize("field", UNSCORABLE)
+    def test_rejected_before_any_file_is_written(self, tmp_path, field):
+        value, message = UNSCORABLE[field]
+        doc = json.loads(scene_file_text(grid=16))
+        doc["objects"][1][field] = value
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc), encoding="utf-8")
+        report, dump = tmp_path / "r.json", tmp_path / "d.darb"
+        code, err = _cli("run", "--scene", str(scene), "--steps", "2", "--report", str(report), "--dump", str(dump))
+        assert (code, err) == (1, f"error: objects[1].{field}: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == ["scene.json"]
+
+    @settings(max_examples=100)
+    @given(scene_texts_with_extreme_ids_and_labels())
+    @example(json.dumps(scene_doc(8, 8, [((0.1, 0.1, 0.6, 0.6), 0.2)])).replace('"id": 0', '"id": %d' % 2**63))
+    @example(json.dumps(scene_doc(8, 8, [((0.1, 0.1, 0.6, 0.6), 0.2)])).replace('"label": ""', '"label": "\\ud800"'))
+    def test_an_accepted_scene_scores_and_prints(self, text):
+        try:
+            scene = parse_scene_with_config(text)[0]
+        except SceneError:
+            return
+        maps = np.full((1, len(scene.objects), scene.grid_height, scene.grid_width), 0.5)
+        (report,) = _score_rows(maps, scene, [deptharb.GuidanceConfig()], [2], DEFAULT_REL_THRESHOLD)
+        doc = report.to_json_dict()
+        dumps_report(doc)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _print_summary(doc)
+        out.getvalue().encode("utf-8")

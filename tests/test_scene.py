@@ -84,7 +84,7 @@ class TestParseScene:
 
     def test_non_integer_grid_rejected(self):
         text = scene_file_text().replace('"height": 64', '"height": 64.0')
-        with pytest.raises(SceneError, match="grid.height"):
+        with pytest.raises(SceneError, match=r"^grid: expected integer sides, got 64\.0x64$"):
             parse_scene(text)
 
     def test_boolean_id_rejected(self):
@@ -144,7 +144,9 @@ class TestTypeInvariants:
         "float id": ("id", lambda obj: replace(obj, id=1.5)),
         "string id": ("id", lambda obj: replace(obj, id="3")),
         "bool id": ("id", lambda obj: replace(obj, id=True)),
+        "id beyond int64": ("id", lambda obj: replace(obj, id=2**63)),
         "missing label": ("label", lambda obj: replace(obj, label=None)),
+        "label with a lone surrogate": ("label", lambda obj: replace(obj, label="a\ud800")),
         "three-coordinate bbox": ("bbox", lambda obj: replace(obj, bbox=(0.1, 0.1, 0.5))),
         "bbox in a list": ("bbox", lambda obj: replace(obj, bbox=[0.1, 0.1, 0.5, 0.5])),
         "string coordinate": ("bbox", lambda obj: replace(obj, bbox=(0.1, 0.1, "0.5", 0.5))),
