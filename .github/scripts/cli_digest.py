@@ -18,8 +18,9 @@ field of a map-tiled raster run and of a 200-step canonical blob run.  A probe's
 command's are.
 
 The scenes both trees read are written once, before any command runs: the
-repository's `scenes/canonical.json`, two copies of it that break one rule
-each (object 1's id 2^63, and its label a lone surrogate), a 16x16
+repository's `scenes/canonical.json`, three copies of it that break one rule
+each (object 1's id 2^63, its label a lone surrogate, and a bbox coordinate
+of 10^400, a JSON integer of 401 digits), a 16x16
 two-object scene, and `perfbench.scenegen`'s `small_scene(3)`,
 `large_scene(2)` and `large_scene(1)`, all taken from the repository that
 holds this script.
@@ -51,7 +52,7 @@ TWO_OBJECTS = {
     ],
 }
 
-# {canonical}, {two}, {small}, {large}, {tiled}, {bad_id} and {bad_label} name the scene files
+# {canonical}, {two}, {small}, {large}, {tiled}, {bad_id}, {bad_label} and {huge} name the scene files
 COMMANDS = [
     # run with a dump and a report, then eval of the dump, in both modes
     "run --scene {canonical} --seed 0 --dump d0.darb --report r0.json",
@@ -102,12 +103,16 @@ COMMANDS = [
     # finite differences are too noisy to judge, which it refuses (exit 1)
     "grad-check --mode blob --samples 5 --lambda-compact 1e4",
     "grad-check --mode blob --samples 5 --lambda-compact 1e8",
+    # a noise above the floor but within every coordinate's own bound, which the oracle judges
+    "grad-check --mode blob --samples 5 --lambda-compact 1e6 --stage 1",
     # the flags of the config fields, as their declarations give them
     "run --help",
     "sweep --help",
     # scenes rejected with the field they break, before any file is written
     "run --scene {bad_id} --steps 2 --dump d12.darb --report r13.json",
     "run --scene {bad_label} --steps 2 --dump d13.darb --report r14.json",
+    # a huge integer, whose message shows its leading digits and digit count
+    "run --scene {huge} --steps 2",
 ]
 
 # every field of a check's results, floats in hex, per mode and stages; at
@@ -178,10 +183,15 @@ def write_scenes(directory: str) -> dict[str, str]:
     }
     paths = {"canonical": os.path.join(directory, "canonical.json")}
     shutil.copyfile(os.path.join(REPO, "scenes", "canonical.json"), paths["canonical"])
-    for name, key, value in (("bad_id", "id", 2**63), ("bad_label", "label", "\ud800")):
+    edits = {
+        "bad_id": lambda obj: obj.update(id=2**63),
+        "bad_label": lambda obj: obj.update(label="\ud800"),
+        "huge": lambda obj: obj["bbox"].__setitem__(2, 10**400),
+    }
+    for name, edit in edits.items():
         with open(paths["canonical"], encoding="utf-8") as fh:
             docs[name] = json.load(fh)
-        docs[name]["objects"][1][key] = value
+        edit(docs[name]["objects"][1])
     for name, doc in docs.items():
         paths[name] = os.path.join(directory, f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:

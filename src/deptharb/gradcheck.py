@@ -5,12 +5,13 @@ centres of `coord_grid`, the box masks of `scene_masks` and the blob map
 of `_blob_map`.  From the rest of the package it reads only the scene's
 boxes, pairs and pixel centres, lambda_ij, and the run loop's own sequence
 on the latent it is handed: the surrogate of that latent's mode renders the
-field, `value_and_grad` on a `_plan` gives dL/dA, and the same surrogate's
-`chain` of the plan's low-rank factors of that dL/dA, the run's chain,
-gives dL/dz: the two gradients it checks.  `check_gradients`
-checks every stage it is given in one pass: that sequence runs once on a
-field of one row per stage, and row b is bit for bit a lone stage's.  The
-oracle draws each coordinate and takes its terms once for every stage.
+field and takes its own reductions (a blob's from its rank-one factors),
+`losses._step_factors` writes a `_plan`'s low-rank factors of dL/dA,
+`losses._grad_product` multiplies them out into dL/dA, and the surrogate's
+`chain` of them gives dL/dz: the two gradients it checks.  The dense field
+is only the oracle's base map.  `check_gradients` runs that sequence once,
+on a field of one row per stage, row b bit for bit a lone stage's; each
+coordinate is drawn and its terms taken once for every stage.
 
 The oracle takes central differences of the forward loss with the perturbed
 object's terms evaluated in extended precision (80-bit long double where the
@@ -51,12 +52,12 @@ call.  `_differences` differences either form's up and down terms.  A blob
 coordinate changes every summand, the compactness term included, so its
 difference carries the rounding of whole summands: `_noise` estimates it
 from the coordinate's own summands as eps * staged(|up| + |down|) / 2h, and
-where that exceeds the judge's floor rel_tol * FLOOR_REF the check is
-refused, not judged on noise.
+where that exceeds the bound the judge would apply to that coordinate
+(`_bounds`) the check is refused, not judged on noise.
 
 A coordinate passes when both values are finite and
 |analytic - fd| <= max(rel_tol * FLOOR_REF, rel_tol * ref) with
-ref = max(|analytic|, |fd|): the relative criterion for significant
+ref = max(|analytic|, |fd|) (`_bounds`): the relative criterion for significant
 gradients, an absolute floor for near-zero ones.  An infinite value would
 make that bound infinite too, so it fails on its own.  A result's worst
 relative error is taken over the coordinates the relative criterion
@@ -75,7 +76,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import AttentionField
-from .losses import _pair_coefficients, _plan, _product_views, value_and_grad
+from .losses import _columns, _grad_product, _pair_coefficients, _plan, _product_views, _step_factors
 from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs, pixel_centers
 from .surrogate import LatentState, _check_match, _surrogate
 
@@ -354,14 +355,23 @@ def _check_mass(sums: list[_PixelSums]) -> None:
             )
 
 
-def _check_noise(noise: np.ndarray, floor: float) -> None:
-    """Raise OracleError for the first blob coordinate (k, p) whose estimated FD noise exceeds the judge's floor."""
+def _check_noise(noise: np.ndarray, bound: np.ndarray, rel_tol: float) -> None:
+    """Raise OracleError, naming the bound, for the first blob coordinate (k, p) whose noise exceeds its bound."""
     for (k, p), estimate in np.ndenumerate(noise):
-        if estimate > floor:
+        if estimate > bound[k, p]:
+            which = "floor" if bound[k, p] == rel_tol * FLOOR_REF else "relative bound"
             raise OracleError(
                 f"object {k}'s blob parameter {BLOB_PARAMS[p]}: the finite difference's estimated "
-                f"rounding noise {float(estimate):.3g} exceeds the judge's floor {floor:.3g}"
+                f"rounding noise {float(estimate):.3g} exceeds the judge's {which} {float(bound[k, p]):.3g}"
             )
+
+
+def _bounds(analytic, fd, rel_tol: float):
+    """(ref, bound) per coordinate: ref = max(|analytic|, |fd|) and the judge's bound max(floor, rel_tol * ref)."""
+    with np.errstate(all="ignore"):  # a NaN or inf value is `_judge_all`'s to report
+        ref = np.where(np.abs(fd) > np.abs(analytic), np.abs(fd), np.abs(analytic))
+        floor, scaled = rel_tol * FLOOR_REF, rel_tol * ref
+        return ref, np.where(scaled > floor, scaled, floor)
 
 
 def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float) -> None:
@@ -375,12 +385,11 @@ def _judge_all(result, space: str, ks, coordinates, analytic, fd, rel_tol: float
     # silent, as the same arithmetic on Python floats is: inf - inf is a NaN error, not a warning
     with np.errstate(all="ignore"):
         abs_err = np.abs(analytic - fd)
-        ref = np.where(np.abs(fd) > np.abs(analytic), np.abs(fd), np.abs(analytic))
+        ref, bound = _bounds(analytic, fd, rel_tol)
         # a NaN reference (a NaN analytic value) gives a NaN relative error, not 0
         rel_err = np.divide(abs_err, ref, out=np.zeros_like(ref), where=~(ref <= 1e-10))
-        floor, scaled = rel_tol * FLOOR_REF, rel_tol * ref
         finite = np.isfinite(analytic) & np.isfinite(fd)
-        ok = (abs_err <= np.where(scaled > floor, scaled, floor)) & finite
+        ok = (abs_err <= bound) & finite
         floored = finite & (ref <= FLOOR_REF)
     result.checked += len(fd)
     result.floored += int(np.count_nonzero(floored))
@@ -458,15 +467,15 @@ def check_gradients(
     Raises OracleError, before judging any coordinate, when an object's
     sum-form objective misses its literal anchor, its map's mass is below
     1e3 * FD_STEP, or, for a blob latent, a parameter's estimated
-    finite-difference noise (`_noise`) exceeds the judge's floor
-    rel_tol * FLOOR_REF; the refusal is that of the first stage that would
-    refuse alone.  A `rel_tol` of 0 asks for exact agreement, which no
-    finite difference gives, so it refuses nothing for noise and judges
-    (fails) every coordinate.  Raises ValueError, before any render, for
-    `stages` not naming stage 1, stage 2 or both, each once, for `samples`
-    not an integer (a bool included), for a check that would judge nothing
-    (`samples` < 1) or decide every coordinate alike (`rel_tol` not finite
-    and >= 0).
+    finite-difference noise (`_noise`) exceeds the bound the judge applies
+    to that parameter at that stage (`_bounds`); the refusal is that of the
+    first stage that would refuse alone.  A `rel_tol` of 0 asks for exact
+    agreement, which no finite difference gives, so it refuses nothing for
+    noise and judges (fails) every coordinate.  Raises ValueError, before
+    any render, for `stages` not naming stage 1, stage 2 or both, each
+    once, for `samples` not an integer (a bool included), for a check that
+    would judge nothing (`samples` < 1) or decide every coordinate alike
+    (`rel_tol` not finite and >= 0).
     """
     stages = _checked_stages(stages)
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
@@ -475,33 +484,32 @@ def check_gradients(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not (np.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    # the run loop's sequence: one surrogate renders and chains, one plan's kernel in between,
-    # with one row per stage
+    # the run loop's sequence, one row per stage: render, the surrogate's reductions, the factors, the chain
     _check_match(latent, scene)
-    batch = len(stages)
+    batch, k_count = len(stages), len(scene.objects)
     surrogate = _surrogate(scene, latent.mode, batch)
     terms = _object_terms(scene, cfg)
     plan = _plan(scene, derive_occlusion_pairs(scene), [cfg] * batch)
+    # dL/dA, and the buffer the raster chain writes its product over
+    grad_att, buffer = np.empty((2, batch * k_count, scene.grid_height, scene.grid_width))
     # as in the run loop: a non-finite gradient is judged below, so numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
         surrogate.render(np.repeat(latent.values[None], batch, axis=0))
-        maps = surrogate.field()
-        grad_att = value_and_grad(maps, plan, stages)[1]
-        # the factors value_and_grad left in the plan; the raster chain writes their product into a buffer
-        buffer = np.empty_like(grad_att).reshape(-1, scene.grid_height, scene.grid_width)
-        products = _product_views(plan, stages, 0, len(buffer), buffer)
-        grad_lat = surrogate.chain(products, buffer).reshape(batch, *latent.values.shape)
-    field_ = AttentionField(maps=maps[0])
+        surrogate.reduce(surrogate.reduce_views(plan))
+        _step_factors(plan, _columns(plan, [stages]), 0)
+        _grad_product(_product_views(plan, stages, 0, len(grad_att), grad_att))
+        grad_lat = surrogate.chain(_product_views(plan, stages, 0, len(buffer), buffer), buffer)
+    grad_att = grad_att.reshape(batch, k_count, scene.grid_height, scene.grid_width)
+    grad_lat = grad_lat.reshape(batch, *latent.values.shape)
     coords_ld = coord_grid(scene.grid_height, scene.grid_width, dtype=LONG)
     h = LONG(FD_STEP)
-    k_count = len(scene.objects)
     raster = latent.mode == "raster"
 
     # the sampled spaces' base maps, their sums and their literal terms, once
-    # for every stage; the literal re-render exp(z) of a raster latent in
-    # LONG changes only the perturbed entry
+    # for every stage: the dense field of the same render, and the literal
+    # re-render exp(z) of a raster latent in LONG, which changes only the perturbed entry
     values = latent.values.astype(LONG)
-    bases = [field_.maps.astype(LONG)] + ([np.exp(values)] if raster else [])
+    bases = [AttentionField(maps=surrogate.field()[0]).maps.astype(LONG)] + ([np.exp(values)] if raster else [])
     literals = [
         [_restricted_terms(base[k], *terms[k], coords_ld, cfg) for k in range(k_count)] for base in bases
     ]
@@ -527,7 +535,7 @@ def check_gradients(
         if raster:
             _check_anchors(sums[1], literals[1], stage)
         elif rel_tol > 0:
-            _check_noise(noise[b], rel_tol * FLOOR_REF)
+            _check_noise(noise[b], _bounds(grad_lat[b], fd[b], rel_tol)[1], rel_tol)
 
     results = [GradCheckResult() for _ in stages]
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ gradient but still reports it diagnostically.
 
 This module holds the one production definition of the objective: one
 kernel produces the values and the gradient together from a per-run
-`_Plan`; the derivations live in `value_and_grad`'s docstring.  The kernel
+`_Plan`; the derivations live in `_step_factors`' docstring.  The kernel
 has a leading row axis: it evaluates B configs at once on a (B, K, H, W)
 field, one row per config (the values of a sweep), and a single run is
 B = 1.  One gathered pass gives every in-box sum and every pair's
@@ -34,16 +34,13 @@ writes the reductions every term is built from (`_Scratch.row_dots` and
 for any range of maps.  From the reductions of every map, `_values` writes
 the values and `_step_factors` the values and the gradient's
 step-dependent low-rank factors; `_grad_product` multiplies the factors
-out for any range of maps.  `value_and_grad` runs them all for all maps,
-into a gradient it allocates and returns, for `gradcheck` and the tests,
-and `_evaluate` the first two (scoring, and `staged_loss`, the one-row
-view for callers outside the package).  In the run loop each surrogate
-mode writes the reductions and reads the factors its own way, a tile of
-maps at a time, while the tile is in cache (the reductions right after the
-tile's maps are rendered): the raster mode through `_reduce` and
-`_grad_product`, the blob mode from its rank-one maps' 1-D factors, so
-that it reads no dense field and forms no dL/dA (see `surrogate`).  No run
-writes a whole-field gradient.
+out for any range of maps.  `_evaluate` runs the first two for all maps
+(scoring, and `staged_loss`, the one-row view for callers outside the
+package).  Each surrogate mode writes the reductions and reads the factors
+its own way: the raster mode through `_reduce` and `_grad_product`, the
+blob mode from its rank-one maps' 1-D factors, reading no dense field
+(see `surrogate`).  The run loop does so a tile of maps at a time, while
+the tile is in cache, and `gradcheck` for all maps at once.
 Gradients are hand-derived closed forms rather than autodiff, and
 the literal term definitions they are checked against live apart, in
 `gradcheck`, so the finite-difference oracle is a genuinely independent
@@ -545,42 +542,11 @@ def _grad_product(views: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) ->
 
 
 def _step_factors(plan: _Plan, out: LossBreakdown, t: int) -> None:
-    """Factor half of the kernel: `_values`, then the factors' three step-dependent columns.
+    """Factor half of the kernel: `_values`, then the three step-dependent columns of the factors of d(total)/dA.
 
-    After it, `_grad_product` writes the gradient of any range of maps.
-    """
-    f, mu, var = _values(plan, out, t)
-    s = plan.scratch
-    u0, u1, v2 = plan.columns
-
-    # a = neg2_depths * (1 - f) / D, and q and res side by side
-    np.divide(np.multiply(plan.neg2_depths, s.one_f_col, out=s.a), s.denom_col, out=s.a)
-    np.divide(plan.q_res_numerators, s.denom_col, out=s.q_res)
-    np.multiply(s.a, plan.box_rows, out=u0)
-    np.multiply(s.res, mu, out=s.res_mu)
-
-    # u1 = q * (dy * (dy - res * mu_y) - Var) - a * f
-    np.subtract(s.dy, s.res_mu_y, out=s.y_terms)
-    np.multiply(s.dy, s.y_terms, out=s.y_terms)
-    np.subtract(s.y_terms, var[:, None], out=s.y_terms)
-    np.multiply(s.q, s.y_terms, out=s.y_terms)
-    np.subtract(s.y_terms, np.multiply(s.a, f[:, None], out=s.af), out=u1)
-
-    # v2 = (q * dx) * (dx - res * mu_x)
-    np.subtract(s.dx, s.res_mu_x, out=s.x_terms)
-    np.multiply(s.q, s.dx, out=v2)
-    np.multiply(v2, s.x_terms, out=v2)
-
-
-def value_and_grad(
-    maps: np.ndarray, plan: _Plan, stages: Sequence[int]
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Each row's stage objective on a (B, K, H, W) field and its gradient d(total)/dA.
-
-    Row b is evaluated at stages[b] under plan.cfgs[b].  With S = sum(A_k),
-    D = S + eps, row sums R (K, H) and column sums C (K, W),
-    and box k's mask M_k = r_k (outer) c_k, every term reads the same few
-    reductions:
+    With S = sum(A_k), D = S + eps, row sums R (K, H) and column sums
+    C (K, W), and box k's mask M_k = r_k (outer) c_k, every term reads the
+    same few reductions:
         e_in = r_k . (A_k c_k),     I_{i<-j} = r_i . (A_j c_i) / (|M_i| + eps),
         mu = (C_k . cx, R_k . cy) / D,
         Var = (C_k . (cx - mu_x)^2 + R_k . (cy - mu_y)^2) / D   (centred form).
@@ -603,21 +569,30 @@ def value_and_grad(
     Each map's gradient is thus a_k r_k (outer) c_k + row_k(y) + col_k(x),
     plus one outer product per stage-1 pair: one product of the plan's
     low-rank factors (`_grad_factors`), of which only the three step-dependent
-    columns are written on each call (`_step_factors`).  A stage-2 row, which
-    has no pair terms, multiplies only those three columns.
-
-    This is the call for all maps at once, into one-pass columns of its own;
-    the run loop makes the same halves into its run's columns,
-    `_step_factors` once for all maps and the surrogate's reductions and
-    chain of the factors one tile of maps at a time.  The returned gradient
-    is the caller's own.
+    columns are written here; a stage-2 row, which has no pair terms,
+    multiplies only those three (`_product_views`).
     """
-    out = _columns(plan, [stages])
-    grad = np.empty(maps.shape)
-    _reduce(_reduce_views(maps, plan, 0, len(plan.depths)))
-    _step_factors(plan, out, 0)
-    _grad_product(_product_views(plan, stages, 0, len(plan.depths), grad.reshape(-1, *maps.shape[2:])))
-    return out.take(0), grad
+    f, mu, var = _values(plan, out, t)
+    s = plan.scratch
+    u0, u1, v2 = plan.columns
+
+    # a = neg2_depths * (1 - f) / D, and q and res side by side
+    np.divide(np.multiply(plan.neg2_depths, s.one_f_col, out=s.a), s.denom_col, out=s.a)
+    np.divide(plan.q_res_numerators, s.denom_col, out=s.q_res)
+    np.multiply(s.a, plan.box_rows, out=u0)
+    np.multiply(s.res, mu, out=s.res_mu)
+
+    # u1 = q * (dy * (dy - res * mu_y) - Var) - a * f
+    np.subtract(s.dy, s.res_mu_y, out=s.y_terms)
+    np.multiply(s.dy, s.y_terms, out=s.y_terms)
+    np.subtract(s.y_terms, var[:, None], out=s.y_terms)
+    np.multiply(s.q, s.y_terms, out=s.y_terms)
+    np.subtract(s.y_terms, np.multiply(s.a, f[:, None], out=s.af), out=u1)
+
+    # v2 = (q * dx) * (dx - res * mu_x)
+    np.subtract(s.dx, s.res_mu_x, out=s.x_terms)
+    np.multiply(s.q, s.dx, out=v2)
+    np.multiply(v2, s.x_terms, out=v2)
 
 
 def _evaluate(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> LossBreakdown:

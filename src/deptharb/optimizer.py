@@ -103,7 +103,7 @@ from .losses import (
     _step_factors,
     _values,
 )
-from .scene import ConfigError, GuidanceConfig, SceneSpec, derive_occlusion_pairs
+from .scene import ConfigError, GuidanceConfig, SceneSpec, _shown, derive_occlusion_pairs
 from .surrogate import LatentState, _check_match, _surrogate, with_default_step
 
 
@@ -306,7 +306,7 @@ def run_rows(
         raise ValueError("rows run in lockstep, so every row needs the same total_steps")
     passes = cfgs[0].total_steps + 1
     if passes > _PASS_ENTRIES:
-        raise ConfigError(f"total_steps: {passes - 1} exceeds the {_PASS_ENTRIES - 1} steps a run can take")
+        raise ConfigError(f"total_steps: {_shown(passes - 1)} exceeds the {_PASS_ENTRIES - 1} steps a run can take")
     pairs = derive_occlusion_pairs(scene)
     # in row order: the first config whose pair coefficients are not finite raises
     for cfg in cfgs:

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+from decimal import Decimal
 from typing import Any
 
 import numpy as np
@@ -31,6 +32,21 @@ def _is_integer(value: Any) -> bool:
 def _is_real(value: Any) -> bool:
     """A real number, numpy's too, and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+SHOWN_DIGITS = 20  # a message shows an integer of more digits by its leading digits and its digit count
+
+
+def _shown(value: Any) -> str:
+    """`value` in a message: a real's str, else repr, item by item in a tuple or list, and an integer of over
+    SHOWN_DIGITS digits as its leading digits and digit count (str refuses one of over 4300 digits)."""
+    if isinstance(value, (tuple, list)):
+        items = ", ".join(map(_shown, value))
+        return f"({items}{',' * (len(value) == 1)})" if isinstance(value, tuple) else f"[{items}]"
+    if not _is_integer(value) or abs(int(value)) < 10**SHOWN_DIGITS:
+        return str(value) if _is_real(value) else repr(value)
+    digits = Decimal(abs(int(value))).adjusted() + 1
+    return f"{'-' * (value < 0)}{abs(int(value)) // 10 ** (digits - SHOWN_DIGITS)}... ({digits} digits)"
 
 
 # each domain a config field may declare, keyed by the text its message prints
@@ -84,9 +100,9 @@ class GuidanceConfig:
             value = getattr(self, knob.name)
             if value is None and knob.default is None:  # unset: eta0 is then the latent's mode's own step
                 continue
-            integer = takes_integer(knob)
-            if not (_is_integer if integer else _is_real)(value):
-                raise ConfigError(f"{knob.name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
+            kind, valid = ("an integer", _is_integer) if takes_integer(knob) else ("a real number", _is_real)
+            if not valid(value):
+                raise ConfigError(f"{knob.name} must be {kind}, got {_shown(value)}")
             # a non-finite weight leaves the objective undefined (nan or inf
             # at step 0), which is an input error, not a numerical abort
             if knob.metadata["objective"] and not math.isfinite(value):
@@ -95,7 +111,7 @@ class GuidanceConfig:
             # a None that passed the loop above is an unset field, which has no domain to meet
             value, domain = getattr(self, knob.name), knob.metadata["domain"]
             if value is not None and domain is not None and not DOMAINS[domain](value):
-                raise ConfigError(f"{knob.name} must be {domain}, got {value}")
+                raise ConfigError(f"{knob.name} must be {domain}, got {_shown(value)}")
 
     @classmethod
     def preset(cls, name: str) -> "GuidanceConfig":
@@ -135,27 +151,27 @@ class SceneObject:
     def __post_init__(self) -> None:
         # every type and value rule of an object lives here; a message opens with its field
         if not (_is_integer(self.id) and 0 <= self.id < ID_LIMIT):
-            raise SceneError(f"id: expected an integer in [0, 2^63), got {self.id!r}")
+            raise SceneError(f"id: expected an integer in [0, 2^63), got {_shown(self.id)}")
         if not isinstance(self.label, str):
-            raise SceneError(f"label: expected a string, got {self.label!r}")
+            raise SceneError(f"label: expected a string, got {_shown(self.label)}")
         try:
             self.label.encode("utf-8")  # reports and summaries write labels as UTF-8
         except UnicodeEncodeError:
             raise SceneError(f"label: expected text that encodes as UTF-8, got {self.label!r}") from None
         if not (isinstance(self.bbox, tuple) and len(self.bbox) == 4 and all(map(_is_real, self.bbox))):
-            raise SceneError(f"bbox: expected a tuple (x_min, y_min, x_max, y_max) of numbers, got {self.bbox!r}")
+            raise SceneError(f"bbox: expected a tuple (x_min, y_min, x_max, y_max) of numbers, got {_shown(self.bbox)}")
         if not _is_real(self.depth):
-            raise SceneError(f"depth: expected a number, got {self.depth!r}")
+            raise SceneError(f"depth: expected a number, got {_shown(self.depth)}")
         x0, y0, x1, y1 = self.bbox
         for coord in self.bbox:
             if not 0.0 <= coord <= 1.0:
-                raise SceneError(f"bbox: coordinate {coord} outside [0, 1]")
+                raise SceneError(f"bbox: coordinate {_shown(coord)} outside [0, 1]")
         if not x0 < x1:
             raise SceneError(f"bbox: x_min {x0} must be < x_max {x1}")
         if not y0 < y1:
             raise SceneError(f"bbox: y_min {y0} must be < y_max {y1}")
         if not 0.0 <= self.depth <= 1.0:
-            raise SceneError(f"depth: {self.depth} outside [0, 1]")
+            raise SceneError(f"depth: {_shown(self.depth)} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -174,17 +190,17 @@ class SceneSpec:
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.grid_height) and _is_integer(self.grid_width)):
-            raise SceneError(f"grid: expected integer sides, got {self.grid_height!r}x{self.grid_width!r}")
+            raise SceneError(f"grid: expected integer sides, got {_shown(self.grid_height)}x{_shown(self.grid_width)}")
         if not (isinstance(self.objects, tuple) and all(isinstance(obj, SceneObject) for obj in self.objects)):
             raise SceneError(f"objects: expected a tuple of SceneObject, got {self.objects!r}")
         if self.grid_height < 2 or self.grid_width < 2:
             raise SceneError(
-                f"grid: must be at least 2x2, got {self.grid_height}x{self.grid_width}"
+                f"grid: must be at least 2x2, got {_shown(self.grid_height)}x{_shown(self.grid_width)}"
             )
         # Python integers: a product of numpy ones can wrap
         if int(self.grid_height) * int(self.grid_width) > MAX_GRID_PIXELS:
             raise SceneError(
-                f"grid: {self.grid_height}x{self.grid_width} exceeds {MAX_GRID_PIXELS} pixels"
+                f"grid: {_shown(self.grid_height)}x{_shown(self.grid_width)} exceeds {MAX_GRID_PIXELS} pixels"
             )
         if not self.objects:
             raise SceneError("objects: need at least one object")
@@ -229,7 +245,7 @@ def _require(cond: bool, where: str, message: str) -> None:
 
 def _as_number(value: Any, where: str) -> float:
     if not _is_real(value):
-        raise SceneError(f"{where}: expected a number, got {value!r}")
+        raise SceneError(f"{where}: expected a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -282,7 +298,7 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
         for key, value in raw_cfg.items():
             _require(key in knobs, f"config.{key}", "unknown config key")
             if takes_integer(knobs[key]):
-                _require(_is_integer(value), f"config.{key}", f"expected an integer, got {value!r}")
+                _require(_is_integer(value), f"config.{key}", f"expected an integer, got {_shown(value)}")
                 overrides[key] = value
             else:
                 # a number, not null: an unset eta0 is the mode's own step, which a file cannot ask for

@@ -10,6 +10,10 @@ k, y, x draws, one scalar central difference of each summand, staged
 (`per_term_fd`), and one judgement per coordinate.  `gradcheck.check_gradients` draws and evaluates the same
 coordinates as arrays and must return the same result, field for field.
 
+`kernel_value_and_grad` is the production kernel's halves composed on a
+dense field, the breakdown and dL/dA of every map at once, for tests that
+need a field's gradient.
+
 `reference_values` and `reference_value_and_grad` are the loss kernel
 with nothing hoisted into the plan: three fancy gathers for the in-box and
 interference sums, and every depth and epsilon product formed on each
@@ -47,7 +51,17 @@ from deptharb import AttentionError, AttentionField, GuidanceConfig, LatentState
 from deptharb import gradcheck
 from deptharb.attention import _checked, check_alignment
 from deptharb.gradcheck import CoordReport, GradCheckResult, OracleError
-from deptharb.losses import LossBreakdown, _plan, _product_views, staged_total, value_and_grad
+from deptharb.losses import (
+    LossBreakdown,
+    _columns,
+    _grad_product,
+    _plan,
+    _product_views,
+    _reduce,
+    _reduce_views,
+    _step_factors,
+    staged_total,
+)
 from deptharb.metrics import _above_threshold, _winners
 from deptharb.scene import derive_occlusion_pairs, pixel_centers
 from deptharb.surrogate import _check_match, _surrogate
@@ -180,11 +194,14 @@ def scalar_check_gradients(
     coords = gradcheck.coord_grid(scene.grid_height, scene.grid_width, dtype=long)
     h = long(gradcheck.FD_STEP)
     plan = _plan(scene, derive_occlusion_pairs(scene), [cfg])
-    grad_att = value_and_grad(maps, plan, [stage])[1]
-    buffer = np.empty_like(grad_att[0])
+    # the run loop's sequence: the surrogate's own reductions, the kernel's factors, then dL/dA and the chain
+    surrogate.reduce(surrogate.reduce_views(plan))
+    _step_factors(plan, _columns(plan, [[stage]]), 0)
+    grad_att, buffer = np.empty((2, *maps.shape[1:]))
+    _grad_product(_product_views(plan, [stage], 0, len(grad_att), grad_att))
     grad_lat = surrogate.chain(_product_views(plan, [stage], 0, len(buffer), buffer), buffer)
     grad_lat = grad_lat.reshape(latent.values.shape)
-    maps, grad_att = maps[0], grad_att[0]
+    maps = maps[0]
     k_count, height, width = maps.shape
 
     def draw() -> tuple[int, int, int]:
@@ -230,6 +247,22 @@ def scalar_check_gradients(
                 fd = per_term_fd(*vals, h, stage)
                 _absorb(result, judge("latent", k, (p,), float(grad_lat[k, p]), fd, rel_tol))
     return result
+
+
+def kernel_value_and_grad(maps: np.ndarray, plan, stages: Sequence[int]) -> tuple[LossBreakdown, np.ndarray]:
+    """Each row's breakdown of a dense (B, K, H, W) field, row b at stages[b], and its gradient d(total)/dA.
+
+    The production kernel's halves for every map: `_reduce`, `_step_factors`
+    into one-pass columns of its own, then `_grad_product` into a gradient
+    allocated here.
+    """
+    n_maps = len(plan.depths)
+    out = _columns(plan, [stages])
+    grad = np.empty(maps.shape)
+    _reduce(_reduce_views(maps, plan, 0, n_maps))
+    _step_factors(plan, out, 0)
+    _grad_product(_product_views(plan, stages, 0, n_maps, grad.reshape(-1, *maps.shape[2:])))
+    return out.take(0), grad
 
 
 def same_bits(got, want) -> bool:

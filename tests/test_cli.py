@@ -140,6 +140,30 @@ class TestRun:
         ]
         assert run_cli("eval", "--scene", scene_path, "--dump", dump_path, "--steps", "1000000000000") == 0
 
+    # each integer of thousands of digits a scene file or flag can hand a run, where it goes, and what the message
+    # shows of it
+    HUGE_INPUTS = {
+        "bbox coordinate": (lambda doc: doc["objects"][1]["bbox"].__setitem__(2, 10**400), (), "(401 digits)"),
+        "depth": (lambda doc: doc["objects"][1].__setitem__("depth", -(10**4000)), (), "(4001 digits)"),
+        "id": (lambda doc: doc["objects"][1].__setitem__("id", 10**1000), (), "(1001 digits)"),
+        "grid height": (lambda doc: doc["grid"].__setitem__("height", 10**1000), (), "(1001 digits)"),
+        "total_steps domain": (lambda doc: None, ("--steps", str(-(10**1000))), "(1001 digits)"),
+        "total_steps passes": (lambda doc: doc.setdefault("config", {}).__setitem__("total_steps", 10**1000), (),
+                               "(1001 digits)"),
+    }
+
+    @pytest.mark.parametrize("case", list(HUGE_INPUTS))
+    def test_a_huge_integer_is_rejected_with_a_short_message(self, tmp_path, capsys, case):
+        edit, flags, shown = self.HUGE_INPUTS[case]
+        doc = json.loads(scene_file_text(grid=32))
+        edit(doc)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("run", "--scene", str(path), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shown in err
+        assert len(err) <= 160, err
+
     def test_config_keeps_number_types(self, tmp_path, scene_path):
         report_path = tmp_path / "r.json"
         assert run_cli("run", "--scene", scene_path, "--steps", "0", "--report", str(report_path)) == 0

@@ -550,14 +550,19 @@ def _scaled(grad, k: int, factor: float) -> np.ndarray:
 
 
 def _skew_attention(monkeypatch, k: int, factor: float) -> None:
-    """The kernel's gradient of object k, and nothing else, off by `factor`."""
-    real = gradcheck.value_and_grad
+    """The dL/dA of object k that the oracle checks, and nothing else, off by `factor`.
 
-    def skewed(*args):
-        breakdown, grad = real(*args)
-        return breakdown, _scaled(grad, k, factor)
+    The check's stages are distinct, so each of its product views writes
+    one row's K maps; the chain's products, in the surrogate, stay right.
+    """
+    real = gradcheck._grad_product
 
-    monkeypatch.setattr(gradcheck, "value_and_grad", skewed)
+    def skewed(views):
+        real(views)
+        for _, _, out in views:
+            out[k] *= factor
+
+    monkeypatch.setattr(gradcheck, "_grad_product", skewed)
 
 
 def _skew_latent(monkeypatch, k: int, factor: float) -> None:
@@ -635,10 +640,14 @@ class TestWeightScale:
         try:
             results = check_gradients(scene, cfg, init_latent(scene, "blob", 0), (1, 2), seed=0, samples=200)
         except OracleError as exc:
-            assert re.fullmatch(
+            # the bound named is the one the judge would apply to that coordinate: the floor, or a larger
+            # relative bound
+            match = re.fullmatch(
                 r"object \d's blob parameter (cx|cy|lsx|lsy|la): the finite difference's estimated rounding "
-                r"noise \S+ exceeds the judge's floor 1e-09", str(exc),
+                r"noise (\S+) exceeds the judge's (floor 1e-09|relative bound (\S+))", str(exc),
             )
+            assert match
+            assert match[4] is None or float(match[4]) > 1e-9
             return
         assert lambda_compact < 1e8, "refused at 1e8 and 1e10"
         for result in results:
@@ -662,6 +671,38 @@ class TestWeightScale:
             latent = init_latent(scene, mode, n)
             for result in check_gradients(scene, GuidanceConfig(), latent, (1, 2), seed=n, samples=20):
                 assert result.passed, (n, result.failures[:3])
+
+
+class TestRefusalBound:
+    """A blob coordinate is refused only where its noise exceeds the bound the judge would apply to it."""
+
+    def test_noise_within_a_relative_bound_above_the_floor_is_judged(self, capsys):
+        # at lambda_compact 1e6, stage 1's noise exceeds the 1e-9 floor on object 1's cx, but no
+        # coordinate's own bound, which is relative there
+        argv = ["grad-check", "--mode", "blob", "--samples", "5", "--lambda-compact", "1e6"]
+        assert main([*argv, "--stage", "1"]) == 0
+        assert "-> pass" in capsys.readouterr().out
+        # stage 2 has a coordinate whose bound is the floor, and whose noise exceeds it
+        for stage in ("2", "both"):
+            assert main([*argv, "--stage", stage]) == 1
+            assert re.fullmatch(
+                r"error: object 1's blob parameter la: the finite difference's estimated rounding noise \S+ "
+                r"exceeds the judge's floor 1e-09\n", capsys.readouterr().err,
+            )
+
+    def test_the_refusal_reads_the_judges_bound(self):
+        floor = 1e-5 * gradcheck.FLOOR_REF
+        analytic = np.array([[1.0, 0.0], [0.0, 0.0]])
+        fd = np.array([[1.0, 0.0], [0.0, 2e-3]])
+        ref, bound = gradcheck._bounds(analytic, fd, 1e-5)
+        assert np.array_equal(ref, [[1.0, 0.0], [0.0, 2e-3]])
+        assert np.array_equal(bound, [[1e-5, floor], [floor, 2e-8]])
+        # noise under each coordinate's own bound: nothing is refused
+        gradcheck._check_noise(bound, bound, 1e-5)
+        with pytest.raises(OracleError, match=r"cx: .* noise 1.1e-05 exceeds the judge's relative bound 1e-05$"):
+            gradcheck._check_noise(bound * [[1.1, 1], [1, 1]], bound, 1e-5)
+        with pytest.raises(OracleError, match=r"parameter cy: .* noise 2e-09 exceeds the judge's floor 1e-09$"):
+            gradcheck._check_noise(bound * [[1, 2], [1, 1]], bound, 1e-5)
 
 
 class TestRunLoopSequence:
@@ -694,6 +735,26 @@ class TestRunLoopSequence:
         results = check_gradients(scene, GuidanceConfig(), init_latent(scene, mode, 2), (1, 2), seed=2, samples=50)
         assert [result.passed for result in results] == [True, True]
         assert built == [{"render": 1, "chain": [1]}]
+
+    def test_a_planted_error_in_the_blob_reductions_fails(self, monkeypatch):
+        # the blob field is read through the surrogate's own reductions, as a run reads it, so a rel-1e-4
+        # error in its column sums shows in both gradients
+        calls = []
+        real = _Blob.reduce
+
+        def planted(views):
+            calls.append(1)
+            real(views)
+            col_sum = views[-1]
+            col_sum *= 1 + 1e-4
+
+        monkeypatch.setattr(_Blob, "reduce", staticmethod(planted))
+        scene = canonical_scene()
+        results = check_gradients(scene, GuidanceConfig(), init_latent(scene, "blob", 0), (1, 2), seed=0, samples=200)
+        for result in results:
+            assert len(result.failures) == result.checked
+            assert {r.space for r in result.failures} == {"attention", "latent"}
+        assert calls == [1]
 
 
 class TestPrecisionFallback:

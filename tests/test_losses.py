@@ -33,12 +33,14 @@ from deptharb.gradcheck import (
     spatial_variance,
 )
 from deptharb.losses import (
-    _columns, _evaluate, _plan, _reduce, _reduce_views, _values, arbitration_weight, staged_total, value_and_grad,
+    _columns, _evaluate, _plan, _reduce, _reduce_views, _values, arbitration_weight, staged_total,
 )
 
 from conftest import random_field_latent, random_scene
 from perfbench import scenegen
-from reference import assert_same_breakdown, reference_plan, reference_value_and_grad, reference_values
+from reference import (
+    assert_same_breakdown, kernel_value_and_grad, reference_plan, reference_value_and_grad, reference_values,
+)
 
 EPS = 1e-8
 CFG = GuidanceConfig()
@@ -47,8 +49,8 @@ CANONICAL_FILE = str(Path(__file__).resolve().parent.parent / "scenes" / "canoni
 
 
 def kernel_grad(field, scene, pairs, cfg, stage):
-    """d(total)/dA of a field: `value_and_grad` on a fresh one-row plan."""
-    return value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[1][0]
+    """d(total)/dA of a field: the kernel's halves on a fresh one-row plan."""
+    return kernel_value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[1][0]
 
 
 def brute_force_variance(values: np.ndarray, epsilon: float) -> float:
@@ -359,7 +361,7 @@ class TestStagedLoss:
         field = AttentionField(maps=np.random.default_rng(41).uniform(0, 2, (2, 64, 64)))
         pairs = derive_occlusion_pairs(canonical)
         got = staged_loss(field, canonical, pairs, CFG, stage)
-        want = value_and_grad(field.maps[None], _plan(canonical, pairs, [CFG]), [stage])[0].take(0)
+        want = kernel_value_and_grad(field.maps[None], _plan(canonical, pairs, [CFG]), [stage])[0].take(0)
         for f in fields(got):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(a, np.ndarray):
@@ -477,9 +479,9 @@ class TestPlanScratch:
         plan = _plan(canonical, pairs, [CFG])
         rng = np.random.default_rng(5)
         fields = [AttentionField(maps=rng.uniform(0, 2, (2, 64, 64))) for _ in range(2)]
-        first = value_and_grad(fields[0].maps[None], plan, [1])[1]
+        first = kernel_value_and_grad(fields[0].maps[None], plan, [1])[1]
         kept = first.copy()
-        second = value_and_grad(fields[1].maps[None], plan, [2])[1]
+        second = kernel_value_and_grad(fields[1].maps[None], plan, [2])[1]
         # each call returns a gradient of its own, which the next call leaves alone
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
@@ -713,7 +715,7 @@ class TestKernelMatchesReference:
         for stage in (1, 2):
             got = _evaluate(field.maps[None], plan, [stage]).take(0)
             assert_same_breakdown(got, reference_values(field.maps, ref_plan, stage)[0])
-            terms, grad = value_and_grad(field.maps[None], plan, [stage])
+            terms, grad = kernel_value_and_grad(field.maps[None], plan, [stage])
             got = terms.take(0)
             want, want_grad = reference_value_and_grad(field.maps, ref_plan, stage)
             assert_same_breakdown(got, want)

@@ -17,11 +17,11 @@ from deptharb import (
     derive_occlusion_pairs,
     staged_loss,
 )
-from deptharb.losses import _plan, value_and_grad
+from deptharb.losses import _plan
 from deptharb.metrics import FocrResult, LayoutMiou, MetricReport, _focr_rows, _miou_rows, _score_rows
 
 from conftest import dyadic_field
-from reference import from_maps, mask_iou, pseudo_segment, rasterize_mask, threshold_mask
+from reference import from_maps, kernel_value_and_grad, mask_iou, pseudo_segment, rasterize_mask, threshold_mask
 
 
 def box_indicator_field(scene: SceneSpec, amplitudes=None) -> AttentionField:
@@ -315,7 +315,7 @@ def full_mask_report(field, scene, cfg, stage, rel_threshold) -> MetricReport:
         per_pair.append(value)
     values = [v for v in per_pair if v is not None]
     result = FocrResult(per_pair=tuple(per_pair), mean=float(np.mean(values)) if values else None)
-    breakdown = value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0].take(0)
+    breakdown = kernel_value_and_grad(field.maps[None], _plan(scene, pairs, [cfg]), [stage])[0].take(0)
     return MetricReport(scene, breakdown, miou, result)
 
 
@@ -331,9 +331,11 @@ class TestBoxRectangleScoring:
     def test_report_assembles_no_gradient(self, two_object_scene, monkeypatch):
         import deptharb.losses
 
+        # the kernel's gradient half: the factors, and their product into dL/dA
         calls = []
-        real = deptharb.losses.value_and_grad
-        monkeypatch.setattr(deptharb.losses, "value_and_grad", lambda *a: calls.append(1) or real(*a))
+        for name in ("_step_factors", "_grad_product"):
+            real = getattr(deptharb.losses, name)
+            monkeypatch.setattr(deptharb.losses, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
         field = AttentionField(maps=np.random.default_rng(7).uniform(0, 2, (2, 16, 16)))
         for stage in (1, 2):
             _score_rows(field.maps[None], two_object_scene, [GuidanceConfig()], [stage], 0.5)

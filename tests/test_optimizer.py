@@ -32,7 +32,7 @@ from deptharb import (
     staged_loss,
 )
 from deptharb import losses, optimizer
-from deptharb.losses import _columns, _plan, _product_views, _step_factors, _values, value_and_grad
+from deptharb.losses import _columns, _plan, _product_views, _step_factors, _values
 from deptharb.cli import SWEEP_PARAMS
 from deptharb.optimizer import _final_stage, _schedule, run_rows
 from deptharb.surrogate import MODES, _mode_class, _surrogate, with_default_step
@@ -41,6 +41,7 @@ from perfbench import scenegen
 from reference import (
     assert_same_breakdown,
     final_stage,
+    kernel_value_and_grad,
     reduced_factors,
     reduced_values,
     reference_plan,
@@ -175,7 +176,7 @@ class TestRunGuidance:
 
         pairs = derive_occlusion_pairs(two_object_scene)
         field = render_attention(latent0, two_object_scene)
-        grad = value_and_grad(field.maps[None], _plan(two_object_scene, pairs, [cfg]), [1])[1]
+        grad = kernel_value_and_grad(field.maps[None], _plan(two_object_scene, pairs, [cfg]), [1])[1]
         # dL/dlogit = dL/dA * A
         expected = latent0.values - 0.5 * (grad[0] * field.maps)
         assert np.array_equal(traj.final_latent.values, expected)

@@ -11,13 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deptharb import (
+    ConfigError,
+    GuidanceConfig,
     OcclusionPair,
     SceneError,
     SceneObject,
     SceneSpec,
     derive_occlusion_pairs,
+    init_latent,
     parse_scene,
 )
+from deptharb.optimizer import run_rows
 from deptharb.scene import box_span, parse_scene_with_config
 
 from conftest import scene_file_text
@@ -425,3 +429,43 @@ class TestParseFuzz:
                 grid_width=2**5,
                 objects=(SceneObject(id=0, label="", bbox=(0.0, 0.0, 1.0, 1.0), depth=0.5),),
             )
+
+
+# each place a scene file can hold an integer, written into its JSON document
+HUGE_FIELDS = {
+    "bbox coordinate": lambda doc, value: doc["objects"][1]["bbox"].__setitem__(2, value),
+    "bbox beside a string": lambda doc, value: doc["objects"][1].__setitem__("bbox", [value, "x", 0.5, 0.5]),
+    "depth": lambda doc, value: doc["objects"][1].__setitem__("depth", value),
+    "id": lambda doc, value: doc["objects"][1].__setitem__("id", value),
+    "grid height": lambda doc, value: doc["grid"].__setitem__("height", value),
+    "grid width": lambda doc, value: doc["grid"].__setitem__("width", value),
+    "label": lambda doc, value: doc["objects"][0].__setitem__("label", value),
+    "config total_steps": lambda doc, value: doc.setdefault("config", {}).__setitem__("total_steps", value),
+}
+
+
+@st.composite
+def huge_integers(draw):
+    """An integer of 21 to 4300 digits (the most a JSON decoder reads), either sign, and its digit count."""
+    digits = draw(st.integers(21, 4300))
+    lead = draw(st.integers(10**19, 10**20 - 1))
+    value = lead * 10 ** (digits - 20) + draw(st.integers(0, 10 ** (digits - 20) - 1))
+    return (-value if draw(st.booleans()) else value), digits
+
+
+class TestBoundedMessages:
+    """A rejected integer of any size is echoed by its leading digits and its digit count."""
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(list(HUGE_FIELDS)), huge_integers())
+    def test_a_huge_integer_gives_a_short_message(self, name, huge):
+        value, digits = huge
+        doc = json.loads(scene_file_text())
+        HUGE_FIELDS[name](doc, value)
+        with pytest.raises((SceneError, ConfigError)) as info:
+            # a config's total_steps meets its domain in the config, and the pass limit in the run
+            scene, overrides = parse_scene_with_config(json.dumps(doc))
+            run_rows(scene, [GuidanceConfig().updated(**overrides)], init_latent(scene, "raster", 0))
+        message = str(info.value)
+        assert len(message) <= 160, message
+        assert f"{str(abs(value))[:20]}... ({digits} digits)" in message
