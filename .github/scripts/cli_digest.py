@@ -113,6 +113,11 @@ COMMANDS = [
     "run --scene {bad_label} --steps 2 --dump d13.darb --report r14.json",
     # a huge integer, whose message shows its leading digits and digit count
     "run --scene {huge} --steps 2",
+    # flag values the parser refuses, each message naming the flag's rule and showing the value bounded
+    "grad-check --seed 1" + "0" * 1000,
+    "grad-check --samples 1.5",
+    "run --scene {canonical} --tau x",
+    "sweep --scene {canonical} --param tau --values 1,x",
 ]
 
 # every field of a check's results, floats in hex, per mode and stages; at

@@ -43,9 +43,10 @@ from .scene import (
     GuidanceConfig,
     SceneError,
     SceneSpec,
+    _shown,
     canonical_scene,
+    check_value,
     read_scene,
-    takes_integer,
 )
 from .surrogate import MODES, SurrogateError, init_latent, with_default_step
 
@@ -59,6 +60,19 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
+
+    def _get_values(self, action, arg_strings):
+        # a flag's one string is its value, "--" too, which Python 3.11's argparse drops, setting the flag to []
+        if action.option_strings and action.nargs is None:
+            value = self._get_value(action, *arg_strings)
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+    def _check_value(self, action, value):  # argparse's, with the value shown through _shown
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} (choose from {choices})")
 
 
 def _print(*args, **kwargs) -> None:
@@ -313,33 +327,15 @@ def cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    # inf would pass every coordinate, nan or a negative value fail every one
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
-
-
-def _rel_threshold(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
+def _number(name: str, kind: type, *domains: str):
+    """A numeric flag's argparse type: its text as `kind` (int or float) reads it, else the text, by `check_value`."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = text
+        return check_value(name, value, kind, *domains, error=argparse.ArgumentTypeError)
+    return parse
 
 
 def _sweep_values(text: str) -> list[float]:
@@ -351,7 +347,7 @@ def _sweep_values(text: str) -> list[float]:
         try:
             values.append(float(v))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {v!r}") from None
+            raise argparse.ArgumentTypeError(f"not a number: {_shown(v)}") from None
     return values
 
 
@@ -360,7 +356,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     for knob in fields(GuidanceConfig):
         sub.add_argument(
             knob.metadata["flag"] or "--" + knob.name.replace("_", "-"), dest=knob.name, default=None,
-            type=int if takes_integer(knob) else float, help=knob.metadata["help"],
+            type=_number(knob.name, *knob.metadata["rules"]), help=knob.metadata["help"],
         )
     sub.add_argument("--preset", choices=PRESETS, default="main", help="weight preset (default: main)")
     sub.add_argument("--mode", choices=MODES, default="raster", help="surrogate parametrization")
@@ -368,11 +364,13 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_seed(sub: argparse.ArgumentParser) -> None:
     # eval has none: it reports the seed stored in the dump
-    sub.add_argument("--seed", type=_seed, default=0, help="deterministic seed")
+    sub.add_argument("--seed", type=_number("seed", int, "an unsigned 64-bit integer"), default=0,
+                     help="deterministic seed")
 
 
 def _add_rel_threshold(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rel-threshold", type=_rel_threshold, default=DEFAULT_REL_THRESHOLD,
+    sub.add_argument("--rel-threshold", type=_number("rel_threshold", float, "in (0, 1]"),
+                     default=DEFAULT_REL_THRESHOLD,
                      help="relative threshold for layout mIoU masks, in (0, 1]")
 
 
@@ -394,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(check)
     _add_seed(check)
     # a check that judges no coordinate would report a pass for nothing
-    check.add_argument("--samples", type=_positive_int, default=1000,
+    check.add_argument("--samples", type=_number("samples", int, ">= 1"), default=1000,
                        help="coordinates drawn per stage, with replacement, in the attention space and, "
                             "for a raster latent, in the latent space; a blob latent checks all 5*K "
                             "parameters (at least 1)")
-    check.add_argument("--tol", type=_tolerance, default=DEFAULT_REL_TOL,
+    check.add_argument("--tol", type=_number("tol", float, "finite and >= 0"), default=DEFAULT_REL_TOL,
                        help="relative tolerance, finite and >= 0 (absolute floor is tol*1e-4)")
     check.add_argument("--stage", choices=("1", "2", "both"), default="both")
     check.set_defaults(func=cmd_grad_check)
@@ -441,6 +439,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (SceneError, AttentionError, DumpError, ConfigError, SurrogateError, OracleError, OSError) as exc:
+        # a path flag holds any text: OSError's own form, with the path shown through _shown
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

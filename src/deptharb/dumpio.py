@@ -9,12 +9,12 @@ round-trips are bit-exact at 32 bits.
 
 from __future__ import annotations
 
-import numbers
 import struct
 
 import numpy as np
 
 from .attention import AttentionError, AttentionField
+from .scene import check_value
 
 MAGIC = b"DARB"
 VERSION = 1
@@ -27,8 +27,7 @@ class DumpError(ValueError):
 
 def write_dump(path: str, field: AttentionField, seed: int) -> None:
     """Write `field` and `seed` to `path`; a rejected seed leaves any file there untouched."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise DumpError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    check_value("seed", seed, None, "an unsigned 64-bit integer", error=DumpError)
     k, h, w = field.maps.shape
     header = _HEADER.pack(MAGIC, VERSION, h, w, k, seed)
     payload = field.maps.astype("<f4").tobytes(order="C")

@@ -69,7 +69,6 @@ infinite value is judged by neither and shows in the worst errors.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -77,7 +76,7 @@ import numpy as np
 
 from .attention import AttentionField
 from .losses import _columns, _grad_product, _pair_coefficients, _plan, _product_views, _step_factors
-from .scene import GuidanceConfig, SceneSpec, derive_occlusion_pairs, pixel_centers
+from .scene import GuidanceConfig, SceneSpec, _is_integer, check_value, derive_occlusion_pairs, pixel_centers
 from .surrogate import LatentState, _check_match, _surrogate
 
 LONG = np.longdouble
@@ -437,7 +436,7 @@ def _checked_stages(stages) -> tuple[int, ...]:
     if not stages:
         raise ValueError("stages must name at least one stage, got ()")
     for stage in stages:
-        if isinstance(stage, bool) or not isinstance(stage, numbers.Integral) or stage not in (1, 2):
+        if not _is_integer(stage) or stage not in (1, 2):
             raise ValueError(f"stages must hold only stages 1 and 2, got {stages!r}")
     if len(set(stages)) != len(stages):
         raise ValueError(f"stages must name each stage once, got {stages!r}")
@@ -478,12 +477,8 @@ def check_gradients(
     (`rel_tol` not finite and >= 0).
     """
     stages = _checked_stages(stages)
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not (np.isfinite(rel_tol) and rel_tol >= 0):
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    check_value("samples", samples, int, ">= 1", error=ValueError)
+    check_value("rel_tol", rel_tol, float, "finite and >= 0", error=ValueError)
     # the run loop's sequence, one row per stage: render, the surrogate's reductions, the factors, the chain
     _check_match(latent, scene)
     batch, k_count = len(stages), len(scene.objects)

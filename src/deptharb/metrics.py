@@ -33,7 +33,7 @@ import numpy as np
 
 from .attention import AttentionError
 from .losses import LossBreakdown, _evaluate, _Plan, _plan
-from .scene import GuidanceConfig, OcclusionPair, SceneSpec, derive_occlusion_pairs
+from .scene import GuidanceConfig, OcclusionPair, SceneSpec, check_value, derive_occlusion_pairs
 
 DEFAULT_REL_THRESHOLD = 0.5
 NONE_ID = -1  # _winners value for pixels where every map is zero
@@ -53,8 +53,7 @@ def _winners(maps: np.ndarray, scene: SceneSpec) -> np.ndarray:
 
 def _above_threshold(arr: np.ndarray, rel_threshold: float) -> np.ndarray:
     """Boolean mask of a valid map's entries >= rel_threshold times its maximum (none if all zero)."""
-    if not 0.0 < rel_threshold <= 1.0:
-        raise AttentionError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
+    check_value("rel_threshold", rel_threshold, float, "in (0, 1]", error=AttentionError)
     peak = arr.max()
     if peak == 0.0:
         return np.zeros(arr.shape, dtype=bool)

@@ -11,8 +11,8 @@ and box overlap.  The guidance config lives here too, because a scene file's
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from decimal import Decimal
 from typing import Any
@@ -35,40 +35,64 @@ def _is_real(value: Any) -> bool:
 
 
 SHOWN_DIGITS = 20  # a message shows an integer of more digits by its leading digits and its digit count
+SHOWN_BYTES = 100  # and a string whose repr takes more UTF-8 bytes by the leading characters that fit and its length
+FLOAT_MAX = sys.float_info.max
 
 
 def _shown(value: Any) -> str:
-    """`value` in a message: a real's str, else repr, item by item in a tuple or list, and an integer of over
-    SHOWN_DIGITS digits as its leading digits and digit count (str refuses one of over 4300 digits)."""
+    """`value` in a message: a real's str, else repr, item by item in a tuple or list, an integer of over
+    SHOWN_DIGITS digits as its leading digits and digit count (str refuses one of over 4300 digits), and a
+    string whose repr is over SHOWN_BYTES bytes as its leading characters and its length."""
     if isinstance(value, (tuple, list)):
         items = ", ".join(map(_shown, value))
         return f"({items}{',' * (len(value) == 1)})" if isinstance(value, tuple) else f"[{items}]"
+    if isinstance(value, str) and len(repr(value).encode()) > SHOWN_BYTES:
+        head = value[:SHOWN_BYTES]
+        while len(repr(head).encode()) > SHOWN_BYTES:
+            head = head[:-1]
+        return f"{head!r}... ({len(value)} characters)"
     if not _is_integer(value) or abs(int(value)) < 10**SHOWN_DIGITS:
         return str(value) if _is_real(value) else repr(value)
     digits = Decimal(abs(int(value))).adjusted() + 1
     return f"{'-' * (value < 0)}{abs(int(value)) // 10 ** (digits - SHOWN_DIGITS)}... ({digits} digits)"
 
 
-# each domain a config field may declare, keyed by the text its message prints
+# each domain of a numeric input, keyed by the text its refusal prints: `<name> must be <domain>, got <value>`
 DOMAINS = {
     "> 0": lambda value: value > 0,
     ">= 0": lambda value: value >= 0,
+    ">= 1": lambda value: value >= 1,
     "within [0, 1]": lambda value: 0 <= value <= 1,
     "in (0, 1]": lambda value: 0 < value <= 1,
+    # a Python integer beyond FLOAT_MAX converts to no float, and is not finite
+    "within the float range": lambda value: not _is_integer(value) or -FLOAT_MAX <= value <= FLOAT_MAX,
+    "finite": lambda value: -FLOAT_MAX <= value <= FLOAT_MAX,
+    "finite and >= 0": lambda value: 0 <= value <= FLOAT_MAX,
+    "an unsigned 64-bit integer": lambda value: _is_integer(value) and 0 <= value < 2**64,
 }
+KINDS = {int: ("an integer", _is_integer), float: ("a real number", _is_real)}
+
+
+def check_value(name: str, value: Any, kind: type | None, *domains: str, error: type[Exception] = ConfigError):
+    """`value`, if it is of `kind` in KINDS (None: any; a real is also within the float range) and in each of
+    `domains` in DOMAINS; else `error`, `<name> must be <kind or domain>, got <value>`, for the first rule broken."""
+    if kind is not None:
+        text, valid = KINDS[kind]
+        if not valid(value):
+            raise error(f"{name} must be {text}, got {_shown(value)}")
+        domains = ("within the float range",) * (kind is float) + domains
+    for domain in domains:
+        if not DOMAINS[domain](value):
+            raise error(f"{name} must be {domain}, got {_shown(value)}")
+    return value
 
 
 def _knob(default, help: str, *, domain: str | None = None, flag: str | None = None, objective=False, sweep=False):
-    """A config field: its CLI help, its domain in DOMAINS (None: any real), its flag
-    (None: `--` and the name with `-` for `_`), whether it defines the loss
-    (`objective`) and whether it can be swept."""
-    meta = {"help": help, "domain": domain, "flag": flag, "objective": objective, "sweep": sweep}
-    return field(default=default, metadata=meta)
-
-
-def takes_integer(knob) -> bool:
-    """Whether a config field takes an integer, as its default does."""
-    return isinstance(knob.default, int)
+    """A config field: its CLI help, its flag (None: `--` and the name with `-` for `_`), whether it can be swept,
+    and its `check_value` rules: its default's kind, finite if it defines the loss (`objective`: a non-finite
+    weight leaves it undefined at step 0, an input error), then its domain in DOMAINS (None: any)."""
+    rules = (int if isinstance(default, int) else float,) + ("finite",) * objective + ((domain,) if domain else ())
+    return field(default=default, metadata={"help": help, "flag": flag, "sweep": sweep, "rules": rules})
 
 
 @dataclass(frozen=True)
@@ -98,27 +122,15 @@ class GuidanceConfig:
     def __post_init__(self) -> None:
         for knob in fields(self):
             value = getattr(self, knob.name)
-            if value is None and knob.default is None:  # unset: eta0 is then the latent's mode's own step
-                continue
-            kind, valid = ("an integer", _is_integer) if takes_integer(knob) else ("a real number", _is_real)
-            if not valid(value):
-                raise ConfigError(f"{knob.name} must be {kind}, got {_shown(value)}")
-            # a non-finite weight leaves the objective undefined (nan or inf
-            # at step 0), which is an input error, not a numerical abort
-            if knob.metadata["objective"] and not math.isfinite(value):
-                raise ConfigError(f"{knob.name} must be finite, got {value}")
-        for knob in fields(self):
-            # a None that passed the loop above is an unset field, which has no domain to meet
-            value, domain = getattr(self, knob.name), knob.metadata["domain"]
-            if value is not None and domain is not None and not DOMAINS[domain](value):
-                raise ConfigError(f"{knob.name} must be {domain}, got {_shown(value)}")
+            if not (value is None and knob.default is None):  # unset: eta0 is then the latent's mode's own step
+                check_value(knob.name, value, *knob.metadata["rules"])
 
     @classmethod
     def preset(cls, name: str) -> "GuidanceConfig":
         """The config of a named weight preset in PRESETS."""
         if not isinstance(name, str) or name not in PRESETS:
             expected = " or ".join(repr(known) for known in PRESETS)
-            raise ConfigError(f"unknown preset {name!r} (expected {expected})")
+            raise ConfigError(f"unknown preset {_shown(name)} (expected {expected})")
         return cls(**PRESETS[name])
 
     def updated(self, **overrides) -> "GuidanceConfig":
@@ -157,7 +169,7 @@ class SceneObject:
         try:
             self.label.encode("utf-8")  # reports and summaries write labels as UTF-8
         except UnicodeEncodeError:
-            raise SceneError(f"label: expected text that encodes as UTF-8, got {self.label!r}") from None
+            raise SceneError(f"label: expected text that encodes as UTF-8, got {_shown(self.label)}") from None
         if not (isinstance(self.bbox, tuple) and len(self.bbox) == 4 and all(map(_is_real, self.bbox))):
             raise SceneError(f"bbox: expected a tuple (x_min, y_min, x_max, y_max) of numbers, got {_shown(self.bbox)}")
         if not _is_real(self.depth):
@@ -243,15 +255,6 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise SceneError(f"{where}: {message}")
 
 
-def _as_number(value: Any, where: str) -> float:
-    if not _is_real(value):
-        raise SceneError(f"{where}: expected a number, got {_shown(value)}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SceneError(f"{where}: integer too large for a float") from None
-
-
 def _parse_object(raw: Any, index: int) -> SceneObject:
     """JSON shape of one object; `SceneObject` judges its types and values."""
     where = f"objects[{index}]"
@@ -297,12 +300,14 @@ def parse_scene_with_config(text: str) -> tuple[SceneSpec, dict[str, float]]:
         knobs = {knob.name: knob for knob in fields(GuidanceConfig)}
         for key, value in raw_cfg.items():
             _require(key in knobs, f"config.{key}", "unknown config key")
-            if takes_integer(knobs[key]):
+            if knobs[key].metadata["rules"][0] is int:
                 _require(_is_integer(value), f"config.{key}", f"expected an integer, got {_shown(value)}")
                 overrides[key] = value
             else:
-                # a number, not null: an unset eta0 is the mode's own step, which a file cannot ask for
-                overrides[key] = _as_number(value, f"config.{key}")
+                # a number, not null: an unset eta0 is the mode's own step, which a file cannot ask for;
+                # GuidanceConfig refuses an integer no float holds
+                _require(_is_real(value), f"config.{key}", f"expected a number, got {_shown(value)}")
+                overrides[key] = float(value) if DOMAINS["within the float range"](value) else value
 
     return scene, overrides
 

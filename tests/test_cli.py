@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -19,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deptharb
-from deptharb import AttentionField, check_gradients, init_latent, optimizer, write_dump
-from deptharb.cli import _print_summary, build_parser, dumps_report, main, resolve_config
+from deptharb import AttentionField, GuidanceConfig, check_gradients, init_latent, optimizer, write_dump
+from deptharb import cli
+from deptharb.cli import UsageError, _print_summary, build_parser, dumps_report, main, resolve_config
 from deptharb.gradcheck import CoordReport, GradCheckResult
 from deptharb.metrics import DEFAULT_REL_THRESHOLD, _score_rows
-from deptharb.scene import GUIDANCE_CONFIG_KEYS, SceneError, parse_scene_with_config
+from deptharb.scene import DOMAINS, GUIDANCE_CONFIG_KEYS, SceneError, parse_scene_with_config
 from deptharb.surrogate import MODES, _mode_class
 
 from conftest import scene_file_text
@@ -161,7 +163,8 @@ class TestRun:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("run", "--scene", str(path), *flags) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and shown in err
+        # a flag is refused by the parser, before the scene is read
+        assert err.startswith("usage error: argument --steps: " if flags else "error: ") and shown in err
         assert len(err) <= 160, err
 
     def test_config_keeps_number_types(self, tmp_path, scene_path):
@@ -1171,3 +1174,108 @@ class TestUnscorableSceneInputs:
         with contextlib.redirect_stdout(out):
             _print_summary(doc)
         out.getvalue().encode("utf-8")
+
+    def test_a_long_label_is_refused_with_a_short_message(self, tmp_path):
+        doc = json.loads(scene_file_text(grid=16))
+        doc["objects"][0]["label"] = "\ud800" + "a" * 100_000
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _cli("run", "--scene", str(scene), "--steps", "2")
+        assert code == 1 and len(err.encode()) < 300, err
+        assert err.startswith("error: objects[0].label: expected text that encodes as UTF-8, got '\\ud800aaa")
+        assert err.endswith("... (100001 characters)\n")
+
+
+# each command's required flags, with values its parser takes
+REQUIRED_FLAGS = {
+    "run": ["--scene", "s.json"],
+    "grad-check": [],
+    "sweep": ["--scene", "s.json", "--param", "tau", "--values", "1"],
+    "eval": ["--dump", "d.darb", "--scene", "s.json"],
+}
+# each numeric flag: its dest, the type int() or float() reads it as, and the DOMAINS keys its value must meet
+NUMERIC_FLAGS = {
+    "--seed": ("seed", int, ("an unsigned 64-bit integer",)),
+    "--samples": ("samples", int, (">= 1",)),
+    "--tol": ("tol", float, ("finite and >= 0",)),
+    "--rel-threshold": ("rel_threshold", float, ("in (0, 1]",)),
+    **{CONFIG_SAMPLES[knob.name][0]: (knob.name, knob.metadata["rules"][0], knob.metadata["rules"][1:])
+       for knob in dataclasses.fields(GuidanceConfig)},
+}
+# any text, among it integers of 5000 digits and strings of 100 000 characters, lone surrogates too
+FLAG_TEXTS = st.one_of(
+    st.text(st.characters() | st.characters(categories=["Cs"])),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " 7 ", "1_000", "0x10", "1e309", "-0", "+inf", "2**64", str(2**64), str(2**64 - 1)]),
+    st.builds(lambda sign, lead: sign + lead + "0" * 4999, st.sampled_from(["", "-"]), st.sampled_from("19")),
+    st.builds(lambda char: char * 100_000, st.characters() | st.characters(categories=["Cs"])),
+)
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    subs = next(a for a in cli._shared_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[command]
+
+
+class TestBoundedRefusals:
+    """Every flag value gets its value or a short usage error that shows the text it refuses."""
+
+    PRIVATE = {name for module in (cli, deptharb.scene) for name, value in vars(module).items()
+               if name.startswith("_") and callable(value)}
+
+    @pytest.mark.parametrize("command", list(REQUIRED_FLAGS))
+    def test_every_typed_flag_is_a_numeric_flag(self, command):
+        typed = {a.option_strings[0] for a in _subparser(command)._actions if a.type is not None}
+        assert typed - {"--values"} <= set(NUMERIC_FLAGS)
+
+    @settings(max_examples=60)
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in REQUIRED_FLAGS for flag in NUMERIC_FLAGS
+        if flag in _subparser(command)._option_string_actions
+    ])
+    @given(text=FLAG_TEXTS)
+    @example(text="a" * 100_000)
+    @example(text="1" + "0" * 4999)
+    def test_a_numeric_flag_takes_what_int_or_float_reads_in_its_domain(self, command, flag, text):
+        dest, kind, domains = NUMERIC_FLAGS[flag]
+        try:
+            expected = kind(text)
+        except ValueError:  # not a number, or an integer of over 4300 digits
+            expected = None
+        admitted = expected is not None and all(DOMAINS[domain](expected) for domain in domains)
+        try:
+            args = cli._shared_parser().parse_args([command, *REQUIRED_FLAGS[command], f"{flag}={text}"])
+        except UsageError as exc:
+            message = str(exc)
+            assert not admitted, message
+            assert message.startswith(f"argument {flag}: {dest} must be "), message
+            assert len(message.encode("utf-8")) < 200, message
+            assert not [name for name in self.PRIVATE if name in message and name not in text], message
+        else:
+            value = getattr(args, dest)
+            assert admitted and type(value) is kind and value == expected
+
+    @pytest.fixture
+    def dump_path(self, tmp_path, scene_path):
+        path = str(tmp_path / "f.darb")
+        assert run_cli("run", "--scene", scene_path, "--steps", "1", "--dump", path) == 0
+        return path
+
+    @pytest.mark.parametrize("command", list(REQUIRED_FLAGS))
+    def test_a_long_value_for_any_flag_exits_1_with_a_short_message(self, monkeypatch, tmp_path, scene_path,
+                                                                   dump_path, command):
+        monkeypatch.chdir(tmp_path)
+        given_flags = {
+            "run": ["--scene", scene_path, "--steps", "1"],
+            "grad-check": ["--samples", "1", "--stage", "1"],
+            "sweep": ["--scene", scene_path, "--steps", "1", "--param", "tau", "--values", "1"],
+            "eval": ["--dump", dump_path, "--scene", scene_path],
+        }[command]
+        actions = [a for a in _subparser(command)._actions if a.option_strings and a.nargs is None]
+        assert len(actions) >= 15
+        for action in actions:
+            # "\udcff": how Python decodes a byte of an argument that is not UTF-8
+            for value in ("a" * 100_000, "\udcff" + "7" * 100_000):
+                code, err = _cli(command, *given_flags, action.option_strings[0], value)
+                assert code == 1 and len(err.encode()) < 300, (action.option_strings, err[:400])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import struct
 import tempfile
 
@@ -113,6 +114,13 @@ class TestHeaderLayout:
         with pytest.raises(DumpError, match="^seed must be an unsigned 64-bit integer, got "):
             write_dump(str(path), random_field(4), seed=seed)
         assert path.read_bytes() == before
+
+    def test_a_huge_seed_is_refused_with_a_short_message(self, tmp_path):
+        # a repr of the seed would raise a bare ValueError: str refuses an integer of over 4300 digits
+        message = "seed must be an unsigned 64-bit integer, got 10000000000000000000... (5001 digits)"
+        with pytest.raises(DumpError, match=f"^{re.escape(message)}$"):
+            write_dump(str(tmp_path / "x.darb"), random_field(4), seed=10**5000)
+        assert len(message) < 200 and not (tmp_path / "x.darb").exists()
 
     @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5), 0])
     def test_numpy_integer_seeds_are_stored(self, tmp_path, seed):

@@ -293,6 +293,9 @@ class TestRefusedChecks:
             ({"rel_tol": np.inf}, "rel_tol must be finite and >= 0, got inf"),
             ({"rel_tol": np.nan}, "rel_tol must be finite and >= 0, got nan"),
             ({"rel_tol": -1.0}, "rel_tol must be finite and >= 0, got -1.0"),
+            # numpy's isfinite would raise TypeError on both
+            ({"rel_tol": 10**400}, "rel_tol must be within the float range, got 10000000000000000000... (401 digits)"),
+            ({"rel_tol": "1e-5"}, "rel_tol must be a real number, got '1e-5'"),
         ],
     )
     def test_judging_nothing_or_everything_is_refused(self, monkeypatch, kwargs, message):
@@ -300,8 +303,9 @@ class TestRefusedChecks:
         # passed every coordinate, nan and -1 failed every one
         monkeypatch.setattr(gradcheck, "_surrogate", lambda *a: pytest.fail("rendered"))
         scene = canonical_scene()
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$") as info:
             check_gradients(scene, GuidanceConfig(), init_latent(scene, "raster", 0), (1,), seed=0, **kwargs)
+        assert len(str(info.value).encode()) < 200
 
 
 class TestRefusedStages:

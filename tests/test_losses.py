@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -834,6 +837,18 @@ class TestGuidanceConfig:
     def test_numpy_scalars_and_unset_step_accepted(self):
         cfg = GuidanceConfig(total_steps=np.int64(5), lambda0=np.float64(0.25), eta0=None)
         assert (cfg.total_steps, cfg.lambda0, cfg.eta0) == (5, 0.25, None)
+
+    # every real field: an integer no float holds would overflow where the run first converts it (eta0 in the
+    # step schedule), or in the finiteness check
+    @pytest.mark.parametrize("name", [f.name for f in fields(GuidanceConfig) if f.name != "total_steps"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_real_field_refuses_an_integer_beyond_the_float_range(self, name, sign):
+        shown = "-" * (sign < 0) + "10000000000000000000... (401 digits)"
+        with pytest.raises(ConfigError, match=rf"^{name} must be within the float range, got {re.escape(shown)}$"):
+            GuidanceConfig(**{name: sign * 10**400})
+
+    def test_the_largest_integer_a_float_holds_is_a_real_value(self):
+        assert GuidanceConfig(eta0=int(sys.float_info.max)).eta0 == sys.float_info.max
 
     @pytest.mark.parametrize("name", ["lambda_ortho", "lambda_compact"])
     def test_negative_term_weight_message_and_zero_ablation(self, name):

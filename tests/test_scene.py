@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
@@ -22,7 +23,7 @@ from deptharb import (
     parse_scene,
 )
 from deptharb.optimizer import run_rows
-from deptharb.scene import box_span, parse_scene_with_config
+from deptharb.scene import SHOWN_BYTES, _shown, box_span, parse_scene_with_config
 
 from conftest import scene_file_text
 from reference import rasterize_mask
@@ -469,3 +470,23 @@ class TestBoundedMessages:
         message = str(info.value)
         assert len(message) <= 160, message
         assert f"{str(abs(value))[:20]}... ({digits} digits)" in message
+
+    def test_a_config_real_beyond_the_float_range_is_refused_by_the_config(self):
+        # the file's config block passes it on unconverted: no float holds it
+        _, overrides = parse_scene_with_config(scene_file_text()[:-1] + ', "config": {"eta0": 1%s}}' % ("0" * 400))
+        message = "eta0 must be within the float range, got 10000000000000000000... (401 digits)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            GuidanceConfig().updated(**overrides)
+
+    @settings(max_examples=200)
+    @given(st.text(st.characters() | st.characters(categories=["Cs"]))
+           | st.builds(lambda char, count: char * count, st.characters(), st.integers(0, 100_000)))
+    @example("\U000e0000" * 20)
+    def test_a_string_is_shown_whole_or_by_its_leading_characters_and_length(self, text):
+        shown = _shown(text)
+        if len(repr(text).encode()) <= SHOWN_BYTES:
+            assert shown == repr(text)
+        else:
+            head, _, count = shown.rpartition("... (")
+            assert count == f"{len(text)} characters)"
+            assert len(head.encode()) <= SHOWN_BYTES and text.startswith(ast.literal_eval(head))
