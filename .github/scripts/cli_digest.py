@@ -73,6 +73,9 @@ COMMANDS = [
     # sweeps with a failing row: a run's own abort, and a float32-rounded field
     "sweep --scene {canonical} --param eta0 --values 800,400,1e6,1e9 --steps 20 --seed 3 --report s2.json",
     "sweep --scene {canonical} --param eta0 --values 800,1e5,1e6 --steps 20 --seed 3",
+    # a float32-rounded field ahead of a later row's run abort, and a run abort ahead of a later row that ran
+    "sweep --scene {canonical} --param eta0 --values 1e5,1e9 --steps 20 --seed 3",
+    "sweep --scene {canonical} --param eta0 --values 1e9,1e5 --steps 20 --seed 3",
     # diverging runs, one per reason and step the tests pin
     "run --scene {canonical} --eta 1e8 --steps 40 --seed 0",
     "run --scene {two} --eta 1e5 --steps 40 --seed 7",
@@ -118,6 +121,8 @@ COMMANDS = [
     "grad-check --samples 1.5",
     "run --scene {canonical} --tau x",
     "sweep --scene {canonical} --param tau --values 1,x",
+    # an unknown argument, shown bounded
+    "run --scene {canonical} --steps 2 " + "a" * 1000,
 ]
 
 # every field of a check's results, floats in hex, per mode and stages; at

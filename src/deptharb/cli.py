@@ -3,18 +3,20 @@
 Config precedence is total and fixed: preset defaults < scene-file "config"
 block < command-line flags; each config flag's dest is the config field it
 sets.  Every command that reports scores through one function,
-`_score_chunk` (value-only losses, metrics on box rectangles, and the
-aborts of a field that float32 cannot hold or of a loss that is not
-finite), which takes a row axis: `sweep` scores each chunk of rows of the
-lockstep run in one call as `run_rows` hands it out, and `run` and `eval`
-score their one field as B = 1.  `run` and `sweep` score on the loss plan
-that ran the rows; `eval`, which ran nothing, builds its own.  Reports are
-JSON whose floats read back exactly.  Exit codes: 0 success, 1 input/usage
-error (among them a `--tol` that is not finite and >= 0, a
-`--rel-threshold` outside (0, 1] and a grad-check state the oracle
-refuses), 2 numerical abort (a diverging run, or a scored loss that is not
-finite; a sweep names the failing row by its value), 3 gradient-check
-failure.
+`_score_chunk` (value-only losses and metrics on box rectangles), which
+takes the final fields of rows that ran, with a row axis, and returns their
+reports or raises the first failing row's abort (a field that float32
+cannot hold, then a loss that is not finite): `sweep` scores each chunk's
+rows before its first run abort in one call, as `run_rows` hands the chunk
+out, and then raises that abort; `run` and `eval` score their one field as
+B = 1.  `run` and `sweep` score on the loss plan that ran the rows; `eval`,
+which ran nothing, and a chunk holding a run abort build their own.
+Reports are JSON whose floats read back exactly.  Exit codes: 0 success,
+1 input/usage error (among them an unknown argument, a `--tol` that is not
+finite and >= 0, a `--rel-threshold` outside (0, 1] and a grad-check state
+the oracle refuses; a refused value is shown bounded), 2 numerical abort (a
+diverging run, or a scored loss that is not finite; a sweep names the
+failing row by its value), 3 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):  # argparse's, with the extras shown through _shown
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_shown(' '.join(extras))}")
+        return args
 
     def _get_values(self, action, arg_strings):
         # a flag's one string is its value, "--" too, which Python 3.11's argparse drops, setting the flag to []
@@ -131,46 +139,36 @@ def _finite_losses(report: MetricReport) -> bool:
 def _score_chunk(
     scene: SceneSpec,
     cfgs: Sequence[GuidanceConfig],
-    finals: Sequence[AttentionField | NumericalAbort],
-    args,
+    finals: Sequence[AttentionField],
+    rel_threshold: float,
     plan: _Plan | None = None,
-) -> list[MetricReport | NumericalAbort]:
-    """Each row's report, or its abort, in row order, from its run's final field or abort.
+    rows: Sequence[str] | None = None,
+) -> list[MetricReport]:
+    """Each row's report, in row order, from the final field of its run, which matches the scene.
 
     `run` and `eval` score their one field as a one-row call, and `sweep`
-    each chunk of its rows; the fields match the scene.  `plan`, if given,
-    is the loss plan that ran the rows, one per config, which scores them
-    when every row ran; a chunk holding an abort, which ends a sweep, is
-    scored on a plan of the rows that ran.  A row's abort is,
-    in this order, its run's own, a final field that rounding through
-    float32 takes out of range, or a scored loss that is not finite; the
-    last two happen at the row's last step.  Every row is scored as the dump
-    stores its field, rounded through float32, so a later `eval` of the dump
-    reproduces the reported numbers exactly: the fields are rounded in one
-    cast of their stack and scored in one `_score_rows` call.
+    the rows of each chunk that ran.  `plan`, if given, is the loss plan
+    that ran the rows, one per config; else `_score_rows` builds one.  The
+    first failing row, in row order, raises its abort at its last step,
+    named by its label in `rows`: a final field that rounding through
+    float32 takes out of range, then a scored loss that is not finite.
+    Every row is scored as the dump stores its field, rounded through
+    float32, so a later `eval` of the dump reproduces the reported numbers
+    exactly: the fields are rounded in one cast of their stack and scored in
+    one `_score_rows` call.
     """
-    results: list = list(finals)
-    ran = [n for n, final in enumerate(finals) if not isinstance(final, NumericalAbort)]
-    if not ran:
-        return results
     with np.errstate(all="ignore"):
         # round_trip32's rounding, over the stacked rows
-        maps = np.stack([finals[n].maps for n in ran], dtype=np.float32).astype(np.float64)
+        maps = np.stack([final.maps for final in finals], dtype=np.float32).astype(np.float64)
         # entries of the float32 range sum to a finite double: a row's sum is
         # finite only if each of its entries is
         in_range = np.isfinite(maps.sum(axis=(1, 2, 3))).tolist()
-        reports = _score_rows(
-            maps, scene, [cfgs[n] for n in ran], [_final_stage(cfgs[n]) for n in ran], args.rel_threshold,
-            plan if len(ran) == len(finals) else None,
-        )
-    for n, finite, report in zip(ran, in_range, reports):
-        if not finite:
-            results[n] = NumericalAbort(cfgs[n].total_steps, "float32-rounded field")
-        elif not _finite_losses(report):
-            results[n] = NumericalAbort(cfgs[n].total_steps, "scored loss")
-        else:
-            results[n] = report
-    return results
+        reports = _score_rows(maps, scene, cfgs, [_final_stage(cfg) for cfg in cfgs], rel_threshold, plan)
+    for n, (finite, report) in enumerate(zip(in_range, reports)):
+        if not (finite and _finite_losses(report)):
+            what = "scored loss" if finite else "float32-rounded field"
+            raise NumericalAbort(cfgs[n].total_steps, what, rows[n] if rows else None)
+    return reports
 
 
 def _print_summary(report: dict) -> None:
@@ -212,9 +210,7 @@ def cmd_run(args) -> int:
     # maps) is freed before scoring allocates its own arrays
     field, plan = trajectory.final_field, trajectory._plan
     del trajectory
-    (report,) = _score_chunk(scene, [cfg], [field], args, plan)
-    if isinstance(report, NumericalAbort):
-        raise report
+    (report,) = _score_chunk(scene, [cfg], [field], args.rel_threshold, plan)
     if args.dump:
         # the dump rounds the field through float32, as it was scored
         write_dump(args.dump, field, args.seed)
@@ -227,9 +223,7 @@ def cmd_eval(args) -> int:
     scene, file_overrides = read_scene(args.scene)
     cfg = resolve_config(args, file_overrides)
     check_alignment(field, scene)
-    (report,) = _score_chunk(scene, [cfg], [field], args)
-    if isinstance(report, NumericalAbort):
-        raise report
+    (report,) = _score_chunk(scene, [cfg], [field], args.rel_threshold)
     return _publish(args, report, cfg, seed)
 
 
@@ -294,18 +288,22 @@ def cmd_sweep(args) -> int:
     run_cfgs = [cfg.updated(**{args.param: value}) for value in args.values]
     # run_rows checks every row's config, its pair coefficients too, before
     # any row runs; the rows then step in lockstep, a chunk at a time, and
-    # each chunk is scored as it is reached.  They fail as if run one after
-    # another: the first failing row, in row order, is the one reported, and
-    # no chunk of rows after it is stepped
+    # each chunk's rows before its first run abort are scored as it is
+    # reached.  They fail as if run one after another: the first failing
+    # row, in row order, is the one reported, and no row after it is scored
+    # and no chunk after it stepped
     rows = []
     for outcomes in run_rows(scene, run_cfgs, init_latent(scene, args.mode, args.seed)):
         chunk = run_cfgs[len(rows) : len(rows) + len(outcomes)]
-        finals = [o if isinstance(o, NumericalAbort) else o.final_field for o in outcomes]
-        plan = next((o._plan for o in outcomes if not isinstance(o, NumericalAbort)), None)
-        for run_cfg, scored in zip(chunk, _score_chunk(scene, chunk, finals, args, plan)):
-            if isinstance(scored, NumericalAbort):
-                raise NumericalAbort(scored.step, scored.what, row=f"{args.param} = {getattr(run_cfg, args.param):g}")
-            rows.append(_sweep_row(run_cfg, scored, args))
+        labels = [f"{args.param} = {getattr(run_cfg, args.param):g}" for run_cfg in chunk]
+        ran = next((n for n, o in enumerate(outcomes) if isinstance(o, NumericalAbort)), len(outcomes))
+        if ran:
+            plan = outcomes[0]._plan if ran == len(outcomes) else None
+            finals = [o.final_field for o in outcomes[:ran]]
+            reports = _score_chunk(scene, chunk[:ran], finals, args.rel_threshold, plan, labels)
+            rows += [_sweep_row(run_cfg, report, args) for run_cfg, report in zip(chunk, reports)]
+        if ran < len(outcomes):
+            raise NumericalAbort(outcomes[ran].step, outcomes[ran].what, row=labels[ran])
     table = {"param": args.param, "rows": rows, "config": _config_echo(cfg, args), "seed": args.seed}
     _write_report(args, table, "sweep table")
 
@@ -339,15 +337,9 @@ def _number(name: str, kind: type, *domains: str):
 
 
 def _sweep_values(text: str) -> list[float]:
-    raw = [v.strip() for v in text.split(",") if v.strip()]
-    if not raw:
+    values = [_number("values", float)(v.strip()) for v in text.split(",") if v.strip()]
+    if not values:
         raise argparse.ArgumentTypeError("empty value list")
-    values = []
-    for v in raw:
-        try:
-            values.append(float(v))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {_shown(v)}") from None
     return values
 
 

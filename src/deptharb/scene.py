@@ -35,17 +35,29 @@ def _is_real(value: Any) -> bool:
 
 
 SHOWN_DIGITS = 20  # a message shows an integer of more digits by its leading digits and its digit count
-SHOWN_BYTES = 100  # and a string whose repr takes more UTF-8 bytes by the leading characters that fit and its length
+# and a string whose repr takes more UTF-8 bytes by the leading characters that fit and its length, a tuple or
+# list whose items take more by the leading items that fit and its length
+SHOWN_BYTES = 100
 FLOAT_MAX = sys.float_info.max
 
 
 def _shown(value: Any) -> str:
     """`value` in a message: a real's str, else repr, item by item in a tuple or list, an integer of over
-    SHOWN_DIGITS digits as its leading digits and digit count (str refuses one of over 4300 digits), and a
-    string whose repr is over SHOWN_BYTES bytes as its leading characters and its length."""
+    SHOWN_DIGITS digits as its leading digits and digit count (str refuses one of over 4300 digits), a
+    string whose repr is over SHOWN_BYTES bytes as its leading characters and its length, and a tuple or
+    list whose items take more as its leading items that fit, at least one, and its length."""
     if isinstance(value, (tuple, list)):
-        items = ", ".join(map(_shown, value))
-        return f"({items}{',' * (len(value) == 1)})" if isinstance(value, tuple) else f"[{items}]"
+        items, size = [], -2
+        for item in value:
+            text = _shown(item)
+            size += len(text.encode()) + 2  # with the ", " before it
+            if items and size > SHOWN_BYTES:
+                break
+            items.append(text)
+        whole = len(items) == len(value)
+        text = ", ".join(items) + ("" if whole else ", ...")
+        text = f"({text}{',' * (len(value) == 1)})" if isinstance(value, tuple) else f"[{text}]"
+        return text if whole else f"{text} ({len(value)} items)"
     if isinstance(value, str) and len(repr(value).encode()) > SHOWN_BYTES:
         head = value[:SHOWN_BYTES]
         while len(repr(head).encode()) > SHOWN_BYTES:
@@ -204,7 +216,7 @@ class SceneSpec:
         if not (_is_integer(self.grid_height) and _is_integer(self.grid_width)):
             raise SceneError(f"grid: expected integer sides, got {_shown(self.grid_height)}x{_shown(self.grid_width)}")
         if not (isinstance(self.objects, tuple) and all(isinstance(obj, SceneObject) for obj in self.objects)):
-            raise SceneError(f"objects: expected a tuple of SceneObject, got {self.objects!r}")
+            raise SceneError(f"objects: expected a tuple of SceneObject, got {_shown(self.objects)}")
         if self.grid_height < 2 or self.grid_width < 2:
             raise SceneError(
                 f"grid: must be at least 2x2, got {_shown(self.grid_height)}x{_shown(self.grid_width)}"

@@ -57,7 +57,7 @@ import numpy as np
 
 from .attention import AttentionField, _real_array
 from .losses import _grad_product, _Plan, _reduce, _reduce_views
-from .scene import GuidanceConfig, SceneSpec, pixel_centers
+from .scene import GuidanceConfig, SceneSpec, _shown, pixel_centers
 
 JITTER = 0.05  # half-width of the uniform jitter on initial blob centres
 
@@ -326,7 +326,7 @@ MODES = tuple(_SURROGATES)
 
 def _mode_class(mode: str) -> type[_Raster | _Blob]:
     if mode not in MODES:
-        raise SurrogateError(f"mode must be one of {MODES}, got {mode!r}")
+        raise SurrogateError(f"mode must be one of {MODES}, got {_shown(mode)}")
     return _SURROGATES[mode]
 
 

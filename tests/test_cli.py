@@ -535,7 +535,7 @@ class TestSweep:
         "param, values, message",
         [
             ("nope", "1", "argument --param: invalid choice: 'nope'"),
-            ("tau", "1,x", "argument --values: not a number: 'x'"),
+            ("tau", "1,x", "argument --values: values must be a real number, got 'x'"),
             ("tau", " , ", "argument --values: empty value list"),
         ],
     )
@@ -555,6 +555,8 @@ class TestSweep:
             ("1e9,1e6,800", "non-finite rendered field at step 1 (eta0 = 1e+09)"),
             # row 1's run completes; its field then overflows float32
             ("800,1e5", "non-finite float32-rounded field at step 20 (eta0 = 100000)"),
+            # row 0's field overflows float32 at its last step, after row 1's run aborts at step 1
+            ("1e5,1e9", "non-finite float32-rounded field at step 20 (eta0 = 100000)"),
         ],
     )
     def test_first_failing_row_in_row_order_is_reported(self, tmp_path, capsys, values, message):
@@ -596,6 +598,29 @@ class TestSweep:
         values = [800.0, 400.0, 1e6, 1e9, 200.0, 100.0]
         stepped = [values[lo : lo + rows_per_chunk] for lo in range(0, 3, rows_per_chunk)]
         assert chunks == stepped
+
+    @pytest.mark.parametrize(
+        "values, scored, message",
+        [
+            # one chunk: row 0 aborts at step 1, and row 1, whose run completes, is not scored
+            ("1e9,1e5", [], "non-finite rendered field at step 1 (eta0 = 1e+09)"),
+            # row 0 is scored, row 1 aborts, and row 2 is not scored
+            ("800,1e9,1e5", [1], "non-finite rendered field at step 1 (eta0 = 1e+09)"),
+            # row 0 is scored and fails before row 1's run abort is raised
+            ("1e5,1e9", [1], "non-finite float32-rounded field at step 20 (eta0 = 100000)"),
+        ],
+    )
+    def test_no_row_after_a_run_abort_is_scored(self, monkeypatch, capsys, values, scored, message):
+        from pathlib import Path
+
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "canonical.json"
+        rows = []
+        real = deptharb.cli._score_rows
+        monkeypatch.setattr("deptharb.cli._score_rows", lambda maps, *a: rows.append(len(maps)) or real(maps, *a))
+        argv = ["sweep", "--scene", str(scene), "--param", "eta0", "--values", values, "--steps", "20", "--seed", "3"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"numerical abort: {message}\n"
+        assert rows == scored
 
     def test_three_value_sweep_structure(self, tmp_path, scene_path):
         table_path = tmp_path / "table.json"
@@ -655,6 +680,22 @@ class TestUsage:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "extras, shown",
+        [
+            (["a" * 100_000], "'" + "a" * 98 + "'... (100000 characters)"),
+            (["a"] * 30_000, "'" + "a " * 49 + "'... (59999 characters)"),
+            (["--bogus", "5"], "'--bogus 5'"),
+        ],
+    )
+    def test_unknown_arguments_are_shown_bounded(self, monkeypatch, capsys, scene_path, extras, shown):
+        calls = []
+        monkeypatch.setattr("deptharb.cli.read_scene", lambda *a: calls.append(a))
+        assert run_cli("run", "--scene", scene_path, *extras) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: unrecognized arguments: {shown}\n"
+        assert len(err.encode()) < 300 and calls == []
 
     def test_flags_do_not_leak_between_calls(self):
         # main reuses one parser per process
@@ -1021,9 +1062,10 @@ def _assert_rows_are_run_reports(workdir, doc, param, values, flags, rows_per_ch
     """Sweep `values` of `param`, its rows stepped `rows_per_chunk` at a time, against a `run` of each row's config.
 
     Each scored row's report is, byte for byte, the one its `run` writes,
-    and its table row is that report's summary; a row whose `run` fails
-    scores as that run's abort.  The sweep fails as the first failing row's
-    run does, naming the row, and scores no chunk after that row's.
+    and its table row is that report's summary.  The sweep fails as the
+    first failing row's run does, naming the row: it scores every row of
+    each chunk before that row's, and that chunk's rows before its first
+    run abort, and then raises that row's abort.
     """
     scene = os.path.join(workdir, "scene.json")
     with open(scene, "w", encoding="utf-8") as fh:
@@ -1034,11 +1076,13 @@ def _assert_rows_are_run_reports(workdir, doc, param, values, flags, rows_per_ch
         code, err = _cli("run", "--scene", scene, *flags, f"{SCORED_PARAMS[param][0]}={value!r}", "--report", path)
         runs.append((code, err, load_report(path) if code == 0 else None))
     scored = []  # every row the sweep scores, in row order
+    reports = []  # the reports scoring returns
     real = deptharb.cli._score_chunk
 
-    def recording(*args):
-        results = real(*args)
-        scored.extend(results)
+    def recording(scene, cfgs, *args):
+        scored.extend(cfgs)
+        results = real(scene, cfgs, *args)
+        reports.extend(results)
         return results
 
     entries = len(doc["objects"]) * doc["grid"]["height"] * doc["grid"]["width"]
@@ -1051,15 +1095,19 @@ def _assert_rows_are_run_reports(workdir, doc, param, values, flags, rows_per_ch
     failing = next((n for n, run in enumerate(runs) if run[0]), None)
     if failing is None:
         assert (code, err) == (0, "")
-        assert len(scored) == len(values)
+        assert len(scored) == len(reports) == len(values)
     else:
         assert code == runs[failing][0] == 2
         assert err == runs[failing][1].replace("\n", f" ({param} = {values[failing]:g})\n")
-        assert len(scored) == min(len(values), (failing // rows_per_chunk + 1) * rows_per_chunk)
-    for report, (run_code, run_err, run) in zip(scored, runs):
-        if run_code:
-            assert f"numerical abort: {report}\n" == run_err
-            continue
+        # a run abort, not a failure of the scoring of a run that completed
+        run_aborts = [bool(run[0]) and not re.search("float32-rounded field|scored loss", run[1]) for run in runs]
+        lo = failing // rows_per_chunk * rows_per_chunk
+        hi = min(len(values), lo + rows_per_chunk)
+        assert len(scored) == next((n for n in range(lo, hi) if run_aborts[n]), hi)
+        assert len(reports) == (failing if run_aborts[failing] else lo)
+    assert [getattr(cfg, param) for cfg in scored] == values[: len(scored)]
+    for report, (run_code, run_err, run) in zip(reports, runs):
+        assert run_code == 0
         del run["config"], run["seed"]
         assert dumps_report(report.to_json_dict()) == dumps_report(run)
     if failing is None:

@@ -454,8 +454,13 @@ def huge_integers(draw):
     return (-value if draw(st.booleans()) else value), digits
 
 
+# items of the sequences `_shown` is asked to show, some of them longer than SHOWN_BYTES on their own
+SHOWN_ITEMS = st.floats() | st.integers() | st.text(max_size=200) | st.lists(st.integers(), max_size=50)
+
+
 class TestBoundedMessages:
-    """A rejected integer of any size is echoed by its leading digits and its digit count."""
+    """A rejected value of any size is shown bounded: an integer by its leading digits and its digit count,
+    a string by its leading characters and a sequence by its leading items, each with its length."""
 
     @settings(max_examples=100)
     @given(st.sampled_from(list(HUGE_FIELDS)), huge_integers())
@@ -490,3 +495,34 @@ class TestBoundedMessages:
             head, _, count = shown.rpartition("... (")
             assert count == f"{len(text)} characters)"
             assert len(head.encode()) <= SHOWN_BYTES and text.startswith(ast.literal_eval(head))
+
+    @settings(max_examples=200)
+    @given(st.lists(SHOWN_ITEMS, max_size=40)
+           | st.builds(lambda item, count: [item] * count, SHOWN_ITEMS, st.integers(0, 10_000)), st.booleans())
+    @example([0.5] * 10_000, True)
+    @example(["a" * 200], False)
+    def test_a_sequence_is_shown_whole_or_by_its_leading_items_and_length(self, items, as_tuple):
+        value = tuple(items) if as_tuple else items
+        shown, opening, closing = _shown(value), *("()" if as_tuple else "[]")
+        texts = [_shown(item) for item in value]
+        whole = ", ".join(texts)
+        if len(whole.encode()) <= SHOWN_BYTES or len(value) == 1:
+            assert shown == f"{opening}{whole}{',' * (as_tuple and len(value) == 1)}{closing}"
+            return
+        tail = f", ...{closing} ({len(value)} items)"
+        assert shown.startswith(opening) and shown.endswith(tail)
+        head = shown[1 : -len(tail)]
+        # the leading items that fit in SHOWN_BYTES, at least one
+        count = next(n for n in range(1, len(texts)) if ", ".join(texts[:n]) == head)
+        assert count == 1 or len(head.encode()) <= SHOWN_BYTES
+        assert len(", ".join(texts[: count + 1]).encode()) > SHOWN_BYTES
+
+    @pytest.mark.parametrize("build", [
+        lambda: SceneObject(id=0, label="", bbox=(0.5,) * 100_000, depth=0.5),
+        lambda: SceneSpec(8, 8, [1] * 100_000),
+    ])
+    def test_a_long_sequence_gives_a_short_message(self, build):
+        with pytest.raises(SceneError) as info:
+            build()
+        message = str(info.value)
+        assert len(message) < 300 and re.search(r", \.\.\.[)\]] \(100000 items\)$", message), message

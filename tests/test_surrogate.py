@@ -138,6 +138,12 @@ class TestInit:
             with pytest.raises(SurrogateError, match=message):
                 with_default_step(cfg, "spline")
 
+    def test_a_long_unknown_mode_gives_a_short_message(self, two_object_scene):
+        with pytest.raises(SurrogateError) as info:
+            init_latent(two_object_scene, "x" * 100_000, seed=0)
+        message = str(info.value)
+        assert len(message) < 300 and message.endswith("... (100000 characters)"), message
+
     @settings(max_examples=60)
     @given(init_cases())
     def test_matches_the_per_object_start_bit_for_bit(self, case):
