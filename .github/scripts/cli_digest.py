@@ -14,8 +14,11 @@ a change in the float64 values behind them.  So after the commands, each
 probe of PROBES runs as `python -c` in a process of the tree's own and
 prints exact digests: every field of `check_gradients`' results, floats in
 hex, and a sha256 of every loss column, the final latent and the final
-field of a map-tiled raster run and of a 200-step canonical blob run.  A probe's results are compared as a
-command's are.
+field of a map-tiled raster run, of a map-tiled blob run and of a 200-step
+canonical blob run.  A probe's results are compared as a command's are.
+Map-tiled runs are on `large_scene(1)`, 256x256 with K = 8, whose tiles
+hold one map each, so a tile's render and reductions cover part of a row;
+a `run` and a `sweep` in blob mode walk such tiles too.
 
 The scenes both trees read are written once, before any command runs: the
 repository's `scenes/canonical.json`, three copies of it that break one rule
@@ -63,6 +66,9 @@ COMMANDS = [
     "eval --scene {two} --dump d2.darb --steps 60 --stage1-frac 1 --preset appendix --rel-threshold 0.3",
     "run --scene {small} --mode blob --seed 3 --steps 40 --eta-decay 0.98 --dump d3.darb --report r3.json",
     "eval --scene {small} --mode blob --dump d3.darb --steps 40 --report e3.json",
+    # map-tiled blob runs: each tile renders and reduces one map of a row
+    "run --scene {tiled} --mode blob --steps 16 --seed 0 --report r15.json",
+    "sweep --scene {tiled} --mode blob --param lambda_ortho --values 0.1,0.5 --steps 16 --seed 0",
     # runs of no step
     "run --scene {canonical} --steps 0 --seed 3 --report r4.json",
     "run --scene {canonical} --mode blob --steps 0 --stage1-frac 0 --report r5.json",
@@ -179,6 +185,7 @@ PROBES = [
     ("probe: grad-check results in hex, canonical", GRADCHECK_PROBE, "{canonical}"),
     ("probe: grad-check results in hex, small", GRADCHECK_PROBE, "{small}"),
     ("probe: trajectory digests, map-tiled raster run", TRAJECTORY_PROBE, "{tiled} raster 16 0"),
+    ("probe: trajectory digests, map-tiled blob run", TRAJECTORY_PROBE, "{tiled} blob 16 0"),
     ("probe: trajectory digests, canonical blob run", TRAJECTORY_PROBE, "{canonical} blob 200 7"),
 ]
 

@@ -490,7 +490,7 @@ def check_gradients(
     # as in the run loop: a non-finite gradient is judged below, so numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
         surrogate.render(np.repeat(latent.values[None], batch, axis=0))
-        surrogate.reduce(surrogate.reduce_views(plan))
+        surrogate.reduce(plan)
         _step_factors(plan, _columns(plan, [stages]), 0)
         _grad_product(_product_views(plan, stages, 0, len(grad_att), grad_att))
         grad_lat = surrogate.chain(_product_views(plan, stages, 0, len(buffer), buffer), buffer)

@@ -28,19 +28,19 @@ each evaluation's breakdown into pass columns (`_columns`), one
 (passes, B, ...) array per field: a run allocates them once and its
 trajectory is written in place, pass after pass, and a value-only call
 runs into a one-pass column set of its own (`_evaluate`).  The kernel
-comes in halves.  The field half, `_reduce`, reads a dense field: it
-writes the reductions every term is built from (`_Scratch.row_dots` and
-`col_sum`), one GEMM against the box columns and the column sums per map,
-for any range of maps.  From the reductions of every map, `_values` writes
-the values and `_step_factors` the values and the gradient's
-step-dependent low-rank factors; `_grad_product` multiplies the factors
-out for any range of maps.  `_evaluate` runs the first two for all maps
-(scoring, and `staged_loss`, the one-row view for callers outside the
-package).  Each surrogate mode writes the reductions and reads the factors
-its own way: the raster mode through `_reduce` and `_grad_product`, the
-blob mode from its rank-one maps' 1-D factors, reading no dense field
-(see `surrogate`).  The run loop does so a tile of maps at a time, while
-the tile is in cache, and `gradcheck` for all maps at once.
+comes in halves.  The field half, `_reduce(stack, plan, lo, hi)`, reads
+maps lo..hi-1 of a dense stack: it writes the reductions every term is
+built from (`_Scratch.row_dots` and `col_sum`), one GEMM against the box
+columns and the column sums per map.  From the reductions of every map,
+`_values` writes the values and `_step_factors` the values and the
+gradient's step-dependent low-rank factors; `_grad_product` multiplies the
+factors out for any range of maps.  `_evaluate` runs the first two for all
+maps (scoring, and `staged_loss`, the one-row view for callers outside the
+package).  Each surrogate mode writes the reductions in one call,
+`reduce(plan, lo, hi)`, and reads the factors its own way: the raster mode
+through `_reduce` and `_grad_product`, the blob mode from its rank-one
+maps' 1-D factors, reading no dense field (see `surrogate`).  The run loop
+does so a tile of maps at a time, and `gradcheck` for all maps at once.
 Gradients are hand-derived closed forms rather than autodiff, and
 the literal term definitions they are checked against live apart, in
 `gradcheck`, so the finite-difference oracle is a genuinely independent
@@ -281,7 +281,7 @@ class _Plan:
     Every per-run constant the kernel reads is built here, and each member
     names the kernel line that reads it:
 
-    * `colmat`: `_reduce`'s GEMM of each map against the box columns;
+    * `colmat`: a surrogate's `reduce(plan, lo, hi)`, the GEMM of each map against the box columns;
     * `gather`, `gather_rows`: `_values`' one gathered pass, the sums over
       y of gather_rows times row_dots.take(gather); entries 0..B*K-1 pick
       A_m[y] . c_k of every map (in-box sums), the rest A_bg[y] . c_fg of
@@ -428,19 +428,8 @@ def _columns(plan: _Plan, schedule: Sequence[Sequence[int]]) -> LossBreakdown:
     )
 
 
-def _reduce_views(maps: np.ndarray, plan: _Plan, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """The views whose `_reduce` writes the reductions of maps lo..hi-1 of a (B, K, H, W) field into the plan's scratch.
-
-    The maps are those of the plan's stack (map m = b * K + k), and their
-    reductions are their blocks of `row_dots` and their column sums.
-    """
-    batch, k, height, width = maps.shape
-    stack = maps.reshape(batch * k, height, width)[lo:hi]
-    return stack, plan.colmat, plan.scratch.row_dots[lo:hi], plan.scratch.col_sum[lo:hi]
-
-
-def _reduce(views: tuple[np.ndarray, ...]) -> None:
-    """Field half of the kernel: write the GEMM and column sums of each of `_reduce_views`' maps.
+def _reduce(stack: np.ndarray, plan: _Plan, lo: int = 0, hi: int | None = None) -> None:
+    """Field half of the kernel: the GEMM and column sums of maps lo..hi-1 of a (B * K, H, W) stack, all by default.
 
     row_dots[m, y, 0] = R[m, y] and row_dots[m, y, 1 + j] = A_m[y] . c_j
     come from one GEMM per map, and a column sum adds a map's pixel rows in
@@ -449,9 +438,9 @@ def _reduce(views: tuple[np.ndarray, ...]) -> None:
     by the product's size, and its kernels round some dot products
     differently.
     """
-    stack, colmat, dots, col_sum = views
-    np.matmul(stack, colmat, out=dots)
-    np.add.reduce(stack, axis=1, out=col_sum)
+    maps = stack[lo:hi]
+    np.matmul(maps, plan.colmat, out=plan.scratch.row_dots[lo:hi])
+    np.add.reduce(maps, axis=1, out=plan.scratch.col_sum[lo:hi])
 
 
 def _values(plan: _Plan, out: LossBreakdown, t: int) -> tuple[np.ndarray, ...]:
@@ -599,7 +588,7 @@ def _evaluate(maps: np.ndarray, plan: _Plan, stages: Sequence[int]) -> LossBreak
     """Each row's breakdown of a (B, K, H, W) field, row b at stages[b]: `_reduce` of every map, then `_values`
     into one-pass columns of its own."""
     out = _columns(plan, [stages])
-    _reduce(_reduce_views(maps, plan, 0, len(plan.depths)))
+    _reduce(maps.reshape(-1, *maps.shape[2:]), plan)
     _values(plan, out, 0)
     return out.take(0)
 

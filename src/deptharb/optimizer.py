@@ -24,13 +24,14 @@ one row.  The loss kernel's factor half (`losses._step_factors`) runs once
 for every row; then, tile by tile, the surrogate's `chain` turns the plan's
 low-rank factors (U, V) of the tile's dL/dA into the tile's latent
 gradient, which is scaled by eta_t and subtracted from the tile's latent;
-the surrogate renders the tile's maps from the updated latent and its
-`reduce` takes their reductions, the next pass's input, while all of it is
-still in cache.  The surrogate decides how: the raster chain writes dL/dA
-into one small scratch (`losses._grad_product`) and multiplies it by the
-field, and the raster reductions read the field (`losses._reduce`); the
-blob works from its 1-D factors and the plan's (U, V) alone, so it writes
-neither a field nor a gradient on a step.  So each map is rendered once per
+the surrogate renders the tile's maps from the updated latent, and its one
+call `reduce(plan, lo, hi)` writes their reductions, the next pass's
+input, into the plan's scratch while all of it is still in cache.  The
+surrogate decides how: the raster chain writes dL/dA into one small
+scratch (`losses._grad_product`) and multiplies it by the field, and the
+raster reductions read the field (`losses._reduce`); the blob works from
+its 1-D factors and the plan's (U, V) alone, so it writes neither a field
+nor a gradient on a step.  So each map is rendered and reduced once per
 pass, pass 0's tile by tile before the first step, nothing but the walk
 reads the factors of a render, and a run never writes a whole-field
 gradient.  The dense field is asked of the surrogate (`field()`) once, for
@@ -172,16 +173,13 @@ class _Tile(NamedTuple):
     hi: int
     rows: range              # the rows its maps belong to
     grad: np.ndarray         # (hi - lo, H, W) view of the run's scratch
-    grad_rows: np.ndarray    # grad, line by line
     latent_rows: np.ndarray  # the maps' latent, a view of the run's, line by line; what `render` reads
     steps: np.ndarray        # (passes, len(rows), 1) each pass's step size, line by line
     sums: np.ndarray         # (len(rows),) scratch for `_faults`' line sums
-    reduce: tuple            # the maps' `reduce_views` of the surrogate
 
 
-def _tiles(z: np.ndarray, eta: np.ndarray, surrogate, plan: _Plan) -> list[_Tile]:
-    """The tiles of a run's maps, with views of one scratch, of latent z (B, K, ...), of eta (passes, B), of
-    the surrogate's buffers and of the plan's scratch.
+def _tiles(z: np.ndarray, eta: np.ndarray, surrogate) -> list[_Tile]:
+    """The tiles of a run's maps, with views of one scratch, of latent z (B, K, ...) and of eta (passes, B).
 
     A tile holds at most _TILE_ENTRIES field entries and at least one map:
     as many whole rows as fit, else as many maps of one row.  Every tile
@@ -212,8 +210,8 @@ def _tiles(z: np.ndarray, eta: np.ndarray, surrogate, plan: _Plan) -> list[_Tile
         rows = range(lo // k, (hi - 1) // k + 1)
         grad = scratch[: (hi - lo) * size].reshape(hi - lo, height, width)
         tiles.append(_Tile(
-            lo, hi, rows, grad, grad.reshape(len(rows), -1), latent[lo:hi].reshape(len(rows), -1),
-            eta[:, rows.start : rows.stop, None], np.empty(len(rows)), surrogate.reduce_views(plan, lo, hi),
+            lo, hi, rows, grad, latent[lo:hi].reshape(len(rows), -1), eta[:, rows.start : rows.stop, None],
+            np.empty(len(rows)),
         ))
     return tiles
 
@@ -253,7 +251,8 @@ def _name_faults(faulted: list[int], tile: _Tile, views: list, surrogate, worst:
     which the walk writes over only after this.
     """
     _grad_product(views)
-    gradient = [not np.isfinite(tile.grad_rows[b - tile.rows.start]).all() for b in faulted]
+    grad_rows = tile.grad.reshape(len(tile.rows), -1)
+    gradient = [not np.isfinite(grad_rows[b - tile.rows.start]).all() for b in faulted]
     latent_grad = surrogate.chain(views, tile.grad, tile.lo, tile.hi).reshape(len(tile.rows), -1)
     for b, bad_gradient in zip(faulted, gradient):
         rank = 2 if bad_gradient else 0 if np.isfinite(latent_grad[b - tile.rows.start]).all() else 1
@@ -341,7 +340,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
     surrogate = _surrogate(scene, latent0.mode, batch)
     z = np.repeat(latent0.values[None], batch, axis=0)
     eta = np.array(etas)  # (passes, B)
-    tiles = _tiles(z, eta, surrogate, plan)
+    tiles = _tiles(z, eta, surrogate)
     # each stage tuple's gradient products, tile by tile, built before the first step
     products = {
         stages: [_product_views(plan, stages, tile.lo, tile.hi, tile.grad) for tile in tiles]
@@ -357,7 +356,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
         # pass 0's field, and its reductions, a tile at a time
         for tile in tiles:
             surrogate.render(tile.latent_rows, tile.lo, tile.hi)
-            surrogate.reduce(tile.reduce)
+            surrogate.reduce(plan, tile.lo, tile.hi)
         for t, stages in enumerate(schedule):
             last = t == len(schedule) - 1
             (_values if last else _step_factors)(plan, columns, t)
@@ -381,7 +380,7 @@ def _run_chunk(scene: SceneSpec, plan: _Plan, latent0: LatentState) -> list[Traj
                     _name_faults(faulted, tile, views, surrogate, worst)
                 # the next pass's maps, and their reductions, while the tile is in cache
                 surrogate.render(tile.latent_rows, tile.lo, tile.hi)
-                surrogate.reduce(tile.reduce)
+                surrogate.reduce(plan, tile.lo, tile.hi)
             for b, rank in worst.items():
                 aborts[b] = NumericalAbort(t, _FAULTS[rank])
             live = [b for b in live if aborts[b] is None]

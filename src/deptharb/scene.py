@@ -35,8 +35,8 @@ def _is_real(value: Any) -> bool:
 
 
 SHOWN_DIGITS = 20  # a message shows an integer of more digits by its leading digits and its digit count
-# and a string whose repr takes more UTF-8 bytes by the leading characters that fit and its length, a tuple or
-# list whose items take more by the leading items that fit and its length
+# and any other value whose text (a string's repr) takes more UTF-8 bytes by the leading characters that fit
+# and its length, a tuple or list whose items take more by the leading items that fit and its length
 SHOWN_BYTES = 100
 FLOAT_MAX = sys.float_info.max
 
@@ -44,8 +44,10 @@ FLOAT_MAX = sys.float_info.max
 def _shown(value: Any) -> str:
     """`value` in a message: a real's str, else repr, item by item in a tuple or list, an integer of over
     SHOWN_DIGITS digits as its leading digits and digit count (str refuses one of over 4300 digits), a
-    string whose repr is over SHOWN_BYTES bytes as its leading characters and its length, and a tuple or
-    list whose items take more as its leading items that fit, at least one, and its length."""
+    string whose repr is over SHOWN_BYTES bytes as the repr of its leading characters and its length, any
+    other text over SHOWN_BYTES bytes as its leading characters and its length, a value with no text as its
+    type's name, and a tuple or list whose items take more as its leading items that fit, at least one, and
+    its length."""
     if isinstance(value, (tuple, list)):
         items, size = [], -2
         for item in value:
@@ -58,15 +60,22 @@ def _shown(value: Any) -> str:
         text = ", ".join(items) + ("" if whole else ", ...")
         text = f"({text}{',' * (len(value) == 1)})" if isinstance(value, tuple) else f"[{text}]"
         return text if whole else f"{text} ({len(value)} items)"
-    if isinstance(value, str) and len(repr(value).encode()) > SHOWN_BYTES:
-        head = value[:SHOWN_BYTES]
-        while len(repr(head).encode()) > SHOWN_BYTES:
-            head = head[:-1]
-        return f"{head!r}... ({len(value)} characters)"
-    if not _is_integer(value) or abs(int(value)) < 10**SHOWN_DIGITS:
-        return str(value) if _is_real(value) else repr(value)
-    digits = Decimal(abs(int(value))).adjusted() + 1
-    return f"{'-' * (value < 0)}{abs(int(value)) // 10 ** (digits - SHOWN_DIGITS)}... ({digits} digits)"
+    if _is_integer(value) and abs(int(value)) >= 10**SHOWN_DIGITS:
+        digits = Decimal(abs(int(value))).adjusted() + 1
+        return f"{'-' * (value < 0)}{abs(int(value)) // 10 ** (digits - SHOWN_DIGITS)}... ({digits} digits)"
+    try:
+        text = str(value) if _is_real(value) else repr(value)
+    except Exception:  # a refusal must not end in another error; Python's repr of a dict holding an integer of
+        # over 4300 digits raises ValueError, and any custom repr may raise
+        return f"<{type(value).__name__} object>"
+    # a custom repr may hold a lone surrogate, which encodes as one replaced byte
+    if len(text.encode(errors="replace")) <= SHOWN_BYTES:
+        return text
+    source, form = (value, repr) if isinstance(value, str) else (text, str)
+    head = source[:SHOWN_BYTES]
+    while len(form(head).encode(errors="replace")) > SHOWN_BYTES:
+        head = head[:-1]
+    return f"{form(head)}... ({len(source)} characters)"
 
 
 # each domain of a numeric input, keyed by the text its refusal prints: `<name> must be <domain>, got <value>`

@@ -15,10 +15,10 @@ Two parametrizations:
 Each mode is one class and owns every fact about it: `latent_shape(scene)`,
 its step size `default_eta0`, the seeded start `init(scene, rng)`, then,
 built once per run, the calls the run loop and `gradcheck` drive:
-`render(values, lo, hi)`; `reduce(views)`, which writes the reductions the
-loss kernel reads (`losses._Scratch.row_dots` and `col_sum`) of the maps of
-`reduce_views(plan, lo, hi)`; `chain(products, grad, lo, hi)`, the latent
-gradient from the plan's low-rank factors (U, V) of dL/dA, as
+`render(values, lo, hi)`; `reduce(plan, lo, hi)`, one call that writes the
+reductions the loss kernel reads of the same maps into the plan's scratch
+(`losses._Scratch.row_dots` and `col_sum`); `chain(products, grad, lo, hi)`,
+the latent gradient from the plan's low-rank factors (U, V) of dL/dA, as
 `losses._product_views` hands them out; and `field()`, the dense
 (B, K, H, W) field of the last render.  The raster mode reduces its field
 with `losses._reduce` and chains through `losses._grad_product` and a
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionField, _real_array
-from .losses import _grad_product, _Plan, _reduce, _reduce_views
+from .losses import _grad_product, _Plan, _reduce
 from .scene import GuidanceConfig, SceneSpec, _shown, pixel_centers
 
 JITTER = 0.05  # half-width of the uniform jitter on initial blob centres
@@ -91,7 +91,6 @@ class _Raster:
     """
 
     default_eta0 = 800.0  # its gradient entries scale like 1/(total attention mass)
-    reduce = staticmethod(_reduce)
 
     @staticmethod
     def latent_shape(scene: SceneSpec) -> tuple[int, ...]:
@@ -119,9 +118,9 @@ class _Raster:
         """The (B, K, H, W) field of the last render: `maps`, which every `render` writes."""
         return self.maps
 
-    def reduce_views(self, plan: _Plan, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
-        """The views whose `reduce` writes the reductions of maps lo..hi-1 into the plan's scratch."""
-        return _reduce_views(self.maps, plan, lo, hi)
+    def reduce(self, plan: _Plan, lo: int = 0, hi: int | None = None) -> None:
+        """`losses._reduce` of maps lo..hi-1 of the last render, all of them by default, into the plan's scratch."""
+        _reduce(self._stack, plan, lo, hi)
 
     def chain(self, products: list, grad: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """dL/dlogit = dL/dA * A (A = exp(logit)) of maps lo..hi-1 of the last render, written over grad.
@@ -248,29 +247,21 @@ class _Blob:
         np.einsum("mi,mj->mij", self._left[:, 0], self._gx, out=self._stack)
         return self.maps
 
-    def reduce_views(self, plan: _Plan, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, ...]:
-        """The views whose `reduce` writes the reductions of maps lo..hi-1 into the plan's scratch."""
-        gx, gy, gy_sums = self._gx[lo:hi], self._left[lo:hi, 0], self._gy_sums[lo:hi]
-        dots, col_sum = plan.scratch.row_dots[lo:hi], plan.scratch.col_sum[lo:hi]
-        return gx[:, None], plan.colmat, self._box_dots[lo:hi], gy, gy[:, :, None], gy_sums, gy_sums[:, None], gx, \
-            dots, col_sum
-
-    @staticmethod
-    def reduce(views: tuple[np.ndarray, ...]) -> None:
-        """The reductions `losses._reduce` takes of a dense map, from each of `reduce_views`' maps' factors.
+    def reduce(self, plan: _Plan, lo: int = 0, hi: int | None = None) -> None:
+        """`losses._reduce` of maps lo..hi-1 of the last render, all of them by default, taken from their factors.
 
         A map A = g_y (x) g_x has row_dots[m, y, j] = g_y[y] (g_x . colmat[:, j])
         and column sums col_sum[m] = (sum g_y) g_x.  The dot products run
         map by map, one (1, W) @ (W, 1 + K) product each, so a map's
         reductions are the same whatever maps they are taken with.
         """
-        gx_rows, colmat, box_dots, gy, gy_col, gy_sums, gy_sums_col, gx, dots, col_sum = views
-        np.matmul(gx_rows, colmat, out=box_dots)
+        gx, gy, gy_sums, box_dots = self._gx[lo:hi], self._left[lo:hi, 0], self._gy_sums[lo:hi], self._box_dots[lo:hi]
+        np.matmul(gx[:, None], plan.colmat, out=box_dots)
         # the outer product as an (H, 1) @ (1, 1 + K) product: one rounded multiplication per entry, as
         # np.multiply's, which buffers its two broadcast operands and is slower
-        np.matmul(gy_col, box_dots, out=dots)
+        np.matmul(gy[:, :, None], box_dots, out=plan.scratch.row_dots[lo:hi])
         np.add.reduce(gy, axis=1, out=gy_sums)
-        np.multiply(gy_sums_col, gx, out=col_sum)
+        np.multiply(gy_sums[:, None], gx, out=plan.scratch.col_sum[lo:hi])
 
     def chain(self, products: list, grad: np.ndarray | None = None, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """dL/d(cx, cy, lsx, lsy, la) of maps lo..hi-1 of the last render, from the factors of their dL/dA.

@@ -58,7 +58,6 @@ from deptharb.losses import (
     _plan,
     _product_views,
     _reduce,
-    _reduce_views,
     _step_factors,
     staged_total,
 )
@@ -195,7 +194,7 @@ def scalar_check_gradients(
     h = long(gradcheck.FD_STEP)
     plan = _plan(scene, derive_occlusion_pairs(scene), [cfg])
     # the run loop's sequence: the surrogate's own reductions, the kernel's factors, then dL/dA and the chain
-    surrogate.reduce(surrogate.reduce_views(plan))
+    surrogate.reduce(plan)
     _step_factors(plan, _columns(plan, [[stage]]), 0)
     grad_att, buffer = np.empty((2, *maps.shape[1:]))
     _grad_product(_product_views(plan, [stage], 0, len(grad_att), grad_att))
@@ -259,7 +258,7 @@ def kernel_value_and_grad(maps: np.ndarray, plan, stages: Sequence[int]) -> tupl
     n_maps = len(plan.depths)
     out = _columns(plan, [stages])
     grad = np.empty(maps.shape)
-    _reduce(_reduce_views(maps, plan, 0, n_maps))
+    _reduce(maps.reshape(n_maps, *maps.shape[2:]), plan)
     _step_factors(plan, out, 0)
     _grad_product(_product_views(plan, stages, 0, n_maps, grad.reshape(-1, *maps.shape[2:])))
     return out.take(0), grad

@@ -746,13 +746,12 @@ class TestRunLoopSequence:
         calls = []
         real = _Blob.reduce
 
-        def planted(views):
+        def planted(self, plan, lo=0, hi=None):
             calls.append(1)
-            real(views)
-            col_sum = views[-1]
-            col_sum *= 1 + 1e-4
+            real(self, plan, lo, hi)
+            plan.scratch.col_sum[lo:hi] *= 1 + 1e-4
 
-        monkeypatch.setattr(_Blob, "reduce", staticmethod(planted))
+        monkeypatch.setattr(_Blob, "reduce", planted)
         scene = canonical_scene()
         results = check_gradients(scene, GuidanceConfig(), init_latent(scene, "blob", 0), (1, 2), seed=0, samples=200)
         for result in results:

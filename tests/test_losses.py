@@ -36,7 +36,7 @@ from deptharb.gradcheck import (
     spatial_variance,
 )
 from deptharb.losses import (
-    _columns, _evaluate, _plan, _reduce, _reduce_views, _values, arbitration_weight, staged_total,
+    _columns, _evaluate, _plan, _reduce, _values, arbitration_weight, staged_total,
 )
 
 from conftest import random_field_latent, random_scene
@@ -471,7 +471,7 @@ class TestPlanScratch:
         kept = [_evaluate(fields[0].maps[None], plan, [1]).take(0), _evaluate(fields[1].maps[None], plan, [2]).take(0)]
         columns = _columns(plan, [[2], [1]])
         for t, field in enumerate(fields[2:]):
-            _reduce(_reduce_views(field.maps[None], plan, 0, 2))
+            _reduce(field.maps, plan)
             _values(plan, columns, t)
         kept += [columns.take((0, 0)), columns.take((1, 0))]
         for field, stage, got in zip(fields, stages, kept, strict=True):

@@ -372,7 +372,7 @@ def _loss_of(scene, pairs, cfg, latent, stage, step=None):
     surrogate, plan = _surrogate(scene, latent.mode, 1), _plan(scene, pairs, [cfg])
     surrogate.render(latent.values[None])
     AttentionField(maps=surrogate.field()[0])  # the public, validating field
-    surrogate.reduce(surrogate.reduce_views(plan))
+    surrogate.reduce(plan)
     columns = _columns(plan, [[stage]])
     (_values if step is None else _step_factors)(plan, columns, 0)
     total = columns.total[0, 0]
@@ -525,7 +525,8 @@ PLANTED = [math.nan, math.inf, -math.inf, 1e200, -1e300, 1.5e154]
 
 
 def _drawn(maps, lo, hi):
-    """The maps that `render(values, lo, hi)` writes, as indices into the B * K-map stack of its field `maps`."""
+    """The maps that `render(values, lo, hi)` writes or `reduce(plan, lo, hi)` reduces, as indices into the B * K-map
+    stack of its field `maps`."""
     return range(maps.shape[0] * maps.shape[1])[lo:hi]
 
 
@@ -992,7 +993,7 @@ def _tiled_and_whole(scene, mode, values, tiles):
         stack = values.reshape(batch * k, -1)
         for lo, hi in tiling:
             surrogate.render(stack[lo:hi], lo, hi)
-            surrogate.reduce(surrogate.reduce_views(plan, lo, hi))
+            surrogate.reduce(plan, lo, hi)
         chained = []
         for lo, hi in tiling:
             grad = np.empty((hi - lo, scene.grid_height, scene.grid_width))
@@ -1043,18 +1044,22 @@ class TestTilePartitions:
     @pytest.mark.parametrize("mode", MODES)
     def test_each_map_is_rendered_once_per_pass(self, two_object_scene, monkeypatch, mode, tile_entries):
         # 3 rows of 2 maps in one tile, a row per tile or a map per tile; 5 steps and the end state are 6 passes
-        renders = Counter()
+        renders, reduces = Counter(), Counter()
         real = optimizer._surrogate
 
         def counted(*args):
             surrogate = real(*args)
-            render = surrogate.render
+            render, reduce = surrogate.render, surrogate.reduce
 
-            def counting(values, lo=0, hi=None):
+            def counting_render(values, lo=0, hi=None):
                 render(values, lo, hi)
                 renders.update(_drawn(surrogate.maps, lo, hi))
 
-            surrogate.render = counting
+            def counting_reduce(plan, lo=0, hi=None):
+                reduce(plan, lo, hi)
+                reduces.update(_drawn(surrogate.maps, lo, hi))
+
+            surrogate.render, surrogate.reduce = counting_render, counting_reduce
             return surrogate
 
         monkeypatch.setattr(optimizer, "_surrogate", counted)
@@ -1064,6 +1069,7 @@ class TestTilePartitions:
         outcomes = list(chain.from_iterable(run_rows(two_object_scene, cfgs, init_latent(two_object_scene, mode, 4))))
         assert all(isinstance(outcome, optimizer.Trajectory) for outcome in outcomes)
         assert renders == {m: 6 for m in range(6)}
+        assert reduces == {m: 6 for m in range(6)}
 
 
 def _poisoned_at(step: int, poison):

@@ -526,3 +526,38 @@ class TestBoundedMessages:
             build()
         message = str(info.value)
         assert len(message) < 300 and re.search(r", \.\.\.[)\]] \(100000 items\)$", message), message
+
+    @settings(max_examples=200)
+    @given(st.dictionaries(st.text(max_size=200), SHOWN_ITEMS, max_size=20) | st.sets(st.integers(), max_size=100))
+    def test_any_other_value_is_shown_whole_or_by_its_leading_characters_and_length(self, value):
+        shown, text = _shown(value), repr(value)
+        if len(text.encode()) <= SHOWN_BYTES:
+            assert shown == text
+        else:
+            head, _, count = shown.rpartition("... (")
+            assert count == f"{len(text)} characters)"
+            assert len(head.encode()) <= SHOWN_BYTES and text.startswith(head)
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: SceneSpec(8, 8, (SceneObject(id=0, label="x" * 100_000, bbox=(0.1, 0.1, 0.5, 0.5), depth=0.5), 1)),
+         SceneError),
+        (lambda: SceneSpec(8, 8, {"x" * 100_000: 1}), SceneError),
+        (lambda: GuidanceConfig(lambda0={"x" * 100_000: 1}), ConfigError),
+    ], ids=["object with a long label", "dict with a long key", "config dict with a long key"])
+    def test_a_long_repr_gives_a_short_message(self, build, error):
+        with pytest.raises(error) as info:
+            build()
+        message = str(info.value)
+        assert len(message) < 300 and re.search(r"\.\.\. \(1000\d\d characters\)", message), message
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: SceneSpec(8, 8, {10**5000: 1}), SceneError),
+        (lambda: GuidanceConfig(lambda0={10**5000: 1}), ConfigError),
+        (lambda: SceneObject(id=0, label="", bbox=(0.1, 0.1, 0.5, 0.5), depth={"k": 10**5000}), SceneError),
+    ], ids=["scene objects", "config real", "object depth"])
+    def test_a_value_holding_a_huge_integer_is_shown_by_its_type(self, build, error):
+        # Python refuses the repr of an integer of over 4300 digits with a ValueError of its own
+        with pytest.raises(error) as info:
+            build()
+        message = str(info.value)
+        assert len(message) < 300 and message.endswith(", got <dict object>"), message

@@ -27,7 +27,7 @@ from deptharb import (
 )
 from deptharb import canonical_scene, parse_scene
 from deptharb.gradcheck import _blob_map, coord_grid, spatial_mean
-from deptharb.losses import _columns, _plan, _product_views, _reduce, _reduce_views, _step_factors
+from deptharb.losses import _columns, _plan, _product_views, _reduce, _step_factors
 from deptharb.surrogate import JITTER, MODES, _Blob, _mode_class, _surrogate, with_default_step
 from perfbench import scenegen
 
@@ -250,7 +250,7 @@ class TestBackprop:
         # the run's sequence: render, reduce, the kernel's factors, chain
         surrogate, plan = _surrogate(scene, "blob", 1), _plan(scene, pairs, [cfg])
         surrogate.render(latent.values[None])
-        surrogate.reduce(surrogate.reduce_views(plan))
+        surrogate.reduce(plan)
         _step_factors(plan, _columns(plan, [[1]]), 0)
         grad = np.empty((1, 24, 24))
         analytic = surrogate.chain(_product_views(plan, [1], 0, 1, grad), grad)
@@ -387,7 +387,7 @@ class TestBlobMatchesReference:
         assert np.array_equal(blob.field(), want_maps)
         # at an amplitude near e^709 a sum of g_y, and the reductions with it, can overflow, in both forms
         with np.errstate(over="ignore", invalid="ignore"):
-            blob.reduce(blob.reduce_views(plan))
+            blob.reduce(plan)
             row_dots, col_sum = reference_blob_reduce(factors, plan.colmat)
         assert np.array_equal(plan.scratch.row_dots, row_dots, equal_nan=True)
         assert np.array_equal(plan.scratch.col_sum, col_sum, equal_nan=True)
@@ -415,24 +415,23 @@ class TestBlobMatchesReference:
         values = np.stack([init_latent(scene, "blob", seed).values for seed in range(batch)])
         blob = _Blob(scene, batch)
         plan = _plan(scene, derive_occlusion_pairs(scene), [GuidanceConfig()] * batch)
-        views = blob.reduce_views(plan)
         u, v = plan.factors
         products = _products(u, v, None)
         # every chain returns a view of the same surrogate-owned buffer
         blob.render(values)
-        blob.reduce(views)
+        blob.reduce(plan)
         partials = blob.chain(products)
         assert np.shares_memory(blob.chain(_products(u[1:4], v[1:4], None), None, 1, 4), partials)
         tracemalloc.start()
         try:
             blob.render(values)
-            blob.reduce(views)
+            blob.reduce(plan)
             blob.chain(products)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(50):
                 blob.render(values)
-                blob.reduce(views)
+                blob.reduce(plan)
                 assert np.shares_memory(blob.chain(products), partials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -488,9 +487,9 @@ class TestFactorFormsMatchDense:
         cfg = GuidanceConfig()
         blob, plan, dense = _Blob(scene, 1), _plan(scene, pairs, [cfg]), _plan(scene, pairs, [cfg])
         blob.render(values[None])
-        blob.reduce(blob.reduce_views(plan))
+        blob.reduce(plan)
         maps = blob.field()
-        _reduce(_reduce_views(maps, dense, 0, k))
+        _reduce(maps[0], dense)
         for name in ("row_dots", "col_sum"):
             got, want = getattr(plan.scratch, name), getattr(dense.scratch, name)
             assert np.isfinite(want).all()
